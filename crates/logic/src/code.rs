@@ -31,7 +31,7 @@
 //! mode). Slot cells always denote heap terms — `UnifyVar` in write mode
 //! allocates a real heap variable — so there is no unsafe-value problem.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::heap::{Addr, Cell, Heap};
 use crate::sym::{sym_name, wk, Sym};
@@ -180,32 +180,41 @@ pub struct ExecCost {
 
 impl CompiledCode {
     /// Compile `head :- body` from its clause arena. `head` must be an
-    /// atom or structure (validated by `Clause::from_read`).
-    pub fn compile(arena: &Heap, head: Cell, body: Cell) -> CompiledCode {
-        let mut counts = HashMap::new();
-        count_vars(arena, head, &mut counts);
-        count_vars(arena, body, &mut counts);
+    /// atom or structure (validated by `Clause::from_read`). Works in
+    /// `scratch`; what it allocates is what the compiled clause keeps.
+    pub fn compile(
+        arena: &Heap,
+        head: Cell,
+        body: Cell,
+        scratch: &mut CompileScratch,
+    ) -> CompiledCode {
+        // A compile that panicked (slot overflow) may have left anything.
+        scratch.vars.clear();
+        scratch.vars.resize(arena.len(), VarUse::default());
+        scratch.stack.clear();
+        scratch.code.clear();
+        scratch.work.clear();
         let mut c = Compiler {
             arena,
-            counts,
-            slots: HashMap::new(),
+            s: scratch,
             nslots: 0,
-            code: Vec::new(),
-            work: VecDeque::new(),
         };
+        c.count_vars(head);
+        c.count_vars(body);
         if let TermView::Struct(_, n, hdr) = view(arena, head) {
             for i in 0..n {
                 c.emit_arg(arena.str_arg(hdr, i), i as u16);
             }
-            while let Some((slot, t)) = c.work.pop_front() {
+            while let Some((slot, t)) = c.s.work.pop_front() {
                 c.emit_deferred(slot, t);
             }
         }
+        let head = c.s.code.as_slice().into();
         let mut fresh = Vec::new();
         let body = c.compile_body(body, &mut fresh);
         CompiledCode {
             nslots: c.nslots,
-            head: c.code,
+            head,
             body,
             body_fresh_slots: fresh,
         }
@@ -410,44 +419,72 @@ fn resolve(c: Cell, base: u32, slots: &[Cell]) -> Cell {
     }
 }
 
-fn count_vars(arena: &Heap, t: Cell, counts: &mut HashMap<u32, u32>) {
-    let mut stack = vec![t];
-    while let Some(c) = stack.pop() {
-        match view(arena, c) {
-            TermView::Var(a) => *counts.entry(a.0).or_insert(0) += 1,
-            TermView::Struct(_, n, hdr) => {
-                for i in 0..n {
-                    stack.push(arena.str_arg(hdr, i));
-                }
-            }
-            TermView::List(p) => {
-                stack.push(arena.lst_head(p));
-                stack.push(arena.lst_tail(p));
-            }
-            _ => {}
-        }
-    }
+/// What the compiler knows of the variable at one arena address.
+#[derive(Clone, Copy, Debug, Default)]
+struct VarUse {
+    /// Occurrences in head and body.
+    count: u32,
+    /// Its slot, once it has one.
+    slot: Option<u16>,
 }
 
-struct Compiler<'a> {
-    arena: &'a Heap,
-    counts: HashMap<u32, u32>,
-    slots: HashMap<u32, u16>,
-    nslots: u16,
+/// The buffers [`CompiledCode::compile`] works in. A caller that compiles
+/// many clauses (the database) keeps one, so that the buffers' capacity
+/// is reused and a compile allocates only what the compiled clause keeps.
+#[derive(Debug, Default)]
+pub struct CompileScratch {
+    /// One entry per arena cell, indexed by variable address.
+    vars: Vec<VarUse>,
+    /// Term traversal (counting), the arguments of every template compound
+    /// still open (innermost on top), and the conjuncts of a step list.
+    stack: Vec<Cell>,
+    /// Head code under construction.
     code: Vec<Instr>,
     /// Nested compounds deferred to keep each compound's `Unify*` group
     /// contiguous: `(slot holding the subterm, arena term)`, FIFO.
     work: VecDeque<(u16, Cell)>,
+    /// The template of the step under construction.
+    tpl: Vec<Cell>,
+}
+
+struct Compiler<'a> {
+    arena: &'a Heap,
+    s: &'a mut CompileScratch,
+    nslots: u16,
 }
 
 impl<'a> Compiler<'a> {
+    /// Add the variable occurrences in `t` to `vars`.
+    fn count_vars(&mut self, t: Cell) {
+        self.s.stack.push(t);
+        while let Some(c) = self.s.stack.pop() {
+            match view(self.arena, c) {
+                TermView::Var(a) => self.s.vars[a.idx()].count += 1,
+                TermView::Struct(_, n, hdr) => {
+                    for i in 0..n {
+                        self.s.stack.push(self.arena.str_arg(hdr, i));
+                    }
+                }
+                TermView::List(p) => {
+                    self.s.stack.push(self.arena.lst_head(p));
+                    self.s.stack.push(self.arena.lst_tail(p));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn occurs_once(&self, a: Addr) -> bool {
+        self.s.vars[a.idx()].count == 1
+    }
+
     /// Slot for variable `a`; the bool is `true` on first allocation.
     fn slot_of(&mut self, a: Addr) -> (u16, bool) {
-        if let Some(&s) = self.slots.get(&a.0) {
+        if let Some(s) = self.s.vars[a.idx()].slot {
             return (s, false);
         }
         let s = self.fresh_slot();
-        self.slots.insert(a.0, s);
+        self.s.vars[a.idx()].slot = Some(s);
         (s, true)
     }
 
@@ -460,36 +497,36 @@ impl<'a> Compiler<'a> {
     fn emit_arg(&mut self, t: Cell, arg: u16) {
         match view(self.arena, t) {
             TermView::Var(a) => {
-                if self.counts[&a.0] == 1 {
+                if self.occurs_once(a) {
                     return; // single-occurrence argument: matches anything
                 }
                 let (slot, new) = self.slot_of(a);
-                self.code.push(if new {
+                self.s.code.push(if new {
                     Instr::GetVar { slot, arg }
                 } else {
                     Instr::GetVal { slot, arg }
                 });
             }
-            TermView::Atom(s) => self.code.push(Instr::GetConst {
+            TermView::Atom(s) => self.s.code.push(Instr::GetConst {
                 what: Cell::Atom(s),
                 arg,
             }),
-            TermView::Int(i) => self.code.push(Instr::GetConst {
+            TermView::Int(i) => self.s.code.push(Instr::GetConst {
                 what: Cell::Int(i),
                 arg,
             }),
-            TermView::Nil => self.code.push(Instr::GetConst {
+            TermView::Nil => self.s.code.push(Instr::GetConst {
                 what: Cell::Nil,
                 arg,
             }),
             TermView::Struct(f, n, hdr) => {
-                self.code.push(Instr::GetStruct { f, n, arg });
+                self.s.code.push(Instr::GetStruct { f, n, arg });
                 for i in 0..n {
                     self.emit_child(self.arena.str_arg(hdr, i));
                 }
             }
             TermView::List(p) => {
-                self.code.push(Instr::GetList { arg });
+                self.s.code.push(Instr::GetList { arg });
                 self.emit_child(self.arena.lst_head(p));
                 self.emit_child(self.arena.lst_tail(p));
             }
@@ -499,26 +536,26 @@ impl<'a> Compiler<'a> {
     fn emit_child(&mut self, t: Cell) {
         match view(self.arena, t) {
             TermView::Var(a) => {
-                if self.counts[&a.0] == 1 {
-                    self.code.push(Instr::UnifyVoid);
+                if self.occurs_once(a) {
+                    self.s.code.push(Instr::UnifyVoid);
                     return;
                 }
                 let (slot, new) = self.slot_of(a);
-                self.code.push(if new {
+                self.s.code.push(if new {
                     Instr::UnifyVar { slot }
                 } else {
                     Instr::UnifyVal { slot }
                 });
             }
-            TermView::Atom(s) => self.code.push(Instr::UnifyConst {
+            TermView::Atom(s) => self.s.code.push(Instr::UnifyConst {
                 what: Cell::Atom(s),
             }),
-            TermView::Int(i) => self.code.push(Instr::UnifyConst { what: Cell::Int(i) }),
-            TermView::Nil => self.code.push(Instr::UnifyConst { what: Cell::Nil }),
+            TermView::Int(i) => self.s.code.push(Instr::UnifyConst { what: Cell::Int(i) }),
+            TermView::Nil => self.s.code.push(Instr::UnifyConst { what: Cell::Nil }),
             TermView::Struct(..) | TermView::List(_) => {
                 let tmp = self.fresh_slot();
-                self.code.push(Instr::UnifyVar { slot: tmp });
-                self.work.push_back((tmp, t));
+                self.s.code.push(Instr::UnifyVar { slot: tmp });
+                self.s.work.push_back((tmp, t));
             }
         }
     }
@@ -526,13 +563,13 @@ impl<'a> Compiler<'a> {
     fn emit_deferred(&mut self, slot: u16, t: Cell) {
         match view(self.arena, t) {
             TermView::Struct(f, n, hdr) => {
-                self.code.push(Instr::SlotStruct { f, n, slot });
+                self.s.code.push(Instr::SlotStruct { f, n, slot });
                 for i in 0..n {
                     self.emit_child(self.arena.str_arg(hdr, i));
                 }
             }
             TermView::List(p) => {
-                self.code.push(Instr::SlotList { slot });
+                self.s.code.push(Instr::SlotList { slot });
                 self.emit_child(self.arena.lst_head(p));
                 self.emit_child(self.arena.lst_tail(p));
             }
@@ -600,24 +637,26 @@ impl<'a> Compiler<'a> {
     /// Flatten a top-level `,`-chain into one step per conjunct.
     fn compile_steps(&mut self, t: Cell, fresh: &mut Vec<u16>) -> Vec<BodyStep> {
         let w = wk();
-        let mut conjuncts = Vec::new();
         let mut cur = t;
         loop {
             match view(self.arena, cur) {
                 TermView::Struct(f, 2, hdr) if f == w.comma => {
-                    conjuncts.push(self.arena.str_arg(hdr, 0));
+                    self.s.stack.push(self.arena.str_arg(hdr, 0));
                     cur = self.arena.str_arg(hdr, 1);
                 }
                 _ => {
-                    conjuncts.push(cur);
+                    self.s.stack.push(cur);
                     break;
                 }
             }
         }
-        conjuncts
-            .into_iter()
-            .map(|g| self.compile_step(g, fresh))
-            .collect()
+        // Templates build on the stack above the conjuncts, and clean up.
+        let n = self.s.stack.len();
+        let steps = (0..n)
+            .map(|i| self.compile_step(self.s.stack[i], fresh))
+            .collect();
+        self.s.stack.clear();
+        steps
     }
 
     fn compile_step(&mut self, g: Cell, fresh: &mut Vec<u16>) -> BodyStep {
@@ -638,19 +677,22 @@ impl<'a> Compiler<'a> {
     }
 
     fn step_template(&mut self, t: Cell, fresh: &mut Vec<u16>) -> StepTemplate {
-        let mut cells = Vec::new();
-        let root = self.build_template(t, &mut cells, fresh);
-        StepTemplate { cells, root }
+        self.s.tpl.clear();
+        let root = self.build_template(t, fresh);
+        StepTemplate {
+            cells: self.s.tpl.clone(),
+            root,
+        }
     }
 
-    fn build_template(&mut self, t: Cell, out: &mut Vec<Cell>, fresh: &mut Vec<u16>) -> Cell {
+    fn build_template(&mut self, t: Cell, fresh: &mut Vec<u16>) -> Cell {
         match view(self.arena, t) {
             TermView::Var(a) => {
-                if self.counts[&a.0] == 1 {
+                if self.occurs_once(a) {
                     // Single occurrence: a template-relative self-reference
                     // becomes a fresh unbound variable on copy.
-                    let p = Addr(out.len() as u32);
-                    out.push(Cell::Ref(p));
+                    let p = Addr(self.s.tpl.len() as u32);
+                    self.s.tpl.push(Cell::Ref(p));
                     Cell::Ref(p)
                 } else {
                     let (slot, new) = self.slot_of(a);
@@ -664,24 +706,23 @@ impl<'a> Compiler<'a> {
             TermView::Int(i) => Cell::Int(i),
             TermView::Nil => Cell::Nil,
             TermView::Struct(f, n, hdr) => {
-                let mut args = Vec::with_capacity(n as usize);
+                let mine = self.s.stack.len();
                 for i in 0..n {
-                    let sub = self.build_template(self.arena.str_arg(hdr, i), out, fresh);
-                    args.push(sub);
+                    let sub = self.build_template(self.arena.str_arg(hdr, i), fresh);
+                    self.s.stack.push(sub);
                 }
-                let h = Addr(out.len() as u32);
-                out.push(Cell::Functor(f, n));
-                for a in args {
-                    out.push(a);
-                }
+                let h = Addr(self.s.tpl.len() as u32);
+                self.s.tpl.push(Cell::Functor(f, n));
+                self.s.tpl.extend_from_slice(&self.s.stack[mine..]);
+                self.s.stack.truncate(mine);
                 Cell::Str(h)
             }
             TermView::List(p) => {
-                let hd = self.build_template(self.arena.lst_head(p), out, fresh);
-                let tl = self.build_template(self.arena.lst_tail(p), out, fresh);
-                let a = Addr(out.len() as u32);
-                out.push(hd);
-                out.push(tl);
+                let hd = self.build_template(self.arena.lst_head(p), fresh);
+                let tl = self.build_template(self.arena.lst_tail(p), fresh);
+                let a = Addr(self.s.tpl.len() as u32);
+                self.s.tpl.push(hd);
+                self.s.tpl.push(tl);
                 Cell::Lst(a)
             }
         }

@@ -30,6 +30,27 @@ pub struct CopyOut {
 
 /// Copy `root` from `src` into `dst` with fresh variables.
 pub fn copy_term(src: &Heap, root: Cell, dst: &mut Heap) -> CopyOut {
+    copy(Some(src), root, dst)
+}
+
+/// Copy a term within a single heap (fresh variables, new cells at the top).
+/// Implements the `copy_term/2` builtin.
+///
+/// The copy only appends, and every source address predates it, so the
+/// source cells are read from the same heap while it grows: cost is the
+/// size of the term, whatever the size of the heap.
+pub fn copy_term_within(heap: &mut Heap, root: Cell) -> CopyOut {
+    copy(None, root, heap)
+}
+
+/// The heap to read source cells from: `src`, or `dst` itself when the
+/// copy is within one heap. Borrowed afresh for each read, so that `dst`
+/// is free to grow in between.
+fn source<'a>(src: Option<&'a Heap>, dst: &'a Heap) -> &'a Heap {
+    src.unwrap_or(dst)
+}
+
+fn copy(src: Option<&Heap>, root: Cell, dst: &mut Heap) -> CopyOut {
     let mut copier = Copier {
         var_map: HashMap::new(),
         block_map: HashMap::new(),
@@ -47,17 +68,6 @@ pub fn copy_term(src: &Heap, root: Cell, dst: &mut Heap) -> CopyOut {
         cells_copied: copier.cells,
         fresh_vars: copier.vars,
     }
-}
-
-/// Copy a term within a single heap (fresh variables, new cells at the top).
-/// Implements the `copy_term/2` builtin.
-pub fn copy_term_within(heap: &mut Heap, root: Cell) -> CopyOut {
-    // The copier only reads cells that existed before it starts appending
-    // (every source address predates the copy), but expressing that to the
-    // borrow checker would need split borrows; `copy_term_within` is a
-    // builtin-only path, so a snapshot is acceptable.
-    let snapshot = heap.clone();
-    copy_term(&snapshot, root, heap)
 }
 
 struct Copier {
@@ -85,12 +95,12 @@ impl Copier {
     /// deep terms cannot overflow the Rust stack).
     fn translate(
         &mut self,
-        src: &Heap,
+        src: Option<&Heap>,
         c: Cell,
         dst: &mut Heap,
         work: &mut Vec<(Cell, Addr)>,
     ) -> Cell {
-        match src.deref(c) {
+        match source(src, dst).deref(c) {
             Cell::Ref(a) => *self.var_map.entry(a).or_insert_with(|| {
                 self.vars += 1;
                 self.cells += 1;
@@ -103,11 +113,12 @@ impl Copier {
                 if let Some(&d) = self.block_map.get(&hdr) {
                     return d;
                 }
-                let (f, n) = src.functor_at(hdr);
+                let (f, n) = source(src, dst).functor_at(hdr);
                 let dhdr = dst.push(Cell::Functor(f, n));
                 for i in 0..n {
+                    let arg = source(src, dst).str_arg(hdr, i);
                     let slot = dst.push(Cell::Nil); // placeholder
-                    work.push((src.str_arg(hdr, i), slot));
+                    work.push((arg, slot));
                 }
                 self.cells += 1 + n as usize;
                 let out = Cell::Str(dhdr);
@@ -118,10 +129,11 @@ impl Copier {
                 if let Some(&d) = self.block_map.get(&p) {
                     return d;
                 }
+                let (head, tail) = (source(src, dst).lst_head(p), source(src, dst).lst_tail(p));
                 let dh = dst.push(Cell::Nil);
                 let dt = dst.push(Cell::Nil);
-                work.push((src.lst_head(p), dh));
-                work.push((src.lst_tail(p), dt));
+                work.push((head, dh));
+                work.push((tail, dt));
                 self.cells += 2;
                 let out = Cell::Lst(dh);
                 self.block_map.insert(p, out);

@@ -1,10 +1,15 @@
 //! Clause database with first-argument indexing.
 //!
-//! Each clause is kept as a **self-contained heap arena** produced by the
-//! reader. Calling a clause instantiates it by a single block copy with
-//! address relocation — variables in the arena are self-referential `Ref`
-//! cells, so relocation automatically renames them apart (the classic
-//! "copy-based" clause representation).
+//! Each clause is kept as a **self-contained heap arena**: the reader
+//! builds the clause in a scratch heap it reuses and copies it out into an
+//! allocation of exactly the clause's length, with no trail
+//! ([`Heap::from_cells`]); the database keeps that arena as it comes.
+//! Calling a clause instantiates it by a single block copy with address
+//! relocation — variables in the arena are self-referential `Ref` cells,
+//! so relocation automatically renames them apart (the classic
+//! "copy-based" clause representation). Loading a clause allocates what
+//! the database keeps of it — the arena, the compiled code, the `Arc` —
+//! and nothing else: the compiler works in buffers the database owns.
 //!
 //! First-argument indexing matters here beyond raw speed: the engines
 //! detect **determinacy at runtime** by asking how many clauses *can still
@@ -16,7 +21,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crate::code::CompiledCode;
+use crate::code::{CompileScratch, CompiledCode};
 use crate::fxhash::FxHashMap;
 use crate::heap::{Cell, Heap};
 use crate::read::{parse_program, ReadClause, ReadError};
@@ -90,8 +95,13 @@ pub struct Clause {
 }
 
 impl Clause {
-    /// Build from a parsed clause term (`Head`, or `Head :- Body`).
-    pub fn from_read(rc: ReadClause, ordinal: usize) -> Result<Clause, String> {
+    /// Build from a parsed clause term (`Head`, or `Head :- Body`). The
+    /// clause keeps the reader's arena as it is.
+    pub fn from_read(
+        rc: ReadClause,
+        ordinal: usize,
+        scratch: &mut CompileScratch,
+    ) -> Result<Clause, String> {
         let ReadClause { arena, root } = rc;
         let (head, body) = match view(&arena, root) {
             TermView::Struct(f, 2, hdr) if f == wk().clause_neck => {
@@ -106,7 +116,7 @@ impl Clause {
                 return Err(format!("invalid clause head: {other:?}"));
             }
         };
-        let code = CompiledCode::compile(&arena, head, body);
+        let code = CompiledCode::compile(&arena, head, body, scratch);
         Ok(Clause {
             arena,
             head,
@@ -305,6 +315,8 @@ pub struct Database {
     /// machine routes calls on these through SLG evaluation instead of
     /// plain clause resolution.
     tabled: HashSet<(Sym, u32)>,
+    /// The clause compiler's buffers, reused from clause to clause.
+    scratch: CompileScratch,
 }
 
 impl Database {
@@ -331,11 +343,11 @@ impl Database {
                     if self.try_table_directive(&rc.arena, goal)? {
                         continue;
                     }
-                    let arena = rc.arena.clone();
-                    let code = CompiledCode::compile(&arena, Cell::Atom(wk().true_), goal);
+                    let head = Cell::Atom(wk().true_);
+                    let code = CompiledCode::compile(&rc.arena, head, goal, &mut self.scratch);
                     self.directives.push(Arc::new(Clause {
-                        arena,
-                        head: Cell::Atom(wk().true_),
+                        arena: rc.arena,
+                        head,
                         body: goal,
                         key: IndexKey::Any,
                         ordinal: self.directives.len(),
@@ -351,10 +363,8 @@ impl Database {
 
     /// Add one parsed clause.
     pub fn add_clause(&mut self, rc: ReadClause) -> Result<(), String> {
-        let clause = Clause::from_read(rc, 0)?;
-        let fa = clause.head_functor();
-        let pred = self.preds.entry(fa).or_default();
-        let mut clause = clause;
+        let mut clause = Clause::from_read(rc, 0, &mut self.scratch)?;
+        let pred = self.preds.entry(clause.head_functor()).or_default();
         clause.ordinal = pred.clauses.len();
         pred.push(Arc::new(clause));
         Ok(())

@@ -110,6 +110,21 @@ impl Heap {
         }
     }
 
+    /// A frozen copy of `cells`: room for exactly those cells and for no
+    /// trail entry. This is how the clause store keeps a clause; a heap that
+    /// will grow or bind should start from [`Heap::new`].
+    pub fn from_cells(cells: &[Cell]) -> Self {
+        Heap {
+            cells: Box::<[Cell]>::from(cells).into_vec(),
+            trail: Vec::new(),
+        }
+    }
+
+    /// Allocated room as `(cells, trail entries)`, used or not.
+    pub fn reserved(&self) -> (usize, usize) {
+        (self.cells.capacity(), self.trail.capacity())
+    }
+
     /// Number of live cells.
     #[inline]
     pub fn len(&self) -> usize {

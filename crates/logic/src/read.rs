@@ -12,15 +12,27 @@
 //!     process(H, Hout) & process_list(T, Tout).
 //! ```
 //!
-//! Terms are built directly into a caller-supplied [`Heap`]; parsing a
-//! program yields one self-contained heap ("arena") per clause, which the
-//! database later instantiates by block copy + relocation.
+//! Reading borrows: a token is a slice of the source (only a quoted atom
+//! with escapes owns its text), names are interned through a per-parse
+//! map in front of the global interner, and the variable list and the stack of open compounds'
+//! arguments are cleared, not dropped, between clauses. [`parse_term`]
+//! builds into a caller-supplied [`Heap`]; [`parse_program`] builds each
+//! clause in one scratch heap, then copies it out into an arena of exactly
+//! its length ([`Heap::from_cells`]) — the one allocation per clause —
+//! which the database later instantiates by block copy + relocation.
+//!
+//! Nesting is bounded: brackets, arguments, prefix operators and the right
+//! operands of non-`xfy` operators recurse, and past [`MAX_DEPTH`] levels
+//! the reader returns a [`ReadError`] instead of overflowing the stack.
+//! `xfy` chains (`,`, `;`, `->`, `&`, `^`) and list items are read in a
+//! loop, so long conjunctions and lists are not nesting.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
 use crate::heap::{Cell, Heap};
-use crate::sym::sym;
+use crate::sym::{sym, Sym};
 
 /// Reader errors with a byte offset into the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,23 +49,36 @@ impl fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-fn err<T>(at: usize, msg: impl Into<String>) -> Result<T, ReadError> {
-    Err(ReadError {
+/// What the reader's own functions return. The error is boxed so that a
+/// `Parsed<Cell>` is two words and comes back in registers; with the
+/// `ReadError` by value every return on the hot path went through memory.
+type Parsed<T> = Result<T, Box<ReadError>>;
+
+fn err<T>(at: usize, msg: impl Into<String>) -> Parsed<T> {
+    Err(Box::new(ReadError {
         at,
         msg: msg.into(),
-    })
+    }))
 }
+
+/// Levels of term nesting the reader accepts. A level measured 2.5 KiB of
+/// stack in an unoptimized build (0.7 KiB optimized), so the worst case is
+/// a third of a 2 MiB thread stack; the corpus nests 12 deep at most.
+pub const MAX_DEPTH: u32 = 256;
 
 // ---------------------------------------------------------------------------
 // Tokens
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
+enum Tok<'s> {
     /// Atom or symbolic atom; bool = followed immediately by `(`.
-    Atom(String, bool),
-    Var(String),
-    Int(i64),
+    Atom(Cow<'s, str>, bool),
+    Var(&'s str),
+    /// The magnitude of an integer literal, at most 2^63: the parser applies
+    /// the sign, so that `-9223372036854775808` is in range, and rejects
+    /// 2^63 without one.
+    Int(u64),
     Open,   // (
     Close,  // )
     OpenB,  // [
@@ -65,165 +90,129 @@ enum Tok {
 }
 
 struct Lexer<'s> {
-    src: &'s [u8],
+    src: &'s str,
     pos: usize,
+    /// The token the parser is looking at, and the offset it starts at.
+    /// [`Lexer::advance`] overwrites both in place: a token is read where
+    /// it lies, never moved.
+    tok: Tok<'s>,
+    at: usize,
 }
 
-const SYMBOLIC: &[u8] = b"+-*/\\^<>=~:.?@#&$";
+#[rustfmt::skip]
+fn is_symbolic(b: u8) -> bool {
+    matches!(b, b'+' | b'-' | b'*' | b'/' | b'\\' | b'^' | b'<' | b'>' | b'=' | b'~'
+        | b':' | b'.' | b'?' | b'@' | b'#' | b'&' | b'$')
+}
 
 impl<'s> Lexer<'s> {
-    fn new(src: &'s str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) -> Result<(), ReadError> {
+    fn skip_ws(&mut self) -> Parsed<()> {
+        let src = self.src.as_bytes();
         loop {
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-                self.pos += 1;
-            }
-            if self.pos < self.src.len() && self.src[self.pos] == b'%' {
-                while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-                    self.pos += 1;
+            match src.get(self.pos) {
+                Some(b) if b.is_ascii_whitespace() => self.pos += 1,
+                Some(b'%') => {
+                    self.take_while(|b| b != b'\n');
                 }
-                continue;
-            }
-            if self.pos + 1 < self.src.len()
-                && self.src[self.pos] == b'/'
-                && self.src[self.pos + 1] == b'*'
-            {
-                let start = self.pos;
-                self.pos += 2;
-                loop {
-                    if self.pos + 1 >= self.src.len() {
-                        return err(start, "unterminated block comment");
-                    }
-                    if self.src[self.pos] == b'*' && self.src[self.pos + 1] == b'/' {
-                        self.pos += 2;
-                        break;
-                    }
-                    self.pos += 1;
+                Some(b'/') if src.get(self.pos + 1) == Some(&b'*') => {
+                    let Some(len) = self.src[self.pos + 2..].find("*/") else {
+                        return err(self.pos, "unterminated block comment");
+                    };
+                    self.pos += len + 4;
                 }
-                continue;
+                _ => return Ok(()),
             }
-            return Ok(());
         }
     }
 
     fn peek_byte(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
-    /// Lex the next token.
-    fn next(&mut self) -> Result<(usize, Tok), ReadError> {
+    /// Advance while `keep` holds and return the bytes passed over. Every
+    /// caller stops at an ASCII byte or the end, so the cut is on a
+    /// character boundary.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'s str {
+        let rest = &self.src[self.pos..];
+        let len = rest.bytes().position(|b| !keep(b)).unwrap_or(rest.len());
+        self.pos += len;
+        &rest[..len]
+    }
+
+    /// Step to the next token.
+    fn advance(&mut self) -> Parsed<()> {
         self.skip_ws()?;
         let at = self.pos;
+        self.at = at;
         let Some(c) = self.peek_byte() else {
-            return Ok((at, Tok::Eof));
+            self.tok = Tok::Eof;
+            return Ok(());
         };
-        match c {
-            b'(' => {
+        let punct = match c {
+            b'(' => Some(Tok::Open),
+            b')' => Some(Tok::Close),
+            b'[' => Some(Tok::OpenB),
+            b']' => Some(Tok::CloseB),
+            b',' => Some(Tok::Comma),
+            b'|' => Some(Tok::Bar),
+            _ => None,
+        };
+        if let Some(tok) = punct {
+            self.pos += 1;
+            self.tok = tok;
+            return Ok(());
+        }
+        self.tok = match c {
+            b'!' | b';' => {
                 self.pos += 1;
-                Ok((at, Tok::Open))
+                self.atom_tok(&self.src[at..self.pos])
             }
-            b')' => {
-                self.pos += 1;
-                Ok((at, Tok::Close))
-            }
-            b'[' => {
-                self.pos += 1;
-                Ok((at, Tok::OpenB))
-            }
-            b']' => {
-                self.pos += 1;
-                Ok((at, Tok::CloseB))
-            }
-            b',' => {
-                self.pos += 1;
-                Ok((at, Tok::Comma))
-            }
-            b'|' => {
-                self.pos += 1;
-                Ok((at, Tok::Bar))
-            }
-            b'!' => {
-                self.pos += 1;
-                Ok((at, self.atom_tok("!")))
-            }
-            b';' => {
-                self.pos += 1;
-                Ok((at, self.atom_tok(";")))
-            }
-            b'\'' => self.quoted_atom(at),
-            b'0'..=b'9' => self.number(at),
+            b'\'' => self.quoted_atom(at)?,
+            b'0'..=b'9' => match self.take_while(|b| b.is_ascii_digit()).parse() {
+                Ok(magnitude) if magnitude <= i64::MIN.unsigned_abs() => Tok::Int(magnitude),
+                _ => return err(at, "integer literal out of range"),
+            },
             b'_' | b'A'..=b'Z' => {
-                let name = self.ident();
-                Ok((at, Tok::Var(name)))
+                Tok::Var(self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_'))
             }
             b'a'..=b'z' => {
-                let name = self.ident();
-                Ok((at, self.atom_tok(&name)))
+                let name = self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_');
+                self.atom_tok(name)
             }
-            c if SYMBOLIC.contains(&c) => {
-                let start = self.pos;
-                while self.pos < self.src.len() && SYMBOLIC.contains(&self.src[self.pos]) {
-                    self.pos += 1;
-                }
-                let s = std::str::from_utf8(&self.src[start..self.pos])
-                    .unwrap()
-                    .to_owned();
+            c if is_symbolic(c) => {
+                let s = self.take_while(is_symbolic);
                 // A lone '.' followed by whitespace/EOF terminates a clause.
-                if s == "." {
-                    let next_ws = self
-                        .peek_byte()
-                        .is_none_or(|b| b.is_ascii_whitespace() || b == b'%');
-                    if next_ws {
-                        return Ok((at, Tok::End));
-                    }
+                let ends_clause = self
+                    .peek_byte()
+                    .is_none_or(|b| b.is_ascii_whitespace() || b == b'%');
+                if s == "." && ends_clause {
+                    Tok::End
+                } else {
+                    self.atom_tok(s)
                 }
-                Ok((at, self.atom_tok(&s)))
             }
-            other => err(at, format!("unexpected character {:?}", other as char)),
-        }
+            other => return err(at, format!("unexpected character {:?}", other as char)),
+        };
+        Ok(())
     }
 
-    fn atom_tok(&self, name: &str) -> Tok {
-        let calls = self.peek_byte() == Some(b'(');
-        Tok::Atom(name.to_owned(), calls)
+    fn atom_tok(&self, name: &'s str) -> Tok<'s> {
+        Tok::Atom(Cow::Borrowed(name), self.peek_byte() == Some(b'('))
     }
 
-    fn ident(&mut self) -> String {
-        let start = self.pos;
-        while self.pos < self.src.len()
-            && (self.src[self.pos].is_ascii_alphanumeric() || self.src[self.pos] == b'_')
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.src[start..self.pos])
-            .unwrap()
-            .to_owned()
-    }
-
-    fn number(&mut self, at: usize) -> Result<(usize, Tok), ReadError> {
-        let start = self.pos;
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        match text.parse::<i64>() {
-            Ok(v) => Ok((at, Tok::Int(v))),
-            Err(_) => err(at, "integer literal out of range"),
-        }
-    }
-
-    fn quoted_atom(&mut self, at: usize) -> Result<(usize, Tok), ReadError> {
+    fn quoted_atom(&mut self, at: usize) -> Parsed<Tok<'s>> {
         self.pos += 1; // opening quote
-                       // Collect raw bytes so multi-byte UTF-8 inside quoted atoms
-                       // survives intact (the input is valid UTF-8 and all delimiters
-                       // and escapes are ASCII, so byte-level scanning is safe).
-        let mut bytes: Vec<u8> = Vec::new();
+        let plain = self.take_while(|b| b != b'\'' && b != b'\\');
+        let src = self.src.as_bytes();
+        if self.peek_byte() == Some(b'\'') && src.get(self.pos + 1) != Some(&b'\'') {
+            self.pos += 1;
+            return Ok(self.atom_tok(plain));
+        }
+        // An escape or a doubled quote: the text is no longer a slice of
+        // the source. Collect raw bytes so multi-byte UTF-8 survives intact
+        // (the input is valid UTF-8 and all delimiters and escapes are
+        // ASCII, so byte-level scanning is safe).
+        let mut bytes = plain.as_bytes().to_vec();
         loop {
             match self.peek_byte() {
                 None => return err(at, "unterminated quoted atom"),
@@ -238,18 +227,15 @@ impl<'s> Lexer<'s> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek_byte() {
-                        Some(b'n') => bytes.push(b'\n'),
-                        Some(b't') => bytes.push(b'\t'),
-                        Some(b'\\') => bytes.push(b'\\'),
-                        Some(b'\'') => bytes.push(b'\''),
+                    bytes.push(match self.peek_byte() {
+                        Some(b'n') => b'\n',
+                        Some(b't') => b'\t',
+                        Some(c @ (b'\\' | b'\'')) => c,
                         other => {
-                            return err(
-                                self.pos,
-                                format!("bad escape {:?}", other.map(|b| b as char)),
-                            )
+                            let other = other.map(|b| b as char);
+                            return err(self.pos, format!("bad escape {other:?}"));
                         }
-                    }
+                    });
                     self.pos += 1;
                 }
                 Some(b) => {
@@ -258,12 +244,10 @@ impl<'s> Lexer<'s> {
                 }
             }
         }
-        let out = String::from_utf8(bytes).map_err(|_| ReadError {
-            at,
-            msg: "invalid UTF-8 in quoted atom".into(),
-        })?;
-        let calls = self.peek_byte() == Some(b'(');
-        Ok((at, Tok::Atom(out, calls)))
+        let Ok(out) = String::from_utf8(bytes) else {
+            return err(at, "invalid UTF-8 in quoted atom");
+        };
+        Ok(Tok::Atom(Cow::Owned(out), self.peek_byte() == Some(b'(')))
     }
 }
 
@@ -322,228 +306,339 @@ fn prefix_op(name: &str) -> Option<OpDef> {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Up to this many named variables a clause's variables are found by a
+/// scan of `Parser::vars`; a clause with more gets a hashed index, so
+/// hostile text cannot make variable lookup quadratic.
+const VAR_SCAN: usize = 16;
+
+/// An `xfy` operator whose right operand is still being read.
+struct OpenXfy {
+    left: Cell,
+    op: Sym,
+    prec: u16,
+    /// The priority bound that applies again once this operator is built.
+    outer_max: u16,
+}
+
 struct Parser<'s, 'h> {
+    /// Its `tok` is the one-token lookahead.
     lx: Lexer<'s>,
     heap: &'h mut Heap,
-    vars: HashMap<String, Cell>,
-    /// one-token lookahead
-    peeked: Option<(usize, Tok)>,
+    /// The names seen so far in this text: one that recurs takes the
+    /// global interner's lock once. The keys come from outside the program
+    /// (query text), so the map keeps the default keyed hasher — which on
+    /// short names also measured faster than `FxHasher`'s byte path.
+    syms: HashMap<&'s str, Sym>,
+    /// Named variables of the clause being read, in order of appearance.
+    vars: Vec<(&'s str, Cell)>,
+    /// Index over `vars`, filled only past [`VAR_SCAN`] of them.
+    var_index: HashMap<&'s str, Cell>,
+    /// Arguments and list items of every compound still open, innermost on
+    /// top; each compound takes its own back off when it closes.
+    items: Vec<Cell>,
+    /// Same discipline for open `xfy` operators.
+    open_ops: Vec<OpenXfy>,
+    depth: u32,
 }
 
 impl<'s, 'h> Parser<'s, 'h> {
-    fn new(src: &'s str, heap: &'h mut Heap) -> Self {
-        Parser {
-            lx: Lexer::new(src),
+    fn new(src: &'s str, heap: &'h mut Heap) -> Parsed<Self> {
+        let mut lx = Lexer {
+            src,
+            pos: 0,
+            tok: Tok::Eof,
+            at: 0,
+        };
+        lx.advance()?;
+        Ok(Parser {
+            lx,
             heap,
-            vars: HashMap::new(),
-            peeked: None,
+            syms: HashMap::new(),
+            vars: Vec::new(),
+            var_index: HashMap::new(),
+            items: Vec::new(),
+            open_ops: Vec::new(),
+            depth: 0,
+        })
+    }
+
+    /// "expected `what`, found <the lookahead>".
+    fn expected<T>(&self, what: &str) -> Parsed<T> {
+        err(
+            self.lx.at,
+            format!("expected {what}, found {:?}", self.lx.tok),
+        )
+    }
+
+    /// Only escaped quoted atoms own their text; they are rare enough to
+    /// go to the global interner each time.
+    fn intern(&mut self, name: Cow<'s, str>) -> Sym {
+        match name {
+            Cow::Borrowed(name) => *self.syms.entry(name).or_insert_with(|| sym(name)),
+            Cow::Owned(name) => sym(&name),
         }
     }
 
-    fn peek(&mut self) -> Result<&(usize, Tok), ReadError> {
-        if self.peeked.is_none() {
-            self.peeked = Some(self.lx.next()?);
-        }
-        Ok(self.peeked.as_ref().unwrap())
-    }
-
-    fn bump(&mut self) -> Result<(usize, Tok), ReadError> {
-        match self.peeked.take() {
-            Some(t) => Ok(t),
-            None => self.lx.next(),
-        }
-    }
-
-    fn var(&mut self, name: &str) -> Cell {
+    fn var(&mut self, name: &'s str) -> Cell {
         if name == "_" {
             return self.heap.new_var();
         }
-        if let Some(&c) = self.vars.get(name) {
+        let known = if self.vars.len() <= VAR_SCAN {
+            self.vars.iter().find(|(n, _)| *n == name).map(|v| v.1)
+        } else {
+            self.var_index.get(name).copied()
+        };
+        if let Some(c) = known {
             return c;
         }
         let c = self.heap.new_var();
-        self.vars.insert(name.to_owned(), c);
+        self.vars.push((name, c));
+        if self.vars.len() > VAR_SCAN {
+            // Index what is not yet: everything, the first time past the limit.
+            let unindexed = &self.vars[self.var_index.len()..];
+            self.var_index.extend(unindexed.iter().copied());
+        }
         c
     }
 
     /// Parse a term with priority at most `max_prec`.
-    fn term(&mut self, max_prec: u16) -> Result<Cell, ReadError> {
-        let (mut left, mut left_prec) = self.primary(max_prec)?;
+    ///
+    /// Throughout, a token is stepped over only once everything that must
+    /// happen before the next one is lexed has happened (range errors,
+    /// interning), so errors come in source order and the global symbol
+    /// table fills in the order names are completed.
+    fn term(&mut self, mut max_prec: u16) -> Parsed<Cell> {
+        if self.depth == MAX_DEPTH {
+            return err(self.lx.at, "term nesting too deep");
+        }
+        self.depth += 1;
+        let mine = self.open_ops.len();
+        let mut left_prec = 0;
+        let mut left = self.primary(max_prec, &mut left_prec)?;
         loop {
-            let (at, tok) = self.peek()?.clone();
-            let opname = match &tok {
-                Tok::Atom(name, _) => name.clone(),
-                Tok::Comma => ",".to_owned(),
-                Tok::Bar if max_prec >= 1100 => {
-                    // '|' as alternative separator is not supported;
-                    // it only appears in lists.
+            // Can the lookahead take `left` as its left operand here?
+            let op = match &self.lx.tok {
+                Tok::Atom(name, _) => infix_op(name),
+                Tok::Comma => infix_op(","),
+                // '|' as alternative separator is not supported; it only
+                // appears in lists.
+                _ => None,
+            }
+            .filter(|op| {
+                let larg_max = op.prec - u16::from(op.typ != OpType::Yfx);
+                op.prec <= max_prec && left_prec <= larg_max
+            });
+            let Some(op) = op else {
+                // The operand ends here. If it was the right operand of an
+                // `xfy` operator of this call, build that operator and try
+                // the same token against the bound it was read under.
+                if self.open_ops.len() == mine {
                     break;
                 }
-                _ => break,
+                let open = self.open_ops.pop().expect("longer than `mine`");
+                left = self.heap.new_struct(open.op, &[open.left, left]);
+                left_prec = open.prec;
+                max_prec = open.outer_max;
+                continue;
             };
-            let Some(op) = infix_op(&opname) else { break };
-            if op.prec > max_prec {
-                break;
-            }
-            let (larg_max, rarg_max) = match op.typ {
-                OpType::Xfx => (op.prec - 1, op.prec - 1),
-                OpType::Xfy => (op.prec - 1, op.prec),
-                OpType::Yfx => (op.prec, op.prec - 1),
-                _ => unreachable!(),
+            let name = match &mut self.lx.tok {
+                Tok::Atom(name, _) => std::mem::take(name),
+                _ => Cow::Borrowed(","),
             };
-            if left_prec > larg_max {
-                break;
+            self.lx.advance()?;
+            if op.typ == OpType::Xfy {
+                // Right-associative: read the right operand in this loop,
+                // so that a long conjunction is not deep recursion. (All
+                // `xfy` names are pre-interned, so interning before the
+                // operand is read does not reorder the symbol table.)
+                let op_sym = self.intern(name);
+                self.open_ops.push(OpenXfy {
+                    left,
+                    op: op_sym,
+                    prec: op.prec,
+                    outer_max: max_prec,
+                });
+                max_prec = op.prec;
+                left_prec = 0;
+                left = self.primary(max_prec, &mut left_prec)?;
+            } else {
+                let right = self.term(op.prec - 1)?;
+                let f = self.intern(name);
+                left = self.heap.new_struct(f, &[left, right]);
+                left_prec = op.prec;
             }
-            self.bump()?; // consume the operator
-            let right = self.term(rarg_max).map_err(|e| ReadError {
-                at: e.at.max(at),
-                msg: e.msg,
-            })?;
-            left = self.heap.new_struct(sym(&opname), &[left, right]);
-            left_prec = op.prec;
         }
+        self.depth -= 1;
         Ok(left)
     }
 
-    /// Parse a primary (possibly prefixed) term; returns (term, priority).
-    fn primary(&mut self, max_prec: u16) -> Result<(Cell, u16), ReadError> {
-        let (at, tok) = self.bump()?;
-        match tok {
-            Tok::Int(v) => Ok((Cell::Int(v), 0)),
-            Tok::Var(name) => Ok((self.var(&name), 0)),
+    /// Parse a primary (possibly prefixed) term. Its priority is 0 unless
+    /// it is a prefix operator applied to a term: then `prec` is set.
+    fn primary(&mut self, max_prec: u16, prec: &mut u16) -> Parsed<Cell> {
+        let at = self.lx.at;
+        let (name, calls) = match &mut self.lx.tok {
+            Tok::Atom(name, calls) => (std::mem::take(name), *calls),
+            &mut Tok::Int(magnitude) => {
+                let t = int_cell(at, magnitude, false)?;
+                self.lx.advance()?;
+                return Ok(t);
+            }
+            &mut Tok::Var(name) => {
+                self.lx.advance()?;
+                return Ok(self.var(name));
+            }
             Tok::Open => {
+                self.lx.advance()?;
                 let t = self.term(1200)?;
-                self.expect_close()?;
-                Ok((t, 0))
+                if self.lx.tok != Tok::Close {
+                    return self.expected("`)`");
+                }
+                self.lx.advance()?;
+                return Ok(t);
             }
-            Tok::OpenB => self.list(),
-            Tok::Atom(name, calls_args) => {
-                if calls_args {
-                    // functional notation f(...)
-                    let args = self.arglist()?;
-                    let t = self.heap.new_struct(sym(&name), &args);
-                    return Ok((t, 0));
-                }
-                // Prefix operator?
-                if let Some(op) = prefix_op(&name) {
-                    if op.prec <= max_prec && self.starts_term()? {
-                        // Special case: -Integer is a negative literal.
-                        if name == "-" {
-                            if let (_, Tok::Int(v)) = self.peek()?.clone() {
-                                self.bump()?;
-                                return Ok((Cell::Int(-v), 0));
-                            }
-                        }
-                        let arg_max = match op.typ {
-                            OpType::Fy => op.prec,
-                            OpType::Fx => op.prec - 1,
-                            _ => unreachable!(),
-                        };
-                        let arg = self.term(arg_max)?;
-                        let t = self.heap.new_struct(sym(&name), &[arg]);
-                        return Ok((t, op.prec));
-                    }
-                }
-                if infix_op(&name).is_some() && !self.at_term_end()? {
-                    // an infix operator in primary position with more input
-                    // following is a syntax error unless parenthesised
-                    return err(at, format!("operator `{name}` used as term"));
-                }
-                Ok((atom_cell(&name), 0))
+            Tok::OpenB => {
+                self.lx.advance()?;
+                return self.list();
             }
-            Tok::Comma => err(at, "unexpected `,`"),
-            Tok::Bar => err(at, "unexpected `|`"),
-            Tok::Close => err(at, "unexpected `)`"),
-            Tok::CloseB => err(at, "unexpected `]`"),
-            Tok::End => err(at, "unexpected end of clause"),
-            Tok::Eof => err(at, "unexpected end of input"),
+            Tok::Comma => return err(at, "unexpected `,`"),
+            Tok::Bar => return err(at, "unexpected `|`"),
+            Tok::Close => return err(at, "unexpected `)`"),
+            Tok::CloseB => return err(at, "unexpected `]`"),
+            Tok::End => return err(at, "unexpected end of clause"),
+            Tok::Eof => return err(at, "unexpected end of input"),
+        };
+        if calls {
+            // functional notation f(...)
+            self.lx.advance()?;
+            return self.compound(name);
         }
+        self.plain_atom(name, at, max_prec, prec)
     }
 
-    /// Could the next token begin a term?
-    fn starts_term(&mut self) -> Result<bool, ReadError> {
-        Ok(matches!(
-            self.peek()?.1,
-            Tok::Int(_) | Tok::Var(_) | Tok::Atom(..) | Tok::Open | Tok::OpenB
-        ))
-    }
-
-    fn at_term_end(&mut self) -> Result<bool, ReadError> {
-        Ok(matches!(
-            self.peek()?.1,
+    /// An atom not followed by `(`: a prefix operator with its argument, a
+    /// negative literal, or the atom itself.
+    fn plain_atom(
+        &mut self,
+        name: Cow<'s, str>,
+        at: usize,
+        max_prec: u16,
+        prec: &mut u16,
+    ) -> Parsed<Cell> {
+        let prefix = prefix_op(&name).filter(|op| op.prec <= max_prec);
+        let infix = infix_op(&name);
+        if prefix.is_none() && infix.is_none() {
+            let t = self.atom_cell(name);
+            self.lx.advance()?;
+            return Ok(t);
+        }
+        // An operator name: what it is here depends on what follows.
+        self.lx.advance()?;
+        if let Some(op) = prefix {
+            if let Tok::Int(magnitude) = self.lx.tok {
+                if name == "-" {
+                    // Special case: -Integer is a negative literal.
+                    let t = int_cell(self.lx.at, magnitude, true)?;
+                    self.lx.advance()?;
+                    return Ok(t);
+                }
+            }
+            // Could the lookahead begin a term?
+            if matches!(
+                self.lx.tok,
+                Tok::Int(_) | Tok::Var(_) | Tok::Atom(..) | Tok::Open | Tok::OpenB
+            ) {
+                let arg = self.term(op.prec - u16::from(op.typ == OpType::Fx))?;
+                let f = self.intern(name);
+                *prec = op.prec;
+                return Ok(self.heap.new_struct(f, &[arg]));
+            }
+        }
+        let at_term_end = matches!(
+            self.lx.tok,
             Tok::End | Tok::Eof | Tok::Close | Tok::CloseB | Tok::Comma | Tok::Bar
-        ))
+        );
+        if infix.is_some() && !at_term_end {
+            // an infix operator in primary position with more input
+            // following is a syntax error unless parenthesised
+            return err(at, format!("operator `{name}` used as term"));
+        }
+        Ok(self.atom_cell(name))
     }
 
-    fn expect_close(&mut self) -> Result<(), ReadError> {
-        match self.bump()? {
-            (_, Tok::Close) => Ok(()),
-            (at, other) => err(at, format!("expected `)`, found {other:?}")),
+    fn atom_cell(&mut self, name: Cow<'s, str>) -> Cell {
+        if name == "[]" {
+            Cell::Nil
+        } else {
+            Cell::Atom(self.intern(name))
         }
     }
 
-    /// `(` already consumed by the `calls_args` path? No — the open paren
-    /// still sits in the stream; consume it, then parse comma-separated
+    /// `name(`: the lookahead is the parenthesis. Comma-separated
     /// arguments at priority 999.
-    fn arglist(&mut self) -> Result<Vec<Cell>, ReadError> {
-        match self.bump()? {
-            (_, Tok::Open) => {}
-            (at, other) => return err(at, format!("expected `(`, found {other:?}")),
-        }
-        let mut args = Vec::new();
+    fn compound(&mut self, name: Cow<'s, str>) -> Parsed<Cell> {
+        debug_assert_eq!(self.lx.tok, Tok::Open, "`calls` means the next byte is `(`");
+        let mine = self.items.len();
         loop {
-            args.push(self.term(999)?);
-            match self.bump()? {
-                (_, Tok::Comma) => continue,
-                (_, Tok::Close) => break,
-                (at, other) => return err(at, format!("expected `,` or `)`, found {other:?}")),
+            self.lx.advance()?; // the parenthesis or a comma
+            let arg = self.term(999)?;
+            self.items.push(arg);
+            match self.lx.tok {
+                Tok::Comma => continue,
+                Tok::Close => break,
+                _ => return self.expected("`,` or `)`"),
             }
         }
-        Ok(args)
+        let f = self.intern(name);
+        let t = self.heap.new_struct(f, &self.items[mine..]);
+        self.items.truncate(mine);
+        self.lx.advance()?;
+        Ok(t)
     }
 
-    /// `[` already consumed.
-    fn list(&mut self) -> Result<(Cell, u16), ReadError> {
-        if matches!(self.peek()?.1, Tok::CloseB) {
-            self.bump()?;
-            return Ok((Cell::Nil, 0));
+    /// `[` already stepped over.
+    fn list(&mut self) -> Parsed<Cell> {
+        if self.lx.tok == Tok::CloseB {
+            self.lx.advance()?;
+            return Ok(Cell::Nil);
         }
-        let mut items = Vec::new();
-        let tail;
+        let mine = self.items.len();
+        let mut t = Cell::Nil;
         loop {
-            items.push(self.term(999)?);
-            match self.bump()? {
-                (_, Tok::Comma) => continue,
-                (_, Tok::CloseB) => {
-                    tail = Cell::Nil;
-                    break;
-                }
-                (_, Tok::Bar) => {
-                    tail = self.term(999)?;
-                    match self.bump()? {
-                        (_, Tok::CloseB) => {}
-                        (at, other) => return err(at, format!("expected `]`, found {other:?}")),
+            let item = self.term(999)?;
+            self.items.push(item);
+            match self.lx.tok {
+                Tok::Comma => self.lx.advance()?,
+                Tok::CloseB => break,
+                Tok::Bar => {
+                    self.lx.advance()?;
+                    t = self.term(999)?;
+                    if self.lx.tok != Tok::CloseB {
+                        return self.expected("`]`");
                     }
                     break;
                 }
-                (at, other) => {
-                    return err(at, format!("expected `,`, `|` or `]`, found {other:?}"))
-                }
+                _ => return self.expected("`,`, `|` or `]`"),
             }
         }
-        let mut t = tail;
-        for &item in items.iter().rev() {
+        for &item in self.items[mine..].iter().rev() {
             t = self.heap.cons(item, t);
         }
-        Ok((t, 0))
+        self.items.truncate(mine);
+        self.lx.advance()?;
+        Ok(t)
     }
 }
 
-fn atom_cell(name: &str) -> Cell {
-    if name == "[]" {
-        Cell::Nil
-    } else {
-        Cell::Atom(sym(name))
+/// The integer of this `magnitude`, negated if `negative`; `at` is where
+/// its digits start.
+fn int_cell(at: usize, magnitude: u64, negative: bool) -> Parsed<Cell> {
+    let value = match negative {
+        true => 0i64.checked_sub_unsigned(magnitude),
+        false => i64::try_from(magnitude).ok(),
+    };
+    match value {
+        Some(v) => Ok(Cell::Int(v)),
+        None => err(at, "integer literal out of range"),
     }
 }
 
@@ -554,13 +649,16 @@ fn atom_cell(name: &str) -> Cell {
 /// Parse a single term (terminated by `.` or end of input) into `heap`.
 /// Returns the term and the variable-name bindings encountered.
 pub fn parse_term(heap: &mut Heap, src: &str) -> Result<(Cell, Vec<(String, Cell)>), ReadError> {
-    let mut p = Parser::new(src, heap);
+    read_term(heap, src).map_err(|e| *e)
+}
+
+fn read_term(heap: &mut Heap, src: &str) -> Parsed<(Cell, Vec<(String, Cell)>)> {
+    let mut p = Parser::new(src, heap)?;
     let t = p.term(1200)?;
-    match p.bump()? {
-        (_, Tok::End) | (_, Tok::Eof) => {}
-        (at, other) => return err(at, format!("trailing input: {other:?}")),
+    if !matches!(p.lx.tok, Tok::End | Tok::Eof) {
+        return err(p.lx.at, format!("trailing input: {:?}", p.lx.tok));
     }
-    let mut names: Vec<(String, Cell)> = p.vars.into_iter().collect();
+    let mut names: Vec<(String, Cell)> = p.vars.iter().map(|&(n, c)| (n.to_owned(), c)).collect();
     names.sort_by(|a, b| a.0.cmp(&b.0));
     Ok((t, names))
 }
@@ -568,7 +666,8 @@ pub fn parse_term(heap: &mut Heap, src: &str) -> Result<(Cell, Vec<(String, Cell
 /// A clause read from program text, as a self-contained heap arena.
 #[derive(Debug, Clone)]
 pub struct ReadClause {
-    /// The arena containing the whole clause term.
+    /// The arena containing the whole clause term: exactly as many cells
+    /// as the clause has, and no trail.
     pub arena: Heap,
     /// The clause term (`Head`, `Head :- Body`, or `:- Directive`).
     pub root: Cell,
@@ -576,39 +675,29 @@ pub struct ReadClause {
 
 /// Parse a whole program: a sequence of `.`-terminated clauses.
 pub fn parse_program(src: &str) -> Result<Vec<ReadClause>, ReadError> {
+    read_program(src).map_err(|e| *e)
+}
+
+fn read_program(src: &str) -> Parsed<Vec<ReadClause>> {
     let mut out = Vec::new();
-    let mut rest = src;
-    let mut consumed = 0usize;
-    loop {
-        // Skip to see whether anything is left.
-        {
-            let mut lx = Lexer::new(rest);
-            lx.skip_ws().map_err(|e| ReadError {
-                at: e.at + consumed,
-                msg: e.msg,
-            })?;
-            if lx.peek_byte().is_none() {
-                break;
-            }
+    let mut scratch = Heap::new();
+    let mut p = Parser::new(src, &mut scratch)?;
+    while p.lx.tok != Tok::Eof {
+        let root = p.term(1200)?;
+        match p.lx.tok {
+            Tok::End => {}
+            Tok::Eof => return err(p.lx.at, "clause not terminated by `.`"),
+            _ => return p.expected("`.`"),
         }
-        let mut arena = Heap::new();
-        let mut p = Parser::new(rest, &mut arena);
-        let root = p.term(1200).map_err(|e| ReadError {
-            at: e.at + consumed,
-            msg: e.msg,
-        })?;
-        match p.bump().map_err(|e| ReadError {
-            at: e.at + consumed,
-            msg: e.msg,
-        })? {
-            (_, Tok::End) => {}
-            (at, Tok::Eof) => return err(at + consumed, "clause not terminated by `.`"),
-            (at, other) => return err(at + consumed, format!("expected `.`, found {other:?}")),
-        }
-        let advanced = p.lx.pos;
-        out.push(ReadClause { arena, root });
-        consumed += advanced;
-        rest = &rest[advanced..];
+        out.push(ReadClause {
+            arena: Heap::from_cells(p.heap.cells()),
+            root,
+        });
+        // Forget the clause; every buffer keeps its capacity.
+        p.heap.clear();
+        p.vars.clear();
+        p.var_index.clear();
+        p.lx.advance()?;
     }
     Ok(out)
 }
@@ -644,6 +733,34 @@ mod tests {
         let mut h = Heap::new();
         let (t, _) = parse_term(&mut h, "-7").unwrap();
         assert_eq!(t, Cell::Int(-7));
+    }
+
+    #[test]
+    fn integer_literals_cover_the_whole_i64_range() {
+        let mut h = Heap::new();
+        for (src, value) in [
+            ("-9223372036854775808", i64::MIN),
+            ("- 9223372036854775808", i64::MIN),
+            ("9223372036854775807", i64::MAX),
+            ("-9223372036854775807", -i64::MAX),
+        ] {
+            assert_eq!(parse_term(&mut h, src).unwrap().0, Cell::Int(value));
+        }
+        // One past either end, and 2^63 where no sign applies to it.
+        for (src, at) in [
+            ("-9223372036854775809", 1),
+            ("9223372036854775808", 0),
+            ("1 - 9223372036854775808", 4),
+            ("f(9223372036854775808)", 2),
+        ] {
+            let e = parse_term(&mut h, src).unwrap_err();
+            assert_eq!((e.at, &*e.msg), (at, "integer literal out of range"));
+        }
+    }
+
+    #[test]
+    fn a_parsed_cell_comes_back_in_two_registers() {
+        assert_eq!(std::mem::size_of::<Parsed<Cell>>(), 16, "see `Parsed`");
     }
 
     #[test]

@@ -302,6 +302,77 @@ proptest! {
         prop_assert_eq!(shares(&dst, thawed), shares(&src, tuple));
     }
 
+    /// Copying within a heap is the copy from a snapshot of that heap, cell
+    /// for cell: same root, same counts (hence the same virtual cost), same
+    /// appended cells — with bindings in place, which both must follow.
+    #[test]
+    fn copy_within_equals_copy_from_a_snapshot(a in term_strategy(), b in term_strategy()) {
+        let mut heap = Heap::new();
+        let mut vars = Vec::new();
+        let ta = build(&mut heap, &a, &mut vars);
+        let tb = build(&mut heap, &b, &mut vars);
+        let pair = heap.new_struct(sym("pair"), &[ta, tb]);
+        let mark = heap.trail_mark();
+        if unify(&mut heap, ta, tb).is_none() {
+            heap.undo_to(mark);
+        }
+        let mut beside = heap.clone();
+        let from_snapshot = copy_term(&heap, pair, &mut beside);
+        let within = ace_logic::copy::copy_term_within(&mut heap, pair);
+        prop_assert_eq!(within.root, from_snapshot.root);
+        prop_assert_eq!(within.cells_copied, from_snapshot.cells_copied);
+        prop_assert_eq!(within.fresh_vars, from_snapshot.fresh_vars);
+        prop_assert_eq!(heap.cells(), beside.cells());
+    }
+
+    /// The clause store is exact: a loaded clause's arena has room for its
+    /// `arena_len()` cells and nothing else — no spare cells, no trail —
+    /// and instantiating it is still one block copy that renames the
+    /// clause's variables apart from every earlier instance.
+    #[test]
+    fn clause_arenas_are_exact_and_instantiate_renames_apart(
+        heads in prop::collection::vec(term_strategy(), 1..6),
+        body in term_strategy(),
+    ) {
+        use ace_logic::db::Database;
+        use ace_logic::CanonKey;
+
+        let mut vars = Vec::new();
+        let mut src_txt = String::new();
+        for (i, h) in heads.iter().enumerate() {
+            let mut sh = Heap::new();
+            let hd = build(&mut sh, h, &mut vars);
+            let bd = build(&mut sh, &body, &mut vars);
+            src_txt.push_str(&format!(
+                "p({}, {i}) :- q({}).\n",
+                term_to_string(&sh, hd),
+                term_to_string(&sh, bd)
+            ));
+            vars.clear();
+        }
+        src_txt.push_str("?- p(X, 0), q(X).\n");
+        let db = Database::load(&src_txt)
+            .map_err(|e| TestCaseError::fail(format!("load failed: {e}\n{src_txt}")))?;
+        let pred = db.predicate(sym("p"), 2).unwrap();
+
+        for clause in pred.clauses.iter().chain(db.directives()) {
+            let (arena, head) = clause.head_in_arena();
+            prop_assert_eq!(arena.len(), clause.arena_len());
+            prop_assert_eq!(arena.reserved(), (clause.arena_len(), 0));
+
+            let mut h = Heap::new();
+            h.new_var(); // a nonzero relocation base
+            let (h1, b1) = clause.instantiate(&mut h);
+            let (h2, b2) = clause.instantiate(&mut h);
+            prop_assert_eq!(h.len(), 1 + 2 * clause.arena_len());
+            prop_assert_eq!(&CanonKey::of(&h, h1), &CanonKey::of(arena, head));
+            prop_assert_eq!(&CanonKey::of(&h, h2), &CanonKey::of(arena, head));
+            let first: Vec<_> = [variables(&h, h1), variables(&h, b1)].concat();
+            let second: Vec<_> = [variables(&h, h2), variables(&h, b2)].concat();
+            prop_assert!(first.iter().all(|v| !second.contains(v)), "{}", src_txt);
+        }
+    }
+
     /// Switch-on-term index soundness and exactness. For a random
     /// predicate and a random call argument:
     /// * the bucket-chain walk (`next_matching`) enumerates exactly the
