@@ -95,11 +95,30 @@ pub struct Heap {
     trail: Vec<Addr>,
 }
 
+/// Trail entries a fresh heap has room for.
+const SMALL_TRAIL: usize = 256;
+
+/// Trail entries reserved in one step for a heap whose trail outgrows
+/// [`SMALL_TRAIL`] — the heap of a running machine.
+///
+/// Reserved once, while the cell vector is a few pages, the trail never
+/// moves, and the cell vector settles above it in the allocator's arena and
+/// is extended in place. A trail that doubles on demand moves whenever it
+/// outgrows the free chunk it sits in, to the top of the arena when no other
+/// chunk fits — directly above the cell vector, which must then be copied
+/// whole at its next doubling, old and new buffer alive together. The trail
+/// is about a sixtieth of the cells, so that copy comes late and large, and
+/// at which doubling it comes depends on the free chunks the rest of the
+/// process left behind: a peak resident size that differs between identical
+/// runs (18, 22 or 26 MB on the benchmark's `seq_det`). Room that is never
+/// written costs address space, not memory.
+const TRAIL_RESERVE: usize = 1 << 18;
+
 impl Heap {
     pub fn new() -> Self {
         Heap {
             cells: Vec::with_capacity(1024),
-            trail: Vec::with_capacity(256),
+            trail: Vec::with_capacity(SMALL_TRAIL),
         }
     }
 
@@ -242,7 +261,23 @@ impl Heap {
             "bind target must be an unbound variable"
         );
         self.cells[a.idx()] = value;
+        if self.trail.len() == self.trail.capacity() {
+            self.grow_trail();
+        }
         self.trail.push(a);
+    }
+
+    /// Make room on a full trail: a small heap's trail goes to
+    /// [`Heap::new`]'s size, one that outgrows that is reserved
+    /// [`TRAIL_RESERVE`] entries at once, and doubles from there.
+    #[cold]
+    fn grow_trail(&mut self) {
+        let room = match self.trail.capacity() {
+            small if small < SMALL_TRAIL => SMALL_TRAIL,
+            running if running < TRAIL_RESERVE => TRAIL_RESERVE,
+            reserved => reserved * 2,
+        };
+        self.trail.reserve_exact(room - self.trail.len());
     }
 
     /// Bind two unbound variables together, choosing the direction that
@@ -532,6 +567,30 @@ mod tests {
         h.bind(a1, Cell::Int(1));
         h.bind(a2, Cell::Int(2));
         assert_eq!(h.trail_section(mark), &[a1, a2]);
+    }
+
+    #[test]
+    fn trail_is_reserved_once_past_the_small_size() {
+        let bind_fresh = |h: &mut Heap, n: usize| {
+            for i in 0..n {
+                let Cell::Ref(a) = h.new_var() else {
+                    unreachable!()
+                };
+                h.bind(a, Cell::Int(i as i64));
+            }
+        };
+        // A clause arena has no trail; a few bindings give it the small one.
+        let mut h = Heap::from_cells(&[]);
+        bind_fresh(&mut h, 1);
+        assert_eq!(h.reserved().1, SMALL_TRAIL);
+        bind_fresh(&mut h, SMALL_TRAIL - 1);
+        assert_eq!(h.reserved().1, SMALL_TRAIL);
+        // One more and the trail is reserved for good, entries intact.
+        bind_fresh(&mut h, 1);
+        assert_eq!(h.reserved().1, TRAIL_RESERVE);
+        assert_eq!(h.trail_len(), SMALL_TRAIL + 1);
+        assert_eq!(h.undo_to(TrailMark(0)), SMALL_TRAIL + 1);
+        assert!((0..h.len()).all(|i| h.is_unbound(Cell::Ref(Addr(i as u32)))));
     }
 
     #[test]
