@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ace_logic::copy::copy_term;
+use ace_logic::copy::copy_tuple;
 use ace_logic::heap::HeapMark;
 use ace_logic::sym::sym;
 use ace_logic::{Cell, Heap, TrailMark};
@@ -17,21 +17,39 @@ use ace_runtime::CancelToken;
 use parking_lot::Mutex;
 
 /// A self-contained heap holding one or more related terms (joint copies,
-/// so variables shared between the terms stay shared).
+/// so variables shared between the terms stay shared). Frozen: nothing
+/// binds or grows it, and it holds room for its cells only.
 #[derive(Debug, Clone)]
 pub struct Bundle {
     pub heap: Arc<Heap>,
     pub roots: Vec<Cell>,
 }
 
+impl Bundle {
+    /// The shipping closure of the `i`-th term.
+    pub fn closure(&self, i: usize) -> Closure {
+        Closure {
+            heap: self.heap.clone(),
+            root: self.roots[i],
+        }
+    }
+}
+
+/// A subgoal term ready for pickup by any worker (goal shipping source).
+#[derive(Debug, Clone)]
+pub struct Closure {
+    pub heap: Arc<Heap>,
+    pub root: Cell,
+}
+
 /// Copy `roots` jointly out of `src` into a fresh bundle. Returns the
-/// bundle and the number of cells copied (for cost charging).
+/// bundle and the number of cells copied (for cost charging). Time and
+/// memory are those of the terms copied, whatever the size of `src`.
 pub fn bundle_copy(src: &Heap, roots: &[Cell]) -> (Bundle, usize) {
-    // Joint copy via a scratch tuple so shared variables stay shared.
-    let mut scratch = src.clone();
-    let tuple = scratch.new_struct(sym("$bundle"), roots);
-    let mut heap = Heap::new();
-    let out = copy_term(&scratch, tuple, &mut heap);
+    // Joint copy under one tuple so shared variables stay shared.
+    let mut heap = Heap::default();
+    let out = copy_tuple(src, sym("$bundle"), roots, &mut heap);
+    heap.shrink_to_fit();
     let Cell::Str(hdr) = out.root else {
         unreachable!()
     };
@@ -63,9 +81,10 @@ pub enum SlotState {
 /// One subgoal slot of a parallel call.
 #[derive(Debug)]
 pub struct SlotRec {
-    /// Closure holding the subgoal term to execute (goal shipping source).
-    pub goal_heap: Arc<Heap>,
-    pub goal_root: Cell,
+    /// The subgoal term to execute, once copied out for shipping. A slot
+    /// without one is owner-only until the owner copies closures on demand
+    /// (when idle workers appear) — &ACE-style local goals.
+    pub closure: Option<Closure>,
     /// The subgoal term in the *parent* machine's heap, unified with the
     /// solution at integration. `None` for LPCO-added slots until the
     /// integration of their origin slot materializes it.
@@ -87,10 +106,6 @@ pub struct SlotRec {
     /// whenever integrations are redone. Inline-merged goals (created
     /// below any spine choice point) stay valid across re-arrivals.
     pub materialized: bool,
-    /// A goal-shipping closure exists (`goal_heap`/`goal_root` valid).
-    /// Unshipped slots are owner-only until the owner copies closures on
-    /// demand (when idle workers appear) — &ACE-style local goals.
-    pub shipped: bool,
 }
 
 /// A group of consecutively-executed slots (always a single slot unless
@@ -207,38 +222,27 @@ impl FrameState {
         // local (copied later on demand, or never — PDO runs them in
         // place).
         let (bundle, cells) = if ship_now {
-            bundle_copy(parent_heap, to_ship)
+            let (bundle, cells) = bundle_copy(parent_heap, to_ship);
+            (Some(bundle), cells)
         } else {
-            (
-                Bundle {
-                    heap: Arc::new(Heap::new()),
-                    roots: vec![Cell::Nil; to_ship.len()],
-                },
-                0,
-            )
+            (None, 0)
         };
-        let mut slots: Vec<SlotRec> = to_ship
-            .iter()
-            .enumerate()
-            .map(|(i, &pg)| SlotRec {
-                goal_heap: bundle.heap.clone(),
-                goal_root: bundle.roots[i],
-                parent_goal: Some(pg),
-                state: SlotState::Unclaimed,
-                group: None,
-                origin: None,
-                owner_run: false,
-                spec_failed: false,
-                materialized: false,
-                shipped: ship_now,
-            })
-            .collect();
+        let mut slots: Vec<SlotRec> = Vec::with_capacity(branches.len());
+        slots.extend(to_ship.iter().enumerate().map(|(i, &pg)| SlotRec {
+            closure: bundle.as_ref().map(|b| b.closure(i)),
+            parent_goal: Some(pg),
+            state: SlotState::Unclaimed,
+            group: None,
+            origin: None,
+            owner_run: false,
+            spec_failed: false,
+            materialized: false,
+        }));
         let inline = if inline_last {
             // The inline slot needs no closure: its goal lives in (and its
             // solution binds) the parent heap directly.
             slots.push(SlotRec {
-                goal_heap: bundle.heap.clone(), // unused
-                goal_root: Cell::Nil,           // unused
+                closure: None,
                 parent_goal: Some(*branches.last().unwrap()),
                 state: SlotState::Running,
                 group: None,
@@ -246,7 +250,6 @@ impl FrameState {
                 owner_run: false,
                 spec_failed: false,
                 materialized: false,
-                shipped: false,
             });
             Some(slots.len() - 1)
         } else {
@@ -309,7 +312,7 @@ impl FrameState {
             if inner
                 .slots
                 .get(p)
-                .is_some_and(|s| s.state == SlotState::Unclaimed && s.shipped)
+                .is_some_and(|s| s.state == SlotState::Unclaimed && s.closure.is_some())
             {
                 inner.slots[p].state = SlotState::Running;
                 return Some(p);
@@ -319,7 +322,7 @@ impl FrameState {
         let idx = inner
             .slots
             .iter()
-            .position(|s| s.state == SlotState::Unclaimed && s.shipped)?;
+            .position(|s| s.state == SlotState::Unclaimed && s.closure.is_some())?;
         inner.slots[idx].state = SlotState::Running;
         Some(idx)
     }
@@ -332,7 +335,7 @@ impl FrameState {
             .iter()
             .enumerate()
             .filter(|(_, s)| {
-                s.state == SlotState::Unclaimed && !s.shipped && s.parent_goal.is_some()
+                s.state == SlotState::Unclaimed && s.closure.is_none() && s.parent_goal.is_some()
             })
             .map(|(i, _)| i)
             .collect()
@@ -344,10 +347,8 @@ impl FrameState {
         let mut inner = self.inner.lock();
         for (k, &i) in idxs.iter().enumerate() {
             let s = &mut inner.slots[i];
-            if s.state == SlotState::Unclaimed && !s.shipped {
-                s.goal_heap = bundle.heap.clone();
-                s.goal_root = bundle.roots[k];
-                s.shipped = true;
+            if s.state == SlotState::Unclaimed && s.closure.is_none() {
+                s.closure = Some(bundle.closure(k));
             }
         }
     }
@@ -415,6 +416,9 @@ mod tests {
         let v1 = variables(&b.heap, b.roots[0]);
         let v2 = variables(&b.heap, b.roots[1]);
         assert_eq!(v1, v2, "shared variable stays shared across the bundle");
+        // A closure is frozen: room for the cells copied, none for a trail.
+        assert_eq!(b.heap.len(), cells);
+        assert_eq!(b.heap.reserved(), (cells, 0));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ace_logic::copy::copy_term;
+use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::{CanonKey, Cell, Database};
 use ace_machine::{Machine, MarkerKind, Solution, Status};
 use ace_runtime::{
@@ -27,7 +27,7 @@ use ace_runtime::{
 };
 use parking_lot::Mutex;
 
-use crate::frame::{bundle_copy, FrameStage, FrameState, GroupRec, SlotState};
+use crate::frame::{bundle_copy, FrameInner, FrameStage, FrameState, GroupRec, SlotState};
 
 /// A schedulable unit: one slot of one frame.
 #[derive(Clone)]
@@ -152,8 +152,7 @@ enum Act {
 pub struct AndWorker {
     pub id: usize,
     sh: Arc<Shared>,
-    /// The run's immutable cost model, hoisted out of the per-phase hot
-    /// paths (one refcount bump instead of a struct clone per use).
+    /// The run's immutable cost model, shared with this worker's machines.
     costs: Arc<ace_runtime::CostModel>,
     stack: Vec<Act>,
     #[allow(clippy::vec_box)] // machines move in/out of activations as Box
@@ -178,12 +177,6 @@ pub struct AndWorker {
 enum Outcome {
     Worked,
     NoWork,
-}
-
-/// `ACE_TRACE=1` enables phase/barrier tracing on stderr (dev aid).
-fn trace_enabled() -> bool {
-    static T: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *T.get_or_init(|| std::env::var("ACE_TRACE").is_ok())
 }
 
 impl AndWorker {
@@ -252,10 +245,6 @@ impl AndWorker {
     fn charge(&mut self, units: u64) {
         self.stats.charge(units);
         self.phase_cost += units;
-    }
-
-    fn costs(&self) -> Arc<ace_runtime::CostModel> {
-        self.costs.clone()
     }
 
     fn get_machine(&mut self) -> Box<Machine> {
@@ -348,15 +337,14 @@ impl AndWorker {
             self.tracer.emit(t, || EventKind::StealFail);
             return Outcome::NoWork;
         };
-        let costs = self.costs();
         if task.creator != self.id {
             self.stats.tasks_stolen += 1;
-            self.charge(costs.steal);
+            self.charge(self.costs.steal);
             let t = self.now();
             self.tracer.emit(t, || EventKind::StealAttempt);
             self.tracer.emit(t, || EventKind::StealSuccess);
         } else {
-            self.charge(costs.queue_op);
+            self.charge(self.costs.queue_op);
         }
         self.start_slot(task.frame, task.slot);
         Outcome::Worked
@@ -365,24 +353,22 @@ impl AndWorker {
     /// Begin executing `slot` of `frame` on a fresh machine: ship the goal,
     /// allocate (or procrastinate) the input marker, register the group.
     fn start_slot(&mut self, frame: Arc<FrameState>, slot: usize) {
-        let costs = self.costs();
         let mut machine = self.get_machine();
         machine.enable_parallel(true);
 
         // Goal shipping: copy the subgoal closure into the machine.
-        let (src_heap, root) = {
-            let inner = frame.inner.lock();
-            let s = &inner.slots[slot];
-            (s.goal_heap.clone(), s.goal_root)
-        };
-        let out = copy_term(&src_heap, root, &mut machine.heap);
+        let goal = frame.inner.lock().slots[slot]
+            .closure
+            .clone()
+            .expect("claimed slot without closure");
+        let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
         self.stats.cells_copied += out.cells_copied as u64;
-        self.charge(out.cells_copied as u64 * costs.heap_cell);
+        self.charge(out.cells_copied as u64 * self.costs.heap_cell);
 
         // Markers: the unoptimized engine allocates the input marker
         // eagerly; SPO procrastinates it (paper §4.1).
         if self.sh.cfg.opts.spo {
-            self.charge(costs.spo_track);
+            self.charge(self.costs.spo_track);
             machine.procrastinate_input_marker(frame.id, slot as u32);
         } else {
             machine.push_marker(MarkerKind::Input, frame.id, slot as u32);
@@ -392,8 +378,8 @@ impl AndWorker {
         // Snapshot the memo key while the shipped goal is still unbound:
         // a deterministic completion publishes its answer under this key.
         let memo_keys = if machine.memo_enabled() {
-            self.stats.charge(costs.memo_lookup);
-            self.phase_cost += costs.memo_lookup;
+            self.stats.charge(self.costs.memo_lookup);
+            self.phase_cost += self.costs.memo_lookup;
             vec![machine.memo_key(out.root)]
         } else {
             Vec::new()
@@ -411,7 +397,7 @@ impl AndWorker {
                 },
             );
         }
-        self.charge(costs.lock);
+        self.charge(self.costs.lock);
 
         self.phase_cost += machine.take_unsurfaced_cost();
         let cancel = frame.cancel.clone();
@@ -436,29 +422,6 @@ impl AndWorker {
     // ------------------------------------------------------------------
 
     fn do_phase(&mut self) -> Outcome {
-        if trace_enabled() {
-            let top = match self.stack.last() {
-                None => "-".to_owned(),
-                Some(Act::Run { machine, ctx, .. }) => format!(
-                    "Run({}, {:?})",
-                    match ctx {
-                        RunCtx::Root => "root".to_owned(),
-                        RunCtx::Slot { frame, leader } => format!("f{}s{}", frame.id, leader),
-                    },
-                    machine.status()
-                ),
-                Some(Act::Wait { frame }) => format!(
-                    "Wait(f{} {:?} cancelled={})",
-                    frame.id,
-                    frame.stage(),
-                    frame.cancel.is_cancelled()
-                ),
-                Some(Act::Advance { frame, leader, .. }) => {
-                    format!("Advance(f{} g{leader})", frame.id)
-                }
-            };
-            eprintln!("w{} depth={} top={}", self.id, self.stack.len(), top);
-        }
         match self.stack.last() {
             None => self.try_get_work(),
             Some(Act::Run { .. }) => self.step_run(),
@@ -482,11 +445,8 @@ impl AndWorker {
         // the activation token, so it also covers ancestor cancellation,
         // and additionally catches sibling failures of the parallel call
         // whose branch is executing inline right here.
-        let check = inline
-            .last()
-            .map(|f| f.cancel.clone())
-            .unwrap_or_else(|| cancel.clone());
-        let status = machine.run(quantum, Some(&check));
+        let check = inline.last().map_or(&*cancel, |f| &f.cancel);
+        let status = machine.run(quantum, Some(check));
         self.phase_cost += machine.take_unsurfaced_cost();
         let memo_events = machine.take_memo_events();
         self.emit_memo_events(memo_events);
@@ -516,10 +476,9 @@ impl AndWorker {
     // ------------------------------------------------------------------
 
     fn on_parcall(&mut self) -> Outcome {
-        let costs = self.costs();
         // LPCO applicability (paper §3.1).
         if self.sh.cfg.opts.lpco {
-            self.charge(costs.lpco_check);
+            self.charge(self.costs.lpco_check);
             if self.try_lpco_inline() {
                 return Outcome::Worked;
             }
@@ -545,37 +504,32 @@ impl AndWorker {
             (None, RunCtx::Slot { frame, .. }) => frame.depth + 1,
         };
         let pf = machine.top_parcall().expect("Parcall status without frame");
-        let pf_id = pf.id;
-        let branches = pf.branches.clone();
-        let pf_cont = pf.cont.clone();
-        let created_at = (pf.trail, pf.heap);
+        let n_branches = pf.branches.len();
+        let last_branch = *pf.branches.last().expect("parcall without branches");
         // Nested frames hang off the innermost inline frame's token so a
         // sibling failure anywhere up the chain kills them too.
-        let parent_token = inline
-            .last()
-            .map(|f| f.cancel.clone())
-            .unwrap_or_else(|| cancel.clone());
+        let parent_token = inline.last().map_or(&*cancel, |f| &f.cancel);
         let ship_now = ship_hint;
         let (frame, cells) = FrameState::create(
-            pf_id,
+            pf.id,
             &machine.heap,
-            &branches,
+            &pf.branches,
             depth,
-            &parent_token,
+            parent_token,
             true,
-            pf_cont,
-            created_at,
+            pf.cont.clone(),
+            (pf.trail, pf.heap),
             ship_now,
         );
         machine.top_parcall_mut().unwrap().ext = Some(Box::new(frame.clone()));
         self.stats.cells_copied += cells as u64;
-        let n = branches.len() as u64;
+        let n = n_branches as u64;
         self.stats.parcall_frames += 1;
         self.stats.parcall_slots += n;
-        let charge = costs.parcall_frame_alloc
-            + costs.parcall_slot * n
-            + cells as u64 * costs.heap_cell
-            + costs.queue_op * (n - 1);
+        let charge = self.costs.parcall_frame_alloc
+            + self.costs.parcall_slot * n
+            + cells as u64 * self.costs.heap_cell
+            + self.costs.queue_op * (n - 1);
         self.stats.charge(charge);
         self.phase_cost += charge;
         let t = self.vclock + self.phase_cost;
@@ -587,7 +541,7 @@ impl AndWorker {
         // input marker as the parcall frame marks its beginning" — paper
         // Figure 2; the *local* branch needs neither marker nor copy).
         let tasks: Vec<Task> = if ship_now {
-            (0..branches.len() - 1)
+            (0..n_branches - 1)
                 .map(|slot| Task {
                     frame: frame.clone(),
                     slot,
@@ -597,7 +551,7 @@ impl AndWorker {
         } else {
             Vec::new()
         };
-        machine.run_inline_branch(*branches.last().unwrap(), frame.id);
+        machine.run_inline_branch(last_branch, frame.id);
         inline.push(frame);
         if !tasks.is_empty() {
             self.sh.queue.lock().extend(tasks);
@@ -612,7 +566,6 @@ impl AndWorker {
     /// rightmost spine inline. `process_list/2` recursion thus runs in ONE
     /// wide frame (paper Figure 4).
     fn try_lpco_inline(&mut self) -> bool {
-        let costs = self.costs();
         let ship_hint = self.sh.cfg.ship == ace_runtime::ShipPolicy::Eager || self.others_idle();
         let Some(Act::Run {
             machine, inline, ..
@@ -646,20 +599,15 @@ impl AndWorker {
         let ship_now = ship_hint;
         let shipped = &branches[..k - 1];
         let (bundle, cells) = if ship_now {
-            bundle_copy(&machine.heap, shipped)
+            let (bundle, cells) = bundle_copy(&machine.heap, shipped);
+            (Some(bundle), cells)
         } else {
-            (
-                crate::frame::Bundle {
-                    heap: Arc::new(ace_logic::Heap::new()),
-                    roots: vec![Cell::Nil; shipped.len()],
-                },
-                0,
-            )
+            (None, 0)
         };
         self.stats.cells_copied += cells as u64;
         self.stats.slots_merged_lpco += k as u64;
         self.stats.frames_elided_lpco += 1;
-        let charge = costs.lpco_merge_slot * k as u64 + cells as u64 * costs.heap_cell;
+        let charge = self.costs.lpco_merge_slot * k as u64 + cells as u64 * self.costs.heap_cell;
         self.stats.charge(charge);
         self.phase_cost += charge;
         let t = self.vclock + self.phase_cost;
@@ -673,8 +621,7 @@ impl AndWorker {
             let base = inner.slots.len();
             for (i, &pg) in shipped.iter().enumerate() {
                 inner.slots.push(crate::frame::SlotRec {
-                    goal_heap: bundle.heap.clone(),
-                    goal_root: bundle.roots[i],
+                    closure: bundle.as_ref().map(|b| b.closure(i)),
                     parent_goal: Some(pg),
                     state: SlotState::Unclaimed,
                     group: None,
@@ -684,7 +631,6 @@ impl AndWorker {
                     owner_run: false,
                     spec_failed: false,
                     materialized: false,
-                    shipped: ship_now,
                 });
                 inner.marks.push(None);
                 inner.pending += 1;
@@ -712,7 +658,6 @@ impl AndWorker {
     /// rightmost of its frame, it has been determinate so far, and nothing
     /// follows the parallel call in its continuation.
     fn try_lpco(&mut self) -> bool {
-        let costs = self.costs();
         let Some(Act::Run {
             machine,
             ctx: RunCtx::Slot { frame, leader: _ },
@@ -750,11 +695,9 @@ impl AndWorker {
         let pf = machine.merge_out_parcall();
         let k = pf.branches.len() as u64;
         lpco_added.extend(pf.branches);
-        let fid = frame.id;
-        let _ = fid;
         self.stats.slots_merged_lpco += k;
         self.stats.frames_elided_lpco += 1;
-        self.charge(costs.lpco_merge_slot * k);
+        self.charge(self.costs.lpco_merge_slot * k);
         let t = self.now();
         self.tracer.emit(t, || EventKind::FrameElide {
             merged_slots: k as usize,
@@ -790,19 +733,6 @@ impl AndWorker {
     ///   unwound every sibling integration on the trail, so mark the whole
     ///   frame for re-integration and wait again.
     fn on_barrier(&mut self, fid: u64) -> Outcome {
-        let costs = self.costs();
-        if trace_enabled() {
-            if let Some(Act::Run {
-                owner_slot, inline, ..
-            }) = self.stack.last()
-            {
-                eprintln!(
-                    "BARRIER fid={fid} owner_top={:?} inline_top={:?}",
-                    owner_slot.last().map(|o| (o.frame.id, o.slot)),
-                    inline.last().map(|f| f.id)
-                );
-            }
-        }
         // Owner-executed (PDO) subgoal completion?
         if matches!(
             self.stack.last(),
@@ -868,7 +798,7 @@ impl AndWorker {
                         inner.slots[slot_idx].owner_run = false;
                         inner.slots[slot_idx].state = SlotState::Unclaimed;
                         inner.pending += 1;
-                        if inner.slots[slot_idx].shipped {
+                        if inner.slots[slot_idx].closure.is_some() {
                             owner_reruns.push(Task {
                                 frame: frame.clone(),
                                 slot: slot_idx,
@@ -894,7 +824,7 @@ impl AndWorker {
         if !owner_reruns.is_empty() {
             self.sh.queue.lock().extend(owner_reruns);
         }
-        self.charge(costs.slot_join + costs.lock);
+        self.charge(self.costs.slot_join + self.costs.lock);
         self.stack.push(Act::Wait { frame });
         Outcome::Worked
     }
@@ -903,7 +833,6 @@ impl AndWorker {
     /// execution was determinate (PDO success — no markers, no copies), or
     /// roll it back and ship it normally.
     fn on_owner_slot_done(&mut self) -> Outcome {
-        let costs = self.costs();
         let Some(Act::Run {
             machine,
             inline,
@@ -919,15 +848,6 @@ impl AndWorker {
         }
         // region above the fence: determinate?
         let det = region_is_deterministic(machine, o.ctrl_len + 1);
-        if trace_enabled() {
-            eprintln!(
-                "OWNER_DONE f{} slot={} det={det} ctrl={} region_from={}",
-                o.frame.id,
-                o.slot,
-                machine.ctrl_len(),
-                o.ctrl_len + 1
-            );
-        }
         if det {
             machine.disarm_fence(o.fence_idx);
             {
@@ -940,7 +860,7 @@ impl AndWorker {
                 }
             }
             self.stats.pdo_merges += 1;
-            self.charge(costs.slot_join + costs.lock);
+            self.charge(self.costs.slot_join + self.costs.lock);
             let t = self.now();
             self.tracer.emit(t, || EventKind::PdoMerge);
         } else {
@@ -958,7 +878,7 @@ impl AndWorker {
                 slot: o.slot,
                 creator: self.id,
             });
-            self.charge(costs.queue_op);
+            self.charge(self.costs.queue_op);
         }
         let frame = o.frame;
         self.stack.push(Act::Wait { frame });
@@ -1031,13 +951,11 @@ impl AndWorker {
     }
 
     fn on_slot_solution(&mut self) -> Outcome {
-        let costs = self.costs();
-
         // PDO (paper §4.2): if the sequentially-next slot is still
         // unclaimed, continue it on this same machine as one contiguous
         // computation — no markers, no new machine.
         if self.sh.cfg.opts.pdo {
-            self.charge(costs.pdo_check);
+            self.charge(self.costs.pdo_check);
             if self.try_pdo() {
                 return Outcome::Worked;
             }
@@ -1046,7 +964,6 @@ impl AndWorker {
     }
 
     fn try_pdo(&mut self) -> bool {
-        let costs = self.costs();
         let Some(Act::Run {
             machine,
             ctx: RunCtx::Slot { frame, leader },
@@ -1073,32 +990,34 @@ impl AndWorker {
             return false;
         }
         // Claimed: extend the group.
-        let (src_heap, root) = {
+        let goal = {
             let mut inner = frame.inner.lock();
             inner.slots[next].group = Some(*leader);
             let g = inner.groups.get_mut(leader).unwrap();
             g.slots.push(next);
-            let s = &inner.slots[next];
-            (s.goal_heap.clone(), s.goal_root)
+            inner.slots[next]
+                .closure
+                .clone()
+                .expect("claimed slot without closure")
         };
         // If the members so far left any choice point, the merged machine
         // cannot later serve as a plain generator (see `pdo_nondet_prefix`).
         if !machine.is_deterministic_above(0) {
             *pdo_nondet_prefix = true;
         }
-        let out = copy_term(&src_heap, root, &mut machine.heap);
+        let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
         goal_cells.push(out.root);
         if machine.memo_enabled() {
             memo_keys.push(machine.memo_key(out.root));
-            self.stats.charge(costs.memo_lookup);
-            self.phase_cost += costs.memo_lookup;
+            self.stats.charge(self.costs.memo_lookup);
+            self.phase_cost += self.costs.memo_lookup;
         }
         machine.continue_with(out.root);
         let unsurfaced = machine.take_unsurfaced_cost();
         self.phase_cost += unsurfaced;
         self.stats.pdo_merges += 1;
         self.stats.cells_copied += out.cells_copied as u64;
-        self.charge(out.cells_copied as u64 * costs.heap_cell + costs.lock);
+        self.charge(out.cells_copied as u64 * self.costs.heap_cell + self.costs.lock);
         let t = self.now();
         self.tracer.emit(t, || EventKind::PdoMerge);
         true
@@ -1109,11 +1028,10 @@ impl AndWorker {
     /// classify the machine (retire / keep as generator / recompute), and
     /// update the frame's fill state.
     fn finalize_group(&mut self) -> Outcome {
-        let costs = self.costs();
         let Some(Act::Run {
             mut machine,
             ctx: RunCtx::Slot { frame, leader },
-            goal_cells,
+            mut goal_cells,
             memo_keys,
             lpco_added,
             pdo_nondet_prefix,
@@ -1138,7 +1056,7 @@ impl AndWorker {
                 // was ever needed; only its trail section is remembered.
                 machine.clear_pending_marker();
                 self.stats.markers_elided_spo += 2;
-                self.charge(costs.spo_track);
+                self.charge(self.costs.spo_track);
                 let t = self.now();
                 self.tracer.emit(t, || EventKind::MarkerElide);
             } else {
@@ -1173,34 +1091,25 @@ impl AndWorker {
         self.phase_cost += machine.take_unsurfaced_cost();
 
         // Extract the solution bundle (goal instances + LPCO branches).
-        let mut roots = goal_cells.clone();
-        roots.extend(lpco_added.iter().copied());
-        let (bundle, cells) = bundle_copy(&machine.heap, &roots);
+        let n_members = goal_cells.len();
+        goal_cells.extend(&lpco_added);
+        let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
+        goal_cells.truncate(n_members);
         self.stats.cells_copied += cells as u64;
-        self.charge(cells as u64 * costs.heap_cell + costs.slot_join + costs.lock);
+        self.charge(cells as u64 * self.costs.heap_cell + self.costs.slot_join + self.costs.lock);
 
         let mut new_tasks: Vec<Task> = Vec::new();
         let keep = !det && !has_frames;
         let mut machine_opt = Some(machine);
         {
             let mut inner = frame.inner.lock();
-            let n_members = {
-                let g = inner.groups.get_mut(&leader).unwrap();
-                g.bundle = Some(bundle.clone());
-                g.goal_cells = goal_cells;
-                g.det = det;
-                g.exhausted = det; // deterministic: no further solutions
-                g.recompute = !det && has_frames;
-                g.solutions_delivered = 1;
-                g.slots.len()
-            };
+            debug_assert_eq!(inner.groups[&leader].slots.len(), n_members);
             // Register LPCO-added slots.
             let added_base = inner.slots.len();
             for (j, _) in lpco_added.iter().enumerate() {
                 let root_idx = n_members + j;
                 inner.slots.push(crate::frame::SlotRec {
-                    goal_heap: bundle.heap.clone(),
-                    goal_root: bundle.roots[root_idx],
+                    closure: Some(bundle.closure(root_idx)),
                     parent_goal: None,
                     state: SlotState::Unclaimed,
                     group: None,
@@ -1208,7 +1117,6 @@ impl AndWorker {
                     owner_run: false,
                     spec_failed: false,
                     materialized: false,
-                    shipped: true,
                 });
                 inner.marks.push(None);
                 inner.pending += 1;
@@ -1218,25 +1126,29 @@ impl AndWorker {
                     creator: self.id,
                 });
             }
-            {
-                let g = inner.groups.get_mut(&leader).unwrap();
-                g.extra = (0..lpco_added.len())
-                    .map(|j| (added_base + j, n_members + j))
-                    .collect();
-            }
-            // Mark members done and update the wave count.
-            let members: Vec<usize> = inner.groups[&leader].slots.clone();
-            for &s in &members {
-                inner.slots[s].state = SlotState::Done;
-            }
-            inner.pending -= members.len();
+            let FrameInner { groups, slots, .. } = &mut *inner;
+            let g = groups.get_mut(&leader).unwrap();
+            g.bundle = Some(bundle);
+            g.goal_cells = goal_cells;
+            g.det = det;
+            g.exhausted = det; // deterministic: no further solutions
+            g.recompute = !det && has_frames;
+            g.solutions_delivered = 1;
+            g.extra = (0..lpco_added.len())
+                .map(|j| (added_base + j, n_members + j))
+                .collect();
             // Keep the machine as a generator, or retire it below.
             if keep {
                 let mut m = machine_opt.take().unwrap();
                 // generators continue sequentially on redo
                 m.enable_parallel(false);
-                inner.groups.get_mut(&leader).unwrap().machine = Some(m);
+                g.machine = Some(m);
             }
+            // Mark members done and update the wave count.
+            for &s in &g.slots {
+                slots[s].state = SlotState::Done;
+            }
+            inner.pending -= n_members;
             if inner.pending == 0 && inner.stage == FrameStage::Filling {
                 inner.stage = FrameStage::Ready;
             }
@@ -1329,7 +1241,6 @@ impl AndWorker {
     /// Copy the shipping closures of `idxs` (owner-local subgoals of
     /// `frame`) out of the owner machine's heap and publish their tasks.
     fn ship_slots(&mut self, frame: &Arc<FrameState>, idxs: &[usize]) {
-        let costs = self.costs();
         // the owner machine sits directly below this Wait
         let n = self.stack.len();
         let Some(Act::Run { machine, .. }) = (n >= 2).then(|| &mut self.stack[n - 2]) else {
@@ -1344,7 +1255,7 @@ impl AndWorker {
         let (bundle, cells) = bundle_copy(&machine.heap, &goals);
         frame.install_closures(idxs, bundle);
         self.stats.cells_copied += cells as u64;
-        let charge = cells as u64 * costs.heap_cell + costs.queue_op * idxs.len() as u64;
+        let charge = cells as u64 * self.costs.heap_cell + self.costs.queue_op * idxs.len() as u64;
         self.stats.charge(charge);
         self.phase_cost += charge;
         let tasks: Vec<Task> = idxs
@@ -1373,7 +1284,6 @@ impl AndWorker {
                     self.stack.pop();
                     return Outcome::Worked;
                 }
-                let costs = self.costs();
                 // Demand-driven shipping: if idle workers exist (or the
                 // owner itself needs a closure to help below), copy the
                 // closures of any still-local subgoals out of the owner's
@@ -1396,7 +1306,7 @@ impl AndWorker {
                 // out nondeterministic it is rolled back and shipped
                 // normally (determinacy is only known a posteriori).
                 if self.sh.cfg.opts.pdo {
-                    self.charge(costs.pdo_check);
+                    self.charge(self.costs.pdo_check);
                     if let Some(slot) = frame.claim_for_owner() {
                         let goal = frame.inner.lock().slots[slot]
                             .parent_goal
@@ -1434,7 +1344,7 @@ impl AndWorker {
                 // activations and serialize the whole computation.
                 match frame.claim(None) {
                     Some(slot) => {
-                        self.charge(costs.queue_op);
+                        self.charge(self.costs.queue_op);
                         self.start_slot(frame, slot);
                         Outcome::Worked
                     }
@@ -1458,11 +1368,10 @@ impl AndWorker {
                 Outcome::Worked
             }
             FrameStage::Failed => {
-                let costs = self.costs();
                 self.stack.pop();
                 // one level of failure propagation up the frame chain
                 self.stats.frame_traversals += 1;
-                self.charge(costs.frame_traverse);
+                self.charge(self.costs.frame_traverse);
                 let Some(Act::Run { machine, .. }) = self.stack.last_mut() else {
                     unreachable!("Wait without Run below");
                 };
@@ -1485,7 +1394,6 @@ impl AndWorker {
     /// parent-side subgoal term, record per-slot undo marks, materialize
     /// parent-side terms for LPCO-added slots, and resume the parent.
     fn integrate(&mut self, frame: &Arc<FrameState>) {
-        let costs = self.costs();
         let mut copied = 0u64;
         let mut unify_steps = 0u64;
         let mut independence_violation = false;
@@ -1494,49 +1402,35 @@ impl AndWorker {
                 unreachable!("integrate without parent Run")
             };
             let mut inner = frame.inner.lock();
-            let from = inner.integrate_from;
-            let leaders: Vec<usize> = inner
-                .groups
-                .keys()
-                .copied()
-                .filter(|&l| l >= from)
-                .collect();
-            'groups: for leader in leaders {
-                let (bundle, members, extra) = {
-                    let g = &inner.groups[&leader];
-                    (
-                        g.bundle.clone().expect("ready group without bundle"),
-                        g.slots.clone(),
-                        g.extra.clone(),
-                    )
-                };
+            let FrameInner {
+                groups,
+                slots,
+                marks,
+                integrate_from,
+                ..
+            } = &mut *inner;
+            'groups: for g in groups.range(*integrate_from..).map(|(_, g)| g) {
+                let bundle = g.bundle.as_ref().expect("ready group without bundle");
                 // Record the undo point for this group.
                 let mark = (machine.heap.trail_mark(), machine.heap.heap_mark());
                 // Joint copy of the whole bundle into the parent heap.
-                let mut scratch = (*bundle.heap).clone();
-                let tuple = scratch.new_struct(ace_logic::sym("$integ"), &bundle.roots);
-                let out = copy_term(&scratch, tuple, &mut machine.heap);
+                let out = copy_tuple(
+                    &bundle.heap,
+                    ace_logic::sym("$integ"),
+                    &bundle.roots,
+                    &mut machine.heap,
+                );
                 let Cell::Str(hdr) = out.root else {
                     unreachable!()
                 };
                 copied += out.cells_copied as u64;
 
-                for (i, &slot) in members.iter().enumerate() {
-                    inner.marks[slot] = Some(mark);
+                for (i, &slot) in g.slots.iter().enumerate() {
+                    marks[slot] = Some(mark);
                     let solved = machine.heap.str_arg(hdr, i as u32);
-                    let parent_goal = inner.slots[slot]
+                    let parent_goal = slots[slot]
                         .parent_goal
                         .expect("parent goal not materialized in order");
-                    if trace_enabled() {
-                        eprintln!(
-                            "INTEG f{} slot={slot} origin={:?} owner_run={} pg={:?} heap={}",
-                            frame.id,
-                            inner.slots[slot].origin,
-                            inner.slots[slot].owner_run,
-                            parent_goal,
-                            machine.heap.len()
-                        );
-                    }
                     match ace_logic::unify::unify(&mut machine.heap, parent_goal, solved) {
                         Some(steps) => unify_steps += steps as u64,
                         None => {
@@ -1546,11 +1440,11 @@ impl AndWorker {
                     }
                 }
                 // Materialize parent-side terms for LPCO-added slots.
-                for &(added_slot, root_idx) in &extra {
+                for &(added_slot, root_idx) in &g.extra {
                     let cell = machine.heap.str_arg(hdr, root_idx as u32);
-                    inner.slots[added_slot].parent_goal = Some(cell);
-                    inner.slots[added_slot].materialized = true;
-                    inner.marks[added_slot] = Some(mark);
+                    slots[added_slot].parent_goal = Some(cell);
+                    slots[added_slot].materialized = true;
+                    marks[added_slot] = Some(mark);
                 }
             }
             if !independence_violation {
@@ -1564,7 +1458,7 @@ impl AndWorker {
             }
         }
         self.stats.cells_copied += copied;
-        self.charge(copied * costs.heap_cell + unify_steps * costs.unify_step);
+        self.charge(copied * self.costs.heap_cell + unify_steps * self.costs.unify_step);
         if independence_violation {
             self.sh.fail_with(
                 "parallel goals were not independent: cross-slot binding \
@@ -1582,7 +1476,6 @@ impl AndWorker {
     /// the rightmost group that can produce another solution and start
     /// advancing it; if none can, the parallel call is exhausted.
     fn on_redo(&mut self) -> Outcome {
-        let costs = self.costs();
         self.stats.redo_rounds += 1;
         let t = self.now();
         self.tracer.emit(t, || EventKind::RedoRound);
@@ -1632,7 +1525,7 @@ impl AndWorker {
             let leaders: Vec<usize> = inner.groups.keys().copied().collect();
             for &leader in leaders.iter().rev() {
                 self.stats.frame_traversals += 1;
-                self.charge(costs.frame_traverse);
+                self.charge(self.costs.frame_traverse);
                 let g = inner.groups.get_mut(&leader).unwrap();
                 if g.exhausted {
                     continue;
@@ -1687,15 +1580,18 @@ impl AndWorker {
                     let mut roots = Vec::new();
                     let mut cells = 0usize;
                     for &s in &g.slots {
-                        let slot = &inner.slots[s];
-                        let out = copy_term(&slot.goal_heap, slot.goal_root, &mut m.heap);
+                        let goal = inner.slots[s]
+                            .closure
+                            .as_ref()
+                            .expect("group member without closure");
+                        let out = copy_term(&goal.heap, goal.root, &mut m.heap);
                         cells += out.cells_copied;
                         roots.push(out.root);
                     }
                     (roots, cells)
                 };
                 self.stats.cells_copied += cells as u64;
-                self.charge(cells as u64 * costs.heap_cell);
+                self.charge(cells as u64 * self.costs.heap_cell);
                 // conjoin the roots: run them in order
                 let mut goal = *roots.last().unwrap();
                 for &r in roots.iter().rev().skip(1) {
@@ -1719,8 +1615,7 @@ impl AndWorker {
         let Some(Act::Advance { frame, machine, .. }) = self.stack.last_mut() else {
             unreachable!()
         };
-        let cancel = frame.cancel.clone();
-        let status = machine.run(quantum, Some(&cancel));
+        let status = machine.run(quantum, Some(&frame.cancel));
         self.phase_cost += machine.take_unsurfaced_cost();
         let memo_events = machine.take_memo_events();
         self.emit_memo_events(memo_events);
@@ -1786,7 +1681,6 @@ impl AndWorker {
     /// parent's integrations from that group rightwards, reset and re-run
     /// the groups to its right, and wait for the wave to refill.
     fn advance_succeeded(&mut self) -> Outcome {
-        let costs = self.costs();
         let Some(Act::Advance {
             frame,
             leader,
@@ -1800,7 +1694,7 @@ impl AndWorker {
 
         let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
         self.stats.cells_copied += cells as u64;
-        self.charge(cells as u64 * costs.heap_cell);
+        self.charge(cells as u64 * self.costs.heap_cell);
 
         let mut new_tasks: Vec<Task> = Vec::new();
         let mut machine_opt = Some(machine);
@@ -1834,7 +1728,7 @@ impl AndWorker {
             let undone = parent.heap.undo_to(tm);
             parent.heap.truncate_to(hm);
             self.stats.trail_undos += undone as u64;
-            self.charge(undone as u64 * costs.trail_undo);
+            self.charge(undone as u64 * self.costs.trail_undo);
 
             // Store the new bundle & machine state.
             {
@@ -1878,7 +1772,7 @@ impl AndWorker {
                 inner.slots[s].owner_run = false;
                 inner.marks[s] = None;
                 pending += 1;
-                if inner.slots[s].shipped {
+                if inner.slots[s].closure.is_some() {
                     new_tasks.push(Task {
                         frame: frame.clone(),
                         slot: s,

@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
-use ace_logic::copy::copy_term;
+use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::{parse_term, Cell, Database, Heap};
 use ace_machine::Solver;
 use ace_runtime::CostModel;
@@ -48,6 +48,26 @@ fn bench_copy(c: &mut Criterion) {
         b.iter(|| {
             let mut dst = Heap::new();
             black_box(copy_term(&src, l, &mut dst))
+        });
+    });
+
+    // Goal shipping's shape: a few small goals sharing a variable, on top of
+    // a large owner heap whose size the copy must not pay for.
+    c.bench_function("copy_joint/3-goals-on-100k-heap", |b| {
+        let mut src = Heap::new();
+        deep_list(&mut src, 50_000);
+        let x = src.new_var();
+        let goals: Vec<Cell> = (0..3)
+            .map(|i| src.new_struct(ace_logic::sym("tak"), &[Cell::Int(i), Cell::Int(7), x]))
+            .collect();
+        b.iter(|| {
+            let mut dst = Heap::default();
+            black_box(copy_tuple(
+                &src,
+                ace_logic::sym("$bundle"),
+                &goals,
+                &mut dst,
+            ))
         });
     });
 }

@@ -131,7 +131,8 @@ pub struct TermArena {
 impl TermArena {
     /// Copy the term rooted at `root` out of `src` into a fresh arena.
     pub fn freeze(src: &Heap, root: Cell) -> TermArena {
-        let mut scratch = Heap::new();
+        // Sized by what the copy writes; nothing binds here, so no trail.
+        let mut scratch = Heap::default();
         let out = copy_term(src, root, &mut scratch);
         TermArena {
             cells: scratch.cells().to_vec(),

@@ -13,9 +13,9 @@
 //!
 //! The returned [`CopyOut::cells_copied`] feeds the virtual cost model.
 
-use std::collections::HashMap;
-
+use crate::fxhash::FxHashMap;
 use crate::heap::{Addr, Cell, Heap};
+use crate::sym::Sym;
 
 /// Result of a [`copy_term`] call.
 #[derive(Debug, Clone, Copy)]
@@ -43,6 +43,27 @@ pub fn copy_term_within(heap: &mut Heap, root: Cell) -> CopyOut {
     copy(None, root, heap)
 }
 
+/// Copy `roots` out of `src` jointly, as the arguments of one new structure
+/// `f(root₁, …, rootₙ)` in `dst`: a variable or subterm shared between roots
+/// is copied once and stays shared. [`CopyOut::root`] is the structure, whose
+/// `i`-th argument is the copy of `roots[i]`.
+///
+/// The structure exists in `dst` only — `src` is read, never extended — and
+/// `dst` receives the cells, in the order, that [`copy_term`] would write
+/// for that structure had it been built on top of `src`.
+pub fn copy_tuple(src: &Heap, f: Sym, roots: &[Cell], dst: &mut Heap) -> CopyOut {
+    let hdr = dst.push(Cell::Functor(f, roots.len() as u32));
+    let work = roots
+        .iter()
+        .map(|&root| (root, dst.push(Cell::Nil))) // placeholder
+        .collect();
+    let copier = Copier {
+        cells: 1 + roots.len(),
+        ..Copier::default()
+    };
+    copier.fill(Some(src), Cell::Str(hdr), dst, work)
+}
+
 /// The heap to read source cells from: `src`, or `dst` itself when the
 /// copy is within one heap. Borrowed afresh for each read, so that `dst`
 /// is free to grow in between.
@@ -51,25 +72,15 @@ fn source<'a>(src: Option<&'a Heap>, dst: &'a Heap) -> &'a Heap {
 }
 
 fn copy(src: Option<&Heap>, root: Cell, dst: &mut Heap) -> CopyOut {
-    let mut copier = Copier {
-        var_map: HashMap::new(),
-        block_map: HashMap::new(),
-        cells: 0,
-        vars: 0,
-    };
-    let mut work: Vec<(Cell, Addr)> = Vec::new();
-    let out_root = copier.translate(src, root, dst, &mut work);
-    while let Some((src_cell, at)) = work.pop() {
-        let t = copier.translate(src, src_cell, dst, &mut work);
-        dst.set_raw(at, t);
-    }
-    CopyOut {
-        root: out_root,
-        cells_copied: copier.cells,
-        fresh_vars: copier.vars,
-    }
+    let mut copier = Copier::default();
+    let mut work = Vec::new();
+    let root = copier.translate(src, root, dst, &mut work);
+    copier.fill(src, root, dst, work)
 }
 
+/// The state of one copy. Both maps are keyed by source heap addresses,
+/// which no input chooses — the keys [`crate::fxhash`] is for.
+#[derive(Default)]
 struct Copier {
     /// Unbound-variable source address -> fresh destination variable.
     ///
@@ -79,16 +90,36 @@ struct Copier {
     /// address may name both a pair and a variable. A shared map would
     /// resolve the variable to the pair's destination block and
     /// manufacture a cycle (`[X|T]` with `X` = the list itself).
-    var_map: HashMap<Addr, Cell>,
+    var_map: FxHashMap<Addr, Cell>,
     /// Compound header/pair source address -> destination block cell;
     /// presence means the destination block already exists (sharing &
     /// cycle safety).
-    block_map: HashMap<Addr, Cell>,
+    block_map: FxHashMap<Addr, Cell>,
     cells: usize,
     vars: usize,
 }
 
 impl Copier {
+    /// Fill the placeholder slots queued on `work` (and those their terms
+    /// queue in turn); `root` is the finished copy's root cell.
+    fn fill(
+        mut self,
+        src: Option<&Heap>,
+        root: Cell,
+        dst: &mut Heap,
+        mut work: Vec<(Cell, Addr)>,
+    ) -> CopyOut {
+        while let Some((src_cell, at)) = work.pop() {
+            let t = self.translate(src, src_cell, dst, &mut work);
+            dst.set_raw(at, t);
+        }
+        CopyOut {
+            root,
+            cells_copied: self.cells,
+            fresh_vars: self.vars,
+        }
+    }
+
     /// Translate one source cell to a destination cell. Newly seen compound
     /// terms get their destination block reserved here, and their children
     /// queued onto `work` to be filled in later (iterative, so arbitrarily

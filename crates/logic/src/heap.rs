@@ -115,6 +115,8 @@ const SMALL_TRAIL: usize = 256;
 const TRAIL_RESERVE: usize = 1 << 18;
 
 impl Heap {
+    /// A heap with room to run in. `Heap::default()` reserves nothing: the
+    /// start for a copy target that [`Heap::shrink_to_fit`] then freezes.
     pub fn new() -> Self {
         Heap {
             cells: Vec::with_capacity(1024),
@@ -137,6 +139,14 @@ impl Heap {
             cells: Box::<[Cell]>::from(cells).into_vec(),
             trail: Vec::new(),
         }
+    }
+
+    /// Give back the room not in use. For a heap that was just filled and
+    /// will only be read — a closure, a solution bundle — this leaves what
+    /// [`Heap::from_cells`] would have built.
+    pub fn shrink_to_fit(&mut self) {
+        self.cells.shrink_to_fit();
+        self.trail.shrink_to_fit();
     }
 
     /// Allocated room as `(cells, trail entries)`, used or not.

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 
-use ace_logic::copy::copy_term;
-use ace_logic::heap::{Cell, Heap};
+use ace_logic::copy::{copy_term, copy_tuple};
+use ace_logic::heap::{Addr, Cell, Heap};
 use ace_logic::sym::sym;
 use ace_logic::term::{term_size, variables};
 use ace_logic::unify::{struct_eq, unify, unify_oc};
@@ -323,6 +323,69 @@ proptest! {
         prop_assert_eq!(within.cells_copied, from_snapshot.cells_copied);
         prop_assert_eq!(within.fresh_vars, from_snapshot.fresh_vars);
         prop_assert_eq!(heap.cells(), beside.cells());
+    }
+
+    /// The joint copy of a root list is the copy of a tuple of those roots
+    /// built on a snapshot of the source — the same destination cells and
+    /// tuple, hence the same root cells, and the same counts, hence the same
+    /// virtual cost — and reads its source without extending it. The heaps carry what goal shipping meets:
+    /// variables shared between roots, chains of bindings and cycles,
+    /// compact `[H|T]` pairs whose head variable sits at the pair's address
+    /// (also a root of its own), atomic and unbound roots, and no root at
+    /// all.
+    #[test]
+    fn joint_copy_equals_copy_of_a_tuple_on_a_snapshot(
+        terms in prop::collection::vec(term_strategy(), 0..5),
+        compact in prop::collection::vec(any::<bool>(), 0..3),
+        binds in prop::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+        base in 0usize..8,
+    ) {
+        let mut heap = Heap::new();
+        let mut vars = Vec::new();
+        let mut roots: Vec<Cell> = terms.iter().map(|t| build(&mut heap, t, &mut vars)).collect();
+        for &open_tail in &compact {
+            let pair = Addr(heap.len() as u32);
+            heap.push(Cell::Ref(pair)); // the head variable, at the pair address
+            if open_tail {
+                heap.new_var();
+            } else {
+                heap.push(Cell::Nil);
+            }
+            roots.push(Cell::Lst(pair));
+            roots.push(Cell::Ref(pair));
+        }
+        // Bind variables to whole roots without an occurs check: chains
+        // (variable to variable to term) and rational trees.
+        for &(v, r) in &binds {
+            if roots.is_empty() {
+                break;
+            }
+            let (var, to) = (roots[v % roots.len()], roots[r % roots.len()]);
+            if let Cell::Ref(a) = heap.deref(var) {
+                if heap.deref(to) != Cell::Ref(a) {
+                    heap.bind(a, to);
+                }
+            }
+        }
+        let before: Vec<Cell> = heap.cells().to_vec();
+        let f = sym("$bundle");
+
+        let mut snapshot = heap.clone();
+        let tuple = snapshot.new_struct(f, &roots);
+        let mut want = Heap::new();
+        let mut got = Heap::default();
+        for _ in 0..base {
+            want.new_var(); // a nonzero destination base
+            got.new_var();
+        }
+        let reference = copy_term(&snapshot, tuple, &mut want);
+        let joint = copy_tuple(&heap, f, &roots, &mut got);
+
+        prop_assert_eq!(got.cells(), want.cells());
+        prop_assert_eq!(joint.root, reference.root);
+        prop_assert_eq!(joint.cells_copied, reference.cells_copied);
+        prop_assert_eq!(joint.fresh_vars, reference.fresh_vars);
+        prop_assert_eq!(heap.cells(), &before[..]);
     }
 
     /// The clause store is exact: a loaded clause's arena has room for its
