@@ -56,8 +56,7 @@ impl AndEngine {
                 .fault_plan
                 .as_ref()
                 .map(|p| FaultInjector::new(p, cfg.workers.max(1))),
-            memo: cfg.resolve_memo_table(),
-            table: cfg.resolve_table_space(),
+            store: cfg.resolve_store(),
         });
 
         let mut workers: Vec<AndWorker> = (0..cfg.workers.max(1))
@@ -67,9 +66,7 @@ impl AndEngine {
         let costs = Arc::new(cfg.costs.clone());
         let mut root = Box::new(Machine::new(self.db.clone(), costs));
         root.enable_parallel(true);
-        root.set_memo(shared.memo.clone(), cfg.trace.enabled);
-        root.set_table(shared.table.clone(), cfg.trace.enabled);
-        root.set_memo_tenant(cfg.memo_tenant);
+        root.set_store(shared.store.clone(), cfg, cfg.trace.enabled);
         root.set_clause_exec(cfg.clause_exec);
         root.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
         let vars = root
@@ -123,7 +120,7 @@ impl AndEngine {
         // Fold the finished run into the live registry (engine totals +
         // per-tenant memo traffic); a scrape between runs sees it.
         if let Some(metrics) = &cfg.metrics {
-            metrics.record_run("and", cfg.memo_tenant, &stats, outcome.virtual_time);
+            metrics.record_run("and", cfg.tenant, &stats, outcome.virtual_time);
         }
         let solutions = std::mem::take(&mut *shared.solutions.lock());
         let trace =
@@ -346,7 +343,7 @@ mod tests {
 
     #[test]
     fn memoization_reuses_answers_across_runs() {
-        use ace_runtime::{MemoConfig, MemoTable};
+        use ace_runtime::{AnswerStore, StoreConfig};
         let e = AndEngine::new(db(r#"
             app([], L, L).
             app([H|T], L, [H|R]) :- app(T, L, R).
@@ -359,8 +356,10 @@ mod tests {
         let base = e.run(q, &cfg(2, OptFlags::none())).unwrap();
         assert_eq!(base.solutions.len(), 1);
 
-        let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
-        let c = cfg(2, OptFlags::none()).with_memo_table(table.clone());
+        let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
+        let c = cfg(2, OptFlags::none())
+            .with_store(table.clone())
+            .with_memoization();
         let cold = e.run(q, &c).unwrap();
         assert_eq!(renders(&cold), renders(&base));
         assert!(cold.stats.memo_stores > 0, "{}", cold.stats.summary());
@@ -376,21 +375,25 @@ mod tests {
     }
 
     #[test]
-    fn memo_off_runs_are_bit_identical_to_the_seed_config() {
+    fn store_off_runs_are_bit_identical_to_the_seed_config() {
+        // Sizing and a store handle switch nothing on.
+        use ace_runtime::{AnswerStore, StoreConfig};
         let e = AndEngine::new(db(PROCESS_LIST));
         let q = "process_list([1,2,3], Out)";
         let plain = e.run(q, &cfg(2, OptFlags::all())).unwrap();
-        // `with_memo` with `enabled: false` must not perturb anything.
-        let c = cfg(2, OptFlags::all()).with_memo(ace_runtime::MemoConfig::default());
+        let c = cfg(2, OptFlags::all())
+            .with_store_config(StoreConfig::default())
+            .with_store(Arc::new(AnswerStore::new(&StoreConfig::default())));
         let off = e.run(q, &c).unwrap();
         assert_eq!(off.outcome.virtual_time, plain.outcome.virtual_time);
         assert_eq!(off.stats, plain.stats);
         assert_eq!(off.stats.memo_hits + off.stats.memo_misses, 0);
+        assert_eq!(off.stats.table_hits + off.stats.table_subgoals, 0);
     }
 
     #[test]
     fn tabled_slots_run_under_parallel_conjunction() {
-        use ace_runtime::{TableConfig, TableSpace};
+        use ace_runtime::{AnswerStore, StoreConfig};
         let e = AndEngine::new(db(r#"
             :- table(path/2).
             path(X, Y) :- path(X, Z), edge(Z, Y).
@@ -403,8 +406,10 @@ mod tests {
         "#));
         let q = "pair(X, Y)";
         for workers in [1, 2, 4] {
-            let space = Arc::new(TableSpace::new(&TableConfig::enabled()));
-            let c = cfg(workers, OptFlags::none()).with_table_space(space.clone());
+            let space = Arc::new(AnswerStore::new(&StoreConfig::default()));
+            let c = cfg(workers, OptFlags::none())
+                .with_store(space.clone())
+                .with_tabling();
             let r = e.run(q, &c).unwrap();
             // Full cross product of the two closures (both are {a,b,c,d}).
             let mut got = renders(&r);
@@ -419,7 +424,7 @@ mod tests {
 
     #[test]
     fn parcall_inside_a_tabled_clause_degrades_soundly() {
-        use ace_runtime::{TableConfig, TableSpace};
+        use ace_runtime::{AnswerStore, StoreConfig};
         // `&` in the body of a tabled clause must degrade to `,` (the
         // derivation's continuation is machine-local) and still produce
         // the right answers.
@@ -429,25 +434,15 @@ mod tests {
             p(1). p(2).
             q(10).
         "#));
-        let space = Arc::new(TableSpace::new(&TableConfig::enabled()));
-        let c = cfg(2, OptFlags::none()).with_table_space(space.clone());
+        let space = Arc::new(AnswerStore::new(&StoreConfig::default()));
+        let c = cfg(2, OptFlags::none())
+            .with_store(space.clone())
+            .with_tabling();
         let r = e.run("both(X, Y)", &c).unwrap();
         let mut got = renders(&r);
         got.sort();
         assert_eq!(got, vec!["X=1, Y=10", "X=2, Y=10"]);
         assert_eq!(r.stats.table_completes, 1, "{}", r.stats.summary());
-    }
-
-    #[test]
-    fn tabling_off_and_runs_are_bit_identical() {
-        let e = AndEngine::new(db(PROCESS_LIST));
-        let q = "process_list([1,2,3], Out)";
-        let plain = e.run(q, &cfg(2, OptFlags::all())).unwrap();
-        let c = cfg(2, OptFlags::all()).with_table(ace_runtime::TableConfig::default());
-        let off = e.run(q, &c).unwrap();
-        assert_eq!(off.outcome.virtual_time, plain.outcome.virtual_time);
-        assert_eq!(off.stats, plain.stats);
-        assert_eq!(off.stats.table_hits + off.stats.table_subgoals, 0);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::{CanonKey, Cell, Database};
 use ace_machine::{Machine, MarkerKind, Solution, Status};
 use ace_runtime::{
-    fault::FAULT_ERROR_PREFIX, Agent, CancelToken, EngineConfig, EventKind, FaultAction,
-    FaultInjector, MemoTable, Phase, Stats, TableSpace, TraceBuf, Tracer,
+    fault::FAULT_ERROR_PREFIX, Agent, AnswerStore, CancelToken, EngineConfig, EventKind,
+    FaultAction, FaultInjector, Phase, Stats, TraceBuf, Tracer,
 };
 use parking_lot::Mutex;
 
@@ -54,12 +54,10 @@ pub struct Shared {
     pub trace_bufs: Mutex<Vec<TraceBuf>>,
     /// Fault injection (tests/robustness validation); `None` = no faults.
     pub injector: Option<FaultInjector>,
-    /// Answer-memoization table shared by every machine of the run (and,
-    /// when the caller passed one in, across runs); `None` = memo off.
-    pub memo: Option<Arc<MemoTable>>,
-    /// Shared tabling space for non-determinate tabled predicates;
-    /// `None` = tabling off.
-    pub table: Option<Arc<TableSpace>>,
+    /// Answer store shared by every machine of the run (and, when the
+    /// caller passed one in, across runs); `None` = memoization and
+    /// tabling both off.
+    pub store: Option<Arc<AnswerStore>>,
 }
 
 impl Shared {
@@ -252,16 +250,10 @@ impl AndWorker {
             Some(m) => m,
             None => Box::new(Machine::new(self.sh.db.clone(), self.costs.clone())),
         };
-        if self.sh.memo.is_some() {
-            m.set_memo(self.sh.memo.clone(), self.sh.cfg.trace.enabled);
-            m.set_memo_tenant(self.sh.cfg.memo_tenant);
-        }
-        if self.sh.table.is_some() {
-            m.set_table(self.sh.table.clone(), self.sh.cfg.trace.enabled);
-            m.set_memo_tenant(self.sh.cfg.memo_tenant);
-        }
-        m.set_clause_exec(self.sh.cfg.clause_exec);
-        m.set_dispatch_trace(self.sh.cfg.trace.enabled && self.sh.cfg.trace.dispatch);
+        let cfg = &self.sh.cfg;
+        m.set_store(self.sh.store.clone(), cfg, cfg.trace.enabled);
+        m.set_clause_exec(cfg.clause_exec);
+        m.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
         m
     }
 

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use ace_bench::json::Json;
 use ace_core::{Ace, Mode, RunReport};
-use ace_runtime::{EngineConfig, MemoConfig, MemoTable, OptFlags};
+use ace_runtime::{AnswerStore, EngineConfig, OptFlags, StoreConfig};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -64,11 +64,11 @@ fn run(
     ace: &Ace,
     query: &str,
     workers: usize,
-    memo: Option<&Arc<MemoTable>>,
+    memo: Option<&Arc<AnswerStore>>,
 ) -> Result<RunReport, String> {
     let mut c = cfg(workers);
     if let Some(t) = memo {
-        c = c.with_memo_table(t.clone());
+        c = c.with_store(t.clone()).with_memoization();
     }
     ace.run(Mode::AndParallel, query, &c)
         .map_err(|e| format!("workers={workers}: {e}"))
@@ -100,7 +100,7 @@ fn workload_entry(len: usize, cells: usize) -> Result<Json, String> {
     for w in WORKER_COUNTS {
         let off = run(&ace, &query, w, None)?;
 
-        let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
+        let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
         let cold = run(&ace, &query, w, Some(&table))?;
         let warm = run(&ace, &query, w, Some(&table))?;
         for (label, r) in [("cold", &cold), ("warm", &warm)] {

@@ -30,22 +30,23 @@ use std::sync::Arc;
 use ace_bench::json::Json;
 use ace_core::{Ace, Mode, RunReport};
 use ace_programs::{tabled, TabledProgram};
-use ace_runtime::{DriverKind, EngineConfig, OptFlags, TableConfig, TableSpace};
+use ace_runtime::{AnswerStore, DriverKind, EngineConfig, OptFlags, StoreConfig};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const DRIVERS: [(DriverKind, &str); 2] =
     [(DriverKind::Sim, "sim"), (DriverKind::Threads, "threads")];
 
-fn space() -> Arc<TableSpace> {
-    Arc::new(TableSpace::new(&TableConfig::enabled().with_shards(8)))
+fn space() -> Arc<AnswerStore> {
+    Arc::new(AnswerStore::new(&StoreConfig::default().with_shards(8)))
 }
 
-fn cfg(workers: usize, driver: DriverKind, table: &Arc<TableSpace>) -> EngineConfig {
+fn cfg(workers: usize, driver: DriverKind, table: &Arc<AnswerStore>) -> EngineConfig {
     EngineConfig::default()
         .with_workers(workers)
         .with_driver(driver)
         .with_opts(OptFlags::all())
-        .with_table_space(table.clone())
+        .with_store(table.clone())
+        .with_tabling()
         .all_solutions()
 }
 

@@ -193,16 +193,12 @@ impl Ace {
         let start = std::time::Instant::now();
         let mut solver = Solver::new(self.db.clone(), Arc::new(cfg.costs.clone()), query)
             .map_err(|e| AceError::classify(e.to_string()))?;
-        // The sequential path shares the same answer table as the parallel
-        // engines (a warm table from a parallel run keeps paying off here).
+        // The sequential path shares the same answer store as the parallel
+        // engines (a warm store from a parallel run keeps paying off here).
         // No tracer exists in this mode, so event buffering stays off.
         solver
             .machine_mut()
-            .set_memo(cfg.resolve_memo_table(), false);
-        solver
-            .machine_mut()
-            .set_table(cfg.resolve_table_space(), false);
-        solver.machine_mut().set_memo_tenant(cfg.memo_tenant);
+            .set_store(cfg.resolve_store(), cfg, false);
         solver.machine_mut().set_clause_exec(cfg.clause_exec);
         if let Some(parent) = &cfg.cancel {
             solver.set_cancel(parent.child());
@@ -239,7 +235,7 @@ impl Ace {
         stats.answers_streamed = streamed;
         stats.sink_stops = sink_stops;
         if let Some(metrics) = &cfg.metrics {
-            metrics.record_run("sequential", cfg.memo_tenant, &stats, stats.total_cost());
+            metrics.record_run("sequential", cfg.tenant, &stats, stats.total_cost());
         }
         Ok(RunReport {
             solutions,
@@ -359,7 +355,7 @@ mod tests {
 
     #[test]
     fn memo_table_is_shared_across_modes() {
-        use ace_runtime::{MemoConfig, MemoTable};
+        use ace_runtime::{AnswerStore, StoreConfig};
         let ace = Ace::load(
             r#"
             append([], L, L).
@@ -369,11 +365,13 @@ mod tests {
             "#,
         )
         .unwrap();
-        let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
+        let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
         let q = "nrev([1,2,3,4,5,6], R)";
 
         // Warm the table on the and-engine...
-        let c = cfg(2, OptFlags::all()).with_memo_table(table.clone());
+        let c = cfg(2, OptFlags::all())
+            .with_store(table.clone())
+            .with_memoization();
         let warm = ace.run(Mode::AndParallel, q, &c).unwrap();
         assert_eq!(warm.solutions, vec!["R=[6,5,4,3,2,1]"]);
         assert!(warm.stats.memo_stores > 0, "{}", warm.summary());

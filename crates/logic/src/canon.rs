@@ -1,5 +1,5 @@
 //! Canonical call keys and relocatable answer arenas — the term-level
-//! substrate of the answer-memoization subsystem (`ace-memo`).
+//! substrate of the answer store (`ace-table`).
 //!
 //! * [`CanonKey`] writes a *variant-normalized* byte encoding of a call
 //!   term: variables are numbered in first-occurrence order, so two calls

@@ -18,8 +18,7 @@ use std::sync::Arc;
 use ace_logic::db::IndexKey;
 use ace_logic::heap::HeapMark;
 use ace_logic::{Cell, Sym, TrailMark};
-use ace_memo::MemoEntry;
-use ace_table::TableEntry;
+use ace_table::AnswerEntry;
 
 use crate::cont::Cont;
 
@@ -38,13 +37,15 @@ pub enum Alts {
     Disj { rhs: Cell },
     /// `between/3` enumeration: bind `var` to `next..=hi`.
     Between { var: Cell, next: i64, hi: i64 },
-    /// Remaining tabled answers of a memoized call: thaw and unify
-    /// `entry.answers[next..]`. Never published to the or-tree — the
-    /// answer set is already complete, so there is nothing to claim.
-    Memo { entry: Arc<MemoEntry>, next: usize },
-    /// Remaining answers of an already-**complete** tabled subgoal from
-    /// the shared table space. Like `Alts::Memo`, never published.
-    TableReplay { entry: Arc<TableEntry>, next: usize },
+    /// Remaining answers of a call whose **complete** answer set is in
+    /// the answer store (a memoized call or a completed tabled subgoal):
+    /// thaw and unify `entry.answers[next..]`. Never published to the
+    /// or-tree — the answer set is already complete, so there is nothing
+    /// to claim.
+    Replay {
+        entry: Arc<AnswerEntry>,
+        next: usize,
+    },
     /// A consumer of a machine-local tabled subgoal under evaluation:
     /// unify answers `>= next` of the local answer list; when the list
     /// runs dry, either finish (subgoal complete) or **suspend** the

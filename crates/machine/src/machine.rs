@@ -13,11 +13,10 @@ use ace_logic::write::term_to_string;
 use ace_logic::{
     run_head, CanonKey, Cell, CompiledBody, Heap, StepKind, Sym, TermArena, TrailMark,
 };
-use ace_memo::{MemoEntry, MemoTable, PublishOutcome};
 
 use crate::arith;
-use ace_runtime::{CancelToken, ClauseExec, CostModel, EventKind, Stats};
-use ace_table::{RegisterOutcome, TableEntry, TableSpace};
+use ace_runtime::{CancelToken, ClauseExec, CostModel, EngineConfig, EventKind, Stats};
+use ace_table::{AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome};
 
 use crate::cont::{self, Cont};
 use crate::frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame, SharedChoice};
@@ -164,8 +163,12 @@ struct SuspendedConsumer {
 struct LocalSubgoal {
     /// Canonical (variant-normalized) subgoal key.
     key: CanonKey,
-    /// Shared-space subgoal id (trace correlation across workers).
+    /// Store-wide subgoal id (trace correlation across workers).
     shared_id: u64,
+    /// This machine's registration created the store's pending slot (it
+    /// is the generator, not a shadow): the slot is owed a publication,
+    /// or an `abandon` if the query stops first.
+    fresh: bool,
     /// The answer list, in derivation order (frozen: machine-independent).
     answers: Vec<TermArena>,
     /// Canonical answer keys already inserted (duplicate elimination).
@@ -239,15 +242,22 @@ pub struct Machine {
     /// Cost already surfaced to a driver clock (see
     /// [`Machine::take_unsurfaced_cost`]).
     surfaced_cost: u64,
-    /// Answer-memoization handle. `None` (the default) keeps every memo
-    /// consultation point a single branch: no charges, no events — a
-    /// memo-off run is bit-identical to a memo-free build.
-    memo: Option<Arc<MemoTable>>,
-    /// Buffer memo trace events for the engine to drain (tracing only).
-    memo_trace: bool,
-    /// Tenant charged for this machine's memo insertions (quota
-    /// accounting on shared tables; 0 = the single-tenant default).
-    memo_tenant: u32,
+    /// The shared answer store. `None` (the default) leaves both switches
+    /// below off and every store consultation point a single branch: no
+    /// charges, no events — a store-off run is bit-identical to a
+    /// store-free build.
+    store: Option<Arc<AnswerStore>>,
+    /// Watch determinate calls and memoize their answers in `store`.
+    memoize: bool,
+    /// Evaluate `:- table` predicates by SLG resolution, completed answer
+    /// sets shared through `store`.
+    tabling: bool,
+    /// Buffer memo and table trace events for the engine to drain
+    /// (tracing only).
+    store_trace: bool,
+    /// Tenant charged for this machine's store insertions (quota
+    /// accounting on shared stores; 0 = the single-tenant default).
+    tenant: u32,
     memo_events: Vec<EventKind>,
     /// In-flight watches on calls whose answer may be publishable.
     memo_watches: Vec<Option<MemoWatch>>,
@@ -258,13 +268,6 @@ pub struct Machine {
     /// Monotone count of parallel conjunctions raised (memo determinacy
     /// validation: a derivation that crossed a parcall is never tabled).
     parcalls_raised: u64,
-    /// Shared tabling space for non-determinate tabled predicates. `None`
-    /// (the default) keeps every table consultation point a single branch:
-    /// a table-off run is bit-identical to a table-free build.
-    table: Option<Arc<TableSpace>>,
-    /// Buffer table trace events (they ride `memo_events` so engines need
-    /// no extra drain plumbing).
-    table_trace: bool,
     /// Machine-local SLG frames of tabled subgoals (indexed by cursors).
     table_subgoals: Vec<LocalSubgoal>,
     /// Canonical key bytes → index into `table_subgoals`.
@@ -283,6 +286,14 @@ pub struct Machine {
     /// Reusable register file for compiled head execution (cleared and
     /// resized per clause; kept across calls to avoid reallocation).
     code_slots: Vec<Cell>,
+}
+
+/// A machine dropped mid-query (the run stopped at its solution bound, was
+/// cancelled, or its worker died) gives its unfinished registrations back.
+impl Drop for Machine {
+    fn drop(&mut self) {
+        self.abandon_pending();
+    }
 }
 
 impl std::fmt::Debug for Machine {
@@ -312,16 +323,16 @@ impl Machine {
             cancel_check_countdown: 0,
             pending_marker: None,
             surfaced_cost: 0,
-            memo: None,
-            memo_trace: false,
-            memo_tenant: 0,
+            store: None,
+            memoize: false,
+            tabling: false,
+            store_trace: false,
+            tenant: 0,
             memo_events: Vec::new(),
             memo_watches: Vec::new(),
             memo_free: Vec::new(),
             memo_gen: 0,
             parcalls_raised: 0,
-            table: None,
-            table_trace: false,
             table_subgoals: Vec::new(),
             table_index: HashMap::new(),
             table_gen_stack: Vec::new(),
@@ -409,14 +420,15 @@ impl Machine {
         self.pending_marker = None;
         self.stats = Stats::new();
         self.surfaced_cost = 0;
-        // The memo handle survives reset — pooled machines keep serving
-        // the same table; per-run state does not.
+        // The store handle survives reset — pooled machines keep serving
+        // the same store; per-run state does not.
         self.memo_events.clear();
         self.memo_watches.clear();
         self.memo_free.clear();
         self.parcalls_raised = 0;
-        // Likewise the table-space handle survives; local SLG state does
-        // not (frames are per-query).
+        // Local SLG state is per-query; registrations it leaves
+        // unfinished go back to the store.
+        self.abandon_pending();
         self.table_subgoals.clear();
         self.table_index.clear();
         self.table_gen_stack.clear();
@@ -426,24 +438,45 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Answer memoization
+    // The answer store: memoization of determinate calls
     // ------------------------------------------------------------------
 
-    /// Attach (or detach) an answer table. `trace` buffers memo events
-    /// ([`EventKind::MemoHit`] and friends) for [`Machine::take_memo_events`].
-    pub fn set_memo(&mut self, table: Option<Arc<MemoTable>>, trace: bool) {
-        self.memo = table;
-        self.memo_trace = trace && self.memo.is_some();
+    /// Attach (or detach) the answer store. `cfg` says what it is used for
+    /// (`memoize` watches determinate calls, `tabling` honours `:- table`
+    /// declarations) and which tenant its insertions are charged to (see
+    /// [`ace_table::StoreConfig::tenant_quota`]). `trace` buffers the
+    /// store's events ([`EventKind::MemoHit`], [`EventKind::TableNew`] and
+    /// friends) for [`Machine::take_memo_events`].
+    pub fn set_store(&mut self, store: Option<Arc<AnswerStore>>, cfg: &EngineConfig, trace: bool) {
+        self.memoize = cfg.memoize && store.is_some();
+        self.tabling = cfg.tabling && store.is_some();
+        self.tenant = cfg.tenant;
+        self.store_trace = trace && store.is_some();
+        self.store = store;
+    }
+
+    /// Benchmark-pinned: switch memoization on over `store`; `None`
+    /// changes nothing.
+    pub fn set_memo(&mut self, store: Option<Arc<AnswerStore>>, trace: bool) {
+        if store.is_some() {
+            (self.store, self.memoize, self.store_trace) = (store, true, trace);
+        }
+    }
+
+    /// Benchmark-pinned: switch tabling on over `store`; `None` changes
+    /// nothing.
+    pub fn set_table(&mut self, store: Option<Arc<AnswerStore>>, trace: bool) {
+        if store.is_some() {
+            (self.store, self.tabling, self.store_trace) = (store, true, trace);
+        }
     }
 
     pub fn memo_enabled(&self) -> bool {
-        self.memo.is_some()
+        self.memoize
     }
 
-    /// Charge this machine's memo insertions to `tenant` (see
-    /// [`ace_memo::MemoConfig::tenant_quota`]).
-    pub fn set_memo_tenant(&mut self, tenant: u32) {
-        self.memo_tenant = tenant;
+    pub fn table_enabled(&self) -> bool {
+        self.tabling
     }
 
     /// Drain buffered memo trace events (engines forward them to their
@@ -457,20 +490,27 @@ impl Machine {
         CanonKey::of(&self.heap, goal)
     }
 
+    /// Charge for and publish the complete answer set of `key` — the one
+    /// write path of memoized answers and tabled completions alike.
+    fn store_publish(&mut self, key: &CanonKey, answers: Vec<TermArena>) -> PublishOutcome {
+        self.charge(self.costs.memo_store);
+        let store = self.store.as_ref().expect("publish without a store");
+        store.publish_as(self.tenant, key, answers)
+    }
+
     /// Engine-side publication: freeze `goal` (instantiated) as the single
     /// complete answer of `key` (the key must have been taken *before*
     /// execution bound the call). Returns true if this publication stored.
     pub fn memo_publish_answer(&mut self, key: &CanonKey, goal: Cell) -> bool {
-        let Some(table) = self.memo.clone() else {
+        if !self.memoize {
             return false;
-        };
-        self.charge(self.costs.memo_store);
+        }
         let arena = TermArena::freeze(&self.heap, goal);
-        match table.publish_as(self.memo_tenant, key, vec![arena]) {
+        match self.store_publish(key, vec![arena]) {
             PublishOutcome::Stored { epoch, evicted } => {
                 self.stats.memo_stores += 1;
                 self.stats.memo_evictions += evicted;
-                if self.memo_trace {
+                if self.store_trace {
                     self.memo_events.push(EventKind::MemoStore {
                         key: key.hash,
                         epoch,
@@ -487,22 +527,22 @@ impl Machine {
         }
     }
 
-    /// Consult the answer table for `goal`. `Some(status)` short-circuits
+    /// Consult the answer store for `goal`. `Some(status)` short-circuits
     /// the call (hit: answers replayed); `None` falls through to normal
     /// resolution with a watch planted to capture the answer.
     fn memo_consult(&mut self, goal: Cell) -> Option<Status> {
-        let table = self.memo.as_ref()?.clone();
         self.charge(self.costs.memo_lookup);
         let key = CanonKey::of(&self.heap, goal);
-        if let Some(entry) = table.lookup(&key) {
+        let store = self.store.as_ref().expect("memo_consult without a store");
+        if let Some(entry) = store.lookup(&key) {
             self.stats.memo_hits += 1;
-            if self.memo_trace {
+            if self.store_trace {
                 self.memo_events.push(EventKind::MemoHit {
                     key: key.hash,
                     epoch: entry.epoch,
                 });
             }
-            return Some(self.memo_replay(goal, entry));
+            return Some(self.replay(goal, entry));
         }
         self.stats.memo_misses += 1;
         // Watch this call: a `$memo_store` marker planted before the
@@ -537,8 +577,9 @@ impl Machine {
         None
     }
 
-    /// Replay a complete answer set for `goal` (a memo hit).
-    fn memo_replay(&mut self, goal: Cell, entry: Arc<MemoEntry>) -> Status {
+    /// Replay a complete answer set for `goal` (a memo hit, or a tabled
+    /// subgoal someone already completed).
+    fn replay(&mut self, goal: Cell, entry: Arc<AnswerEntry>) -> Status {
         if entry.answers.is_empty() {
             // complete with zero answers: the call is known to fail
             return self.backtrack();
@@ -546,7 +587,7 @@ impl Machine {
         if entry.answers.len() > 1 {
             self.push_choice(ChoicePoint {
                 goal,
-                alts: Alts::Memo {
+                alts: Alts::Replay {
                     entry: entry.clone(),
                     next: 1,
                 },
@@ -629,18 +670,6 @@ impl Machine {
     // Tabling (SLG evaluation of non-determinate tabled predicates)
     // ------------------------------------------------------------------
 
-    /// Attach (or detach) a shared tabling space. `trace` buffers table
-    /// events ([`EventKind::TableNew`] and friends) into the memo event
-    /// buffer ([`Machine::take_memo_events`] drains both).
-    pub fn set_table(&mut self, space: Option<Arc<TableSpace>>, trace: bool) {
-        self.table = space;
-        self.table_trace = trace && self.table.is_some();
-    }
-
-    pub fn table_enabled(&self) -> bool {
-        self.table.is_some()
-    }
-
     /// Control index of the outermost tabled-generator choice point, or
     /// `usize::MAX` when no tabled evaluation is in flight. The or-engine
     /// must not publish choice points at or above this floor: frames of
@@ -653,6 +682,23 @@ impl Machine {
             .map_or(usize::MAX, |&(_, ctrl_idx)| ctrl_idx)
     }
 
+    /// Give every registration this machine made and did not complete
+    /// back to the store: the query stopped before the subgoal's fixpoint
+    /// (first-solution bound, deadline, cancel, cut over the generator,
+    /// worker death), and a slot left pending would stay pinned in a
+    /// shared store forever. Nothing is charged.
+    fn abandon_pending(&self) {
+        if let Some(store) = &self.store {
+            for f in self
+                .table_subgoals
+                .iter()
+                .filter(|f| f.fresh && !f.complete)
+            {
+                store.abandon(&f.key);
+            }
+        }
+    }
+
     /// SLG call of a tabled predicate: classify as consumer of a subgoal
     /// this machine is already evaluating, replayer of a completed shared
     /// table, or a fresh generator driving the failure-loop derivation.
@@ -663,11 +709,6 @@ impl Machine {
         arity: u32,
         hdr: Option<ace_logic::Addr>,
     ) -> Status {
-        let space = self
-            .table
-            .as_ref()
-            .expect("table_call without a table space")
-            .clone();
         self.charge(self.costs.memo_lookup);
         let key = CanonKey::of(&self.heap, goal);
 
@@ -701,63 +742,44 @@ impl Machine {
             return self.backtrack();
         }
 
-        match space.register(self.memo_tenant, &key) {
+        let store = self.store.as_ref().expect("table_call without a store");
+        let (subgoal_id, fresh) = match store.register(self.tenant, &key) {
             // Someone already completed this subgoal: a pure lookup.
             RegisterOutcome::Complete(entry) => {
                 self.stats.table_hits += 1;
-                self.table_replay(goal, entry)
+                return self.replay(goal, entry);
             }
             RegisterOutcome::Fresh { subgoal_id } => {
-                self.stats.table_subgoals += 1;
-                if self.table_trace {
+                if self.store_trace {
                     self.memo_events.push(EventKind::TableNew {
                         key: key.hash,
                         subgoal: subgoal_id,
                     });
                 }
-                self.table_generate(goal, name, arity, hdr, key, subgoal_id)
+                (subgoal_id, true)
             }
             // A foreign worker is the registered generator. Stacks are
             // private, so cross-machine suspension is impossible: evaluate
             // the subgoal privately (shadow evaluation). Publication at
             // completion is first-writer-wins, so the race is confluent.
-            RegisterOutcome::InProgress { subgoal_id } => {
-                self.stats.table_subgoals += 1;
-                self.table_generate(goal, name, arity, hdr, key, subgoal_id)
-            }
-        }
+            RegisterOutcome::InProgress { subgoal_id } => (subgoal_id, false),
+        };
+        self.stats.table_subgoals += 1;
+        let frame = LocalSubgoal {
+            key,
+            shared_id: subgoal_id,
+            fresh,
+            answers: Vec::new(),
+            dedup: HashSet::new(),
+            suspended: Vec::new(),
+            complete: false,
+            dfn: 0,
+            minlink: 0,
+        };
+        self.table_generate(goal, name, arity, hdr, frame)
     }
 
-    /// Replay the complete answer set of a shared table entry (the tabled
-    /// mirror of [`Machine::memo_replay`]).
-    fn table_replay(&mut self, goal: Cell, entry: Arc<TableEntry>) -> Status {
-        if entry.answers.is_empty() {
-            // complete with zero answers: the call is known to fail
-            return self.backtrack();
-        }
-        if entry.answers.len() > 1 {
-            self.push_choice(ChoicePoint {
-                goal,
-                alts: Alts::TableReplay {
-                    entry: entry.clone(),
-                    next: 1,
-                },
-                cont: self.cont.clone(),
-                trail: self.heap.trail_mark(),
-                heap: self.heap.heap_mark(),
-                barrier: self.ctrl.len() as u32,
-                shared: None,
-            });
-        }
-        if self.memo_unify_answer(goal, &entry.answers[0]) {
-            self.status = Status::Running;
-            Status::Running
-        } else {
-            self.backtrack()
-        }
-    }
-
-    /// Install a fresh generator for `key`: a caller-consumer cursor below
+    /// Install a fresh generator for `frame`: a caller-consumer cursor below
     /// a generator choice point whose alternatives are the predicate's
     /// clauses, each run with a continuation of exactly
     /// `$table_answer(Frame, Goal)` — derivations insert answers and fail
@@ -770,8 +792,7 @@ impl Machine {
         name: Sym,
         arity: u32,
         hdr: Option<ace_logic::Addr>,
-        key: CanonKey,
-        shared_id: u64,
+        mut frame: LocalSubgoal,
     ) -> Status {
         let db = self.db.clone();
         let Some(pred) = db.predicate(name, arity) else {
@@ -782,17 +803,10 @@ impl Machine {
             _ => IndexKey::Any,
         };
         let idx = self.table_subgoals.len();
-        self.table_index.insert(key.bytes.clone(), idx);
-        self.table_subgoals.push(LocalSubgoal {
-            key,
-            shared_id,
-            answers: Vec::new(),
-            dedup: HashSet::new(),
-            suspended: Vec::new(),
-            complete: false,
-            dfn: idx as u32,
-            minlink: idx as u32,
-        });
+        self.table_index.insert(frame.key.bytes.clone(), idx);
+        frame.dfn = idx as u32;
+        frame.minlink = idx as u32;
+        self.table_subgoals.push(frame);
 
         let Some(first) = self.pred_next(pred, ikey, 0) else {
             // No clause can match: the subgoal completes empty here.
@@ -858,7 +872,7 @@ impl Machine {
             let arena = TermArena::freeze(&self.heap, goal);
             self.table_subgoals[idx].answers.push(arena);
             self.stats.table_answers += 1;
-            if self.table_trace {
+            if self.store_trace {
                 let f = &self.table_subgoals[idx];
                 self.memo_events.push(EventKind::TableAnswer {
                     key: f.key.hash,
@@ -891,7 +905,7 @@ impl Machine {
         self.heap.truncate_to(mark);
         self.charge(closure.cells as u64 * self.costs.heap_cell);
         self.stats.table_suspends += 1;
-        if self.table_trace {
+        if self.store_trace {
             let f = &self.table_subgoals[subgoal];
             self.memo_events.push(EventKind::TableSuspend {
                 key: f.key.hash,
@@ -971,14 +985,14 @@ impl Machine {
         self.ctrl.pop(); // the leader's generator choice point
     }
 
-    /// Mark frame `idx` complete, publish its answer set to the shared
-    /// space (first-writer-wins across racing shadow evaluations), and
-    /// drop its (drained) suspensions.
+    /// Mark frame `idx` complete, publish its answer set to the store
+    /// (first-writer-wins across racing shadow evaluations), and drop its
+    /// (drained) suspensions.
     fn table_complete_frame(&mut self, idx: usize) {
         self.table_subgoals[idx].complete = true;
         self.table_subgoals[idx].suspended.clear();
         self.stats.table_completes += 1;
-        if self.table_trace {
+        if self.store_trace {
             let f = &self.table_subgoals[idx];
             self.memo_events.push(EventKind::TableComplete {
                 key: f.key.hash,
@@ -986,12 +1000,9 @@ impl Machine {
                 answers: f.answers.len(),
             });
         }
-        if let Some(space) = self.table.clone() {
-            self.charge(self.costs.memo_store);
-            let key = self.table_subgoals[idx].key.clone();
-            let answers = self.table_subgoals[idx].answers.clone();
-            let _ = space.publish_as(self.memo_tenant, &key, answers);
-        }
+        let key = self.table_subgoals[idx].key.clone();
+        let answers = self.table_subgoals[idx].answers.clone();
+        self.store_publish(&key, answers);
     }
 
     /// Thaw a suspended consumer and park its fresh cursor CP just above
@@ -999,7 +1010,7 @@ impl Machine {
     /// enclosing backtracking loop drains it on its next turn.
     fn table_resume(&mut self, subgoal: usize, susp: SuspendedConsumer, top: usize) {
         self.stats.table_resumes += 1;
-        if self.table_trace {
+        if self.store_trace {
             let f = &self.table_subgoals[subgoal];
             self.memo_events.push(EventKind::TableResume {
                 key: f.key.hash,
@@ -1730,10 +1741,10 @@ impl Machine {
     ) -> Status {
         self.stats.calls += 1;
         self.charge(self.costs.index_lookup);
-        if self.table.is_some() && self.db.is_tabled(name, arity) {
+        if self.tabling && self.db.is_tabled(name, arity) {
             return self.table_call(goal, name, arity, hdr);
         }
-        if self.memo.is_some() {
+        if self.memoize {
             if let Some(status) = self.memo_consult(goal) {
                 return status;
             }
@@ -2417,26 +2428,11 @@ impl Machine {
                             self.status = Status::Running;
                             return Status::Running;
                         }
-                        Alts::Memo { entry, next } => {
-                            if next + 1 >= entry.answers.len() {
-                                self.ctrl.pop(); // last tabled answer
-                            } else if let CtrlFrame::Choice(cp) = &mut self.ctrl[top] {
-                                if let Alts::Memo { next: n, .. } = &mut cp.alts {
-                                    *n = next + 1;
-                                }
-                            }
-                            self.charge(self.costs.memo_lookup);
-                            if self.memo_unify_answer(goal, &entry.answers[next]) {
-                                self.status = Status::Running;
-                                return Status::Running;
-                            }
-                            continue;
-                        }
-                        Alts::TableReplay { entry, next } => {
+                        Alts::Replay { entry, next } => {
                             if next + 1 >= entry.answers.len() {
                                 self.ctrl.pop(); // last stored answer
                             } else if let CtrlFrame::Choice(cp) = &mut self.ctrl[top] {
-                                if let Alts::TableReplay { next: n, .. } = &mut cp.alts {
+                                if let Alts::Replay { next: n, .. } = &mut cp.alts {
                                     *n = next + 1;
                                 }
                             }

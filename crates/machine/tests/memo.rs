@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use ace_logic::{sym, CanonKey, Database, Heap, TermArena};
 use ace_machine::Solver;
-use ace_memo::{MemoConfig, MemoTable, PublishOutcome};
-use ace_runtime::CostModel;
+use ace_runtime::{CostModel, EngineConfig};
+use ace_table::{AnswerStore, PublishOutcome, StoreConfig};
 
 const LISTS: &str = r#"
     append([], L, L).
@@ -21,13 +21,17 @@ fn db(src: &str) -> Arc<Database> {
     Arc::new(Database::load(src).unwrap())
 }
 
-fn table() -> Arc<MemoTable> {
-    Arc::new(MemoTable::new(&MemoConfig::enabled()))
+fn table() -> Arc<AnswerStore> {
+    Arc::new(AnswerStore::new(&StoreConfig::default()))
 }
 
-fn solver(d: &Arc<Database>, query: &str, memo: Option<Arc<MemoTable>>) -> Solver {
+fn memoizing() -> EngineConfig {
+    EngineConfig::default().with_memoization()
+}
+
+fn solver(d: &Arc<Database>, query: &str, memo: Option<Arc<AnswerStore>>) -> Solver {
     let mut s = Solver::new(d.clone(), Arc::new(CostModel::default()), query).unwrap();
-    s.machine_mut().set_memo(memo, false);
+    s.machine_mut().set_store(memo, &memoizing(), false);
     s
 }
 
@@ -207,7 +211,8 @@ fn memo_trace_events_are_buffered_and_drained() {
         "nrev([1,2,3], R)",
     )
     .unwrap();
-    s.machine_mut().set_memo(Some(t.clone()), true);
+    s.machine_mut()
+        .set_store(Some(t.clone()), &memoizing(), true);
     assert_eq!(all(&mut s).len(), 1);
 
     let events = s.machine_mut().take_memo_events();
@@ -222,7 +227,7 @@ fn memo_trace_events_are_buffered_and_drained() {
 
     // Warm re-run emits a hit event for the tabled top-level call.
     let mut w = Solver::new(d, Arc::new(CostModel::default()), "nrev([1,2,3], R)").unwrap();
-    w.machine_mut().set_memo(Some(t), true);
+    w.machine_mut().set_store(Some(t), &memoizing(), true);
     assert_eq!(all(&mut w).len(), 1);
     let events = w.machine_mut().take_memo_events();
     assert!(events

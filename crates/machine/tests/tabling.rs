@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use ace_logic::Database;
 use ace_machine::Solver;
-use ace_runtime::{CostModel, EventKind};
-use ace_table::{TableConfig, TableSpace};
+use ace_runtime::{CostModel, EngineConfig, EventKind};
+use ace_table::{AnswerStore, StoreConfig};
 
 /// Left recursion over a cyclic graph: the canonical program ordinary
 /// resolution cannot terminate on.
@@ -25,13 +25,17 @@ fn db(src: &str) -> Arc<Database> {
     Arc::new(Database::load(src).unwrap())
 }
 
-fn space() -> Arc<TableSpace> {
-    Arc::new(TableSpace::new(&TableConfig::enabled()))
+fn space() -> Arc<AnswerStore> {
+    Arc::new(AnswerStore::new(&StoreConfig::default()))
 }
 
-fn solver(d: &Arc<Database>, query: &str, table: Option<Arc<TableSpace>>) -> Solver {
+fn tabling() -> EngineConfig {
+    EngineConfig::default().with_tabling()
+}
+
+fn solver(d: &Arc<Database>, query: &str, table: Option<Arc<AnswerStore>>) -> Solver {
     let mut s = Solver::new(d.clone(), Arc::new(CostModel::default()), query).unwrap();
-    s.machine_mut().set_table(table, false);
+    s.machine_mut().set_store(table, &tabling(), false);
     s
 }
 
@@ -229,7 +233,7 @@ fn trace_events_follow_the_tabling_protocol() {
     let d = db(CYCLIC_PATH);
     let t = space();
     let mut s = Solver::new(d, Arc::new(CostModel::default()), "path(a, X)").unwrap();
-    s.machine_mut().set_table(Some(t), true);
+    s.machine_mut().set_store(Some(t), &tabling(), true);
     assert_eq!(all(&mut s).len(), 4);
 
     let events = s.machine_mut().take_memo_events();

@@ -9,10 +9,10 @@ use ace_logic::{Cell, Database};
 use ace_machine::frames::{Alts, SharedChoice};
 use ace_machine::{Machine, Status};
 use ace_runtime::{
-    fault::FAULT_ERROR_PREFIX, Agent, CancelToken, CostModel, Counter, DriverKind, EngineConfig,
-    EventKind, FaultAction, FaultInjector, Gauge, LockClock, MemoTable, MetricsRegistry,
-    OrScheduler, Phase, RunOutcome, SimDriver, Stats, TableSpace, ThreadsDriver, Trace, TraceBuf,
-    TraceSink, Tracer,
+    fault::FAULT_ERROR_PREFIX, Agent, AnswerStore, CancelToken, CostModel, Counter, DriverKind,
+    EngineConfig, EventKind, FaultAction, FaultInjector, Gauge, LockClock, MetricsRegistry,
+    OrScheduler, Phase, RunOutcome, SimDriver, Stats, ThreadsDriver, Trace, TraceBuf, TraceSink,
+    Tracer,
 };
 use parking_lot::Mutex;
 
@@ -67,12 +67,10 @@ struct OrShared {
     injector: Option<FaultInjector>,
     /// Completed workers deposit their trace ring buffers here.
     trace_bufs: Mutex<Vec<TraceBuf>>,
-    /// Answer-memoization table shared by every machine of the run (and,
-    /// when the caller passed one in, across runs); `None` = memo off.
-    memo: Option<Arc<MemoTable>>,
-    /// Shared tabling space for non-determinate tabled predicates;
-    /// `None` = tabling off.
-    table: Option<Arc<TableSpace>>,
+    /// Answer store shared by every machine of the run (and, when the
+    /// caller passed one in, across runs); `None` = memoization and
+    /// tabling both off.
+    store: Option<Arc<AnswerStore>>,
 }
 
 impl OrShared {
@@ -416,12 +414,12 @@ impl OrWorker {
         // keep the choice point private — remote workers could only
         // re-derive answers a memo hit replays for free, and the owner
         // still enumerates the alternatives locally (no solution is lost).
-        if let Some(table) = &self.sh.memo {
+        if let Some(store) = self.sh.store.as_ref().filter(|_| self.sh.cfg.memoize) {
             let goal = cp.goal;
             let key = run.machine.memo_key(goal);
             self.stats.charge(costs.memo_lookup);
             self.phase_cost += costs.memo_lookup;
-            if table.is_complete(&key) {
+            if store.is_complete(&key) {
                 return;
             }
         }
@@ -820,16 +818,10 @@ impl OrWorker {
             }
             None => Box::new(Machine::new(self.sh.db.clone(), self.costs.clone())),
         };
-        if self.sh.memo.is_some() {
-            m.set_memo(self.sh.memo.clone(), self.sh.cfg.trace.enabled);
-            m.set_memo_tenant(self.sh.cfg.memo_tenant);
-        }
-        if self.sh.table.is_some() {
-            m.set_table(self.sh.table.clone(), self.sh.cfg.trace.enabled);
-            m.set_memo_tenant(self.sh.cfg.memo_tenant);
-        }
-        m.set_clause_exec(self.sh.cfg.clause_exec);
-        m.set_dispatch_trace(self.sh.cfg.trace.enabled && self.sh.cfg.trace.dispatch);
+        let cfg = &self.sh.cfg;
+        m.set_store(self.sh.store.clone(), cfg, cfg.trace.enabled);
+        m.set_clause_exec(cfg.clause_exec);
+        m.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
         m
     }
 
@@ -1163,8 +1155,7 @@ impl OrEngine {
                 .as_ref()
                 .map(|p| FaultInjector::new(p, cfg.workers.max(1))),
             trace_bufs: Mutex::new(Vec::new()),
-            memo: cfg.resolve_memo_table(),
-            table: cfg.resolve_table_space(),
+            store: cfg.resolve_store(),
         });
         let sink = cfg.trace.enabled.then(|| TraceSink::new(&cfg.trace));
 
@@ -1173,9 +1164,7 @@ impl OrEngine {
         // machines share it by refcount.
         let costs = Arc::new(cfg.costs.clone());
         let mut root = Box::new(Machine::new(self.db.clone(), costs.clone()));
-        root.set_memo(shared.memo.clone(), cfg.trace.enabled);
-        root.set_table(shared.table.clone(), cfg.trace.enabled);
-        root.set_memo_tenant(cfg.memo_tenant);
+        root.set_store(shared.store.clone(), cfg, cfg.trace.enabled);
         root.set_clause_exec(cfg.clause_exec);
         root.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
         let (goal, mut vars) = ace_logic::parse_term(&mut root.heap, query)
@@ -1239,7 +1228,7 @@ impl OrEngine {
         // Fold the finished run into the live registry (engine totals +
         // per-tenant memo traffic); a scrape between runs sees it.
         if let Some(metrics) = &cfg.metrics {
-            metrics.record_run("or", cfg.memo_tenant, &stats, outcome.virtual_time);
+            metrics.record_run("or", cfg.tenant, &stats, outcome.virtual_time);
         }
         // Concatenate the per-domain answer buffers in domain order. The
         // engine's answer order was never deterministic across workers
@@ -1529,15 +1518,17 @@ mod tests {
 
     #[test]
     fn memoization_reuses_answers_across_branches_and_runs() {
-        use ace_runtime::{MemoConfig, MemoTable};
+        use ace_runtime::{AnswerStore, StoreConfig};
         let e = OrEngine::new(db(MEMO_PROG));
         // Every or-branch repeats the same deterministic subcall.
         let q = "member(V, [1,2,3,4]), heavy(R)";
         let base = e.run(q, &cfg(4, OptFlags::none())).unwrap();
         assert_eq!(base.solutions.len(), 4);
 
-        let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
-        let c = cfg(4, OptFlags::none()).with_memo_table(table.clone());
+        let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
+        let c = cfg(4, OptFlags::none())
+            .with_store(table.clone())
+            .with_memoization();
         let cold = e.run(q, &c).unwrap();
         assert_eq!(
             sorted(cold.solutions.clone()),
@@ -1559,15 +1550,20 @@ mod tests {
     }
 
     #[test]
-    fn memo_off_is_bit_identical() {
+    fn store_off_is_bit_identical() {
+        // Sizing and a store handle switch nothing on.
+        use ace_runtime::{AnswerStore, StoreConfig};
         let e = OrEngine::new(db(MEMBER));
         let q = "member(V, [1,2,3,4]), compute(V, R)";
         let plain = e.run(q, &cfg(4, OptFlags::lao_only())).unwrap();
-        let c = cfg(4, OptFlags::lao_only()).with_memo(ace_runtime::MemoConfig::default());
+        let c = cfg(4, OptFlags::lao_only())
+            .with_store_config(StoreConfig::default())
+            .with_store(Arc::new(AnswerStore::new(&StoreConfig::default())));
         let off = e.run(q, &c).unwrap();
         assert_eq!(off.outcome.virtual_time, plain.outcome.virtual_time);
         assert_eq!(off.stats, plain.stats);
         assert_eq!(off.stats.memo_hits + off.stats.memo_misses, 0);
+        assert_eq!(off.stats.table_hits + off.stats.table_subgoals, 0);
     }
 
     const TABLED_PATH: &str = r#"
@@ -1583,7 +1579,7 @@ mod tests {
 
     #[test]
     fn tabling_terminates_left_recursion_across_worker_counts() {
-        use ace_runtime::{TableConfig, TableSpace};
+        use ace_runtime::{AnswerStore, StoreConfig};
         let e = OrEngine::new(db(TABLED_PATH));
         // Two or-parallel start nodes, each driving a tabled closure over
         // the cyclic graph (untabled this loops forever).
@@ -1597,8 +1593,10 @@ mod tests {
             })
             .collect();
         for workers in [1, 2, 4] {
-            let space = Arc::new(TableSpace::new(&TableConfig::enabled()));
-            let c = cfg(workers, OptFlags::none()).with_table_space(space.clone());
+            let space = Arc::new(AnswerStore::new(&StoreConfig::default()));
+            let c = cfg(workers, OptFlags::none())
+                .with_store(space.clone())
+                .with_tabling();
             let r = e.run(q, &c).unwrap();
             assert_eq!(sorted(r.solutions.clone()), expect, "workers={workers}");
             assert!(r.stats.table_subgoals >= 2, "{}", r.stats.summary());
@@ -1611,18 +1609,6 @@ mod tests {
             assert!(w.stats.table_hits >= 2, "{}", w.stats.summary());
             assert_eq!(w.stats.table_subgoals, 0, "{}", w.stats.summary());
         }
-    }
-
-    #[test]
-    fn tabling_off_is_bit_identical() {
-        let e = OrEngine::new(db(MEMBER));
-        let q = "member(V, [1,2,3,4]), compute(V, R)";
-        let plain = e.run(q, &cfg(4, OptFlags::lao_only())).unwrap();
-        let c = cfg(4, OptFlags::lao_only()).with_table(ace_runtime::TableConfig::default());
-        let off = e.run(q, &c).unwrap();
-        assert_eq!(off.outcome.virtual_time, plain.outcome.virtual_time);
-        assert_eq!(off.stats, plain.stats);
-        assert_eq!(off.stats.table_hits + off.stats.table_subgoals, 0);
     }
 
     #[test]

@@ -322,7 +322,7 @@ pub fn benchmark(name: &str) -> Option<Benchmark> {
 /// Deliberately *not* part of [`all()`]: the registry's oracle tests run
 /// every benchmark with tabling off, and these programs only terminate
 /// under SLG evaluation. Use [`tabled()`] / [`tabled_program()`] and run
-/// with a table space attached (`EngineConfig::with_table`).
+/// with tabling switched on (`EngineConfig::with_tabling`).
 #[derive(Clone)]
 pub struct TabledProgram {
     pub name: &'static str,
@@ -530,12 +530,10 @@ mod tests {
 
     #[test]
     fn tabled_programs_terminate_with_their_oracle_answer_sets() {
-        use ace_runtime::{EngineConfig, TableConfig};
+        use ace_runtime::EngineConfig;
         for p in tabled() {
             let ace = Ace::load(&(p.program)(p.test_size)).unwrap();
-            let cfg = EngineConfig::default()
-                .all_solutions()
-                .with_table(TableConfig::enabled());
+            let cfg = EngineConfig::default().all_solutions().with_tabling();
             let report = ace
                 .run(Mode::Sequential, &(p.query)(p.test_size), &cfg)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", p.name));
@@ -555,7 +553,7 @@ mod tests {
 
     #[test]
     fn tabled_oracles_scale_with_size() {
-        use ace_runtime::{EngineConfig, TableConfig};
+        use ace_runtime::EngineConfig;
         // Spot-check a second size so the oracle functions are not
         // accidentally constants.
         for (name, size) in [
@@ -565,9 +563,7 @@ mod tests {
         ] {
             let p = tabled_program(name).unwrap();
             let ace = Ace::load(&(p.program)(size)).unwrap();
-            let cfg = EngineConfig::default()
-                .all_solutions()
-                .with_table(TableConfig::enabled());
+            let cfg = EngineConfig::default().all_solutions().with_tabling();
             let report = ace.run(Mode::Sequential, &(p.query)(size), &cfg).unwrap();
             assert_eq!(
                 report.solutions.len(),

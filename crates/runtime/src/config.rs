@@ -3,8 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ace_memo::{MemoConfig, MemoTable};
-use ace_table::{TableConfig, TableSpace};
+use ace_table::{AnswerStore, StoreConfig};
 
 use crate::cancel::CancelToken;
 use crate::cost::CostModel;
@@ -218,29 +217,27 @@ pub struct EngineConfig {
     /// the run's merged [`crate::trace::Trace`] is surfaced on the report.
     /// Tracing charges no virtual time.
     pub trace: TraceConfig,
-    /// Answer memoization (see [`ace_memo`]). Off by default; when off no
-    /// table is allocated and every consultation point is one branch, so
-    /// reports stay bit-identical to a memo-free build.
-    pub memo: MemoConfig,
-    /// An externally owned answer table to reuse across runs (REPL
-    /// sessions, warm-table tests). `None` = the engine allocates a fresh
-    /// table per run when `memo.enabled`.
-    pub memo_table: Option<Arc<MemoTable>>,
-    /// Tenant id charged for this run's memo-table insertions (per-tenant
-    /// quota accounting when a table is shared across queries; see
-    /// [`ace_memo::MemoConfig::tenant_quota`]). Tenant 0 is the default
-    /// single-tenant owner. Tabled completions (see `table`) are charged
-    /// to the same tenant.
-    pub memo_tenant: u32,
-    /// Tabling of declared `:- table(p/n).` predicates (see
-    /// [`ace_table`]). Off by default; when off no table space is
-    /// allocated and every tabled-call check is one branch, so runs stay
-    /// bit-identical to a tabling-free build.
-    pub table: TableConfig,
-    /// An externally owned table space to reuse across runs (REPL
-    /// sessions, completed-table warm-up tests). `None` = the engine
-    /// allocates a fresh space per run when `table.enabled`.
-    pub table_space: Option<Arc<TableSpace>>,
+    /// Watch determinate calls and memoize their answers in the answer
+    /// store (see [`ace_table`]). Off by default; with both store
+    /// behaviours off no store is allocated and every consultation point
+    /// is one branch, so reports stay bit-identical to a store-free build.
+    pub memoize: bool,
+    /// Honour `:- table(p/n).` declarations: SLG evaluation of tabled
+    /// predicates, completed answer sets shared through the same answer
+    /// store. Off by default, same zero-cost-when-off contract.
+    pub tabling: bool,
+    /// Sizing of the store a run allocates for itself.
+    pub store_config: StoreConfig,
+    /// An externally owned answer store to reuse across runs (REPL
+    /// sessions, server fleets, warm-store tests). `None` = the engine
+    /// allocates a fresh store per run when a store behaviour is on.
+    pub store: Option<Arc<AnswerStore>>,
+    /// Tenant id charged for this run's store insertions — memoized
+    /// answers and tabled completions alike (per-tenant quota accounting
+    /// when a store is shared across queries; see
+    /// [`StoreConfig::tenant_quota`]) — and labelling its metrics.
+    /// Tenant 0 is the default single-tenant owner.
+    pub tenant: u32,
     /// Live metrics registry (see [`crate::metrics`]). `None` (the
     /// default) disables metric recording entirely: every emission point
     /// is one branch, nothing is charged to virtual time, and runs stay
@@ -276,11 +273,11 @@ impl Default for EngineConfig {
             threads_deadline: Some(Duration::from_secs(60)),
             fault_plan: None,
             trace: TraceConfig::default(),
-            memo: MemoConfig::default(),
-            memo_table: None,
-            memo_tenant: 0,
-            table: TableConfig::default(),
-            table_space: None,
+            memoize: false,
+            tabling: false,
+            store_config: StoreConfig::default(),
+            store: None,
+            tenant: 0,
             metrics: None,
             sink: None,
             cancel: None,
@@ -350,35 +347,51 @@ impl EngineConfig {
         self
     }
 
-    pub fn with_memo(mut self, memo: MemoConfig) -> Self {
-        self.memo = memo;
+    /// Memoize the answers of determinate calls.
+    pub fn with_memoization(mut self) -> Self {
+        self.memoize = true;
         self
     }
 
-    /// Reuse an existing answer table (implies enabling memoization).
-    pub fn with_memo_table(mut self, table: Arc<MemoTable>) -> Self {
-        self.memo.enabled = true;
-        self.memo_table = Some(table);
+    /// Evaluate `:- table` predicates by SLG resolution.
+    pub fn with_tabling(mut self) -> Self {
+        self.tabling = true;
         self
     }
 
-    /// Charge this run's memo insertions to `tenant` (quota accounting on
-    /// shared tables).
-    pub fn with_memo_tenant(mut self, tenant: u32) -> Self {
-        self.memo_tenant = tenant;
+    /// Size the store a run allocates for itself.
+    pub fn with_store_config(mut self, store_config: StoreConfig) -> Self {
+        self.store_config = store_config;
         self
     }
 
-    pub fn with_table(mut self, table: TableConfig) -> Self {
-        self.table = table;
+    /// Reuse an existing answer store (for whichever store behaviours
+    /// are switched on).
+    pub fn with_store(mut self, store: Arc<AnswerStore>) -> Self {
+        self.store = Some(store);
         self
     }
 
-    /// Reuse an existing table space (implies enabling tabling).
-    pub fn with_table_space(mut self, space: Arc<TableSpace>) -> Self {
-        self.table.enabled = true;
-        self.table_space = Some(space);
+    /// Charge this run's store insertions to `tenant` (quota accounting on
+    /// shared stores).
+    pub fn with_tenant(mut self, tenant: u32) -> Self {
+        self.tenant = tenant;
         self
+    }
+
+    /// Benchmark-pinned: `with_store(store).with_memoization()`.
+    pub fn with_memo_table(self, store: Arc<AnswerStore>) -> Self {
+        self.with_store(store).with_memoization()
+    }
+
+    /// Benchmark-pinned: `with_store_config(store_config).with_tabling()`.
+    pub fn with_table(self, store_config: StoreConfig) -> Self {
+        self.with_store_config(store_config).with_tabling()
+    }
+
+    /// Benchmark-pinned: `with_store(store).with_tabling()`.
+    pub fn with_table_space(self, store: Arc<AnswerStore>) -> Self {
+        self.with_store(store).with_tabling()
     }
 
     /// Stream each root solution through `sink` as it is found.
@@ -402,38 +415,36 @@ impl EngineConfig {
         }
     }
 
-    /// The table this run should consult: the externally provided one, or
-    /// a freshly allocated private table; `None` when memoization is off.
-    pub fn resolve_memo_table(&self) -> Option<Arc<MemoTable>> {
-        if !self.memo.enabled {
+    /// The answer store this run should share among its machines: the
+    /// externally provided one, or a freshly allocated private store;
+    /// `None` when neither memoization nor tabling is on.
+    pub fn resolve_store(&self) -> Option<Arc<AnswerStore>> {
+        if !(self.memoize || self.tabling) {
             return None;
         }
-        Some(self.memo_table.clone().unwrap_or_else(|| {
-            // A fresh per-run table is sized to the fleet: the default 16
+        Some(self.store.clone().unwrap_or_else(|| {
+            // A fresh per-run store is sized to the fleet: the default 16
             // shards serialize lookups once more than ~16 workers hammer
-            // the table, so scale the shard count up to the worker count
+            // the store, so scale the shard count up to the worker count
             // (next power of two keeps the modulo distribution even).
-            // Externally supplied tables are reused as-is — their owner
+            // Externally supplied stores are reused as-is — their owner
             // chose their geometry.
-            let mut memo = self.memo.clone();
-            memo.shards = memo.shards.max(self.workers.next_power_of_two());
-            Arc::new(MemoTable::new(&memo))
+            let mut sizing = self.store_config.clone();
+            sizing.shards = sizing.shards.max(self.workers.next_power_of_two());
+            Arc::new(AnswerStore::new(&sizing))
         }))
     }
 
-    /// The table space this run's SLG evaluation should share: the
-    /// externally provided one, or a freshly allocated private space;
-    /// `None` when tabling is off. Same fleet-scaled shard sizing as
-    /// [`EngineConfig::resolve_memo_table`].
-    pub fn resolve_table_space(&self) -> Option<Arc<TableSpace>> {
-        if !self.table.enabled {
-            return None;
-        }
-        Some(self.table_space.clone().unwrap_or_else(|| {
-            let mut table = self.table.clone();
-            table.shards = table.shards.max(self.workers.next_power_of_two());
-            Arc::new(TableSpace::new(&table))
-        }))
+    /// Benchmark-pinned: [`EngineConfig::resolve_store`] when memoization
+    /// is on.
+    pub fn resolve_memo_table(&self) -> Option<Arc<AnswerStore>> {
+        self.memoize.then(|| self.resolve_store()).flatten()
+    }
+
+    /// Benchmark-pinned: [`EngineConfig::resolve_store`] when tabling is
+    /// on.
+    pub fn resolve_table_space(&self) -> Option<Arc<AnswerStore>> {
+        self.tabling.then(|| self.resolve_store()).flatten()
     }
 }
 
@@ -491,65 +502,60 @@ mod tests {
     }
 
     #[test]
-    fn memo_table_resolution() {
-        // off by default: no table, zero-cost opt-out
-        assert!(EngineConfig::default().resolve_memo_table().is_none());
-        // enabled without an external table: fresh private table
-        let c = EngineConfig::default().with_memo(MemoConfig::enabled());
-        assert!(c.resolve_memo_table().is_some());
-        // external table is reused identically (and implies enablement)
-        let shared = Arc::new(MemoTable::new(&MemoConfig::enabled()));
+    fn store_resolution() {
+        // off by default: no store, zero-cost opt-out — and sizing or an
+        // external handle alone switches nothing on
+        assert!(EngineConfig::default().resolve_store().is_none());
+        let shared = Arc::new(AnswerStore::new(&StoreConfig::default()));
+        let c = EngineConfig::default()
+            .with_store_config(StoreConfig::default().with_shards(4))
+            .with_store(shared.clone());
+        assert!(c.resolve_store().is_none());
+        // either behaviour without an external store: fresh private store
+        assert!(EngineConfig::default()
+            .with_memoization()
+            .resolve_store()
+            .is_some());
+        assert!(EngineConfig::default()
+            .with_tabling()
+            .resolve_store()
+            .is_some());
+        // an external store is reused identically, for both behaviours
+        let c = c.with_memoization().with_tabling();
+        assert!(Arc::ptr_eq(&c.resolve_store().unwrap(), &shared));
+    }
+
+    #[test]
+    fn benchmark_pinned_builders_switch_one_behaviour_each() {
+        let shared = Arc::new(AnswerStore::new(&StoreConfig::enabled()));
         let c = EngineConfig::default().with_memo_table(shared.clone());
-        assert!(c.memo.enabled);
+        assert!(c.memoize && !c.tabling);
         assert!(Arc::ptr_eq(&c.resolve_memo_table().unwrap(), &shared));
-    }
-
-    #[test]
-    fn memo_shards_scale_to_the_fleet() {
-        // Small fleets keep the configured default geometry...
-        let c = EngineConfig::default()
-            .with_workers(8)
-            .with_memo(MemoConfig::enabled());
-        assert_eq!(c.resolve_memo_table().unwrap().shard_count(), 16);
-        // ...big fleets get one shard per worker (power-of-two rounded).
-        let c = EngineConfig::default()
-            .with_workers(100)
-            .with_memo(MemoConfig::enabled());
-        assert_eq!(c.resolve_memo_table().unwrap().shard_count(), 128);
-        // External tables are never resized behind their owner's back.
-        let shared = Arc::new(MemoTable::new(&MemoConfig::enabled()));
-        let c = EngineConfig::default()
-            .with_workers(512)
-            .with_memo_table(shared.clone());
-        assert_eq!(c.resolve_memo_table().unwrap().shard_count(), 16);
-    }
-
-    #[test]
-    fn table_space_resolution() {
-        // off by default: no space, zero-cost opt-out
-        assert!(EngineConfig::default().resolve_table_space().is_none());
-        // enabled without an external space: fresh private space
-        let c = EngineConfig::default().with_table(TableConfig::enabled());
-        assert!(c.resolve_table_space().is_some());
-        // external space is reused identically (and implies enablement)
-        let shared = Arc::new(TableSpace::new(&TableConfig::enabled()));
+        assert!(c.resolve_table_space().is_none());
         let c = EngineConfig::default().with_table_space(shared.clone());
-        assert!(c.table.enabled);
+        assert!(c.tabling && !c.memoize);
         assert!(Arc::ptr_eq(&c.resolve_table_space().unwrap(), &shared));
+        assert!(c.resolve_memo_table().is_none());
+        let c = EngineConfig::default().with_table(StoreConfig::enabled().with_shards(2));
+        assert!(c.tabling && !c.memoize);
+        assert_eq!(c.resolve_table_space().unwrap().shard_count(), 2);
     }
 
     #[test]
-    fn table_shards_scale_to_the_fleet() {
-        let c = EngineConfig::default()
-            .with_workers(100)
-            .with_table(TableConfig::enabled());
-        assert_eq!(c.resolve_table_space().unwrap().shard_count(), 128);
-        // External spaces are never resized behind their owner's back.
-        let shared = Arc::new(TableSpace::new(&TableConfig::enabled()));
+    fn store_shards_scale_to_the_fleet() {
+        // Small fleets keep the configured default geometry...
+        let c = EngineConfig::default().with_workers(8).with_memoization();
+        assert_eq!(c.resolve_store().unwrap().shard_count(), 16);
+        // ...big fleets get one shard per worker (power-of-two rounded).
+        let c = EngineConfig::default().with_workers(100).with_tabling();
+        assert_eq!(c.resolve_store().unwrap().shard_count(), 128);
+        // External stores are never resized behind their owner's back.
+        let shared = Arc::new(AnswerStore::new(&StoreConfig::default()));
         let c = EngineConfig::default()
             .with_workers(512)
-            .with_table_space(shared.clone());
-        assert_eq!(c.resolve_table_space().unwrap().shard_count(), 16);
+            .with_store(shared.clone())
+            .with_tabling();
+        assert_eq!(c.resolve_store().unwrap().shard_count(), 16);
     }
 
     #[test]

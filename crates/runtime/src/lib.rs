@@ -55,24 +55,19 @@
 //! predicate/activity frames, exported as a top-N table or an
 //! `inferno`-compatible collapsed-stack flamegraph.
 //!
-//! ## Memoization
+//! ## Answer store
 //!
-//! [`config::EngineConfig::with_memo`] attaches an [`ace_memo`] answer
-//! table (re-exported here as [`MemoTable`]): complete answer sets of
-//! deterministic calls are published once and replayed by any worker.
-//! Off by default and zero-cost when off — no table is allocated and
-//! every consultation point is a single branch.
-//!
-//! ## Tabling
-//!
-//! [`config::EngineConfig::with_table`] attaches an [`ace_table`] table
-//! space (re-exported here as [`TableSpace`]) for *non-determinate*
-//! tabled predicates declared with `:- table(p/n).`: the machine runs
-//! SLG-style generator/consumer evaluation with suspension, answer
-//! dedup, and leader-based SCC completion, and publishes completed
-//! answer sets into the shared space so later calls on any worker are
-//! pure lookups. Same off-by-default/zero-cost-when-off contract as
-//! memoization.
+//! One [`AnswerStore`] (from [`ace_table`]) holds every reusable answer
+//! set of a run, and two switches on the config say what the machines use
+//! it for. [`config::EngineConfig::with_memoization`] watches determinate
+//! calls: their complete answer sets are published once and replayed by
+//! any worker. [`config::EngineConfig::with_tabling`] honours
+//! `:- table(p/n).` declarations on *non-determinate* predicates: the
+//! machine runs SLG-style generator/consumer evaluation with suspension,
+//! answer dedup, and leader-based SCC completion, and publishes completed
+//! answer sets into the same store so later calls on any worker are pure
+//! lookups. Both are off by default and zero-cost when off — no store is
+//! allocated and every consultation point is a single branch.
 
 pub mod cancel;
 pub mod config;
@@ -86,9 +81,8 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 
-pub use ace_memo::{MemoConfig, MemoCounters, MemoEntry, MemoTable, PublishOutcome};
 pub use ace_table::{
-    RegisterOutcome, TableConfig, TableCounters, TableEntry, TablePublish, TableSpace, TableState,
+    AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome, StoreConfig, StoreCounters,
 };
 pub use cancel::CancelToken;
 pub use config::{
@@ -109,3 +103,14 @@ pub use trace::{
     EventKind, Trace, TraceBuf, TraceChecker, TraceConfig, TraceEvent, TraceSink, TraceVerdict,
     Tracer,
 };
+
+/// Benchmark-pinned names of the one store and its config: `benchmark/`
+/// (which a PR may not edit) imports all four from this crate. Nothing
+/// else uses them.
+pub type MemoTable = AnswerStore;
+/// Benchmark-pinned, see [`MemoTable`].
+pub type TableSpace = AnswerStore;
+/// Benchmark-pinned, see [`MemoTable`].
+pub type MemoConfig = StoreConfig;
+/// Benchmark-pinned, see [`MemoTable`].
+pub type TableConfig = StoreConfig;

@@ -1036,7 +1036,7 @@ fn serve_session(inner: &Arc<Inner>, worker: usize, session: Session) {
         .req
         .cfg
         .clone()
-        .with_memo_tenant(session.req.tenant)
+        .with_tenant(session.req.tenant)
         .with_cancel(session.ctl.cancel.clone())
         .with_answer_sink(sink);
     // Engine-level folds (virtual time, stats, per-tenant memo traffic)
@@ -1103,7 +1103,7 @@ fn degrade(
         .req
         .cfg
         .clone()
-        .with_memo_tenant(session.req.tenant)
+        .with_tenant(session.req.tenant)
         .with_cancel(session.ctl.cancel.clone())
         .with_answer_sink(sink);
     if let Some(m) = &inner.metrics {
@@ -1435,7 +1435,7 @@ mod tests {
 
     #[test]
     fn tenant_quota_rides_the_session() {
-        use ace_runtime::{MemoConfig, MemoTable};
+        use ace_runtime::{AnswerStore, StoreConfig};
         let a = Ace::load(
             r#"
             append([], L, L).
@@ -1445,9 +1445,11 @@ mod tests {
             "#,
         )
         .unwrap();
-        let table = Arc::new(MemoTable::new(&MemoConfig::enabled().with_tenant_quota(4)));
+        let table = Arc::new(AnswerStore::new(
+            &StoreConfig::default().with_tenant_quota(4),
+        ));
         let server = a.serve(ServerConfig::default());
-        let cfg = engine_cfg().with_memo_table(table.clone());
+        let cfg = engine_cfg().with_store(table.clone()).with_memoization();
         let h = server
             .submit(
                 QueryRequest::new(Mode::Sequential, "nrev([1,2,3,4,5,6], R)", cfg).with_tenant(7),

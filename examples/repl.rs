@@ -8,14 +8,12 @@
 //! * `?- Goal.` — solve sequentially (all solutions)
 //! * `:and N ?- Goal.` — solve on the and-parallel engine with N workers
 //! * `:or N ?- Goal.` — solve on the or-parallel engine with N workers
-//! * `:memo` — toggle answer memoization (the table persists across
-//!   queries and engines until toggled off, which clears it)
-//! * `:memo-stats` — table size and hit/miss/store/eviction counters
+//! * `:memo` — toggle answer memoization of determinate calls
 //! * `:table` — toggle SLG tabling for `:- table(p/n)` predicates
-//!   (left recursion terminates; completed tables persist across
-//!   queries and engines until toggled off, which clears them)
-//! * `:table-stats` — subgoal space size and register/hit/completion
-//!   counters
+//!   (left recursion terminates)
+//! * `:store-stats` — size and counters of the session's answer store:
+//!   memoized answers and completed tables persist in it across queries
+//!   and engines until both toggles are off, which clears it
 //! * `:metrics` — dump the session's live metrics registry in the
 //!   Prometheus text format (every query folds into it)
 //! * `:listing p/n` — clause sources with their compiled register code
@@ -26,9 +24,7 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use ace_core::{Ace, Mode};
-use ace_runtime::{
-    EngineConfig, MemoConfig, MemoTable, MetricsRegistry, OptFlags, TableConfig, TableSpace,
-};
+use ace_runtime::{AnswerStore, EngineConfig, MetricsRegistry, OptFlags, StoreConfig};
 
 fn main() {
     let mut program = String::new();
@@ -54,12 +50,12 @@ fn main() {
     };
     println!("ACE repl — `?- goal.` to query, `:quit` to exit.");
 
-    // One table for the whole session: answers stored by any engine on
-    // any query replay on every later one, until `:memo` toggles off.
-    let mut memo: Option<Arc<MemoTable>> = None;
-    // Likewise one tabling space: fixpoints completed by any query are
-    // pure lookups for every later one, until `:table` toggles off.
-    let mut table: Option<Arc<TableSpace>> = None;
+    // One answer store for the whole session: answers memoized and
+    // fixpoints completed by any engine on any query are pure lookups on
+    // every later one, until `:memo` and `:table` are both off.
+    let fresh_store = || Arc::new(AnswerStore::new(&StoreConfig::default()));
+    let mut store = fresh_store();
+    let (mut memoize, mut tabling) = (false, false);
     // One metrics registry for the whole session; every query's run folds
     // into it and `:metrics` scrapes it.
     let metrics = MetricsRegistry::shared();
@@ -79,49 +75,33 @@ fn main() {
         if line == ":quit" || line == ":q" {
             break;
         }
-        if line == ":memo" {
-            memo = match memo {
-                None => {
-                    println!("memo on (fresh table).");
-                    Some(Arc::new(MemoTable::new(&MemoConfig::enabled())))
-                }
-                Some(_) => {
-                    println!("memo off (table dropped).");
-                    None
-                }
+        if line == ":memo" || line == ":table" {
+            let (switch, what) = if line == ":memo" {
+                (&mut memoize, "memoization")
+            } else {
+                (&mut tabling, "tabling")
             };
-            continue;
-        }
-        if line == ":table" {
-            table = match table {
-                None => {
-                    println!("tabling on (fresh space).");
-                    Some(Arc::new(TableSpace::new(&TableConfig::enabled())))
-                }
-                Some(_) => {
-                    println!("tabling off (space dropped).");
-                    None
-                }
-            };
-            continue;
-        }
-        if line == ":table-stats" {
-            match &table {
-                None => println!("tabling is off — `:table` to enable."),
-                Some(t) => {
-                    let c = t.counters();
-                    println!(
-                        "{} subgoal(s) ({} complete); {} registered, {} hit(s), \
-                         {} completion(s), {} eviction(s)",
-                        t.len(),
-                        t.complete_len(),
-                        c.registered,
-                        c.hits,
-                        c.completions,
-                        c.evictions
-                    );
-                }
+            *switch = !*switch;
+            println!("{what} {}.", if *switch { "on" } else { "off" });
+            if !(memoize || tabling) {
+                store = fresh_store();
+                println!("answer store cleared.");
             }
+            continue;
+        }
+        if line == ":store-stats" {
+            let c = store.counters();
+            println!(
+                "{} entries ({} complete); {} hit(s), {} miss(es), {} registered, \
+                 {} store(s), {} eviction(s)",
+                store.len(),
+                store.complete_len(),
+                c.hits,
+                c.misses,
+                c.registered,
+                c.stores,
+                c.evictions
+            );
             continue;
         }
         if line == ":metrics" {
@@ -135,24 +115,6 @@ fn main() {
         }
         if let Some(spec) = line.strip_prefix(":listing") {
             listing(&ace, spec.trim());
-            continue;
-        }
-        if line == ":memo-stats" {
-            match &memo {
-                None => println!("memo is off — `:memo` to enable."),
-                Some(t) => {
-                    let c = t.counters();
-                    println!(
-                        "{} tabled call(s); {} hit(s), {} miss(es), {} store(s), \
-                         {} eviction(s)",
-                        t.len(),
-                        c.hits,
-                        c.misses,
-                        c.stores,
-                        c.evictions
-                    );
-                }
-            }
             continue;
         }
         let (mode, workers, rest) = parse_command(line);
@@ -169,13 +131,10 @@ fn main() {
             .with_workers(workers)
             .with_opts(OptFlags::all())
             .with_metrics(metrics.clone())
+            .with_store(store.clone())
             .all_solutions();
-        if let Some(t) = &memo {
-            cfg = cfg.with_memo_table(t.clone());
-        }
-        if let Some(t) = &table {
-            cfg = cfg.with_table_space(t.clone());
-        }
+        cfg.memoize = memoize;
+        cfg.tabling = tabling;
         match ace.run(mode, goal, &cfg) {
             Ok(r) => {
                 if r.solutions.is_empty() {

@@ -316,7 +316,7 @@ fn rotating_seed_sweep() {
 /// memo-off oracle, cold table and warm table alike.
 #[test]
 fn memo_enabled_matrix_preserves_answers() {
-    use ace_runtime::{MemoConfig, MemoTable};
+    use ace_runtime::{AnswerStore, StoreConfig};
     use std::sync::Arc;
 
     // Structurally indexed so the table really fills: each and-slot / each
@@ -340,8 +340,8 @@ fn memo_enabled_matrix_preserves_answers() {
     let or_oracle = ace.run(Mode::OrParallel, or_query, &quiet).unwrap();
 
     // Warm the shared table with one undisturbed memo run per engine.
-    let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
-    let warmup = quiet.clone().with_memo_table(table.clone());
+    let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
+    let warmup = quiet.clone().with_store(table.clone()).with_memoization();
     ace.run(Mode::AndParallel, and_query, &warmup).unwrap();
     ace.run(Mode::OrParallel, or_query, &warmup).unwrap();
     assert!(table.counters().stores > 0, "warmup never filled the table");
@@ -362,7 +362,7 @@ fn memo_enabled_matrix_preserves_answers() {
         for memo in [None, Some(&table)] {
             let mut c = cfg(OptFlags::all(), DriverKind::Sim, plan.clone());
             if let Some(t) = memo {
-                c = c.with_memo_table((*t).clone());
+                c = c.with_store((*t).clone()).with_memoization();
             }
             let tag = |engine: &str| {
                 format!(
@@ -401,7 +401,7 @@ fn memo_enabled_matrix_preserves_answers() {
 /// and warm shared table alike.
 #[test]
 fn tabling_matrix_preserves_answer_sets_across_suspend_resume() {
-    use ace_runtime::{TableConfig, TableSpace};
+    use ace_runtime::{AnswerStore, StoreConfig};
     use std::sync::Arc;
 
     let prog = r#"
@@ -415,11 +415,13 @@ fn tabling_matrix_preserves_answer_sets_across_suspend_resume() {
     "#;
     let ace = Ace::load(prog).unwrap();
     let query = "path(a, X)";
-    let space = || Arc::new(TableSpace::new(&TableConfig::enabled()));
+    let space = || Arc::new(AnswerStore::new(&StoreConfig::default()));
 
     // The oracle is the undisturbed sequential tabled run (the untabled
     // program does not terminate).
-    let quiet = cfg(OptFlags::all(), DriverKind::Sim, FaultPlan::new(0)).with_table_space(space());
+    let quiet = cfg(OptFlags::all(), DriverKind::Sim, FaultPlan::new(0))
+        .with_store(space())
+        .with_tabling();
     let oracle = sorted(ace.run(Mode::Sequential, query, &quiet).unwrap().solutions);
     assert_eq!(oracle, vec!["X=a", "X=b", "X=c", "X=d"]);
 
@@ -428,7 +430,7 @@ fn tabling_matrix_preserves_answer_sets_across_suspend_resume() {
     ace.run(
         Mode::Sequential,
         query,
-        &quiet.clone().with_table_space(warm_table.clone()),
+        &quiet.clone().with_store(warm_table.clone()).with_tabling(),
     )
     .unwrap();
     assert!(warm_table.complete_len() >= 1, "warmup never completed");
@@ -443,7 +445,9 @@ fn tabling_matrix_preserves_answer_sets_across_suspend_resume() {
                             "tabling {driver:?} victim={victim} at_op={at_op} \
                              {kind:?} {round}"
                         );
-                        let c = cfg(OptFlags::all(), driver, plan.clone()).with_table_space(table);
+                        let c = cfg(OptFlags::all(), driver, plan.clone())
+                            .with_store(table)
+                            .with_tabling();
                         let r = ace
                             .run_query(Mode::OrParallel, query, &c)
                             .unwrap_or_else(|e| panic!("{tag}: {e}"));

@@ -7,15 +7,15 @@
 //!   memo invariant (no hit before a store of the same key epoch).
 //! * **Combination matrix** — memo × or-scheduler × optimization flags:
 //!   every cell is multiset-equal to the memo-off oracle.
-//! * **Zero-cost opt-out** — a config carrying a *disabled* `MemoConfig`
-//!   is bit-identical (virtual time and full stats sheet) to one that
-//!   never mentioned memoization.
+//! * **Zero-cost opt-out** — a config carrying store sizing and a store
+//!   handle but no switch is bit-identical (virtual time and full stats
+//!   sheet) to one that never mentioned memoization.
 
 use std::sync::Arc;
 
 use ace_core::{Ace, Mode, RunReport};
 use ace_runtime::{
-    EngineConfig, MemoConfig, MemoTable, OptFlags, OrScheduler, TraceChecker, TraceConfig,
+    AnswerStore, EngineConfig, OptFlags, OrScheduler, StoreConfig, TraceChecker, TraceConfig,
 };
 
 fn sorted(mut v: Vec<String>) -> Vec<String> {
@@ -72,8 +72,8 @@ fn corpus_answers_invariant_under_memo() {
         let oracle = ace.run(b.mode, &query, &base).unwrap();
         check_trace(&oracle, &format!("{name} memo-off"));
 
-        let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
-        let memo_cfg = base.clone().with_memo_table(table.clone());
+        let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
+        let memo_cfg = base.clone().with_store(table.clone()).with_memoization();
         for round in ["cold", "warm"] {
             let r = ace.run(b.mode, &query, &memo_cfg).unwrap();
             check_trace(&r, &format!("{name} memo {round}"));
@@ -106,12 +106,12 @@ fn memo_by_scheduler_by_optflags_matrix() {
         let and_oracle = ace
             .run(Mode::AndParallel, and_query, &cfg(3, opts))
             .unwrap();
-        let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
+        let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
         let on = ace
             .run(
                 Mode::AndParallel,
                 and_query,
-                &cfg(3, opts).with_memo_table(table),
+                &cfg(3, opts).with_store(table).with_memoization(),
             )
             .unwrap();
         check_trace(&on, &format!("and memo opts={}", opts.label()));
@@ -124,11 +124,12 @@ fn memo_by_scheduler_by_optflags_matrix() {
 
         // Or-engine cells: both schedulers, shared warm table per flag set.
         let or_oracle = ace.run(Mode::OrParallel, or_query, &cfg(4, opts)).unwrap();
-        let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
+        let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
         for sched in [OrScheduler::Pool, OrScheduler::Traversal] {
             let c = cfg(4, opts)
                 .with_or_scheduler(sched)
-                .with_memo_table(table.clone());
+                .with_store(table.clone())
+                .with_memoization();
             let on = ace.run(Mode::OrParallel, or_query, &c).unwrap();
             let label = format!("or memo {sched:?} opts={}", opts.label());
             check_trace(&on, &label);
@@ -159,9 +160,11 @@ fn disabled_memo_config_is_bit_identical() {
         (Mode::OrParallel, "member(X, [1,2,3]), double(X, Y)"),
     ] {
         let plain = ace.run(mode, query, &cfg(2, OptFlags::all())).unwrap();
-        // `MemoConfig::default()` is disabled: carrying it must change
-        // nothing — not one cost unit, not one counter.
-        let c = cfg(2, OptFlags::all()).with_memo(MemoConfig::default());
+        // Sizing and a store handle switch nothing on: carrying them must
+        // change nothing — not one cost unit, not one counter.
+        let c = cfg(2, OptFlags::all())
+            .with_store_config(StoreConfig::default())
+            .with_store(Arc::new(AnswerStore::new(&StoreConfig::default())));
         let off = ace.run(mode, query, &c).unwrap();
         assert_eq!(off.solutions, plain.solutions, "{mode:?}");
         assert_eq!(off.virtual_time, plain.virtual_time, "{mode:?}");
@@ -188,8 +191,10 @@ fn warm_table_hits_on_the_repeated_workload() {
         .run(Mode::AndParallel, q, &cfg(4, OptFlags::all()))
         .unwrap();
 
-    let table = Arc::new(MemoTable::new(&MemoConfig::enabled()));
-    let c = cfg(4, OptFlags::all()).with_memo_table(table.clone());
+    let table = Arc::new(AnswerStore::new(&StoreConfig::default()));
+    let c = cfg(4, OptFlags::all())
+        .with_store(table.clone())
+        .with_memoization();
     let cold = ace.run(Mode::AndParallel, q, &c).unwrap();
     let warm = ace.run(Mode::AndParallel, q, &c).unwrap();
     for (label, r) in [("cold", &cold), ("warm", &warm)] {

@@ -117,7 +117,7 @@ fn soak_hundred_sessions_partition_into_four_outcomes() {
     // these must be rejected at admission.
     for i in 0..112 {
         let (q, mode) = finite_queries[i % finite_queries.len()];
-        let mut cfg = engine_cfg(2).with_memo_tenant((i % 4) as u32);
+        let mut cfg = engine_cfg(2).with_tenant((i % 4) as u32);
         if i % 11 == 3 && mode != Mode::Sequential {
             // Engine-level worker death: supervision contains it and the
             // session degrades to a sequential replay.

@@ -8,15 +8,20 @@
 //!   exactly once per subgoal).
 //! * **Warm tables are pure lookup** — a completed table turns
 //!   re-evaluation into replay: no new subgoal frames on any engine.
-//! * **Zero-cost opt-out** — a config carrying a *disabled*
-//!   `TableConfig` is bit-identical (virtual time and full stats sheet)
-//!   to one that never mentioned tabling.
+//! * **One store, both behaviours** — the same corpus with memoization
+//!   and tabling switched on over a single shared store, on every engine
+//!   and both drivers, cold then warm.
+//! * **No pinned slots** — a run that stops before a subgoal's fixpoint
+//!   gives the registration back to a shared store.
+//! * **Zero-cost opt-out** — a config carrying store sizing and a store
+//!   handle but neither switch is bit-identical (virtual time and full
+//!   stats sheet) to one that never mentioned tabling.
 
 use std::sync::Arc;
 
 use ace_core::{Ace, Mode, RunReport};
 use ace_runtime::{
-    DriverKind, EngineConfig, OptFlags, TableConfig, TableSpace, TraceChecker, TraceConfig,
+    AnswerStore, DriverKind, EngineConfig, OptFlags, StoreConfig, TraceChecker, TraceConfig,
 };
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -26,17 +31,18 @@ fn sorted(mut v: Vec<String>) -> Vec<String> {
     v
 }
 
-fn space() -> Arc<TableSpace> {
-    Arc::new(TableSpace::new(&TableConfig::enabled().with_shards(8)))
+fn space() -> Arc<AnswerStore> {
+    Arc::new(AnswerStore::new(&StoreConfig::default().with_shards(8)))
 }
 
-fn cfg(workers: usize, driver: DriverKind, table: &Arc<TableSpace>) -> EngineConfig {
+fn cfg(workers: usize, driver: DriverKind, table: &Arc<AnswerStore>) -> EngineConfig {
     EngineConfig::default()
         .with_workers(workers)
         .with_driver(driver)
         .with_opts(OptFlags::all())
         .with_trace(TraceConfig::enabled())
-        .with_table_space(table.clone())
+        .with_store(table.clone())
+        .with_tabling()
         .all_solutions()
 }
 
@@ -128,8 +134,105 @@ fn completed_tables_are_shared_across_modes() {
 }
 
 #[test]
+fn memoization_and_tabling_share_one_store() {
+    for p in ace_programs::tabled() {
+        let ace = Ace::load(&(p.program)(p.test_size)).unwrap();
+        let query = (p.query)(p.test_size);
+        let oracle = sorted(
+            ace.run(Mode::Sequential, &query, &cfg(1, DriverKind::Sim, &space()))
+                .unwrap_or_else(|e| panic!("{} oracle: {e}", p.name))
+                .solutions,
+        );
+        for driver in [DriverKind::Sim, DriverKind::Threads] {
+            for (mode, w) in [
+                (Mode::Sequential, 1),
+                (Mode::AndParallel, 4),
+                (Mode::OrParallel, 4),
+            ] {
+                let label = format!("{} {mode:?} {driver:?}", p.name);
+                let store = space();
+                let both = cfg(w, driver, &store).with_memoization();
+                for pass in ["cold", "warm"] {
+                    let r = ace
+                        .run(mode, &query, &both)
+                        .unwrap_or_else(|e| panic!("{label} {pass}: {e}"));
+                    assert_oracle(&r, &oracle, &format!("{label} {pass}"));
+                    if mode != Mode::Sequential {
+                        check_trace(&r, &format!("{label} {pass}"));
+                    }
+                    if pass == "warm" {
+                        assert_eq!(r.stats.table_subgoals, 0, "{label}: warm re-framed");
+                        assert!(r.stats.table_hits >= 1, "{label}: warm run missed");
+                    }
+                    assert_eq!(store.len(), store.complete_len(), "{label} {pass}");
+                }
+            }
+        }
+    }
+}
+
+/// A query that stops before a tabled subgoal's fixpoint — here at its
+/// first-solution bound and by an injected cancel, both while worker 0 is
+/// mid-generator — must give the registration back: a slot left pending is
+/// never evicted, so on a long-lived store it would stay pinned forever.
+#[test]
+fn abandoned_generators_leave_no_pinned_slots() {
+    use ace_runtime::{FaultKind, FaultPlan};
+    let p = ace_programs::tabled_program("tabled_path").unwrap();
+    let src = format!(
+        "{}\nq(X) :- path(n0, X).\nq(none).\n",
+        (p.program)(p.test_size)
+    );
+    let ace = Ace::load(&src).unwrap();
+    let store = space();
+    let oracle = sorted(
+        ace.run(Mode::Sequential, "q(X)", &cfg(1, DriverKind::Sim, &space()))
+            .unwrap()
+            .solutions,
+    );
+
+    // Worker 0 starts the path/2 generator; worker 1 steals `q(none)` and
+    // ends the run at its solution bound.
+    let first = ace
+        .run_strict(
+            Mode::OrParallel,
+            "q(X)",
+            &cfg(2, DriverKind::Sim, &store).first_solution(),
+        )
+        .unwrap();
+    assert_eq!(first.solutions, ["X=none"]);
+    assert!(
+        first.stats.table_subgoals > first.stats.table_completes,
+        "the run must stop mid-generator: {}",
+        first.summary()
+    );
+    assert_eq!(store.len(), store.complete_len(), "first-solution run");
+
+    let plan = FaultPlan::new(0).with(0, 2, FaultKind::Cancel);
+    let cancelled = ace_or::OrEngine::new(ace.db().clone()).run(
+        "q(X)",
+        &cfg(2, DriverKind::Sim, &store).with_fault_plan(plan),
+    );
+    assert!(cancelled.is_err(), "sim fires the injected cancel");
+    let c = store.counters();
+    assert_eq!(
+        (c.registered, c.stores),
+        (2, 0),
+        "the cancel must land mid-generator"
+    );
+    assert_eq!(store.len(), store.complete_len(), "cancelled run");
+
+    let full = ace
+        .run(Mode::OrParallel, "q(X)", &cfg(2, DriverKind::Sim, &store))
+        .unwrap();
+    assert_oracle(&full, &oracle, "full run after abandoned ones");
+    assert!(full.stats.table_completes >= 1, "{}", full.summary());
+    assert_eq!(store.len(), store.complete_len(), "full run");
+}
+
+#[test]
 fn disabled_table_config_is_bit_identical() {
-    // Tabled-declared but terminating: with no space attached the
+    // Tabled-declared but terminating: with neither store switch on the
     // declaration is inert and the machine must not spend one cost unit
     // on the table path.
     let ace = Ace::load(
@@ -157,7 +260,10 @@ fn disabled_table_config_is_bit_identical() {
             .run(
                 mode,
                 query,
-                &base.clone().with_table(TableConfig::default()),
+                &base
+                    .clone()
+                    .with_store_config(StoreConfig::default())
+                    .with_store(space()),
             )
             .unwrap();
         assert_eq!(off.solutions, plain.solutions, "{mode:?}");
