@@ -1,16 +1,10 @@
 //! And-parallel engine entry point.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
 use ace_logic::Database;
-use ace_machine::{Machine, Solution};
-use ace_runtime::{
-    Agent, DriverKind, EngineConfig, FaultInjector, RunOutcome, SimDriver, Stats, ThreadsDriver,
-    Trace, TraceSink,
-};
-use parking_lot::Mutex;
+use ace_machine::Solution;
+use ace_runtime::{Control, EngineConfig, RunOutcome, Stats, Trace, WorkerCore};
 
 use crate::worker::{AndWorker, Shared};
 
@@ -40,97 +34,26 @@ impl AndEngine {
 
     /// Run `query` under `cfg` and collect solutions plus metrics.
     pub fn run(&self, query: &str, cfg: &EngineConfig) -> Result<AndReport, String> {
-        let shared = Arc::new(Shared {
-            db: self.db.clone(),
-            cfg: cfg.clone(),
-            queue: Mutex::new(VecDeque::new()),
-            idle_workers: AtomicUsize::new(0),
-            done: AtomicBool::new(false),
-            solutions: Mutex::new(Vec::new()),
-            solutions_count: AtomicUsize::new(0),
-            error: Mutex::new(None),
-            root_cancel: cfg.root_cancel(),
-            worker_stats: Mutex::new(Vec::new()),
-            trace_bufs: Mutex::new(Vec::new()),
-            injector: cfg
-                .fault_plan
-                .as_ref()
-                .map(|p| FaultInjector::new(p, cfg.workers.max(1))),
-            store: cfg.resolve_store(),
-        });
-
-        let mut workers: Vec<AndWorker> = (0..cfg.workers.max(1))
-            .map(|id| AndWorker::new(id, shared.clone()))
+        let ctl = Control::new(cfg);
+        let shared = Arc::new(Shared::default());
+        let mut workers: Vec<AndWorker> = (0..ctl.workers())
+            .map(|id| AndWorker::new(WorkerCore::new(id, &ctl), shared.clone(), self.db.clone()))
             .collect();
-
-        let costs = Arc::new(cfg.costs.clone());
-        let mut root = Box::new(Machine::new(self.db.clone(), costs));
-        root.enable_parallel(true);
-        root.set_store(shared.store.clone(), cfg, cfg.trace.enabled);
-        root.set_clause_exec(cfg.clause_exec);
-        root.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
-        let vars = root
-            .load_query_text(query)
+        workers[0]
+            .install_root(query)
             .map_err(|e| format!("query parse error: {e}"))?;
-        workers[0].install_root(root, vars);
 
-        let sink = cfg.trace.enabled.then(|| TraceSink::new(&cfg.trace));
-        let outcome = match cfg.driver {
-            DriverKind::Sim => {
-                let agents: Vec<Box<dyn Agent>> = workers
-                    .into_iter()
-                    .map(|w| Box::new(w) as Box<dyn Agent>)
-                    .collect();
-                let mut driver =
-                    SimDriver::new(cfg.virtual_time_limit).with_cancel(shared.root_cancel.clone());
-                if let Some(s) = &sink {
-                    driver = driver.with_trace(s.clone());
-                }
-                driver.run(agents)
-            }
-            DriverKind::Threads => {
-                let agents: Vec<Box<dyn Agent + Send>> = workers
-                    .into_iter()
-                    .map(|w| Box::new(w) as Box<dyn Agent + Send>)
-                    .collect();
-                let mut driver =
-                    ThreadsDriver::new(cfg.threads_deadline, Some(shared.root_cancel.clone()));
-                if let Some(s) = &sink {
-                    driver = driver.with_trace(s.clone());
-                }
-                driver.run(agents)
-            }
-        };
-
-        // Panics and driver aborts carry their own structured, prefixed
-        // messages; report them ahead of any secondary error the drain
-        // path may have recorded.
-        if let Some(a) = &outcome.aborted {
-            return Err(a.clone());
-        }
-        if let Some(e) = shared.error.lock().take() {
+        let run = ctl.launch("and", workers);
+        if let Some(e) = run.outcome.aborted {
             return Err(e);
         }
-
-        let per_worker = shared.worker_stats.lock().clone();
-        let mut stats = Stats::new();
-        for w in &per_worker {
-            stats += *w;
-        }
-        // Fold the finished run into the live registry (engine totals +
-        // per-tenant memo traffic); a scrape between runs sees it.
-        if let Some(metrics) = &cfg.metrics {
-            metrics.record_run("and", cfg.tenant, &stats, outcome.virtual_time);
-        }
         let solutions = std::mem::take(&mut *shared.solutions.lock());
-        let trace =
-            sink.map(|s| Trace::merge(std::mem::take(&mut *shared.trace_bufs.lock()), s.drain()));
         Ok(AndReport {
             solutions,
-            outcome,
-            stats,
-            per_worker,
-            trace,
+            outcome: run.outcome,
+            stats: run.stats,
+            per_worker: run.per_worker,
+            trace: run.trace,
         })
     }
 }
@@ -138,7 +61,7 @@ impl AndEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_runtime::OptFlags;
+    use ace_runtime::{DriverKind, OptFlags};
 
     fn db(src: &str) -> Arc<Database> {
         Arc::new(Database::load(src).unwrap())

@@ -15,16 +15,12 @@
 //! where the paper locates them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::{CanonKey, Cell, Database};
-use ace_machine::{Machine, MarkerKind, Solution, Status};
-use ace_runtime::{
-    fault::FAULT_ERROR_PREFIX, Agent, AnswerStore, CancelToken, EngineConfig, EventKind,
-    FaultAction, FaultInjector, Phase, Stats, TraceBuf, Tracer,
-};
+use ace_machine::{Machine, MachinePool, MarkerKind, Solution, Status};
+use ace_runtime::{CancelToken, Engine, EventKind, Step, WorkerCore, QUANTUM};
 use parking_lot::Mutex;
 
 use crate::frame::{bundle_copy, FrameInner, FrameStage, FrameState, GroupRec, SlotState};
@@ -37,41 +33,12 @@ pub struct Task {
     pub creator: usize,
 }
 
-/// State shared by all workers of one engine run.
+/// The and-engine's share of a run's state (the run protocol's share is
+/// the [`ace_runtime::Control`] block).
+#[derive(Default)]
 pub struct Shared {
-    pub db: Arc<Database>,
-    pub cfg: EngineConfig,
     pub queue: Mutex<VecDeque<Task>>,
-    /// Workers currently without work — demand signal for goal shipping.
-    pub idle_workers: AtomicUsize,
-    pub done: AtomicBool,
     pub solutions: Mutex<Vec<Solution>>,
-    pub solutions_count: AtomicUsize,
-    pub error: Mutex<Option<String>>,
-    pub root_cancel: CancelToken,
-    pub worker_stats: Mutex<Vec<Stats>>,
-    /// Ring buffers deposited by finished workers (tracing enabled only).
-    pub trace_bufs: Mutex<Vec<TraceBuf>>,
-    /// Fault injection (tests/robustness validation); `None` = no faults.
-    pub injector: Option<FaultInjector>,
-    /// Answer store shared by every machine of the run (and, when the
-    /// caller passed one in, across runs); `None` = memoization and
-    /// tabling both off.
-    pub store: Option<Arc<AnswerStore>>,
-}
-
-impl Shared {
-    fn finish(&self) {
-        self.done.store(true, Ordering::Release);
-    }
-
-    fn fail_with(&self, msg: String) {
-        let mut e = self.error.lock();
-        if e.is_none() {
-            *e = Some(msg);
-        }
-        self.finish();
-    }
 }
 
 /// What a `Run` activation is computing.
@@ -146,90 +113,36 @@ enum Act {
     },
 }
 
-/// One and-parallel worker (an [`Agent`] for either driver).
+/// One and-parallel worker (an [`ace_runtime::Agent`] for either driver).
 pub struct AndWorker {
-    pub id: usize,
+    core: WorkerCore,
     sh: Arc<Shared>,
-    /// The run's immutable cost model, shared with this worker's machines.
-    costs: Arc<ace_runtime::CostModel>,
     stack: Vec<Act>,
-    #[allow(clippy::vec_box)] // machines move in/out of activations as Box
-    pool: Vec<Box<Machine>>,
-    pub stats: Stats,
+    machines: MachinePool,
     /// Root query variables (worker 0 only).
     root_vars: Vec<(String, Cell)>,
-    phase_cost: u64,
-    reported: bool,
-    /// Consecutive no-work phases (exponential idle backoff).
-    idle_streak: u32,
-    /// Counted in [`Shared::idle_workers`].
-    marked_idle: bool,
-    /// Event tracing (no-op unless enabled in the config).
-    tracer: Tracer,
-    /// Virtual-clock mirror: the sum of all phase costs already returned
-    /// to the driver. `vclock + phase_cost` is this worker's current
-    /// virtual time, used to stamp trace events.
-    vclock: u64,
-}
-
-enum Outcome {
-    Worked,
-    NoWork,
 }
 
 impl AndWorker {
-    pub fn new(id: usize, sh: Arc<Shared>) -> Self {
-        let costs = Arc::new(sh.cfg.costs.clone());
-        let tracer = Tracer::new(&sh.cfg.trace, id);
+    pub fn new(core: WorkerCore, sh: Arc<Shared>, db: Arc<Database>) -> Self {
         AndWorker {
-            id,
+            core,
             sh,
-            costs,
             stack: Vec::new(),
-            pool: Vec::new(),
-            stats: Stats::new(),
+            machines: MachinePool::new(db),
             root_vars: Vec::new(),
-            phase_cost: 0,
-            reported: false,
-            idle_streak: 0,
-            marked_idle: false,
-            tracer,
-            vclock: 0,
-        }
-    }
-
-    /// This worker's current virtual time (trace event timestamps).
-    #[inline]
-    fn now(&self) -> u64 {
-        self.vclock + self.phase_cost
-    }
-
-    /// Are there idle workers other than this one? (The demand signal for
-    /// goal shipping; a worker's own idle flag from its previous phase
-    /// must not count.)
-    fn others_idle(&self) -> bool {
-        self.sh.idle_workers.load(Ordering::Acquire) > usize::from(self.marked_idle)
-    }
-
-    fn mark_idle(&mut self, idle: bool) {
-        if idle != self.marked_idle {
-            self.marked_idle = idle;
-            if idle {
-                self.sh.idle_workers.fetch_add(1, Ordering::AcqRel);
-            } else {
-                self.sh.idle_workers.fetch_sub(1, Ordering::AcqRel);
-            }
         }
     }
 
     /// Install the root query on this worker (worker 0).
-    pub fn install_root(&mut self, machine: Box<Machine>, vars: Vec<(String, Cell)>) {
-        let cancel = self.sh.root_cancel.clone();
-        self.root_vars = vars;
+    pub fn install_root(&mut self, query: &str) -> Result<(), ace_logic::ReadError> {
+        let mut machine = self.machines.acquire(&mut self.core);
+        machine.enable_parallel(true);
+        self.root_vars = machine.load_query_text(query)?;
         self.stack.push(Act::Run {
             machine,
             ctx: RunCtx::Root,
-            cancel,
+            cancel: self.core.ctl.cancel.clone(),
             goal_cells: Vec::new(),
             memo_keys: Vec::new(),
             lpco_added: Vec::new(),
@@ -237,78 +150,20 @@ impl AndWorker {
             inline: Vec::new(),
             owner_slot: Vec::new(),
         });
-    }
-
-    #[inline]
-    fn charge(&mut self, units: u64) {
-        self.stats.charge(units);
-        self.phase_cost += units;
-    }
-
-    fn get_machine(&mut self) -> Box<Machine> {
-        let mut m = match self.pool.pop() {
-            Some(m) => m,
-            None => Box::new(Machine::new(self.sh.db.clone(), self.costs.clone())),
-        };
-        let cfg = &self.sh.cfg;
-        m.set_store(self.sh.store.clone(), cfg, cfg.trace.enabled);
-        m.set_clause_exec(cfg.clause_exec);
-        m.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
-        m
-    }
-
-    /// Forward memo events buffered by a machine to this worker's tracer
-    /// (no-op vector unless memo tracing is on).
-    fn emit_memo_events(&mut self, events: Vec<EventKind>) {
-        let t = self.vclock + self.phase_cost;
-        for ev in events {
-            self.tracer.emit(t, || ev);
-        }
-    }
-
-    fn retire_machine(&mut self, mut m: Box<Machine>) {
-        // Surface any cost not yet on a driver clock, then harvest the
-        // machine's counters into this worker's sheet. Busy cost drives
-        // clocks via per-phase surfacing; `stats.cost` keeps the report
-        // totals coherent.
-        self.phase_cost += m.take_unsurfaced_cost();
-        let memo_events = m.take_memo_events();
-        self.emit_memo_events(memo_events);
-        let mut ms = m.stats;
-        let machine_cost = ms.cost;
-        ms.cost = 0;
-        self.stats += ms;
-        self.stats.cost += machine_cost; // keep totals coherent in stats
-        m.reset();
-        if self.pool.len() < 8 {
-            self.pool.push(m);
-        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Work acquisition
     // ------------------------------------------------------------------
 
-    fn try_get_work(&mut self) -> Outcome {
+    fn try_get_work(&mut self) -> Step {
         // Injected transient steal failure: the task stays queued (checked
         // before any claim so nothing needs un-claiming) and this worker
         // retries on a later phase after its idle backoff — bounded retry,
         // since each fault event fires at most once.
-        let steal_faulted = self
-            .sh
-            .injector
-            .as_ref()
-            .is_some_and(|inj| !self.sh.queue.lock().is_empty() && inj.steal_fails(self.id));
-        if steal_faulted {
-            self.stats.faults_injected += 1;
-            self.stats.steal_retries += 1;
-            self.stats.idle_probes += 1;
-            let t = self.now();
-            self.tracer
-                .emit(t, || EventKind::FaultInjected { kind: "steal-fail" });
-            self.tracer
-                .emit(t, || EventKind::FaultRetry { what: "steal" });
-            return Outcome::NoWork;
+        if self.core.steal_faulted(|| !self.sh.queue.lock().is_empty()) {
+            return Step::NoWork;
         }
         let task = {
             let mut q = self.sh.queue.lock();
@@ -324,28 +179,25 @@ impl AndWorker {
             }
         };
         let Some(task) = task else {
-            self.stats.idle_probes += 1;
-            let t = self.now();
-            self.tracer.emit(t, || EventKind::StealFail);
-            return Outcome::NoWork;
+            self.core.emit(|| EventKind::StealFail);
+            return Step::NoWork;
         };
-        if task.creator != self.id {
-            self.stats.tasks_stolen += 1;
-            self.charge(self.costs.steal);
-            let t = self.now();
-            self.tracer.emit(t, || EventKind::StealAttempt);
-            self.tracer.emit(t, || EventKind::StealSuccess);
+        if task.creator != self.core.id {
+            self.core.stats.tasks_stolen += 1;
+            self.core.charge(self.core.costs.steal);
+            self.core.emit(|| EventKind::StealAttempt);
+            self.core.emit(|| EventKind::StealSuccess);
         } else {
-            self.charge(self.costs.queue_op);
+            self.core.charge(self.core.costs.queue_op);
         }
         self.start_slot(task.frame, task.slot);
-        Outcome::Worked
+        Step::Worked
     }
 
     /// Begin executing `slot` of `frame` on a fresh machine: ship the goal,
     /// allocate (or procrastinate) the input marker, register the group.
     fn start_slot(&mut self, frame: Arc<FrameState>, slot: usize) {
-        let mut machine = self.get_machine();
+        let mut machine = self.machines.acquire(&mut self.core);
         machine.enable_parallel(true);
 
         // Goal shipping: copy the subgoal closure into the machine.
@@ -354,13 +206,14 @@ impl AndWorker {
             .clone()
             .expect("claimed slot without closure");
         let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
-        self.stats.cells_copied += out.cells_copied as u64;
-        self.charge(out.cells_copied as u64 * self.costs.heap_cell);
+        self.core.stats.cells_copied += out.cells_copied as u64;
+        self.core
+            .charge(out.cells_copied as u64 * self.core.costs.heap_cell);
 
         // Markers: the unoptimized engine allocates the input marker
         // eagerly; SPO procrastinates it (paper §4.1).
-        if self.sh.cfg.opts.spo {
-            self.charge(self.costs.spo_track);
+        if self.core.ctl.cfg.opts.spo {
+            self.core.charge(self.core.costs.spo_track);
             machine.procrastinate_input_marker(frame.id, slot as u32);
         } else {
             machine.push_marker(MarkerKind::Input, frame.id, slot as u32);
@@ -370,8 +223,7 @@ impl AndWorker {
         // Snapshot the memo key while the shipped goal is still unbound:
         // a deterministic completion publishes its answer under this key.
         let memo_keys = if machine.memo_enabled() {
-            self.stats.charge(self.costs.memo_lookup);
-            self.phase_cost += self.costs.memo_lookup;
+            self.core.charge(self.core.costs.memo_lookup);
             vec![machine.memo_key(out.root)]
         } else {
             Vec::new()
@@ -389,9 +241,9 @@ impl AndWorker {
                 },
             );
         }
-        self.charge(self.costs.lock);
+        self.core.charge(self.core.costs.lock);
 
-        self.phase_cost += machine.take_unsurfaced_cost();
+        self.core.phase_cost += machine.take_unsurfaced_cost();
         let cancel = frame.cancel.clone();
         self.stack.push(Act::Run {
             machine,
@@ -409,20 +261,7 @@ impl AndWorker {
         });
     }
 
-    // ------------------------------------------------------------------
-    // Phase dispatch
-    // ------------------------------------------------------------------
-
-    fn do_phase(&mut self) -> Outcome {
-        match self.stack.last() {
-            None => self.try_get_work(),
-            Some(Act::Run { .. }) => self.step_run(),
-            Some(Act::Wait { .. }) => self.step_wait(),
-            Some(Act::Advance { .. }) => self.step_advance(),
-        }
-    }
-
-    fn step_run(&mut self) -> Outcome {
+    fn step_run(&mut self) -> Step {
         let Some(Act::Run {
             machine,
             cancel,
@@ -432,19 +271,17 @@ impl AndWorker {
         else {
             unreachable!()
         };
-        let quantum = self.sh.cfg.quantum;
         // Check the innermost inline frame's token: it is a descendant of
         // the activation token, so it also covers ancestor cancellation,
         // and additionally catches sibling failures of the parallel call
         // whose branch is executing inline right here.
         let check = inline.last().map_or(&*cancel, |f| &f.cancel);
-        let status = machine.run(quantum, Some(check));
-        self.phase_cost += machine.take_unsurfaced_cost();
-        let memo_events = machine.take_memo_events();
-        self.emit_memo_events(memo_events);
+        let status = machine.run(QUANTUM, Some(check));
+        self.core.phase_cost += machine.take_unsurfaced_cost();
+        self.core.emit_all(machine.take_memo_events());
 
         match status {
-            Status::Running => Outcome::Worked,
+            Status::Running => Step::Worked,
             Status::Parcall => self.on_parcall(),
             Status::Solution => self.on_solution(),
             Status::Failed => self.on_failed(),
@@ -453,12 +290,12 @@ impl AndWorker {
             Status::FenceHit(fid, slot) => self.on_fence_hit(fid, slot),
             Status::Cancelled => self.on_cancelled(),
             Status::Halted => {
-                self.sh.finish();
-                Outcome::Worked
+                self.core.ctl.finish();
+                Step::Worked
             }
             Status::Error(e) => {
-                self.sh.fail_with(e);
-                Outcome::Worked
+                self.core.ctl.fail_with(e);
+                Step::Worked
             }
         }
     }
@@ -467,19 +304,19 @@ impl AndWorker {
     // Parallel call creation (and LPCO)
     // ------------------------------------------------------------------
 
-    fn on_parcall(&mut self) -> Outcome {
+    fn on_parcall(&mut self) -> Step {
         // LPCO applicability (paper §3.1).
-        if self.sh.cfg.opts.lpco {
-            self.charge(self.costs.lpco_check);
+        if self.core.ctl.cfg.opts.lpco {
+            self.core.charge(self.core.costs.lpco_check);
             if self.try_lpco_inline() {
-                return Outcome::Worked;
+                return Step::Worked;
             }
             if self.try_lpco() {
-                return Outcome::Worked;
+                return Step::Worked;
             }
         }
 
-        let ship_hint = self.sh.cfg.ship == ace_runtime::ShipPolicy::Eager || self.others_idle();
+        let ship_now = self.core.others_idle();
         let Some(Act::Run {
             machine,
             ctx,
@@ -501,7 +338,6 @@ impl AndWorker {
         // Nested frames hang off the innermost inline frame's token so a
         // sibling failure anywhere up the chain kills them too.
         let parent_token = inline.last().map_or(&*cancel, |f| &f.cancel);
-        let ship_now = ship_hint;
         let (frame, cells) = FrameState::create(
             pf.id,
             &machine.heap,
@@ -514,19 +350,17 @@ impl AndWorker {
             ship_now,
         );
         machine.top_parcall_mut().unwrap().ext = Some(Box::new(frame.clone()));
-        self.stats.cells_copied += cells as u64;
+        self.core.stats.cells_copied += cells as u64;
         let n = n_branches as u64;
-        self.stats.parcall_frames += 1;
-        self.stats.parcall_slots += n;
-        let charge = self.costs.parcall_frame_alloc
-            + self.costs.parcall_slot * n
-            + cells as u64 * self.costs.heap_cell
-            + self.costs.queue_op * (n - 1);
-        self.stats.charge(charge);
-        self.phase_cost += charge;
-        let t = self.vclock + self.phase_cost;
-        self.tracer
-            .emit(t, || EventKind::FrameAlloc { slots: n as usize });
+        self.core.stats.parcall_frames += 1;
+        self.core.stats.parcall_slots += n;
+        let charge = self.core.costs.parcall_frame_alloc
+            + self.core.costs.parcall_slot * n
+            + cells as u64 * self.core.costs.heap_cell
+            + self.core.costs.queue_op * (n - 1);
+        self.core.charge(charge);
+        self.core
+            .emit(|| EventKind::FrameAlloc { slots: n as usize });
 
         // Ship all branches but the last (when idle workers demand them);
         // run the last inline, &ACE-style ("the goal a does not need an
@@ -537,7 +371,7 @@ impl AndWorker {
                 .map(|slot| Task {
                     frame: frame.clone(),
                     slot,
-                    creator: self.id,
+                    creator: self.core.id,
                 })
                 .collect()
         } else {
@@ -548,7 +382,7 @@ impl AndWorker {
         if !tasks.is_empty() {
             self.sh.queue.lock().extend(tasks);
         }
-        Outcome::Worked
+        Step::Worked
     }
 
     /// LPCO within an inline chain: the machine executing the inline
@@ -558,7 +392,7 @@ impl AndWorker {
     /// rightmost spine inline. `process_list/2` recursion thus runs in ONE
     /// wide frame (paper Figure 4).
     fn try_lpco_inline(&mut self) -> bool {
-        let ship_hint = self.sh.cfg.ship == ace_runtime::ShipPolicy::Eager || self.others_idle();
+        let ship_now = self.core.others_idle();
         let Some(Act::Run {
             machine, inline, ..
         }) = self.stack.last_mut()
@@ -588,7 +422,6 @@ impl AndWorker {
         let pf = machine.merge_out_parcall();
         let branches = pf.branches;
         let k = branches.len();
-        let ship_now = ship_hint;
         let shipped = &branches[..k - 1];
         let (bundle, cells) = if ship_now {
             let (bundle, cells) = bundle_copy(&machine.heap, shipped);
@@ -596,15 +429,13 @@ impl AndWorker {
         } else {
             (None, 0)
         };
-        self.stats.cells_copied += cells as u64;
-        self.stats.slots_merged_lpco += k as u64;
-        self.stats.frames_elided_lpco += 1;
-        let charge = self.costs.lpco_merge_slot * k as u64 + cells as u64 * self.costs.heap_cell;
-        self.stats.charge(charge);
-        self.phase_cost += charge;
-        let t = self.vclock + self.phase_cost;
-        self.tracer
-            .emit(t, || EventKind::FrameElide { merged_slots: k });
+        self.core.stats.cells_copied += cells as u64;
+        self.core.stats.slots_merged_lpco += k as u64;
+        self.core.stats.frames_elided_lpco += 1;
+        let charge =
+            self.core.costs.lpco_merge_slot * k as u64 + cells as u64 * self.core.costs.heap_cell;
+        self.core.charge(charge);
+        self.core.emit(|| EventKind::FrameElide { merged_slots: k });
 
         let mut tasks = Vec::with_capacity(shipped.len());
         {
@@ -630,7 +461,7 @@ impl AndWorker {
                     tasks.push(Task {
                         frame: frame.clone(),
                         slot: base + i,
-                        creator: self.id,
+                        creator: self.core.id,
                     });
                 }
             }
@@ -687,11 +518,10 @@ impl AndWorker {
         let pf = machine.merge_out_parcall();
         let k = pf.branches.len() as u64;
         lpco_added.extend(pf.branches);
-        self.stats.slots_merged_lpco += k;
-        self.stats.frames_elided_lpco += 1;
-        self.charge(self.costs.lpco_merge_slot * k);
-        let t = self.now();
-        self.tracer.emit(t, || EventKind::FrameElide {
+        self.core.stats.slots_merged_lpco += k;
+        self.core.stats.frames_elided_lpco += 1;
+        self.core.charge(self.core.costs.lpco_merge_slot * k);
+        self.core.emit(|| EventKind::FrameElide {
             merged_slots: k as usize,
         });
         true
@@ -701,7 +531,7 @@ impl AndWorker {
     // Solutions
     // ------------------------------------------------------------------
 
-    fn on_solution(&mut self) -> Outcome {
+    fn on_solution(&mut self) -> Step {
         let is_root = matches!(
             self.stack.last(),
             Some(Act::Run {
@@ -724,7 +554,7 @@ impl AndWorker {
     ///   solution): the backtrack that reached the inline choice points
     ///   unwound every sibling integration on the trail, so mark the whole
     ///   frame for re-integration and wait again.
-    fn on_barrier(&mut self, fid: u64) -> Outcome {
+    fn on_barrier(&mut self, fid: u64) -> Step {
         // Owner-executed (PDO) subgoal completion?
         if matches!(
             self.stack.last(),
@@ -755,10 +585,10 @@ impl AndWorker {
             match found {
                 Some(fr) => (fr, true),
                 None => {
-                    self.sh.fail_with(format!(
+                    self.core.ctl.fail_with(format!(
                         "engine bug: inline barrier for unknown frame {fid}"
                     ));
-                    return Outcome::Worked;
+                    return Step::Worked;
                 }
             }
         };
@@ -794,7 +624,7 @@ impl AndWorker {
                             owner_reruns.push(Task {
                                 frame: frame.clone(),
                                 slot: slot_idx,
-                                creator: self.id,
+                                creator: self.core.id,
                             });
                         }
                     }
@@ -806,9 +636,8 @@ impl AndWorker {
                         FrameStage::Filling
                     };
                 }
-                self.stats.redo_rounds += 1;
-                let t = self.now();
-                self.tracer.emit(t, || EventKind::RedoRound);
+                self.core.stats.redo_rounds += 1;
+                self.core.emit(|| EventKind::RedoRound);
             } else if inner.pending == 0 && inner.stage == FrameStage::Filling {
                 inner.stage = FrameStage::Ready;
             }
@@ -816,15 +645,16 @@ impl AndWorker {
         if !owner_reruns.is_empty() {
             self.sh.queue.lock().extend(owner_reruns);
         }
-        self.charge(self.costs.slot_join + self.costs.lock);
+        self.core
+            .charge(self.core.costs.slot_join + self.core.costs.lock);
         self.stack.push(Act::Wait { frame });
-        Outcome::Worked
+        Step::Worked
     }
 
     /// The owner-executed subgoal reached the barrier: commit it if its
     /// execution was determinate (PDO success — no markers, no copies), or
     /// roll it back and ship it normally.
-    fn on_owner_slot_done(&mut self) -> Outcome {
+    fn on_owner_slot_done(&mut self) -> Step {
         let Some(Act::Run {
             machine,
             inline,
@@ -851,15 +681,15 @@ impl AndWorker {
                     inner.stage = FrameStage::Ready;
                 }
             }
-            self.stats.pdo_merges += 1;
-            self.charge(self.costs.slot_join + self.costs.lock);
-            let t = self.now();
-            self.tracer.emit(t, || EventKind::PdoMerge);
+            self.core.stats.pdo_merges += 1;
+            self.core
+                .charge(self.core.costs.slot_join + self.core.costs.lock);
+            self.core.emit(|| EventKind::PdoMerge);
         } else {
             // speculation failed: undo and ship to a fresh machine
             machine.rollback_to(o.ctrl_len, o.trail, o.heap);
             let unsurfaced = machine.take_unsurfaced_cost();
-            self.phase_cost += unsurfaced;
+            self.core.phase_cost += unsurfaced;
             {
                 let mut inner = o.frame.inner.lock();
                 inner.slots[o.slot].state = SlotState::Unclaimed;
@@ -868,18 +698,18 @@ impl AndWorker {
             self.sh.queue.lock().push_back(Task {
                 frame: o.frame.clone(),
                 slot: o.slot,
-                creator: self.id,
+                creator: self.core.id,
             });
-            self.charge(self.costs.queue_op);
+            self.core.charge(self.core.costs.queue_op);
         }
         let frame = o.frame;
         self.stack.push(Act::Wait { frame });
-        Outcome::Worked
+        Step::Worked
     }
 
     /// Backtracking crossed a PDO fence: the owner-executed subgoal has no
     /// solution, so the whole parallel call fails (inside backtracking).
-    fn on_fence_hit(&mut self, fid: u64, _slot: u32) -> Outcome {
+    fn on_fence_hit(&mut self, fid: u64, _slot: u32) -> Step {
         let Some(Act::Run {
             machine,
             inline,
@@ -894,17 +724,16 @@ impl AndWorker {
         if inline.last().is_some_and(|f| f.id == fid) {
             inline.pop();
         }
-        self.stats.slot_failures += 1;
-        let t = self.vclock + self.phase_cost;
-        self.tracer.emit(t, || EventKind::SlotFail);
+        self.core.stats.slot_failures += 1;
+        self.core.emit(|| EventKind::SlotFail);
         o.frame.fail();
         machine.fail_parcall_until(fid);
         let unsurfaced = machine.take_unsurfaced_cost();
-        self.phase_cost += unsurfaced;
-        Outcome::Worked
+        self.core.phase_cost += unsurfaced;
+        Step::Worked
     }
 
-    fn on_root_solution(&mut self) -> Outcome {
+    fn on_root_solution(&mut self) -> Step {
         let Some(Act::Run { machine, .. }) = self.stack.last_mut() else {
             unreachable!()
         };
@@ -915,41 +744,30 @@ impl AndWorker {
                 .map(|(n, c)| (n.clone(), machine.render(*c)))
                 .collect(),
         };
-        // Streamed delivery before publication; a Stop verdict ends the
-        // run early through the same path as `max_solutions`.
-        let sink_stop = match self.sh.cfg.sink.clone() {
-            Some(sink) => {
-                self.stats.answers_streamed += 1;
-                let stop = sink.deliver(&sol.render()).is_stop();
-                if stop {
-                    self.stats.sink_stops += 1;
-                }
-                stop
-            }
-            None => false,
-        };
+        // Streamed delivery before publication.
+        let over = self
+            .core
+            .ctl
+            .deliver(&mut self.core.stats, std::iter::once_with(|| sol.render()));
         self.sh.solutions.lock().push(sol);
-        let t = self.vclock + self.phase_cost;
-        self.tracer.emit(t, || EventKind::Solution);
-        let count = self.sh.solutions_count.fetch_add(1, Ordering::AcqRel) + 1;
-        if sink_stop || self.sh.cfg.max_solutions.is_some_and(|max| count >= max) {
-            self.sh.finish();
-            return Outcome::Worked;
+        self.core.emit(|| EventKind::Solution);
+        if over {
+            return Step::Worked;
         }
         // search for more solutions
         machine.backtrack();
-        self.phase_cost += machine.take_unsurfaced_cost();
-        Outcome::Worked
+        self.core.phase_cost += machine.take_unsurfaced_cost();
+        Step::Worked
     }
 
-    fn on_slot_solution(&mut self) -> Outcome {
+    fn on_slot_solution(&mut self) -> Step {
         // PDO (paper §4.2): if the sequentially-next slot is still
         // unclaimed, continue it on this same machine as one contiguous
         // computation — no markers, no new machine.
-        if self.sh.cfg.opts.pdo {
-            self.charge(self.costs.pdo_check);
+        if self.core.ctl.cfg.opts.pdo {
+            self.core.charge(self.core.costs.pdo_check);
             if self.try_pdo() {
-                return Outcome::Worked;
+                return Step::Worked;
             }
         }
         self.finalize_group()
@@ -1001,17 +819,16 @@ impl AndWorker {
         goal_cells.push(out.root);
         if machine.memo_enabled() {
             memo_keys.push(machine.memo_key(out.root));
-            self.stats.charge(self.costs.memo_lookup);
-            self.phase_cost += self.costs.memo_lookup;
+            self.core.charge(self.core.costs.memo_lookup);
         }
         machine.continue_with(out.root);
         let unsurfaced = machine.take_unsurfaced_cost();
-        self.phase_cost += unsurfaced;
-        self.stats.pdo_merges += 1;
-        self.stats.cells_copied += out.cells_copied as u64;
-        self.charge(out.cells_copied as u64 * self.costs.heap_cell + self.costs.lock);
-        let t = self.now();
-        self.tracer.emit(t, || EventKind::PdoMerge);
+        self.core.phase_cost += unsurfaced;
+        self.core.stats.pdo_merges += 1;
+        self.core.stats.cells_copied += out.cells_copied as u64;
+        self.core
+            .charge(out.cells_copied as u64 * self.core.costs.heap_cell + self.core.costs.lock);
+        self.core.emit(|| EventKind::PdoMerge);
         true
     }
 
@@ -1019,7 +836,7 @@ impl AndWorker {
     /// markers, extract the solution bundle, register LPCO-added slots,
     /// classify the machine (retire / keep as generator / recompute), and
     /// update the frame's fill state.
-    fn finalize_group(&mut self) -> Outcome {
+    fn finalize_group(&mut self) -> Step {
         let Some(Act::Run {
             mut machine,
             ctx: RunCtx::Slot { frame, leader },
@@ -1042,15 +859,14 @@ impl AndWorker {
             let inner = frame.inner.lock();
             *inner.groups[&leader].slots.last().unwrap()
         };
-        if self.sh.cfg.opts.spo {
+        if self.core.ctl.cfg.opts.spo {
             if det {
                 // The subgoal completed deterministically: neither marker
                 // was ever needed; only its trail section is remembered.
                 machine.clear_pending_marker();
-                self.stats.markers_elided_spo += 2;
-                self.charge(self.costs.spo_track);
-                let t = self.now();
-                self.tracer.emit(t, || EventKind::MarkerElide);
+                self.core.stats.markers_elided_spo += 2;
+                self.core.charge(self.core.costs.spo_track);
+                self.core.emit(|| EventKind::MarkerElide);
             } else {
                 machine.materialize_pending_marker();
                 machine.push_marker(MarkerKind::End, frame.id, last_slot as u32);
@@ -1076,19 +892,22 @@ impl AndWorker {
             for (key, &goal) in memo_keys.iter().zip(&goal_cells) {
                 machine.memo_publish_answer(key, goal);
             }
-            let memo_events = machine.take_memo_events();
-            self.emit_memo_events(memo_events);
+            self.core.emit_all(machine.take_memo_events());
         }
 
-        self.phase_cost += machine.take_unsurfaced_cost();
+        self.core.phase_cost += machine.take_unsurfaced_cost();
 
         // Extract the solution bundle (goal instances + LPCO branches).
         let n_members = goal_cells.len();
         goal_cells.extend(&lpco_added);
         let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
         goal_cells.truncate(n_members);
-        self.stats.cells_copied += cells as u64;
-        self.charge(cells as u64 * self.costs.heap_cell + self.costs.slot_join + self.costs.lock);
+        self.core.stats.cells_copied += cells as u64;
+        self.core.charge(
+            cells as u64 * self.core.costs.heap_cell
+                + self.core.costs.slot_join
+                + self.core.costs.lock,
+        );
 
         let mut new_tasks: Vec<Task> = Vec::new();
         let keep = !det && !has_frames;
@@ -1115,7 +934,7 @@ impl AndWorker {
                 new_tasks.push(Task {
                     frame: frame.clone(),
                     slot: added_base + j,
-                    creator: self.id,
+                    creator: self.core.id,
                 });
             }
             let FrameInner { groups, slots, .. } = &mut *inner;
@@ -1146,19 +965,19 @@ impl AndWorker {
             }
         }
         if let Some(m) = machine_opt {
-            self.retire_machine(m);
+            self.machines.retire(&mut self.core, m);
         }
         if !new_tasks.is_empty() {
             self.sh.queue.lock().extend(new_tasks);
         }
-        Outcome::Worked
+        Step::Worked
     }
 
     // ------------------------------------------------------------------
     // Failure (inside backtracking)
     // ------------------------------------------------------------------
 
-    fn on_failed(&mut self) -> Outcome {
+    fn on_failed(&mut self) -> Step {
         let Some(act) = self.stack.pop() else {
             unreachable!()
         };
@@ -1167,21 +986,20 @@ impl AndWorker {
         };
         match ctx {
             RunCtx::Root => {
-                self.retire_machine(machine);
-                self.sh.finish();
+                self.machines.retire(&mut self.core, machine);
+                self.core.ctl.finish();
             }
             RunCtx::Slot { frame, .. } => {
-                self.stats.slot_failures += 1;
-                let t = self.now();
-                self.tracer.emit(t, || EventKind::SlotFail);
+                self.core.stats.slot_failures += 1;
+                self.core.emit(|| EventKind::SlotFail);
                 frame.fail();
-                self.retire_machine(machine);
+                self.machines.retire(&mut self.core, machine);
             }
         }
-        Outcome::Worked
+        Step::Worked
     }
 
-    fn on_cancelled(&mut self) -> Outcome {
+    fn on_cancelled(&mut self) -> Step {
         // Distinguish "this whole activation is doomed" (ancestor token)
         // from "the parallel call whose branch we are running inline
         // failed" (inline frame token): the latter unwinds the machine to
@@ -1199,8 +1017,8 @@ impl AndWorker {
             let Some(Act::Run { machine, .. }) = self.stack.pop() else {
                 unreachable!()
             };
-            self.retire_machine(machine);
-            return Outcome::Worked;
+            self.machines.retire(&mut self.core, machine);
+            return Step::Worked;
         }
         // Find the outermost cancelled inline frame and unwind to it.
         let mut target = None;
@@ -1213,17 +1031,17 @@ impl AndWorker {
         }
         match target {
             Some(f) => {
-                self.stats.frame_traversals += 1;
+                self.core.stats.frame_traversals += 1;
                 machine.fail_parcall_until(f.id);
                 let unsurfaced = machine.take_unsurfaced_cost();
-                self.phase_cost += unsurfaced;
+                self.core.phase_cost += unsurfaced;
             }
             None => {
                 // spurious wake-up: token cleared meanwhile (cannot
                 // happen with our one-way tokens, but stay safe)
             }
         }
-        Outcome::Worked
+        Step::Worked
     }
 
     // ------------------------------------------------------------------
@@ -1246,22 +1064,22 @@ impl AndWorker {
         };
         let (bundle, cells) = bundle_copy(&machine.heap, &goals);
         frame.install_closures(idxs, bundle);
-        self.stats.cells_copied += cells as u64;
-        let charge = cells as u64 * self.costs.heap_cell + self.costs.queue_op * idxs.len() as u64;
-        self.stats.charge(charge);
-        self.phase_cost += charge;
+        self.core.stats.cells_copied += cells as u64;
+        let charge =
+            cells as u64 * self.core.costs.heap_cell + self.core.costs.queue_op * idxs.len() as u64;
+        self.core.charge(charge);
         let tasks: Vec<Task> = idxs
             .iter()
             .map(|&slot| Task {
                 frame: frame.clone(),
                 slot,
-                creator: self.id,
+                creator: self.core.id,
             })
             .collect();
         self.sh.queue.lock().extend(tasks);
     }
 
-    fn step_wait(&mut self) -> Outcome {
+    fn step_wait(&mut self) -> Step {
         let Some(Act::Wait { frame }) = self.stack.last() else {
             unreachable!()
         };
@@ -1274,20 +1092,18 @@ impl AndWorker {
                 // its next phase.
                 if frame.cancel.is_cancelled() {
                     self.stack.pop();
-                    return Outcome::Worked;
+                    return Step::Worked;
                 }
                 // Demand-driven shipping: if idle workers exist (or the
                 // owner itself needs a closure to help below), copy the
                 // closures of any still-local subgoals out of the owner's
                 // heap and publish them.
-                let want_ship = self.sh.cfg.ship == ace_runtime::ShipPolicy::Eager
-                    || self.others_idle()
-                    || !self.sh.cfg.opts.pdo;
+                let want_ship = self.core.others_idle() || !self.core.ctl.cfg.opts.pdo;
                 if want_ship {
                     let idxs = frame.unshipped();
                     if !idxs.is_empty() {
                         self.ship_slots(&frame, &idxs);
-                        return Outcome::Worked;
+                        return Step::Worked;
                     }
                 }
                 // PDO (speculative): the owner picks up its own frame's
@@ -1297,8 +1113,8 @@ impl AndWorker {
                 // §4.2. A fence guards backtracking; if the subgoal turns
                 // out nondeterministic it is rolled back and shipped
                 // normally (determinacy is only known a posteriori).
-                if self.sh.cfg.opts.pdo {
-                    self.charge(self.costs.pdo_check);
+                if self.core.ctl.cfg.opts.pdo {
+                    self.core.charge(self.core.costs.pdo_check);
                     if let Some(slot) = frame.claim_for_owner() {
                         let goal = frame.inner.lock().slots[slot]
                             .parent_goal
@@ -1327,7 +1143,7 @@ impl AndWorker {
                             heap,
                         });
                         inline.push(frame);
-                        return Outcome::Worked;
+                        return Step::Worked;
                     }
                 }
                 // Help-first: while blocked on this frame's barrier, only
@@ -1336,9 +1152,9 @@ impl AndWorker {
                 // activations and serialize the whole computation.
                 match frame.claim(None) {
                     Some(slot) => {
-                        self.charge(self.costs.queue_op);
+                        self.core.charge(self.core.costs.queue_op);
                         self.start_slot(frame, slot);
-                        Outcome::Worked
+                        Step::Worked
                     }
                     None => {
                         // remaining local goals the owner cannot run
@@ -1347,36 +1163,36 @@ impl AndWorker {
                         let idxs = frame.unshipped();
                         if !idxs.is_empty() {
                             self.ship_slots(&frame, &idxs);
-                            return Outcome::Worked;
+                            return Step::Worked;
                         }
-                        self.stats.idle_probes += 1;
-                        Outcome::NoWork
+                        Step::NoWork
                     }
                 }
             }
             FrameStage::Ready => {
                 self.stack.pop();
                 self.integrate(&frame);
-                Outcome::Worked
+                Step::Worked
             }
             FrameStage::Failed => {
                 self.stack.pop();
                 // one level of failure propagation up the frame chain
-                self.stats.frame_traversals += 1;
-                self.charge(self.costs.frame_traverse);
+                self.core.stats.frame_traversals += 1;
+                self.core.charge(self.core.costs.frame_traverse);
                 let Some(Act::Run { machine, .. }) = self.stack.last_mut() else {
                     unreachable!("Wait without Run below");
                 };
                 // Deeper (already integrated) inline frames may sit above
                 // this one on the control stack; discard them with it.
                 machine.fail_parcall_until(frame.id);
-                self.phase_cost += machine.take_unsurfaced_cost();
-                Outcome::Worked
+                self.core.phase_cost += machine.take_unsurfaced_cost();
+                Step::Worked
             }
             FrameStage::Integrated | FrameStage::Exhausted => {
-                self.sh
+                self.core
+                    .ctl
                     .fail_with("engine bug: waiting on finished frame".into());
-                Outcome::Worked
+                Step::Worked
             }
         }
     }
@@ -1449,10 +1265,11 @@ impl AndWorker {
                 machine.resume_with_cont(frame.cont.clone());
             }
         }
-        self.stats.cells_copied += copied;
-        self.charge(copied * self.costs.heap_cell + unify_steps * self.costs.unify_step);
+        self.core.stats.cells_copied += copied;
+        self.core
+            .charge(copied * self.core.costs.heap_cell + unify_steps * self.core.costs.unify_step);
         if independence_violation {
-            self.sh.fail_with(
+            self.core.ctl.fail_with(
                 "parallel goals were not independent: cross-slot binding \
                  conflict at integration"
                     .into(),
@@ -1467,10 +1284,9 @@ impl AndWorker {
     /// The machine of the top `Run` activation is at `ParcallRedo`: find
     /// the rightmost group that can produce another solution and start
     /// advancing it; if none can, the parallel call is exhausted.
-    fn on_redo(&mut self) -> Outcome {
-        self.stats.redo_rounds += 1;
-        let t = self.now();
-        self.tracer.emit(t, || EventKind::RedoRound);
+    fn on_redo(&mut self) -> Step {
+        self.core.stats.redo_rounds += 1;
+        self.core.emit(|| EventKind::RedoRound);
         let Some(Act::Run {
             machine, inline, ..
         }) = self.stack.last_mut()
@@ -1496,13 +1312,12 @@ impl AndWorker {
             if inline.last().is_some_and(|f| f.id == frame.id) {
                 inline.pop();
             }
-            self.stats.slot_failures += 1;
-            let t = self.vclock + self.phase_cost;
-            self.tracer.emit(t, || EventKind::SlotFail);
+            self.core.stats.slot_failures += 1;
+            self.core.emit(|| EventKind::SlotFail);
             frame.fail();
             machine.fail_parcall();
-            self.phase_cost += machine.take_unsurfaced_cost();
-            return Outcome::Worked;
+            self.core.phase_cost += machine.take_unsurfaced_cost();
+            return Step::Worked;
         }
 
         // Scan groups right-to-left for an advanceable one. Each visited
@@ -1516,8 +1331,8 @@ impl AndWorker {
             let mut inner = frame.inner.lock();
             let leaders: Vec<usize> = inner.groups.keys().copied().collect();
             for &leader in leaders.iter().rev() {
-                self.stats.frame_traversals += 1;
-                self.charge(self.costs.frame_traverse);
+                self.core.stats.frame_traversals += 1;
+                self.core.charge(self.core.costs.frame_traverse);
                 let g = inner.groups.get_mut(&leader).unwrap();
                 if g.exhausted {
                     continue;
@@ -1546,13 +1361,13 @@ impl AndWorker {
                     unreachable!()
                 };
                 machine.fail_parcall();
-                self.phase_cost += machine.take_unsurfaced_cost();
-                Outcome::Worked
+                self.core.phase_cost += machine.take_unsurfaced_cost();
+                Step::Worked
             }
             Some((leader, Some(mut genm), goal_cells, _)) => {
                 // Resume the kept generator.
                 genm.backtrack();
-                self.phase_cost += genm.take_unsurfaced_cost();
+                self.core.phase_cost += genm.take_unsurfaced_cost();
                 self.stack.push(Act::Advance {
                     frame,
                     leader,
@@ -1560,11 +1375,11 @@ impl AndWorker {
                     mode: AdvanceMode::Generator,
                     goal_cells,
                 });
-                Outcome::Worked
+                Step::Worked
             }
             Some((leader, None, _, skip)) => {
                 // Recompute the group from its goal closures, sequentially.
-                let mut m = self.get_machine();
+                let mut m = self.machines.acquire(&mut self.core);
                 m.enable_parallel(false);
                 let (roots, cells) = {
                     let inner = frame.inner.lock();
@@ -1582,8 +1397,8 @@ impl AndWorker {
                     }
                     (roots, cells)
                 };
-                self.stats.cells_copied += cells as u64;
-                self.charge(cells as u64 * self.costs.heap_cell);
+                self.core.stats.cells_copied += cells as u64;
+                self.core.charge(cells as u64 * self.core.costs.heap_cell);
                 // conjoin the roots: run them in order
                 let mut goal = *roots.last().unwrap();
                 for &r in roots.iter().rev().skip(1) {
@@ -1597,23 +1412,21 @@ impl AndWorker {
                     mode: AdvanceMode::Recompute { skip, seen: 0 },
                     goal_cells: roots,
                 });
-                Outcome::Worked
+                Step::Worked
             }
         }
     }
 
-    fn step_advance(&mut self) -> Outcome {
-        let quantum = self.sh.cfg.quantum;
+    fn step_advance(&mut self) -> Step {
         let Some(Act::Advance { frame, machine, .. }) = self.stack.last_mut() else {
             unreachable!()
         };
-        let status = machine.run(quantum, Some(&frame.cancel));
-        self.phase_cost += machine.take_unsurfaced_cost();
-        let memo_events = machine.take_memo_events();
-        self.emit_memo_events(memo_events);
+        let status = machine.run(QUANTUM, Some(&frame.cancel));
+        self.core.phase_cost += machine.take_unsurfaced_cost();
+        self.core.emit_all(machine.take_memo_events());
 
         match status {
-            Status::Running => Outcome::Worked,
+            Status::Running => Step::Worked,
             Status::Solution => {
                 // Recompute mode may need to skip already-delivered ones.
                 let Some(Act::Advance { machine, mode, .. }) = self.stack.last_mut() else {
@@ -1623,8 +1436,8 @@ impl AndWorker {
                     if *seen < *skip {
                         *seen += 1;
                         machine.backtrack();
-                        self.phase_cost += machine.take_unsurfaced_cost();
-                        return Outcome::Worked;
+                        self.core.phase_cost += machine.take_unsurfaced_cost();
+                        return Step::Worked;
                     }
                 }
                 self.advance_succeeded()
@@ -1645,26 +1458,27 @@ impl AndWorker {
                     g.exhausted = true;
                     g.machine = None;
                 }
-                self.retire_machine(machine);
+                self.machines.retire(&mut self.core, machine);
                 // Parent (below) is still at ParcallRedo; next phase
                 // rescans for a group further left.
-                Outcome::Worked
+                Step::Worked
             }
             Status::Cancelled => {
                 let Some(Act::Advance { machine, .. }) = self.stack.pop() else {
                     unreachable!()
                 };
-                self.retire_machine(machine);
-                Outcome::Worked
+                self.machines.retire(&mut self.core, machine);
+                Step::Worked
             }
             Status::Error(e) => {
-                self.sh.fail_with(e);
-                Outcome::Worked
+                self.core.ctl.fail_with(e);
+                Step::Worked
             }
             other => {
-                self.sh
+                self.core
+                    .ctl
                     .fail_with(format!("engine bug: unexpected generator status {other:?}"));
-                Outcome::Worked
+                Step::Worked
             }
         }
     }
@@ -1672,7 +1486,7 @@ impl AndWorker {
     /// A group produced its next solution: rebuild its bundle, undo the
     /// parent's integrations from that group rightwards, reset and re-run
     /// the groups to its right, and wait for the wave to refill.
-    fn advance_succeeded(&mut self) -> Outcome {
+    fn advance_succeeded(&mut self) -> Step {
         let Some(Act::Advance {
             frame,
             leader,
@@ -1685,8 +1499,8 @@ impl AndWorker {
         };
 
         let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
-        self.stats.cells_copied += cells as u64;
-        self.charge(cells as u64 * self.costs.heap_cell);
+        self.core.stats.cells_copied += cells as u64;
+        self.core.charge(cells as u64 * self.core.costs.heap_cell);
 
         let mut new_tasks: Vec<Task> = Vec::new();
         let mut machine_opt = Some(machine);
@@ -1719,8 +1533,8 @@ impl AndWorker {
             };
             let undone = parent.heap.undo_to(tm);
             parent.heap.truncate_to(hm);
-            self.stats.trail_undos += undone as u64;
-            self.charge(undone as u64 * self.costs.trail_undo);
+            self.core.stats.trail_undos += undone as u64;
+            self.core.charge(undone as u64 * self.core.costs.trail_undo);
 
             // Store the new bundle & machine state.
             {
@@ -1768,7 +1582,7 @@ impl AndWorker {
                     new_tasks.push(Task {
                         frame: frame.clone(),
                         slot: s,
-                        creator: self.id,
+                        creator: self.core.id,
                     });
                 }
             }
@@ -1803,7 +1617,7 @@ impl AndWorker {
             };
         }
         if let Some(m) = machine_opt {
-            self.retire_machine(m);
+            self.machines.retire(&mut self.core, m);
         }
         if !new_tasks.is_empty() {
             self.sh.queue.lock().extend(new_tasks);
@@ -1827,7 +1641,7 @@ impl AndWorker {
                 self.stack.push(Act::Wait { frame });
             }
         }
-        Outcome::Worked
+        Step::Worked
     }
 }
 
@@ -1856,110 +1670,27 @@ fn region_is_deterministic(machine: &Machine, from: usize) -> bool {
     })
 }
 
-impl AndWorker {
-    fn phase_inner(&mut self) -> Phase {
-        if self.sh.done.load(Ordering::Acquire) {
-            if !self.reported {
-                self.reported = true;
-                // Harvest counters from machines still on the activation
-                // stack (the root machine in particular never retires).
-                while let Some(act) = self.stack.pop() {
-                    match act {
-                        Act::Run { machine, .. } | Act::Advance { machine, .. } => {
-                            self.retire_machine(machine);
-                        }
-                        Act::Wait { .. } => {}
-                    }
-                }
-                self.sh.worker_stats.lock().push(self.stats);
-                if let Some(buf) = self.tracer.take() {
-                    self.sh.trace_bufs.lock().push(buf);
-                }
-            }
-            return Phase::Done;
-        }
-        // Cooperative shutdown: the driver cancels the root token when it
-        // contains a panic or hits a deadline. Converge to `done` so every
-        // worker drains and reports instead of idling forever.
-        if self.sh.root_cancel.is_cancelled() {
-            self.sh
-                .fail_with(format!("{FAULT_ERROR_PREFIX} run cancelled"));
-            return Phase::Busy(1);
-        }
-        // Fault-injection checkpoint (same cadence as the cancel check).
-        if let Some(action) = self.sh.injector.as_ref().and_then(|inj| inj.poll(self.id)) {
-            self.stats.faults_injected += 1;
-            match action {
-                FaultAction::Stall(cost) => {
-                    // A clock jump: virtual time lost, no state touched.
-                    self.stats.fault_stalls += 1;
-                    self.stats.charge(cost);
-                    let t = self.now();
-                    self.tracer
-                        .emit(t, || EventKind::FaultInjected { kind: "stall" });
-                    self.tracer.emit(t, || EventKind::FaultStall { cost });
-                    return Phase::Busy(cost.max(1));
-                }
-                FaultAction::Cancel => {
-                    let t = self.now();
-                    self.tracer
-                        .emit(t, || EventKind::FaultInjected { kind: "cancel" });
-                    self.sh.fail_with(format!(
-                        "{FAULT_ERROR_PREFIX} injected cancellation on worker {}",
-                        self.id
-                    ));
-                    self.sh.root_cancel.cancel();
-                    return Phase::Busy(1);
-                }
-                FaultAction::Die => {
-                    panic!("{}", ace_runtime::fault::INJECTED_DEATH);
-                }
-            }
-        }
-        match self.do_phase() {
-            Outcome::Worked => {
-                self.idle_streak = 0;
-                self.mark_idle(false);
-                Phase::Busy(self.phase_cost.max(1))
-            }
-            Outcome::NoWork => {
-                self.mark_idle(true);
-                // Spin-then-back-off: consecutive fruitless probes grow
-                // exponentially up to the quantum, so idle workers don't
-                // flood the virtual-time driver with micro-phases.
-                let base = self.sh.cfg.costs.idle_probe;
-                let p = (base << self.idle_streak.min(6)).min(self.sh.cfg.quantum.max(base));
-                self.idle_streak = self.idle_streak.saturating_add(1);
-                self.stats.charge_idle(p);
-                let t = self.vclock;
-                self.tracer.emit(t, || EventKind::IdleProbe { cost: p });
-                Phase::Idle(p)
-            }
+impl Engine for AndWorker {
+    fn core(&mut self) -> &mut WorkerCore {
+        &mut self.core
+    }
+
+    fn work(&mut self) -> Step {
+        match self.stack.last() {
+            None => self.try_get_work(),
+            Some(Act::Run { .. }) => self.step_run(),
+            Some(Act::Wait { .. }) => self.step_wait(),
+            Some(Act::Advance { .. }) => self.step_advance(),
         }
     }
-}
 
-impl Agent for AndWorker {
-    fn phase(&mut self) -> Phase {
-        // Reset before anything can emit: a stale partial cost from the
-        // previous phase would inflate event timestamps past this phase's
-        // clock advance.
-        self.phase_cost = 0;
-        let start = self.vclock;
-        let p = self.phase_inner();
-        if let Phase::Busy(c) | Phase::Idle(c) = p {
-            self.vclock += c;
-            if self.tracer.lifecycle() {
-                let phase = if matches!(p, Phase::Busy(_)) {
-                    "busy"
-                } else {
-                    "idle"
-                };
-                self.tracer.emit(start, || EventKind::PhaseStart { phase });
-                let end = self.vclock;
-                self.tracer.emit(end, || EventKind::PhaseEnd { phase });
+    /// Harvest counters from machines still on the activation stack (the
+    /// root machine in particular never retires).
+    fn drain(&mut self) {
+        while let Some(act) = self.stack.pop() {
+            if let Act::Run { machine, .. } | Act::Advance { machine, .. } = act {
+                self.machines.retire(&mut self.core, machine);
             }
         }
-        p
     }
 }

@@ -32,7 +32,7 @@ use ace_and::AndEngine;
 use ace_logic::Database;
 use ace_machine::Solver;
 use ace_or::OrEngine;
-use ace_runtime::{CostModel, EngineConfig, EventKind, Trace, TraceEvent};
+use ace_runtime::{Control, CostModel, EngineConfig, EventKind, Stats, Trace, TraceEvent};
 
 pub use error::AceError;
 pub use report::RunReport;
@@ -191,24 +191,24 @@ impl Ace {
 
     fn run_sequential(&self, query: &str, cfg: &EngineConfig) -> Result<RunReport, AceError> {
         let start = std::time::Instant::now();
-        let mut solver = Solver::new(self.db.clone(), Arc::new(cfg.costs.clone()), query)
+        let ctl = Control::new(cfg);
+        let mut solver = Solver::new(self.db.clone(), ctl.costs.clone(), query)
             .map_err(|e| AceError::classify(e.to_string()))?;
         // The sequential path shares the same answer store as the parallel
         // engines (a warm store from a parallel run keeps paying off here).
         // No tracer exists in this mode, so event buffering stays off.
         solver
             .machine_mut()
-            .set_store(cfg.resolve_store(), cfg, false);
+            .set_store(ctl.store.clone(), cfg, false);
         solver.machine_mut().set_clause_exec(cfg.clause_exec);
-        if let Some(parent) = &cfg.cancel {
-            solver.set_cancel(parent.child());
+        if cfg.cancel.is_some() {
+            solver.set_cancel(ctl.cancel.clone());
         }
         // Stream each answer through the sink as it is found — the same
-        // contract as the parallel engines' publication points — honouring
-        // an early `Stop` exactly like a `max_solutions` bound.
+        // delivery step as the parallel engines' publication points —
+        // honouring an early `Stop` exactly like a `max_solutions` bound.
         let mut solutions: Vec<String> = Vec::new();
-        let mut streamed = 0u64;
-        let mut sink_stops = 0u64;
+        let mut delivery = Stats::new();
         while cfg.max_solutions.is_none_or(|max| solutions.len() < max) {
             let sol = match solver
                 .next_solution()
@@ -218,22 +218,14 @@ impl Ace {
                 None => break,
             };
             let rendered = sol.render();
-            let stop = match &cfg.sink {
-                Some(sink) => {
-                    streamed += 1;
-                    sink.deliver(&rendered).is_stop()
-                }
-                None => false,
-            };
+            let over = ctl.deliver(&mut delivery, std::iter::once(&rendered));
             solutions.push(rendered);
-            if stop {
-                sink_stops += 1;
+            if over {
                 break;
             }
         }
         let mut stats = solver.machine().stats;
-        stats.answers_streamed = streamed;
-        stats.sink_stops = sink_stops;
+        stats += delivery;
         if let Some(metrics) = &cfg.metrics {
             metrics.record_run("sequential", cfg.tenant, &stats, stats.total_cost());
         }

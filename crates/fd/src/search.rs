@@ -12,12 +12,11 @@
 //! its reference \[6\] = LAO for parallel CLP(FD)).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ace_runtime::{
-    Agent, CostModel, DriverKind, EngineConfig, EventKind, Phase, RunOutcome, SimDriver, Stats,
-    ThreadsDriver, Trace, TraceBuf, TraceSink, Tracer,
+    Control, Engine, EngineConfig, EventKind, RunOutcome, Stats, Step, Trace, WorkerCore, QUANTUM,
 };
 use parking_lot::Mutex;
 
@@ -139,19 +138,15 @@ enum LocalCp {
     },
 }
 
+/// The fd-engine's share of a run's state (the run protocol's share is
+/// the [`Control`] block).
 struct SharedState {
     problem: Problem,
-    cfg: EngineConfig,
     root: Arc<FdNode>,
     total_alts: Arc<AtomicUsize>,
     busy: AtomicUsize,
-    idle: AtomicUsize,
-    done: AtomicBool,
     solutions: Mutex<Vec<Vec<u32>>>,
-    nsolutions: AtomicUsize,
     max_depth: AtomicUsize,
-    worker_stats: Mutex<Vec<Stats>>,
-    trace_bufs: Mutex<Vec<TraceBuf>>,
 }
 
 struct Run {
@@ -162,58 +157,20 @@ struct Run {
 }
 
 struct FdWorker {
-    #[allow(dead_code)]
-    id: usize,
+    core: WorkerCore,
     sh: Arc<SharedState>,
-    /// The run's immutable cost model, hoisted out of the hot paths.
-    costs: Arc<CostModel>,
     current: Option<Run>,
-    stats: Stats,
-    phase_cost: u64,
-    reported: bool,
-    marked_idle: bool,
-    idle_streak: u32,
-    /// Event tracing (no-op unless enabled in the config).
-    tracer: Tracer,
-    /// Sum of phase costs already returned to the driver; `vclock +
-    /// phase_cost` is this worker's current virtual time (event stamps).
-    vclock: u64,
 }
 
 impl FdWorker {
-    fn charge(&mut self, units: u64) {
-        self.stats.charge(units);
-        self.phase_cost += units;
-    }
-
-    #[inline]
-    fn now(&self) -> u64 {
-        self.vclock + self.phase_cost
-    }
-
-    fn mark_idle(&mut self, idle: bool) {
-        if idle != self.marked_idle {
-            self.marked_idle = idle;
-            if idle {
-                self.sh.idle.fetch_add(1, Ordering::AcqRel);
-            } else {
-                self.sh.idle.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-    }
-
-    fn others_idle(&self) -> bool {
-        self.sh.idle.load(Ordering::Acquire) > usize::from(self.marked_idle)
-    }
-
     /// Publish the oldest private choice point (demand-driven), applying
     /// LAO when the publish target is drained.
     fn maybe_publish(&mut self) {
-        if !self.others_idle() {
+        if !self.core.others_idle() {
             return;
         }
-        let costs = self.costs.clone();
-        let lao = self.sh.cfg.opts.lao;
+        let costs = self.core.costs.clone();
+        let lao = self.core.ctl.cfg.opts.lao;
         let total_alts = self.sh.total_alts.clone();
         let (copy_cost, reused, depth, node_id, epoch, nalts, var) = {
             let Some(run) = self.current.as_mut() else {
@@ -274,20 +231,19 @@ impl FdWorker {
             (copy_cost, reused, depth, node_id, epoch, nalts, var)
         };
         if lao {
-            self.charge(costs.lao_check);
+            self.core.charge(costs.lao_check);
         }
         if reused {
-            self.stats.cp_reused_lao += 1;
-            self.charge(costs.lao_reuse + copy_cost);
+            self.core.stats.cp_reused_lao += 1;
+            self.core.charge(costs.lao_reuse + copy_cost);
         } else {
             self.sh
                 .max_depth
                 .fetch_max(depth as usize, Ordering::AcqRel);
-            self.stats.nodes_published += 1;
-            self.charge(costs.publish_node + copy_cost);
+            self.core.stats.nodes_published += 1;
+            self.core.charge(costs.publish_node + copy_cost);
         }
-        let t = self.now();
-        self.tracer.emit(t, || {
+        self.core.emit(|| {
             // FD splits have no predicate; label frames by the branched
             // variable instead (built in-closure: disabled tracing is free).
             let pred = format!("fd.v{var}");
@@ -310,28 +266,25 @@ impl FdWorker {
     }
 
     /// One bounded amount of labeling work.
-    fn run_current(&mut self) -> Phase {
+    fn run_current(&mut self) {
         self.maybe_publish();
-        let costs = self.costs.clone();
-        let quantum = self.sh.cfg.quantum;
-        let start = self.phase_cost;
-        while self.phase_cost - start < quantum {
+        let costs = self.core.costs.clone();
+        let start = self.core.phase_cost;
+        while self.core.phase_cost - start < QUANTUM {
             let Some(run) = self.current.as_mut() else {
                 break;
             };
             // fully labeled?
             if run.domains.iter().all(|d| d.size() == 1) {
                 let sol: Vec<u32> = run.domains.iter().map(|d| d.value().unwrap()).collect();
+                let over = self.core.ctl.deliver(
+                    &mut self.core.stats,
+                    std::iter::once_with(|| format!("{sol:?}")),
+                );
                 self.sh.solutions.lock().push(sol);
-                self.stats.solutions += 1;
-                let t = self.now();
-                self.tracer.emit(t, || EventKind::Solution);
-                let n = self.sh.nsolutions.fetch_add(1, Ordering::AcqRel) + 1;
-                if self.sh.cfg.max_solutions.is_some_and(|max| n >= max) {
-                    self.sh.done.store(true, Ordering::Release);
-                    return Phase::Busy(self.phase_cost.max(1));
-                }
-                if !self.backtrack() {
+                self.core.stats.solutions += 1;
+                self.core.emit(|| EventKind::Solution);
+                if over || !self.backtrack() {
                     break;
                 }
                 continue;
@@ -352,29 +305,30 @@ impl FdWorker {
                 var,
                 values,
             });
-            self.stats.choice_points += 1;
-            self.charge(costs.choice_point_alloc + snapshot_cells * costs.heap_cell);
+            self.core.stats.choice_points += 1;
+            self.core
+                .charge(costs.choice_point_alloc + snapshot_cells * costs.heap_cell);
             self.assign_and_propagate(var, first);
         }
-        Phase::Busy(self.phase_cost.max(1))
     }
 
     fn assign_and_propagate(&mut self, var: usize, value: u32) {
-        let costs = self.costs.clone();
+        let costs = self.core.costs.clone();
         let outcome = {
             let run = self.current.as_mut().expect("assign without run");
             run.domains[var] = BitDomain::singleton(value);
             propagate(&self.sh.problem, &mut run.domains, Some(var))
         };
-        self.stats.calls += 1;
-        self.charge(costs.call_dispatch);
+        self.core.stats.calls += 1;
+        self.core.charge(costs.call_dispatch);
         match outcome {
             Prop::Consistent { prunes } => {
-                self.stats.unify_steps += prunes as u64;
-                self.charge(prunes as u64 * costs.unify_step + costs.builtin);
+                self.core.stats.unify_steps += prunes as u64;
+                self.core
+                    .charge(prunes as u64 * costs.unify_step + costs.builtin);
             }
             Prop::Failed => {
-                self.charge(costs.builtin);
+                self.core.charge(costs.builtin);
                 self.backtrack();
             }
         }
@@ -383,8 +337,8 @@ impl FdWorker {
     /// Take the next alternative from the youngest choice point; `false`
     /// when the local computation is exhausted.
     fn backtrack(&mut self) -> bool {
-        let costs = self.costs.clone();
-        self.stats.backtracks += 1;
+        let costs = self.core.costs.clone();
+        self.core.stats.backtracks += 1;
         loop {
             let Some(run) = self.current.as_mut() else {
                 return false;
@@ -394,8 +348,7 @@ impl FdWorker {
                 self.finish_run();
                 return false;
             };
-            self.stats.charge(costs.choice_point_retry);
-            self.phase_cost += costs.choice_point_retry;
+            self.core.charge(costs.choice_point_retry);
             match top {
                 LocalCp::Private { state, var, values } => {
                     if let Some(v) = values.pop_front() {
@@ -412,16 +365,14 @@ impl FdWorker {
                     node,
                     epoch,
                 } => {
-                    self.stats.alternatives_claimed += 1;
-                    self.stats.charge(costs.claim_alternative);
-                    self.phase_cost += costs.claim_alternative;
+                    self.core.stats.alternatives_claimed += 1;
+                    self.core.charge(costs.claim_alternative);
                     match node.claim_epoch(*epoch) {
                         Some(v) => {
                             let (var, state) = (*var, state.clone());
                             let (node_id, ep) = (node.id, *epoch);
                             run.domains = state;
-                            let t = self.vclock + self.phase_cost;
-                            self.tracer.emit(t, || EventKind::Claim {
+                            self.core.emit(|| EventKind::Claim {
                                 node: node_id,
                                 epoch: ep,
                                 alt: v as usize,
@@ -445,30 +396,28 @@ impl FdWorker {
     }
 
     /// Hunt the public tree for an untried value.
-    fn find_work(&mut self) -> bool {
-        let costs = self.costs.clone();
+    fn find_work(&mut self) -> Step {
+        let costs = self.core.costs.clone();
         self.sh.busy.fetch_add(1, Ordering::AcqRel);
-        let t = self.now();
-        self.tracer.emit(t, || EventKind::StealAttempt);
+        self.core.emit(|| EventKind::StealAttempt);
         let mut stack = vec![self.sh.root.clone()];
         while let Some(node) = stack.pop() {
-            self.stats.tree_visits += 1;
-            self.charge(costs.tree_visit);
+            self.core.stats.tree_visits += 1;
+            self.core.charge(costs.tree_visit);
             if let Some((var, value, epoch, state)) = node.claim() {
-                self.stats.alternatives_claimed += 1;
-                self.charge(
+                self.core.stats.alternatives_claimed += 1;
+                self.core.charge(
                     costs.claim_alternative
                         + costs.install_state
                         + state.len() as u64 * costs.heap_cell,
                 );
-                let t = self.now();
                 let node_id = node.id;
-                self.tracer.emit(t, || EventKind::Claim {
+                self.core.emit(|| EventKind::Claim {
                     node: node_id,
                     epoch,
                     alt: value as usize,
                 });
-                self.tracer.emit(t, || EventKind::StealSuccess);
+                self.core.emit(|| EventKind::StealSuccess);
                 self.current = Some(Run {
                     domains: (*state).clone(),
                     stack: Vec::new(),
@@ -476,78 +425,32 @@ impl FdWorker {
                     last_published: None,
                 });
                 self.assign_and_propagate(var, value);
-                return true;
+                return Step::Worked;
             }
             stack.extend(node.children.lock().iter().cloned());
         }
         self.sh.busy.fetch_sub(1, Ordering::AcqRel);
-        let t = self.now();
-        self.tracer.emit(t, || EventKind::StealFail);
-        false
+        self.core.emit(|| EventKind::StealFail);
+        Step::NoWork
     }
 }
 
-impl FdWorker {
-    fn phase_inner(&mut self) -> Phase {
-        if self.sh.done.load(Ordering::Acquire) {
-            if !self.reported {
-                self.reported = true;
-                self.sh.worker_stats.lock().push(self.stats);
-                if let Some(buf) = self.tracer.take() {
-                    self.sh.trace_bufs.lock().push(buf);
-                }
-            }
-            return Phase::Done;
-        }
+impl Engine for FdWorker {
+    fn core(&mut self) -> &mut WorkerCore {
+        &mut self.core
+    }
+
+    fn work(&mut self) -> Step {
         if self.current.is_some() {
-            self.mark_idle(false);
-            self.idle_streak = 0;
-            return self.run_current();
+            self.run_current();
+            return Step::Worked;
         }
-        self.mark_idle(true);
-        if self.find_work() {
-            self.mark_idle(false);
-            self.idle_streak = 0;
-            return Phase::Busy(self.phase_cost.max(1));
-        }
-        if self.sh.busy.load(Ordering::Acquire) == 0
-            && self.sh.total_alts.load(Ordering::Acquire) == 0
-        {
-            self.sh.done.store(true, Ordering::Release);
-            return Phase::Busy(1);
-        }
-        let base = self.costs.idle_probe;
-        let p = (base << self.idle_streak.min(6)).min(self.sh.cfg.quantum.max(base));
-        self.idle_streak = self.idle_streak.saturating_add(1);
-        self.stats.charge_idle(p);
-        let t = self.vclock;
-        self.tracer.emit(t, || EventKind::IdleProbe { cost: p });
-        Phase::Idle(p)
+        self.find_work()
     }
-}
 
-impl Agent for FdWorker {
-    fn phase(&mut self) -> Phase {
-        // Reset before anything can emit: a stale partial cost from the
-        // previous phase would inflate event timestamps past this phase's
-        // clock advance.
-        self.phase_cost = 0;
-        let start = self.vclock;
-        let p = self.phase_inner();
-        if let Phase::Busy(c) | Phase::Idle(c) = p {
-            self.vclock += c;
-            if self.tracer.lifecycle() {
-                let phase = if matches!(p, Phase::Busy(_)) {
-                    "busy"
-                } else {
-                    "idle"
-                };
-                self.tracer.emit(start, || EventKind::PhaseStart { phase });
-                let end = self.vclock;
-                self.tracer.emit(end, || EventKind::PhaseEnd { phase });
-            }
-        }
-        p
+    /// Nothing to claim anywhere and nobody labeling: the search is over.
+    fn quiescent(&self) -> bool {
+        self.sh.busy.load(Ordering::Acquire) == 0 && self.sh.total_alts.load(Ordering::Acquire) == 0
     }
 }
 
@@ -575,38 +478,25 @@ impl Fd {
         Fd { problem }
     }
 
-    /// Find all solutions (or up to `cfg.max_solutions`).
+    /// Find all solutions (or up to `cfg.max_solutions`). A run that is
+    /// cancelled, or killed by an injected fault, reports that on
+    /// `outcome.aborted`.
     pub fn solve_all(&self, cfg: &EngineConfig) -> FdReport {
+        let ctl = Control::new(cfg);
         let total = Arc::new(AtomicUsize::new(0));
         let sh = Arc::new(SharedState {
             problem: self.problem.clone(),
-            cfg: cfg.clone(),
             root: FdNode::root(total.clone()),
             total_alts: total,
             busy: AtomicUsize::new(1),
-            idle: AtomicUsize::new(0),
-            done: AtomicBool::new(false),
             solutions: Mutex::new(Vec::new()),
-            nsolutions: AtomicUsize::new(0),
             max_depth: AtomicUsize::new(0),
-            worker_stats: Mutex::new(Vec::new()),
-            trace_bufs: Mutex::new(Vec::new()),
         });
-
-        let costs = Arc::new(cfg.costs.clone());
-        let mut workers: Vec<FdWorker> = (0..cfg.workers.max(1))
+        let mut workers: Vec<FdWorker> = (0..ctl.workers())
             .map(|id| FdWorker {
-                id,
+                core: WorkerCore::new(id, &ctl),
                 sh: sh.clone(),
-                costs: costs.clone(),
                 current: None,
-                stats: Stats::new(),
-                phase_cost: 0,
-                reported: false,
-                marked_idle: false,
-                idle_streak: 0,
-                tracer: Tracer::new(&cfg.trace, id),
-                vclock: 0,
             })
             .collect();
 
@@ -624,49 +514,17 @@ impl Fd {
             sh.busy.store(0, Ordering::Release);
         }
 
-        let sink = cfg.trace.enabled.then(|| TraceSink::new(&cfg.trace));
-        let outcome = match cfg.driver {
-            DriverKind::Sim => {
-                let agents: Vec<Box<dyn Agent>> = workers
-                    .into_iter()
-                    .map(|w| Box::new(w) as Box<dyn Agent>)
-                    .collect();
-                let mut driver = SimDriver::new(cfg.virtual_time_limit);
-                if let Some(s) = &sink {
-                    driver = driver.with_trace(s.clone());
-                }
-                driver.run(agents)
-            }
-            DriverKind::Threads => {
-                let agents: Vec<Box<dyn Agent + Send>> = workers
-                    .into_iter()
-                    .map(|w| Box::new(w) as Box<dyn Agent + Send>)
-                    .collect();
-                let mut driver = ThreadsDriver::new(cfg.threads_deadline, None);
-                if let Some(s) = &sink {
-                    driver = driver.with_trace(s.clone());
-                }
-                driver.run(agents)
-            }
-        };
-
-        let per_worker = sh.worker_stats.lock().clone();
-        let mut stats = Stats::new();
-        for w in &per_worker {
-            stats += *w;
-        }
+        let run = ctl.launch("fd", workers);
         let mut solutions = std::mem::take(&mut *sh.solutions.lock());
         if let Some(max) = cfg.max_solutions {
             solutions.truncate(max);
         }
-        let trace =
-            sink.map(|s| Trace::merge(std::mem::take(&mut *sh.trace_bufs.lock()), s.drain()));
         FdReport {
             solutions,
-            outcome,
-            stats,
+            outcome: run.outcome,
+            stats: run.stats,
             max_tree_depth: sh.max_depth.load(Ordering::Acquire) as u32,
-            trace,
+            trace: run.trace,
         }
     }
 }
@@ -675,7 +533,7 @@ impl Fd {
 mod tests {
     use super::*;
     use crate::problem::queens;
-    use ace_runtime::OptFlags;
+    use ace_runtime::{DriverKind, OptFlags};
 
     fn cfg(workers: usize, opts: OptFlags) -> EngineConfig {
         let mut c = EngineConfig::default()
@@ -764,6 +622,49 @@ mod tests {
         c.driver = DriverKind::Threads;
         let r = Fd::new(queens(6)).solve_all(&c);
         assert_eq!(r.solutions.len(), 4);
+    }
+
+    #[test]
+    fn pre_cancelled_parent_token_ends_the_run_as_a_fault() {
+        use ace_runtime::{fault::FAULT_ERROR_PREFIX, CancelToken};
+        for driver in [DriverKind::Sim, DriverKind::Threads] {
+            let session = CancelToken::new();
+            session.cancel();
+            let c = cfg(3, OptFlags::lao_only())
+                .with_driver(driver)
+                .with_cancel(session);
+            let r = Fd::new(queens(8)).solve_all(&c);
+            let err = r.outcome.aborted.expect("a cancelled run must say so");
+            assert!(err.starts_with(FAULT_ERROR_PREFIX), "{driver:?}: {err}");
+            assert!(r.solutions.is_empty(), "{driver:?}: enumerated anyway");
+        }
+    }
+
+    #[test]
+    fn an_injected_stall_is_counted_and_loses_no_solution() {
+        use ace_runtime::{FaultKind, FaultPlan};
+        let plan = FaultPlan::new(0).with(1, 2, FaultKind::Stall { cost: 300 });
+        let plain = Fd::new(queens(7)).solve_all(&cfg(3, OptFlags::lao_only()));
+        let r = Fd::new(queens(7)).solve_all(&cfg(3, OptFlags::lao_only()).with_fault_plan(plan));
+        assert!(r.outcome.aborted.is_none(), "{:?}", r.outcome.aborted);
+        assert_eq!((r.stats.faults_injected, r.stats.fault_stalls), (1, 1));
+        let sorted = |mut v: Vec<Vec<u32>>| {
+            v.sort();
+            v
+        };
+        assert_eq!(sorted(r.solutions), sorted(plain.solutions));
+    }
+
+    #[test]
+    fn runs_fold_into_the_metrics_registry() {
+        let registry = ace_runtime::MetricsRegistry::shared();
+        let c = cfg(2, OptFlags::lao_only()).with_metrics(registry.clone());
+        let r = Fd::new(queens(6)).solve_all(&c);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter_value("ace_engine_virtual_time_total", &[("engine", "fd")]),
+            Some(r.outcome.virtual_time)
+        );
     }
 
     #[test]

@@ -30,9 +30,11 @@ pub mod cont;
 pub mod frames;
 #[allow(clippy::module_inception)]
 pub mod machine;
+pub mod pool;
 pub mod solve;
 
 pub use cont::{Cont, ContNode};
 pub use frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame};
 pub use machine::{Machine, Status};
+pub use pool::MachinePool;
 pub use solve::{Solution, Solver};

@@ -342,6 +342,15 @@ impl Machine {
         }
     }
 
+    /// Adopt a run's configuration: its answer store and what the store
+    /// is used for, the clause execution mode, and which events to buffer
+    /// for the worker's tracer. Survives [`Machine::reset`].
+    pub fn configure(&mut self, cfg: &EngineConfig, store: Option<Arc<AnswerStore>>) {
+        self.set_store(store, cfg, cfg.trace.enabled);
+        self.set_clause_exec(cfg.clause_exec);
+        self.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
+    }
+
     /// Select compiled (default) or interpreted clause execution. The
     /// interpreter is the validation oracle: linear clause scan, arena
     /// block-copy instantiation, general head unification — the exact

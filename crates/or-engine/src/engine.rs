@@ -1,28 +1,26 @@
 //! Or-parallel engine entry point and worker agents.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ace_logic::sym::{sym, sym_name, wk};
 use ace_logic::{Cell, Database};
 use ace_machine::frames::{Alts, SharedChoice};
-use ace_machine::{Machine, Status};
+use ace_machine::{Machine, MachinePool, Status};
 use ace_runtime::{
-    fault::FAULT_ERROR_PREFIX, Agent, AnswerStore, CancelToken, CostModel, Counter, DriverKind,
-    EngineConfig, EventKind, FaultAction, FaultInjector, Gauge, LockClock, MetricsRegistry,
-    OrScheduler, Phase, RunOutcome, SimDriver, Stats, ThreadsDriver, Trace, TraceBuf, TraceSink,
-    Tracer,
+    Control, Counter, Engine, EngineConfig, EventKind, Gauge, LockClock, MetricsRegistry,
+    OrScheduler, RunOutcome, Stats, Step, Trace, WorkerCore,
 };
 use parking_lot::Mutex;
 
 use crate::pool::{AltPool, StealScope};
 use crate::tree::{DeferPoll, NodeClaim, OrNode, RemoteClaim};
 
-/// How many reset machines a worker keeps for reuse. Claims are bursty but
-/// each worker drives at most one machine at a time, so a shallow cache
-/// captures nearly all reuse without hoarding heap capacity.
-const MACHINE_POOL_CAP: usize = 4;
+/// Fine-grained run quantum: publication windows in chain-like searches
+/// (the Figure-6 `member/2` pattern) are one resolution step wide, so
+/// or-parallel distribution needs sub-[`ace_runtime::QUANTUM`] interleaving.
+const RUN_QUANTUM: u64 = 32;
 
 /// Result of an or-parallel query run. Solutions are rendered binding
 /// lines (`"X=1, Y=2"`); their order across workers is nondeterministic
@@ -40,16 +38,14 @@ pub struct OrReport {
     pub trace: Option<Trace>,
 }
 
+/// The or-engine's share of a run's state (the run protocol's share is
+/// the [`Control`] block).
 struct OrShared {
-    db: Arc<Database>,
-    cfg: EngineConfig,
     root: Arc<OrNode>,
     /// O(1) work-finding: published nodes with unclaimed alternatives.
     pool: AltPool,
     total_alts: Arc<AtomicUsize>,
     busy: AtomicUsize,
-    idle: AtomicUsize,
-    done: AtomicBool,
     /// Solution accumulation, one buffer per topology domain (a single
     /// buffer when `topology.domain_answer_buffers` is off — the
     /// pre-topology engine-wide lock, kept as the ablation baseline).
@@ -58,35 +54,10 @@ struct OrShared {
     answers: Vec<Mutex<Vec<String>>>,
     /// Virtual-time contention observation for each answer buffer.
     answer_clocks: Vec<LockClock>,
-    nsolutions: AtomicUsize,
-    error: Mutex<Option<String>>,
-    cancel: CancelToken,
-    worker_stats: Mutex<Vec<Stats>>,
     max_depth: AtomicUsize,
-    /// Fault injection (tests/robustness validation); `None` = no faults.
-    injector: Option<FaultInjector>,
-    /// Completed workers deposit their trace ring buffers here.
-    trace_bufs: Mutex<Vec<TraceBuf>>,
-    /// Answer store shared by every machine of the run (and, when the
-    /// caller passed one in, across runs); `None` = memoization and
-    /// tabling both off.
-    store: Option<Arc<AnswerStore>>,
 }
 
 impl OrShared {
-    fn finish(&self) {
-        self.done.store(true, Ordering::Release);
-        self.cancel.cancel();
-    }
-
-    fn fail_with(&self, msg: String) {
-        let mut e = self.error.lock();
-        if e.is_none() {
-            *e = Some(msg);
-        }
-        self.finish();
-    }
-
     fn note_depth(&self, d: u32) {
         self.max_depth.fetch_max(d as usize, Ordering::AcqRel);
     }
@@ -153,40 +124,17 @@ struct Running {
 }
 
 struct OrWorker {
-    /// Worker index (pool shard selection, diagnostics).
-    id: usize,
+    core: WorkerCore,
     sh: Arc<OrShared>,
-    /// The run's immutable cost model, hoisted out of the per-steal /
-    /// per-publish hot paths (one refcount bump instead of a struct clone).
-    costs: Arc<CostModel>,
     current: Option<Running>,
-    /// Reset machines kept for reuse so a claim does not pay a fresh
-    /// heap/trail allocation (capped at [`MACHINE_POOL_CAP`]).
-    #[allow(clippy::vec_box)] // machines move in/out of claims as Box
-    free_machines: Vec<Box<Machine>>,
+    /// Reset machines kept for reuse across claims.
+    machines: MachinePool,
     /// Rendered solutions awaiting one batched append to the shared list.
     pending_answers: Vec<String>,
-    stats: Stats,
-    phase_cost: u64,
-    reported: bool,
-    /// This worker is counted in `OrShared::idle` (demand-driven
-    /// publication looks at that count).
-    marked_idle: bool,
-    /// Consecutive no-work phases (exponential idle backoff).
-    idle_streak: u32,
-    /// Last `find_work` met a deferred node (claim pending on the owner's
-    /// materialization): suppress the idle backoff — work is imminent.
-    saw_pending: bool,
-    /// Event tracing (no-op unless `cfg.trace.enabled`).
-    tracer: Tracer,
-    /// Virtual time of all phases already returned to the driver; event
-    /// timestamps are `vclock + phase_cost` so they are monotone per
-    /// worker and track the driver's clock.
-    vclock: u64,
     /// Index into `OrShared::answers` (0 when domain buffers are off).
     answer_slot: usize,
     /// Topology steal premiums and contention price, copied out of the
-    /// config so the hot paths don't re-borrow `sh`.
+    /// config so the hot paths don't re-borrow it.
     intra_steal: u64,
     cross_steal: u64,
     contended_lock: u64,
@@ -198,63 +146,27 @@ struct OrWorker {
 }
 
 impl OrWorker {
-    fn new(id: usize, sh: Arc<OrShared>, costs: Arc<CostModel>) -> Self {
-        let tracer = Tracer::new(&sh.cfg.trace, id);
-        let topo = &sh.cfg.topology;
-        let domain = topo.domain_of(id, sh.cfg.workers.max(1));
+    fn new(core: WorkerCore, sh: Arc<OrShared>, db: Arc<Database>) -> Self {
+        let cfg = &core.ctl.cfg;
+        let topo = &cfg.topology;
         let answer_slot = if topo.domain_answer_buffers {
-            domain
+            topo.domain_of(core.id, core.ctl.workers())
         } else {
             0
         };
-        let (intra_steal, cross_steal, contended_lock) =
-            (topo.intra_steal, topo.cross_steal, topo.contended_lock);
-        let trace_domain_steals = topo.hierarchical;
-        let live = sh.cfg.metrics.as_deref().map(OrLive::new);
         OrWorker {
-            id,
             sh,
-            costs,
             current: None,
-            free_machines: Vec::new(),
+            machines: MachinePool::new(db),
             pending_answers: Vec::new(),
-            stats: Stats::new(),
-            phase_cost: 0,
-            reported: false,
-            marked_idle: false,
-            idle_streak: 0,
-            saw_pending: false,
-            tracer,
-            vclock: 0,
             answer_slot,
-            intra_steal,
-            cross_steal,
-            contended_lock,
-            trace_domain_steals,
-            live,
+            intra_steal: topo.intra_steal,
+            cross_steal: topo.cross_steal,
+            contended_lock: topo.contended_lock,
+            trace_domain_steals: topo.hierarchical,
+            live: cfg.metrics.as_deref().map(OrLive::new),
+            core,
         }
-    }
-
-    /// Current worker-local virtual time, for event timestamps.
-    #[inline]
-    fn now(&self) -> u64 {
-        self.vclock + self.phase_cost
-    }
-
-    fn mark_idle(&mut self, idle: bool) {
-        if idle && !self.marked_idle {
-            self.marked_idle = true;
-            self.sh.idle.fetch_add(1, Ordering::AcqRel);
-        } else if !idle && self.marked_idle {
-            self.marked_idle = false;
-            self.sh.idle.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    #[inline]
-    fn charge(&mut self, units: u64) {
-        self.stats.charge(units);
-        self.phase_cost += units;
     }
 
     /// Absorb observed lock contention into this worker's clock: the
@@ -270,29 +182,35 @@ impl OrWorker {
         if events == 0 {
             return;
         }
-        self.stats.lock_contended += events;
+        self.core.stats.lock_contended += events;
         if self.contended_lock == 0 {
             return;
         }
         let units = wait + events * self.contended_lock;
-        self.stats.lock_wait_cost += units;
-        self.charge(units);
-        let t = self.now();
-        self.tracer
-            .emit(t, || EventKind::LockWait { what, cost: units });
+        self.core.stats.lock_wait_cost += units;
+        self.core.charge(units);
+        self.core.emit(|| EventKind::LockWait { what, cost: units });
     }
 
-    /// Pool push at the current virtual time, charging any contention
-    /// the pool observed. Returns whether an entry was actually added.
-    fn pool_push(&mut self, node: &Arc<OrNode>) -> bool {
-        let out = self.sh.pool.push(self.id, node, self.now());
+    /// Advertise `node` in the alternative pool (pool scheduler only) at
+    /// the current virtual time, charging any contention the pool
+    /// observed. A node that still has a live entry is not added twice —
+    /// the existing entry serves its alternatives.
+    fn advertise(&mut self, node: &Arc<OrNode>) {
+        if self.core.ctl.cfg.or_scheduler != OrScheduler::Pool {
+            return;
+        }
+        let out = self.sh.pool.push(self.core.id, node, self.core.now());
         self.note_contention("pool", out.contended, out.lock_wait);
         if out.added {
             if let Some(live) = &self.live {
                 live.pool_occupancy.inc();
             }
+            self.core.stats.pool_pushes += 1;
+            self.core.charge(self.core.costs.queue_op);
+            let node_id = node.id;
+            self.core.emit(|| EventKind::PoolPush { node: node_id });
         }
-        out.added
     }
 
     /// Steal-scope accounting for a successful pool claim: count it,
@@ -302,35 +220,34 @@ impl OrWorker {
     fn note_steal_scope(&mut self, node_id: u64, scope: StealScope, local_work: usize) {
         let (premium, scope_name) = match scope {
             StealScope::Own => {
-                self.stats.steals_local_domain += 1;
+                self.core.stats.steals_local_domain += 1;
                 if let Some(live) = &self.live {
-                    live.claims_own.inc(self.id);
+                    live.claims_own.inc(self.core.id);
                 }
                 return;
             }
             StealScope::Domain => {
-                self.stats.steals_local_domain += 1;
+                self.core.stats.steals_local_domain += 1;
                 if let Some(live) = &self.live {
-                    live.claims_domain.inc(self.id);
+                    live.claims_domain.inc(self.core.id);
                 }
                 (self.intra_steal, "domain")
             }
             StealScope::Cross => {
-                self.stats.steals_cross_domain += 1;
+                self.core.stats.steals_cross_domain += 1;
                 if local_work > 0 {
-                    self.stats.steals_cross_eager += 1;
+                    self.core.stats.steals_cross_eager += 1;
                 }
                 if let Some(live) = &self.live {
-                    live.claims_cross.inc(self.id);
+                    live.claims_cross.inc(self.core.id);
                 }
                 (self.cross_steal, "cross")
             }
         };
-        self.charge(premium);
+        self.core.charge(premium);
         if self.trace_domain_steals {
-            let t = self.now();
             let local_work = local_work as u64;
-            self.tracer.emit(t, || EventKind::DomainSteal {
+            self.core.emit(|| EventKind::DomainSteal {
                 node: node_id,
                 scope: scope_name,
                 local_work,
@@ -356,31 +273,30 @@ impl OrWorker {
     /// If idle workers exist, publish this machine's oldest private choice
     /// point into the or-tree (demand-driven, MUSE-style).
     fn maybe_publish(&mut self) {
-        if self.sh.idle.load(Ordering::Acquire) == 0 {
+        if !self.core.others_idle() {
             return;
         }
         // Injected transient publication failure: skip this window; the
         // next `run_current` calls here again, so publication is only
         // deferred, never lost (each fault event fires at most once).
         let publish_faulted = self
-            .sh
+            .core
+            .ctl
             .injector
             .as_ref()
-            .is_some_and(|inj| inj.publish_fails(self.id));
+            .is_some_and(|inj| inj.publish_fails(self.core.id));
         if publish_faulted {
-            self.stats.faults_injected += 1;
-            self.stats.publish_retries += 1;
-            self.charge(self.costs.queue_op);
-            let t = self.now();
-            self.tracer.emit(t, || EventKind::FaultInjected {
+            self.core.stats.faults_injected += 1;
+            self.core.stats.publish_retries += 1;
+            self.core.charge(self.core.costs.queue_op);
+            self.core.emit(|| EventKind::FaultInjected {
                 kind: "publish-fail",
             });
-            self.tracer
-                .emit(t, || EventKind::FaultRetry { what: "publish" });
+            self.core.emit(|| EventKind::FaultRetry { what: "publish" });
             return;
         }
-        let costs = self.costs.clone();
-        let lao = self.sh.cfg.opts.lao;
+        let costs = self.core.costs.clone();
+        let lao = self.core.ctl.cfg.opts.lao;
         let Some(run) = self.current.as_mut() else {
             return;
         };
@@ -414,16 +330,15 @@ impl OrWorker {
         // keep the choice point private — remote workers could only
         // re-derive answers a memo hit replays for free, and the owner
         // still enumerates the alternatives locally (no solution is lost).
-        if let Some(store) = self.sh.store.as_ref().filter(|_| self.sh.cfg.memoize) {
-            let goal = cp.goal;
-            let key = run.machine.memo_key(goal);
-            self.stats.charge(costs.memo_lookup);
-            self.phase_cost += costs.memo_lookup;
-            if store.is_complete(&key) {
+        if run.machine.memo_enabled() {
+            let key = run.machine.memo_key(cp.goal);
+            self.core.charge(costs.memo_lookup);
+            let store = self.core.ctl.store.as_ref();
+            if store.is_some_and(|s| s.is_complete(&key)) {
                 return;
             }
         }
-        let Some(pred) = self.sh.db.predicate(name, arity) else {
+        let Some(pred) = run.machine.db().predicate(name, arity) else {
             return;
         };
         let mut alts = VecDeque::new();
@@ -451,8 +366,7 @@ impl OrWorker {
         // reuse target.
         let mut reused = false;
         if lao {
-            self.stats.charge(costs.lao_check);
-            self.phase_cost += costs.lao_check;
+            self.core.charge(costs.lao_check);
         }
         let candidate = run
             .last_published
@@ -491,21 +405,21 @@ impl OrWorker {
         run.last_published = Some(node.clone());
         run.deferred.push((node.clone(), epoch));
         if reused {
-            self.stats.cp_reused_lao += 1;
-            self.charge(costs.lao_reuse);
+            self.core.stats.cp_reused_lao += 1;
+            self.core.charge(costs.lao_reuse);
             if let Some(live) = &self.live {
-                live.publish_lao.inc(self.id);
+                live.publish_lao.inc(self.core.id);
             }
         } else {
-            self.stats.nodes_published += 1;
-            self.charge(costs.publish_node + costs.queue_op * nalts as u64);
+            self.core.stats.nodes_published += 1;
+            self.core
+                .charge(costs.publish_node + costs.queue_op * nalts as u64);
             if let Some(live) = &self.live {
-                live.publish_fresh.inc(self.id);
+                live.publish_fresh.inc(self.core.id);
             }
         }
-        let t = self.now();
         let node_id = node.id;
-        self.tracer.emit(t, || {
+        self.core.emit(|| {
             // Predicate label built inside the closure: disabled tracing
             // must not pay the symbol-table lookup or the allocation.
             let pred = format!("{}/{arity}", sym_name(name));
@@ -525,20 +439,13 @@ impl OrWorker {
                 }
             }
         });
-        self.tracer.emit(t, || EventKind::ClosureDefer {
+        self.core.emit(|| EventKind::ClosureDefer {
             node: node_id,
             epoch,
         });
-        // Make the fresh alternatives findable in O(1). An LAO-refilled
-        // node may still have a stale pool entry, in which case the push
-        // no-ops and the existing entry serves the new alternatives.
-        if self.sh.cfg.or_scheduler == OrScheduler::Pool && self.pool_push(&node) {
-            self.stats.pool_pushes += 1;
-            self.charge(costs.queue_op);
-            let t = self.now();
-            self.tracer
-                .emit(t, || EventKind::PoolPush { node: node_id });
-        }
+        // Make the fresh alternatives findable in O(1) (an LAO-refilled
+        // node may still have a stale pool entry).
+        self.advertise(&node);
     }
 
     // ------------------------------------------------------------------
@@ -552,59 +459,44 @@ impl OrWorker {
     /// still has work. Under [`OrScheduler::Traversal`] (the oracle) the
     /// whole public tree is walked from the root. Either way one
     /// `tree_visit` is charged per node actually inspected.
-    fn find_work(&mut self) -> bool {
+    fn find_work(&mut self) -> Step {
         // Injected transient steal failure: claim nothing this phase; the
         // alternatives stay in the tree/pool (checked before any pop, so
         // every item remains claimable) and this worker retries after its
         // idle backoff.
-        self.saw_pending = false;
-        let steal_faulted = self.sh.injector.as_ref().is_some_and(|inj| {
-            self.sh.total_alts.load(Ordering::Acquire) > 0 && inj.steal_fails(self.id)
-        });
-        if steal_faulted {
-            self.stats.faults_injected += 1;
-            self.stats.steal_retries += 1;
-            let t = self.now();
-            self.tracer
-                .emit(t, || EventKind::FaultInjected { kind: "steal-fail" });
-            self.tracer
-                .emit(t, || EventKind::FaultRetry { what: "steal" });
-            return false;
+        if self
+            .core
+            .steal_faulted(|| self.sh.total_alts.load(Ordering::Acquire) > 0)
+        {
+            return Step::NoWork;
         }
-        let costs = self.costs.clone();
+        let costs = self.core.costs.clone();
         self.sh.busy.fetch_add(1, Ordering::AcqRel);
-        let t = self.now();
-        self.tracer.emit(t, || EventKind::StealAttempt);
+        self.core.emit(|| EventKind::StealAttempt);
 
-        // Pop/traversal order is the Aurora dispatch policy: deepest-first
-        // (bottommost, stack order) or root-first (topmost, queue order).
-        let topmost = self.sh.cfg.or_dispatch == ace_runtime::OrDispatch::Topmost;
-        let claimed = match self.sh.cfg.or_scheduler {
+        // Pop/traversal order is Aurora's dispatch on bottommost:
+        // deepest-first, stack order.
+        let claimed = match self.core.ctl.cfg.or_scheduler {
             OrScheduler::Pool => loop {
-                let Some(pop) = self.sh.pool.pop(self.id, topmost, self.now()) else {
+                let Some(pop) = self.sh.pool.pop(self.core.id, self.core.now()) else {
                     break None;
                 };
                 self.note_contention("pool", pop.contended, pop.lock_wait);
                 let node = pop.node;
-                self.stats.pool_pops += 1;
+                self.core.stats.pool_pops += 1;
                 if let Some(live) = &self.live {
                     live.pool_occupancy.dec();
                 }
-                self.stats.tree_visits += 1;
-                self.charge(costs.queue_op + costs.tree_visit);
-                let t = self.now();
+                self.core.stats.tree_visits += 1;
+                self.core.charge(costs.queue_op + costs.tree_visit);
                 let node_id = node.id;
-                self.tracer.emit(t, || EventKind::PoolPop { node: node_id });
+                self.core.emit(|| EventKind::PoolPop { node: node_id });
                 match node.claim_remote() {
                     RemoteClaim::Ready((idx, epoch, pred, closure)) => {
                         // Keep the node visible to other idle workers while
                         // it still has unclaimed alternatives.
-                        if node.has_work() && self.pool_push(&node) {
-                            self.stats.pool_pushes += 1;
-                            self.charge(costs.queue_op);
-                            let t = self.now();
-                            self.tracer
-                                .emit(t, || EventKind::PoolPush { node: node_id });
+                        if node.has_work() {
+                            self.advertise(&node);
                         }
                         // The claim succeeded: price the steal by how far
                         // the entry travelled across the topology.
@@ -615,7 +507,9 @@ impl OrWorker {
                     // owner re-advertises the node once it materializes —
                     // no re-push here (a pooled deferred hint would just
                     // spin other idle workers on the same pending node).
-                    RemoteClaim::Pending => self.saw_pending = true,
+                    // Its owner is about to materialize: probe again at
+                    // the base cadence instead of backing off.
+                    RemoteClaim::Pending => self.core.reset_backoff(),
                     // Drained behind the pool's back (owner claims, a cut,
                     // an LAO reuse that was itself re-enqueued): stale
                     // hint, drop.
@@ -623,17 +517,11 @@ impl OrWorker {
                 }
             },
             OrScheduler::Traversal => {
-                let mut work: std::collections::VecDeque<_> =
-                    std::collections::VecDeque::from([self.sh.root.clone()]);
+                let mut work = vec![self.sh.root.clone()];
                 loop {
-                    let node = if topmost {
-                        work.pop_front()
-                    } else {
-                        work.pop_back()
-                    };
-                    let Some(node) = node else { break None };
-                    self.stats.tree_visits += 1;
-                    self.charge(costs.tree_visit);
+                    let Some(node) = work.pop() else { break None };
+                    self.core.stats.tree_visits += 1;
+                    self.core.charge(costs.tree_visit);
                     match node.claim_remote() {
                         RemoteClaim::Ready((idx, epoch, pred, closure)) => {
                             break Some((node, idx, epoch, pred, closure));
@@ -642,7 +530,7 @@ impl OrWorker {
                         // materializes at its next checkpoint and this
                         // worker's next sweep will find the node ready.
                         RemoteClaim::Pending => {
-                            self.saw_pending = true;
+                            self.core.reset_backoff();
                             work.extend(node.children.lock().iter().cloned());
                         }
                         RemoteClaim::Empty => {
@@ -655,53 +543,49 @@ impl OrWorker {
 
         let Some((node, idx, epoch, (name, arity), closure)) = claimed else {
             self.sh.busy.fetch_sub(1, Ordering::AcqRel);
-            let t = self.now();
-            self.tracer.emit(t, || EventKind::StealFail);
-            return false;
+            self.core.emit(|| EventKind::StealFail);
+            return Step::NoWork;
         };
-        self.stats.alternatives_claimed += 1;
+        self.core.stats.alternatives_claimed += 1;
         // Claim bookkeeping only: installing the state is one flat-priced
         // arena thaw, charged by `install_closure` itself (the per-cell
         // copy price died with the eager closure clone).
-        self.charge(costs.claim_alternative);
-        let t = self.now();
+        self.core.charge(costs.claim_alternative);
         let node_id = node.id;
         let cells = closure.cells as u64;
-        self.tracer.emit(t, || EventKind::ClosureThaw {
+        self.core.emit(|| EventKind::ClosureThaw {
             node: node_id,
             epoch,
             cells,
         });
-        self.tracer.emit(t, || EventKind::Claim {
+        self.core.emit(|| EventKind::Claim {
             node: node_id,
             epoch,
             alt: idx,
         });
-        self.tracer.emit(t, || EventKind::StealSuccess);
-        let mut machine = self.acquire_machine();
+        self.core.emit(|| EventKind::StealSuccess);
+        let mut machine = self.machines.acquire(&mut self.core);
         let ok = machine.install_closure(&closure, name, arity, idx);
-        self.phase_cost += machine.take_unsurfaced_cost();
+        self.core.phase_cost += machine.take_unsurfaced_cost();
         if !ok {
             // Head unification failed: the branch dies before any state is
             // set up, so charge the (cheap) abort price, not a full
             // `install_state` — dead branches must not inflate the
             // overhead tables.
-            self.charge(costs.install_abort);
-            let t = self.now();
-            self.tracer
-                .emit(t, || EventKind::InstallAbort { node: node_id });
-            self.retire_machine(machine);
+            self.core.charge(costs.install_abort);
+            self.core.emit(|| EventKind::InstallAbort { node: node_id });
+            self.machines.retire(&mut self.core, machine);
             self.sh.busy.fetch_sub(1, Ordering::AcqRel);
-            return true; // did work (explored and killed a branch)
+            return Step::Worked; // did work (explored and killed a branch)
         }
-        self.charge(costs.install_state);
+        self.core.charge(costs.install_state);
         self.current = Some(Running {
             machine,
             origin: node,
             last_published: None,
             deferred: Vec::new(),
         });
-        true
+        Step::Worked
     }
 
     /// Owner checkpoint for procrastinated captures: poll every node this
@@ -712,146 +596,49 @@ impl OrWorker {
     /// reuse superseded its epoch — is an elided capture: the `copy_cost`
     /// the eager scheme would have paid at publish time never happens.
     fn service_deferred(&mut self) {
-        let Some(run) = self.current.as_mut() else {
-            return;
-        };
-        if run.deferred.is_empty() {
-            return;
-        }
-        let costs = self.costs.clone();
         let mut i = 0;
-        while i < run.deferred.len() {
+        while let Some(run) = self.current.as_mut().filter(|r| i < r.deferred.len()) {
             let (node, epoch) = run.deferred[i].clone();
             match node.defer_poll(epoch) {
                 DeferPoll::Keep => i += 1,
                 DeferPoll::Dead => {
-                    self.stats.closures_elided += 1;
+                    self.core.stats.closures_elided += 1;
                     run.deferred.swap_remove(i);
                 }
                 DeferPoll::Materialize => {
+                    run.deferred.swap_remove(i);
                     let Some(idx) = run.machine.shared_choice_index(node.id, epoch) else {
                         // The choice point left the stack without its
                         // detach hook firing (should not happen); drain
                         // the node so waiting remotes terminate.
-                        NodeClaim {
-                            node: node.clone(),
-                            epoch,
-                        }
-                        .owner_detached();
-                        self.stats.closures_elided += 1;
-                        run.deferred.swap_remove(i);
+                        NodeClaim { node, epoch }.owner_detached();
+                        self.core.stats.closures_elided += 1;
                         continue;
                     };
                     let closure = Arc::new(run.machine.choice_closure(idx));
                     let cells = closure.cells as u64;
-                    let freeze_cost = costs.closure_freeze + cells * costs.heap_cell;
                     if node.fulfill_closure(epoch, closure) {
-                        self.stats.closures_materialized += 1;
+                        self.core.stats.closures_materialized += 1;
                         if let Some(live) = &self.live {
-                            live.materializations.inc(self.id);
+                            live.materializations.inc(self.core.id);
                         }
-                        // `self.charge` would re-borrow self while `run`
-                        // is live; charge the fields directly.
-                        self.stats.charge(freeze_cost);
-                        self.phase_cost += freeze_cost;
-                        let t = self.vclock + self.phase_cost;
+                        let costs = &self.core.costs;
+                        let freeze_cost = costs.closure_freeze + cells * costs.heap_cell;
+                        self.core.charge(freeze_cost);
                         let node_id = node.id;
-                        self.tracer.emit(t, || EventKind::ClosureMaterialize {
+                        self.core.emit(|| EventKind::ClosureMaterialize {
                             node: node_id,
                             epoch,
                             cells,
                         });
                         // Re-advertise: the node is now installable, and
                         // the pending claimant holds no pool entry for it
-                        // (Pending pops are not re-pushed). Contention is
-                        // charged inline for the same reason as above:
-                        // `note_contention` takes `&mut self` and `run`
-                        // is still live.
-                        if self.sh.cfg.or_scheduler == OrScheduler::Pool {
-                            let out =
-                                self.sh
-                                    .pool
-                                    .push(self.id, &node, self.vclock + self.phase_cost);
-                            if out.contended > 0 {
-                                self.stats.lock_contended += out.contended;
-                                if self.contended_lock > 0 {
-                                    let units = out.lock_wait + out.contended * self.contended_lock;
-                                    self.stats.lock_wait_cost += units;
-                                    self.stats.charge(units);
-                                    self.phase_cost += units;
-                                    let t = self.vclock + self.phase_cost;
-                                    self.tracer.emit(t, || EventKind::LockWait {
-                                        what: "pool",
-                                        cost: units,
-                                    });
-                                }
-                            }
-                            if out.added {
-                                if let Some(live) = &self.live {
-                                    live.pool_occupancy.inc();
-                                }
-                                self.stats.pool_pushes += 1;
-                                self.stats.charge(costs.queue_op);
-                                self.phase_cost += costs.queue_op;
-                                let t = self.vclock + self.phase_cost;
-                                self.tracer
-                                    .emit(t, || EventKind::PoolPush { node: node_id });
-                            }
-                        }
+                        // (Pending pops are not re-pushed).
+                        self.advertise(&node);
                     }
-                    run.deferred.swap_remove(i);
                 }
             }
         }
-    }
-
-    /// A machine ready for `install_closure`: reuse a reset one from the
-    /// recycling pool when available (no heap/trail reallocation, interned
-    /// handles kept warm), else allocate fresh.
-    fn acquire_machine(&mut self) -> Box<Machine> {
-        let mut m = match self.free_machines.pop() {
-            Some(m) => {
-                self.stats.machines_recycled += 1;
-                let t = self.now();
-                self.tracer.emit(t, || EventKind::MachineRecycle);
-                m
-            }
-            None => Box::new(Machine::new(self.sh.db.clone(), self.costs.clone())),
-        };
-        let cfg = &self.sh.cfg;
-        m.set_store(self.sh.store.clone(), cfg, cfg.trace.enabled);
-        m.set_clause_exec(cfg.clause_exec);
-        m.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
-        m
-    }
-
-    /// Forward memo events buffered by a machine to this worker's tracer
-    /// (no-op vector unless memo tracing is on).
-    fn emit_memo_events(&mut self, events: Vec<EventKind>) {
-        let t = self.vclock + self.phase_cost;
-        for ev in events {
-            self.tracer.emit(t, || ev);
-        }
-    }
-
-    /// Harvest a finished machine's counters, reset it, and cache it for
-    /// the next claim.
-    fn retire_machine(&mut self, mut m: Box<Machine>) {
-        let memo_events = m.take_memo_events();
-        self.emit_memo_events(memo_events);
-        self.harvest(&m);
-        m.reset();
-        if self.free_machines.len() < MACHINE_POOL_CAP {
-            self.free_machines.push(m);
-        }
-    }
-
-    fn harvest(&mut self, machine: &Machine) {
-        let mut ms = machine.stats;
-        let c = ms.cost;
-        ms.cost = 0;
-        self.stats += ms;
-        self.stats.cost += c;
     }
 
     fn drop_current(&mut self) {
@@ -860,8 +647,8 @@ impl OrWorker {
             // construction (materialization removes its entry): a Failed
             // machine backtracked through all of them, so their captures
             // were elided outright.
-            self.stats.closures_elided += run.deferred.len() as u64;
-            self.retire_machine(run.machine);
+            self.core.stats.closures_elided += run.deferred.len() as u64;
+            self.machines.retire(&mut self.core, run.machine);
             self.sh.busy.fetch_sub(1, Ordering::AcqRel);
         }
     }
@@ -878,9 +665,8 @@ impl OrWorker {
         }
         let n = run.machine.answers.len();
         self.pending_answers.append(&mut run.machine.answers);
-        let t = self.now();
         for _ in 0..n {
-            self.tracer.emit(t, || EventKind::Solution);
+            self.core.emit(|| EventKind::Solution);
         }
     }
 
@@ -890,57 +676,38 @@ impl OrWorker {
             return;
         }
         // Streamed delivery: each answer of the batch is handed to the
-        // consumer's sink before publication; a Stop verdict terminates
-        // the run early through the same cooperative path as
-        // `max_solutions` (the `take(n)` hook).
-        if let Some(sink) = self.sh.cfg.sink.clone() {
-            for answer in &self.pending_answers {
-                self.stats.answers_streamed += 1;
-                if sink.deliver(answer).is_stop() {
-                    self.stats.sink_stops += 1;
-                    self.sh.finish();
-                    break;
-                }
-            }
-        }
+        // consumer's sink before publication.
+        self.core
+            .ctl
+            .deliver(&mut self.core.stats, self.pending_answers.iter());
         let n = self.pending_answers.len();
         // Domain-local accumulation: each domain appends into its own
         // buffer behind its own clock, so 512 workers serialize on at
         // most `domains` locks instead of one engine-wide bottleneck.
         // The virtual-time clock observes any residual contention that
         // does remain within the domain.
-        let hold = self.sh.cfg.costs.queue_op + n as u64;
-        let wait = self.sh.answer_clocks[self.answer_slot].acquire(self.id, self.now(), hold);
+        let hold = self.core.costs.queue_op + n as u64;
+        let wait =
+            self.sh.answer_clocks[self.answer_slot].acquire(self.core.id, self.core.now(), hold);
         self.note_contention("answer", u64::from(wait > 0), wait);
         self.sh.answers[self.answer_slot]
             .lock()
             .append(&mut self.pending_answers);
-        let total = self.sh.nsolutions.fetch_add(n, Ordering::AcqRel) + n;
-        if self.sh.cfg.max_solutions.is_some_and(|max| total >= max) {
-            self.sh.finish();
-        }
     }
 
-    fn run_current(&mut self) -> Phase {
-        // Fine-grained quantum: publication windows in chain-like searches
-        // (the Figure-6 `member/2` pattern) are one resolution step wide,
-        // so or-parallel distribution needs sub-quantum interleaving.
-        let quantum = self.sh.cfg.quantum.min(32);
-        let cancel = self.sh.cancel.clone();
-        if self.tracer.lifecycle() {
-            let t = self.now();
-            self.tracer.emit(t, || EventKind::QuantumStart);
+    fn run_current(&mut self) {
+        let cancel = self.core.ctl.cancel.clone();
+        if self.core.tracer.lifecycle() {
+            self.core.emit(|| EventKind::QuantumStart);
         }
-        let before = self.phase_cost;
+        let before = self.core.phase_cost;
         let run = self.current.as_mut().expect("run_current without machine");
-        let status = run.machine.run(quantum, Some(&cancel));
-        self.phase_cost += run.machine.take_unsurfaced_cost();
-        let memo_events = run.machine.take_memo_events();
-        self.emit_memo_events(memo_events);
-        if self.tracer.lifecycle() {
-            let t = self.now();
-            let cost = self.phase_cost - before;
-            self.tracer.emit(t, || EventKind::QuantumEnd { cost });
+        let status = run.machine.run(RUN_QUANTUM, Some(&cancel));
+        self.core.phase_cost += run.machine.take_unsurfaced_cost();
+        self.core.emit_all(run.machine.take_memo_events());
+        if self.core.tracer.lifecycle() {
+            let cost = self.core.phase_cost - before;
+            self.core.emit(|| EventKind::QuantumEnd { cost });
         }
         // Publish *after* running: choice points created inside the
         // quantum (still alive at a Solution boundary) become public
@@ -960,10 +727,10 @@ impl OrWorker {
             Status::Solution => {
                 self.drain_answers();
                 self.flush_answers();
-                if !self.sh.done.load(Ordering::Acquire) {
+                if !self.core.ctl.is_done() {
                     let run = self.current.as_mut().unwrap();
                     run.machine.backtrack();
-                    self.phase_cost += run.machine.take_unsurfaced_cost();
+                    self.core.phase_cost += run.machine.take_unsurfaced_cost();
                 }
             }
             Status::Failed => {
@@ -974,16 +741,16 @@ impl OrWorker {
                 self.drop_current();
             }
             Status::Halted => {
-                self.sh.finish();
+                self.core.ctl.finish();
             }
             Status::Error(e) => {
-                self.sh.fail_with(e);
+                self.core.ctl.fail_with(e);
             }
             Status::Parcall
             | Status::ParcallRedo
             | Status::InlineBarrier(_)
             | Status::FenceHit(..) => {
-                self.sh.fail_with(
+                self.core.ctl.fail_with(
                     "the or-parallel engine does not execute `&` parallel \
                      conjunctions; use the and-parallel engine"
                         .into(),
@@ -991,126 +758,31 @@ impl OrWorker {
             }
         }
         self.flush_answers();
-        Phase::Busy(self.phase_cost.max(1))
     }
 }
 
-impl Agent for OrWorker {
-    fn phase(&mut self) -> Phase {
-        // Reset before any emission so event timestamps never reuse the
-        // previous phase's partial cost.
-        self.phase_cost = 0;
-        let start = self.vclock;
-        let p = self.phase_inner();
-        if let Phase::Busy(c) | Phase::Idle(c) = p {
-            self.vclock += c;
-            if self.tracer.lifecycle() {
-                let phase = if matches!(p, Phase::Busy(_)) {
-                    "busy"
-                } else {
-                    "idle"
-                };
-                self.tracer.emit(start, || EventKind::PhaseStart { phase });
-                let end = self.vclock;
-                self.tracer.emit(end, || EventKind::PhaseEnd { phase });
-            }
-        }
-        p
+impl Engine for OrWorker {
+    fn core(&mut self) -> &mut WorkerCore {
+        &mut self.core
     }
-}
 
-impl OrWorker {
-    fn phase_inner(&mut self) -> Phase {
-        if self.sh.done.load(Ordering::Acquire) {
-            if !self.reported {
-                self.reported = true;
-                if let Some(mut run) = self.current.take() {
-                    self.stats.closures_elided += run.deferred.len() as u64;
-                    let memo_events = run.machine.take_memo_events();
-                    self.emit_memo_events(memo_events);
-                    self.harvest(&run.machine);
-                    self.sh.busy.fetch_sub(1, Ordering::AcqRel);
-                }
-                self.flush_answers();
-                self.sh.worker_stats.lock().push(self.stats);
-                if let Some(buf) = self.tracer.take() {
-                    self.sh.trace_bufs.lock().push(buf);
-                }
-            }
-            return Phase::Done;
-        }
-        // Cooperative shutdown: the driver cancels the token when it
-        // contains a panic or hits a deadline. A normal `finish()` also
-        // cancels, but stores `done` first — so re-checking `done` here
-        // distinguishes the two and never fails a completed run.
-        if self.sh.cancel.is_cancelled() {
-            if !self.sh.done.load(Ordering::Acquire) {
-                self.sh
-                    .fail_with(format!("{FAULT_ERROR_PREFIX} run cancelled"));
-            }
-            return Phase::Busy(1);
-        }
-        // Fault-injection checkpoint (same cadence as the cancel check).
-        if let Some(action) = self.sh.injector.as_ref().and_then(|inj| inj.poll(self.id)) {
-            self.stats.faults_injected += 1;
-            let t = self.now();
-            match action {
-                FaultAction::Stall(cost) => {
-                    self.stats.fault_stalls += 1;
-                    self.stats.charge(cost);
-                    self.tracer
-                        .emit(t, || EventKind::FaultInjected { kind: "stall" });
-                    self.tracer.emit(t, || EventKind::FaultStall { cost });
-                    return Phase::Busy(cost.max(1));
-                }
-                FaultAction::Cancel => {
-                    self.tracer
-                        .emit(t, || EventKind::FaultInjected { kind: "cancel" });
-                    self.sh.fail_with(format!(
-                        "{FAULT_ERROR_PREFIX} injected cancellation on worker {}",
-                        self.id
-                    ));
-                    return Phase::Busy(1);
-                }
-                FaultAction::Die => {
-                    panic!("{}", ace_runtime::fault::INJECTED_DEATH);
-                }
-            }
-        }
-        self.phase_cost = 0;
+    fn work(&mut self) -> Step {
         if self.current.is_some() {
-            self.mark_idle(false);
-            self.idle_streak = 0;
-            return self.run_current();
+            self.run_current();
+            return Step::Worked;
         }
-        // Idle path: look for work in the public tree. The idle mark stays
-        // up across phases so busy workers publish on demand.
-        self.mark_idle(true);
-        if self.find_work() {
-            self.mark_idle(false);
-            self.idle_streak = 0;
-            return Phase::Busy(self.phase_cost.max(1));
-        }
-        // Nothing to claim: engine-wide termination check.
-        if self.sh.busy.load(Ordering::Acquire) == 0
-            && self.sh.total_alts.load(Ordering::Acquire) == 0
-        {
-            self.sh.finish();
-            return Phase::Busy(1);
-        }
-        // A pending deferred node means its owner is about to materialize:
-        // probe again at the base cadence instead of backing off.
-        if self.saw_pending {
-            self.idle_streak = 0;
-        }
-        let base = self.costs.idle_probe;
-        let p = (base << self.idle_streak.min(6)).min(self.sh.cfg.quantum.max(base));
-        self.idle_streak = self.idle_streak.saturating_add(1);
-        self.stats.charge_idle(p);
-        self.stats.idle_probes += 1;
-        let t = self.now();
-        self.tracer.emit(t, || EventKind::IdleProbe { cost: p });
-        Phase::Idle(p)
+        // Idle path: look for work in the public tree.
+        self.find_work()
+    }
+
+    fn drain(&mut self) {
+        self.drop_current();
+        self.flush_answers();
+    }
+
+    /// Nothing to claim anywhere and nobody computing: the search is over.
+    fn quiescent(&self) -> bool {
+        self.sh.busy.load(Ordering::Acquire) == 0 && self.sh.total_alts.load(Ordering::Acquire) == 0
     }
 }
 
@@ -1126,6 +798,7 @@ impl OrEngine {
 
     /// Run `query` under `cfg`, exploring alternatives or-parallel.
     pub fn run(&self, query: &str, cfg: &EngineConfig) -> Result<OrReport, String> {
+        let ctl = Control::new(cfg);
         let total_alts = Arc::new(AtomicUsize::new(0));
         // Answer buffers: one per topology domain (or a single shared one
         // when domain buffering is disabled for ablation runs).
@@ -1135,38 +808,21 @@ impl OrEngine {
             1
         };
         let shared = Arc::new(OrShared {
-            db: self.db.clone(),
-            cfg: cfg.clone(),
             root: OrNode::root(total_alts.clone()),
-            pool: AltPool::new(cfg.workers.max(1), &cfg.topology, cfg.costs.queue_op),
+            pool: AltPool::new(ctl.workers(), &cfg.topology, cfg.costs.queue_op),
             total_alts,
             busy: AtomicUsize::new(1), // the root machine
-            idle: AtomicUsize::new(0),
-            done: AtomicBool::new(false),
             answers: (0..answer_slots).map(|_| Mutex::new(Vec::new())).collect(),
             answer_clocks: (0..answer_slots).map(|_| LockClock::new()).collect(),
-            nsolutions: AtomicUsize::new(0),
-            error: Mutex::new(None),
-            cancel: cfg.root_cancel(),
-            worker_stats: Mutex::new(Vec::new()),
             max_depth: AtomicUsize::new(0),
-            injector: cfg
-                .fault_plan
-                .as_ref()
-                .map(|p| FaultInjector::new(p, cfg.workers.max(1))),
-            trace_bufs: Mutex::new(Vec::new()),
-            store: cfg.resolve_store(),
         });
-        let sink = cfg.trace.enabled.then(|| TraceSink::new(&cfg.trace));
+        let mut workers: Vec<OrWorker> = (0..ctl.workers())
+            .map(|id| OrWorker::new(WorkerCore::new(id, &ctl), shared.clone(), self.db.clone()))
+            .collect();
 
-        // Build the root machine with the `$answer`-wrapped query. The one
-        // `CostModel` clone of the run lives here; workers and recycled
-        // machines share it by refcount.
-        let costs = Arc::new(cfg.costs.clone());
-        let mut root = Box::new(Machine::new(self.db.clone(), costs.clone()));
-        root.set_store(shared.store.clone(), cfg, cfg.trace.enabled);
-        root.set_clause_exec(cfg.clause_exec);
-        root.set_dispatch_trace(cfg.trace.enabled && cfg.trace.dispatch);
+        // Build the root machine with the `$answer`-wrapped query.
+        let w0 = &mut workers[0];
+        let mut root = w0.machines.acquire(&mut w0.core);
         let (goal, mut vars) = ace_logic::parse_term(&mut root.heap, query)
             .map_err(|e| format!("query parse error: {e}"))?;
         vars.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1178,57 +834,11 @@ impl OrEngine {
         let answer = root.heap.new_struct(sym("$answer"), &[var_list]);
         let wrapped = root.heap.new_struct(wk().comma, &[goal, answer]);
         root.set_query(wrapped);
+        w0.install_root(root);
 
-        let mut workers: Vec<OrWorker> = (0..cfg.workers.max(1))
-            .map(|id| OrWorker::new(id, shared.clone(), costs.clone()))
-            .collect();
-        workers[0].install_root(root);
-
-        let outcome = match cfg.driver {
-            DriverKind::Sim => {
-                let agents: Vec<Box<dyn Agent>> = workers
-                    .into_iter()
-                    .map(|w| Box::new(w) as Box<dyn Agent>)
-                    .collect();
-                let mut driver =
-                    SimDriver::new(cfg.virtual_time_limit).with_cancel(shared.cancel.clone());
-                if let Some(s) = &sink {
-                    driver = driver.with_trace(s.clone());
-                }
-                driver.run(agents)
-            }
-            DriverKind::Threads => {
-                let agents: Vec<Box<dyn Agent + Send>> = workers
-                    .into_iter()
-                    .map(|w| Box::new(w) as Box<dyn Agent + Send>)
-                    .collect();
-                let mut driver =
-                    ThreadsDriver::new(cfg.threads_deadline, Some(shared.cancel.clone()));
-                if let Some(s) = &sink {
-                    driver = driver.with_trace(s.clone());
-                }
-                driver.run(agents)
-            }
-        };
-
-        // Panics and driver aborts carry their own structured, prefixed
-        // messages; report them ahead of any secondary error the drain
-        // path may have recorded.
-        if let Some(a) = &outcome.aborted {
-            return Err(a.clone());
-        }
-        if let Some(e) = shared.error.lock().take() {
+        let run = ctl.launch("or", workers);
+        if let Some(e) = run.outcome.aborted {
             return Err(e);
-        }
-        let per_worker = shared.worker_stats.lock().clone();
-        let mut stats = Stats::new();
-        for w in &per_worker {
-            stats += *w;
-        }
-        // Fold the finished run into the live registry (engine totals +
-        // per-tenant memo traffic); a scrape between runs sees it.
-        if let Some(metrics) = &cfg.metrics {
-            metrics.record_run("or", cfg.tenant, &stats, outcome.virtual_time);
         }
         // Concatenate the per-domain answer buffers in domain order. The
         // engine's answer order was never deterministic across workers
@@ -1241,15 +851,13 @@ impl OrEngine {
         if let Some(max) = cfg.max_solutions {
             solutions.truncate(max);
         }
-        let trace =
-            sink.map(|s| Trace::merge(std::mem::take(&mut *shared.trace_bufs.lock()), s.drain()));
         Ok(OrReport {
             solutions,
-            outcome,
-            stats,
-            per_worker,
+            outcome: run.outcome,
+            stats: run.stats,
+            per_worker: run.per_worker,
             max_tree_depth: shared.max_depth.load(Ordering::Acquire) as u32,
-            trace,
+            trace: run.trace,
         })
     }
 }
@@ -1257,7 +865,7 @@ impl OrEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_runtime::OptFlags;
+    use ace_runtime::{DriverKind, OptFlags};
 
     fn db(src: &str) -> Arc<Database> {
         Arc::new(Database::load(src).unwrap())

@@ -65,10 +65,9 @@
 //!   (owner claims, cut, LAO reuse) is simply discarded on pop.
 //! * **Dispatch policy = pop order.** Nodes enter in publication order,
 //!   which is also roughly depth order (a machine publishes its oldest
-//!   private choice point first). `OrDispatch::Topmost` pops FIFO (oldest,
-//!   closest to the root — biggest subtrees first), `Deepest` pops LIFO
-//!   (youngest, deepest — longest private runs), preserving the Aurora
-//!   policy semantics of the traversal scheduler.
+//!   private choice point first). Every queue pops LIFO (youngest,
+//!   deepest — longest private runs): Aurora's dispatch-on-bottommost,
+//!   the same order the traversal scheduler walks.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -237,10 +236,10 @@ impl AltPool {
     /// Dequeue one node hint for `worker`, scanning the tiers in order
     /// (own shard → same-domain victims → overflow → cross-domain) when
     /// hierarchical, or all shards round-robin then overflow when flat.
-    /// `topmost` selects FIFO (root-first) vs LIFO (deepest-first) order
-    /// within each queue. An empty pool returns without touching any
-    /// mutex — the occupancy counters answer the idle probe.
-    pub fn pop(&self, worker: usize, topmost: bool, now: u64) -> Option<PopOutcome> {
+    /// Each queue pops LIFO (deepest-first). An empty pool returns
+    /// without touching any mutex — the occupancy counters answer the
+    /// idle probe.
+    pub fn pop(&self, worker: usize, now: u64) -> Option<PopOutcome> {
         if self.occupancy.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -257,9 +256,7 @@ impl AltPool {
                 let start = self.member_index[w];
                 for i in 0..members.len() {
                     let s = members[(start + i) % members.len()];
-                    if let Some(node) =
-                        self.take_shard(s, worker, topmost, now, &mut contended, &mut wait)
-                    {
+                    if let Some(node) = self.take_shard(s, worker, now, &mut contended, &mut wait) {
                         let scope = if s == w {
                             StealScope::Own
                         } else {
@@ -270,9 +267,7 @@ impl AltPool {
                 }
             }
             // Tier 3: the overflow tier, priced by entry provenance.
-            if let Some((node, origin)) =
-                self.take_global(worker, topmost, now, &mut contended, &mut wait)
-            {
+            if let Some((node, origin)) = self.take_global(worker, now, &mut contended, &mut wait) {
                 let scope = if origin == dom {
                     StealScope::Domain
                 } else {
@@ -295,9 +290,7 @@ impl AltPool {
                 let start = worker % members.len();
                 for i in 0..members.len() {
                     let s = members[(start + i) % members.len()];
-                    if let Some(node) =
-                        self.take_shard(s, worker, topmost, now, &mut contended, &mut wait)
-                    {
+                    if let Some(node) = self.take_shard(s, worker, now, &mut contended, &mut wait) {
                         return Some(self.outcome(node, StealScope::Cross, dom, contended, wait));
                     }
                 }
@@ -309,9 +302,7 @@ impl AltPool {
             // measure the cross-domain fraction of the blind policy.
             for i in 0..n {
                 let s = (w + i) % n;
-                if let Some(node) =
-                    self.take_shard(s, worker, topmost, now, &mut contended, &mut wait)
-                {
+                if let Some(node) = self.take_shard(s, worker, now, &mut contended, &mut wait) {
                     let scope = if s == w {
                         StealScope::Own
                     } else if self.domain[s] == dom {
@@ -322,8 +313,7 @@ impl AltPool {
                     return Some(self.outcome(node, scope, dom, contended, wait));
                 }
             }
-            let (node, origin) =
-                self.take_global(worker, topmost, now, &mut contended, &mut wait)?;
+            let (node, origin) = self.take_global(worker, now, &mut contended, &mut wait)?;
             let scope = if origin == dom {
                 StealScope::Domain
             } else {
@@ -361,7 +351,6 @@ impl AltPool {
         &self,
         shard: usize,
         worker: usize,
-        topmost: bool,
         now: u64,
         contended: &mut u64,
         wait: &mut u64,
@@ -374,14 +363,7 @@ impl AltPool {
             contended,
             wait,
         );
-        let node = {
-            let mut q = self.shards[shard].lock();
-            if topmost {
-                q.pop_front()
-            } else {
-                q.pop_back()
-            }
-        }?;
+        let node = self.shards[shard].lock().pop_back()?;
         node.leave_pool();
         self.shard_occupancy[shard].fetch_sub(1, Ordering::Release);
         self.domain_occupancy[self.domain[shard]].fetch_sub(1, Ordering::Release);
@@ -392,7 +374,6 @@ impl AltPool {
     fn take_global(
         &self,
         worker: usize,
-        topmost: bool,
         now: u64,
         contended: &mut u64,
         wait: &mut u64,
@@ -405,14 +386,7 @@ impl AltPool {
             contended,
             wait,
         );
-        let (node, origin) = {
-            let mut q = self.global.lock();
-            if topmost {
-                q.pop_front()
-            } else {
-                q.pop_back()
-            }
-        }?;
+        let (node, origin) = self.global.lock().pop_back()?;
         node.leave_pool();
         self.global_occupancy.fetch_sub(1, Ordering::Release);
         self.occupancy.fetch_sub(1, Ordering::Release);
@@ -469,11 +443,10 @@ mod tests {
         assert!(pool.push(0, &b, 0).added);
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.len_exact(), 2);
-        // topmost = FIFO
-        assert_eq!(pool.pop(0, true, 0).unwrap().node.id, a.id);
-        // deepest = LIFO among the remainder
-        assert_eq!(pool.pop(0, false, 0).unwrap().node.id, b.id);
-        assert!(pool.pop(0, true, 0).is_none());
+        // deepest-first: LIFO
+        assert_eq!(pool.pop(0, 0).unwrap().node.id, b.id);
+        assert_eq!(pool.pop(0, 0).unwrap().node.id, a.id);
+        assert!(pool.pop(0, 0).is_none());
         assert_eq!(pool.len(), 0);
     }
 
@@ -489,7 +462,7 @@ mod tests {
             "second push while pooled must no-op"
         );
         assert_eq!(pool.len(), 1);
-        let popped = pool.pop(0, true, 0).unwrap().node;
+        let popped = pool.pop(0, 0).unwrap().node;
         assert!(pool.push(0, &popped, 0).added, "re-push after pop allowed");
     }
 
@@ -501,7 +474,7 @@ mod tests {
         let a = node(&total, &root, &[1]);
         pool.push(2, &a, 0);
         // worker 0 finds work parked on worker 2's shard
-        let got = pool.pop(0, true, 0).unwrap();
+        let got = pool.pop(0, 0).unwrap();
         assert_eq!(got.node.id, a.id);
         assert_eq!(got.scope, StealScope::Domain);
     }
@@ -517,11 +490,11 @@ mod tests {
         pool.push(2, &far, 0); // other domain
         pool.push(1, &near, 0); // same domain as worker 0
                                 // Worker 0 must drain its own domain first...
-        let got = pool.pop(0, true, 0).unwrap();
+        let got = pool.pop(0, 0).unwrap();
         assert_eq!(got.node.id, near.id);
         assert_eq!(got.scope, StealScope::Domain);
         // ...and only then cross, observing an empty local domain.
-        let got = pool.pop(0, true, 0).unwrap();
+        let got = pool.pop(0, 0).unwrap();
         assert_eq!(got.node.id, far.id);
         assert_eq!(got.scope, StealScope::Cross);
         assert_eq!(got.local_work, 0);
@@ -544,11 +517,11 @@ mod tests {
         // The *oldest* entry spilled (newest work stays on the owner's
         // shard); it is visible to the other domain without a shard
         // sweep, and is priced by its origin (cross for worker 2).
-        let got = pool.pop(2, true, 0).unwrap();
+        let got = pool.pop(2, 0).unwrap();
         assert_eq!(got.node.id, nodes[0].id);
         assert_eq!(got.scope, StealScope::Cross);
         // The same entry drained by its own domain is a domain steal.
-        let own = pool.pop(0, true, 0).unwrap();
+        let own = pool.pop(0, 0).unwrap();
         assert_eq!(own.scope, StealScope::Own);
     }
 
@@ -559,7 +532,7 @@ mod tests {
         let pool = flat(4);
         let a = node(&total, &root, &[1]);
         pool.push(0, &a, 0);
-        assert_eq!(pool.pop(0, false, 0).unwrap().scope, StealScope::Own);
+        assert_eq!(pool.pop(0, 0).unwrap().scope, StealScope::Own);
     }
 
     #[test]
@@ -567,14 +540,14 @@ mod tests {
         let total = Arc::new(AtomicUsize::new(0));
         let root = OrNode::root(total.clone());
         let pool = AltPool::new(8, &Topology::numa(4), 6);
-        assert!(pool.pop(5, true, 0).is_none());
+        assert!(pool.pop(5, 0).is_none());
         let a = node(&total, &root, &[1]);
         let b = node(&total, &root, &[2]);
         pool.push(3, &a, 0);
         pool.push(6, &b, 0);
         assert_eq!(pool.len(), pool.len_exact());
-        pool.pop(0, true, 0).unwrap();
-        pool.pop(0, true, 0).unwrap();
+        pool.pop(0, 0).unwrap();
+        pool.pop(0, 0).unwrap();
         assert_eq!(pool.len(), 0);
         assert_eq!(pool.len_exact(), 0);
     }
@@ -588,7 +561,7 @@ mod tests {
         // Worker 0 holds shard 0's lock in virtual time [10, 16).
         pool.push(0, &a, 10);
         // Worker 1 raiding shard 0 inside the window pays the wait.
-        let got = pool.pop(1, true, 12).unwrap();
+        let got = pool.pop(1, 12).unwrap();
         assert_eq!(got.contended, 1);
         assert_eq!(got.lock_wait, 4); // 16 - 12
     }
@@ -605,10 +578,10 @@ mod tests {
         // Worker 1 scans 1, 2, 3, 0 blindly: own entry first, then the
         // foreign shard — classified Cross even though the policy never
         // looked at domains.
-        let got = pool.pop(1, true, 0).unwrap();
+        let got = pool.pop(1, 0).unwrap();
         assert_eq!(got.node.id, near.id);
         assert_eq!(got.scope, StealScope::Own);
-        let got = pool.pop(1, true, 0).unwrap();
+        let got = pool.pop(1, 0).unwrap();
         assert_eq!(got.node.id, far.id);
         assert_eq!(got.scope, StealScope::Cross);
     }

@@ -111,30 +111,6 @@ impl OptFlags {
     }
 }
 
-/// When and-parallel subgoal closures are copied out for stealing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShipPolicy {
-    /// Copy closures only when idle workers exist (&ACE-style local goal
-    /// stacks; the default — one-worker runs never copy).
-    #[default]
-    Demand,
-    /// Copy every shipped branch at frame creation (simpler, pays the
-    /// copy even when nobody steals — kept for ablation).
-    Eager,
-}
-
-/// Which public or-tree node idle workers draw work from first
-/// (the classic Aurora scheduling debate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrDispatch {
-    /// Deepest-first (dispatch on bottommost): long private runs, less
-    /// task switching.
-    #[default]
-    Deepest,
-    /// Closest to the root (dispatch on topmost): biggest subtrees first.
-    Topmost,
-}
-
 /// How idle or-engine workers locate unclaimed alternatives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrScheduler {
@@ -188,16 +164,8 @@ pub struct EngineConfig {
     /// [`crate::topology`]). Flat by default — one domain, zero steal
     /// premiums — which reproduces the pre-topology cost accounting.
     pub topology: Topology,
-    /// Maximum cost a worker may accumulate in one uninterrupted phase
-    /// before yielding to the driver (bounds cancellation latency and
-    /// interleaving granularity in the simulator).
-    pub quantum: u64,
     /// Stop after this many solutions of the root query (`None` = all).
     pub max_solutions: Option<usize>,
-    /// And-parallel goal-shipping policy.
-    pub ship: ShipPolicy,
-    /// Or-parallel work-finding order.
-    pub or_dispatch: OrDispatch,
     /// Or-parallel work-finding mechanism (pool vs full traversal).
     pub or_scheduler: OrScheduler,
     /// Clause execution mechanism (compiled code vs interpreter oracle).
@@ -263,10 +231,7 @@ impl Default for EngineConfig {
             driver: DriverKind::Sim,
             costs: CostModel::default(),
             topology: Topology::flat(),
-            quantum: 400,
             max_solutions: Some(1),
-            ship: ShipPolicy::default(),
-            or_dispatch: OrDispatch::default(),
             or_scheduler: OrScheduler::default(),
             clause_exec: ClauseExec::default(),
             virtual_time_limit: Some(200_000_000_000),

@@ -70,6 +70,7 @@
 //! allocated and every consultation point is a single branch.
 
 pub mod cancel;
+pub mod chassis;
 pub mod config;
 pub mod cost;
 pub mod driver;
@@ -85,9 +86,8 @@ pub use ace_table::{
     AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome, StoreConfig, StoreCounters,
 };
 pub use cancel::CancelToken;
-pub use config::{
-    ClauseExec, DriverKind, EngineConfig, OptFlags, OrDispatch, OrScheduler, ShipPolicy,
-};
+pub use chassis::{Control, Engine, Finished, Step, WorkerCore, QUANTUM};
+pub use config::{ClauseExec, DriverKind, EngineConfig, OptFlags, OrScheduler};
 pub use cost::CostModel;
 pub use driver::{supervised, Agent, Phase, RunOutcome, SimDriver, ThreadsDriver, WorkerExit};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan};

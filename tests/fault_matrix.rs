@@ -575,3 +575,41 @@ fn dispatch_window_faults_degrade_only_the_hit_sessions() {
         server.shutdown();
     }
 }
+
+/// The finite-domain engine rides the same worker chassis, so a transient
+/// plan is absorbed at the same phase checkpoints: stalls fire (the fd
+/// search has no steal/publish fault sites, so those events stay unspent)
+/// and the queens solution set is untouched, under both drivers.
+#[test]
+fn fd_cell_transient_faults_preserve_answers() {
+    use ace_fd::{queens, Fd};
+    let solve = |c: &EngineConfig| {
+        let r = Fd::new(queens(6)).solve_all(c);
+        assert_eq!(r.outcome.aborted, None);
+        let mut solutions = r.solutions;
+        solutions.sort();
+        (solutions, r.stats, r.trace)
+    };
+    let (oracle, ..) = solve(&cfg(
+        OptFlags::lao_only(),
+        DriverKind::Sim,
+        FaultPlan::new(0),
+    ));
+    assert_eq!(oracle.len(), 4);
+    for driver in [DriverKind::Sim, DriverKind::Threads] {
+        for seed in [7u64, 1031] {
+            let plan = FaultPlan::random_transient(seed, WORKERS, 6).with(
+                0,
+                1,
+                FaultKind::Stall { cost: 100 },
+            );
+            let (got, stats, trace) = solve(&cfg(OptFlags::lao_only(), driver, plan));
+            assert_eq!(got, oracle, "fd {driver:?} seed={seed}");
+            assert!(stats.fault_stalls >= 1, "fd {driver:?} seed={seed}");
+            assert_eq!(stats.faults_injected, stats.fault_stalls);
+            if let Err(violations) = TraceChecker::check(&trace.expect("tracing enabled")) {
+                panic!("fd {driver:?} seed={seed}: {violations:#?}");
+            }
+        }
+    }
+}

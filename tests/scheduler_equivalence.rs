@@ -7,7 +7,7 @@
 //! to it:
 //!
 //! * **Equivalence** — across the or-corpus, every combination of
-//!   scheduler × dispatch order × LAO yields the same solution multiset.
+//!   scheduler × LAO yields the same solution multiset.
 //! * **O(1) steal** — under the pool, `tree_visits` per claimed
 //!   alternative stays bounded by a small constant as the `member/2`
 //!   chain deepens (LAO off, so the public tree really grows); the
@@ -15,24 +15,20 @@
 //!   workload.
 
 use ace_core::{Ace, Mode, RunReport};
-use ace_runtime::{
-    EngineConfig, OptFlags, OrDispatch, OrScheduler, Topology, TraceChecker, TraceConfig,
-};
+use ace_runtime::{EngineConfig, OptFlags, OrScheduler, Topology, TraceChecker, TraceConfig};
 
 fn sorted(mut v: Vec<String>) -> Vec<String> {
     v.sort();
     v
 }
 
-fn cfg(workers: usize, opts: OptFlags, sched: OrScheduler, dispatch: OrDispatch) -> EngineConfig {
-    let mut c = EngineConfig::default()
+fn cfg(workers: usize, opts: OptFlags, sched: OrScheduler) -> EngineConfig {
+    EngineConfig::default()
         .with_workers(workers)
         .with_opts(opts)
         .with_or_scheduler(sched)
         .with_trace(TraceConfig::enabled())
-        .all_solutions();
-    c.or_dispatch = dispatch;
-    c
+        .all_solutions()
 }
 
 /// Every traced run must satisfy the scheduler invariants (claims follow
@@ -45,7 +41,7 @@ fn check_trace(r: &RunReport, label: &str) {
     }
 }
 
-/// (a) Pool (both dispatch orders, LAO on and off) is multiset-equal to
+/// (a) Pool (LAO on and off) is multiset-equal to
 /// the traversal oracle on the or-corpus, and the pool counters prove
 /// which path actually ran.
 #[test]
@@ -56,11 +52,7 @@ fn pool_matches_traversal_oracle_across_corpus() {
         let query = (b.query)(b.test_size);
         for opts in [OptFlags::none(), OptFlags::lao_only()] {
             let oracle = ace
-                .run(
-                    b.mode,
-                    &query,
-                    &cfg(4, opts, OrScheduler::Traversal, OrDispatch::Deepest),
-                )
+                .run(b.mode, &query, &cfg(4, opts, OrScheduler::Traversal))
                 .unwrap();
             assert_eq!(
                 oracle.stats.pool_pushes, 0,
@@ -70,22 +62,15 @@ fn pool_matches_traversal_oracle_across_corpus() {
             let expected = sorted(oracle.solutions);
             assert!(!expected.is_empty(), "{name}: oracle found no solutions");
 
-            for dispatch in [OrDispatch::Deepest, OrDispatch::Topmost] {
-                let pool = ace
-                    .run(b.mode, &query, &cfg(4, opts, OrScheduler::Pool, dispatch))
-                    .unwrap();
-                check_trace(&pool, &format!("{name} pool {dispatch:?} lao={}", opts.lao));
-                assert_eq!(
-                    sorted(pool.solutions),
-                    expected,
-                    "{name} {dispatch:?} lao={}",
-                    opts.lao
-                );
-                assert!(
-                    pool.stats.pool_pushes > 0 && pool.stats.pool_pops > 0,
-                    "{name} {dispatch:?}: pool scheduler never used the pool"
-                );
-            }
+            let pool = ace
+                .run(b.mode, &query, &cfg(4, opts, OrScheduler::Pool))
+                .unwrap();
+            check_trace(&pool, &format!("{name} pool lao={}", opts.lao));
+            assert_eq!(sorted(pool.solutions), expected, "{name} lao={}", opts.lao);
+            assert!(
+                pool.stats.pool_pushes > 0 && pool.stats.pool_pops > 0,
+                "{name}: pool scheduler never used the pool"
+            );
         }
     }
 }
@@ -108,12 +93,7 @@ fn pool_matches_oracle_at_64_workers_across_topologies() {
             .run(
                 b.mode,
                 &query,
-                &cfg(
-                    4,
-                    OptFlags::all(),
-                    OrScheduler::Traversal,
-                    OrDispatch::Deepest,
-                ),
+                &cfg(4, OptFlags::all(), OrScheduler::Traversal),
             )
             .unwrap();
         let expected = sorted(oracle.solutions);
@@ -123,8 +103,7 @@ fn pool_matches_oracle_at_64_workers_across_topologies() {
             ("numa4", Topology::numa(4)),
             ("numa3_uneven", Topology::numa(3)),
         ] {
-            let c = cfg(64, OptFlags::all(), OrScheduler::Pool, OrDispatch::Deepest)
-                .with_topology(topo);
+            let c = cfg(64, OptFlags::all(), OrScheduler::Pool).with_topology(topo);
             let pool = ace.run(b.mode, &query, &c).unwrap();
             check_trace(&pool, &format!("{name} 64w {label}"));
             assert_eq!(sorted(pool.solutions), expected, "{name} 64w {label}");
@@ -152,11 +131,7 @@ fn pool_steal_cost_is_flat_in_chain_depth() {
         // fails at every element: the chain publishes to full depth
         let q = format!("member(X, [{}]), X > 100", list.join(","));
         let r = ace
-            .run(
-                Mode::OrParallel,
-                &q,
-                &cfg(4, OptFlags::none(), sched, OrDispatch::Deepest),
-            )
+            .run(Mode::OrParallel, &q, &cfg(4, OptFlags::none(), sched))
             .unwrap();
         check_trace(&r, &format!("members n={n} {sched:?}"));
         assert!(r.solutions.is_empty());
