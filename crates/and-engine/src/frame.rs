@@ -186,7 +186,10 @@ pub struct FrameState {
     /// the Figure-4 shape tests assert on it.
     pub depth: u32,
     pub cancel: CancelToken,
-    /// The owner machine's continuation after the parallel call.
+    /// The owner machine's continuation after the parallel call: a copy of
+    /// the handle in the machine-level `ParcallFrame`, which keeps its nodes
+    /// alive while it is on the owner's control stack. Read by the owner
+    /// only — a handle means nothing on another machine.
     pub cont: Cont,
     /// Owner machine (trail, heap) marks at frame creation — the undo
     /// point when a redo wave must also re-run the inline branch.
@@ -435,7 +438,7 @@ mod tests {
             1,
             &root,
             false,
-            None,
+            Cont::NONE,
             (h.trail_mark(), h.heap_mark()),
             true,
         );
@@ -459,7 +462,7 @@ mod tests {
             1,
             &root,
             false,
-            None,
+            Cont::NONE,
             (h.trail_mark(), h.heap_mark()),
             true,
         );
@@ -480,7 +483,7 @@ mod tests {
             1,
             &root,
             false,
-            None,
+            Cont::NONE,
             (h.trail_mark(), h.heap_mark()),
             true,
         );

@@ -345,7 +345,7 @@ impl AndWorker {
             depth,
             parent_token,
             true,
-            pf.cont.clone(),
+            pf.cont,
             (pf.trail, pf.heap),
             ship_now,
         );
@@ -1262,7 +1262,7 @@ impl AndWorker {
                 // The frame may be buried under deeper (already
                 // integrated) inline frames on the control stack, so
                 // resume via its stored continuation.
-                machine.resume_with_cont(frame.cont.clone());
+                machine.resume_with_cont(frame.cont);
             }
         }
         self.core.stats.cells_copied += copied;

@@ -2,11 +2,12 @@
 //! term copying, clause instantiation, parsing, and machine resolution.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::{parse_term, Cell, Database, Heap};
-use ace_machine::Solver;
+use ace_machine::{Machine, Solver, Status};
 use ace_runtime::CostModel;
 
 fn deep_list(heap: &mut Heap, n: usize) -> Cell {
@@ -103,6 +104,57 @@ fn bench_parse(c: &mut Criterion) {
     });
 }
 
+/// `nrev(30)` queries a thread completes per second, looping for `window`
+/// on a machine of its own over the shared `db`. The query term is built
+/// straight on the heap — no parse, no interner — so the only thing the
+/// threads have in common is the program.
+fn nrev_rate(db: &Arc<Database>, start: &Barrier, window: Duration) -> f64 {
+    let nrev = ace_logic::sym("nrev");
+    let mut m = Machine::new(db.clone(), Arc::new(CostModel::default()));
+    start.wait();
+    let begun = Instant::now();
+    let mut solved = 0u64;
+    while begun.elapsed() < window {
+        m.reset();
+        let list = deep_list(&mut m.heap, 30);
+        let out = m.heap.new_var();
+        let goal = m.heap.new_struct(nrev, &[list, out]);
+        m.set_query(goal);
+        assert_eq!(black_box(m.run_to_completion()), Status::Solution);
+        solved += 1;
+    }
+    solved as f64 / begun.elapsed().as_secs_f64()
+}
+
+/// Do machines that share a program slow each other down? Two threads
+/// each resolve against one `Arc<Database>`; their per-thread rate is set
+/// against one thread alone. Anything the resolution path writes to the
+/// program — a reference count — is a cache line both cores fight over,
+/// and shows here as a ratio well under 1; a read-only program gives ~1
+/// (given two free cores: the line reports how many the host has).
+fn bench_shared_db(db: &Arc<Database>) {
+    let window = Duration::from_millis(400);
+    nrev_rate(db, &Barrier::new(1), window / 4); // warm-up, discarded
+    let solo = nrev_rate(db, &Barrier::new(1), window);
+    let start = Barrier::new(2);
+    let pair: Vec<f64> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| nrev_rate(db, &start, window)))
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("bench thread panicked"))
+            .collect()
+    });
+    let per_thread = pair.iter().sum::<f64>() / pair.len() as f64;
+    let cores = std::thread::available_parallelism().map_or(0, usize::from);
+    println!(
+        "{:<40} alone {solo:>9.0}/s  paired {per_thread:>9.0}/s per thread  ratio {:.2}  ({cores} cores)",
+        "machine/shared-db-2-threads",
+        per_thread / solo,
+    );
+}
+
 fn bench_machine(c: &mut Criterion) {
     let db = Arc::new(
         Database::load(
@@ -115,6 +167,7 @@ fn bench_machine(c: &mut Criterion) {
         )
         .unwrap(),
     );
+    bench_shared_db(&db);
     c.bench_function("machine/nrev-30", |b| {
         let costs = Arc::new(CostModel::default());
         let q = format!(

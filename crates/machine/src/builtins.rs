@@ -9,10 +9,10 @@ use ace_logic::copy::copy_term_within;
 use ace_logic::sym::{sym, wk};
 use ace_logic::term::{compare as term_compare, is_ground, view, ListIter, TermView};
 use ace_logic::unify::{struct_eq, unify};
-use ace_logic::{Addr, Cell, Sym};
+use ace_logic::{Addr, Cell, Database, Sym};
 
 use crate::arith;
-use crate::frames::{Alts, ChoicePoint};
+use crate::frames::Alts;
 use crate::machine::{Machine, Status};
 
 /// Builtins not in the well-known table, interned once: `dispatch` runs
@@ -26,6 +26,8 @@ struct ExtraSyms {
     reverse: Sym,
     nth1: Sym,
     answer: Sym,
+    /// `$findall`: pairs template and goal for one joint copy.
+    findall_pair: Sym,
 }
 
 fn extra() -> &'static ExtraSyms {
@@ -38,19 +40,28 @@ fn extra() -> &'static ExtraSyms {
         reverse: sym("reverse"),
         nth1: sym("nth1"),
         answer: sym("$answer"),
+        findall_pair: sym("$findall"),
     })
 }
 
-/// Try to execute `f/n` (with argument block at `hdr`) as a builtin.
-pub(crate) fn dispatch(m: &mut Machine, f: Sym, n: u32, hdr: Addr) -> Option<Status> {
+/// Try to execute `f/n` (with argument block at `hdr`) as a builtin. `db`
+/// is the program the machine is running, borrowed by the caller for the
+/// whole quantum: a builtin that fails backtracks into it directly.
+pub(crate) fn dispatch(
+    m: &mut Machine,
+    db: &Database,
+    f: Sym,
+    n: u32,
+    hdr: Addr,
+) -> Option<Status> {
     let w = wk();
     let xs = extra();
     let s = match (f, n) {
-        (x, 2) if x == w.unify => builtin_unify(m, hdr),
-        (x, 2) if x == w.not_unify => builtin_not_unify(m, hdr),
-        (x, 2) if x == w.struct_eq => builtin_struct_eq(m, hdr, true),
-        (x, 2) if x == w.struct_ne => builtin_struct_eq(m, hdr, false),
-        (x, 2) if x == w.is => builtin_is(m, hdr),
+        (x, 2) if x == w.unify => builtin_unify(m, db, hdr),
+        (x, 2) if x == w.not_unify => builtin_not_unify(m, db, hdr),
+        (x, 2) if x == w.struct_eq => builtin_struct_eq(m, db, hdr, true),
+        (x, 2) if x == w.struct_ne => builtin_struct_eq(m, db, hdr, false),
+        (x, 2) if x == w.is => builtin_is(m, db, hdr),
         (x, 2)
             if x == w.arith_eq
                 || x == w.arith_ne
@@ -59,33 +70,35 @@ pub(crate) fn dispatch(m: &mut Machine, f: Sym, n: u32, hdr: Addr) -> Option<Sta
                 || x == w.le
                 || x == w.ge =>
         {
-            builtin_arith_compare(m, f, hdr)
+            builtin_arith_compare(m, db, f, hdr)
         }
-        (x, 1) if x == w.var_ => builtin_type_test(m, hdr, TypeTest::Var),
-        (x, 1) if x == w.nonvar => builtin_type_test(m, hdr, TypeTest::Nonvar),
-        (x, 1) if x == w.atom_ => builtin_type_test(m, hdr, TypeTest::Atom),
-        (x, 1) if x == w.number || x == w.integer => builtin_type_test(m, hdr, TypeTest::Integer),
-        (x, 1) if x == w.atomic => builtin_type_test(m, hdr, TypeTest::Atomic),
-        (x, 1) if x == w.compound => builtin_type_test(m, hdr, TypeTest::Compound),
-        (x, 1) if x == w.ground => builtin_ground(m, hdr),
-        (x, 3) if x == w.functor => builtin_functor(m, hdr),
-        (x, 3) if x == w.arg => builtin_arg(m, hdr),
-        (x, 2) if x == w.univ => builtin_univ(m, hdr),
-        (x, 2) if x == w.copy_term => builtin_copy_term(m, hdr),
-        (x, 2) if x == w.length => builtin_length(m, hdr),
-        (x, 3) if x == w.between => builtin_between(m, hdr),
-        (x, 3) if x == w.compare => builtin_compare3(m, hdr),
+        (x, 1) if x == w.var_ => builtin_type_test(m, db, hdr, TypeTest::Var),
+        (x, 1) if x == w.nonvar => builtin_type_test(m, db, hdr, TypeTest::Nonvar),
+        (x, 1) if x == w.atom_ => builtin_type_test(m, db, hdr, TypeTest::Atom),
+        (x, 1) if x == w.number || x == w.integer => {
+            builtin_type_test(m, db, hdr, TypeTest::Integer)
+        }
+        (x, 1) if x == w.atomic => builtin_type_test(m, db, hdr, TypeTest::Atomic),
+        (x, 1) if x == w.compound => builtin_type_test(m, db, hdr, TypeTest::Compound),
+        (x, 1) if x == w.ground => builtin_ground(m, db, hdr),
+        (x, 3) if x == w.functor => builtin_functor(m, db, hdr),
+        (x, 3) if x == w.arg => builtin_arg(m, db, hdr),
+        (x, 2) if x == w.univ => builtin_univ(m, db, hdr),
+        (x, 2) if x == w.copy_term => builtin_copy_term(m, db, hdr),
+        (x, 2) if x == w.length => builtin_length(m, db, hdr),
+        (x, 3) if x == w.between => builtin_between(m, db, hdr),
+        (x, 3) if x == w.compare => builtin_compare3(m, db, hdr),
         (x, 2) if x == w.term_lt || x == w.term_gt || x == w.term_le || x == w.term_ge => {
-            builtin_term_order(m, f, hdr)
+            builtin_term_order(m, db, f, hdr)
         }
         (x, 1) if x == w.write => builtin_write(m, hdr, false),
         (x, 1) if x == w.writeln => builtin_write(m, hdr, true),
         (x, 1) if x == xs.tab => builtin_tab(m, hdr),
-        (x, 3) if x == xs.findall => builtin_findall(m, hdr),
-        (x, 2) if x == xs.msort => builtin_sort(m, hdr, false),
-        (x, 2) if x == xs.sort => builtin_sort(m, hdr, true),
-        (x, 2) if x == xs.reverse => builtin_reverse(m, hdr),
-        (x, 3) if x == xs.nth1 => builtin_nth1(m, hdr),
+        (x, 3) if x == xs.findall => builtin_findall(m, db, hdr),
+        (x, 2) if x == xs.msort => builtin_sort(m, db, hdr, false),
+        (x, 2) if x == xs.sort => builtin_sort(m, db, hdr, true),
+        (x, 2) if x == xs.reverse => builtin_reverse(m, db, hdr),
+        (x, 3) if x == xs.nth1 => builtin_nth1(m, db, hdr),
         (x, 1) if x == xs.answer => builtin_answer(m, hdr),
         _ => return None,
     };
@@ -97,7 +110,7 @@ pub(crate) fn dispatch(m: &mut Machine, f: Sym, n: u32, hdr: Addr) -> Option<Sta
 /// The sub-machine's cost is charged to this machine (the caller pays for
 /// the sub-search), and `&` inside the goal runs sequentially (findall is
 /// an all-solutions barrier).
-fn builtin_findall(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_findall(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let template = m.heap.str_arg(hdr, 0);
     let goal = m.heap.str_arg(hdr, 1);
@@ -106,7 +119,7 @@ fn builtin_findall(m: &mut Machine, hdr: Addr) -> Status {
     let mut sub = Machine::new(m.db().clone(), m.costs().clone());
     sub.set_clause_exec(m.clause_exec());
     // ship template+goal jointly so they keep sharing variables
-    let pair = m.heap.new_struct(sym("$findall"), &[template, goal]);
+    let pair = m.heap.new_struct(extra().findall_pair, &[template, goal]);
     let out = ace_logic::copy::copy_term(&m.heap, pair, &mut sub.heap);
     let Cell::Str(phdr) = out.root else {
         unreachable!()
@@ -139,12 +152,12 @@ fn builtin_findall(m: &mut Machine, hdr: Addr) -> Status {
     }
     m.charge(sub.stats.cost);
     let list = m.heap.list(&items);
-    unify_or_backtrack(m, bag, list)
+    unify_or_backtrack(m, db, bag, list)
 }
 
 /// `msort/2` (order-preserving duplicates) and `sort/2` (dedup) by the
 /// standard order of terms.
-fn builtin_sort(m: &mut Machine, hdr: Addr, dedup: bool) -> Status {
+fn builtin_sort(m: &mut Machine, db: &Database, hdr: Addr, dedup: bool) -> Status {
     m.charge(m.costs.builtin);
     let input = m.heap.str_arg(hdr, 0);
     let out = m.heap.str_arg(hdr, 1);
@@ -157,10 +170,10 @@ fn builtin_sort(m: &mut Machine, hdr: Addr, dedup: bool) -> Status {
         items.dedup_by(|a, b| term_compare(&m.heap, *a, *b).is_eq());
     }
     let list = m.heap.list(&items);
-    unify_or_backtrack(m, out, list)
+    unify_or_backtrack(m, db, out, list)
 }
 
-fn builtin_reverse(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_reverse(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let input = m.heap.str_arg(hdr, 0);
     let out = m.heap.str_arg(hdr, 1);
@@ -170,11 +183,11 @@ fn builtin_reverse(m: &mut Machine, hdr: Addr) -> Status {
     items.reverse();
     m.charge(items.len() as u64);
     let list = m.heap.list(&items);
-    unify_or_backtrack(m, out, list)
+    unify_or_backtrack(m, db, out, list)
 }
 
 /// `nth1(Index, List, Elem)` with a bound integer index.
-fn builtin_nth1(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_nth1(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let idx = m.heap.str_arg(hdr, 0);
     let list = m.heap.str_arg(hdr, 1);
@@ -183,12 +196,12 @@ fn builtin_nth1(m: &mut Machine, hdr: Addr) -> Status {
         return m.error("nth1/3: bound integer index expected");
     };
     if i < 1 {
-        return m.backtrack();
+        return m.backtrack_in(db);
     }
     let mut it = ListIter::new(&m.heap, list);
     match it.nth((i - 1) as usize) {
-        Some(cell) => unify_or_backtrack(m, elem, cell),
-        None => m.backtrack(),
+        Some(cell) => unify_or_backtrack(m, db, elem, cell),
+        None => m.backtrack_in(db),
     }
 }
 
@@ -225,7 +238,7 @@ fn succeed(m: &mut Machine) -> Status {
     Status::Running
 }
 
-fn builtin_unify(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_unify(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let a = m.heap.str_arg(hdr, 0);
     let b = m.heap.str_arg(hdr, 1);
@@ -238,12 +251,12 @@ fn builtin_unify(m: &mut Machine, hdr: Addr) -> Status {
         }
         None => {
             m.heap.undo_to(pre);
-            m.backtrack()
+            m.backtrack_in(db)
         }
     }
 }
 
-fn builtin_not_unify(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_not_unify(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let a = m.heap.str_arg(hdr, 0);
     let b = m.heap.str_arg(hdr, 1);
@@ -251,24 +264,24 @@ fn builtin_not_unify(m: &mut Machine, hdr: Addr) -> Status {
     let unified = unify(&mut m.heap, a, b).is_some();
     m.heap.undo_to(pre);
     if unified {
-        m.backtrack()
+        m.backtrack_in(db)
     } else {
         succeed(m)
     }
 }
 
-fn builtin_struct_eq(m: &mut Machine, hdr: Addr, want_eq: bool) -> Status {
+fn builtin_struct_eq(m: &mut Machine, db: &Database, hdr: Addr, want_eq: bool) -> Status {
     m.charge(m.costs.builtin);
     let a = m.heap.str_arg(hdr, 0);
     let b = m.heap.str_arg(hdr, 1);
     if struct_eq(&m.heap, a, b) == want_eq {
         succeed(m)
     } else {
-        m.backtrack()
+        m.backtrack_in(db)
     }
 }
 
-fn builtin_is(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_is(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let lhs = m.heap.str_arg(hdr, 0);
     let rhs = m.heap.str_arg(hdr, 1);
@@ -280,7 +293,7 @@ fn builtin_is(m: &mut Machine, hdr: Addr) -> Status {
                 Some(_) => succeed(m),
                 None => {
                     m.heap.undo_to(pre);
-                    m.backtrack()
+                    m.backtrack_in(db)
                 }
             }
         }
@@ -288,7 +301,7 @@ fn builtin_is(m: &mut Machine, hdr: Addr) -> Status {
     }
 }
 
-fn builtin_arith_compare(m: &mut Machine, op: Sym, hdr: Addr) -> Status {
+fn builtin_arith_compare(m: &mut Machine, db: &Database, op: Sym, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let a = m.heap.str_arg(hdr, 0);
     let b = m.heap.str_arg(hdr, 1);
@@ -299,7 +312,7 @@ fn builtin_arith_compare(m: &mut Machine, op: Sym, hdr: Addr) -> Status {
         }
         Ok((false, ops)) => {
             m.charge(ops as u64 * m.costs.arith_op);
-            m.backtrack()
+            m.backtrack_in(db)
         }
         Err(e) => m.error(format!("{}/2: {e}", op.name())),
     }
@@ -314,7 +327,7 @@ enum TypeTest {
     Compound,
 }
 
-fn builtin_type_test(m: &mut Machine, hdr: Addr, t: TypeTest) -> Status {
+fn builtin_type_test(m: &mut Machine, db: &Database, hdr: Addr, t: TypeTest) -> Status {
     m.charge(m.costs.builtin);
     let v = view(&m.heap, m.heap.str_arg(hdr, 0));
     let ok = match t {
@@ -330,21 +343,21 @@ fn builtin_type_test(m: &mut Machine, hdr: Addr, t: TypeTest) -> Status {
     if ok {
         succeed(m)
     } else {
-        m.backtrack()
+        m.backtrack_in(db)
     }
 }
 
-fn builtin_ground(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_ground(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let t = m.heap.str_arg(hdr, 0);
     if is_ground(&m.heap, t) {
         succeed(m)
     } else {
-        m.backtrack()
+        m.backtrack_in(db)
     }
 }
 
-fn builtin_functor(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_functor(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let t = m.heap.str_arg(hdr, 0);
     let name = m.heap.str_arg(hdr, 1);
@@ -375,7 +388,7 @@ fn builtin_functor(m: &mut Machine, hdr: Addr) -> Status {
                 }
                 _ => return m.error("functor/3: bad name/arity"),
             };
-            unify_or_backtrack(m, t, built)
+            unify_or_backtrack(m, db, t, built)
         }
         TermView::Atom(s) => {
             let pre = m.heap.trail_mark();
@@ -385,7 +398,7 @@ fn builtin_functor(m: &mut Machine, hdr: Addr) -> Status {
                 succeed(m)
             } else {
                 m.heap.undo_to(pre);
-                m.backtrack()
+                m.backtrack_in(db)
             }
         }
         TermView::Int(i) => {
@@ -396,7 +409,7 @@ fn builtin_functor(m: &mut Machine, hdr: Addr) -> Status {
                 succeed(m)
             } else {
                 m.heap.undo_to(pre);
-                m.backtrack()
+                m.backtrack_in(db)
             }
         }
         TermView::Nil => {
@@ -407,7 +420,7 @@ fn builtin_functor(m: &mut Machine, hdr: Addr) -> Status {
                 succeed(m)
             } else {
                 m.heap.undo_to(pre);
-                m.backtrack()
+                m.backtrack_in(db)
             }
         }
         TermView::Struct(f, a, _) => {
@@ -418,7 +431,7 @@ fn builtin_functor(m: &mut Machine, hdr: Addr) -> Status {
                 succeed(m)
             } else {
                 m.heap.undo_to(pre);
-                m.backtrack()
+                m.backtrack_in(db)
             }
         }
         TermView::List(_) => {
@@ -430,13 +443,13 @@ fn builtin_functor(m: &mut Machine, hdr: Addr) -> Status {
                 succeed(m)
             } else {
                 m.heap.undo_to(pre);
-                m.backtrack()
+                m.backtrack_in(db)
             }
         }
     }
 }
 
-fn builtin_arg(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_arg(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let n = m.heap.str_arg(hdr, 0);
     let t = m.heap.str_arg(hdr, 1);
@@ -447,21 +460,21 @@ fn builtin_arg(m: &mut Machine, hdr: Addr) -> Status {
     let picked = match view(&m.heap, t) {
         TermView::Struct(_, arity, shdr) => {
             if i < 1 || i as u32 > arity {
-                return m.backtrack();
+                return m.backtrack_in(db);
             }
             m.heap.str_arg(shdr, (i - 1) as u32)
         }
         TermView::List(p) => match i {
             1 => m.heap.lst_head(p),
             2 => m.heap.lst_tail(p),
-            _ => return m.backtrack(),
+            _ => return m.backtrack_in(db),
         },
         _ => return m.error("arg/3: compound expected"),
     };
-    unify_or_backtrack(m, a, picked)
+    unify_or_backtrack(m, db, a, picked)
 }
 
-fn builtin_univ(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_univ(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let t = m.heap.str_arg(hdr, 0);
     let l = m.heap.str_arg(hdr, 1);
@@ -488,45 +501,45 @@ fn builtin_univ(m: &mut Machine, hdr: Addr) -> Status {
                 }
                 _ => return m.error("=../2: bad functor"),
             };
-            unify_or_backtrack(m, t, built)
+            unify_or_backtrack(m, db, t, built)
         }
         TermView::Atom(s) => {
             let lst = m.heap.list(&[Cell::Atom(s)]);
-            unify_or_backtrack(m, l, lst)
+            unify_or_backtrack(m, db, l, lst)
         }
         TermView::Int(i) => {
             let lst = m.heap.list(&[Cell::Int(i)]);
-            unify_or_backtrack(m, l, lst)
+            unify_or_backtrack(m, db, l, lst)
         }
         TermView::Nil => {
             let lst = m.heap.list(&[Cell::Nil]);
-            unify_or_backtrack(m, l, lst)
+            unify_or_backtrack(m, db, l, lst)
         }
         TermView::Struct(f, n, shdr) => {
             let mut items = vec![Cell::Atom(f)];
             items.extend((0..n).map(|i| m.heap.str_arg(shdr, i)));
             let lst = m.heap.list(&items);
-            unify_or_backtrack(m, l, lst)
+            unify_or_backtrack(m, db, l, lst)
         }
         TermView::List(p) => {
             let items = vec![Cell::Atom(wk().dot), m.heap.lst_head(p), m.heap.lst_tail(p)];
             let lst = m.heap.list(&items);
-            unify_or_backtrack(m, l, lst)
+            unify_or_backtrack(m, db, l, lst)
         }
     }
 }
 
-fn builtin_copy_term(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_copy_term(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let t = m.heap.str_arg(hdr, 0);
     let c = m.heap.str_arg(hdr, 1);
     let out = copy_term_within(&mut m.heap, t);
     m.stats.cells_copied += out.cells_copied as u64;
     m.charge(out.cells_copied as u64 * m.costs.heap_cell);
-    unify_or_backtrack(m, c, out.root)
+    unify_or_backtrack(m, db, c, out.root)
 }
 
-fn builtin_length(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_length(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let l = m.heap.str_arg(hdr, 0);
     let n = m.heap.str_arg(hdr, 1);
@@ -538,10 +551,10 @@ fn builtin_length(m: &mut Machine, hdr: Addr) -> Status {
     }
     let rest = it.rest();
     match (view(&m.heap, rest), view(&m.heap, n)) {
-        (TermView::Nil, _) => unify_or_backtrack(m, n, Cell::Int(count)),
+        (TermView::Nil, _) => unify_or_backtrack(m, db, n, Cell::Int(count)),
         (TermView::Var(_), TermView::Int(total)) => {
             if total < count {
-                return m.backtrack();
+                return m.backtrack_in(db);
             }
             // extend with fresh variables up to the requested length
             let mut tail = Cell::Nil;
@@ -551,13 +564,13 @@ fn builtin_length(m: &mut Machine, hdr: Addr) -> Status {
                 tail = m.heap.cons(v, tail);
             }
             m.stats.heap_cells += (extra * 3) as u64;
-            unify_or_backtrack(m, rest, tail)
+            unify_or_backtrack(m, db, rest, tail)
         }
         _ => m.error("length/2: insufficiently instantiated"),
     }
 }
 
-fn builtin_between(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_between(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let lo_t = m.heap.str_arg(hdr, 0);
     let hi_t = m.heap.str_arg(hdr, 1);
@@ -572,27 +585,20 @@ fn builtin_between(m: &mut Machine, hdr: Addr) -> Status {
             if lo <= i && i <= hi {
                 succeed(m)
             } else {
-                m.backtrack()
+                m.backtrack_in(db)
             }
         }
         TermView::Var(a) => {
             if lo > hi {
-                return m.backtrack();
+                return m.backtrack_in(db);
             }
             if lo < hi {
-                m.push_choice(ChoicePoint {
-                    goal: x,
-                    alts: Alts::Between {
-                        var: x,
-                        next: lo + 1,
-                        hi,
-                    },
-                    cont: m.cont.clone(),
-                    trail: m.heap.trail_mark(),
-                    heap: m.heap.heap_mark(),
-                    barrier: m.ctrl.len() as u32,
-                    shared: None,
-                });
+                let rest = Alts::Between {
+                    var: x,
+                    next: lo + 1,
+                    hi,
+                };
+                m.push_choice(x, rest, m.cont, m.ctrl.len() as u32);
             }
             m.heap.bind(a, Cell::Int(lo));
             succeed(m)
@@ -601,21 +607,22 @@ fn builtin_between(m: &mut Machine, hdr: Addr) -> Status {
     }
 }
 
-fn builtin_compare3(m: &mut Machine, hdr: Addr) -> Status {
+fn builtin_compare3(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let order = m.heap.str_arg(hdr, 0);
     let a = m.heap.str_arg(hdr, 1);
     let b = m.heap.str_arg(hdr, 2);
     let o = term_compare(&m.heap, a, b);
-    let atom = match o {
-        std::cmp::Ordering::Less => Cell::Atom(sym("<")),
-        std::cmp::Ordering::Equal => Cell::Atom(sym("=")),
-        std::cmp::Ordering::Greater => Cell::Atom(sym(">")),
-    };
-    unify_or_backtrack(m, order, atom)
+    let w = wk();
+    let atom = Cell::Atom(match o {
+        std::cmp::Ordering::Less => w.lt,
+        std::cmp::Ordering::Equal => w.unify,
+        std::cmp::Ordering::Greater => w.gt,
+    });
+    unify_or_backtrack(m, db, order, atom)
 }
 
-fn builtin_term_order(m: &mut Machine, op: Sym, hdr: Addr) -> Status {
+fn builtin_term_order(m: &mut Machine, db: &Database, op: Sym, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
     let a = m.heap.str_arg(hdr, 0);
     let b = m.heap.str_arg(hdr, 1);
@@ -634,7 +641,7 @@ fn builtin_term_order(m: &mut Machine, op: Sym, hdr: Addr) -> Status {
     if ok {
         succeed(m)
     } else {
-        m.backtrack()
+        m.backtrack_in(db)
     }
 }
 
@@ -663,7 +670,7 @@ fn builtin_tab(m: &mut Machine, hdr: Addr) -> Status {
     }
 }
 
-fn unify_or_backtrack(m: &mut Machine, a: Cell, b: Cell) -> Status {
+fn unify_or_backtrack(m: &mut Machine, db: &Database, a: Cell, b: Cell) -> Status {
     let pre = m.heap.trail_mark();
     match unify(&mut m.heap, a, b) {
         Some(steps) => {
@@ -673,7 +680,7 @@ fn unify_or_backtrack(m: &mut Machine, a: Cell, b: Cell) -> Status {
         }
         None => {
             m.heap.undo_to(pre);
-            m.backtrack()
+            m.backtrack_in(db)
         }
     }
 }

@@ -20,10 +20,10 @@ use ace_logic::heap::HeapMark;
 use ace_logic::{Cell, Sym, TrailMark};
 use ace_table::AnswerEntry;
 
-use crate::cont::Cont;
+use crate::cont::{Cont, ContMark};
 
 /// The untried alternatives of a choice point.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Alts {
     /// Remaining clauses of a user predicate call: try clause indices
     /// `>= next` whose index key may match `key`.
@@ -94,6 +94,10 @@ pub struct ChoicePoint {
     pub cont: Cont,
     pub trail: TrailMark,
     pub heap: HeapMark,
+    /// Continuation-stack height at creation: restored on retry like the
+    /// heap, and while this frame is on the control stack nothing below
+    /// it is dropped (the liveness rule of [`crate::cont`]).
+    pub conts: ContMark,
     /// Cut barrier active at the call (restored on retry).
     pub barrier: u32,
     /// Set when the or-engine has published this choice point; alternatives
@@ -124,6 +128,8 @@ pub struct ParcallFrame {
     pub cont: Cont,
     pub trail: TrailMark,
     pub heap: HeapMark,
+    /// Continuation-stack height at creation (protects `cont`).
+    pub conts: ContMark,
     pub barrier: u32,
     /// And-engine attachment (slot states, generators, scheduling handle).
     pub ext: Option<Box<dyn Any + Send>>,
@@ -168,6 +174,8 @@ pub struct Marker {
     pub trail: TrailMark,
     /// Heap position at section start (Input) / end (End).
     pub heap: HeapMark,
+    /// Continuation-stack height at section start (Input) / end (End).
+    pub conts: ContMark,
 }
 
 /// One frame of the control stack.
@@ -190,6 +198,16 @@ impl CtrlFrame {
     pub fn is_marker(&self) -> bool {
         matches!(self, CtrlFrame::Marker(_))
     }
+
+    /// Continuation-stack height when this frame was pushed.
+    #[inline]
+    pub fn cont_mark(&self) -> ContMark {
+        match self {
+            CtrlFrame::Choice(cp) => cp.conts,
+            CtrlFrame::Parcall(pf) => pf.conts,
+            CtrlFrame::Marker(m) => m.conts,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -204,7 +222,9 @@ mod tests {
             slot: 0,
             trail: TrailMark(0),
             heap: HeapMark(0),
+            conts: ContMark(3),
         });
+        assert_eq!(m.cont_mark(), ContMark(3));
         assert!(m.is_marker());
         assert!(!m.is_choice());
         assert!(!m.is_parcall());
@@ -215,9 +235,10 @@ mod tests {
         let cp = ChoicePoint {
             goal: Cell::Nil,
             alts: Alts::Disj { rhs: Cell::Nil },
-            cont: None,
+            cont: Cont::NONE,
             trail: TrailMark(0),
             heap: HeapMark(0),
+            conts: ContMark(0),
             barrier: 0,
             shared: None,
         };

@@ -33,7 +33,7 @@ pub mod machine;
 pub mod pool;
 pub mod solve;
 
-pub use cont::{Cont, ContNode};
+pub use cont::{Cont, ContMark, ContNode, ContStack};
 pub use frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame};
 pub use machine::{Machine, Status};
 pub use pool::MachinePool;

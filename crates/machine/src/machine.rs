@@ -18,7 +18,7 @@ use crate::arith;
 use ace_runtime::{CancelToken, ClauseExec, CostModel, EngineConfig, EventKind, Stats};
 use ace_table::{AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome};
 
-use crate::cont::{self, Cont};
+use crate::cont::{Cont, ContMark, ContStack};
 use crate::frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame, SharedChoice};
 
 /// Machine execution status, returned by [`Machine::step`] / [`Machine::run`].
@@ -113,6 +113,13 @@ fn body_step_sym() -> Sym {
 fn body_slots_sym() -> Sym {
     static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
     *S.get_or_init(|| sym("$slots"))
+}
+
+/// Interned `$closure` (the frozen goal + continuation tuple of state
+/// copying and of suspended tabled consumers).
+fn closure_sym() -> Sym {
+    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
+    *S.get_or_init(|| sym("$closure"))
 }
 
 /// Interned `$table_answer` (answer-insertion marker of a tabled
@@ -221,7 +228,11 @@ impl StateClosure {
 pub struct Machine {
     pub heap: Heap,
     db: Arc<Database>,
+    /// The running continuation, a handle into `conts`.
     pub(crate) cont: Cont,
+    /// Continuation nodes; what may hold a handle into them, and when they
+    /// are dropped, is the liveness rule of [`crate::cont`].
+    conts: ContStack,
     pub(crate) ctrl: Vec<CtrlFrame>,
     pub(crate) status: Status,
     /// Whether `&`/2 raises [`Status::Parcall`] (parallel engines) or is
@@ -301,7 +312,7 @@ impl std::fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("status", &self.status)
             .field("ctrl_len", &self.ctrl.len())
-            .field("cont_len", &cont::len(&self.cont))
+            .field("cont_len", &self.conts.len(self.cont))
             .field("heap_len", &self.heap.len())
             .finish()
     }
@@ -312,7 +323,8 @@ impl Machine {
         Machine {
             heap: Heap::new(),
             db,
-            cont: None,
+            cont: Cont::NONE,
+            conts: ContStack::new(),
             ctrl: Vec::with_capacity(64),
             status: Status::Failed,
             par_enabled: false,
@@ -403,7 +415,7 @@ impl Machine {
 
     /// Begin solving `goal` (a term in this machine's heap).
     pub fn set_query(&mut self, goal: Cell) {
-        self.cont = cont::push(&None, goal, 0);
+        self.cont = self.conts.push(Cont::NONE, goal, 0);
         self.status = Status::Running;
     }
 
@@ -421,7 +433,8 @@ impl Machine {
     /// before calling — they are zeroed here.
     pub fn reset(&mut self) {
         self.heap.clear();
-        self.cont = None;
+        self.cont = Cont::NONE;
+        self.conts.clear();
         self.ctrl.clear();
         self.status = Status::Failed;
         self.output.clear();
@@ -539,7 +552,7 @@ impl Machine {
     /// Consult the answer store for `goal`. `Some(status)` short-circuits
     /// the call (hit: answers replayed); `None` falls through to normal
     /// resolution with a watch planted to capture the answer.
-    fn memo_consult(&mut self, goal: Cell) -> Option<Status> {
+    fn memo_consult(&mut self, db: &Database, goal: Cell) -> Option<Status> {
         self.charge(self.costs.memo_lookup);
         let key = CanonKey::of(&self.heap, goal);
         let store = self.store.as_ref().expect("memo_consult without a store");
@@ -551,7 +564,7 @@ impl Machine {
                     epoch: entry.epoch,
                 });
             }
-            return Some(self.replay(goal, entry));
+            return Some(self.replay(db, goal, entry));
         }
         self.stats.memo_misses += 1;
         // Watch this call: a `$memo_store` marker planted before the
@@ -582,56 +595,63 @@ impl Machine {
             output_len: self.output.len(),
             answers_len: self.answers.len(),
         });
-        self.cont = cont::push(&self.cont, marker, self.ctrl.len() as u32);
+        self.cont = self.conts.push(self.cont, marker, self.ctrl.len() as u32);
         None
     }
 
     /// Replay a complete answer set for `goal` (a memo hit, or a tabled
     /// subgoal someone already completed).
-    fn replay(&mut self, goal: Cell, entry: Arc<AnswerEntry>) -> Status {
+    fn replay(&mut self, db: &Database, goal: Cell, entry: Arc<AnswerEntry>) -> Status {
         if entry.answers.is_empty() {
             // complete with zero answers: the call is known to fail
-            return self.backtrack();
+            return self.backtrack_in(db);
         }
         if entry.answers.len() > 1 {
-            self.push_choice(ChoicePoint {
-                goal,
-                alts: Alts::Replay {
-                    entry: entry.clone(),
-                    next: 1,
-                },
-                cont: self.cont.clone(),
-                trail: self.heap.trail_mark(),
-                heap: self.heap.heap_mark(),
-                barrier: self.ctrl.len() as u32,
-                shared: None,
-            });
+            let alts = Alts::Replay {
+                entry: entry.clone(),
+                next: 1,
+            };
+            self.push_choice(goal, alts, self.cont, self.ctrl.len() as u32);
         }
-        if self.memo_unify_answer(goal, &entry.answers[0]) {
+        if Self::unify_answer(
+            &mut self.heap,
+            &mut self.stats,
+            &self.costs,
+            goal,
+            &entry.answers[0],
+        ) {
             self.status = Status::Running;
             Status::Running
         } else {
-            self.backtrack()
+            self.backtrack_in(db)
         }
     }
 
     /// Thaw one stored answer and unify it with the live call. On failure
-    /// the partial bindings are undone; returns success.
-    fn memo_unify_answer(&mut self, goal: Cell, arena: &TermArena) -> bool {
-        let (thawed, cells) = arena.thaw(&mut self.heap);
-        self.stats.heap_cells += cells as u64;
-        self.charge(cells as u64 * self.costs.heap_cell);
-        let pre = self.heap.trail_mark();
-        match unify(&mut self.heap, goal, thawed) {
+    /// the partial bindings are undone; returns success. Takes the machine
+    /// by its fields so the answer can stay borrowed where it is stored —
+    /// in a choice point's [`Alts::Replay`] entry or a local SLG frame.
+    fn unify_answer(
+        heap: &mut Heap,
+        stats: &mut Stats,
+        costs: &CostModel,
+        goal: Cell,
+        arena: &TermArena,
+    ) -> bool {
+        let (thawed, cells) = arena.thaw(heap);
+        stats.heap_cells += cells as u64;
+        stats.charge(cells as u64 * costs.heap_cell);
+        let pre = heap.trail_mark();
+        match unify(heap, goal, thawed) {
             Some(steps) => {
-                self.stats.unify_steps += steps as u64;
-                self.charge(steps as u64 * self.costs.unify_step);
+                stats.unify_steps += steps as u64;
+                stats.charge(steps as u64 * costs.unify_step);
                 true
             }
             None => {
-                let undone = self.heap.undo_to(pre);
-                self.stats.trail_undos += undone as u64;
-                self.charge(undone as u64 * self.costs.trail_undo);
+                let undone = heap.undo_to(pre);
+                stats.trail_undos += undone as u64;
+                stats.charge(undone as u64 * costs.trail_undo);
                 false
             }
         }
@@ -713,6 +733,7 @@ impl Machine {
     /// table, or a fresh generator driving the failure-loop derivation.
     fn table_call(
         &mut self,
+        db: &Database,
         goal: Cell,
         name: Sym,
         arity: u32,
@@ -734,21 +755,14 @@ impl Machine {
                     *m = (*m).min(dfn);
                 }
             }
-            self.push_choice(ChoicePoint {
-                goal,
-                alts: Alts::TableConsumer {
-                    subgoal: idx,
-                    next: 0,
-                },
-                cont: self.cont.clone(),
-                trail: self.heap.trail_mark(),
-                heap: self.heap.heap_mark(),
-                barrier: self.ctrl.len() as u32,
-                shared: None,
-            });
+            let cursor = Alts::TableConsumer {
+                subgoal: idx,
+                next: 0,
+            };
+            self.push_choice(goal, cursor, self.cont, self.ctrl.len() as u32);
             // The cursor choice point drains answers (and suspends when
             // dry) through the ordinary backtracking path.
-            return self.backtrack();
+            return self.backtrack_in(db);
         }
 
         let store = self.store.as_ref().expect("table_call without a store");
@@ -756,7 +770,7 @@ impl Machine {
             // Someone already completed this subgoal: a pure lookup.
             RegisterOutcome::Complete(entry) => {
                 self.stats.table_hits += 1;
-                return self.replay(goal, entry);
+                return self.replay(db, goal, entry);
             }
             RegisterOutcome::Fresh { subgoal_id } => {
                 if self.store_trace {
@@ -785,7 +799,7 @@ impl Machine {
             dfn: 0,
             minlink: 0,
         };
-        self.table_generate(goal, name, arity, hdr, frame)
+        self.table_generate(db, goal, name, arity, hdr, frame)
     }
 
     /// Install a fresh generator for `frame`: a caller-consumer cursor below
@@ -797,13 +811,13 @@ impl Machine {
     /// completes (local scheduling).
     fn table_generate(
         &mut self,
+        db: &Database,
         goal: Cell,
         name: Sym,
         arity: u32,
         hdr: Option<ace_logic::Addr>,
         mut frame: LocalSubgoal,
     ) -> Status {
-        let db = self.db.clone();
         let Some(pred) = db.predicate(name, arity) else {
             return self.error(format!("undefined predicate {}/{arity}", name.name()));
         };
@@ -820,53 +834,39 @@ impl Machine {
         let Some(first) = self.pred_next(pred, ikey, 0) else {
             // No clause can match: the subgoal completes empty here.
             self.table_complete_frame(idx);
-            return self.backtrack();
+            return self.backtrack_in(db);
         };
 
         // The caller's cursor sits below the generator so it survives the
         // generator's exhaustion and drains the completed answer list.
-        self.push_choice(ChoicePoint {
-            goal,
-            alts: Alts::TableConsumer {
-                subgoal: idx,
-                next: 0,
-            },
-            cont: self.cont.clone(),
-            trail: self.heap.trail_mark(),
-            heap: self.heap.heap_mark(),
-            barrier: self.ctrl.len() as u32,
-            shared: None,
-        });
+        let cursor = Alts::TableConsumer {
+            subgoal: idx,
+            next: 0,
+        };
+        self.push_choice(goal, cursor, self.cont, self.ctrl.len() as u32);
 
         let marker = self
             .heap
             .new_struct(table_answer_sym(), &[Cell::Int(idx as i64), goal]);
         let gen_ctrl = self.ctrl.len();
-        let gen_cont = cont::push(&None, marker, gen_ctrl as u32);
-        self.push_choice(ChoicePoint {
-            goal,
-            alts: Alts::TableGen {
-                subgoal: idx,
-                name,
-                arity,
-                key: ikey,
-                next: first + 1,
-            },
-            cont: gen_cont.clone(),
-            trail: self.heap.trail_mark(),
-            heap: self.heap.heap_mark(),
-            barrier: gen_ctrl as u32,
-            shared: None,
-        });
+        let gen_cont = self.conts.push(Cont::NONE, marker, gen_ctrl as u32);
+        let clauses = Alts::TableGen {
+            subgoal: idx,
+            name,
+            arity,
+            key: ikey,
+            next: first + 1,
+        };
+        self.push_choice(goal, clauses, gen_cont, gen_ctrl as u32);
         self.table_gen_stack.push((idx, gen_ctrl));
         self.cont = gen_cont;
         // Cut inside a tabled clause is local to that clause: it must
         // never discard the generator choice point.
         let body_barrier = self.ctrl.len() as u32;
-        if self.try_clause(name, arity, first, goal, body_barrier) {
+        if self.try_clause_in(pred, name, arity, first, goal, body_barrier) {
             Status::Running
         } else {
-            self.backtrack()
+            self.backtrack_in(db)
         }
     }
 
@@ -874,7 +874,7 @@ impl Machine {
     /// marker: insert the (now instantiated) answer if new, then fail
     /// back into the clause loop — the failure-driven core of SLG answer
     /// generation.
-    fn table_answer_arrival(&mut self, idx: usize, goal: Cell) -> Status {
+    fn table_answer_arrival(&mut self, db: &Database, idx: usize, goal: Cell) -> Status {
         self.charge(self.costs.memo_store);
         let key = CanonKey::of(&self.heap, goal);
         if self.table_subgoals[idx].dedup.insert(key.bytes) {
@@ -892,7 +892,7 @@ impl Machine {
         } else {
             self.stats.table_dups += 1;
         }
-        self.backtrack()
+        self.backtrack_in(db)
     }
 
     /// Freeze a dry consumer's goal + continuation and park it on the
@@ -902,14 +902,14 @@ impl Machine {
     /// on top of the control stack and is popped here.
     fn table_suspend(&mut self, subgoal: usize, next: usize, goal: Cell) {
         self.ctrl.pop();
-        let cont_goals = cont::to_vec(&self.cont);
+        let cont_goals = self.conts.to_vec(self.cont);
         // Freeze goal + continuation jointly (one tuple) so shared
         // variables stay shared; the scratch tuple is reclaimed at once.
         let mark = self.heap.heap_mark();
         let mut tuple_args = Vec::with_capacity(cont_goals.len() + 1);
         tuple_args.push(goal);
         tuple_args.extend(cont_goals.iter().map(|(g, _)| *g));
-        let tuple = self.heap.new_struct(sym("$closure"), &tuple_args);
+        let tuple = self.heap.new_struct(closure_sym(), &tuple_args);
         let closure = StateClosure::freeze(&self.heap, tuple, cont_goals.len());
         self.heap.truncate_to(mark);
         self.charge(closure.cells as u64 * self.costs.heap_cell);
@@ -1040,19 +1040,12 @@ impl Machine {
         let cont_goals: Vec<(Cell, u32)> = (0..susp.closure.cont_len)
             .map(|i| (self.heap.str_arg(hdr, 1 + i as u32), 0))
             .collect();
-        let cont = cont::from_vec(&cont_goals, |_| floor);
-        self.push_choice(ChoicePoint {
-            goal,
-            alts: Alts::TableConsumer {
-                subgoal,
-                next: susp.next,
-            },
-            cont,
-            trail: self.heap.trail_mark(),
-            heap: self.heap.heap_mark(),
-            barrier: floor,
-            shared: None,
-        });
+        let cont = self.conts.from_vec(&cont_goals, |_| floor);
+        let cursor = Alts::TableConsumer {
+            subgoal,
+            next: susp.next,
+        };
+        self.push_choice(goal, cursor, cont, floor);
     }
 
     /// Choice frames are being discarded outside the backtracking loop
@@ -1085,6 +1078,20 @@ impl Machine {
 
     pub fn ctrl_len(&self) -> usize {
         self.ctrl.len()
+    }
+
+    /// Nodes currently on the continuation stack, live or stranded by a
+    /// cut and not yet trimmed (diagnostics: the continuation-space tests
+    /// read their high-water marks through this).
+    pub fn cont_stack_len(&self) -> usize {
+        self.conts.height()
+    }
+
+    /// Continuation-stack height the top control frame protects (0 with no
+    /// frame): nothing below it may be dropped.
+    #[inline]
+    fn cont_floor(&self) -> ContMark {
+        self.ctrl.last().map_or(ContMark(0), CtrlFrame::cont_mark)
     }
 
     /// Read-only view of the control stack (engines use it for refined
@@ -1120,19 +1127,23 @@ impl Machine {
     /// Resume execution after the and-engine integrated a (new) solution of
     /// the top parcall frame: continue with the goals after the `&`.
     pub fn resume_after_parcall(&mut self) {
-        let cont = self
+        self.cont = self
             .top_parcall()
             .expect("resume_after_parcall: no parcall on top")
-            .cont
-            .clone();
-        self.cont = cont;
+            .cont;
         self.status = Status::Running;
     }
 
     /// Resume with an explicit continuation (integration of a parcall frame
     /// that is no longer on top — inline-execution chains stack several
-    /// frames on one control stack).
+    /// frames on one control stack). The frame must still be on the control
+    /// stack: that is what has kept `cont`'s nodes from being dropped since
+    /// the handle was taken (the liveness rule of [`crate::cont`]).
     pub fn resume_with_cont(&mut self, cont: Cont) {
+        assert!(
+            self.cont_floor().protects(cont),
+            "resume_with_cont: {cont:?} is protected by no control frame"
+        );
         self.cont = cont;
         self.status = Status::Running;
     }
@@ -1149,8 +1160,8 @@ impl Machine {
         let marker = self
             .heap
             .new_struct(inline_barrier_sym(), &[Cell::Int(frame_id as i64)]);
-        let cont = cont::push(&None, marker, barrier);
-        self.cont = cont::push(&cont, goal, barrier);
+        let end = self.conts.push(Cont::NONE, marker, barrier);
+        self.cont = self.conts.push(end, goal, barrier);
         self.status = Status::Running;
     }
 
@@ -1159,7 +1170,7 @@ impl Machine {
     /// frames, markers, choice points — all part of the doomed branch),
     /// then continue backtracking below it.
     pub fn fail_parcall_until(&mut self, frame_id: u64) -> Status {
-        loop {
+        let pf = loop {
             match self.ctrl.pop() {
                 None => panic!("fail_parcall_until: frame {frame_id} not on ctrl"),
                 Some(CtrlFrame::Choice(cp)) => {
@@ -1176,15 +1187,16 @@ impl Machine {
                     self.charge(self.costs.frame_traverse);
                     self.stats.frame_traversals += 1;
                     if pf.id == frame_id {
-                        let undone = self.heap.undo_to(pf.trail);
-                        self.heap.truncate_to(pf.heap);
-                        self.stats.trail_undos += undone as u64;
-                        self.charge(undone as u64 * self.costs.trail_undo);
-                        return self.backtrack();
+                        break pf;
                     }
                 }
             }
-        }
+        };
+        let undone = self.heap.undo_to(pf.trail);
+        self.heap.truncate_to(pf.heap);
+        self.stats.trail_undos += undone as u64;
+        self.charge(undone as u64 * self.costs.trail_undo);
+        self.backtrack()
     }
 
     /// Is the top parcall frame's continuation empty except for the
@@ -1196,13 +1208,11 @@ impl Machine {
         let Some(pf) = self.top_parcall() else {
             return false;
         };
-        let Some(node) = &pf.cont else { return false };
-        if node.next.is_some() {
-            return false;
-        }
-        match crate::machine::view_barrier(&self.heap, node.goal) {
-            Some(fid) => fid == frame_id,
-            None => false,
+        match self.conts.node(pf.cont) {
+            Some(node) if node.next.is_none() => {
+                view_barrier(&self.heap, node.goal) == Some(frame_id)
+            }
+            _ => false,
         }
     }
 
@@ -1242,15 +1252,10 @@ impl Machine {
     /// frame by the and-engine). The machine behaves as if the clause body
     /// ended before the parallel call.
     pub fn merge_out_parcall(&mut self) -> ParcallFrame {
-        let cont = self
-            .top_parcall()
-            .expect("merge_out_parcall: no parcall on top")
-            .cont
-            .clone();
         let Some(CtrlFrame::Parcall(pf)) = self.ctrl.pop() else {
-            unreachable!()
+            panic!("merge_out_parcall: no parcall on top");
         };
-        self.cont = cont;
+        self.cont = pf.cont;
         self.status = Status::Running;
         pf
     }
@@ -1267,6 +1272,7 @@ impl Machine {
             slot,
             trail: self.heap.trail_mark(),
             heap: self.heap.heap_mark(),
+            conts: self.conts.mark(),
         };
         self.ctrl.push(CtrlFrame::Marker(m));
     }
@@ -1276,7 +1282,7 @@ impl Machine {
     /// new machine; `(a & b)` executed here becomes `(a, b)`.
     pub fn continue_with(&mut self, goal: Cell) {
         debug_assert_eq!(self.status, Status::Solution);
-        self.cont = cont::push(&None, goal, 0);
+        self.cont = self.conts.push(Cont::NONE, goal, 0);
         self.status = Status::Running;
     }
 
@@ -1327,6 +1333,7 @@ impl Machine {
             slot,
             trail: self.heap.trail_mark(),
             heap: self.heap.heap_mark(),
+            conts: self.conts.mark(),
         }));
         idx
     }
@@ -1417,7 +1424,7 @@ impl Machine {
             let Some(CtrlFrame::Choice(cp)) = self.ctrl.get(idx) else {
                 panic!("choice_closure: not a choice point");
             };
-            (cp.goal, cont::to_vec(&cp.cont), cp.trail)
+            (cp.goal, self.conts.to_vec(cp.cont), cp.trail)
         };
         // `$memo_store` markers are machine-local bookkeeping (they index
         // this machine's watch table); to a remote worker they mean
@@ -1432,7 +1439,7 @@ impl Machine {
         let mut tuple_args = Vec::with_capacity(cont_goals.len() + 1);
         tuple_args.push(goal);
         tuple_args.extend(cont_goals.iter().map(|(g, _)| *g));
-        let tuple = self.heap.new_struct(sym("$closure"), &tuple_args);
+        let tuple = self.heap.new_struct(closure_sym(), &tuple_args);
         let closure = StateClosure::freeze(&self.heap, tuple, cont_goals.len());
         self.heap.rewind_section(section);
 
@@ -1467,10 +1474,11 @@ impl Machine {
         let cont_goals: Vec<(Cell, u32)> = (0..closure.cont_len)
             .map(|i| (self.heap.str_arg(hdr, 1 + i as u32), 0u32))
             .collect();
-        self.cont = cont::from_vec(&cont_goals, |_| 0);
+        self.cont = self.conts.from_vec(&cont_goals, |_| 0);
         self.status = Status::Running;
 
-        let ok = self.try_clause(name, arity, clause_idx, goal, 0);
+        let db = Arc::clone(&self.db);
+        let ok = self.try_clause(&db, name, arity, clause_idx, goal, 0);
         if !ok {
             self.status = Status::Failed;
         }
@@ -1484,7 +1492,13 @@ impl Machine {
     /// Run until a non-`Running` status, the quantum is exhausted, or
     /// cancellation. Returns the current status ([`Status::Running`] means
     /// "quantum expired, call again").
+    ///
+    /// The program is borrowed once here for the whole quantum: below this
+    /// point clauses and code are plain references into `db`, and the
+    /// resolution path performs no reference-count operation — the count
+    /// is a cache line every machine of the run shares.
     pub fn run(&mut self, quantum: u64, cancel: Option<&CancelToken>) -> Status {
+        let db = Arc::clone(&self.db);
         let start = self.stats.cost;
         loop {
             if let Some(tok) = cancel {
@@ -1497,7 +1511,7 @@ impl Machine {
                 }
                 self.cancel_check_countdown -= 1;
             }
-            let s = self.step();
+            let s = self.step_in(&db);
             if s != Status::Running {
                 return s;
             }
@@ -1509,8 +1523,9 @@ impl Machine {
 
     /// Run to the next definitive outcome with no quantum (sequential use).
     pub fn run_to_completion(&mut self) -> Status {
+        let db = Arc::clone(&self.db);
         loop {
-            let s = self.step();
+            let s = self.step_in(&db);
             if s != Status::Running {
                 return s;
             }
@@ -1519,21 +1534,28 @@ impl Machine {
 
     /// Perform one resolution step.
     pub fn step(&mut self) -> Status {
+        let db = Arc::clone(&self.db);
+        self.step_in(&db)
+    }
+
+    /// One resolution step against the borrowed program: pop the first
+    /// goal of the continuation, trim the continuation stack to what a
+    /// control frame or the remaining continuation still names, dispatch.
+    fn step_in(&mut self, db: &Database) -> Status {
         if self.status != Status::Running {
             return self.status.clone();
         }
-        let Some(node) = self.cont.take() else {
+        let Some(node) = self.conts.node(self.cont) else {
             self.status = Status::Solution;
             self.stats.solutions += 1;
             return Status::Solution;
         };
-        self.cont = node.next.clone();
-        let goal = node.goal;
-        let barrier = node.barrier;
-        self.dispatch(goal, barrier)
+        self.cont = node.next;
+        self.conts.trim(self.cont_floor(), node.next);
+        self.dispatch(db, node.goal, node.barrier)
     }
 
-    fn dispatch(&mut self, goal: Cell, barrier: u32) -> Status {
+    fn dispatch(&mut self, db: &Database, goal: Cell, barrier: u32) -> Status {
         self.charge(self.costs.call_dispatch);
         let w = wk();
         match view(&self.heap, goal) {
@@ -1546,7 +1568,7 @@ impl Machine {
                     self.status = Status::Running;
                     Status::Running
                 } else if s == w.fail || s == w.false_ {
-                    self.backtrack()
+                    self.backtrack_in(db)
                 } else if s == w.cut {
                     self.cut_to(barrier);
                     Status::Running
@@ -1557,15 +1579,15 @@ impl Machine {
                     self.status = Status::Halted;
                     Status::Halted
                 } else {
-                    self.call_user(goal, s, 0, None)
+                    self.call_user(db, goal, s, 0, None)
                 }
             }
             TermView::Struct(f, n, hdr) => {
                 if f == w.comma && n == 2 {
                     let a = self.heap.str_arg(hdr, 0);
                     let b = self.heap.str_arg(hdr, 1);
-                    self.cont = cont::push(&self.cont, b, barrier);
-                    self.cont = cont::push(&self.cont, a, barrier);
+                    self.cont = self.conts.push(self.cont, b, barrier);
+                    self.cont = self.conts.push(self.cont, a, barrier);
                     Status::Running
                 } else if f == w.amp && n == 2 {
                     // Inside a tabled generator `&` degrades to `,`: the
@@ -1580,8 +1602,8 @@ impl Machine {
                         // sequential fallback: `&` behaves as `,`
                         let a = self.heap.str_arg(hdr, 0);
                         let b = self.heap.str_arg(hdr, 1);
-                        self.cont = cont::push(&self.cont, b, barrier);
-                        self.cont = cont::push(&self.cont, a, barrier);
+                        self.cont = self.conts.push(self.cont, b, barrier);
+                        self.cont = self.conts.push(self.cont, a, barrier);
                         Status::Running
                     }
                 } else if f == w.semicolon && n == 2 {
@@ -1603,7 +1625,7 @@ impl Machine {
                     self.status = Status::InlineBarrier(fid as u64);
                     self.status.clone()
                 } else if f == body_step_sym() && n == 3 {
-                    self.compiled_body_step(hdr, barrier)
+                    self.compiled_body_step(db, hdr, barrier)
                 } else if f == memo_store_sym() && n == 2 {
                     let Cell::Int(idx) = self.heap.deref(self.heap.str_arg(hdr, 0)) else {
                         unreachable!("malformed memo-store marker")
@@ -1617,7 +1639,7 @@ impl Machine {
                         unreachable!("malformed table-answer marker")
                     };
                     let g = self.heap.str_arg(hdr, 1);
-                    self.table_answer_arrival(idx as usize, g)
+                    self.table_answer_arrival(db, idx as usize, g)
                 } else if f == ite_then_sym() && n == 2 {
                     // internal: ITE condition succeeded — cut the else
                     // choice point, then run Then.
@@ -1626,12 +1648,12 @@ impl Machine {
                         unreachable!()
                     };
                     self.cut_to(cp_idx as u32);
-                    self.cont = cont::push(&self.cont, t, barrier);
+                    self.cont = self.conts.push(self.cont, t, barrier);
                     Status::Running
-                } else if let Some(status) = crate::builtins::dispatch(self, f, n, hdr) {
+                } else if let Some(status) = crate::builtins::dispatch(self, db, f, n, hdr) {
                     status
                 } else {
-                    self.call_user(goal, f, n, Some(hdr))
+                    self.call_user(db, goal, f, n, Some(hdr))
                 }
             }
         }
@@ -1659,9 +1681,10 @@ impl Machine {
         let pf = ParcallFrame {
             id: PARCALL_IDS.fetch_add(1, Ordering::Relaxed),
             branches,
-            cont: self.cont.clone(),
+            cont: self.cont,
             trail: self.heap.trail_mark(),
             heap: self.heap.heap_mark(),
+            conts: self.conts.mark(),
             barrier,
             ext: None,
         };
@@ -1681,37 +1704,21 @@ impl Machine {
                 return self.if_then_else(c, t, rhs, barrier);
             }
         }
-        self.push_choice(ChoicePoint {
-            goal: lhs,
-            alts: Alts::Disj { rhs },
-            cont: self.cont.clone(),
-            trail: self.heap.trail_mark(),
-            heap: self.heap.heap_mark(),
-            barrier,
-            shared: None,
-        });
-        self.cont = cont::push(&self.cont, lhs, barrier);
+        self.push_choice(lhs, Alts::Disj { rhs }, self.cont, barrier);
+        self.cont = self.conts.push(self.cont, lhs, barrier);
         Status::Running
     }
 
     fn if_then_else(&mut self, c: Cell, t: Cell, e: Cell, barrier: u32) -> Status {
         let cp_idx = self.ctrl.len() as i64;
-        self.push_choice(ChoicePoint {
-            goal: c,
-            alts: Alts::Disj { rhs: e },
-            cont: self.cont.clone(),
-            trail: self.heap.trail_mark(),
-            heap: self.heap.heap_mark(),
-            barrier,
-            shared: None,
-        });
+        self.push_choice(c, Alts::Disj { rhs: e }, self.cont, barrier);
         // run C, then '$ite_then'(T, cp_idx); C's own cuts are local to it.
         let then_goal = self
             .heap
-            .new_struct(sym("$ite_then"), &[t, Cell::Int(cp_idx)]);
-        self.cont = cont::push(&self.cont, then_goal, barrier);
+            .new_struct(ite_then_sym(), &[t, Cell::Int(cp_idx)]);
+        self.cont = self.conts.push(self.cont, then_goal, barrier);
         let cond_barrier = self.ctrl.len() as u32; // cut inside C is local
-        self.cont = cont::push(&self.cont, c, cond_barrier);
+        self.cont = self.conts.push(self.cont, c, cond_barrier);
         Status::Running
     }
 
@@ -1737,12 +1744,13 @@ impl Machine {
         };
         // cut inside call/N is local: fresh barrier at current height
         let barrier = self.ctrl.len() as u32;
-        self.cont = cont::push(&self.cont, goal, barrier);
+        self.cont = self.conts.push(self.cont, goal, barrier);
         Status::Running
     }
 
     fn call_user(
         &mut self,
+        db: &Database,
         goal: Cell,
         name: Sym,
         arity: u32,
@@ -1750,15 +1758,14 @@ impl Machine {
     ) -> Status {
         self.stats.calls += 1;
         self.charge(self.costs.index_lookup);
-        if self.tabling && self.db.is_tabled(name, arity) {
-            return self.table_call(goal, name, arity, hdr);
+        if self.tabling && db.is_tabled(name, arity) {
+            return self.table_call(db, goal, name, arity, hdr);
         }
         if self.memoize {
-            if let Some(status) = self.memo_consult(goal) {
+            if let Some(status) = self.memo_consult(db, goal) {
                 return status;
             }
         }
-        let db = self.db.clone();
         let Some(pred) = db.predicate(name, arity) else {
             return self.error(format!("undefined predicate {}/{arity}", name.name()));
         };
@@ -1785,36 +1792,29 @@ impl Machine {
                 });
             }
             let Some(&first) = chain.first() else {
-                return self.backtrack();
+                return self.backtrack_in(db);
             };
             (first as usize, chain.get(1).map(|&o| o as usize))
         } else {
             let Some(first) = self.pred_next(pred, key, 0) else {
-                return self.backtrack();
+                return self.backtrack_in(db);
             };
             (first, self.pred_next(pred, key, first + 1))
         };
         let barrier_at_call = self.ctrl.len() as u32;
         if let Some(next) = second {
-            self.push_choice(ChoicePoint {
-                goal,
-                alts: Alts::Clauses {
-                    name,
-                    arity,
-                    key,
-                    next,
-                },
-                cont: self.cont.clone(),
-                trail: self.heap.trail_mark(),
-                heap: self.heap.heap_mark(),
-                barrier: barrier_at_call,
-                shared: None,
-            });
+            let rest = Alts::Clauses {
+                name,
+                arity,
+                key,
+                next,
+            };
+            self.push_choice(goal, rest, self.cont, barrier_at_call);
         }
         if self.try_clause_in(pred, name, arity, first, goal, barrier_at_call) {
             Status::Running
         } else {
-            self.backtrack()
+            self.backtrack_in(db)
         }
     }
 
@@ -1843,15 +1843,15 @@ impl Machine {
     /// restore). Dispatches to the compiled register code by default, or
     /// to the tree-walking interpreter oracle under
     /// [`ClauseExec::Interpreted`].
-    pub(crate) fn try_clause(
+    fn try_clause(
         &mut self,
+        db: &Database,
         name: Sym,
         arity: u32,
         idx: usize,
         goal: Cell,
         body_barrier: u32,
     ) -> bool {
-        let db = self.db.clone();
         let pred = db.predicate(name, arity).expect("predicate vanished");
         self.try_clause_in(pred, name, arity, idx, goal, body_barrier)
     }
@@ -1868,9 +1868,9 @@ impl Machine {
         goal: Cell,
         body_barrier: u32,
     ) -> bool {
-        let clause = Arc::clone(&pred.clauses[idx]);
+        let clause = &pred.clauses[idx];
         if self.compiled {
-            return self.try_clause_compiled(name, arity, idx, &clause, goal, body_barrier);
+            return self.try_clause_compiled(name, arity, idx, clause, goal, body_barrier);
         }
         let pre_trail = self.heap.trail_mark();
         let (head, body) = clause.instantiate(&mut self.heap);
@@ -1881,7 +1881,7 @@ impl Machine {
             Some(steps) => {
                 self.stats.unify_steps += steps as u64;
                 self.charge(steps as u64 * self.costs.unify_step);
-                self.cont = cont::push(&self.cont, body, body_barrier);
+                self.cont = self.conts.push(self.cont, body, body_barrier);
                 self.status = Status::Running;
                 true
             }
@@ -1984,7 +1984,7 @@ impl Machine {
                             let (body, cells) = code.instantiate_body(&mut self.heap, &mut slots);
                             self.stats.heap_cells += cells as u64;
                             self.charge(cells as u64 * self.costs.heap_cell);
-                            self.cont = cont::push(&self.cont, body, body_barrier);
+                            self.cont = self.conts.push(self.cont, body, body_barrier);
                             self.status = Status::Running;
                             true
                         }
@@ -2040,12 +2040,12 @@ impl Machine {
             if k + 1 < steps.len() {
                 let slots_t = self.make_slots_term(code, slots);
                 let marker = self.make_body_marker(name, arity, idx, branch, k + 1, slots_t);
-                self.cont = cont::push(&self.cont, marker, barrier);
+                self.cont = self.conts.push(self.cont, marker, barrier);
             }
             let (g, cells) = steps[k].tpl.instantiate(&mut self.heap, slots);
             self.stats.heap_cells += cells as u64;
             self.charge(cells as u64 * self.costs.heap_cell);
-            self.cont = cont::push(&self.cont, g, barrier);
+            self.cont = self.conts.push(self.cont, g, barrier);
         }
         self.status = Status::Running;
         true
@@ -2199,7 +2199,7 @@ impl Machine {
     /// remains). Backtracking into the middle of a body needs no special
     /// case: the choice point snapshotted the continuation *before* the
     /// marker existed, so retry starts from the clause head as usual.
-    fn compiled_body_step(&mut self, hdr: ace_logic::Addr, barrier: u32) -> Status {
+    fn compiled_body_step(&mut self, db: &Database, hdr: ace_logic::Addr, barrier: u32) -> Status {
         let Cell::Int(p1) = self.heap.deref(self.heap.str_arg(hdr, 0)) else {
             unreachable!("malformed $body marker");
         };
@@ -2212,12 +2212,10 @@ impl Machine {
         let idx = (p2 >> 32) as usize;
         let branch = ((p2 >> 24) & 0xff) as u8;
         let from = (p2 & 0xff_ffff) as usize;
-        let db = self.db.clone();
         let pred = db
             .predicate(name, arity)
             .expect("marker predicate vanished");
-        let clause = Arc::clone(&pred.clauses[idx]);
-        let code = clause.code();
+        let code = pred.clauses[idx].code();
 
         let mut slots = std::mem::take(&mut self.code_slots);
         slots.clear();
@@ -2234,7 +2232,7 @@ impl Machine {
                 StepOutcome::Fail => {
                     self.code_slots = slots;
                     self.code_slots.clear();
-                    return self.backtrack();
+                    return self.backtrack_in(db);
                 }
                 StepOutcome::NotInline => break,
             }
@@ -2250,7 +2248,7 @@ impl Machine {
             // results into UNSET registers are the only slot mutations,
             // and those steps are behind us now.
             let marker = self.make_body_marker(name, arity, idx, branch, k + 1, slots_t);
-            self.cont = cont::push(&self.cont, marker, barrier);
+            self.cont = self.conts.push(self.cont, marker, barrier);
         }
         let (g, cells) = steps[k].tpl.instantiate(&mut self.heap, &slots);
         self.stats.heap_cells += cells as u64;
@@ -2261,13 +2259,25 @@ impl Machine {
         // saves a continuation node alloc/pop per body goal. Recursion is
         // bounded — `dispatch` on a user goal lands in `try_clause`, which
         // pushes and returns.
-        self.dispatch(g, barrier)
+        self.dispatch(db, g, barrier)
     }
 
-    pub(crate) fn push_choice(&mut self, cp: ChoicePoint) {
+    /// Push a private choice point for `goal`, to be retried with
+    /// continuation `cont` and cut barrier `barrier`: the heap, trail and
+    /// continuation-stack marks of the restore point are taken here.
+    pub(crate) fn push_choice(&mut self, goal: Cell, alts: Alts, cont: Cont, barrier: u32) {
         self.stats.choice_points += 1;
         self.charge(self.costs.choice_point_alloc);
-        self.ctrl.push(CtrlFrame::Choice(cp));
+        self.ctrl.push(CtrlFrame::Choice(ChoicePoint {
+            goal,
+            alts,
+            cont,
+            trail: self.heap.trail_mark(),
+            heap: self.heap.heap_mark(),
+            conts: self.conts.mark(),
+            barrier,
+            shared: None,
+        }));
     }
 
     /// SPO: materialize the procrastinated input marker now (the subgoal
@@ -2303,6 +2313,24 @@ impl Machine {
     /// Backtrack to the most recent choice point and take the next
     /// alternative. Public so solution iteration can resume the search.
     pub fn backtrack(&mut self) -> Status {
+        let db = Arc::clone(&self.db);
+        self.backtrack_in(&db)
+    }
+
+    /// The untried alternatives of the choice point at control index `idx`
+    /// (retry advances its cursor in place).
+    fn alts_mut(&mut self, idx: usize) -> &mut Alts {
+        match &mut self.ctrl[idx] {
+            CtrlFrame::Choice(cp) => &mut cp.alts,
+            other => unreachable!("not a choice point: {other:?}"),
+        }
+    }
+
+    /// [`Machine::backtrack`] against the borrowed program. A retry copies
+    /// the scalars it needs out of the frame; what the frame shares — a
+    /// published node's pool, a replayed answer set — is used through a
+    /// borrow, never counted.
+    pub(crate) fn backtrack_in(&mut self, db: &Database) -> Status {
         self.stats.backtracks += 1;
         loop {
             let Some(top_frame) = self.ctrl.last() else {
@@ -2334,15 +2362,10 @@ impl Machine {
                     return Status::ParcallRedo;
                 }
                 CtrlFrame::Choice(cp) => {
-                    // Snapshot the choice point, then restore machine state.
+                    // Restore machine state to the choice point.
                     let top = self.ctrl.len() - 1;
-                    let trail = cp.trail;
-                    let heap_mark = cp.heap;
-                    let cont = cp.cont.clone();
-                    let barrier = cp.barrier;
-                    let goal = cp.goal;
-                    let shared = cp.shared.clone();
-                    let alts = cp.alts.clone();
+                    let (goal, barrier) = (cp.goal, cp.barrier);
+                    let (trail, heap_mark, cont, conts) = (cp.trail, cp.heap, cp.cont, cp.conts);
 
                     self.charge(self.costs.choice_point_retry);
                     let undone = self.heap.undo_to(trail);
@@ -2350,14 +2373,19 @@ impl Machine {
                     self.charge(undone as u64 * self.costs.trail_undo);
                     self.heap.truncate_to(heap_mark);
                     self.cont = cont;
+                    self.conts.truncate_to(conts);
                     if !self.memo_watches.is_empty() {
                         self.memo_prune_watches();
                     }
 
+                    let CtrlFrame::Choice(cp) = &mut self.ctrl[top] else {
+                        unreachable!("the top frame was a choice point")
+                    };
+
                     // Published choice point: alternatives come from the
                     // shared pool, competed for with remote workers.
-                    if let Some(shared) = shared {
-                        let Alts::Clauses { name, arity, .. } = alts else {
+                    if let Some(shared) = cp.shared.as_deref() {
+                        let Alts::Clauses { name, arity, .. } = cp.alts else {
                             panic!("shared non-clause choice point");
                         };
                         match shared.claim_next() {
@@ -2369,7 +2397,7 @@ impl Machine {
                                         pred: format!("{}/{arity}", name.name()),
                                     });
                                 }
-                                if self.try_clause(name, arity, idx, goal, barrier) {
+                                if self.try_clause(db, name, arity, idx, goal, barrier) {
                                     self.status = Status::Running;
                                     return Status::Running;
                                 }
@@ -2383,15 +2411,16 @@ impl Machine {
                         }
                     }
 
-                    match alts {
-                        Alts::Clauses {
+                    match &mut cp.alts {
+                        &mut Alts::Clauses {
                             name,
                             arity,
                             key,
                             next: idx,
                         } => {
-                            let db = self.db.clone();
-                            let pred = db.predicate(name, arity).unwrap();
+                            let pred = db
+                                .predicate(name, arity)
+                                .expect("retried predicate vanished");
                             if self.dispatch_trace {
                                 self.memo_events.push(EventKind::ClauseRetry {
                                     pred: format!("{}/{arity}", name.name()),
@@ -2399,10 +2428,8 @@ impl Machine {
                             }
                             match self.pred_next(pred, key, idx + 1) {
                                 Some(f) => {
-                                    if let CtrlFrame::Choice(cp) = &mut self.ctrl[top] {
-                                        if let Alts::Clauses { next, .. } = &mut cp.alts {
-                                            *next = f;
-                                        }
+                                    if let Alts::Clauses { next, .. } = self.alts_mut(top) {
+                                        *next = f;
                                     }
                                 }
                                 None => {
@@ -2410,93 +2437,101 @@ impl Machine {
                                     self.ctrl.pop();
                                 }
                             }
-                            if self.try_clause(name, arity, idx, goal, barrier) {
+                            if self.try_clause_in(pred, name, arity, idx, goal, barrier) {
                                 self.status = Status::Running;
                                 return Status::Running;
                             }
                             continue;
                         }
-                        Alts::Disj { rhs } => {
+                        &mut Alts::Disj { rhs } => {
                             self.ctrl.pop();
-                            self.cont = cont::push(&self.cont, rhs, barrier);
+                            self.cont = self.conts.push(self.cont, rhs, barrier);
                             self.status = Status::Running;
                             return Status::Running;
                         }
                         Alts::Between { var, next, hi } => {
-                            if next >= hi {
+                            let (var, value) = (*var, *next);
+                            if value >= *hi {
                                 self.ctrl.pop();
-                            } else if let CtrlFrame::Choice(cp) = &mut self.ctrl[top] {
-                                if let Alts::Between { next: n, .. } = &mut cp.alts {
-                                    *n = next + 1;
-                                }
+                            } else {
+                                *next = value + 1;
                             }
                             let Cell::Ref(a) = self.heap.deref(var) else {
                                 panic!("between var became bound across retry")
                             };
-                            self.heap.bind(a, Cell::Int(next));
+                            self.heap.bind(a, Cell::Int(value));
                             self.status = Status::Running;
                             return Status::Running;
                         }
                         Alts::Replay { entry, next } => {
-                            if next + 1 >= entry.answers.len() {
+                            let answer = *next;
+                            *next += 1;
+                            let last = answer + 1 >= entry.answers.len();
+                            self.stats.charge(self.costs.memo_lookup);
+                            let unified = Self::unify_answer(
+                                &mut self.heap,
+                                &mut self.stats,
+                                &self.costs,
+                                goal,
+                                &entry.answers[answer],
+                            );
+                            if last {
                                 self.ctrl.pop(); // last stored answer
-                            } else if let CtrlFrame::Choice(cp) = &mut self.ctrl[top] {
-                                if let Alts::Replay { next: n, .. } = &mut cp.alts {
-                                    *n = next + 1;
-                                }
                             }
-                            self.charge(self.costs.memo_lookup);
-                            if self.memo_unify_answer(goal, &entry.answers[next]) {
+                            if unified {
                                 self.status = Status::Running;
                                 return Status::Running;
                             }
                             continue;
                         }
                         Alts::TableConsumer { subgoal, next } => {
-                            if next < self.table_subgoals[subgoal].answers.len() {
+                            let (subgoal, answer) = (*subgoal, *next);
+                            let frame = &self.table_subgoals[subgoal];
+                            if answer < frame.answers.len() {
                                 // Advance the cursor in place — the frame
                                 // may still grow, so the CP stays.
-                                if let CtrlFrame::Choice(cp) = &mut self.ctrl[top] {
-                                    if let Alts::TableConsumer { next: n, .. } = &mut cp.alts {
-                                        *n = next + 1;
-                                    }
-                                }
-                                self.charge(self.costs.memo_lookup);
-                                let arena = self.table_subgoals[subgoal].answers[next].clone();
-                                if self.memo_unify_answer(goal, &arena) {
+                                *next = answer + 1;
+                                self.stats.charge(self.costs.memo_lookup);
+                                if Self::unify_answer(
+                                    &mut self.heap,
+                                    &mut self.stats,
+                                    &self.costs,
+                                    goal,
+                                    &frame.answers[answer],
+                                ) {
                                     self.status = Status::Running;
                                     return Status::Running;
                                 }
                                 continue;
                             }
-                            if self.table_subgoals[subgoal].complete {
+                            if frame.complete {
                                 self.ctrl.pop(); // answer set closed: spent
                                 continue;
                             }
                             // Dry but incomplete: park until the leader's
                             // fixpoint loop lands new answers.
-                            self.table_suspend(subgoal, next, goal);
+                            self.table_suspend(subgoal, answer, goal);
                             continue;
                         }
-                        Alts::TableGen {
+                        &mut Alts::TableGen {
                             subgoal,
                             name,
                             arity,
                             key,
                             next,
                         } => {
-                            let db = self.db.clone();
-                            let pred = db.predicate(name, arity).unwrap();
+                            let pred = db
+                                .predicate(name, arity)
+                                .expect("tabled predicate vanished");
                             match self.pred_next(pred, key, next) {
                                 Some(f) => {
-                                    if let CtrlFrame::Choice(cp) = &mut self.ctrl[top] {
-                                        if let Alts::TableGen { next: n, .. } = &mut cp.alts {
-                                            *n = f + 1;
-                                        }
+                                    if let Alts::TableGen { next, .. } = self.alts_mut(top) {
+                                        *next = f + 1;
                                     }
                                     // Clause bodies barrier above the
                                     // generator CP (cut stays local).
-                                    if self.try_clause(name, arity, f, goal, (top + 1) as u32) {
+                                    let barrier = (top + 1) as u32;
+                                    if self.try_clause_in(pred, name, arity, f, goal, barrier) {
                                         self.status = Status::Running;
                                         return Status::Running;
                                     }

@@ -9,15 +9,28 @@
 //!
 //! takeuchi(10), `OptFlags::all()`, bytes requested during `run_strict`:
 //!
-//! | workers | whole-heap clones (parent commit) | joint copy |
-//! |---|---|---|
-//! | 4 | 3 686.6 MB | 20.9 MB |
-//! | 1 |    59.9 MB | 13.9 MB |
+//! | workers | whole-heap clones | joint copy | continuation stack |
+//! |---|---|---|---|
+//! | 4 | 3 686.6 MB | 20.9 MB | 20.3 MB |
+//! | 1 |    59.9 MB | 13.9 MB | 13.5 MB |
 //!
 //! The budgets are twice the last column. The sequential run of the same
 //! query requests 10.4 MB, nearly all of it the machine heap doubling as it
-//! grows; at one worker nothing ships, and the parent commit's extra 45 MB
-//! were the 18 KB placeholder heaps of 2 586 frames.
+//! grows; at one worker nothing ships, and the extra 45 MB of the first
+//! column were the 18 KB placeholder heaps of 2 586 frames.
+//!
+//! The resolution path itself does not call the allocator: continuation
+//! nodes live on a per-machine stack, clauses and code are borrowed from the
+//! program. Allocator *calls* during a sequential `run_strict`:
+//!
+//! | query | machine calls | one `Arc` node per pushed goal | continuation stack |
+//! |---|---|---|---|
+//! | `count(100000)` | 100 001 | 100 043 | 45 |
+//! | `nrev` of 400 elements | 80 601 | 81 032 | 439 |
+//!
+//! What is left is vector doublings, the reader's allocation per list
+//! element of the query text, and first-use interning (which makes the count
+//! vary by a few dozen with test order); budgets are twice the last column.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,6 +42,8 @@ thread_local! {
     /// Bytes requested by this thread (the `Sim` driver runs every worker on
     /// the calling thread, so other tests and the harness do not count).
     static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) by this thread.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -36,10 +51,11 @@ struct Counting;
 fn count(bytes: usize) {
     // A thread being torn down has no counter left; nothing to measure there.
     let _ = REQUESTED.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
-// SAFETY: every request is forwarded unchanged to `System`; the counter is a
-// const-initialized thread-local `Cell` without destructor, so touching it
+// SAFETY: every request is forwarded unchanged to `System`; the counters are
+// const-initialized thread-local `Cell`s without destructor, so touching them
 // neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -89,11 +105,49 @@ fn takeuchi_bytes(workers: usize) -> u64 {
 #[test]
 fn shipping_at_four_workers_allocates_for_the_goals() {
     let bytes = takeuchi_bytes(4);
-    assert!(bytes < 42_000_000, "{bytes} bytes requested");
+    assert!(bytes < 41_000_000, "{bytes} bytes requested");
 }
 
 #[test]
 fn unshipped_frames_at_one_worker_allocate_no_closure() {
     let bytes = takeuchi_bytes(1);
-    assert!(bytes < 28_000_000, "{bytes} bytes requested");
+    assert!(bytes < 27_000_000, "{bytes} bytes requested");
+}
+
+/// Allocator calls while `query` runs to its first solution on the
+/// sequential machine, and the machine calls (resolution steps on user
+/// predicates) it took.
+fn sequential_calls(program: &str, query: &str) -> (u64, u64) {
+    let ace = Ace::load(program).unwrap();
+    let cfg = EngineConfig {
+        max_solutions: Some(1),
+        ..EngineConfig::default()
+    };
+    let before = CALLS.with(Cell::get);
+    let report = ace.run_strict(Mode::Sequential, query, &cfg).unwrap();
+    let calls = CALLS.with(Cell::get) - before;
+    assert_eq!(report.solutions.len(), 1);
+    (calls, report.stats.calls)
+}
+
+#[test]
+fn a_determinate_loop_resolves_without_the_allocator() {
+    let (allocs, calls) = sequential_calls(
+        "count(0). count(N) :- N > 0, N1 is N - 1, count(N1).",
+        "count(100000)",
+    );
+    assert_eq!(calls, 100_001);
+    assert!(allocs < 90, "{allocs} allocator calls for {calls} calls");
+}
+
+#[test]
+fn nrev_allocates_for_its_input_not_for_its_calls() {
+    let list = (1..=400).map(|i| i.to_string()).collect::<Vec<_>>();
+    let (allocs, calls) = sequential_calls(
+        "append([], L, L). append([H|T], L, [H|R]) :- append(T, L, R).
+         nrev([], []). nrev([H|T], R) :- nrev(T, RT), append(RT, [H], R).",
+        &format!("nrev([{}], _)", list.join(",")),
+    );
+    assert_eq!(calls, 80_601);
+    assert!(allocs < 880, "{allocs} allocator calls for {calls} calls");
 }
