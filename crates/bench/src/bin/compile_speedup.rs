@@ -1,233 +1,57 @@
-//! `compile_speedup` — clause-compilation bench, JSON output.
+//! `compile_speedup` — clause compilation on both clocks.
 //!
-//! Runs a sequential corpus twice per benchmark: once with the default
-//! register-code execution (compiled head code + switch-on-term
-//! first-argument dispatch) and once with the tree-walking interpreter
-//! oracle (`ClauseExec::Interpreted`, linear clause scan). Checks the
-//! answers are identical, records virtual-time and wall-clock speedups
-//! plus the indexing counters, and fails loudly if the corpus geometric
-//! mean drops below the 2x acceptance bar in either measure. Writes the
-//! machine-readable artifact CI uploads on every run.
+//! Runs [`ace_bench::compile`]'s corpus under the compiled register code
+//! and under the interpreter oracle, seven times each, and exits 2 unless
+//! the solutions are identical and the corpus geometric-mean speedup clears
+//! the 2x bar in virtual time *and* on the wall clock (minimum over the
+//! repetitions — standard practice for shaking scheduler noise out of short
+//! runs). Writes `compile.{txt,csv}` (the deterministic half, identical to
+//! what `tables` checks in) and `compile_wall.{txt,csv}`; wall-clock
+//! readings are uploaded by CI, never checked in.
 //!
 //! ```text
-//! compile_speedup                    # full sizes, writes BENCH_compile.json
-//! compile_speedup --smoke            # test sizes (CI smoke job)
-//! compile_speedup --json --out FILE  # explicit output path
+//! compile_speedup                 # whole corpus, writes under target/wall/
+//! compile_speedup takeuchi hanoi  # only these
+//! compile_speedup --out DIR
 //! ```
 
-use std::fs;
-use std::path::PathBuf;
-use std::time::Duration;
+use ace_bench::compile::{self, Measured};
+use ace_bench::{labels, Table};
 
-use ace_bench::json::Json;
-use ace_core::{Ace, Mode, RunReport};
-use ace_runtime::{ClauseExec, EngineConfig, OptFlags};
-
-/// Corpus: benchmarks where clause selection is on the hot path — list
-/// recursion (compiled unify instructions), integer first arguments
-/// (switch-on-term prunes the scan), and deep backtracking search (every
-/// retry replays dispatch).
-const CORPUS: [&str; 8] = [
-    "quick_sort",
-    "takeuchi",
-    "hanoi",
-    "pderiv",
-    "bt_cluster",
-    "queen1",
-    "members",
-    "ancestors",
-];
-
-/// Wall-clock reps per configuration; the minimum is reported (standard
-/// practice for shaking scheduler noise out of short runs).
 const WALL_REPS: usize = 7;
 
-/// Acceptance bar: corpus geometric-mean speedup of compiled over
-/// interpreted execution, in both virtual time and wall clock.
-const MIN_GEOMEAN: f64 = 2.0;
-
-fn cfg(all_solutions: bool, exec: ClauseExec) -> EngineConfig {
-    let mut c = EngineConfig::default()
-        .with_opts(OptFlags::all())
-        .with_clause_exec(exec);
-    c.max_solutions = if all_solutions { None } else { Some(1) };
-    c
-}
-
-/// Run `reps` times sequentially, returning the (deterministic) report of
-/// the first run with its `wall` replaced by the minimum across reps.
-fn timed(ace: &Ace, query: &str, c: &EngineConfig) -> Result<RunReport, String> {
-    let reps = std::env::var("COMPILE_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(WALL_REPS);
-    let mut best: Option<RunReport> = None;
-    for _ in 0..reps {
-        let r = ace.run(Mode::Sequential, query, c)?;
-        if std::env::var("COMPILE_BENCH_DEBUG").is_ok() {
-            eprintln!("      rep wall {:>9.0}us", r.wall.as_secs_f64() * 1e6);
-        }
-        best = Some(match best.take() {
-            None => r,
-            Some(mut b) => {
-                b.wall = b.wall.min(r.wall);
-                b
-            }
-        });
-    }
-    Ok(best.unwrap())
-}
-
-fn micros(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e6
-}
-
-fn bench_entry(name: &str, smoke: bool) -> Result<(Json, f64, f64), String> {
-    let b = ace_programs::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-    let size = if smoke { b.test_size } else { b.bench_size };
-    let ace = Ace::load(&(b.program)(size))?;
-    let query = (b.query)(size);
-
-    let compiled = timed(&ace, &query, &cfg(b.all_solutions, ClauseExec::Compiled))
-        .map_err(|e| format!("{name} (compiled): {e}"))?;
-    let interp = timed(&ace, &query, &cfg(b.all_solutions, ClauseExec::Interpreted))
-        .map_err(|e| format!("{name} (interpreted): {e}"))?;
-
-    if compiled.solutions != interp.solutions {
-        return Err(format!(
-            "{name}: compiled solutions differ from the interpreter oracle \
-             ({} vs {} solution(s))",
-            compiled.solutions.len(),
-            interp.solutions.len()
-        ));
-    }
-
-    if std::env::var("COMPILE_BENCH_DEBUG").is_ok() {
-        for (label, r) in [("interp", &interp), ("compiled", &compiled)] {
-            eprintln!(
-                "    [{label}] calls={} cps={} retries={} heap={} unify={} undo={} cache={}",
-                r.stats.calls,
-                r.stats.choice_points,
-                r.stats.backtracks,
-                r.stats.heap_cells,
-                r.stats.unify_steps,
-                r.stats.trail_undos,
-                r.stats.code_cache_hits,
-            );
-        }
-    }
-    let vt_speedup = interp.virtual_time as f64 / compiled.virtual_time.max(1) as f64;
-    let wall_speedup = micros(interp.wall) / micros(compiled.wall).max(1e-3);
-    eprintln!(
-        "  {name:<12} size {size:>3}: virtual {:>9} -> {:>9} ({vt_speedup:.2}x), \
-         wall {:>9.0}us -> {:>9.0}us ({wall_speedup:.2}x)",
-        interp.virtual_time,
-        compiled.virtual_time,
-        micros(interp.wall),
-        micros(compiled.wall),
-    );
-
-    let entry = Json::obj([
-        ("name", name.into()),
-        ("size", size.into()),
-        ("solutions", compiled.solutions.len().into()),
-        ("virtual_time_interpreted", interp.virtual_time.into()),
-        ("virtual_time_compiled", compiled.virtual_time.into()),
-        ("virtual_speedup", vt_speedup.into()),
-        ("wall_us_interpreted", micros(interp.wall).into()),
-        ("wall_us_compiled", micros(compiled.wall).into()),
-        ("wall_speedup", wall_speedup.into()),
-        (
-            "choice_points_interpreted",
-            interp.stats.choice_points.into(),
-        ),
-        (
-            "choice_points_compiled",
-            compiled.stats.choice_points.into(),
-        ),
-        ("code_cache_hits", compiled.stats.code_cache_hits.into()),
-        (
-            "clauses_skipped_by_index",
-            compiled.stats.clauses_skipped_by_index.into(),
-        ),
-        (
-            "index_determinate_calls",
-            compiled.stats.index_determinate_calls.into(),
-        ),
-    ]);
-    Ok((entry, vt_speedup, wall_speedup))
-}
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    // --json is the only output mode; accepted for CLI symmetry with tables.
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_compile.json"));
+    ace_bench::run("compile_speedup", "target/wall", |cli| {
+        let measured = compile::measure(WALL_REPS, |name| cli.wants(name))?;
+        let mut artifacts = compile::virtual_table(&measured)?.artifacts();
 
-    eprintln!(
-        "compile speedup: compiled register code vs interpreter oracle, \
-         {} benchmark(s){} ...",
-        CORPUS.len(),
-        if smoke { " (smoke sizes)" } else { "" }
-    );
-
-    let only = std::env::var("COMPILE_BENCH_ONLY").ok();
-    let mut entries = Vec::new();
-    let mut vt_speedups = Vec::new();
-    let mut wall_speedups = Vec::new();
-    for name in CORPUS {
-        if let Some(o) = &only {
-            if o != name {
-                continue;
-            }
-        }
-        match bench_entry(name, smoke) {
-            Ok((entry, vt, wall)) => {
-                entries.push(entry);
-                vt_speedups.push(vt);
-                wall_speedups.push(wall);
-            }
-            Err(e) => {
-                eprintln!("compile_speedup FAILED: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let vt_geomean = geomean(&vt_speedups);
-    let wall_geomean = geomean(&wall_speedups);
-    eprintln!(
-        "geomean speedup: {vt_geomean:.2}x virtual time, {wall_geomean:.2}x wall clock \
-         (bar: {MIN_GEOMEAN:.1}x)"
-    );
-
-    let doc = Json::obj([
-        ("bench", "compile_speedup".into()),
-        ("smoke", smoke.into()),
-        ("corpus", CORPUS.to_vec().into()),
-        ("wall_reps", WALL_REPS.into()),
-        ("geomean_virtual_speedup", vt_geomean.into()),
-        ("geomean_wall_speedup", wall_geomean.into()),
-        ("min_geomean", MIN_GEOMEAN.into()),
-        ("benchmarks", Json::Arr(entries)),
-    ]);
-    fs::write(&out, doc.render()).expect("write bench json");
-    eprintln!("wrote {}", out.display());
-
-    if vt_geomean < MIN_GEOMEAN || wall_geomean < MIN_GEOMEAN {
-        eprintln!(
-            "compile_speedup FAILED: geomean speedup below the {MIN_GEOMEAN:.1}x bar \
-             (virtual {vt_geomean:.2}x, wall {wall_geomean:.2}x)"
+        let mut wall = Table::new(
+            "compile_wall",
+            "Compilation — wall clock, minimum of 7 runs",
+            "guard: geomean wall speedup >= 2.0",
+            &[
+                "benchmark",
+                "wall_us_interpreted",
+                "wall_us_compiled",
+                "wall_speedup",
+            ],
+            &[],
         );
-        std::process::exit(2);
-    }
+        for m in &measured {
+            wall.rows.push(labels![
+                m.name,
+                m.interp.wall.as_micros(),
+                m.compiled.wall.as_micros(),
+                format!("{:.2}", m.wall_speedup()),
+            ]);
+        }
+        // Written before the wall guard so a failing run still leaves its
+        // readings behind.
+        artifacts.extend(wall.artifacts());
+        ace_bench::write(&cli.out, &artifacts)?;
+        print!("{}", wall.txt());
+        let mean = compile::geomean(&measured, "wall clock", Measured::wall_speedup)?;
+        println!("geomean wall speedup {mean:.2}x");
+        Ok(())
+    });
 }

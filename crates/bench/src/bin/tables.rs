@@ -1,85 +1,123 @@
-//! `tables` — regenerate the paper's tables and figures.
+//! `tables` — regenerate every deterministic artifact under `results/`.
 //!
 //! ```text
-//! tables                  # run every experiment at full size
-//! tables table2 fig5      # run specific experiments
-//! tables --quick          # halved sizes (smoke run)
-//! tables --list           # list experiments
-//! tables --out DIR        # write .txt/.csv results (default: results/)
+//! tables                    # every experiment
+//! tables table2 or_topology # only these
+//! tables --list             # list experiments
+//! tables --out DIR          # write there instead of results/
+//! tables stress --seed N    # the tabling stress with another seed (nightly)
 //! ```
+//!
+//! Every number is virtual time or a count, so a run is byte-stable: CI
+//! runs this and then `git diff --exit-code`. A failed guard exits 2.
 
-use std::fs;
-use std::path::PathBuf;
+use ace_bench::{compile, experiments, extras, or_scaling, render_csv, render_table};
+use ace_bench::{run_experiment, Artifact, Cli};
 
-use ace_bench::{experiments, render_csv, render_table, run_experiment};
+type Experiment = (
+    &'static str,
+    &'static str,
+    Box<dyn Fn() -> Result<Vec<Artifact>, String>>,
+);
+
+fn registry(cli: &Cli) -> Vec<Experiment> {
+    let mut all: Vec<Experiment> = Vec::new();
+    for exp in experiments() {
+        let (id, title) = (exp.id, exp.title);
+        let run = move || {
+            let r = run_experiment(&exp)?;
+            Ok(vec![
+                (format!("{id}.txt"), render_table(&r)),
+                (format!("{id}.csv"), render_csv(&r)),
+            ])
+        };
+        all.push((id, title, Box::new(run)));
+    }
+    let seed = cli.seed;
+    let beyond: [Experiment; 10] = [
+        (
+            "or_scaling",
+            "or-parallel corpus at 1/2/4/8 workers, plus a Perfetto trace",
+            Box::new(or_scaling::scaling),
+        ),
+        (
+            "or_steal_cost",
+            "steal cost per claim vs public-tree depth, pool vs traversal",
+            Box::new(or_scaling::steal_cost),
+        ),
+        (
+            "or_claim_locality",
+            "procrastinated closure capture: local vs remote claims",
+            Box::new(or_scaling::claim_locality),
+        ),
+        (
+            "or_topology",
+            "64-512 workers x flat/numa4 topologies on wide_tree",
+            Box::new(or_scaling::topology),
+        ),
+        (
+            "or_profile",
+            "cost profile of the topology grid's worst cell",
+            Box::new(or_scaling::profile),
+        ),
+        (
+            "compile",
+            "compiled register code vs the interpreter oracle (virtual time)",
+            Box::new(|| {
+                let measured = compile::measure(1, |_| true)?;
+                Ok(compile::virtual_table(&measured)?.artifacts())
+            }),
+        ),
+        (
+            "ablation",
+            "cost-model sensitivity of each optimization",
+            Box::new(extras::ablation),
+        ),
+        (
+            "memo",
+            "memoization off/cold/warm at 1/2/4/8 workers",
+            Box::new(extras::memo),
+        ),
+        (
+            "tabling",
+            "tabled corpus cold/warm, sequential and or-parallel",
+            Box::new(extras::tabling),
+        ),
+        (
+            "stress",
+            "deep-SCC tabling fixpoint on both drivers (--seed, no artifact)",
+            Box::new(move || extras::stress(seed)),
+        ),
+    ];
+    all.extend(beyond);
+    all
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let list = args.iter().any(|a| a == "--list");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    let wanted: Vec<&String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| {
-            // skip the value of --out
-            args.iter()
-                .position(|x| x == "--out")
-                .is_none_or(|i| args.get(i + 1) != Some(*a))
-        })
-        .collect();
-
-    let all = experiments();
-    if list {
-        for e in &all {
-            println!("{:<10} {}", e.id, e.title);
-        }
-        return;
-    }
-
-    let selected: Vec<_> = if wanted.is_empty() {
-        all
-    } else {
-        all.into_iter()
-            .filter(|e| wanted.iter().any(|w| *w == e.id))
-            .collect()
-    };
-    if selected.is_empty() {
-        eprintln!("no matching experiments; try --list");
-        std::process::exit(1);
-    }
-
-    fs::create_dir_all(&out_dir).expect("create results dir");
-    for exp in &selected {
-        eprintln!(
-            "running {}{} ...",
-            exp.id,
-            if quick { " (quick)" } else { "" }
-        );
-        let started = std::time::Instant::now();
-        match run_experiment(exp, quick) {
-            Ok(result) => {
-                let txt = render_table(&result);
-                println!("{txt}");
-                let base = out_dir.join(exp.id);
-                fs::write(base.with_extension("txt"), &txt).unwrap();
-                fs::write(base.with_extension("csv"), render_csv(&result)).unwrap();
-                eprintln!(
-                    "{} done in {:.1}s (results/{}.txt, .csv)",
-                    exp.id,
-                    started.elapsed().as_secs_f64(),
-                    exp.id
-                );
+    ace_bench::run("tables", "results", |cli| {
+        let all = registry(cli);
+        if cli.list {
+            for (id, title, _) in &all {
+                println!("{id:<18} {title}");
             }
-            Err(e) => {
-                eprintln!("{} FAILED: {e}", exp.id);
-                std::process::exit(2);
-            }
+            return Ok(());
         }
-    }
+        if let Some(unknown) = cli
+            .wanted
+            .iter()
+            .find(|w| !all.iter().any(|(id, ..)| id == w))
+        {
+            return Err(format!("no experiment named {unknown}; try --list"));
+        }
+        for (id, _, run) in all.iter().filter(|(id, ..)| cli.wants(id)) {
+            let started = std::time::Instant::now();
+            let artifacts = run().map_err(|e| format!("{id}: {e}"))?;
+            for (_, text) in artifacts.iter().filter(|(name, _)| name.ends_with(".txt")) {
+                println!("{text}");
+            }
+            ace_bench::write(&cli.out, &artifacts)?;
+            eprintln!("{id} done in {:.1}s", started.elapsed().as_secs_f64());
+        }
+        Ok(())
+    });
 }

@@ -24,8 +24,7 @@ pub struct Experiment {
     /// What the paper calls it.
     pub title: &'static str,
     pub kind: ExperimentKind,
-    /// `(benchmark name, size)` pairs. `usize::MAX` size = benchmark's
-    /// own `bench_size`.
+    /// `(benchmark name, size)` pairs.
     pub benchmarks: Vec<(&'static str, usize)>,
     /// Worker counts (the paper's "Number of Processors" columns).
     pub workers: Vec<usize>,
@@ -41,11 +40,6 @@ pub struct Experiment {
     /// is largely avoided traversal) pin `Traversal`; everything else
     /// uses the production default.
     pub or_scheduler: OrScheduler,
-}
-
-/// Scale factor applied to sizes for `--quick` runs.
-pub fn quick_size(size: usize) -> usize {
-    (size / 2).max(2)
 }
 
 /// All experiments, in paper order.

@@ -142,11 +142,11 @@ mod tests {
     use crate::runner::run_experiment;
 
     #[test]
-    fn render_quick_table() {
+    fn render_table_and_csv() {
         let mut exp = experiment("table1").unwrap();
         exp.benchmarks.truncate(1);
         exp.workers = vec![1, 2];
-        let r = run_experiment(&exp, true).unwrap();
+        let r = run_experiment(&exp).unwrap();
         let txt = render_table(&r);
         assert!(txt.contains("map2"));
         assert!(txt.contains("worker(s)"));
@@ -155,11 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn render_quick_curves() {
+    fn render_curves() {
         let mut exp = experiment("fig8").unwrap();
         exp.benchmarks.truncate(1);
         exp.workers = vec![1, 2];
-        let r = run_experiment(&exp, true).unwrap();
+        let r = run_experiment(&exp).unwrap();
         let txt = render_table(&r);
         assert!(txt.contains("su_opt"));
     }

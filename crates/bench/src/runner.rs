@@ -1,6 +1,6 @@
 //! Experiment execution: run benchmark × workers × {unopt, opt} cells.
 
-use ace_core::{Ace, Mode, RunReport};
+use ace_core::{Ace, Mode};
 use ace_runtime::{EngineConfig, OptFlags};
 
 use crate::experiments::{Experiment, ExperimentKind};
@@ -34,8 +34,10 @@ pub struct ExperimentResult {
     pub paper_claim: String,
 }
 
-fn cfg_for(
-    b: &ace_programs::Benchmark,
+/// The engine configuration every experiment starts from — the one
+/// config builder of the crate.
+pub fn cfg_for(
+    all_solutions: bool,
     workers: usize,
     opts: OptFlags,
     sched: ace_runtime::OrScheduler,
@@ -44,47 +46,44 @@ fn cfg_for(
         .with_workers(workers)
         .with_opts(opts)
         .with_or_scheduler(sched);
-    c.max_solutions = if b.all_solutions { None } else { Some(1) };
+    c.max_solutions = if all_solutions { None } else { Some(1) };
     c
 }
 
-fn run_one(
-    ace: &Ace,
-    b: &ace_programs::Benchmark,
-    query: &str,
-    workers: usize,
-    opts: OptFlags,
-    sched: ace_runtime::OrScheduler,
-) -> Result<RunReport, String> {
-    ace.run(b.mode, query, &cfg_for(b, workers, opts, sched))
+/// All solutions, every optimization, the pool scheduler: what every
+/// experiment beyond the paper's on/off tables runs.
+pub fn pool_cfg(workers: usize) -> EngineConfig {
+    cfg_for(
+        true,
+        workers,
+        OptFlags::all(),
+        ace_runtime::OrScheduler::Pool,
+    )
 }
 
-/// Execute `exp`, optionally scaling sizes down (`quick`).
-pub fn run_experiment(exp: &Experiment, quick: bool) -> Result<ExperimentResult, String> {
+/// Execute `exp`.
+pub fn run_experiment(exp: &Experiment) -> Result<ExperimentResult, String> {
     let mut cells = Vec::new();
     for &(name, size) in &exp.benchmarks {
         let b = ace_programs::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-        let size = if quick {
-            crate::experiments::quick_size(size)
-        } else {
-            size
-        };
         let program = (b.program)(size);
         let query = (b.query)(size);
         let ace = Ace::load(&program)?;
 
+        let cfg = |w, opts| cfg_for(b.all_solutions, w, opts, exp.or_scheduler);
         let sequential = if exp.kind == ExperimentKind::Overhead {
-            let mut c = cfg_for(&b, 1, OptFlags::none(), exp.or_scheduler);
-            c.max_solutions = if b.all_solutions { None } else { Some(1) };
+            let c = cfg(1, OptFlags::none());
             Some(ace.run(Mode::Sequential, &query, &c)?.virtual_time)
         } else {
             None
         };
 
         for &w in &exp.workers {
-            let unopt = run_one(&ace, &b, &query, w, exp.base, exp.or_scheduler)
+            let unopt = ace
+                .run(b.mode, &query, &cfg(w, exp.base))
                 .map_err(|e| format!("{name} w={w} unopt: {e}"))?;
-            let opt = run_one(&ace, &b, &query, w, exp.opt, exp.or_scheduler)
+            let opt = ace
+                .run(b.mode, &query, &cfg(w, exp.opt))
                 .map_err(|e| format!("{name} w={w} opt: {e}"))?;
             debug_assert_eq!(
                 unopt.solutions.len(),
@@ -140,9 +139,9 @@ mod tests {
     use crate::experiments::experiment;
 
     #[test]
-    fn quick_table1_runs_and_improves() {
+    fn table1_runs_and_improves() {
         let exp = experiment("table1").unwrap();
-        let r = run_experiment(&exp, true).unwrap();
+        let r = run_experiment(&exp).unwrap();
         assert_eq!(r.benchmarks(), vec!["map2", "occur"]);
         assert_eq!(r.cells.len(), 2 * exp.workers.len());
         for c in &r.cells {
@@ -151,12 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn quick_overhead_has_sequential_column() {
-        let exp = experiment("overhead").unwrap();
-        // restrict to two benchmarks for test speed
-        let mut exp = exp;
+    fn overhead_has_sequential_column() {
+        // two benchmarks are enough to see the column
+        let mut exp = experiment("overhead").unwrap();
         exp.benchmarks.truncate(2);
-        let r = run_experiment(&exp, true).unwrap();
+        let r = run_experiment(&exp).unwrap();
         for c in &r.cells {
             assert!(c.sequential.unwrap() > 0);
         }

@@ -104,15 +104,6 @@ pub fn sym_name(s: Sym) -> String {
     interner().read().unwrap_or_else(|e| e.into_inner()).names[s.0 as usize].clone()
 }
 
-/// Number of symbols interned so far (diagnostics only).
-pub fn interned_count() -> usize {
-    interner()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .names
-        .len()
-}
-
 const WELL_KNOWN_NAMES: &[&str] = &[
     ",",
     "&",

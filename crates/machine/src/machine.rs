@@ -1293,11 +1293,6 @@ impl Machine {
         self.pending_marker = Some((parcall_id, slot));
     }
 
-    /// Is the procrastinated input marker still unmaterialized?
-    pub fn input_marker_still_pending(&self) -> bool {
-        self.pending_marker.is_some()
-    }
-
     /// Clear any procrastinated marker (slot finished deterministically).
     pub fn clear_pending_marker(&mut self) {
         self.pending_marker = None;

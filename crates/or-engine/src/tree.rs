@@ -301,10 +301,6 @@ impl OrNode {
             .as_ref()
             .is_none_or(|p| p.alts.is_empty())
     }
-
-    pub fn current_epoch(&self) -> u64 {
-        self.payload.lock().as_ref().map_or(0, |p| p.epoch)
-    }
 }
 
 impl std::fmt::Debug for OrNode {

@@ -290,7 +290,7 @@ pub fn all() -> Vec<Benchmark> {
             test_size: 4,
             bench_size: 64,
             all_solutions: true,
-            appears_in: "scaling grid (BENCH_or_topology)",
+            appears_in: "scaling grid (results/or_topology)",
             description: "wide two-level or-tree (n x 8 alternatives, fixed \
                           leaf work) for the 64-512 worker scaling wall",
         },

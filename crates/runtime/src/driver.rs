@@ -60,11 +60,6 @@ pub enum WorkerExit {
 }
 
 impl WorkerExit {
-    /// True for any exit other than a normal completion.
-    pub fn is_abnormal(&self) -> bool {
-        !matches!(self, WorkerExit::Completed)
-    }
-
     /// Short reason string used in trace events.
     fn trace_reason(&self) -> String {
         match self {

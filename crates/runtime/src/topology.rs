@@ -53,7 +53,7 @@ pub struct Topology {
     /// Victim-scan policy for the hierarchical pool: when true (the
     /// default), a thief exhausts its own domain before crossing; when
     /// false the scan is the old flat round-robin over all shards —
-    /// kept as the ablation baseline for `BENCH_or_topology.json`.
+    /// kept as the ablation baseline for `results/or_topology`.
     pub hierarchical: bool,
     /// When true (the default) each domain accumulates solutions in
     /// its own buffer and the engine-wide merge happens once at report
@@ -95,17 +95,6 @@ impl Topology {
             hierarchical: true,
             domain_answer_buffers: true,
         }
-    }
-
-    pub fn with_domains(mut self, domains: usize) -> Self {
-        self.domains = domains.max(1);
-        self
-    }
-
-    pub fn with_steal_costs(mut self, intra: u64, cross: u64) -> Self {
-        self.intra_steal = intra;
-        self.cross_steal = cross;
-        self
     }
 
     /// Price contended lock acquisitions: each observed contention

@@ -405,7 +405,6 @@ struct SessionCtl {
     cancel: CancelToken,
     gate: Mutex<()>,
     finished: AtomicBool,
-    deadline_fired: AtomicBool,
     client_cancelled: AtomicBool,
     /// Set by whichever cancel path emits the session's cancel trace
     /// event first, so repeated cancels (client + shutdown) stay
@@ -707,7 +706,6 @@ impl QueryServer {
             cancel: CancelToken::new(),
             gate: Mutex::new(()),
             finished: AtomicBool::new(false),
-            deadline_fired: AtomicBool::new(false),
             client_cancelled: AtomicBool::new(false),
             cancel_emitted: AtomicBool::new(false),
         });
@@ -914,7 +912,6 @@ fn watchdog_loop(wd: &Watchdog) {
                     // Emit-then-cancel under the session gate: any answer
                     // event sequenced after this one must observe the flag.
                     let _gate = ctl.gate.lock().unwrap();
-                    ctl.deadline_fired.store(true, Ordering::Release);
                     if !ctl.finished.load(Ordering::Acquire) {
                         if let Some(inner) = inner_weak.upgrade() {
                             inner.emit(EventKind::SessionDeadlineCancel { session: ctl.id });
@@ -1132,11 +1129,10 @@ fn degrade(
 fn cancelled_end(ctl: &SessionCtl) -> SessionEnd {
     if ctl.client_cancelled.load(Ordering::Acquire) {
         SessionEnd::ClientCancelled
-    } else if ctl.deadline_fired.load(Ordering::Acquire) {
-        SessionEnd::DeadlineCancelled
     } else {
-        // Cancelled by an injected fault rather than a client or the
-        // watchdog: account it as a deadline-class reclamation.
+        // The watchdog's deadline — or an injected fault, which is neither
+        // a client nor the watchdog and is accounted as a deadline-class
+        // reclamation.
         SessionEnd::DeadlineCancelled
     }
 }
@@ -1288,14 +1284,25 @@ mod tests {
 
     #[test]
     fn deadline_cancels_a_runaway_session() {
-        let server = ace().serve(ServerConfig::default());
-        let h = server
-            .submit(req("stream(X)").with_deadline(Duration::from_millis(30)))
-            .unwrap();
-        let outcome = h.wait();
-        assert_eq!(outcome.end, SessionEnd::DeadlineCancelled);
-        let stats = server.shutdown();
-        assert_eq!(stats.deadline_cancelled, 1);
+        // The request's own deadline, then the server's default applied to
+        // a request that carries none.
+        let deadline = Duration::from_millis(30);
+        for (cfg, request) in [
+            (
+                ServerConfig::default(),
+                req("stream(X)").with_deadline(deadline),
+            ),
+            (
+                ServerConfig::default().with_default_deadline(deadline),
+                req("stream(X)"),
+            ),
+        ] {
+            let server = ace().serve(cfg);
+            let outcome = server.submit(request).unwrap().wait();
+            assert_eq!(outcome.end, SessionEnd::DeadlineCancelled);
+            let stats = server.shutdown();
+            assert_eq!(stats.deadline_cancelled, 1);
+        }
     }
 
     #[test]

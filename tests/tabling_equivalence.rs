@@ -7,7 +7,8 @@
 //!   checker's tabling protocol (answers before resumes, completion
 //!   exactly once per subgoal).
 //! * **Warm tables are pure lookup** — a completed table turns
-//!   re-evaluation into replay: no new subgoal frames on any engine.
+//!   re-evaluation into replay: no new subgoal frames on any engine, and
+//!   sequentially at least 5x cheaper in virtual time than the fixpoint.
 //! * **One store, both behaviours** — the same corpus with memoization
 //!   and tabling switched on over a single shared store, on every engine
 //!   and both drivers, cold then warm.
@@ -81,6 +82,23 @@ fn tabled_corpus_invariant_across_drivers_and_workers() {
             (p.oracle)(p.test_size),
             "{} oracle size",
             p.name
+        );
+        // A completed table is a lookup, not a second fixpoint: replaying
+        // it costs at most a fifth of the evaluation that built it.
+        let seq_warm = ace
+            .run(
+                Mode::Sequential,
+                &query,
+                &cfg(1, DriverKind::Sim, &seq_space),
+            )
+            .unwrap_or_else(|e| panic!("{} sequential warm: {e}", p.name));
+        assert_oracle(&seq_warm, &oracle, &format!("{} sequential warm", p.name));
+        assert!(
+            seq.virtual_time >= 5 * seq_warm.virtual_time,
+            "{}: completed-table lookup ({}) is not 5x cheaper than the cold fixpoint ({})",
+            p.name,
+            seq_warm.virtual_time,
+            seq.virtual_time
         );
 
         for driver in [DriverKind::Sim, DriverKind::Threads] {

@@ -197,6 +197,36 @@ fn trace_checker_holds_on_traced_corpus() {
             panic!("{name}: trace invariant violations: {violations:#?}");
         }
     }
+
+    // `TraceConfig::dispatch` is off above: switch it on for one search so
+    // the machine's own `ClauseDispatch`/`ClauseRetry` emission sites, not
+    // hand-built events, meet the checker's determinacy rule.
+    let b = ace_programs::benchmark("queen1").unwrap();
+    let ace = Ace::load(&(b.program)(b.test_size)).unwrap();
+    let traced = cfg(4, TraceConfig::enabled().with_dispatch());
+    let r = ace.run(b.mode, &(b.query)(b.test_size), &traced).unwrap();
+    let trace = r.trace.as_ref().unwrap();
+    assert_eq!(trace.dropped, 0, "ring too small for the dispatch events");
+    let count = |f: fn(&EventKind) -> bool| trace.events.iter().filter(|e| f(&e.kind)).count();
+    let dispatches = count(|k| matches!(k, EventKind::ClauseDispatch { .. }));
+    let determinate = count(|k| {
+        matches!(
+            k,
+            EventKind::ClauseDispatch {
+                determinate: true,
+                ..
+            }
+        )
+    });
+    let retries = count(|k| matches!(k, EventKind::ClauseRetry { .. }));
+    assert!(
+        determinate >= 1 && determinate < dispatches && retries >= 1,
+        "queen1 should dispatch both ways and retry: {dispatches} dispatches \
+         ({determinate} determinate), {retries} retries"
+    );
+    if let Err(violations) = TraceChecker::check(trace) {
+        panic!("queen1 with dispatch events: {violations:#?}");
+    }
 }
 
 /// Tracing must be free when off: the default config builds a [`Tracer`]
