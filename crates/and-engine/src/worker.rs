@@ -165,6 +165,7 @@ impl AndWorker {
         if self.core.steal_faulted(|| !self.sh.queue.lock().is_empty()) {
             return Step::NoWork;
         }
+        self.core.note(EventKind::StealAttempt);
         let task = {
             let mut q = self.sh.queue.lock();
             loop {
@@ -179,14 +180,13 @@ impl AndWorker {
             }
         };
         let Some(task) = task else {
-            self.core.emit(|| EventKind::StealFail);
+            self.core.note(EventKind::StealFail);
             return Step::NoWork;
         };
         if task.creator != self.core.id {
             self.core.stats.tasks_stolen += 1;
             self.core.charge(self.core.costs.steal);
-            self.core.emit(|| EventKind::StealAttempt);
-            self.core.emit(|| EventKind::StealSuccess);
+            self.core.note(EventKind::StealSuccess);
         } else {
             self.core.charge(self.core.costs.queue_op);
         }
@@ -243,7 +243,7 @@ impl AndWorker {
         }
         self.core.charge(self.core.costs.lock);
 
-        self.core.phase_cost += machine.take_unsurfaced_cost();
+        machine.surface(&mut self.core);
         let cancel = frame.cancel.clone();
         self.stack.push(Act::Run {
             machine,
@@ -277,8 +277,7 @@ impl AndWorker {
         // whose branch is executing inline right here.
         let check = inline.last().map_or(&*cancel, |f| &f.cancel);
         let status = machine.run(QUANTUM, Some(check));
-        self.core.phase_cost += machine.take_unsurfaced_cost();
-        self.core.emit_all(machine.take_memo_events());
+        machine.surface(&mut self.core);
 
         match status {
             Status::Running => Step::Worked,
@@ -352,15 +351,12 @@ impl AndWorker {
         machine.top_parcall_mut().unwrap().ext = Some(Box::new(frame.clone()));
         self.core.stats.cells_copied += cells as u64;
         let n = n_branches as u64;
-        self.core.stats.parcall_frames += 1;
-        self.core.stats.parcall_slots += n;
         let charge = self.core.costs.parcall_frame_alloc
             + self.core.costs.parcall_slot * n
             + cells as u64 * self.core.costs.heap_cell
             + self.core.costs.queue_op * (n - 1);
         self.core.charge(charge);
-        self.core
-            .emit(|| EventKind::FrameAlloc { slots: n as usize });
+        self.core.note(EventKind::FrameAlloc { slots: n_branches });
 
         // Ship all branches but the last (when idle workers demand them);
         // run the last inline, &ACE-style ("the goal a does not need an
@@ -430,12 +426,10 @@ impl AndWorker {
             (None, 0)
         };
         self.core.stats.cells_copied += cells as u64;
-        self.core.stats.slots_merged_lpco += k as u64;
-        self.core.stats.frames_elided_lpco += 1;
         let charge =
             self.core.costs.lpco_merge_slot * k as u64 + cells as u64 * self.core.costs.heap_cell;
         self.core.charge(charge);
-        self.core.emit(|| EventKind::FrameElide { merged_slots: k });
+        self.core.note(EventKind::FrameElide { merged_slots: k });
 
         let mut tasks = Vec::with_capacity(shipped.len());
         {
@@ -518,10 +512,8 @@ impl AndWorker {
         let pf = machine.merge_out_parcall();
         let k = pf.branches.len() as u64;
         lpco_added.extend(pf.branches);
-        self.core.stats.slots_merged_lpco += k;
-        self.core.stats.frames_elided_lpco += 1;
         self.core.charge(self.core.costs.lpco_merge_slot * k);
-        self.core.emit(|| EventKind::FrameElide {
+        self.core.note(EventKind::FrameElide {
             merged_slots: k as usize,
         });
         true
@@ -636,8 +628,7 @@ impl AndWorker {
                         FrameStage::Filling
                     };
                 }
-                self.core.stats.redo_rounds += 1;
-                self.core.emit(|| EventKind::RedoRound);
+                self.core.note(EventKind::RedoRound);
             } else if inner.pending == 0 && inner.stage == FrameStage::Filling {
                 inner.stage = FrameStage::Ready;
             }
@@ -681,15 +672,13 @@ impl AndWorker {
                     inner.stage = FrameStage::Ready;
                 }
             }
-            self.core.stats.pdo_merges += 1;
             self.core
                 .charge(self.core.costs.slot_join + self.core.costs.lock);
-            self.core.emit(|| EventKind::PdoMerge);
+            self.core.note(EventKind::PdoMerge);
         } else {
             // speculation failed: undo and ship to a fresh machine
             machine.rollback_to(o.ctrl_len, o.trail, o.heap);
-            let unsurfaced = machine.take_unsurfaced_cost();
-            self.core.phase_cost += unsurfaced;
+            machine.surface(&mut self.core);
             {
                 let mut inner = o.frame.inner.lock();
                 inner.slots[o.slot].state = SlotState::Unclaimed;
@@ -724,12 +713,10 @@ impl AndWorker {
         if inline.last().is_some_and(|f| f.id == fid) {
             inline.pop();
         }
-        self.core.stats.slot_failures += 1;
-        self.core.emit(|| EventKind::SlotFail);
+        self.core.note(EventKind::SlotFail);
         o.frame.fail();
         machine.fail_parcall_until(fid);
-        let unsurfaced = machine.take_unsurfaced_cost();
-        self.core.phase_cost += unsurfaced;
+        machine.surface(&mut self.core);
         Step::Worked
     }
 
@@ -750,13 +737,13 @@ impl AndWorker {
             .ctl
             .deliver(&mut self.core.stats, std::iter::once_with(|| sol.render()));
         self.sh.solutions.lock().push(sol);
-        self.core.emit(|| EventKind::Solution);
+        self.core.note(EventKind::Solution);
         if over {
             return Step::Worked;
         }
         // search for more solutions
         machine.backtrack();
-        self.core.phase_cost += machine.take_unsurfaced_cost();
+        machine.surface(&mut self.core);
         Step::Worked
     }
 
@@ -822,13 +809,11 @@ impl AndWorker {
             self.core.charge(self.core.costs.memo_lookup);
         }
         machine.continue_with(out.root);
-        let unsurfaced = machine.take_unsurfaced_cost();
-        self.core.phase_cost += unsurfaced;
-        self.core.stats.pdo_merges += 1;
+        machine.surface(&mut self.core);
         self.core.stats.cells_copied += out.cells_copied as u64;
         self.core
             .charge(out.cells_copied as u64 * self.core.costs.heap_cell + self.core.costs.lock);
-        self.core.emit(|| EventKind::PdoMerge);
+        self.core.note(EventKind::PdoMerge);
         true
     }
 
@@ -864,9 +849,8 @@ impl AndWorker {
                 // The subgoal completed deterministically: neither marker
                 // was ever needed; only its trail section is remembered.
                 machine.clear_pending_marker();
-                self.core.stats.markers_elided_spo += 2;
                 self.core.charge(self.core.costs.spo_track);
-                self.core.emit(|| EventKind::MarkerElide);
+                self.core.note(EventKind::MarkerElide);
             } else {
                 machine.materialize_pending_marker();
                 machine.push_marker(MarkerKind::End, frame.id, last_slot as u32);
@@ -892,10 +876,9 @@ impl AndWorker {
             for (key, &goal) in memo_keys.iter().zip(&goal_cells) {
                 machine.memo_publish_answer(key, goal);
             }
-            self.core.emit_all(machine.take_memo_events());
         }
 
-        self.core.phase_cost += machine.take_unsurfaced_cost();
+        machine.surface(&mut self.core);
 
         // Extract the solution bundle (goal instances + LPCO branches).
         let n_members = goal_cells.len();
@@ -990,8 +973,7 @@ impl AndWorker {
                 self.core.ctl.finish();
             }
             RunCtx::Slot { frame, .. } => {
-                self.core.stats.slot_failures += 1;
-                self.core.emit(|| EventKind::SlotFail);
+                self.core.note(EventKind::SlotFail);
                 frame.fail();
                 self.machines.retire(&mut self.core, machine);
             }
@@ -1033,8 +1015,7 @@ impl AndWorker {
             Some(f) => {
                 self.core.stats.frame_traversals += 1;
                 machine.fail_parcall_until(f.id);
-                let unsurfaced = machine.take_unsurfaced_cost();
-                self.core.phase_cost += unsurfaced;
+                machine.surface(&mut self.core);
             }
             None => {
                 // spurious wake-up: token cleared meanwhile (cannot
@@ -1185,7 +1166,7 @@ impl AndWorker {
                 // Deeper (already integrated) inline frames may sit above
                 // this one on the control stack; discard them with it.
                 machine.fail_parcall_until(frame.id);
-                self.core.phase_cost += machine.take_unsurfaced_cost();
+                machine.surface(&mut self.core);
                 Step::Worked
             }
             FrameStage::Integrated | FrameStage::Exhausted => {
@@ -1285,8 +1266,7 @@ impl AndWorker {
     /// the rightmost group that can produce another solution and start
     /// advancing it; if none can, the parallel call is exhausted.
     fn on_redo(&mut self) -> Step {
-        self.core.stats.redo_rounds += 1;
-        self.core.emit(|| EventKind::RedoRound);
+        self.core.note(EventKind::RedoRound);
         let Some(Act::Run {
             machine, inline, ..
         }) = self.stack.last_mut()
@@ -1312,11 +1292,10 @@ impl AndWorker {
             if inline.last().is_some_and(|f| f.id == frame.id) {
                 inline.pop();
             }
-            self.core.stats.slot_failures += 1;
-            self.core.emit(|| EventKind::SlotFail);
+            self.core.note(EventKind::SlotFail);
             frame.fail();
             machine.fail_parcall();
-            self.core.phase_cost += machine.take_unsurfaced_cost();
+            machine.surface(&mut self.core);
             return Step::Worked;
         }
 
@@ -1361,13 +1340,13 @@ impl AndWorker {
                     unreachable!()
                 };
                 machine.fail_parcall();
-                self.core.phase_cost += machine.take_unsurfaced_cost();
+                machine.surface(&mut self.core);
                 Step::Worked
             }
             Some((leader, Some(mut genm), goal_cells, _)) => {
                 // Resume the kept generator.
                 genm.backtrack();
-                self.core.phase_cost += genm.take_unsurfaced_cost();
+                genm.surface(&mut self.core);
                 self.stack.push(Act::Advance {
                     frame,
                     leader,
@@ -1422,8 +1401,7 @@ impl AndWorker {
             unreachable!()
         };
         let status = machine.run(QUANTUM, Some(&frame.cancel));
-        self.core.phase_cost += machine.take_unsurfaced_cost();
-        self.core.emit_all(machine.take_memo_events());
+        machine.surface(&mut self.core);
 
         match status {
             Status::Running => Step::Worked,
@@ -1436,7 +1414,7 @@ impl AndWorker {
                     if *seen < *skip {
                         *seen += 1;
                         machine.backtrack();
-                        self.core.phase_cost += machine.take_unsurfaced_cost();
+                        machine.surface(&mut self.core);
                         return Step::Worked;
                     }
                 }

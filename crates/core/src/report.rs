@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn summary_flags_incomplete_trace_and_appends_profile() {
-        use ace_runtime::trace::{EventKind, Trace, TraceEvent};
+        use ace_runtime::trace::{EventKind, Label, Trace, TraceEvent};
         let mut r = report(100);
         assert!(!r.summary().contains("trace incomplete"));
 
@@ -208,7 +208,7 @@ mod tests {
                         node: 1,
                         epoch: 0,
                         alts: 2,
-                        pred: "p/1".into(),
+                        pred: Label::Pred(ace_logic::sym::sym("p"), 1),
                     },
                 },
                 TraceEvent {

@@ -16,7 +16,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ace_runtime::{
-    Control, Engine, EngineConfig, EventKind, RunOutcome, Stats, Step, Trace, WorkerCore, QUANTUM,
+    Control, Engine, EngineConfig, EventKind, Label, RunOutcome, Stats, Step, Trace, WorkerCore,
+    QUANTUM,
 };
 use parking_lot::Mutex;
 
@@ -233,36 +234,29 @@ impl FdWorker {
         if lao {
             self.core.charge(costs.lao_check);
         }
+        // FD splits have no predicate; label frames by the branched
+        // variable instead.
+        let pred = Label::FdVar(var as u32);
         if reused {
-            self.core.stats.cp_reused_lao += 1;
             self.core.charge(costs.lao_reuse + copy_cost);
+            self.core.note(EventKind::LaoReuse {
+                node: node_id,
+                epoch,
+                alts: nalts,
+                pred,
+            });
         } else {
             self.sh
                 .max_depth
                 .fetch_max(depth as usize, Ordering::AcqRel);
-            self.core.stats.nodes_published += 1;
             self.core.charge(costs.publish_node + copy_cost);
+            self.core.note(EventKind::Publish {
+                node: node_id,
+                epoch,
+                alts: nalts,
+                pred,
+            });
         }
-        self.core.emit(|| {
-            // FD splits have no predicate; label frames by the branched
-            // variable instead (built in-closure: disabled tracing is free).
-            let pred = format!("fd.v{var}");
-            if reused {
-                EventKind::LaoReuse {
-                    node: node_id,
-                    epoch,
-                    alts: nalts,
-                    pred,
-                }
-            } else {
-                EventKind::Publish {
-                    node: node_id,
-                    epoch,
-                    alts: nalts,
-                    pred,
-                }
-            }
-        });
     }
 
     /// One bounded amount of labeling work.
@@ -283,7 +277,7 @@ impl FdWorker {
                 );
                 self.sh.solutions.lock().push(sol);
                 self.core.stats.solutions += 1;
-                self.core.emit(|| EventKind::Solution);
+                self.core.note(EventKind::Solution);
                 if over || !self.backtrack() {
                     break;
                 }
@@ -372,7 +366,7 @@ impl FdWorker {
                             let (var, state) = (*var, state.clone());
                             let (node_id, ep) = (node.id, *epoch);
                             run.domains = state;
-                            self.core.emit(|| EventKind::Claim {
+                            self.core.note(EventKind::Claim {
                                 node: node_id,
                                 epoch: ep,
                                 alt: v as usize,
@@ -399,7 +393,7 @@ impl FdWorker {
     fn find_work(&mut self) -> Step {
         let costs = self.core.costs.clone();
         self.sh.busy.fetch_add(1, Ordering::AcqRel);
-        self.core.emit(|| EventKind::StealAttempt);
+        self.core.note(EventKind::StealAttempt);
         let mut stack = vec![self.sh.root.clone()];
         while let Some(node) = stack.pop() {
             self.core.stats.tree_visits += 1;
@@ -411,13 +405,12 @@ impl FdWorker {
                         + costs.install_state
                         + state.len() as u64 * costs.heap_cell,
                 );
-                let node_id = node.id;
-                self.core.emit(|| EventKind::Claim {
-                    node: node_id,
+                self.core.note(EventKind::Claim {
+                    node: node.id,
                     epoch,
                     alt: value as usize,
                 });
-                self.core.emit(|| EventKind::StealSuccess);
+                self.core.note(EventKind::StealSuccess);
                 self.current = Some(Run {
                     domains: (*state).clone(),
                     stack: Vec::new(),
@@ -430,7 +423,7 @@ impl FdWorker {
             stack.extend(node.children.lock().iter().cloned());
         }
         self.sh.busy.fetch_sub(1, Ordering::AcqRel);
-        self.core.emit(|| EventKind::StealFail);
+        self.core.note(EventKind::StealFail);
         Step::NoWork
     }
 }

@@ -15,7 +15,10 @@ use ace_logic::{
 };
 
 use crate::arith;
-use ace_runtime::{CancelToken, ClauseExec, CostModel, EngineConfig, EventKind, Stats};
+use ace_runtime::{
+    CancelToken, ClauseExec, CostModel, EngineConfig, EventKind, Label, Stats, TraceClass,
+    WorkerCore,
+};
 use ace_table::{AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome};
 
 use crate::cont::{Cont, ContMark, ContStack};
@@ -263,13 +266,15 @@ pub struct Machine {
     /// Evaluate `:- table` predicates by SLG resolution, completed answer
     /// sets shared through `store`.
     tabling: bool,
-    /// Buffer memo and table trace events for the engine to drain
-    /// (tracing only).
+    /// Buffer the store's events (memo and table) for the worker's
+    /// tracer (tracing only).
     store_trace: bool,
     /// Tenant charged for this machine's store insertions (quota
     /// accounting on shared stores; 0 = the single-tenant default).
     tenant: u32,
-    memo_events: Vec<EventKind>,
+    /// Events awaiting [`Machine::surface`], each with the cost this
+    /// machine had charged since the last surfacing when it happened.
+    events: Vec<(u64, EventKind)>,
     /// In-flight watches on calls whose answer may be publishable.
     memo_watches: Vec<Option<MemoWatch>>,
     /// Free slots in `memo_watches`.
@@ -292,7 +297,7 @@ pub struct Machine {
     /// (instantiate + general unify, linear clause scan).
     compiled: bool,
     /// Buffer [`EventKind::ClauseDispatch`]/[`EventKind::ClauseRetry`]
-    /// events onto `memo_events` (off unless the trace config asks).
+    /// events too (off unless the trace config asks).
     dispatch_trace: bool,
     /// Reusable register file for compiled head execution (cleared and
     /// resized per clause; kept across calls to avoid reallocation).
@@ -340,7 +345,7 @@ impl Machine {
             tabling: false,
             store_trace: false,
             tenant: 0,
-            memo_events: Vec::new(),
+            events: Vec::new(),
             memo_watches: Vec::new(),
             memo_free: Vec::new(),
             memo_gen: 0,
@@ -380,7 +385,7 @@ impl Machine {
     }
 
     /// Buffer per-call [`EventKind::ClauseDispatch`] and per-retry
-    /// [`EventKind::ClauseRetry`] events (drained with the memo events).
+    /// [`EventKind::ClauseRetry`] events (drained with the store's).
     pub fn set_dispatch_trace(&mut self, on: bool) {
         self.dispatch_trace = on;
     }
@@ -393,6 +398,34 @@ impl Machine {
         let delta = self.stats.cost - self.surfaced_cost;
         self.surfaced_cost = self.stats.cost;
         delta
+    }
+
+    /// Put what this machine did since the last call on `w`'s clock and
+    /// tracer: each buffered event is stamped where it happened inside
+    /// the stretch of cost being surfaced, then the cost itself lands on
+    /// the worker's phase.
+    pub fn surface(&mut self, w: &mut WorkerCore) {
+        let base = w.now();
+        for (offset, ev) in self.events.drain(..) {
+            w.tracer.record(base + offset, ev);
+        }
+        w.phase_cost += self.take_unsurfaced_cost();
+    }
+
+    /// A fact about this machine's own execution happened: count it on
+    /// the machine's sheet (harvested by the worker with the rest of it)
+    /// and buffer it for the worker's tracer if this run records its
+    /// class.
+    #[inline]
+    fn note(&mut self, ev: EventKind) {
+        ev.apply(&mut self.stats);
+        let record = match ev.class() {
+            TraceClass::Dispatch => self.dispatch_trace,
+            _ => self.store_trace,
+        };
+        if record {
+            self.events.push((self.stats.cost - self.surfaced_cost, ev));
+        }
     }
 
     /// Enable the parallel-conjunction protocol (used by the engines; the
@@ -444,7 +477,7 @@ impl Machine {
         self.surfaced_cost = 0;
         // The store handle survives reset — pooled machines keep serving
         // the same store; per-run state does not.
-        self.memo_events.clear();
+        self.events.clear();
         self.memo_watches.clear();
         self.memo_free.clear();
         self.parcalls_raised = 0;
@@ -468,7 +501,7 @@ impl Machine {
     /// declarations) and which tenant its insertions are charged to (see
     /// [`ace_table::StoreConfig::tenant_quota`]). `trace` buffers the
     /// store's events ([`EventKind::MemoHit`], [`EventKind::TableNew`] and
-    /// friends) for [`Machine::take_memo_events`].
+    /// friends) for [`Machine::take_events`].
     pub fn set_store(&mut self, store: Option<Arc<AnswerStore>>, cfg: &EngineConfig, trace: bool) {
         self.memoize = cfg.memoize && store.is_some();
         self.tabling = cfg.tabling && store.is_some();
@@ -501,10 +534,10 @@ impl Machine {
         self.tabling
     }
 
-    /// Drain buffered memo trace events (engines forward them to their
-    /// worker tracer after every `run`). Allocation-free when empty.
-    pub fn take_memo_events(&mut self) -> Vec<EventKind> {
-        std::mem::take(&mut self.memo_events)
+    /// Drain the buffered store and dispatch events without a worker to
+    /// surface them onto. Allocation-free when empty.
+    pub fn take_events(&mut self) -> Vec<EventKind> {
+        self.events.drain(..).map(|(_, ev)| ev).collect()
     }
 
     /// Canonical memo key of a call term in this machine's heap.
@@ -530,19 +563,14 @@ impl Machine {
         let arena = TermArena::freeze(&self.heap, goal);
         match self.store_publish(key, vec![arena]) {
             PublishOutcome::Stored { epoch, evicted } => {
-                self.stats.memo_stores += 1;
                 self.stats.memo_evictions += evicted;
-                if self.store_trace {
-                    self.memo_events.push(EventKind::MemoStore {
-                        key: key.hash,
-                        epoch,
-                    });
-                    self.memo_events.push(EventKind::MemoComplete {
-                        key: key.hash,
-                        epoch,
-                        answers: 1,
-                    });
-                }
+                let key = key.hash;
+                self.note(EventKind::MemoStore { key, epoch });
+                self.note(EventKind::MemoComplete {
+                    key,
+                    epoch,
+                    answers: 1,
+                });
                 true
             }
             PublishOutcome::Present { .. } => false,
@@ -557,13 +585,10 @@ impl Machine {
         let key = CanonKey::of(&self.heap, goal);
         let store = self.store.as_ref().expect("memo_consult without a store");
         if let Some(entry) = store.lookup(&key) {
-            self.stats.memo_hits += 1;
-            if self.store_trace {
-                self.memo_events.push(EventKind::MemoHit {
-                    key: key.hash,
-                    epoch: entry.epoch,
-                });
-            }
+            self.note(EventKind::MemoHit {
+                key: key.hash,
+                epoch: entry.epoch,
+            });
             return Some(self.replay(db, goal, entry));
         }
         self.stats.memo_misses += 1;
@@ -773,12 +798,10 @@ impl Machine {
                 return self.replay(db, goal, entry);
             }
             RegisterOutcome::Fresh { subgoal_id } => {
-                if self.store_trace {
-                    self.memo_events.push(EventKind::TableNew {
-                        key: key.hash,
-                        subgoal: subgoal_id,
-                    });
-                }
+                self.note(EventKind::TableNew {
+                    key: key.hash,
+                    subgoal: subgoal_id,
+                });
                 (subgoal_id, true)
             }
             // A foreign worker is the registered generator. Stacks are
@@ -880,15 +903,12 @@ impl Machine {
         if self.table_subgoals[idx].dedup.insert(key.bytes) {
             let arena = TermArena::freeze(&self.heap, goal);
             self.table_subgoals[idx].answers.push(arena);
-            self.stats.table_answers += 1;
-            if self.store_trace {
-                let f = &self.table_subgoals[idx];
-                self.memo_events.push(EventKind::TableAnswer {
-                    key: f.key.hash,
-                    subgoal: f.shared_id,
-                    answers: f.answers.len(),
-                });
-            }
+            let f = &self.table_subgoals[idx];
+            self.note(EventKind::TableAnswer {
+                key: f.key.hash,
+                subgoal: f.shared_id,
+                answers: f.answers.len(),
+            });
         } else {
             self.stats.table_dups += 1;
         }
@@ -913,15 +933,12 @@ impl Machine {
         let closure = StateClosure::freeze(&self.heap, tuple, cont_goals.len());
         self.heap.truncate_to(mark);
         self.charge(closure.cells as u64 * self.costs.heap_cell);
-        self.stats.table_suspends += 1;
-        if self.store_trace {
-            let f = &self.table_subgoals[subgoal];
-            self.memo_events.push(EventKind::TableSuspend {
-                key: f.key.hash,
-                subgoal: f.shared_id,
-                seen: next,
-            });
-        }
+        let f = &self.table_subgoals[subgoal];
+        self.note(EventKind::TableSuspend {
+            key: f.key.hash,
+            subgoal: f.shared_id,
+            seen: next,
+        });
         self.table_subgoals[subgoal]
             .suspended
             .push(SuspendedConsumer { closure, next });
@@ -1000,15 +1017,12 @@ impl Machine {
     fn table_complete_frame(&mut self, idx: usize) {
         self.table_subgoals[idx].complete = true;
         self.table_subgoals[idx].suspended.clear();
-        self.stats.table_completes += 1;
-        if self.store_trace {
-            let f = &self.table_subgoals[idx];
-            self.memo_events.push(EventKind::TableComplete {
-                key: f.key.hash,
-                subgoal: f.shared_id,
-                answers: f.answers.len(),
-            });
-        }
+        let f = &self.table_subgoals[idx];
+        self.note(EventKind::TableComplete {
+            key: f.key.hash,
+            subgoal: f.shared_id,
+            answers: f.answers.len(),
+        });
         let key = self.table_subgoals[idx].key.clone();
         let answers = self.table_subgoals[idx].answers.clone();
         self.store_publish(&key, answers);
@@ -1018,15 +1032,12 @@ impl Machine {
     /// the leader's generator choice point (at control index `top`); the
     /// enclosing backtracking loop drains it on its next turn.
     fn table_resume(&mut self, subgoal: usize, susp: SuspendedConsumer, top: usize) {
-        self.stats.table_resumes += 1;
-        if self.store_trace {
-            let f = &self.table_subgoals[subgoal];
-            self.memo_events.push(EventKind::TableResume {
-                key: f.key.hash,
-                subgoal: f.shared_id,
-                seen: susp.next,
-            });
-        }
+        let f = &self.table_subgoals[subgoal];
+        self.note(EventKind::TableResume {
+            key: f.key.hash,
+            subgoal: f.shared_id,
+            seen: susp.next,
+        });
         let (root, cells) = susp.closure.arena.thaw(&mut self.heap);
         self.stats.heap_cells += cells as u64;
         self.charge(self.costs.closure_thaw);
@@ -1779,13 +1790,11 @@ impl Machine {
             if candidates == 1 {
                 self.stats.index_determinate_calls += 1;
             }
-            if self.dispatch_trace {
-                self.memo_events.push(EventKind::ClauseDispatch {
-                    pred: format!("{}/{arity}", name.name()),
-                    candidates,
-                    determinate: candidates == 1,
-                });
-            }
+            self.note(EventKind::ClauseDispatch {
+                pred: Label::Pred(name, arity),
+                candidates,
+                determinate: candidates == 1,
+            });
             let Some(&first) = chain.first() else {
                 return self.backtrack_in(db);
             };
@@ -2387,11 +2396,9 @@ impl Machine {
                             Some(idx) => {
                                 self.stats.alternatives_claimed += 1;
                                 self.charge(self.costs.claim_alternative);
-                                if self.dispatch_trace {
-                                    self.memo_events.push(EventKind::ClauseRetry {
-                                        pred: format!("{}/{arity}", name.name()),
-                                    });
-                                }
+                                self.note(EventKind::ClauseRetry {
+                                    pred: Label::Pred(name, arity),
+                                });
                                 if self.try_clause(db, name, arity, idx, goal, barrier) {
                                     self.status = Status::Running;
                                     return Status::Running;
@@ -2416,11 +2423,9 @@ impl Machine {
                             let pred = db
                                 .predicate(name, arity)
                                 .expect("retried predicate vanished");
-                            if self.dispatch_trace {
-                                self.memo_events.push(EventKind::ClauseRetry {
-                                    pred: format!("{}/{arity}", name.name()),
-                                });
-                            }
+                            self.note(EventKind::ClauseRetry {
+                                pred: Label::Pred(name, arity),
+                            });
                             match self.pred_next(pred, key, idx + 1) {
                                 Some(f) => {
                                     if let Alts::Clauses { next, .. } = self.alts_mut(top) {

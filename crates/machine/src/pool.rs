@@ -34,8 +34,7 @@ impl MachinePool {
     pub fn acquire(&mut self, w: &mut WorkerCore) -> Box<Machine> {
         let mut m = match self.free.pop() {
             Some(m) => {
-                w.stats.machines_recycled += 1;
-                w.emit(|| EventKind::MachineRecycle);
+                w.note(EventKind::MachineRecycle);
                 m
             }
             None => Box::new(Machine::new(self.db.clone(), w.costs.clone())),
@@ -44,12 +43,11 @@ impl MachinePool {
         m
     }
 
-    /// Take a finished machine back: surface any cost not yet on a driver
-    /// clock, forward its buffered events, harvest its counters into the
+    /// Take a finished machine back: surface any cost and events not yet
+    /// on the worker's clock and tracer, harvest its counters into the
     /// worker's sheet, reset it and cache it for the next `acquire`.
     pub fn retire(&mut self, w: &mut WorkerCore, mut m: Box<Machine>) {
-        w.phase_cost += m.take_unsurfaced_cost();
-        w.emit_all(m.take_memo_events());
+        m.surface(w);
         // Busy cost drives clocks via per-phase surfacing; `stats.cost`
         // keeps the report totals coherent.
         w.stats += m.stats;

@@ -132,7 +132,7 @@ fn memo_off_machine_never_touches_the_table() {
     assert_eq!(st.memo_misses, 0);
     assert_eq!(st.memo_stores, 0);
     assert_eq!(st.memo_evictions, 0);
-    assert!(s.machine_mut().take_memo_events().is_empty());
+    assert!(s.machine_mut().take_events().is_empty());
 }
 
 #[test]
@@ -215,7 +215,7 @@ fn memo_trace_events_are_buffered_and_drained() {
         .set_store(Some(t.clone()), &memoizing(), true);
     assert_eq!(all(&mut s).len(), 1);
 
-    let events = s.machine_mut().take_memo_events();
+    let events = s.machine_mut().take_events();
     let stores = events
         .iter()
         .filter(|e| matches!(e, EventKind::MemoStore { .. }))
@@ -223,13 +223,13 @@ fn memo_trace_events_are_buffered_and_drained() {
     assert_eq!(stores as u64, s.machine().stats.memo_stores);
     assert!(stores > 0);
     // Drain is destructive.
-    assert!(s.machine_mut().take_memo_events().is_empty());
+    assert!(s.machine_mut().take_events().is_empty());
 
     // Warm re-run emits a hit event for the tabled top-level call.
     let mut w = Solver::new(d, Arc::new(CostModel::default()), "nrev([1,2,3], R)").unwrap();
     w.machine_mut().set_store(Some(t), &memoizing(), true);
     assert_eq!(all(&mut w).len(), 1);
-    let events = w.machine_mut().take_memo_events();
+    let events = w.machine_mut().take_events();
     assert!(events
         .iter()
         .any(|e| matches!(e, EventKind::MemoHit { .. })));

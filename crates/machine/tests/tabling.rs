@@ -236,7 +236,7 @@ fn trace_events_follow_the_tabling_protocol() {
     s.machine_mut().set_store(Some(t), &tabling(), true);
     assert_eq!(all(&mut s).len(), 4);
 
-    let events = s.machine_mut().take_memo_events();
+    let events = s.machine_mut().take_events();
     let count =
         |pred: fn(&EventKind) -> bool| -> usize { events.iter().filter(|e| pred(e)).count() };
     let news = count(|e| matches!(e, EventKind::TableNew { .. }));
@@ -264,7 +264,7 @@ fn trace_events_follow_the_tabling_protocol() {
         }
     }
     // Drain is destructive.
-    assert!(s.machine_mut().take_memo_events().is_empty());
+    assert!(s.machine_mut().take_events().is_empty());
 }
 
 #[test]

@@ -4,13 +4,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ace_logic::sym::{sym, sym_name, wk};
+use ace_logic::sym::{sym, wk};
 use ace_logic::{Cell, Database};
 use ace_machine::frames::{Alts, SharedChoice};
 use ace_machine::{Machine, MachinePool, Status};
 use ace_runtime::{
-    Control, Counter, Engine, EngineConfig, EventKind, Gauge, LockClock, MetricsRegistry,
-    OrScheduler, RunOutcome, Stats, Step, Trace, WorkerCore,
+    Control, Engine, EngineConfig, EventKind, Label, LiveCounters, LockClock, OrScheduler,
+    RunOutcome, Stats, Step, Trace, WorkerCore,
 };
 use parking_lot::Mutex;
 
@@ -63,51 +63,6 @@ impl OrShared {
     }
 }
 
-/// Live metric handles for the or-engine's hot events, pre-resolved from
-/// the run's [`MetricsRegistry`] so the hot paths touch only atomics.
-/// Built once per worker iff `cfg.metrics` is set; the disabled path is a
-/// single `Option` branch per site and charges zero virtual time.
-#[derive(Clone)]
-struct OrLive {
-    publish_fresh: Counter,
-    publish_lao: Counter,
-    claims_own: Counter,
-    claims_domain: Counter,
-    claims_cross: Counter,
-    materializations: Counter,
-    pool_occupancy: Gauge,
-}
-
-impl OrLive {
-    fn new(m: &MetricsRegistry) -> Self {
-        m.describe(
-            "ace_or_publishes_total",
-            "or-tree node publications by kind (fresh publish vs LAO refill)",
-        );
-        m.describe(
-            "ace_or_claims_total",
-            "alternatives claimed from the public tree, by steal scope",
-        );
-        m.describe(
-            "ace_or_closure_materializations_total",
-            "deferred state closures frozen on remote demand",
-        );
-        m.describe(
-            "ace_or_pool_occupancy",
-            "live node entries advertised in the alternative pool",
-        );
-        OrLive {
-            publish_fresh: m.counter("ace_or_publishes_total", &[("kind", "fresh")]),
-            publish_lao: m.counter("ace_or_publishes_total", &[("kind", "lao")]),
-            claims_own: m.counter("ace_or_claims_total", &[("scope", "own")]),
-            claims_domain: m.counter("ace_or_claims_total", &[("scope", "domain")]),
-            claims_cross: m.counter("ace_or_claims_total", &[("scope", "cross")]),
-            materializations: m.counter("ace_or_closure_materializations_total", &[]),
-            pool_occupancy: m.gauge("ace_or_pool_occupancy", &[]),
-        }
-    }
-}
-
 struct Running {
     machine: Box<Machine>,
     /// Node whose claimed alternative spawned this computation (publish
@@ -138,17 +93,16 @@ struct OrWorker {
     intra_steal: u64,
     cross_steal: u64,
     contended_lock: u64,
-    /// Emit `DomainSteal` events (hierarchical scan only — the flat-scan
+    /// Note `DomainSteal` events (hierarchical scan only — the flat-scan
     /// ablation legitimately crosses domains with local work visible).
     trace_domain_steals: bool,
-    /// Live metric handles (`None` unless `cfg.metrics` is attached).
-    live: Option<OrLive>,
 }
 
 impl OrWorker {
-    fn new(core: WorkerCore, sh: Arc<OrShared>, db: Arc<Database>) -> Self {
-        let cfg = &core.ctl.cfg;
-        let topo = &cfg.topology;
+    fn new(mut core: WorkerCore, sh: Arc<OrShared>, db: Arc<Database>) -> Self {
+        let metrics = core.ctl.cfg.metrics.as_deref();
+        core.live = metrics.map(|m| Box::new(LiveCounters::new(m)));
+        let topo = &core.ctl.cfg.topology;
         let answer_slot = if topo.domain_answer_buffers {
             topo.domain_of(core.id, core.ctl.workers())
         } else {
@@ -164,7 +118,6 @@ impl OrWorker {
             cross_steal: topo.cross_steal,
             contended_lock: topo.contended_lock,
             trace_domain_steals: topo.hierarchical,
-            live: cfg.metrics.as_deref().map(OrLive::new),
             core,
         }
     }
@@ -176,8 +129,8 @@ impl OrWorker {
     /// events — charging nothing keeps the default machine's virtual
     /// times bit-identical to the pre-topology engine.
     /// `what` names the contended structure ("pool", "answer") for the
-    /// `LockWait` trace event — emitted only when the topology actually
-    /// prices the contention, so flat runs stay event-identical too.
+    /// `LockWait` event — noted only when the topology actually prices
+    /// the contention, so flat runs stay event-identical too.
     fn note_contention(&mut self, what: &'static str, events: u64, wait: u64) {
         if events == 0 {
             return;
@@ -187,9 +140,8 @@ impl OrWorker {
             return;
         }
         let units = wait + events * self.contended_lock;
-        self.core.stats.lock_wait_cost += units;
         self.core.charge(units);
-        self.core.emit(|| EventKind::LockWait { what, cost: units });
+        self.core.note(EventKind::LockWait { what, cost: units });
     }
 
     /// Advertise `node` in the alternative pool (pool scheduler only) at
@@ -203,53 +155,32 @@ impl OrWorker {
         let out = self.sh.pool.push(self.core.id, node, self.core.now());
         self.note_contention("pool", out.contended, out.lock_wait);
         if out.added {
-            if let Some(live) = &self.live {
-                live.pool_occupancy.inc();
-            }
-            self.core.stats.pool_pushes += 1;
             self.core.charge(self.core.costs.queue_op);
-            let node_id = node.id;
-            self.core.emit(|| EventKind::PoolPush { node: node_id });
+            self.core.note(EventKind::PoolPush { node: node.id });
         }
     }
 
     /// Steal-scope accounting for a successful pool claim: count it,
-    /// charge the topology's distance premium, and emit the
-    /// `DomainSteal` trace event for non-own scopes (hierarchical scan
+    /// charge the topology's distance premium, and note the
+    /// `DomainSteal` record for non-own scopes (hierarchical scan
     /// only — see `trace_domain_steals`).
     fn note_steal_scope(&mut self, node_id: u64, scope: StealScope, local_work: usize) {
-        let (premium, scope_name) = match scope {
-            StealScope::Own => {
-                self.core.stats.steals_local_domain += 1;
-                if let Some(live) = &self.live {
-                    live.claims_own.inc(self.core.id);
-                }
-                return;
-            }
-            StealScope::Domain => {
-                self.core.stats.steals_local_domain += 1;
-                if let Some(live) = &self.live {
-                    live.claims_domain.inc(self.core.id);
-                }
-                (self.intra_steal, "domain")
-            }
-            StealScope::Cross => {
-                self.core.stats.steals_cross_domain += 1;
-                if local_work > 0 {
-                    self.core.stats.steals_cross_eager += 1;
-                }
-                if let Some(live) = &self.live {
-                    live.claims_cross.inc(self.core.id);
-                }
-                (self.cross_steal, "cross")
-            }
+        let local_work = local_work as u64;
+        let (claim, premium, scope) = match scope {
+            StealScope::Own => return self.core.note(EventKind::ClaimOwn),
+            StealScope::Domain => (EventKind::ClaimDomain, self.intra_steal, "domain"),
+            StealScope::Cross => (
+                EventKind::ClaimCross { local_work },
+                self.cross_steal,
+                "cross",
+            ),
         };
+        self.core.note(claim);
         self.core.charge(premium);
         if self.trace_domain_steals {
-            let local_work = local_work as u64;
-            self.core.emit(|| EventKind::DomainSteal {
+            self.core.note(EventKind::DomainSteal {
                 node: node_id,
-                scope: scope_name,
+                scope,
                 local_work,
             });
         }
@@ -286,13 +217,11 @@ impl OrWorker {
             .as_ref()
             .is_some_and(|inj| inj.publish_fails(self.core.id));
         if publish_faulted {
-            self.core.stats.faults_injected += 1;
-            self.core.stats.publish_retries += 1;
             self.core.charge(self.core.costs.queue_op);
-            self.core.emit(|| EventKind::FaultInjected {
+            self.core.note(EventKind::FaultInjected {
                 kind: "publish-fail",
             });
-            self.core.emit(|| EventKind::FaultRetry { what: "publish" });
+            self.core.note(EventKind::FaultRetry { what: "publish" });
             return;
         }
         let costs = self.core.costs.clone();
@@ -404,42 +333,26 @@ impl OrWorker {
         );
         run.last_published = Some(node.clone());
         run.deferred.push((node.clone(), epoch));
+        let (node_id, pred) = (node.id, Label::Pred(name, arity));
         if reused {
-            self.core.stats.cp_reused_lao += 1;
             self.core.charge(costs.lao_reuse);
-            if let Some(live) = &self.live {
-                live.publish_lao.inc(self.core.id);
-            }
+            self.core.note(EventKind::LaoReuse {
+                node: node_id,
+                epoch,
+                alts: nalts,
+                pred,
+            });
         } else {
-            self.core.stats.nodes_published += 1;
             self.core
                 .charge(costs.publish_node + costs.queue_op * nalts as u64);
-            if let Some(live) = &self.live {
-                live.publish_fresh.inc(self.core.id);
-            }
+            self.core.note(EventKind::Publish {
+                node: node_id,
+                epoch,
+                alts: nalts,
+                pred,
+            });
         }
-        let node_id = node.id;
-        self.core.emit(|| {
-            // Predicate label built inside the closure: disabled tracing
-            // must not pay the symbol-table lookup or the allocation.
-            let pred = format!("{}/{arity}", sym_name(name));
-            if reused {
-                EventKind::LaoReuse {
-                    node: node_id,
-                    epoch,
-                    alts: nalts,
-                    pred,
-                }
-            } else {
-                EventKind::Publish {
-                    node: node_id,
-                    epoch,
-                    alts: nalts,
-                    pred,
-                }
-            }
-        });
-        self.core.emit(|| EventKind::ClosureDefer {
+        self.core.note(EventKind::ClosureDefer {
             node: node_id,
             epoch,
         });
@@ -472,7 +385,7 @@ impl OrWorker {
         }
         let costs = self.core.costs.clone();
         self.sh.busy.fetch_add(1, Ordering::AcqRel);
-        self.core.emit(|| EventKind::StealAttempt);
+        self.core.note(EventKind::StealAttempt);
 
         // Pop/traversal order is Aurora's dispatch on bottommost:
         // deepest-first, stack order.
@@ -483,14 +396,10 @@ impl OrWorker {
                 };
                 self.note_contention("pool", pop.contended, pop.lock_wait);
                 let node = pop.node;
-                self.core.stats.pool_pops += 1;
-                if let Some(live) = &self.live {
-                    live.pool_occupancy.dec();
-                }
                 self.core.stats.tree_visits += 1;
                 self.core.charge(costs.queue_op + costs.tree_visit);
                 let node_id = node.id;
-                self.core.emit(|| EventKind::PoolPop { node: node_id });
+                self.core.note(EventKind::PoolPop { node: node_id });
                 match node.claim_remote() {
                     RemoteClaim::Ready((idx, epoch, pred, closure)) => {
                         // Keep the node visible to other idle workers while
@@ -543,7 +452,7 @@ impl OrWorker {
 
         let Some((node, idx, epoch, (name, arity), closure)) = claimed else {
             self.sh.busy.fetch_sub(1, Ordering::AcqRel);
-            self.core.emit(|| EventKind::StealFail);
+            self.core.note(EventKind::StealFail);
             return Step::NoWork;
         };
         self.core.stats.alternatives_claimed += 1;
@@ -552,28 +461,27 @@ impl OrWorker {
         // copy price died with the eager closure clone).
         self.core.charge(costs.claim_alternative);
         let node_id = node.id;
-        let cells = closure.cells as u64;
-        self.core.emit(|| EventKind::ClosureThaw {
+        self.core.note(EventKind::ClosureThaw {
             node: node_id,
             epoch,
-            cells,
+            cells: closure.cells as u64,
         });
-        self.core.emit(|| EventKind::Claim {
+        self.core.note(EventKind::Claim {
             node: node_id,
             epoch,
             alt: idx,
         });
-        self.core.emit(|| EventKind::StealSuccess);
+        self.core.note(EventKind::StealSuccess);
         let mut machine = self.machines.acquire(&mut self.core);
         let ok = machine.install_closure(&closure, name, arity, idx);
-        self.core.phase_cost += machine.take_unsurfaced_cost();
+        machine.surface(&mut self.core);
         if !ok {
             // Head unification failed: the branch dies before any state is
             // set up, so charge the (cheap) abort price, not a full
             // `install_state` — dead branches must not inflate the
             // overhead tables.
             self.core.charge(costs.install_abort);
-            self.core.emit(|| EventKind::InstallAbort { node: node_id });
+            self.core.note(EventKind::InstallAbort { node: node_id });
             self.machines.retire(&mut self.core, machine);
             self.sh.busy.fetch_sub(1, Ordering::AcqRel);
             return Step::Worked; // did work (explored and killed a branch)
@@ -618,16 +526,11 @@ impl OrWorker {
                     let closure = Arc::new(run.machine.choice_closure(idx));
                     let cells = closure.cells as u64;
                     if node.fulfill_closure(epoch, closure) {
-                        self.core.stats.closures_materialized += 1;
-                        if let Some(live) = &self.live {
-                            live.materializations.inc(self.core.id);
-                        }
                         let costs = &self.core.costs;
                         let freeze_cost = costs.closure_freeze + cells * costs.heap_cell;
                         self.core.charge(freeze_cost);
-                        let node_id = node.id;
-                        self.core.emit(|| EventKind::ClosureMaterialize {
-                            node: node_id,
+                        self.core.note(EventKind::ClosureMaterialize {
+                            node: node.id,
                             epoch,
                             cells,
                         });
@@ -666,7 +569,7 @@ impl OrWorker {
         let n = run.machine.answers.len();
         self.pending_answers.append(&mut run.machine.answers);
         for _ in 0..n {
-            self.core.emit(|| EventKind::Solution);
+            self.core.note(EventKind::Solution);
         }
     }
 
@@ -697,18 +600,14 @@ impl OrWorker {
 
     fn run_current(&mut self) {
         let cancel = self.core.ctl.cancel.clone();
-        if self.core.tracer.lifecycle() {
-            self.core.emit(|| EventKind::QuantumStart);
-        }
+        self.core.note(EventKind::QuantumStart);
         let before = self.core.phase_cost;
         let run = self.current.as_mut().expect("run_current without machine");
         let status = run.machine.run(RUN_QUANTUM, Some(&cancel));
-        self.core.phase_cost += run.machine.take_unsurfaced_cost();
-        self.core.emit_all(run.machine.take_memo_events());
-        if self.core.tracer.lifecycle() {
-            let cost = self.core.phase_cost - before;
-            self.core.emit(|| EventKind::QuantumEnd { cost });
-        }
+        run.machine.surface(&mut self.core);
+        self.core.note(EventKind::QuantumEnd {
+            cost: self.core.phase_cost - before,
+        });
         // Publish *after* running: choice points created inside the
         // quantum (still alive at a Solution boundary) become public
         // before the owner backtracks into them. Only a machine that
@@ -730,7 +629,7 @@ impl OrWorker {
                 if !self.core.ctl.is_done() {
                     let run = self.current.as_mut().unwrap();
                     run.machine.backtrack();
-                    self.core.phase_cost += run.machine.take_unsurfaced_cost();
+                    run.machine.surface(&mut self.core);
                 }
             }
             Status::Failed => {
@@ -865,7 +764,7 @@ impl OrEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_runtime::{DriverKind, OptFlags};
+    use ace_runtime::{DriverKind, MetricsRegistry, OptFlags};
 
     fn db(src: &str) -> Arc<Database> {
         Arc::new(Database::load(src).unwrap())

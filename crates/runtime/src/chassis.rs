@@ -9,7 +9,8 @@
 //!   handle, idle-worker count, the streamed-delivery step and the
 //!   launch-and-fold tail ([`Control::launch`]);
 //! * the [`WorkerCore`] each worker embeds — id, stats sheet, tracer,
-//!   virtual clock, idle mark and backoff;
+//!   virtual clock, idle mark and backoff — and its one entry point for
+//!   scheduling facts, [`WorkerCore::note`];
 //! * the phase anatomy ([`Engine`] → [`Agent`]), in this order: **done**
 //!   (drain hook, deposit stats and trace buffer, once) → **cancel** →
 //!   **fault** → **work** → **idle** (quiescence test, exponential backoff).
@@ -30,7 +31,7 @@ use crate::cost::CostModel;
 use crate::driver::{Agent, Phase, RunOutcome, SimDriver, ThreadsDriver};
 use crate::fault::{FaultAction, FaultInjector, FAULT_ERROR_PREFIX, INJECTED_DEATH};
 use crate::stats::Stats;
-use crate::trace::{EventKind, Trace, TraceBuf, TraceSink, Tracer};
+use crate::trace::{EventKind, LiveCounters, Trace, TraceBuf, TraceSink, Tracer};
 
 /// Maximum cost a worker accumulates in one uninterrupted phase before
 /// yielding to the driver (bounds cancellation latency and interleaving
@@ -155,7 +156,7 @@ impl Control {
     /// `engine`, ring buffers and driver events merged into one trace.
     pub fn launch<'a, A: Agent + 'a>(&self, engine: &str, workers: Vec<A>) -> Finished {
         let cfg = &self.cfg;
-        let sink = cfg.trace.enabled.then(|| TraceSink::new(&cfg.trace));
+        let sink = cfg.trace.enabled.then(TraceSink::default);
         let mut outcome = match cfg.driver {
             DriverKind::Sim => {
                 let mut driver =
@@ -207,6 +208,9 @@ pub struct WorkerCore {
     pub stats: Stats,
     /// Event tracing (no-op unless `cfg.trace.enabled`).
     pub tracer: Tracer,
+    /// Live series of the events this worker notes; an engine whose
+    /// events have any attaches them when the run carries a registry.
+    pub live: Option<Box<LiveCounters>>,
     /// Virtual cost of the phase in progress, returned to the driver when
     /// it ends. Engines add cost a machine already counted in its own
     /// stats here directly; everything else goes through
@@ -229,6 +233,7 @@ impl WorkerCore {
             costs: ctl.costs.clone(),
             stats: Stats::new(),
             tracer: Tracer::new(&ctl.cfg.trace, id),
+            live: None,
             phase_cost: 0,
             vclock: 0,
             marked_idle: false,
@@ -250,20 +255,19 @@ impl WorkerCore {
         self.phase_cost += units;
     }
 
-    /// Record an event stamped with the current virtual time. `kind` is a
-    /// closure so that payload construction is skipped when tracing is off.
+    /// A scheduling fact happened, now: bump the counters its row
+    /// declares, record it if this run traces its class, step its live
+    /// series if one is attached. Prices stay with the site
+    /// ([`WorkerCore::charge`]).
     #[inline]
-    pub fn emit(&mut self, kind: impl FnOnce() -> EventKind) {
-        let t = self.now();
-        self.tracer.emit(t, kind);
-    }
-
-    /// Forward events a machine buffered to this worker's tracer (an
-    /// empty vector unless store or dispatch tracing is on).
-    #[inline]
-    pub fn emit_all(&mut self, events: Vec<EventKind>) {
-        for ev in events {
-            self.emit(|| ev);
+    pub fn note(&mut self, ev: EventKind) {
+        ev.apply(&mut self.stats);
+        if let Some(live) = &self.live {
+            live.meter(&ev, self.id);
+        }
+        if self.tracer.records(ev.class()) {
+            let t = self.now();
+            self.tracer.record(t, ev);
         }
     }
 
@@ -304,10 +308,8 @@ impl WorkerCore {
             .as_ref()
             .is_some_and(|inj| work_visible() && inj.steal_fails(self.id));
         if faulted {
-            self.stats.faults_injected += 1;
-            self.stats.steal_retries += 1;
-            self.emit(|| EventKind::FaultInjected { kind: "steal-fail" });
-            self.emit(|| EventKind::FaultRetry { what: "steal" });
+            self.note(EventKind::FaultInjected { kind: "steal-fail" });
+            self.note(EventKind::FaultRetry { what: "steal" });
         }
         faulted
     }
@@ -328,19 +330,16 @@ impl WorkerCore {
             }
             return Some(Phase::Busy(1));
         }
-        let action = self.ctl.injector.as_ref()?.poll(self.id)?;
-        self.stats.faults_injected += 1;
-        match action {
+        match self.ctl.injector.as_ref()?.poll(self.id)? {
             // A clock jump: virtual time lost, no state touched.
             FaultAction::Stall(cost) => {
-                self.stats.fault_stalls += 1;
                 self.stats.charge(cost);
-                self.emit(|| EventKind::FaultInjected { kind: "stall" });
-                self.emit(|| EventKind::FaultStall { cost });
+                self.note(EventKind::FaultInjected { kind: "stall" });
+                self.note(EventKind::FaultStall { cost });
                 Some(Phase::Busy(cost.max(1)))
             }
             FaultAction::Cancel => {
-                self.emit(|| EventKind::FaultInjected { kind: "cancel" });
+                self.note(EventKind::FaultInjected { kind: "cancel" });
                 self.ctl.fail_with(format!(
                     "{FAULT_ERROR_PREFIX} injected cancellation on worker {}",
                     self.id
@@ -358,9 +357,7 @@ impl WorkerCore {
         let base = self.costs.idle_probe;
         let p = (base << self.idle_streak.min(6)).min(QUANTUM.max(base));
         self.idle_streak = self.idle_streak.saturating_add(1);
-        self.stats.charge_idle(p);
-        self.stats.idle_probes += 1;
-        self.emit(|| EventKind::IdleProbe { cost: p });
+        self.note(EventKind::IdleProbe { cost: p });
         Phase::Idle(p)
     }
 }
@@ -403,18 +400,17 @@ impl<E: Engine> Agent for E {
         let p = phase_inner(self);
         let w = self.core();
         if let Phase::Busy(c) | Phase::Idle(c) = p {
-            let start = w.vclock;
+            let phase = if matches!(p, Phase::Busy(_)) {
+                "busy"
+            } else {
+                "idle"
+            };
+            // The phase is over: its bounds are the driver's clock before
+            // and after it, with no partial cost on top.
+            w.phase_cost = 0;
+            w.note(EventKind::PhaseStart { phase });
             w.vclock += c;
-            if w.tracer.lifecycle() {
-                let phase = if matches!(p, Phase::Busy(_)) {
-                    "busy"
-                } else {
-                    "idle"
-                };
-                w.tracer.emit(start, || EventKind::PhaseStart { phase });
-                let end = w.vclock;
-                w.tracer.emit(end, || EventKind::PhaseEnd { phase });
-            }
+            w.note(EventKind::PhaseEnd { phase });
         }
         p
     }

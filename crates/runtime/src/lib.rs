@@ -36,13 +36,18 @@
 //!
 //! ## Observability
 //!
-//! The [`trace`] module provides always-compiled, off-by-default event
-//! tracing: each worker records typed events ([`trace::EventKind`]) into
-//! a fixed-capacity ring buffer stamped with its virtual clock, engines
-//! merge the buffers into a virtual-time-ordered [`trace::Trace`], and
-//! consumers export Chrome `trace_event` JSON or replay the trace through
-//! [`trace::TraceChecker`] to assert scheduler invariants. Disabled
-//! tracing costs one branch per emission point and zero virtual time.
+//! The [`trace`] module holds the one event table every view of a run
+//! is derived from: a scheduling fact is a typed event
+//! ([`trace::EventKind`]) that a worker hands to
+//! [`chassis::WorkerCore::note`], which bumps the [`stats::Stats`]
+//! counters its row declares, records it (always compiled, off by
+//! default) into a fixed-capacity ring buffer stamped with the worker's
+//! virtual clock, and steps its live series. Engines merge the buffers
+//! into a virtual-time-ordered [`trace::Trace`]; consumers export Chrome
+//! `trace_event` JSON, fold it back into counters ([`Stats::fold`]) or
+//! replay it through [`trace::TraceChecker`] to assert scheduler
+//! invariants. Disabled tracing costs one branch per event and zero
+//! virtual time.
 //!
 //! The [`metrics`] module adds the *live* counterpart: a lock-free
 //! [`metrics::MetricsRegistry`] of sharded counters, gauges and
@@ -100,8 +105,8 @@ pub use sink::{AnswerSink, SinkVerdict};
 pub use stats::Stats;
 pub use topology::{LockClock, Topology};
 pub use trace::{
-    EventKind, Trace, TraceBuf, TraceChecker, TraceConfig, TraceEvent, TraceSink, TraceVerdict,
-    Tracer,
+    EventKind, Frame, Label, LiveCounters, Trace, TraceBuf, TraceChecker, TraceClass, TraceConfig,
+    TraceEvent, TraceSink, TraceVerdict, Tracer,
 };
 
 /// Benchmark-pinned names of the one store and its config: `benchmark/`

@@ -7,7 +7,8 @@
 //! doing in between. [`Profile::from_trace`] folds those per-worker
 //! intervals into frames — semicolon-joined paths like
 //! `run;member/2;publish` or `lock;answer` — attributing each interval
-//! to the event that ends it:
+//! to the event that ends it, under the frame that event's row of the
+//! event table declares ([`crate::trace::EventKind::frame`]):
 //!
 //! * predicate context comes from `publish`/`lao-reuse` events (which
 //!   carry the predicate label) and follows `claim`s through the
@@ -34,7 +35,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::trace::{EventKind, Trace};
+use crate::trace::{EventKind, Frame, Label, Trace};
 
 /// A weighted call profile: virtual cost per frame. Build with
 /// [`Profile::from_trace`].
@@ -50,12 +51,12 @@ impl Profile {
     /// events (sequence-stamped, not virtual-time-stamped) are ignored.
     pub fn from_trace(trace: &Trace) -> Profile {
         // Pass 1: node -> predicate, from the publication events.
-        let mut node_pred: HashMap<u64, &str> = HashMap::new();
+        let mut node_pred: HashMap<u64, Label> = HashMap::new();
         for ev in &trace.events {
             if let EventKind::Publish { node, pred, .. } | EventKind::LaoReuse { node, pred, .. } =
                 &ev.kind
             {
-                node_pred.insert(*node, pred.as_str());
+                node_pred.insert(*node, *pred);
             }
         }
 
@@ -63,82 +64,28 @@ impl Profile {
         // sorted by `t` with per-worker order preserved, so consecutive
         // events of one worker bound that worker's activity intervals.
         let mut prev_t: HashMap<usize, u64> = HashMap::new();
-        let mut current: HashMap<usize, &str> = HashMap::new();
+        let mut current: HashMap<usize, Label> = HashMap::new();
         let mut frames: BTreeMap<String, u64> = BTreeMap::new();
         let mut total = 0u64;
         for ev in &trace.events {
             let w = ev.worker;
             let prev = prev_t.insert(w, ev.t).unwrap_or(0);
             let dt = ev.t.saturating_sub(prev);
-            let pred = current.get(&w).copied().unwrap_or("query");
-            let frame: Option<String> = match &ev.kind {
-                // Zero-width bookkeeping marks and server sequence
-                // stamps: no interval attribution.
-                EventKind::PhaseStart { .. }
-                | EventKind::PhaseEnd { .. }
-                | EventKind::QuantumStart
-                | EventKind::SessionAdmit { .. }
-                | EventKind::SessionReject { .. }
-                | EventKind::SessionCancel { .. }
-                | EventKind::SessionDeadlineCancel { .. }
-                | EventKind::SessionFirstAnswer { .. }
-                | EventKind::AnswerStreamed { .. }
-                | EventKind::SessionDrain { .. } => None,
-                // Running the program.
-                EventKind::QuantumEnd { .. }
-                | EventKind::Solution
-                | EventKind::WorkerExit { .. }
-                | EventKind::Abort { .. }
-                | EventKind::Degraded { .. } => Some(format!("run;{pred}")),
-                EventKind::Publish { pred, .. } | EventKind::LaoReuse { pred, .. } => {
-                    Some(format!("run;{pred};publish"))
-                }
-                EventKind::ClosureDefer { .. } | EventKind::PoolPush { .. } => {
-                    Some(format!("run;{pred};publish"))
-                }
-                EventKind::ClosureMaterialize { .. } => Some(format!("run;{pred};materialize")),
-                EventKind::MemoHit { .. }
-                | EventKind::MemoStore { .. }
-                | EventKind::MemoComplete { .. } => Some(format!("run;{pred};memo")),
-                EventKind::TableNew { .. }
-                | EventKind::TableAnswer { .. }
-                | EventKind::TableSuspend { .. }
-                | EventKind::TableResume { .. }
-                | EventKind::TableComplete { .. } => Some(format!("run;{pred};table")),
-                EventKind::ClauseDispatch { .. } | EventKind::ClauseRetry { .. } => {
-                    Some(format!("run;{pred};dispatch"))
-                }
-                EventKind::FrameAlloc { .. }
-                | EventKind::FrameElide { .. }
-                | EventKind::SlotFail
-                | EventKind::MarkerElide
-                | EventKind::PdoMerge
-                | EventKind::RedoRound => Some(format!("run;{pred};parcall")),
-                // Hunting for work vs installing a found claim.
-                EventKind::PoolPop { .. }
-                | EventKind::StealAttempt
-                | EventKind::StealFail
-                | EventKind::DomainSteal { .. } => Some("steal;hunt".into()),
-                EventKind::Claim { .. }
-                | EventKind::StealSuccess
-                | EventKind::ClosureThaw { .. }
-                | EventKind::MachineRecycle
-                | EventKind::InstallAbort { .. } => Some("steal;install".into()),
-                EventKind::LockWait { what, .. } => Some(format!("lock;{what}")),
-                EventKind::IdleProbe { .. } => Some("idle;probe".into()),
-                EventKind::FaultStall { .. } => Some("fault;stall".into()),
-                EventKind::FaultInjected { .. } | EventKind::FaultRetry { .. } => {
-                    Some("fault;inject".into())
-                }
-            };
-            // Track the worker's predicate context *after* attributing
-            // the interval that this event ends.
+            // The predicate the interval this event ends belongs to: the
+            // worker's context — or, for a publication, the predicate it
+            // publishes. Context moves *after* that: to the published
+            // predicate, or through a claim to the claimed node's.
+            let mut pred = current.get(&w).copied();
             match &ev.kind {
-                EventKind::Publish { pred, .. } | EventKind::LaoReuse { pred, .. } => {
-                    current.insert(w, pred.as_str());
+                EventKind::Publish { pred: p, .. } | EventKind::LaoReuse { pred: p, .. } => {
+                    pred = Some(*p);
+                    current.insert(w, *p);
                 }
                 EventKind::Claim { node, .. } => {
-                    current.insert(w, node_pred.get(node).copied().unwrap_or("query"));
+                    current.remove(&w);
+                    if let Some(p) = node_pred.get(node) {
+                        current.insert(w, *p);
+                    }
                 }
                 EventKind::WorkerExit { .. } => {
                     current.remove(&w);
@@ -148,10 +95,21 @@ impl Profile {
             if dt == 0 {
                 continue;
             }
-            if let Some(frame) = frame {
-                *frames.entry(frame).or_insert(0) += dt;
-                total += dt;
-            }
+            let frame = match ev.kind.frame() {
+                // Zero-width bookkeeping marks and server sequence
+                // stamps: no interval attribution.
+                Frame::Skip => continue,
+                Frame::Run(sub) => {
+                    let pred = pred.map_or_else(|| "query".to_owned(), |p| p.to_string());
+                    match sub {
+                        "" => format!("run;{pred}"),
+                        _ => format!("run;{pred};{sub}"),
+                    }
+                }
+                Frame::Fixed(a, b) => format!("{a};{b}"),
+            };
+            *frames.entry(frame).or_insert(0) += dt;
+            total += dt;
         }
         Profile { frames, total }
     }
@@ -243,7 +201,7 @@ mod tests {
                         node: 1,
                         epoch: 0,
                         alts: 2,
-                        pred: "p/1".into(),
+                        pred: Label::Pred(ace_logic::sym::sym("p"), 1),
                     },
                 ),
                 ev(

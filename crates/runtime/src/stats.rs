@@ -9,7 +9,9 @@
 //! The struct, its `AddAssign`, and the field-name list are all generated
 //! by one macro invocation so adding a counter cannot silently skip the
 //! merge (the historic hand-written `AddAssign` dropped any field it
-//! forgot to mention).
+//! forgot to mention). Counters listed in [`Stats::EVENT_BACKED`] are
+//! bumped only by the events of [`crate::trace`]'s table; the rest are
+//! direct field increments at their sites.
 
 use std::ops::AddAssign;
 
@@ -212,12 +214,6 @@ impl Stats {
         self.cost += units;
     }
 
-    /// Charge `units` of idle (work-hunting) virtual time.
-    #[inline]
-    pub fn charge_idle(&mut self, units: u64) {
-        self.idle_cost += units;
-    }
-
     /// Fraction of pool claims that crossed a topology domain boundary
     /// (0.0 when no claims were classified — single worker, traversal
     /// scheduler, or flat single-domain runs with no overflow traffic).
@@ -347,7 +343,7 @@ mod tests {
     fn totals() {
         let mut s = Stats::new();
         s.charge(7);
-        s.charge_idle(3);
+        s.idle_cost = 3;
         assert_eq!(s.total_cost(), 10);
     }
 

@@ -1,14 +1,23 @@
-//! Virtual-time event tracing.
+//! Virtual-time event tracing, and the event table every view of a run is
+//! derived from.
 //!
-//! Always compiled, off by default: when [`TraceConfig::enabled`] is
-//! false a [`Tracer`] is a `None` — every emission point costs exactly
-//! one branch and the event payload closure is never evaluated. When
-//! enabled, each worker records typed [`TraceEvent`]s into a private
-//! fixed-capacity ring buffer ([`TraceBuf`]) — no locks on the hot path,
-//! drop-oldest on overflow with a `dropped` counter so truncation is
-//! never silent. At the end of a run the engine merges the per-worker
-//! buffers (plus driver-side events from a shared [`TraceSink`]) into a
-//! single [`Trace`] ordered by virtual time, surfaced on the run report.
+//! A scheduling fact is written once, as one row of the `events!` table:
+//! its [`EventKind`] variant and payload, its name, the [`Stats`] counters
+//! an occurrence bumps, the profiler [`Frame`] it closes, the
+//! [`TraceClass`] that says which runs record it, and its live metric
+//! series if it has one. A site hands the event by value to
+//! [`crate::WorkerCore::note`]; payloads are plain data, so that
+//! allocates nothing.
+//!
+//! Recording is always compiled, off by default: when
+//! [`TraceConfig::enabled`] is false a [`Tracer`] is a `None` and
+//! recording is one branch. When enabled, each worker records typed
+//! [`TraceEvent`]s into a private fixed-capacity ring buffer
+//! ([`TraceBuf`]) — no locks on the hot path, drop-oldest on overflow
+//! with a `dropped` counter so truncation is never silent. At the end of
+//! a run the engine merges the per-worker buffers (plus driver-side
+//! events from a shared [`TraceSink`]) into a single [`Trace`] ordered by
+//! virtual time, surfaced on the run report.
 //!
 //! Tracing charges **no** virtual cost: a traced run and an untraced run
 //! of the same program report identical `virtual_time`.
@@ -18,6 +27,8 @@
 //!   Perfetto / `chrome://tracing`, with virtual cost units as
 //!   microseconds;
 //! * [`Trace::timeline`] — a compact text timeline;
+//! * [`Stats::fold`] — the counter sheet the trace implies;
+//! * [`crate::Profile::from_trace`] — virtual cost per frame;
 //! * [`TraceChecker`] — replays a finished trace and asserts scheduler
 //!   invariants (claims follow publications, no alternative issued
 //!   twice, pool pops bounded by pushes, fault injections matched by
@@ -27,7 +38,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
+use ace_logic::sym::Sym;
 use parking_lot::Mutex;
+
+use crate::metrics::{Counter, Gauge, MetricsRegistry};
+use crate::stats::Stats;
 
 /// Tracing knobs, threaded through `EngineConfig`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,401 +98,428 @@ impl TraceConfig {
     }
 }
 
-/// What happened. Every variant corresponds to a mechanism the paper's
-/// argument (or our fault model) rests on; aggregate counts of most of
-/// these already exist on `Stats` — the trace adds *when*, *where* and
-/// *interleaved with what*.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    // -- engine lifecycle (recorded only with `TraceConfig::lifecycle`) --
+/// Which runs record an event: every traced run, or only those that ask
+/// for its high-volume layer ([`TraceConfig::lifecycle`],
+/// [`TraceConfig::dispatch`]). `Unrecorded` facts are counted and metered
+/// but have no trace record of their own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceClass {
+    Always,
+    Lifecycle,
+    Dispatch,
+    Unrecorded,
+}
+
+/// Where the profiler charges the interval an event ends (see
+/// [`crate::profile`]): nowhere, to the predicate the worker is running
+/// (`run;{pred}`, or `run;{pred};{sub}` when `sub` is non-empty), or to a
+/// fixed `{a};{b}` scheduler frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame {
+    Skip,
+    Run(&'static str),
+    Fixed(&'static str, &'static str),
+}
+
+/// What an event's `pred` field names: the predicate whose clauses a node's
+/// alternatives come from, or the variable an `ace-fd` split branches on.
+/// Plain data, so noting an event allocates nothing; rendered (`member/2`,
+/// `fd.v3`) only at export.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Label {
+    Pred(Sym, u32),
+    FdVar(u32),
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Pred(name, arity) => write!(f, "{name}/{arity}"),
+            Label::FdVar(var) => write!(f, "fd.v{var}"),
+        }
+    }
+}
+
+/// One payload field, in a render-agnostic form.
+enum Arg {
+    U(u64),
+    S(String),
+}
+
+/// Payload field types the exporters know how to render.
+trait AsArg {
+    fn arg(&self) -> Arg;
+}
+
+macro_rules! payload_types {
+    (numbers: $($n:ty),*; text: $($s:ty),*) => {
+        $(impl AsArg for $n {
+            fn arg(&self) -> Arg {
+                Arg::U(*self as u64)
+            }
+        })*
+        $(impl AsArg for $s {
+            fn arg(&self) -> Arg {
+                Arg::S(self.to_string())
+            }
+        })*
+    };
+}
+payload_types!(numbers: u64, usize, bool; text: &'static str, String, Label);
+
+/// A live series an event steps when a registry is attached.
+trait Meter {
+    fn step(&self, shard: usize, by: i64);
+}
+
+impl Meter for Counter {
+    fn step(&self, shard: usize, by: i64) {
+        self.add(shard, by as u64);
+    }
+}
+
+impl Meter for Gauge {
+    fn step(&self, _shard: usize, by: i64) {
+        self.add(by);
+    }
+}
+
+/// The event table: one row per scheduling fact, declaring everything the
+/// four views of it need.
+///
+/// ```text
+/// /// doc comment (becomes the variant's)
+/// Variant { field: type, .. } = "kebab-name", TraceClass, Frame
+///     , bumps { counter += amount, .. }     Stats counters every occurrence bumps
+///     , tallies { counter += amount, .. }   the same, for an Unrecorded row
+///     , live Counter: counter("series", "label" = "value") += step;
+/// ```
+///
+/// From it come [`EventKind`] with `name`, `class`, `frame`, `apply` and
+/// the exporters' `args` (the payload fields, in order, under their own
+/// names), [`Stats::EVENT_BACKED`] (the `bumps` counters: every bump of
+/// one goes through a recorded event, so `Stats::fold` reproduces it from
+/// the trace) and [`LiveCounters`]. Amount and frame expressions see the
+/// payload fields by reference.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $v:ident $({ $($f:ident: $t:ty),* })? = $name:literal, $class:ident, $frame:expr
+        $(, bumps { $($ctr:ident += $amt:expr),* })?
+        $(, tallies { $($tctr:ident += $tamt:expr),* })?
+        $(, live $meter:ident: $reg:ident($series:literal $(, $lk:literal = $lv:literal)?) += $step:literal)?
+    ;)*) => {
+        /// What happened. Every variant corresponds to a mechanism the
+        /// paper's argument (or our fault model) rests on; `Stats` holds
+        /// the aggregate counts — the trace adds *when*, *where* and
+        /// *interleaved with what*.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum EventKind {
+            $( $(#[$doc])* $v $({ $($f: $t),* })?, )*
+        }
+
+        #[allow(unused_variables)]
+        impl EventKind {
+            /// Every event name, in table order.
+            pub const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// Stable kebab-case event name (Chrome-trace `name` field).
+            pub fn name(&self) -> &'static str {
+                match self { $( EventKind::$v { .. } => $name, )* }
+            }
+
+            #[inline]
+            pub fn class(&self) -> TraceClass {
+                match self { $( EventKind::$v { .. } => TraceClass::$class, )* }
+            }
+
+            pub fn frame(&self) -> Frame {
+                use Frame::{Fixed, Run, Skip};
+                match self { $( EventKind::$v $({ $($f),* })? => $frame, )* }
+            }
+
+            /// Count one occurrence on `s`.
+            #[inline]
+            pub fn apply(&self, s: &mut Stats) {
+                match self {
+                    $( EventKind::$v $({ $($f),* })? => {
+                        $($( s.$ctr += $amt; )*)?
+                        $($( s.$tctr += $tamt; )*)?
+                    } )*
+                }
+            }
+
+            fn args(&self) -> Vec<(&'static str, Arg)> {
+                match self {
+                    $( EventKind::$v $({ $($f),* })? => {
+                        vec![$($( (stringify!($f), $f.arg()) ),*)?]
+                    } )*
+                }
+            }
+        }
+
+        impl Stats {
+            /// The counters a complete trace reproduces: `Stats::fold` of a
+            /// run's trace equals the run's sheet on each of them.
+            pub const EVENT_BACKED: &'static [&'static str] =
+                &[$($($( stringify!($ctr), )*)?)*];
+        }
+
+        /// A worker's handles on the live series of the table, resolved
+        /// once so that metering an event touches only atomics.
+        #[allow(non_snake_case)]
+        pub struct LiveCounters {
+            $($( $v: $meter, )?)*
+        }
+
+        impl LiveCounters {
+            fn resolve(m: &MetricsRegistry) -> Self {
+                LiveCounters {
+                    $($( $v: m.$reg($series, &[$(($lk, $lv))?]), )?)*
+                }
+            }
+
+            /// Step the series of `ev`, if it has one, on `shard`.
+            #[inline]
+            pub fn meter(&self, ev: &EventKind, shard: usize) {
+                match ev {
+                    $($( EventKind::$v { .. } => self.$v.step(shard, $step), )?)*
+                    _ => {}
+                }
+            }
+        }
+    };
+}
+
+events! {
+    // -- engine lifecycle --
     /// A worker entered the named driver phase (`busy`/`idle`).
-    PhaseStart { phase: &'static str },
+    PhaseStart { phase: &'static str } = "phase-start", Lifecycle, Skip;
     /// A worker left the named driver phase.
-    PhaseEnd { phase: &'static str },
+    PhaseEnd { phase: &'static str } = "phase-end", Lifecycle, Skip;
     /// An engine began one execution quantum on its current machine.
-    QuantumStart,
+    QuantumStart = "quantum-start", Lifecycle, Skip;
     /// The quantum ended, having charged `cost` units.
-    QuantumEnd { cost: u64 },
+    QuantumEnd { cost: u64 } = "quantum-end", Lifecycle, Run("");
 
     // -- or-engine --
     /// A private choice point became public under `node` (epoch 0).
-    /// `pred` labels the predicate whose clauses the node's alternatives
-    /// come from (`name/arity`) — the cost profiler's frame anchor.
-    Publish {
-        node: u64,
-        epoch: u64,
-        alts: usize,
-        pred: String,
-    },
+    /// `pred` labels where the node's alternatives come from — the cost
+    /// profiler's frame anchor.
+    Publish { node: u64, epoch: u64, alts: usize, pred: Label } = "publish", Always, Run("publish")
+        , bumps { nodes_published += 1 }
+        , live Counter: counter("ace_or_publishes_total", "kind" = "fresh") += 1;
     /// LAO: a drained node was reloaded in place at a bumped epoch.
-    LaoReuse {
-        node: u64,
-        epoch: u64,
-        alts: usize,
-        pred: String,
-    },
+    LaoReuse { node: u64, epoch: u64, alts: usize, pred: Label } = "lao-reuse", Always, Run("publish")
+        , bumps { cp_reused_lao += 1 }
+        , live Counter: counter("ace_or_publishes_total", "kind" = "lao") += 1;
     /// A node handle was enqueued into the shared alternative pool.
-    PoolPush { node: u64 },
-    /// A node handle was dequeued from the pool (inspection, not claim).
-    PoolPop { node: u64 },
+    PoolPush { node: u64 } = "pool-push", Always, Run("publish")
+        , bumps { pool_pushes += 1 }
+        , live Gauge: gauge("ace_or_pool_occupancy") += 1;
+    /// A node handle was dequeued from the pool (inspected; a pop that
+    /// finds the node drained claims nothing).
+    PoolPop { node: u64 } = "pool-pop", Always, Fixed("steal", "hunt")
+        , bumps { pool_pops += 1 }
+        , live Gauge: gauge("ace_or_pool_occupancy") += -1;
     /// One alternative of `node` (at `epoch`) was claimed remotely.
-    Claim { node: u64, epoch: u64, alt: usize },
+    Claim { node: u64, epoch: u64, alt: usize } = "claim", Always, Fixed("steal", "install");
+    /// A pool claim was served by the thief's own shard. Counted and
+    /// metered on every such claim; `domain-steal` is the trace record of
+    /// the claims that travelled.
+    ClaimOwn = "claim-own", Unrecorded, Skip
+        , tallies { steals_local_domain += 1 }
+        , live Counter: counter("ace_or_claims_total", "scope" = "own") += 1;
+    /// A pool claim was served by another shard of the thief's domain.
+    ClaimDomain = "claim-domain", Unrecorded, Skip
+        , tallies { steals_local_domain += 1 }
+        , live Counter: counter("ace_or_claims_total", "scope" = "domain") += 1;
+    /// A pool claim crossed a domain boundary, with `local_work` entries
+    /// visible in the thief's own domain (eager when non-zero).
+    ClaimCross { local_work: u64 } = "claim-cross", Unrecorded, Skip
+        , tallies { steals_cross_domain += 1, steals_cross_eager += u64::from(*local_work > 0) }
+        , live Counter: counter("ace_or_claims_total", "scope" = "cross") += 1;
     /// A claimed alternative's branch was dead on install; aborted.
-    InstallAbort { node: u64 },
+    InstallAbort { node: u64 } = "install-abort", Always, Fixed("steal", "install");
     /// A claim was served by a recycled machine, not a fresh allocation.
-    MachineRecycle,
+    MachineRecycle = "machine-recycle", Always, Fixed("steal", "install")
+        , bumps { machines_recycled += 1 };
     /// Publication stored only choice-point metadata; the expensive
     /// closure capture was procrastinated (paper schema 2).
-    ClosureDefer { node: u64, epoch: u64 },
+    ClosureDefer { node: u64, epoch: u64 } = "closure-defer", Always, Run("publish");
     /// First remote demand arrived: the owner froze the deferred closure
     /// into an immutable arena of `cells` cells.
-    ClosureMaterialize { node: u64, epoch: u64, cells: u64 },
+    ClosureMaterialize { node: u64, epoch: u64, cells: u64 } = "closure-materialize", Always, Run("materialize")
+        , bumps { closures_materialized += 1 }
+        , live Counter: counter("ace_or_closure_materializations_total") += 1;
     /// A claimant thawed `cells` cells of a frozen closure into its heap.
-    ClosureThaw { node: u64, epoch: u64, cells: u64 },
+    ClosureThaw { node: u64, epoch: u64, cells: u64 } = "closure-thaw", Always, Fixed("steal", "install");
 
     // -- and-engine --
     /// A parcall frame was allocated with `slots` subgoal slots.
-    FrameAlloc { slots: usize },
+    FrameAlloc { slots: usize } = "frame-alloc", Always, Run("parcall")
+        , bumps { parcall_frames += 1, parcall_slots += *slots as u64 };
     /// LPCO: a nested frame was elided, its slots merged into the parent.
-    FrameElide { merged_slots: usize },
+    FrameElide { merged_slots: usize } = "frame-elide", Always, Run("parcall")
+        , bumps { frames_elided_lpco += 1, slots_merged_lpco += *merged_slots as u64 };
     /// A parallel subgoal slot failed (triggers outside backtracking).
-    SlotFail,
-    /// SPO: markers for a deterministic subgoal were never allocated.
-    MarkerElide,
+    SlotFail = "slot-fail", Always, Run("parcall")
+        , bumps { slot_failures += 1 };
+    /// SPO: the two markers of a deterministic subgoal were never allocated.
+    MarkerElide = "marker-elide", Always, Run("parcall")
+        , bumps { markers_elided_spo += 2 };
     /// PDO: adjacent same-worker slots merged into one computation.
-    PdoMerge,
+    PdoMerge = "pdo-merge", Always, Run("parcall")
+        , bumps { pdo_merges += 1 };
     /// A redo round re-ran slots during cross-product enumeration.
-    RedoRound,
+    RedoRound = "redo-round", Always, Run("parcall")
+        , bumps { redo_rounds += 1 };
 
     // -- scheduler --
-    /// A claim was served by a shard outside the thief's own (emitted by
-    /// the hierarchical pool only). `scope` is `"domain"` for a
-    /// same-domain victim, `"cross"` for a claim that crossed a topology
+    /// A claim was served by a shard outside the thief's own (recorded
+    /// under the hierarchical victim scan only). `scope` is `"domain"` for
+    /// a same-domain victim, `"cross"` for a claim that crossed a topology
     /// domain boundary; `local_work` is the thief's own-domain pool
     /// occupancy observed when the entry was taken. The `TraceChecker`
     /// asserts `scope == "cross"` implies `local_work == 0` — a thief
     /// never crosses domains while local work is visible.
-    DomainSteal {
-        node: u64,
-        scope: &'static str,
-        local_work: u64,
-    },
+    DomainSteal { node: u64, scope: &'static str, local_work: u64 } = "domain-steal", Always, Fixed("steal", "hunt");
     /// A worker started hunting for work.
-    StealAttempt,
+    StealAttempt = "steal-attempt", Always, Fixed("steal", "hunt");
     /// The hunt yielded a task/alternative from another worker.
-    StealSuccess,
+    StealSuccess = "steal-success", Always, Fixed("steal", "install");
     /// The hunt came up empty.
-    StealFail,
+    StealFail = "steal-fail", Always, Fixed("steal", "hunt");
     /// An idle probe charged `cost` units of idle time.
-    IdleProbe { cost: u64 },
+    IdleProbe { cost: u64 } = "idle-probe", Always, Fixed("idle", "probe")
+        , bumps { idle_probes += 1, idle_cost += *cost };
     /// A contended lock acquisition charged `cost` units (residual wait
     /// behind the previous holder plus the topology's `contended_lock`
-    /// premium). `what` names the lock ("pool", "answer"). Emitted only
+    /// premium). `what` names the lock ("pool", "answer"). Noted only
     /// under a topology that prices contention — the profiler's handle
     /// on serialization walls.
-    LockWait { what: &'static str, cost: u64 },
+    LockWait { what: &'static str, cost: u64 } = "lock-wait", Always, Fixed("lock", what)
+        , bumps { lock_wait_cost += *cost };
 
     // -- faults & recovery --
     /// The injector fired a fault of the named kind on this worker.
-    FaultInjected { kind: &'static str },
+    FaultInjected { kind: &'static str } = "fault-injected", Always, Fixed("fault", "inject")
+        , bumps { faults_injected += 1 };
     /// An injected stall charged `cost` units.
-    FaultStall { cost: u64 },
+    FaultStall { cost: u64 } = "fault-stall", Always, Fixed("fault", "stall")
+        , bumps { fault_stalls += 1 };
     /// A transiently failed operation (`steal`/`publish`) was retried.
-    FaultRetry { what: &'static str },
+    FaultRetry { what: &'static str } = "fault-retry", Always, Fixed("fault", "inject")
+        , bumps { steal_retries += u64::from(*what == "steal"), publish_retries += u64::from(*what == "publish") };
     /// The run degraded to the sequential engine.
-    Degraded { reason: String },
+    Degraded { reason: String } = "degraded", Always, Run("");
 
     // -- memoization --
     /// A call was answered from the memo table. `key` is the canonical
     /// key hash, `epoch` the table epoch of the entry replayed.
-    MemoHit { key: u64, epoch: u64 },
+    MemoHit { key: u64, epoch: u64 } = "memo-hit", Always, Run("memo")
+        , bumps { memo_hits += 1 };
     /// A complete answer set was published into the memo table.
-    MemoStore { key: u64, epoch: u64 },
+    MemoStore { key: u64, epoch: u64 } = "memo-store", Always, Run("memo")
+        , bumps { memo_stores += 1 };
     /// The answer set under `key` was marked complete with `answers`
-    /// stored answers (emitted alongside the store that completed it).
-    MemoComplete {
-        key: u64,
-        epoch: u64,
-        answers: usize,
-    },
+    /// stored answers (noted alongside the store that completed it).
+    MemoComplete { key: u64, epoch: u64, answers: usize } = "memo-complete", Always, Run("memo");
 
     // -- tabling (SLG evaluation; `key` is the canonical key hash and
     //    `subgoal` the table space's globally monotone subgoal id) --
     /// A machine became the generator for a tabled subgoal new to the
     /// shared table space.
-    TableNew { key: u64, subgoal: u64 },
+    TableNew { key: u64, subgoal: u64 } = "table-new", Always, Run("table");
     /// A new (non-duplicate) answer was inserted into the subgoal's
     /// answer list; `answers` is the list length after insertion.
-    TableAnswer {
-        key: u64,
-        subgoal: u64,
-        answers: usize,
-    },
+    TableAnswer { key: u64, subgoal: u64, answers: usize } = "table-answer", Always, Run("table")
+        , bumps { table_answers += 1 };
     /// A consumer drained the subgoal's answer list dry while it was
     /// still incomplete and suspended; `seen` is how many answers it
     /// had consumed.
-    TableSuspend { key: u64, subgoal: u64, seen: usize },
+    TableSuspend { key: u64, subgoal: u64, seen: usize } = "table-suspend", Always, Run("table")
+        , bumps { table_suspends += 1 };
     /// A suspended consumer was resumed to consume answers past `seen`.
-    TableResume { key: u64, subgoal: u64, seen: usize },
+    TableResume { key: u64, subgoal: u64, seen: usize } = "table-resume", Always, Run("table")
+        , bumps { table_resumes += 1 };
     /// The subgoal's SCC reached its fixpoint; the table was marked
     /// complete with `answers` answers.
-    TableComplete {
-        key: u64,
-        subgoal: u64,
-        answers: usize,
-    },
+    TableComplete { key: u64, subgoal: u64, answers: usize } = "table-complete", Always, Run("table")
+        , bumps { table_completes += 1 };
 
     // -- driver --
     /// A worker exited (reason: completed/panicked/cancelled/deadline).
-    WorkerExit { reason: String },
+    WorkerExit { reason: String } = "worker-exit", Always, Run("");
     /// The driver aborted the run.
-    Abort { reason: String },
+    Abort { reason: String } = "abort", Always, Run("");
 
-    // -- serving (session lifecycle; emitted by the query server's sink,
+    // -- serving (session lifecycle; recorded by the query server's sink,
     //    with `t` a server-global sequence number so cross-session order
     //    is causal, and `worker` the fleet lane that ran the session) --
     /// The admission controller accepted a session into the queue.
-    SessionAdmit { session: u64 },
+    SessionAdmit { session: u64 } = "session-admit", Always, Skip;
     /// The admission controller rejected a session (overloaded).
-    SessionReject { session: u64 },
+    SessionReject { session: u64 } = "session-reject", Always, Skip;
     /// A session was cancelled by its client.
-    SessionCancel { session: u64 },
+    SessionCancel { session: u64 } = "session-cancel", Always, Skip;
     /// A session's deadline expired; the watchdog cancelled it.
-    SessionDeadlineCancel { session: u64 },
+    SessionDeadlineCancel { session: u64 } = "session-deadline-cancel", Always, Skip;
     /// The session's first answer left the server (time-to-first-answer).
-    SessionFirstAnswer { session: u64 },
+    SessionFirstAnswer { session: u64 } = "session-first-answer", Always, Skip;
     /// One answer was streamed to the session's consumer.
-    AnswerStreamed { session: u64 },
+    AnswerStreamed { session: u64 } = "answer-streamed", Always, Skip;
     /// The session finished and its resources were reclaimed; `outcome`
     /// is the terminal state label, `answers` the total streamed.
-    SessionDrain {
-        session: u64,
-        outcome: &'static str,
-        answers: u64,
-    },
+    SessionDrain { session: u64, outcome: &'static str, answers: u64 } = "session-drain", Always, Skip;
 
-    // -- clause dispatch (recorded only with `TraceConfig::dispatch`) --
+    // -- clause dispatch --
     /// A user-predicate call was dispatched through the switch-on-term
     /// index: `candidates` is the bucket chain length; `determinate`
     /// claims exactly one clause can match, so no choice point was made.
-    ClauseDispatch {
-        pred: String,
-        candidates: usize,
-        determinate: bool,
-    },
+    ClauseDispatch { pred: Label, candidates: usize, determinate: bool } = "clause-dispatch", Dispatch, Run("dispatch");
     /// Backtracking re-entered a later clause of `pred` (second or
     /// subsequent clause of one call's chain).
-    ClauseRetry { pred: String },
+    ClauseRetry { pred: Label } = "clause-retry", Dispatch, Run("dispatch");
 
     // -- outcomes --
     /// A solution was recorded.
-    Solution,
+    Solution = "solution", Always, Run("");
 }
 
-/// Argument value of one event payload field.
-enum Arg<'a> {
-    U(u64),
-    S(&'a str),
-}
-
-impl EventKind {
-    /// Stable kebab-case event name (Chrome-trace `name` field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::PhaseStart { .. } => "phase-start",
-            EventKind::PhaseEnd { .. } => "phase-end",
-            EventKind::QuantumStart => "quantum-start",
-            EventKind::QuantumEnd { .. } => "quantum-end",
-            EventKind::Publish { .. } => "publish",
-            EventKind::LaoReuse { .. } => "lao-reuse",
-            EventKind::PoolPush { .. } => "pool-push",
-            EventKind::PoolPop { .. } => "pool-pop",
-            EventKind::Claim { .. } => "claim",
-            EventKind::InstallAbort { .. } => "install-abort",
-            EventKind::MachineRecycle => "machine-recycle",
-            EventKind::ClosureDefer { .. } => "closure-defer",
-            EventKind::ClosureMaterialize { .. } => "closure-materialize",
-            EventKind::ClosureThaw { .. } => "closure-thaw",
-            EventKind::FrameAlloc { .. } => "frame-alloc",
-            EventKind::FrameElide { .. } => "frame-elide",
-            EventKind::SlotFail => "slot-fail",
-            EventKind::MarkerElide => "marker-elide",
-            EventKind::PdoMerge => "pdo-merge",
-            EventKind::RedoRound => "redo-round",
-            EventKind::DomainSteal { .. } => "domain-steal",
-            EventKind::StealAttempt => "steal-attempt",
-            EventKind::StealSuccess => "steal-success",
-            EventKind::StealFail => "steal-fail",
-            EventKind::IdleProbe { .. } => "idle-probe",
-            EventKind::LockWait { .. } => "lock-wait",
-            EventKind::FaultInjected { .. } => "fault-injected",
-            EventKind::FaultStall { .. } => "fault-stall",
-            EventKind::FaultRetry { .. } => "fault-retry",
-            EventKind::Degraded { .. } => "degraded",
-            EventKind::MemoHit { .. } => "memo-hit",
-            EventKind::MemoStore { .. } => "memo-store",
-            EventKind::MemoComplete { .. } => "memo-complete",
-            EventKind::TableNew { .. } => "table-new",
-            EventKind::TableAnswer { .. } => "table-answer",
-            EventKind::TableSuspend { .. } => "table-suspend",
-            EventKind::TableResume { .. } => "table-resume",
-            EventKind::TableComplete { .. } => "table-complete",
-            EventKind::WorkerExit { .. } => "worker-exit",
-            EventKind::Abort { .. } => "abort",
-            EventKind::SessionAdmit { .. } => "session-admit",
-            EventKind::SessionReject { .. } => "session-reject",
-            EventKind::SessionCancel { .. } => "session-cancel",
-            EventKind::SessionDeadlineCancel { .. } => "session-deadline-cancel",
-            EventKind::SessionFirstAnswer { .. } => "session-first-answer",
-            EventKind::AnswerStreamed { .. } => "answer-streamed",
-            EventKind::SessionDrain { .. } => "session-drain",
-            EventKind::ClauseDispatch { .. } => "clause-dispatch",
-            EventKind::ClauseRetry { .. } => "clause-retry",
-            EventKind::Solution => "solution",
-        }
+impl LiveCounters {
+    /// Describe and resolve every live series of the table against `m`.
+    pub fn new(m: &MetricsRegistry) -> LiveCounters {
+        m.describe(
+            "ace_or_publishes_total",
+            "or-tree node publications by kind (fresh publish vs LAO refill)",
+        );
+        m.describe(
+            "ace_or_claims_total",
+            "alternatives claimed from the public tree, by steal scope",
+        );
+        m.describe(
+            "ace_or_closure_materializations_total",
+            "deferred state closures frozen on remote demand",
+        );
+        m.describe(
+            "ace_or_pool_occupancy",
+            "live node entries advertised in the alternative pool",
+        );
+        LiveCounters::resolve(m)
     }
+}
 
-    /// Payload fields, in a render-agnostic form.
-    fn args(&self) -> Vec<(&'static str, Arg<'_>)> {
-        use Arg::{S, U};
-        match self {
-            EventKind::PhaseStart { phase } | EventKind::PhaseEnd { phase } => {
-                vec![("phase", S(phase))]
-            }
-            EventKind::QuantumEnd { cost }
-            | EventKind::IdleProbe { cost }
-            | EventKind::FaultStall { cost } => vec![("cost", U(*cost))],
-            EventKind::Publish {
-                node,
-                epoch,
-                alts,
-                pred,
-            }
-            | EventKind::LaoReuse {
-                node,
-                epoch,
-                alts,
-                pred,
-            } => {
-                vec![
-                    ("node", U(*node)),
-                    ("epoch", U(*epoch)),
-                    ("alts", U(*alts as u64)),
-                    ("pred", S(pred.as_str())),
-                ]
-            }
-            EventKind::PoolPush { node }
-            | EventKind::PoolPop { node }
-            | EventKind::InstallAbort { node } => vec![("node", U(*node))],
-            EventKind::Claim { node, epoch, alt } => {
-                vec![
-                    ("node", U(*node)),
-                    ("epoch", U(*epoch)),
-                    ("alt", U(*alt as u64)),
-                ]
-            }
-            EventKind::ClosureDefer { node, epoch } => {
-                vec![("node", U(*node)), ("epoch", U(*epoch))]
-            }
-            EventKind::ClosureMaterialize { node, epoch, cells }
-            | EventKind::ClosureThaw { node, epoch, cells } => {
-                vec![
-                    ("node", U(*node)),
-                    ("epoch", U(*epoch)),
-                    ("cells", U(*cells)),
-                ]
-            }
-            EventKind::FrameAlloc { slots } => vec![("slots", U(*slots as u64))],
-            EventKind::FrameElide { merged_slots } => {
-                vec![("merged_slots", U(*merged_slots as u64))]
-            }
-            EventKind::MemoHit { key, epoch } | EventKind::MemoStore { key, epoch } => {
-                vec![("key", U(*key)), ("epoch", U(*epoch))]
-            }
-            EventKind::MemoComplete {
-                key,
-                epoch,
-                answers,
-            } => vec![
-                ("key", U(*key)),
-                ("epoch", U(*epoch)),
-                ("answers", U(*answers as u64)),
-            ],
-            EventKind::TableNew { key, subgoal } => {
-                vec![("key", U(*key)), ("subgoal", U(*subgoal))]
-            }
-            EventKind::TableAnswer {
-                key,
-                subgoal,
-                answers,
-            }
-            | EventKind::TableComplete {
-                key,
-                subgoal,
-                answers,
-            } => vec![
-                ("key", U(*key)),
-                ("subgoal", U(*subgoal)),
-                ("answers", U(*answers as u64)),
-            ],
-            EventKind::TableSuspend { key, subgoal, seen }
-            | EventKind::TableResume { key, subgoal, seen } => vec![
-                ("key", U(*key)),
-                ("subgoal", U(*subgoal)),
-                ("seen", U(*seen as u64)),
-            ],
-            EventKind::DomainSteal {
-                node,
-                scope,
-                local_work,
-            } => vec![
-                ("node", U(*node)),
-                ("scope", S(scope)),
-                ("local_work", U(*local_work)),
-            ],
-            EventKind::LockWait { what, cost } => vec![("what", S(what)), ("cost", U(*cost))],
-            EventKind::FaultInjected { kind } => vec![("kind", S(kind))],
-            EventKind::FaultRetry { what } => vec![("what", S(what))],
-            EventKind::Degraded { reason } | EventKind::Abort { reason } => {
-                vec![("reason", S(reason))]
-            }
-            EventKind::WorkerExit { reason } => vec![("reason", S(reason))],
-            EventKind::SessionAdmit { session }
-            | EventKind::SessionReject { session }
-            | EventKind::SessionCancel { session }
-            | EventKind::SessionDeadlineCancel { session }
-            | EventKind::SessionFirstAnswer { session }
-            | EventKind::AnswerStreamed { session } => vec![("session", U(*session))],
-            EventKind::SessionDrain {
-                session,
-                outcome,
-                answers,
-            } => vec![
-                ("session", U(*session)),
-                ("outcome", S(outcome)),
-                ("answers", U(*answers)),
-            ],
-            EventKind::ClauseDispatch {
-                pred,
-                candidates,
-                determinate,
-            } => vec![
-                ("pred", S(pred.as_str())),
-                ("candidates", U(*candidates as u64)),
-                ("determinate", U(*determinate as u64)),
-            ],
-            EventKind::ClauseRetry { pred } => vec![("pred", S(pred.as_str()))],
-            EventKind::QuantumStart
-            | EventKind::MachineRecycle
-            | EventKind::SlotFail
-            | EventKind::MarkerElide
-            | EventKind::PdoMerge
-            | EventKind::RedoRound
-            | EventKind::StealAttempt
-            | EventKind::StealSuccess
-            | EventKind::StealFail
-            | EventKind::Solution => vec![],
+impl Stats {
+    /// The counter sheet a trace implies: every event applied once. Equal
+    /// to the run's own sheet on [`Stats::EVENT_BACKED`] when the trace is
+    /// complete (`dropped == 0`).
+    pub fn fold(trace: &Trace) -> Stats {
+        let mut s = Stats::new();
+        for ev in &trace.events {
+            ev.kind.apply(&mut s);
         }
+        s
     }
 }
 
@@ -528,53 +570,43 @@ impl TraceBuf {
     }
 }
 
-/// A worker's emission handle. Disabled tracing is a `None`: no ring
-/// buffer exists and [`Tracer::emit`] is one branch — the payload
-/// closure is never called.
-#[derive(Debug, Default)]
+/// A worker's recording handle. Disabled tracing is a `None`: no ring
+/// buffer exists and [`Tracer::records`] is false for every class.
+#[derive(Debug)]
 pub struct Tracer {
     buf: Option<Box<TraceBuf>>,
     lifecycle: bool,
+    dispatch: bool,
 }
 
 impl Tracer {
-    /// The no-op tracer (what every worker gets when tracing is off).
-    pub fn disabled() -> Tracer {
-        Tracer::default()
-    }
-
-    /// A tracer for `worker` per `cfg` — `disabled()` when `cfg` says off.
+    /// A tracer for `worker` per `cfg` — bufferless when `cfg` says off.
     pub fn new(cfg: &TraceConfig, worker: usize) -> Tracer {
-        if !cfg.enabled {
-            return Tracer::disabled();
-        }
         Tracer {
-            buf: Some(Box::new(TraceBuf::new(worker, cfg.capacity))),
+            buf: (cfg.enabled).then(|| Box::new(TraceBuf::new(worker, cfg.capacity))),
             lifecycle: cfg.lifecycle,
+            dispatch: cfg.dispatch,
         }
     }
 
-    /// Is a ring buffer attached (i.e. will emissions record)?
-    pub fn is_enabled(&self) -> bool {
-        self.buf.is_some()
-    }
-
-    /// Record lifecycle (high-volume) events too?
-    pub fn lifecycle(&self) -> bool {
-        self.lifecycle && self.buf.is_some()
-    }
-
-    /// Record an event stamped at worker-virtual-time `t`. `kind` is a
-    /// closure so that payload construction is skipped when disabled.
+    /// Does this run record events of `class`?
     #[inline]
-    pub fn emit(&mut self, t: u64, kind: impl FnOnce() -> EventKind) {
+    pub fn records(&self, class: TraceClass) -> bool {
+        self.buf.is_some()
+            && match class {
+                TraceClass::Always => true,
+                TraceClass::Lifecycle => self.lifecycle,
+                TraceClass::Dispatch => self.dispatch,
+                TraceClass::Unrecorded => false,
+            }
+    }
+
+    /// Record `kind` stamped at worker-virtual-time `t` (a no-op when
+    /// disabled; the class filter is [`Tracer::records`]).
+    pub fn record(&mut self, t: u64, kind: EventKind) {
         if let Some(buf) = self.buf.as_mut() {
             let worker = buf.worker;
-            buf.push(TraceEvent {
-                t,
-                worker,
-                kind: kind(),
-            });
+            buf.push(TraceEvent { t, worker, kind });
         }
     }
 
@@ -586,26 +618,14 @@ impl Tracer {
 }
 
 /// A cloneable, locked event sink for contexts that outlive or sit
-/// outside a single worker (the drivers: worker exits, aborts, phase
-/// transitions). Not on any engine hot path.
-#[derive(Clone, Debug)]
+/// outside a single worker (the drivers: worker exits, aborts; the query
+/// server's session events). Not on any engine hot path.
+#[derive(Clone, Debug, Default)]
 pub struct TraceSink {
     events: Arc<Mutex<Vec<TraceEvent>>>,
-    lifecycle: bool,
 }
 
 impl TraceSink {
-    pub fn new(cfg: &TraceConfig) -> TraceSink {
-        TraceSink {
-            events: Arc::new(Mutex::new(Vec::new())),
-            lifecycle: cfg.lifecycle,
-        }
-    }
-
-    pub fn lifecycle(&self) -> bool {
-        self.lifecycle
-    }
-
     pub fn emit(&self, t: u64, worker: usize, kind: EventKind) {
         self.events.lock().push(TraceEvent { t, worker, kind });
     }
@@ -741,6 +761,9 @@ impl Trace {
 /// * **pool conservation** — pool pops never exceed pushes plus steal
 ///   successes (in this engine every pop dequeues a pushed handle, so
 ///   the bound is slack but safe);
+/// * **hunts are opened** — per worker, every `steal-success` /
+///   `steal-fail` closes an open `steal-attempt` of its own (an attempt
+///   is never stamped after its outcome);
 /// * **faults are answered** — every `fault-injected` is matched by a
 ///   recovery record (`fault-retry`, `fault-stall`, `degraded`) or a
 ///   `worker-exit`/`abort`;
@@ -858,24 +881,30 @@ impl TraceChecker {
         let mut rejected: HashMap<u64, EvRef> = HashMap::new();
         let mut cancelled_at: HashMap<u64, (u64, EvRef)> = HashMap::new();
         let mut streamed: Vec<(u64, u64, EvRef)> = Vec::new(); // (session, t, ref)
-                                                               // Tabling is evaluated machine-locally (local scheduling), so the
-                                                               // rules are per (worker, subgoal): answers inserted so far, and
-                                                               // the point the worker completed the subgoal. Cross-worker
-                                                               // virtual times are not causal, so cross-worker rules would be
-                                                               // unsound here.
+
+        // Tabling is evaluated machine-locally (local scheduling), so the
+        // rules are per (worker, subgoal): answers inserted so far, and
+        // the point the worker completed the subgoal. Cross-worker
+        // virtual times are not causal, so cross-worker rules would be
+        // unsound here.
         let mut table_answers_seen: HashMap<(usize, u64), usize> = HashMap::new();
         let mut table_completed: HashMap<(usize, u64), EvRef> = HashMap::new();
         // Clause dispatch is also worker-local: a retry on a worker is
         // judged against the dispatches *that worker* made (a claimed
         // shared alternative retries on the thief, whose own dispatch
         // history for the predicate may be empty — that is fine).
-        let mut clause_dispatched: HashMap<(usize, String), EvRef> = HashMap::new();
-        let mut clause_nondet: HashSet<(usize, String)> = HashSet::new();
-        let mut clause_retries: Vec<(usize, String, EvRef)> = Vec::new();
+        let mut clause_dispatched: HashMap<(usize, Label), EvRef> = HashMap::new();
+        let mut clause_nondet: HashSet<(usize, Label)> = HashSet::new();
+        let mut clause_retries: Vec<(usize, Label, EvRef)> = Vec::new();
+        // Open steal-attempts per worker. A count, not a flag: the busy
+        // cost of a failed hunt is not on the idle phase's clock, so the
+        // next hunt's attempt can be stamped (and merged) ahead of the
+        // previous hunt's outcome.
+        let mut hunting: HashMap<usize, u64> = HashMap::new();
         // Order-sensitive, so checked inline; only reported when the
         // trace is complete (ring-buffer eviction can eat the answers
-        // that justified a resume).
-        let mut table_violations: Vec<String> = Vec::new();
+        // that justified a resume, or the attempt a steal closed).
+        let mut ordered_violations: Vec<String> = Vec::new();
         let mut violations = Vec::new();
 
         for (idx, ev) in trace.events.iter().enumerate() {
@@ -907,7 +936,20 @@ impl TraceChecker {
                 }
                 EventKind::PoolPush { .. } => pushes += 1,
                 EventKind::PoolPop { .. } => pops += 1,
-                EventKind::StealSuccess => steals += 1,
+                EventKind::StealAttempt => *hunting.entry(ev.worker).or_insert(0) += 1,
+                EventKind::StealSuccess | EventKind::StealFail => {
+                    steals += u64::from(ev.kind == EventKind::StealSuccess);
+                    let open = hunting.entry(ev.worker).or_insert(0);
+                    if *open > 0 {
+                        *open -= 1;
+                    } else {
+                        ordered_violations.push(format!(
+                            "{} on worker {} closes no open steal-attempt at {at}",
+                            ev.kind.name(),
+                            ev.worker
+                        ));
+                    }
+                }
                 EventKind::ClosureDefer { node, epoch } => {
                     deferred.insert((*node, *epoch), at);
                 }
@@ -928,7 +970,7 @@ impl TraceChecker {
                 } => {
                     table_answers_seen.insert((ev.worker, *subgoal), *answers);
                     if let Some(done_at) = table_completed.get(&(ev.worker, *subgoal)) {
-                        table_violations.push(format!(
+                        ordered_violations.push(format!(
                             "answer inserted into a completed table: subgoal={subgoal} \
                              at {at}; completed at {done_at}",
                         ));
@@ -940,7 +982,7 @@ impl TraceChecker {
                         .copied()
                         .unwrap_or(0);
                     if *seen >= available {
-                        table_violations.push(format!(
+                        ordered_violations.push(format!(
                             "table consumer resumed without a prior new answer: \
                              subgoal={subgoal} seen={seen} answers={available} at {at}",
                         ));
@@ -983,16 +1025,12 @@ impl TraceChecker {
                 EventKind::ClauseDispatch {
                     pred, determinate, ..
                 } => {
-                    clause_dispatched
-                        .entry((ev.worker, pred.clone()))
-                        .or_insert(at);
+                    clause_dispatched.entry((ev.worker, *pred)).or_insert(at);
                     if !determinate {
-                        clause_nondet.insert((ev.worker, pred.clone()));
+                        clause_nondet.insert((ev.worker, *pred));
                     }
                 }
-                EventKind::ClauseRetry { pred } => {
-                    clause_retries.push((ev.worker, pred.clone(), at));
-                }
+                EventKind::ClauseRetry { pred } => clause_retries.push((ev.worker, *pred, at)),
                 EventKind::FaultInjected { .. } => injected += 1,
                 EventKind::FaultRetry { .. }
                 | EventKind::FaultStall { .. }
@@ -1016,12 +1054,12 @@ impl TraceChecker {
         // Eviction can remove a publish whose claim survived (and skew
         // counts); only the complete trace supports the remaining checks.
         if trace.dropped == 0 {
-            violations.extend(table_violations);
+            violations.extend(ordered_violations);
             // Determinacy claims are binding: if every dispatch of a
             // predicate on a worker reported exactly one candidate, a
             // backtrack into a second clause of it there is impossible.
             for (worker, pred, at) in &clause_retries {
-                let k = (*worker, pred.clone());
+                let k = (*worker, *pred);
                 if let Some(first) = clause_dispatched.get(&k) {
                     if !clause_nondet.contains(&k) {
                         violations.push(format!(
@@ -1178,17 +1216,73 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ace_logic::sym::sym;
 
     fn ev(t: u64, worker: usize, kind: EventKind) -> TraceEvent {
         TraceEvent { t, worker, kind }
     }
 
+    fn pred(name: &str, arity: u32) -> Label {
+        Label::Pred(sym(name), arity)
+    }
+
     #[test]
-    fn disabled_tracer_has_no_buffer_and_skips_payloads() {
+    fn disabled_tracer_has_no_buffer_and_records_no_class() {
         let mut tr = Tracer::new(&TraceConfig::default(), 0);
-        assert!(!tr.is_enabled());
-        tr.emit(10, || panic!("payload must not be built when disabled"));
+        assert!(!tr.records(TraceClass::Always));
+        tr.record(10, EventKind::StealAttempt);
         assert!(tr.take().is_none());
+    }
+
+    #[test]
+    fn classes_follow_the_trace_config() {
+        let plain = Tracer::new(&TraceConfig::enabled(), 0);
+        assert!(plain.records(TraceClass::Always));
+        assert!(!plain.records(TraceClass::Lifecycle) && !plain.records(TraceClass::Dispatch));
+        let full = Tracer::new(&TraceConfig::enabled().with_lifecycle().with_dispatch(), 0);
+        assert!(full.records(TraceClass::Lifecycle) && full.records(TraceClass::Dispatch));
+        assert!(!full.records(TraceClass::Unrecorded));
+    }
+
+    #[test]
+    fn names_are_unique_kebab_case_and_cover_every_variant() {
+        let mut seen = HashSet::new();
+        for name in EventKind::NAMES {
+            assert!(seen.insert(name), "{name} names two rows");
+            assert!(
+                name.chars().all(|c| c.is_ascii_lowercase() || c == '-'),
+                "{name}"
+            );
+        }
+        assert_eq!(EventKind::StealFail.name(), "steal-fail");
+        for counter in Stats::EVENT_BACKED {
+            assert!(Stats::FIELD_NAMES.contains(counter), "{counter}");
+        }
+    }
+
+    #[test]
+    fn fold_applies_each_rows_bumps() {
+        let trace = Trace::merge(
+            vec![],
+            vec![
+                ev(1, 0, EventKind::FrameAlloc { slots: 3 }),
+                ev(2, 0, EventKind::MarkerElide),
+                ev(3, 1, EventKind::FaultRetry { what: "publish" }),
+                ev(4, 1, EventKind::IdleProbe { cost: 12 }),
+                ev(5, 1, EventKind::ClaimCross { local_work: 2 }),
+                ev(6, 1, EventKind::StealFail),
+            ],
+        );
+        let mut expect = Stats::new();
+        expect.parcall_frames = 1;
+        expect.parcall_slots = 3;
+        expect.markers_elided_spo = 2;
+        expect.publish_retries = 1;
+        expect.idle_probes = 1;
+        expect.idle_cost = 12;
+        expect.steals_cross_domain = 1;
+        expect.steals_cross_eager = 1;
+        assert_eq!(Stats::fold(&trace), expect);
     }
 
     #[test]
@@ -1272,7 +1366,7 @@ mod tests {
                         node: 7,
                         epoch: 0,
                         alts: 3,
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                     },
                 ),
                 ev(
@@ -1303,10 +1397,11 @@ mod tests {
                         node: 1,
                         epoch: 0,
                         alts: 2,
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                     },
                 ),
                 ev(2, 0, EventKind::PoolPush { node: 1 }),
+                ev(3, 1, EventKind::StealAttempt),
                 ev(3, 1, EventKind::PoolPop { node: 1 }),
                 ev(
                     4,
@@ -1330,6 +1425,36 @@ mod tests {
             ],
         );
         assert!(TraceChecker::check(&trace).is_ok());
+    }
+
+    #[test]
+    fn checker_rejects_a_steal_outcome_with_no_open_attempt() {
+        // The and-engine's old stream: the attempt came after the pop had
+        // already succeeded, and a failed hunt had none at all.
+        let bad = Trace::merge(
+            vec![],
+            vec![
+                ev(1, 0, EventKind::StealFail),
+                ev(2, 1, EventKind::StealAttempt),
+                ev(3, 1, EventKind::StealSuccess),
+                ev(4, 1, EventKind::StealSuccess),
+            ],
+        );
+        let errs = TraceChecker::check(&bad).unwrap_err();
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs[0].contains("steal-fail on worker 0 closes no open steal-attempt"));
+        assert!(errs[1].contains("steal-success on worker 1") && errs[1].contains("event #3"));
+        // An attempt may stay open (the hunt found the worker's own task),
+        // and one worker's attempt does not cover another's outcome.
+        let open = Trace::merge(
+            vec![],
+            vec![
+                ev(1, 0, EventKind::StealAttempt),
+                ev(2, 0, EventKind::StealAttempt),
+                ev(3, 0, EventKind::StealFail),
+            ],
+        );
+        assert!(TraceChecker::check(&open).is_ok());
     }
 
     #[test]
@@ -1394,7 +1519,7 @@ mod tests {
                         node: 1,
                         epoch: 0,
                         alts: 1,
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                     },
                 ),
                 ev(
@@ -1459,7 +1584,7 @@ mod tests {
                 node: 1,
                 epoch: 0,
                 alts: 1,
-                pred: "p/1".into(),
+                pred: pred("p", 1),
             },
         ));
         buf.push(ev(
@@ -1489,7 +1614,7 @@ mod tests {
                         node: 1,
                         epoch: 0,
                         alts: 2,
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                     },
                 ),
                 ev(1, 0, EventKind::ClosureDefer { node: 1, epoch: 0 }),
@@ -1538,7 +1663,7 @@ mod tests {
                         node: 1,
                         epoch: 0,
                         alts: 1,
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                     },
                 ),
                 ev(1, 0, EventKind::ClosureDefer { node: 1, epoch: 0 }),
@@ -1613,7 +1738,7 @@ mod tests {
                         node: 1,
                         epoch: 0,
                         alts: 1,
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                     },
                 ),
                 ev(
@@ -1660,12 +1785,12 @@ mod tests {
                     1,
                     0,
                     EventKind::ClauseDispatch {
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                         candidates: 1,
                         determinate: true,
                     },
                 ),
-                ev(9, 0, EventKind::ClauseRetry { pred: "p/1".into() }),
+                ev(9, 0, EventKind::ClauseRetry { pred: pred("p", 1) }),
             ],
         );
         let errs = TraceChecker::check(&trace).unwrap_err();
@@ -1681,7 +1806,7 @@ mod tests {
                     1,
                     0,
                     EventKind::ClauseDispatch {
-                        pred: "member/2".into(),
+                        pred: pred("member", 2),
                         candidates: 2,
                         determinate: false,
                     },
@@ -1690,7 +1815,7 @@ mod tests {
                     9,
                     0,
                     EventKind::ClauseRetry {
-                        pred: "member/2".into(),
+                        pred: pred("member", 2),
                     },
                 ),
             ],
@@ -1709,12 +1834,12 @@ mod tests {
                     1,
                     0,
                     EventKind::ClauseDispatch {
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                         candidates: 1,
                         determinate: true,
                     },
                 ),
-                ev(9, 1, EventKind::ClauseRetry { pred: "p/1".into() }),
+                ev(9, 1, EventKind::ClauseRetry { pred: pred("p", 1) }),
             ],
         );
         assert!(TraceChecker::check(&trace).is_ok());
@@ -2068,7 +2193,7 @@ mod tests {
                         node: 1,
                         epoch: 0,
                         alts: 1,
-                        pred: "p/1".into(),
+                        pred: pred("p", 1),
                     },
                 ),
                 ev(
@@ -2129,7 +2254,7 @@ mod tests {
 
     #[test]
     fn sink_collects_and_drains() {
-        let sink = TraceSink::new(&TraceConfig::enabled());
+        let sink = TraceSink::default();
         let clone = sink.clone();
         clone.emit(
             9,

@@ -586,7 +586,7 @@ impl QueryServer {
             .fault_plan
             .as_ref()
             .map(|plan| FaultInjector::new(plan, cfg.fleet.max(1)));
-        let sink_events = cfg.trace.enabled.then(|| TraceSink::new(&cfg.trace));
+        let sink_events = cfg.trace.enabled.then(TraceSink::default);
         let inner = Arc::new(Inner {
             ace,
             cfg: cfg.clone(),

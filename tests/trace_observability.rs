@@ -10,7 +10,9 @@
 //!   virtual cost.
 
 use ace_core::{Ace, Mode, RunReport};
-use ace_runtime::{EngineConfig, EventKind, OptFlags, TraceChecker, TraceConfig, Tracer};
+use ace_runtime::{
+    EngineConfig, EventKind, OptFlags, TraceChecker, TraceClass, TraceConfig, Tracer,
+};
 use ace_server::{QueryRequest, Serve, ServerConfig, SessionEnd};
 
 fn cfg(workers: usize, trace: TraceConfig) -> EngineConfig {
@@ -234,7 +236,10 @@ fn trace_checker_holds_on_traced_corpus() {
 #[test]
 fn disabled_tracing_allocates_no_ring_buffers() {
     let mut t = Tracer::new(&TraceConfig::default(), 0);
-    assert!(!t.is_enabled(), "default config must leave tracing off");
+    assert!(
+        !t.records(TraceClass::Always),
+        "default config must leave tracing off"
+    );
     assert!(
         t.take().is_none(),
         "disabled tracer must not own a ring buffer"
