@@ -416,7 +416,7 @@ impl Machine {
     /// the machine's sheet (harvested by the worker with the rest of it)
     /// and buffer it for the worker's tracer if this run records its
     /// class.
-    #[inline]
+    #[inline(always)]
     fn note(&mut self, ev: EventKind) {
         ev.apply(&mut self.stats);
         let record = match ev.class() {

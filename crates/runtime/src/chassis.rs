@@ -259,7 +259,7 @@ impl WorkerCore {
     /// declares, record it if this run traces its class, step its live
     /// series if one is attached. Prices stay with the site
     /// ([`WorkerCore::charge`]).
-    #[inline]
+    #[inline(always)]
     pub fn note(&mut self, ev: EventKind) {
         ev.apply(&mut self.stats);
         if let Some(live) = &self.live {

@@ -228,7 +228,7 @@ macro_rules! events {
                 match self { $( EventKind::$v { .. } => $name, )* }
             }
 
-            #[inline]
+            #[inline(always)]
             pub fn class(&self) -> TraceClass {
                 match self { $( EventKind::$v { .. } => TraceClass::$class, )* }
             }
@@ -238,8 +238,9 @@ macro_rules! events {
                 match self { $( EventKind::$v $({ $($f),* })? => $frame, )* }
             }
 
-            /// Count one occurrence on `s`.
-            #[inline]
+            /// Count one occurrence on `s`. Inlined into `note`, where the
+            /// variant is known and the match folds to the row's bumps.
+            #[inline(always)]
             pub fn apply(&self, s: &mut Stats) {
                 match self {
                     $( EventKind::$v $({ $($f),* })? => {
@@ -280,7 +281,7 @@ macro_rules! events {
             }
 
             /// Step the series of `ev`, if it has one, on `shard`.
-            #[inline]
+            #[inline(always)]
             pub fn meter(&self, ev: &EventKind, shard: usize) {
                 match ev {
                     $($( EventKind::$v { .. } => self.$v.step(shard, $step), )?)*
@@ -590,7 +591,7 @@ impl Tracer {
     }
 
     /// Does this run record events of `class`?
-    #[inline]
+    #[inline(always)]
     pub fn records(&self, class: TraceClass) -> bool {
         self.buf.is_some()
             && match class {
