@@ -724,18 +724,12 @@ impl AndWorker {
         let Some(Act::Run { machine, .. }) = self.stack.last_mut() else {
             unreachable!()
         };
-        let sol = Solution {
-            bindings: self
-                .root_vars
-                .iter()
-                .map(|(n, c)| (n.clone(), machine.render(*c)))
-                .collect(),
-        };
+        let sol = Solution::new(machine.answer_line(&self.root_vars));
         // Streamed delivery before publication.
         let over = self
             .core
             .ctl
-            .deliver(&mut self.core.stats, std::iter::once_with(|| sol.render()));
+            .deliver(&mut self.core.stats, std::iter::once(&sol));
         self.sh.solutions.lock().push(sol);
         self.core.note(EventKind::Solution);
         if over {

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::{parse_term, Cell, Database, Heap};
 use ace_machine::{Machine, Solver, Status};
-use ace_runtime::CostModel;
+use ace_runtime::{CostModel, EngineConfig};
 
 fn deep_list(heap: &mut Heap, n: usize) -> Cell {
     let items: Vec<Cell> = (0..n as i64).map(Cell::Int).collect();
@@ -37,6 +37,21 @@ fn bench_unify(c: &mut Criterion) {
         let s2 = heap.new_struct(ace_logic::sym("f"), &args);
         b.iter(|| {
             let r = ace_logic::unify::unify(&mut heap, s1, s2);
+            black_box(r)
+        });
+    });
+
+    // A stored answer against its call: the unification of a replay.
+    c.bench_function("unify/struct-3-args", |b| {
+        let mut heap = Heap::new();
+        let (x, y) = (heap.new_var(), heap.new_var());
+        let a = Cell::Atom(ace_logic::sym("n0"));
+        let call = heap.new_struct(ace_logic::sym("path"), &[a, x, y]);
+        let answer = heap.new_struct(ace_logic::sym("path"), &[a, Cell::Int(7), a]);
+        b.iter(|| {
+            let mark = heap.trail_mark();
+            let r = ace_logic::unify::unify(&mut heap, call, answer);
+            heap.undo_to(mark);
             black_box(r)
         });
     });
@@ -155,6 +170,28 @@ fn bench_shared_db(db: &Arc<Database>) {
     );
 }
 
+/// Reading a completed table back: `tabled_path(48)` against a warm store,
+/// every one of its 48 answers thawed, unified and written into its line.
+fn bench_replay(c: &mut Criterion) {
+    let p = ace_programs::tabled_program("tabled_path").unwrap();
+    let db = Arc::new(Database::load(&(p.program)(48)).unwrap());
+    let cfg = EngineConfig::default().with_tabling();
+    let (store, costs, query) = (
+        cfg.resolve_store(),
+        Arc::new(cfg.costs.clone()),
+        (p.query)(48),
+    );
+    let lines = |db: &Arc<Database>| {
+        let mut s = Solver::new(db.clone(), costs.clone(), &query).unwrap();
+        s.machine_mut().set_store(store.clone(), &cfg, false);
+        std::iter::from_fn(|| s.next_line().unwrap()).count()
+    };
+    assert_eq!(lines(&db), 48); // cold: fills the store
+    c.bench_function("answer/replay-render-48", |b| {
+        b.iter(|| assert_eq!(black_box(lines(&db)), 48));
+    });
+}
+
 fn bench_machine(c: &mut Criterion) {
     let db = Arc::new(
         Database::load(
@@ -168,6 +205,7 @@ fn bench_machine(c: &mut Criterion) {
         .unwrap(),
     );
     bench_shared_db(&db);
+    bench_replay(c);
     c.bench_function("machine/nrev-30", |b| {
         let costs = Arc::new(CostModel::default());
         let q = format!(

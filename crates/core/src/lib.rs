@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use ace_and::AndEngine;
 use ace_logic::Database;
-use ace_machine::Solver;
+use ace_machine::{Solution, Solver};
 use ace_or::OrEngine;
 use ace_runtime::{Control, CostModel, EngineConfig, EventKind, Stats, Trace, TraceEvent};
 
@@ -149,7 +149,7 @@ impl Ace {
                 let engine = AndEngine::new(self.db.clone());
                 let r = engine.run(query, cfg).map_err(AceError::classify)?;
                 RunReport {
-                    solutions: r.solutions.iter().map(|s| s.render()).collect(),
+                    solutions: r.solutions.into_iter().map(Solution::into_line).collect(),
                     virtual_time: r.outcome.virtual_time,
                     wall: r.outcome.wall,
                     clocks: r.outcome.clocks,
@@ -210,16 +210,15 @@ impl Ace {
         let mut solutions: Vec<String> = Vec::new();
         let mut delivery = Stats::new();
         while cfg.max_solutions.is_none_or(|max| solutions.len() < max) {
-            let sol = match solver
-                .next_solution()
+            let line = match solver
+                .next_line()
                 .map_err(|e| AceError::classify(e.to_string()))?
             {
-                Some(sol) => sol,
+                Some(line) => line,
                 None => break,
             };
-            let rendered = sol.render();
-            let over = ctl.deliver(&mut delivery, std::iter::once(&rendered));
-            solutions.push(rendered);
+            let over = ctl.deliver(&mut delivery, std::iter::once(&line));
+            solutions.push(line);
             if over {
                 break;
             }

@@ -31,31 +31,38 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A variant-normalized encoding of one call term, used as the lookup key
-/// of the concurrent answer table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonKey {
-    /// The canonical byte string (see the tag constants in `of`).
-    pub bytes: Vec<u8>,
-    /// FNV-1a hash of `bytes` (shard selection, trace correlation).
-    pub hash: u64,
+/// Working memory of the key writer and the arena copier, owned by
+/// whoever canonicalizes often (a machine) and reused from call to call:
+/// every part is emptied on use and keeps its room.
+#[derive(Debug, Default)]
+pub struct CanonScratch {
+    bytes: Vec<u8>,
+    var_ids: HashMap<Addr, u32>,
+    /// compound (Str header / Lst pair) address -> visit id
+    seen: HashMap<(bool, Addr), u32>,
+    stack: Vec<Cell>,
+    /// Where [`TermArena::freeze_in`] builds the copy it then sizes.
+    copy: Heap,
 }
 
-impl CanonKey {
-    /// Canonicalize the term rooted at `root` in `heap`.
-    ///
-    /// Encoding, preorder: `V<id>` unbound variable (first-occurrence
-    /// numbering), `A<sym>` atom, `I<i64>` integer, `S<sym><arity>` then
-    /// the arguments, `L` then head and tail, `N` nil, `B<id>` a
-    /// back-reference to the `id`-th compound already being (or done
-    /// being) written. All integers little-endian.
-    pub fn of(heap: &Heap, root: Cell) -> CanonKey {
-        let mut bytes = Vec::with_capacity(64);
-        let mut var_ids: HashMap<Addr, u32> = HashMap::new();
-        // compound (Str header / Lst pair) address -> visit id
-        let mut seen: HashMap<(bool, Addr), u32> = HashMap::new();
-        let mut next_compound: u32 = 0;
-        let mut stack = vec![root];
+impl CanonScratch {
+    /// Write the canonical bytes of the term rooted at `root` (the
+    /// encoding [`CanonKey`] documents); they stay readable here until the
+    /// next call. A caller that only tests membership — is this answer a
+    /// duplicate? — never owns a key.
+    pub fn encode(&mut self, heap: &Heap, root: Cell) -> &[u8] {
+        let CanonScratch {
+            bytes,
+            var_ids,
+            seen,
+            stack,
+            ..
+        } = self;
+        bytes.clear();
+        var_ids.clear();
+        seen.clear();
+        stack.clear();
+        stack.push(root);
         while let Some(c) = stack.pop() {
             match heap.deref(c) {
                 Cell::Ref(a) => {
@@ -73,13 +80,13 @@ impl CanonKey {
                     bytes.extend_from_slice(&i.to_le_bytes());
                 }
                 Cell::Str(hdr) => {
+                    let fresh = seen.len() as u32;
                     if let Some(&id) = seen.get(&(false, hdr)) {
                         bytes.push(b'B');
                         bytes.extend_from_slice(&id.to_le_bytes());
                         continue;
                     }
-                    seen.insert((false, hdr), next_compound);
-                    next_compound += 1;
+                    seen.insert((false, hdr), fresh);
                     let (f, n) = heap.functor_at(hdr);
                     bytes.push(b'S');
                     bytes.extend_from_slice(&f.0.to_le_bytes());
@@ -89,13 +96,13 @@ impl CanonKey {
                     }
                 }
                 Cell::Lst(a) => {
+                    let fresh = seen.len() as u32;
                     if let Some(&id) = seen.get(&(true, a)) {
                         bytes.push(b'B');
                         bytes.extend_from_slice(&id.to_le_bytes());
                         continue;
                     }
-                    seen.insert((true, a), next_compound);
-                    next_compound += 1;
+                    seen.insert((true, a), fresh);
                     bytes.push(b'L');
                     stack.push(heap.lst_tail(a));
                     stack.push(heap.lst_head(a));
@@ -104,6 +111,36 @@ impl CanonKey {
                 Cell::Functor(..) => unreachable!("Functor header is not a term"),
             }
         }
+        bytes
+    }
+}
+
+/// A variant-normalized encoding of one call term, used as the lookup key
+/// of the concurrent answer table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CanonKey {
+    /// The canonical byte string (see [`CanonKey::of`]).
+    pub bytes: Vec<u8>,
+    /// FNV-1a hash of `bytes` (shard selection, trace correlation).
+    pub hash: u64,
+}
+
+impl CanonKey {
+    /// Canonicalize the term rooted at `root` in `heap`.
+    ///
+    /// Encoding, preorder: `V<id>` unbound variable (first-occurrence
+    /// numbering), `A<sym>` atom, `I<i64>` integer, `S<sym><arity>` then
+    /// the arguments, `L` then head and tail, `N` nil, `B<id>` a
+    /// back-reference to the `id`-th compound already being (or done
+    /// being) written. All integers little-endian.
+    pub fn of(heap: &Heap, root: Cell) -> CanonKey {
+        CanonKey::of_in(&mut CanonScratch::default(), heap, root)
+    }
+
+    /// [`CanonKey::of`] through the caller's scratch: the key's bytes are
+    /// the one allocation.
+    pub fn of_in(scratch: &mut CanonScratch, heap: &Heap, root: Cell) -> CanonKey {
+        let bytes = scratch.encode(heap, root).to_vec();
         let hash = fnv1a(&bytes);
         CanonKey { bytes, hash }
     }
@@ -131,11 +168,17 @@ pub struct TermArena {
 impl TermArena {
     /// Copy the term rooted at `root` out of `src` into a fresh arena.
     pub fn freeze(src: &Heap, root: Cell) -> TermArena {
-        // Sized by what the copy writes; nothing binds here, so no trail.
-        let mut scratch = Heap::default();
-        let out = copy_term(src, root, &mut scratch);
+        TermArena::freeze_in(&mut CanonScratch::default(), src, root)
+    }
+
+    /// [`TermArena::freeze`] through the caller's scratch: the copy is
+    /// built in its heap and the arena allocated at exactly its size.
+    pub fn freeze_in(scratch: &mut CanonScratch, src: &Heap, root: Cell) -> TermArena {
+        // Nothing binds here, so the scratch heap needs no trail.
+        scratch.copy.clear();
+        let out = copy_term(src, root, &mut scratch.copy);
         TermArena {
-            cells: scratch.cells().to_vec(),
+            cells: scratch.copy.cells().to_vec(),
             root: out.root,
         }
     }
@@ -144,9 +187,7 @@ impl TermArena {
     /// `dst`) and the number of cells appended (cost accounting).
     pub fn thaw(&self, dst: &mut Heap) -> (Cell, usize) {
         let base = dst.len() as u32;
-        for &c in &self.cells {
-            dst.push(c.relocated(base));
-        }
+        dst.extend_relocated(&self.cells, base);
         (self.root.relocated(base), self.cells.len())
     }
 
@@ -233,6 +274,25 @@ mod tests {
         let k2 = CanonKey::of(&h, fx);
         assert_eq!(k1, k2);
         assert!(k1.bytes.contains(&b'B'), "cycle must emit a back-reference");
+    }
+
+    #[test]
+    fn a_reused_scratch_writes_what_a_fresh_one_does() {
+        let mut h = Heap::new();
+        let x = h.new_var();
+        let fx = h.new_struct(sym("f"), &[x]);
+        let Cell::Ref(a) = x else { unreachable!() };
+        h.bind(a, fx); // cyclic: back-references are numbered per call
+        let big = term(&mut h, "g(X, [a, 1, Y | X], h(Y, Z), Z)");
+        let small = term(&mut h, "p(Q)");
+        let mut scratch = CanonScratch::default();
+        for t in [big, fx, small, big, small, fx] {
+            let fresh = CanonKey::of(&h, t);
+            assert_eq!(scratch.encode(&h, t), &fresh.bytes[..]);
+            assert_eq!(CanonKey::of_in(&mut scratch, &h, t), fresh);
+            let arena = TermArena::freeze_in(&mut scratch, &h, t);
+            assert_eq!(arena, TermArena::freeze(&h, t));
+        }
     }
 
     #[test]

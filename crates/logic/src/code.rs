@@ -34,7 +34,7 @@
 use std::collections::VecDeque;
 
 use crate::heap::{Addr, Cell, Heap};
-use crate::sym::{sym_name, wk, Sym};
+use crate::sym::{wk, Sym};
 use crate::term::{view, TermView};
 use crate::unify::unify;
 
@@ -339,7 +339,7 @@ impl CompiledCode {
     /// Human-readable disassembly (repl `:listing`, examples, tests).
     pub fn disassemble(&self) -> Vec<String> {
         let cst = |c: &Cell| match *c {
-            Cell::Atom(s) => sym_name(s),
+            Cell::Atom(s) => s.name().to_owned(),
             Cell::Int(i) => i.to_string(),
             Cell::Nil => "[]".into(),
             other => format!("{other:?}"),
@@ -353,11 +353,11 @@ impl CompiledCode {
                     format!("get_const     {}, A{arg}", cst(what))
                 }
                 Instr::GetStruct { f, n, arg } => {
-                    format!("get_struct    {}/{n}, A{arg}", sym_name(f))
+                    format!("get_struct    {}/{n}, A{arg}", f.name())
                 }
                 Instr::GetList { arg } => format!("get_list      A{arg}"),
                 Instr::SlotStruct { f, n, slot } => {
-                    format!("slot_struct   {}/{n}, X{slot}", sym_name(f))
+                    format!("slot_struct   {}/{n}, X{slot}", f.name())
                 }
                 Instr::SlotList { slot } => format!("slot_list     X{slot}"),
                 Instr::UnifyVar { slot } => format!("unify_var     X{slot}"),
@@ -371,7 +371,7 @@ impl CompiledCode {
                 "{indent}body_goal     % {} template cells",
                 st.tpl.cells.len()
             ),
-            StepKind::Compare(op) => format!("{indent}test          {}/2 % inline", sym_name(op)),
+            StepKind::Compare(op) => format!("{indent}test          {}/2 % inline", op.name()),
             StepKind::Is => format!("{indent}eval_is       % inline, slot result"),
             StepKind::Unify => format!("{indent}get_value     % inline =/2"),
         };
@@ -390,7 +390,7 @@ impl CompiledCode {
             } => {
                 out.push(format!(
                     "switch_test   {}/2 % if-then-else, no choice point",
-                    sym_name(*cond_op)
+                    cond_op.name()
                 ));
                 for st in then_steps {
                     out.push(step_line(st, "  then: "));

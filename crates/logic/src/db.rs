@@ -25,7 +25,7 @@ use crate::code::{CompileScratch, CompiledCode};
 use crate::fxhash::FxHashMap;
 use crate::heap::{Cell, Heap};
 use crate::read::{parse_program, ReadClause, ReadError};
-use crate::sym::{sym, sym_name, wk, Sym};
+use crate::sym::{sym, wk, Sym};
 use crate::term::{view, TermView};
 
 /// First-argument index key.
@@ -67,9 +67,9 @@ impl std::fmt::Display for IndexKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IndexKey::Any => write!(f, "var"),
-            IndexKey::Atom(s) => write!(f, "{}", sym_name(*s)),
+            IndexKey::Atom(s) => f.write_str(s.name()),
             IndexKey::Int(i) => write!(f, "{i}"),
-            IndexKey::Struct(s, n) => write!(f, "{}/{n}", sym_name(*s)),
+            IndexKey::Struct(s, n) => write!(f, "{}/{n}", s.name()),
             IndexKey::List => write!(f, "[_|_]"),
             IndexKey::Nil => write!(f, "[]"),
         }
@@ -153,9 +153,7 @@ impl Clause {
     /// `Ref` cell becomes a fresh unbound variable automatically.
     pub fn instantiate(&self, heap: &mut Heap) -> (Cell, Cell) {
         let base = heap.len() as u32;
-        for &c in self.arena.cells() {
-            heap.push(c.relocated(base));
-        }
+        heap.extend_relocated(self.arena.cells(), base);
         (self.head.relocated(base), self.body.relocated(base))
     }
 
@@ -242,9 +240,15 @@ impl Predicate {
 
     /// Indices of clauses whose key may match `call`, starting from clause
     /// `from`. Returns the first such index, or `None`. Served from the
-    /// dispatch chains: a binary search, not a scan.
+    /// dispatch chains: a binary search, not a scan — and not even that on
+    /// a chain as long as the clause list, which names every clause (an
+    /// `Any` call, or a predicate whose first arguments are all variables):
+    /// a retry over the whole predicate steps by one.
     pub fn next_matching(&self, call: IndexKey, from: usize) -> Option<usize> {
         let chain = self.matching_chain(call);
+        if chain.len() == self.clauses.len() {
+            return (from < chain.len()).then_some(from);
+        }
         let at = chain.partition_point(|&o| (o as usize) < from);
         chain.get(at).map(|&o| o as usize)
     }

@@ -93,6 +93,10 @@ pub struct HeapMark(pub usize);
 pub struct Heap {
     cells: Vec<Cell>,
     trail: Vec<Addr>,
+    /// The pairs [`crate::unify::unify`] has still to visit. Empty between
+    /// calls — only its room is kept, so a heap that unifies allocates for
+    /// that once, and a clone starts with none.
+    pub(crate) unify_work: Vec<(Cell, Cell)>,
 }
 
 /// Trail entries a fresh heap has room for.
@@ -121,6 +125,7 @@ impl Heap {
         Heap {
             cells: Vec::with_capacity(1024),
             trail: Vec::with_capacity(SMALL_TRAIL),
+            unify_work: Vec::new(),
         }
     }
 
@@ -128,6 +133,7 @@ impl Heap {
         Heap {
             cells: Vec::with_capacity(cells),
             trail: Vec::with_capacity(cells / 4 + 16),
+            unify_work: Vec::new(),
         }
     }
 
@@ -138,6 +144,7 @@ impl Heap {
         Heap {
             cells: Box::<[Cell]>::from(cells).into_vec(),
             trail: Vec::new(),
+            unify_work: Vec::new(),
         }
     }
 
@@ -147,6 +154,7 @@ impl Heap {
     pub fn shrink_to_fit(&mut self) {
         self.cells.shrink_to_fit();
         self.trail.shrink_to_fit();
+        self.unify_work.shrink_to_fit();
     }
 
     /// Allocated room as `(cells, trail entries)`, used or not.
@@ -184,6 +192,14 @@ impl Heap {
         let a = Addr(self.cells.len() as u32);
         self.cells.push(c);
         a
+    }
+
+    /// Append `cells` with every address they carry moved up by `base`: how
+    /// a clause arena or a frozen answer is spliced in, in one reservation
+    /// and one pass.
+    #[inline]
+    pub fn extend_relocated(&mut self, cells: &[Cell], base: u32) {
+        self.cells.extend(cells.iter().map(|c| c.relocated(base)));
     }
 
     /// Overwrite a cell without trailing. Only for heap-construction

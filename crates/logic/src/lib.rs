@@ -36,12 +36,12 @@ pub mod term;
 pub mod unify;
 pub mod write;
 
-pub use canon::{CanonKey, TermArena};
+pub use canon::{CanonKey, CanonScratch, TermArena};
 pub use code::{
     run_head, BodyStep, CompiledBody, CompiledCode, ExecCost, Instr, StepKind, StepTemplate,
 };
 pub use db::{Clause, Database, IndexKey, Predicate};
 pub use heap::{Addr, Cell, Heap, TrailMark};
 pub use read::{parse_program, parse_term, ReadError};
-pub use sym::{sym, sym_name, Sym};
+pub use sym::{sym, Sym};
 pub use term::TermView;

@@ -5,10 +5,12 @@
 //! translation: a [`Sym`] is a plain `u32` index valid in every heap.
 //!
 //! The table is append-only and guarded by an `RwLock`; lookups of already
-//! interned names take the read path only. A fixed set of *well-known*
-//! symbols (control constructs, operators, common atoms) is interned at
-//! table construction with stable indices, so the hot paths of the engines
-//! compare against pre-computed constants via [`wk()`].
+//! interned names take the read path only. A name is stored once, as a
+//! leaked `str` that lives as long as the process does, so [`Sym::name`]
+//! hands out a `&'static str` and no reader copies a name. A fixed set of
+//! *well-known* symbols (control constructs, operators, common atoms) is
+//! interned at table construction with stable indices, so the hot paths of
+//! the engines compare against pre-computed constants via [`wk()`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -27,27 +29,30 @@ impl Sym {
         self.0
     }
 
-    /// The textual name of this symbol.
-    pub fn name(self) -> String {
-        sym_name(self)
+    /// The textual name of this symbol. Panics if it did not come from
+    /// [`sym`]. The name is never freed or moved: the reference outlives
+    /// the interner's lock and any later interning.
+    pub fn name(self) -> &'static str {
+        interner().read().unwrap_or_else(|e| e.into_inner()).names[self.0 as usize]
     }
 }
 
 impl fmt::Debug for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Sym({}:{})", self.0, sym_name(*self))
+        write!(f, "Sym({}:{})", self.0, self.name())
     }
 }
 
 impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", sym_name(*self))
+        f.write_str(self.name())
     }
 }
 
+/// Each name is one leaked allocation that `names` and `by_name` share.
 struct Interner {
-    names: Vec<String>,
-    by_name: HashMap<String, u32>,
+    names: Vec<&'static str>,
+    by_name: HashMap<&'static str, u32>,
 }
 
 impl Interner {
@@ -69,8 +74,9 @@ impl Interner {
             return Sym(i);
         }
         let i = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), i);
+        let name: &'static str = Box::leak(Box::from(name));
+        self.names.push(name);
+        self.by_name.insert(name, i);
         Sym(i)
     }
 }
@@ -97,11 +103,6 @@ pub fn sym(name: &str) -> Sym {
         .write()
         .unwrap_or_else(|e| e.into_inner())
         .intern(name)
-}
-
-/// The textual name of `s`. Panics if `s` did not come from [`sym`].
-pub fn sym_name(s: Sym) -> String {
-    interner().read().unwrap_or_else(|e| e.into_inner()).names[s.0 as usize].clone()
 }
 
 const WELL_KNOWN_NAMES: &[&str] = &[
@@ -312,7 +313,7 @@ mod tests {
         let a = sym("hello");
         let b = sym("hello");
         assert_eq!(a, b);
-        assert_eq!(sym_name(a), "hello");
+        assert_eq!(a.name(), "hello");
     }
 
     #[test]
@@ -331,9 +332,32 @@ mod tests {
     #[test]
     fn empty_and_unicode_names() {
         let e = sym("");
-        assert_eq!(sym_name(e), "");
+        assert_eq!(e.name(), "");
         let u = sym("λx");
-        assert_eq!(sym_name(u), "λx");
+        assert_eq!(u.name(), "λx");
+    }
+
+    #[test]
+    fn a_name_stays_valid_while_another_thread_interns() {
+        let early = sym("early_bird");
+        let name = early.name();
+        let at = name.as_ptr();
+        let (started, go) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            started.send(()).unwrap();
+            for i in 0..10_000 {
+                sym(&format!("late_{i}"));
+            }
+        });
+        go.recv().unwrap();
+        // read while the table grows (its vectors move; the names do not)
+        while !writer.is_finished() {
+            assert_eq!(early.name(), "early_bird");
+        }
+        writer.join().unwrap();
+        assert_eq!(name, "early_bird");
+        assert_eq!(early.name().as_ptr(), at, "the name was stored once");
+        assert_eq!(sym("late_9999").name(), "late_9999");
     }
 
     #[test]

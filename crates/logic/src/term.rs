@@ -173,16 +173,16 @@ pub fn compare(heap: &Heap, a: Cell, b: Cell) -> std::cmp::Ordering {
     match (va, vb) {
         (V::Var(x), V::Var(y)) => x.0.cmp(&y.0),
         (V::Int(x), V::Int(y)) => x.cmp(&y),
-        (V::Atom(x), V::Atom(y)) => x.name().cmp(&y.name()),
+        (V::Atom(x), V::Atom(y)) => x.name().cmp(y.name()),
         (V::Nil, V::Nil) => Ordering::Equal,
-        (V::Atom(x), V::Nil) => x.name().cmp(&"[]".to_owned()),
-        (V::Nil, V::Atom(y)) => "[]".to_owned().cmp(&y.name()),
+        (V::Atom(x), V::Nil) => x.name().cmp("[]"),
+        (V::Nil, V::Atom(y)) => "[]".cmp(y.name()),
         (ta, tb) => {
             // compound: compare arity, then name, then args
             let (fa, na, args_a) = compound_parts(heap, ta);
             let (fb, nb, args_b) = compound_parts(heap, tb);
             na.cmp(&nb)
-                .then_with(|| fa.name().cmp(&fb.name()))
+                .then_with(|| fa.name().cmp(fb.name()))
                 .then_with(|| {
                     for (x, y) in args_a.iter().zip(args_b.iter()) {
                         let o = compare(heap, *x, *y);

@@ -13,10 +13,21 @@ use crate::term::view;
 /// On failure the caller must undo the trail to its pre-call mark — partial
 /// bindings are left in place so the caller's choice point logic stays the
 /// single restoration point (exactly as in a WAM).
+///
+/// The pairs still to visit are kept on a stack that lives with the heap:
+/// taken here, given back empty, so only its first use allocates.
 pub fn unify(heap: &mut Heap, a: Cell, b: Cell) -> Option<usize> {
-    let mut steps = 0usize;
-    let mut stack: Vec<(Cell, Cell)> = vec![(a, b)];
+    let mut stack = std::mem::take(&mut heap.unify_work);
+    stack.push((a, b));
+    let steps = unify_pairs(heap, &mut stack);
+    stack.clear();
+    heap.unify_work = stack;
+    steps
+}
 
+/// Unify every pair on `stack`; on a clash the unvisited pairs stay on it.
+fn unify_pairs(heap: &mut Heap, stack: &mut Vec<(Cell, Cell)>) -> Option<usize> {
+    let mut steps = 0usize;
     while let Some((a, b)) = stack.pop() {
         steps += 1;
         let da = heap.deref(a);
@@ -124,10 +135,13 @@ fn occurs(heap: &Heap, var: crate::heap::Addr, t: Cell) -> bool {
     false
 }
 
-/// Structural equality without binding (`==`/2).
+/// Structural equality without binding (`==`/2). The heap is shared, so
+/// the pairs still to visit are the call's own: allocated once it meets a
+/// pair of compound terms, never for atomic arguments.
 pub fn struct_eq(heap: &Heap, a: Cell, b: Cell) -> bool {
-    let mut stack = vec![(a, b)];
-    while let Some((a, b)) = stack.pop() {
+    let mut stack: Vec<(Cell, Cell)> = Vec::new();
+    let mut pair = Some((a, b));
+    while let Some((a, b)) = pair.take().or_else(|| stack.pop()) {
         let da = heap.deref(a);
         let db = heap.deref(b);
         if da == db {
@@ -193,6 +207,32 @@ mod tests {
         assert!(unify(&mut h, s1, s2).is_none());
         h.undo_to(mark);
         assert!(h.is_unbound(h.deref(x)));
+    }
+
+    #[test]
+    fn the_work_stack_is_empty_between_calls_and_stays_with_its_heap() {
+        let mut h = Heap::new();
+        let x = h.new_var();
+        let deep = h.new_struct(sym("g"), &[Cell::Int(1), Cell::Int(2), Cell::Int(3)]);
+        let s1 = h.new_struct(sym("f"), &[x, deep, Cell::Int(2)]);
+        let s2 = h.new_struct(sym("f"), &[Cell::Int(1), deep, Cell::Int(2)]);
+        assert!(unify(&mut h, s1, s2).is_some());
+        assert!(h.unify_work.is_empty());
+        let room = h.unify_work.capacity();
+        assert!(room >= 3, "the room of the first call is kept");
+        // a clash on the first argument leaves two pairs unvisited
+        let s3 = h.new_struct(sym("f"), &[Cell::Int(9), deep, Cell::Int(2)]);
+        let mark = h.trail_mark();
+        assert!(unify(&mut h, s1, s3).is_none());
+        h.undo_to(mark);
+        assert!(h.unify_work.is_empty());
+        assert_eq!(h.unify_work.capacity(), room);
+        // a clone has the cells and the trail, and a stack of its own
+        let mut c = h.clone();
+        assert_eq!(c.unify_work.capacity(), 0);
+        assert!(unify(&mut c, s1, s2).is_some());
+        assert!(c.unify_work.is_empty() && h.unify_work.is_empty());
+        assert_eq!(h.unify_work.capacity(), room);
     }
 
     #[test]

@@ -443,7 +443,10 @@ proptest! {
     ///   oracle charges for (`next_matching_scan`);
     /// * `match_count` agrees with that enumeration;
     /// * every clause whose head actually unifies with the call is in the
-    ///   enumeration (the index may over-approximate, never drop).
+    ///   enumeration (the index may over-approximate, never drop);
+    /// * the same holds on the chains that name every clause and are
+    ///   stepped without a search: an `Any` call, and a predicate `q`
+    ///   whose first arguments are all variables.
     #[test]
     fn index_chain_is_sound_and_equals_scan(
         heads in prop::collection::vec(term_strategy(), 1..8),
@@ -456,7 +459,7 @@ proptest! {
             let mut sh = Heap::new();
             let mut vars = Vec::new();
             let c = build(&mut sh, h, &mut vars);
-            src_txt.push_str(&format!("p({}, {i}).\n", term_to_string(&sh, c)));
+            src_txt.push_str(&format!("p({}, {i}).\nq(V, {i}).\n", term_to_string(&sh, c)));
         }
         let db = Database::load(&src_txt)
             .map_err(|e| TestCaseError::fail(format!("load failed: {e}\n{src_txt}")))?;
@@ -467,7 +470,7 @@ proptest! {
         let g = build(&mut gh, &goal, &mut gvars);
         let key = IndexKey::of(&gh, g);
 
-        let enumerate = |next: &dyn Fn(IndexKey, usize) -> Option<usize>| {
+        let enumerate = |key: IndexKey, next: &dyn Fn(IndexKey, usize) -> Option<usize>| {
             let mut v = Vec::new();
             let mut from = 0;
             while let Some(i) = next(key, from) {
@@ -476,8 +479,16 @@ proptest! {
             }
             v
         };
-        let chain = enumerate(&|k, f| pred.next_matching(k, f));
-        let scan = enumerate(&|k, f| pred.next_matching_scan(k, f));
+        let all_vars = db.predicate(sym("q"), 2).unwrap();
+        for (p, k) in [(pred, IndexKey::Any), (all_vars, key), (all_vars, IndexKey::Any)] {
+            let chain = enumerate(k, &|k, f| p.next_matching(k, f));
+            prop_assert_eq!(&chain, &enumerate(k, &|k, f| p.next_matching_scan(k, f)));
+            prop_assert_eq!(&chain, &(0..heads.len()).collect::<Vec<_>>());
+            prop_assert_eq!(chain.len(), p.match_count(k));
+            prop_assert_eq!(p.next_matching(k, heads.len() + 1), None);
+        }
+        let chain = enumerate(key, &|k, f| pred.next_matching(k, f));
+        let scan = enumerate(key, &|k, f| pred.next_matching_scan(k, f));
         prop_assert_eq!(&chain, &scan);
         prop_assert_eq!(chain.len(), pred.match_count(key));
 
@@ -513,7 +524,7 @@ proptest! {
             let mut sh = Heap::new();
             let mut vars = Vec::new();
             let c = build(&mut sh, h, &mut vars);
-            src_txt.push_str(&format!("p({}, {i}).\n", term_to_string(&sh, c)));
+            src_txt.push_str(&format!("p({}, {i}).\nq(V, {i}).\n", term_to_string(&sh, c)));
         }
         let db = Database::load(&src_txt)
             .map_err(|e| TestCaseError::fail(format!("load failed: {e}\n{src_txt}")))?;

@@ -40,7 +40,7 @@ fn eval_inner(heap: &Heap, t: Cell, ops: &mut usize, depth: usize) -> Result<i64
     match view(heap, t) {
         TermView::Int(i) => Ok(i),
         TermView::Var(_) => Err(ArithError::Unbound),
-        TermView::Atom(s) => Err(ArithError::NotEvaluable(s.name())),
+        TermView::Atom(s) => Err(ArithError::NotEvaluable(s.name().to_owned())),
         TermView::Struct(f, n, hdr) => {
             *ops += 1;
             let w = wk();
@@ -97,7 +97,7 @@ fn binop(f: Sym, a: i64, b: i64) -> Result<i64, ArithError> {
     } else if f == w.max {
         Ok(a.max(b))
     } else {
-        match f.name().as_str() {
+        match f.name() {
             ">>" => Ok(a >> (b & 63)),
             "<<" => a.checked_shl((b & 63) as u32).ok_or(ArithError::Overflow),
             "**" | "^" => {
@@ -135,7 +135,7 @@ pub fn compare(heap: &Heap, op: Sym, lhs: Cell, rhs: Cell) -> Result<(bool, usiz
     let (b, o2) = eval(heap, rhs)?;
     match cmp_apply(op, a, b) {
         Some(r) => Ok((r, o1 + o2 + 1)),
-        None => Err(ArithError::NotEvaluable(op.name())),
+        None => Err(ArithError::NotEvaluable(op.name().to_owned())),
     }
 }
 

@@ -9,11 +9,13 @@ use ace_logic::copy::copy_term_within;
 use ace_logic::sym::{sym, wk};
 use ace_logic::term::{compare as term_compare, is_ground, view, ListIter, TermView};
 use ace_logic::unify::{struct_eq, unify};
+use ace_logic::write::write_term_to;
 use ace_logic::{Addr, Cell, Database, Sym};
 
 use crate::arith;
 use crate::frames::Alts;
 use crate::machine::{Machine, Status};
+use crate::solve::render_bindings;
 
 /// Builtins not in the well-known table, interned once: `dispatch` runs
 /// on every goal that falls through to user-predicate resolution, so it
@@ -205,30 +207,30 @@ fn builtin_nth1(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     }
 }
 
-/// Internal `$answer(['X'=V, ...])`: record the rendered bindings as one
-/// solution line (or-parallel solution collection; survives state copying
-/// because it rides in the continuation).
+/// Internal `$answer(['X'=V, ...])`: record the bindings as one solution
+/// line (or-parallel solution collection; survives state copying because
+/// it rides in the continuation). The engine that wraps the query builds
+/// the list once, in [`crate::solve::binding_order`]; the name side is a
+/// variable-name atom, written raw.
 fn builtin_answer(m: &mut Machine, hdr: Addr) -> Status {
     m.charge(m.costs.builtin);
-    let list = m.heap.str_arg(hdr, 0);
-    let mut parts: Vec<String> = Vec::new();
-    for item in ListIter::new(&m.heap, list).collect::<Vec<_>>() {
-        if let TermView::Struct(f, 2, phdr) = view(&m.heap, item) {
-            if f == wk().unify {
-                // the name side is a variable-name atom: render it raw
-                let name = match view(&m.heap, m.heap.str_arg(phdr, 0)) {
-                    TermView::Atom(s) => s.name(),
-                    _ => m.render(m.heap.str_arg(phdr, 0)),
-                };
-                let val = m.render(m.heap.str_arg(phdr, 1));
-                parts.push(format!("{name}={val}"));
-                continue;
+    let heap = &m.heap;
+    let bindings = || {
+        ListIter::new(heap, heap.str_arg(hdr, 0)).map(|item| match view(heap, item) {
+            TermView::Struct(f, 2, pair) if f == wk().unify => {
+                match view(heap, heap.str_arg(pair, 0)) {
+                    TermView::Atom(name) => Some((name.name(), heap.str_arg(pair, 1))),
+                    _ => None,
+                }
             }
-        }
-        parts.push(m.render(item));
+            _ => None,
+        })
+    };
+    if bindings().any(|b| b.is_none()) {
+        return m.error("$answer/1: a list of 'Name'=Value expected");
     }
-    parts.sort();
-    m.answers.push(parts.join(", "));
+    let line = render_bindings(heap, bindings().flatten(), &mut m.line_len);
+    m.answers.push(line);
     m.stats.solutions += 1;
     succeed(m)
 }
@@ -648,8 +650,7 @@ fn builtin_term_order(m: &mut Machine, db: &Database, op: Sym, hdr: Addr) -> Sta
 fn builtin_write(m: &mut Machine, hdr: Addr, newline: bool) -> Status {
     m.charge(m.costs.builtin);
     let t = m.heap.str_arg(hdr, 0);
-    let s = m.render(t);
-    m.output.push_str(&s);
+    write_term_to(&mut m.output, &m.heap, t);
     if newline {
         m.output.push('\n');
     }

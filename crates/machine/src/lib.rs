@@ -37,4 +37,4 @@ pub use cont::{Cont, ContMark, ContNode, ContStack};
 pub use frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame};
 pub use machine::{Machine, Status};
 pub use pool::MachinePool;
-pub use solve::{Solution, Solver};
+pub use solve::{binding_order, Solution, Solver};

@@ -9,9 +9,8 @@ use ace_logic::db::{Database, IndexKey, Predicate};
 use ace_logic::sym::{sym, wk};
 use ace_logic::term::{view, TermView};
 use ace_logic::unify::unify;
-use ace_logic::write::term_to_string;
 use ace_logic::{
-    run_head, CanonKey, Cell, CompiledBody, Heap, StepKind, Sym, TermArena, TrailMark,
+    run_head, CanonKey, CanonScratch, Cell, CompiledBody, Heap, StepKind, Sym, TermArena, TrailMark,
 };
 
 use crate::arith;
@@ -23,6 +22,7 @@ use ace_table::{AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome};
 
 use crate::cont::{Cont, ContMark, ContStack};
 use crate::frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame, SharedChoice};
+use crate::solve::{binding_order, render_bindings};
 
 /// Machine execution status, returned by [`Machine::step`] / [`Machine::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,6 +248,8 @@ pub struct Machine {
     /// Solutions captured by the internal `$answer/1` goal (or-parallel
     /// engines append it to the query so solutions survive state copying).
     pub answers: Vec<String>,
+    /// Length of the last answer line written from this heap.
+    pub(crate) line_len: usize,
     /// Steps since the last cancellation check.
     cancel_check_countdown: u32,
     /// SPO: an input marker whose allocation has been procrastinated; it is
@@ -302,6 +304,8 @@ pub struct Machine {
     /// Reusable register file for compiled head execution (cleared and
     /// resized per clause; kept across calls to avoid reallocation).
     code_slots: Vec<Cell>,
+    /// Working memory of call keys, answer keys and answer freezes.
+    canon: CanonScratch,
 }
 
 /// A machine dropped mid-query (the run stopped at its solution bound, was
@@ -337,6 +341,7 @@ impl Machine {
             costs,
             output: String::new(),
             answers: Vec::new(),
+            line_len: 0,
             cancel_check_countdown: 0,
             pending_marker: None,
             surfaced_cost: 0,
@@ -356,6 +361,7 @@ impl Machine {
             compiled: true,
             dispatch_trace: false,
             code_slots: Vec::new(),
+            canon: CanonScratch::default(),
         }
     }
 
@@ -452,14 +458,24 @@ impl Machine {
         self.status = Status::Running;
     }
 
-    /// Parse `text` as a query, returning its named variables.
+    /// Parse `text` as a query, returning its named variables in the order
+    /// an answer line names them ([`binding_order`]).
     pub fn load_query_text(
         &mut self,
         text: &str,
     ) -> Result<Vec<(String, Cell)>, ace_logic::ReadError> {
-        let (goal, vars) = ace_logic::parse_term(&mut self.heap, text)?;
+        let (goal, mut vars) = ace_logic::parse_term(&mut self.heap, text)?;
+        vars.sort_by(|a, b| binding_order(&a.0, &b.0));
         self.set_query(goal);
         Ok(vars)
+    }
+
+    /// The answer line `X=1, Y=f(a)` of a query's named variables (as
+    /// [`Machine::load_query_text`] returned them) under the bindings of
+    /// this moment.
+    pub fn answer_line(&mut self, vars: &[(String, Cell)]) -> String {
+        let vars = vars.iter().map(|(n, c)| (n.as_str(), *c));
+        render_bindings(&self.heap, vars, &mut self.line_len)
     }
 
     /// Reset for reuse from a machine pool. Harvest [`Machine::stats`]
@@ -541,8 +557,8 @@ impl Machine {
     }
 
     /// Canonical memo key of a call term in this machine's heap.
-    pub fn memo_key(&self, goal: Cell) -> CanonKey {
-        CanonKey::of(&self.heap, goal)
+    pub fn memo_key(&mut self, goal: Cell) -> CanonKey {
+        CanonKey::of_in(&mut self.canon, &self.heap, goal)
     }
 
     /// Charge for and publish the complete answer set of `key` — the one
@@ -560,7 +576,7 @@ impl Machine {
         if !self.memoize {
             return false;
         }
-        let arena = TermArena::freeze(&self.heap, goal);
+        let arena = TermArena::freeze_in(&mut self.canon, &self.heap, goal);
         match self.store_publish(key, vec![arena]) {
             PublishOutcome::Stored { epoch, evicted } => {
                 self.stats.memo_evictions += evicted;
@@ -582,7 +598,7 @@ impl Machine {
     /// resolution with a watch planted to capture the answer.
     fn memo_consult(&mut self, db: &Database, goal: Cell) -> Option<Status> {
         self.charge(self.costs.memo_lookup);
-        let key = CanonKey::of(&self.heap, goal);
+        let key = CanonKey::of_in(&mut self.canon, &self.heap, goal);
         let store = self.store.as_ref().expect("memo_consult without a store");
         if let Some(entry) = store.lookup(&key) {
             self.note(EventKind::MemoHit {
@@ -765,7 +781,7 @@ impl Machine {
         hdr: Option<ace_logic::Addr>,
     ) -> Status {
         self.charge(self.costs.memo_lookup);
-        let key = CanonKey::of(&self.heap, goal);
+        let key = CanonKey::of_in(&mut self.canon, &self.heap, goal);
 
         // Variant of a subgoal already framed on this machine: become a
         // consumer of its (growing or complete) answer list. A link to an
@@ -896,12 +912,15 @@ impl Machine {
     /// A derivation of a tabled subgoal reached its `$table_answer`
     /// marker: insert the (now instantiated) answer if new, then fail
     /// back into the clause loop — the failure-driven core of SLG answer
-    /// generation.
+    /// generation. The answer is keyed in the scratch and tested there: a
+    /// duplicate allocates nothing, a new answer its key and its arena.
     fn table_answer_arrival(&mut self, db: &Database, idx: usize, goal: Cell) -> Status {
         self.charge(self.costs.memo_store);
-        let key = CanonKey::of(&self.heap, goal);
-        if self.table_subgoals[idx].dedup.insert(key.bytes) {
-            let arena = TermArena::freeze(&self.heap, goal);
+        let key = self.canon.encode(&self.heap, goal);
+        if !self.table_subgoals[idx].dedup.contains(key) {
+            let key = key.to_vec();
+            self.table_subgoals[idx].dedup.insert(key);
+            let arena = TermArena::freeze_in(&mut self.canon, &self.heap, goal);
             self.table_subgoals[idx].answers.push(arena);
             let f = &self.table_subgoals[idx];
             self.note(EventKind::TableAnswer {
@@ -1505,6 +1524,10 @@ impl Machine {
     /// is a cache line every machine of the run shares.
     pub fn run(&mut self, quantum: u64, cancel: Option<&CancelToken>) -> Status {
         let db = Arc::clone(&self.db);
+        self.run_in(&db, quantum, cancel)
+    }
+
+    fn run_in(&mut self, db: &Database, quantum: u64, cancel: Option<&CancelToken>) -> Status {
         let start = self.stats.cost;
         loop {
             if let Some(tok) = cancel {
@@ -1517,7 +1540,7 @@ impl Machine {
                 }
                 self.cancel_check_countdown -= 1;
             }
-            let s = self.step_in(&db);
+            let s = self.step_in(db);
             if s != Status::Running {
                 return s;
             }
@@ -1530,11 +1553,35 @@ impl Machine {
     /// Run to the next definitive outcome with no quantum (sequential use).
     pub fn run_to_completion(&mut self) -> Status {
         let db = Arc::clone(&self.db);
+        self.complete_in(&db)
+    }
+
+    fn complete_in(&mut self, db: &Database) -> Status {
         loop {
-            let s = self.step_in(&db);
+            let s = self.step_in(db);
             if s != Status::Running {
                 return s;
             }
+        }
+    }
+
+    /// The next definitive outcome of a sequential enumeration: backtrack
+    /// first if the last outcome was a solution (`retry`), then run,
+    /// polling `cancel` if there is one. `db` is this machine's program,
+    /// borrowed by the caller, so a solution costs no reference count.
+    pub(crate) fn next_outcome(
+        &mut self,
+        db: &Database,
+        retry: bool,
+        cancel: Option<&CancelToken>,
+    ) -> Status {
+        debug_assert!(std::ptr::eq(db, Arc::as_ptr(&self.db)));
+        if retry && self.backtrack_in(db) == Status::Failed {
+            return Status::Failed;
+        }
+        match cancel {
+            Some(_) => self.run_in(db, u64::MAX, cancel),
+            None => self.complete_in(db),
         }
     }
 
@@ -2555,10 +2602,5 @@ impl Machine {
         let s = Status::Error(msg.into());
         self.status = s.clone();
         s
-    }
-
-    /// Render a term of this machine's heap (for solutions & diagnostics).
-    pub fn render(&self, t: Cell) -> String {
-        term_to_string(&self.heap, t)
     }
 }

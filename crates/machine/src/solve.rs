@@ -4,39 +4,89 @@
 //! binding extraction and `Iterator`-style solution enumeration. It is the
 //! sequential baseline the parallel engines are compared against, and the
 //! reference oracle for cross-engine equivalence tests.
+//!
+//! It is also where an answer becomes text: `render_bindings` is the one
+//! writer of an answer line — behind [`Machine::answer_line`] for this
+//! module and the and-engine's root solutions, and behind the `$answer/1`
+//! goal the or-engine appends to its query.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-use ace_logic::{Cell, Database};
+use ace_logic::write::write_term_to;
+use ace_logic::{Cell, Database, Heap};
 use ace_runtime::fault::FAULT_ERROR_PREFIX;
 use ace_runtime::{CancelToken, CostModel};
 
 use crate::machine::{Machine, Status};
 
-/// One solution: the query's named variables and their (rendered) values.
+/// The order in which an answer line names its variables: by `name=`, the
+/// text each binding starts with. A name contains no `=`, so this is the
+/// order sorting the finished `name=value` strings would give (`X1=…`
+/// before `X=…`: `1` sorts below `=`) — decided once per query, not once
+/// per answer.
+pub fn binding_order(a: &str, b: &str) -> Ordering {
+    fn key(name: &str) -> impl Iterator<Item = u8> + '_ {
+        name.bytes().chain(std::iter::once(b'='))
+    }
+    key(a).cmp(key(b))
+}
+
+/// The canonical single line `X=1, Y=f(a)` for `vars`, which the caller
+/// keeps in [`binding_order`]; values are terms of `heap`. The line is
+/// written in place and is the one allocation of an answer when it fits
+/// the room it is given: `last_len`, the length of the caller's line
+/// before this one (the best guess there is), which is left at this one's.
+/// A line longer than [`LINE_ROOM`] grows by doubling whatever the guess.
+pub(crate) fn render_bindings<'a>(
+    heap: &Heap,
+    vars: impl IntoIterator<Item = (&'a str, Cell)>,
+    last_len: &mut usize,
+) -> String {
+    let mut line = String::with_capacity((*last_len).min(LINE_ROOM));
+    for (i, (name, value)) in vars.into_iter().enumerate() {
+        if i > 0 {
+            line.push_str(", ");
+        }
+        line.push_str(name);
+        line.push('=');
+        write_term_to(&mut line, heap, value);
+    }
+    *last_len = line.len();
+    line
+}
+
+/// The most room a line is given ahead of writing it: a short answer
+/// after a long one must not hold the long one's room.
+const LINE_ROOM: usize = 256;
+
+/// One solution: the query's named variables and their values, as the
+/// line [`Machine::answer_line`] wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {
-    pub bindings: Vec<(String, String)>,
+    line: String,
 }
 
 impl Solution {
-    /// The rendered value of variable `name`, if bound in the query.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.bindings
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+    /// A solution whose line is `line`.
+    pub fn new(line: String) -> Solution {
+        Solution { line }
     }
 
     /// Canonical single-line rendering `X=1, Y=f(a)` (sorted by name).
     pub fn render(&self) -> String {
-        let mut parts: Vec<String> = self
-            .bindings
-            .iter()
-            .map(|(n, v)| format!("{n}={v}"))
-            .collect();
-        parts.sort();
-        parts.join(", ")
+        self.line.clone()
+    }
+
+    /// The rendered line itself.
+    pub fn into_line(self) -> String {
+        self.line
+    }
+}
+
+impl AsRef<str> for Solution {
+    fn as_ref(&self) -> &str {
+        &self.line
     }
 }
 
@@ -66,6 +116,10 @@ impl std::error::Error for SolveError {}
 /// Sequential query evaluator.
 pub struct Solver {
     machine: Machine,
+    /// The program `machine` runs, held beside it so that a solution step
+    /// borrows it instead of counting a reference.
+    db: Arc<Database>,
+    /// The query's named variables, in [`binding_order`].
     vars: Vec<(String, Cell)>,
     /// Pending backtrack before producing the next solution.
     need_backtrack: bool,
@@ -79,12 +133,13 @@ pub struct Solver {
 impl Solver {
     /// Parse `query` (without the `?-` wrapper) against `db`.
     pub fn new(db: Arc<Database>, costs: Arc<CostModel>, query: &str) -> Result<Self, SolveError> {
-        let mut machine = Machine::new(db, costs);
+        let mut machine = Machine::new(db.clone(), costs);
         let vars = machine
             .load_query_text(query)
             .map_err(|e| SolveError::Parse(e.to_string()))?;
         Ok(Solver {
             machine,
+            db,
             vars,
             need_backtrack: false,
             exhausted: false,
@@ -101,35 +156,22 @@ impl Solver {
 
     /// Produce the next solution, or `None` when the search is exhausted.
     pub fn next_solution(&mut self) -> Result<Option<Solution>, SolveError> {
+        Ok(self.next_line()?.map(Solution::new))
+    }
+
+    /// [`Solver::next_solution`] as the rendered line itself.
+    pub fn next_line(&mut self) -> Result<Option<String>, SolveError> {
         if self.exhausted {
             return Ok(None);
         }
-        if self.need_backtrack {
-            self.need_backtrack = false;
-            if self.machine.backtrack() == Status::Failed {
-                self.exhausted = true;
-                return Ok(None);
-            }
-        }
-        let status = match self.cancel.clone() {
-            // bounded quanta keep cancellation latency low
-            Some(tok) => loop {
-                match self.machine.run(4096, Some(&tok)) {
-                    Status::Running => continue,
-                    s => break s,
-                }
-            },
-            None => self.machine.run_to_completion(),
-        };
+        let retry = std::mem::take(&mut self.need_backtrack);
+        let status = self
+            .machine
+            .next_outcome(&self.db, retry, self.cancel.as_ref());
         match status {
             Status::Solution => {
                 self.need_backtrack = true;
-                let bindings = self
-                    .vars
-                    .iter()
-                    .map(|(n, c)| (n.clone(), self.machine.render(*c)))
-                    .collect();
-                Ok(Some(Solution { bindings }))
+                Ok(Some(self.machine.answer_line(&self.vars)))
             }
             Status::Failed | Status::Halted => {
                 self.exhausted = true;
@@ -184,7 +226,7 @@ pub fn all_solutions(db: &Arc<Database>, query: &str) -> Result<Vec<String>, Sol
     let mut s = Solver::new(db.clone(), Arc::new(CostModel::default()), query)?;
     Ok(s.collect_solutions(None)?
         .into_iter()
-        .map(|sol| sol.render())
+        .map(Solution::into_line)
         .collect())
 }
 

@@ -724,7 +724,8 @@ impl OrEngine {
         let mut root = w0.machines.acquire(&mut w0.core);
         let (goal, mut vars) = ace_logic::parse_term(&mut root.heap, query)
             .map_err(|e| format!("query parse error: {e}"))?;
-        vars.sort_by(|a, b| a.0.cmp(&b.0));
+        // `$answer/1` writes the list as it stands: it is in line order.
+        vars.sort_by(|a, b| ace_machine::binding_order(&a.0, &b.0));
         let pairs: Vec<Cell> = vars
             .iter()
             .map(|(n, c)| root.heap.new_struct(wk().unify, &[Cell::Atom(sym(n)), *c]))

@@ -36,14 +36,14 @@ fn main() -> Result<(), String> {
     let ace = Ace::load(&program)?;
 
     let mut preds: Vec<_> = ace.db().predicates().collect();
-    preds.sort_by_key(|&(name, arity)| (ace_logic::sym::sym_name(name), arity));
+    preds.sort_by_key(|&(name, arity)| (name.name(), arity));
     for (name, arity) in preds {
         let Some(pred) = ace.db().predicate(name, arity) else {
             continue;
         };
         println!(
             "=== {}/{arity} ({} clause(s)) ===",
-            ace_logic::sym::sym_name(name),
+            name.name(),
             pred.clauses.len()
         );
         for (i, clause) in pred.clauses.iter().enumerate() {
