@@ -18,8 +18,8 @@ pub fn term_to_string(heap: &Heap, t: Cell) -> String {
 enum Job {
     /// A term, under a priority bound (higher-priority terms get parens).
     Term(Cell, u16),
-    /// A closing parenthesis.
-    Close,
+    /// A closing bracket.
+    Close(char),
     /// The rest of a list of which at least one element has been written.
     Tail(Cell),
     /// The arguments of the structure at this header from this index on,
@@ -42,7 +42,7 @@ pub fn write_term_to(out: &mut String, heap: &Heap, t: Cell) {
     let mut job = Job::Term(t, 1200);
     loop {
         match job {
-            Job::Close => out.push(')'),
+            Job::Close(bracket) => out.push(bracket),
             Job::Term(t, max_prec) => write_one(out, heap, t, max_prec, &mut todo),
             Job::Tail(rest) => write_elements(out, heap, rest, false, &mut todo),
             Job::Args(hdr, from) => write_args(out, heap, hdr, from, &mut todo),
@@ -66,9 +66,7 @@ pub fn write_term_to(out: &mut String, heap: &Heap, t: Cell) {
                         out.push(' ');
                     }
                 }
-                if !write_atomic(out, heap, right) {
-                    todo.push(Job::Term(right, rmax));
-                }
+                write_one(out, heap, right, rmax, &mut todo);
             }
         }
         match todo.pop() {
@@ -78,10 +76,10 @@ pub fn write_term_to(out: &mut String, heap: &Heap, t: Cell) {
     }
 }
 
-/// Write `t` if it is atomic — a variable, integer, atom or `[]`, whose
-/// text no priority bound changes; say whether it was.
-fn write_atomic(out: &mut String, heap: &Heap, t: Cell) -> bool {
-    match view(heap, t) {
+/// Write the term `t` views if it is atomic — a variable, integer, atom or
+/// `[]`, whose text no priority bound changes; say whether it was.
+fn write_atomic(out: &mut String, t: TermView) -> bool {
+    match t {
         TermView::Var(a) => {
             out.push('_');
             out.push('G');
@@ -121,10 +119,11 @@ fn write_int(out: &mut String, i: i64) {
 /// Write `t`, or what of it comes before its first compound subterm;
 /// queue the rest.
 fn write_one(out: &mut String, heap: &Heap, t: Cell, max_prec: u16, todo: &mut Vec<Job>) {
-    if write_atomic(out, heap, t) {
+    let viewed = view(heap, t);
+    if write_atomic(out, viewed) {
         return;
     }
-    let TermView::Struct(f, n, hdr) = view(heap, t) else {
+    let TermView::Struct(f, n, hdr) = viewed else {
         out.push('[');
         return write_elements(out, heap, t, true, todo);
     };
@@ -132,17 +131,17 @@ fn write_one(out: &mut String, heap: &Heap, t: Cell, max_prec: u16, todo: &mut V
     if let (2, Some((prec, lmax, rmax))) = (n, infix_prec(name)) {
         if prec > max_prec {
             out.push('(');
-            todo.push(Job::Close);
+            todo.push(Job::Close(')'));
         }
         todo.push(Job::Infix(name, hdr, rmax));
         let left = heap.str_arg(hdr, 0);
-        if !write_atomic(out, heap, left) {
+        if !write_atomic(out, view(heap, left)) {
             todo.push(Job::Term(left, lmax));
         }
     } else if let (1, Some((prec, amax))) = (n, prefix_prec(name)) {
         if prec > max_prec {
             out.push('(');
-            todo.push(Job::Close);
+            todo.push(Job::Close(')'));
         }
         out.push_str(name);
         out.push(' ');
@@ -163,7 +162,7 @@ fn write_args(out: &mut String, heap: &Heap, hdr: Addr, from: u32, todo: &mut Ve
             out.push(',');
         }
         let arg = heap.str_arg(hdr, i);
-        if !write_atomic(out, heap, arg) {
+        if !write_atomic(out, view(heap, arg)) {
             todo.push(Job::Args(hdr, i + 1));
             todo.push(Job::Term(arg, 999));
             return;
@@ -190,7 +189,7 @@ fn write_elements(
                 }
                 first = false;
                 let (head, tail) = (heap.lst_head(p), heap.lst_tail(p));
-                if !write_atomic(out, heap, head) {
+                if !write_atomic(out, view(heap, head)) {
                     todo.push(Job::Tail(tail));
                     todo.push(Job::Term(head, 999));
                     return;
@@ -198,12 +197,11 @@ fn write_elements(
                 rest = tail;
             }
             TermView::Nil => break,
-            _ => {
-                // a partial list; after a compound tail (consed on by a
-                // builtin: the reader has none) only the `]` is left
+            tail => {
+                // a partial list (or one a builtin consed onto a compound)
                 out.push('|');
-                if !write_atomic(out, heap, rest) {
-                    todo.push(Job::Tail(Cell::Nil));
+                if !write_atomic(out, tail) {
+                    todo.push(Job::Close(']'));
                     todo.push(Job::Term(rest, 999));
                     return;
                 }
