@@ -4,7 +4,7 @@
 //! linear clause scan). The answers must be identical and the corpus
 //! geometric-mean speedup must clear [`MIN_GEOMEAN`]. `tables` checks and
 //! records the virtual half; the `compile_speedup` binary repeats it with
-//! wall-clock repetitions and holds the wall clock to [`MIN_GEOMEAN_WALL`].
+//! wall-clock repetitions and holds the wall clock to the same bar.
 
 use std::time::Duration;
 
@@ -29,17 +29,8 @@ const CORPUS: [&str; 8] = [
 ];
 
 /// Acceptance bar: corpus geometric-mean speedup of compiled over
-/// interpreted execution in virtual time.
+/// interpreted execution, on each clock.
 pub const MIN_GEOMEAN: f64 = 2.0;
-
-/// The same bar on the wall clock. The oracle's host cost is not the
-/// model's: its general `unify` per clause try stopped allocating a work
-/// stack and its clause instantiation became one `extend`, which took a
-/// third off the interpreted column (the compiled one, which does
-/// neither, moved a few percent) and the ratio from 2.3-2.5 to 1.8-1.9
-/// with no change to the compiled path. The bar keeps its distance below
-/// what the corpus reads.
-pub const MIN_GEOMEAN_WALL: f64 = 1.5;
 
 /// One corpus benchmark run both ways. `wall` on each report is the
 /// minimum over the repetitions; everything else is deterministic.
@@ -110,19 +101,18 @@ pub fn measure(reps: usize, wanted: impl Fn(&str) -> bool) -> Result<Vec<Measure
     Ok(out)
 }
 
-/// Geometric mean of `speedup` over the corpus, held to `bar`.
+/// Geometric mean of `speedup` over the corpus, held to [`MIN_GEOMEAN`].
 pub fn geomean(
     measured: &[Measured],
     clock: &str,
     speedup: fn(&Measured) -> f64,
-    bar: f64,
 ) -> Result<f64, String> {
     let mean =
         (measured.iter().map(|m| speedup(m).ln()).sum::<f64>() / measured.len() as f64).exp();
-    if mean < bar {
+    if mean < MIN_GEOMEAN {
         return Err(format!(
             "compiled-over-interpreted geomean speedup {mean:.2}x in {clock} is below \
-             the {bar:.1}x bar"
+             the {MIN_GEOMEAN:.1}x bar"
         ));
     }
     Ok(mean)
@@ -166,12 +156,7 @@ pub fn virtual_table(measured: &[Measured]) -> Result<Table, String> {
             c.stats.index_determinate_calls,
         ]);
     }
-    let mean = geomean(
-        measured,
-        "virtual time",
-        Measured::virtual_speedup,
-        MIN_GEOMEAN,
-    )?;
+    let mean = geomean(measured, "virtual time", Measured::virtual_speedup)?;
     let mut last = labels!["geomean", "", "", "", "", format!("{mean:.2}")];
     last.resize(table.columns.len(), String::new());
     table.rows.push(last);

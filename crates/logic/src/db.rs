@@ -2,8 +2,9 @@
 //!
 //! Each clause is kept as a **self-contained heap arena**: the reader
 //! builds the clause in a scratch heap it reuses and copies it out into an
-//! allocation of exactly the clause's length, with no trail
-//! ([`Heap::from_cells`]); the database keeps that arena as it comes.
+//! allocation of exactly the clause's length ([`Heap::from_cells`]); the
+//! database keeps those cells as they come ([`Heap::into_cells`]) and none
+//! of what a heap needs to bind or grow.
 //! Calling a clause instantiates it by a single block copy with address
 //! relocation — variables in the arena are self-referential `Ref` cells,
 //! so relocation automatically renames them apart (the classic
@@ -79,8 +80,9 @@ impl std::fmt::Display for IndexKey {
 /// One program clause in relocatable form.
 #[derive(Debug)]
 pub struct Clause {
-    /// Self-contained cell arena holding head and body.
-    arena: Heap,
+    /// Self-contained cell arena holding head and body: the cells alone,
+    /// a stored clause neither binds nor grows.
+    arena: Box<[Cell]>,
     /// Head term (arena-relative).
     head: Cell,
     /// Body term (arena-relative); the atom `true` for facts.
@@ -96,7 +98,7 @@ pub struct Clause {
 
 impl Clause {
     /// Build from a parsed clause term (`Head`, or `Head :- Body`). The
-    /// clause keeps the reader's arena as it is.
+    /// clause keeps the cells of the reader's arena as they are.
     pub fn from_read(
         rc: ReadClause,
         ordinal: usize,
@@ -118,7 +120,7 @@ impl Clause {
         };
         let code = CompiledCode::compile(&arena, head, body, scratch);
         Ok(Clause {
-            arena,
+            arena: arena.into_cells(),
             head,
             body,
             key,
@@ -134,9 +136,12 @@ impl Clause {
 
     /// Head functor name and arity.
     pub fn head_functor(&self) -> (Sym, u32) {
-        match view(&self.arena, self.head) {
-            TermView::Atom(s) => (s, 0),
-            TermView::Struct(f, n, _) => (f, n),
+        match self.head {
+            Cell::Atom(s) => (s, 0),
+            Cell::Str(hdr) => match self.arena[hdr.idx()] {
+                Cell::Functor(f, n) => (f, n),
+                _ => unreachable!("a Str cell points at its header"),
+            },
             _ => unreachable!("validated in from_read"),
         }
     }
@@ -153,20 +158,8 @@ impl Clause {
     /// `Ref` cell becomes a fresh unbound variable automatically.
     pub fn instantiate(&self, heap: &mut Heap) -> (Cell, Cell) {
         let base = heap.len() as u32;
-        heap.extend_relocated(self.arena.cells(), base);
+        heap.extend_relocated(&self.arena, base);
         (self.head.relocated(base), self.body.relocated(base))
-    }
-
-    /// Read-only access to the stored body (arena-relative), used by load-
-    /// time analyses (e.g. detecting a trailing parallel conjunction for
-    /// LPCO applicability hints).
-    pub fn body_in_arena(&self) -> (&Heap, Cell) {
-        (&self.arena, self.body)
-    }
-
-    /// Read-only access to the stored head (arena-relative).
-    pub fn head_in_arena(&self) -> (&Heap, Cell) {
-        (&self.arena, self.head)
     }
 }
 
@@ -350,7 +343,7 @@ impl Database {
                     let head = Cell::Atom(wk().true_);
                     let code = CompiledCode::compile(&rc.arena, head, goal, &mut self.scratch);
                     self.directives.push(Arc::new(Clause {
-                        arena: rc.arena,
+                        arena: rc.arena.into_cells(),
                         head,
                         body: goal,
                         key: IndexKey::Any,
@@ -609,8 +602,9 @@ mod tests {
     fn facts_have_true_body() {
         let db = Database::load("f(1).").unwrap();
         let p = db.predicate(sym("f"), 1).unwrap();
-        let (arena, body) = p.clauses[0].body_in_arena();
-        assert_eq!(arena.deref(body), Cell::Atom(wk().true_));
+        let mut heap = Heap::default();
+        let (_, body) = p.clauses[0].instantiate(&mut heap);
+        assert_eq!(heap.deref(body), Cell::Atom(wk().true_));
     }
 
     #[test]
@@ -676,7 +670,7 @@ mod tests {
         let p = db.predicate(sym("p"), 2).unwrap();
         let c = &p.clauses[0];
         // every relocatable cell points within the arena
-        for cell in c.head_in_arena().0.cells() {
+        for cell in c.arena.iter() {
             if let Cell::Ref(a) | Cell::Str(a) | Cell::Lst(a) = cell {
                 assert!((a.idx()) < c.arena_len());
             }

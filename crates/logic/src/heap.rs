@@ -138,7 +138,7 @@ impl Heap {
     }
 
     /// A frozen copy of `cells`: room for exactly those cells and for no
-    /// trail entry. This is how the clause store keeps a clause; a heap that
+    /// trail entry. This is how the reader hands over a clause; a heap that
     /// will grow or bind should start from [`Heap::new`].
     pub fn from_cells(cells: &[Cell]) -> Self {
         Heap {
@@ -146,6 +146,13 @@ impl Heap {
             trail: Vec::new(),
             unify_work: Vec::new(),
         }
+    }
+
+    /// The cells alone, in an allocation of exactly their number (the one
+    /// they are in, for a heap from [`Heap::from_cells`]). This is how the
+    /// clause store keeps a clause.
+    pub fn into_cells(self) -> Box<[Cell]> {
+        self.cells.into_boxed_slice()
     }
 
     /// Give back the room not in use. For a heap that was just filled and
@@ -605,7 +612,7 @@ mod tests {
                 h.bind(a, Cell::Int(i as i64));
             }
         };
-        // A clause arena has no trail; a few bindings give it the small one.
+        // A frozen copy has no trail; a few bindings give it the small one.
         let mut h = Heap::from_cells(&[]);
         bind_fresh(&mut h, 1);
         assert_eq!(h.reserved().1, SMALL_TRAIL);

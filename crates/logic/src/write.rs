@@ -4,6 +4,8 @@
 //! the same operator table the reader uses, so `parse ∘ write` is the
 //! identity on term structure (verified by property tests).
 
+use std::fmt::Write as _;
+
 use crate::heap::{Addr, Cell, Heap};
 use crate::term::{view, TermView};
 
@@ -81,39 +83,16 @@ pub fn write_term_to(out: &mut String, heap: &Heap, t: Cell) {
 fn write_atomic(out: &mut String, t: TermView) -> bool {
     match t {
         TermView::Var(a) => {
-            out.push('_');
-            out.push('G');
-            write_int(out, i64::from(a.0));
+            let _ = write!(out, "_G{}", a.0);
         }
-        TermView::Int(i) => write_int(out, i),
+        TermView::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         TermView::Nil => out.push_str("[]"),
         TermView::Atom(s) => write_atom(out, s.name()),
         TermView::List(_) | TermView::Struct(..) => return false,
     }
     true
-}
-
-/// The decimal digits of `i`, without the formatting machinery: an answer
-/// is mostly these.
-fn write_int(out: &mut String, i: i64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    let mut left = i.unsigned_abs();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (left % 10) as u8;
-        left /= 10;
-        if left == 0 {
-            break;
-        }
-    }
-    if i < 0 {
-        out.push('-');
-    }
-    // pushed one by one: a copy this short is not worth a call
-    for &d in &digits[at..] {
-        out.push(char::from(d));
-    }
 }
 
 /// Write `t`, or what of it comes before its first compound subterm;

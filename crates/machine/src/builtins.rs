@@ -229,7 +229,7 @@ fn builtin_answer(m: &mut Machine, hdr: Addr) -> Status {
     if bindings().any(|b| b.is_none()) {
         return m.error("$answer/1: a list of 'Name'=Value expected");
     }
-    let line = render_bindings(heap, bindings().flatten(), &mut m.line_len);
+    let line = render_bindings(heap, bindings().flatten());
     m.answers.push(line);
     m.stats.solutions += 1;
     succeed(m)

@@ -248,8 +248,6 @@ pub struct Machine {
     /// Solutions captured by the internal `$answer/1` goal (or-parallel
     /// engines append it to the query so solutions survive state copying).
     pub answers: Vec<String>,
-    /// Length of the last answer line written from this heap.
-    pub(crate) line_len: usize,
     /// Steps since the last cancellation check.
     cancel_check_countdown: u32,
     /// SPO: an input marker whose allocation has been procrastinated; it is
@@ -341,7 +339,6 @@ impl Machine {
             costs,
             output: String::new(),
             answers: Vec::new(),
-            line_len: 0,
             cancel_check_countdown: 0,
             pending_marker: None,
             surfaced_cost: 0,
@@ -473,9 +470,8 @@ impl Machine {
     /// The answer line `X=1, Y=f(a)` of a query's named variables (as
     /// [`Machine::load_query_text`] returned them) under the bindings of
     /// this moment.
-    pub fn answer_line(&mut self, vars: &[(String, Cell)]) -> String {
-        let vars = vars.iter().map(|(n, c)| (n.as_str(), *c));
-        render_bindings(&self.heap, vars, &mut self.line_len)
+    pub fn answer_line(&self, vars: &[(String, Cell)]) -> String {
+        render_bindings(&self.heap, vars.iter().map(|(n, c)| (n.as_str(), *c)))
     }
 
     /// Reset for reuse from a machine pool. Harvest [`Machine::stats`]

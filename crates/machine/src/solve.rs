@@ -34,16 +34,13 @@ pub fn binding_order(a: &str, b: &str) -> Ordering {
 
 /// The canonical single line `X=1, Y=f(a)` for `vars`, which the caller
 /// keeps in [`binding_order`]; values are terms of `heap`. The line is
-/// written in place and is the one allocation of an answer when it fits
-/// the room it is given: `last_len`, the length of the caller's line
-/// before this one (the best guess there is), which is left at this one's.
-/// A line longer than [`LINE_ROOM`] grows by doubling whatever the guess.
+/// written in place and is the one allocation of an answer that fits
+/// [`LINE_ROOM`]; a longer line grows by doubling.
 pub(crate) fn render_bindings<'a>(
     heap: &Heap,
     vars: impl IntoIterator<Item = (&'a str, Cell)>,
-    last_len: &mut usize,
 ) -> String {
-    let mut line = String::with_capacity((*last_len).min(LINE_ROOM));
+    let mut line = String::with_capacity(LINE_ROOM);
     for (i, (name, value)) in vars.into_iter().enumerate() {
         if i > 0 {
             line.push_str(", ");
@@ -52,13 +49,12 @@ pub(crate) fn render_bindings<'a>(
         line.push('=');
         write_term_to(&mut line, heap, value);
     }
-    *last_len = line.len();
     line
 }
 
-/// The most room a line is given ahead of writing it: a short answer
-/// after a long one must not hold the long one's room.
-const LINE_ROOM: usize = 256;
+/// The room a line starts with: what the allocator's smallest block
+/// holds, so asking for less would save nothing.
+const LINE_ROOM: usize = 24;
 
 /// One solution: the query's named variables and their values, as the
 /// line [`Machine::answer_line`] wrote.

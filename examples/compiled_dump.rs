@@ -47,15 +47,15 @@ fn main() -> Result<(), String> {
             pred.clauses.len()
         );
         for (i, clause) in pred.clauses.iter().enumerate() {
-            let (arena, head) = clause.head_in_arena();
-            let (_, body) = clause.body_in_arena();
+            let mut arena = ace_logic::Heap::default();
+            let (head, body) = clause.instantiate(&mut arena);
             if clause.code().is_fact() {
-                println!("% {i}: {}.", term_to_string(arena, head));
+                println!("% {i}: {}.", term_to_string(&arena, head));
             } else {
                 println!(
                     "% {i}: {} :- {}.",
-                    term_to_string(arena, head),
-                    term_to_string(arena, body)
+                    term_to_string(&arena, head),
+                    term_to_string(&arena, body)
                 );
             }
             for line in clause.code().disassemble() {

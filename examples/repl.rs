@@ -188,10 +188,10 @@ fn listing(ace: &Ace, spec: &str) {
         return;
     };
     for (i, clause) in pred.clauses.iter().enumerate() {
-        let (arena, head) = clause.head_in_arena();
-        let (_, body) = clause.body_in_arena();
-        let head_txt = term_to_string(arena, head);
-        let body_txt = term_to_string(arena, body);
+        let mut arena = ace_logic::Heap::default();
+        let (head, body) = clause.instantiate(&mut arena);
+        let head_txt = term_to_string(&arena, head);
+        let body_txt = term_to_string(&arena, body);
         if clause.code().is_fact() {
             println!("% clause {i}: {head_txt}.");
         } else {
