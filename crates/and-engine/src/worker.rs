@@ -856,7 +856,7 @@ impl AndWorker {
         // Publish the answers of a determinate group: with no choice point
         // ever created, no parallel call raised, and no side effects, each
         // member's single solution is its complete answer set. (The
-        // machine's own `$memo_store` watches normally got there first —
+        // machine's own memo watches normally got there first —
         // publication is idempotent, so this is a cheap engine-side
         // backstop that also covers SPO/PDO-merged members.)
         if det

@@ -205,6 +205,7 @@ fn bench_machine(c: &mut Criterion) {
         .unwrap(),
     );
     bench_shared_db(&db);
+    bench_body_frames(c);
     bench_replay(c);
     c.bench_function("machine/nrev-30", |b| {
         let costs = Arc::new(CostModel::default());
@@ -215,6 +216,34 @@ fn bench_machine(c: &mut Criterion) {
         b.iter(|| {
             let mut s = Solver::new(db.clone(), costs.clone(), &q).unwrap();
             black_box(s.next_solution().unwrap())
+        });
+    });
+}
+
+/// The control path of a compiled body: `maps/1`'s 27-step body to its
+/// first solution (a body frame per step, a linked call per `col/1`, a
+/// retry per rejected colour), and `member/2` enumerating a 30-element
+/// list (a clause retry per answer).
+fn bench_body_frames(c: &mut Criterion) {
+    let costs = Arc::new(CostModel::default());
+    let maps = ace_programs::benchmark("maps").unwrap();
+    let db = Arc::new(Database::load(&(maps.program)(1)).unwrap());
+    c.bench_function("machine/long-body", |b| {
+        b.iter(|| {
+            let mut s = Solver::new(db.clone(), costs.clone(), "maps(Cols)").unwrap();
+            black_box(s.next_solution().unwrap().unwrap())
+        });
+    });
+    let db =
+        Arc::new(Database::load("member(X, [X|_]).\nmember(X, [_|T]) :- member(X, T).").unwrap());
+    let q = format!(
+        "member(X, [{}])",
+        (0..30).map(|i| i.to_string()).collect::<Vec<_>>().join(",")
+    );
+    c.bench_function("machine/retry-member", |b| {
+        b.iter(|| {
+            let mut s = Solver::new(db.clone(), costs.clone(), &q).unwrap();
+            assert_eq!(black_box(s.collect_solutions(None).unwrap()).len(), 30);
         });
     });
 }

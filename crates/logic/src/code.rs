@@ -22,8 +22,10 @@
 //!   the slot registers, so a failing guard never materializes the rest
 //!   of the body, and an `( ArithTest -> Then ; Else )` body selects its
 //!   branch at clause entry without allocating a choice point. Remaining
-//!   goals materialize one at a time behind a `'$body'` continuation
-//!   marker; facts skip body work entirely.
+//!   goals materialize one at a time as the machine's body frame reaches
+//!   them; a goal naming a user predicate carries that predicate's id once
+//!   the database's link pass has run ([`BodyStep::callee`]), so calling it
+//!   needs no lookup by name. Facts skip body work entirely.
 //!
 //! The executor ([`run_head`]) is read/write-mode WAM matching: against a
 //! bound compound it walks the existing cells (read mode); against an
@@ -32,7 +34,9 @@
 //! allocates a real heap variable — so there is no unsafe-value problem.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, Ordering};
 
+use crate::db::PredId;
 use crate::heap::{Addr, Cell, Heap};
 use crate::sym::{wk, Sym};
 use crate::term::{view, TermView};
@@ -102,9 +106,7 @@ impl StepTemplate {
     #[inline]
     pub fn instantiate(&self, heap: &mut Heap, slots: &[Cell]) -> (Cell, usize) {
         let base = heap.len() as u32;
-        for &c in &self.cells {
-            heap.push(resolve(c, base, slots));
-        }
+        heap.extend_mapped(&self.cells, |c| resolve(c, base, slots));
         (resolve(self.root, base, slots), self.cells.len())
     }
 }
@@ -131,6 +133,68 @@ pub enum StepKind {
 pub struct BodyStep {
     pub tpl: StepTemplate,
     pub kind: StepKind,
+    /// The user predicate a [`StepKind::Goal`] step calls, once linked.
+    pub callee: Callee,
+}
+
+impl BodyStep {
+    /// Name and arity of the goal this step builds; `None` when its
+    /// principal functor is only known at run time (a variable goal) or
+    /// it is no callable term.
+    pub fn functor(&self) -> Option<(Sym, u32)> {
+        match self.tpl.root {
+            Cell::Atom(s) => Some((s, 0)),
+            Cell::Str(h) => match self.tpl.cells[h.idx()] {
+                Cell::Functor(f, n) => Some((f, n)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+/// The resolved callee of a call step. The database's link pass writes it
+/// while it holds the database exclusively (`consult`); machines read it
+/// only after the database has been shared, and whatever shares it (an
+/// `Arc` handed to another thread) orders the write before their reads,
+/// so `Relaxed` suffices. It is atomic because the database holds each
+/// rule twice (in its predicate and in its rule table), so linking writes
+/// through a shared reference; a read is a plain load.
+pub struct Callee(AtomicU32);
+
+impl Default for Callee {
+    fn default() -> Self {
+        Callee(AtomicU32::new(Self::UNSET))
+    }
+}
+
+impl Callee {
+    const UNSET: u32 = u32::MAX;
+
+    /// The predicate this step calls, if linked.
+    #[inline]
+    pub fn get(&self) -> Option<PredId> {
+        match self.0.load(Ordering::Relaxed) {
+            Self::UNSET => None,
+            id => Some(PredId(id)),
+        }
+    }
+
+    pub(crate) fn set(&self, pred: PredId) {
+        self.0.store(pred.0, Ordering::Relaxed);
+    }
+}
+
+impl Clone for Callee {
+    fn clone(&self) -> Self {
+        Callee(AtomicU32::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl std::fmt::Debug for Callee {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
 }
 
 /// Compiled body shape.
@@ -257,6 +321,20 @@ impl CompiledCode {
     /// body dispatch entirely.
     pub fn is_fact(&self) -> bool {
         matches!(self.body, CompiledBody::Fact)
+    }
+
+    /// Every body step, of every branch (the link pass walks these).
+    pub fn steps_all(&self) -> impl Iterator<Item = &BodyStep> {
+        let (a, b): (&[BodyStep], &[BodyStep]) = match &self.body {
+            CompiledBody::Fact => (&[], &[]),
+            CompiledBody::Steps(s) => (s, &[]),
+            CompiledBody::IfThenElse {
+                then_steps,
+                else_steps,
+                ..
+            } => (then_steps, else_steps),
+        };
+        a.iter().chain(b)
     }
 
     /// The step list of `branch` (0 = plain conjunction, 1 = then,
@@ -673,6 +751,7 @@ impl<'a> Compiler<'a> {
         BodyStep {
             tpl: self.step_template(g, fresh),
             kind,
+            callee: Callee::default(),
         }
     }
 

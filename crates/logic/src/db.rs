@@ -22,7 +22,8 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crate::code::{CompileScratch, CompiledCode};
+use crate::builtin::builtin;
+use crate::code::{CompileScratch, CompiledCode, StepKind};
 use crate::fxhash::FxHashMap;
 use crate::heap::{Cell, Heap};
 use crate::read::{parse_program, ReadClause, ReadError};
@@ -77,6 +78,21 @@ impl std::fmt::Display for IndexKey {
     }
 }
 
+/// Dense id of a predicate in its [`Database`]: what a linked call step
+/// and a clause choice point name instead of `name/arity`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct PredId(pub u32);
+
+/// Dense id of a clause with a body (a *rule*) in its [`Database`]: what a
+/// continuation frame names to resume a compiled body. Facts have none.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct ClauseId(pub u32);
+
+impl ClauseId {
+    /// The id of every fact.
+    const NONE: ClauseId = ClauseId(u32::MAX);
+}
+
 /// One program clause in relocatable form.
 #[derive(Debug)]
 pub struct Clause {
@@ -94,6 +110,8 @@ pub struct Clause {
     /// Register-based compiled form (head code + body template), built
     /// once at load time and cached here.
     code: CompiledCode,
+    /// Its rule id once a database holds it; [`ClauseId::NONE`] for facts.
+    id: ClauseId,
 }
 
 impl Clause {
@@ -126,12 +144,19 @@ impl Clause {
             key,
             ordinal,
             code,
+            id: ClauseId::NONE,
         })
     }
 
     /// The compiled form of this clause.
     pub fn code(&self) -> &CompiledCode {
         &self.code
+    }
+
+    /// The rule id of a clause with a body ([`Database::rule`] reads it
+    /// back); `None` for a fact.
+    pub fn id(&self) -> Option<ClauseId> {
+        (self.id != ClauseId::NONE).then_some(self.id)
     }
 
     /// Head functor name and arity.
@@ -199,15 +224,36 @@ impl PredIndex {
 }
 
 /// All clauses of one `name/arity` predicate.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Predicate {
+    pub name: Sym,
+    pub arity: u32,
     pub clauses: Vec<Arc<Clause>>,
     /// All clause ordinals (the chain served to `Any` calls).
     all: Vec<u32>,
     index: PredIndex,
+    /// Declared `:- table` (calls go through SLG evaluation).
+    tabled: bool,
 }
 
 impl Predicate {
+    fn new(name: Sym, arity: u32, tabled: bool) -> Predicate {
+        Predicate {
+            name,
+            arity,
+            clauses: Vec::new(),
+            all: Vec::new(),
+            index: PredIndex::default(),
+            tabled,
+        }
+    }
+
+    /// Was this predicate declared tabled?
+    #[inline]
+    pub fn is_tabled(&self) -> bool {
+        self.tabled
+    }
+
     /// Append a clause, keeping the dispatch chains in sync.
     pub fn push(&mut self, clause: Arc<Clause>) {
         let ordinal = self.clauses.len() as u32;
@@ -302,9 +348,27 @@ impl From<ReadError> for LoadError {
 
 /// The program database: immutable once loaded, shared by all machines via
 /// `Arc<Database>`.
+///
+/// Predicates have dense ids ([`PredId`]) and so do clauses with a body
+/// ([`ClauseId`]): the machine names both by id, so a linked call, a
+/// clause retry and a body step find their code without hashing a name.
+/// At the end of every [`Database::consult`] a *link pass* resolves each
+/// body call step that names a user predicate to its id — a callee a later
+/// consult defines is resolved then. Steps naming a builtin or control
+/// construct (the [`mod@crate::builtin`] table `dispatch` reads too), a
+/// variable goal or an undefined predicate stay unresolved and are
+/// dispatched by functor at run time.
 #[derive(Debug, Default)]
 pub struct Database {
-    preds: FxHashMap<(Sym, u32), Predicate>,
+    /// `name/arity` -> id: the one hash of a predicate name, paid by calls
+    /// built at run time (`call/1`, `findall/3`, queries).
+    ids: FxHashMap<(Sym, u32), PredId>,
+    preds: Vec<Predicate>,
+    /// Every clause with a body, by [`ClauseId`].
+    rules: Vec<Arc<Clause>>,
+    /// Rules with a call step the link pass has not resolved and a later
+    /// consult might: it names no builtin and no predicate defined yet.
+    unlinked: Vec<ClauseId>,
     /// `?- Goal` / `:- Goal` directives in source order, each as its own
     /// arena (same relocatable representation as clause bodies).
     directives: Vec<Arc<Clause>>,
@@ -328,7 +392,8 @@ impl Database {
         Ok(db)
     }
 
-    /// Add the clauses of `src` to this database.
+    /// Add the clauses of `src` to this database, then run the link pass
+    /// (see the type docs) over every rule still pending.
     pub fn consult(&mut self, src: &str) -> Result<(), LoadError> {
         for rc in parse_program(src)? {
             // Directive?
@@ -349,22 +414,79 @@ impl Database {
                         key: IndexKey::Any,
                         ordinal: self.directives.len(),
                         code,
+                        id: ClauseId::NONE,
                     }));
                     continue;
                 }
             }
             self.add_clause(rc).map_err(LoadError::BadClause)?;
         }
+        self.link();
         Ok(())
     }
 
-    /// Add one parsed clause.
+    /// Add one parsed clause. Its call steps stay unresolved until the
+    /// next consult's link pass.
     pub fn add_clause(&mut self, rc: ReadClause) -> Result<(), String> {
         let mut clause = Clause::from_read(rc, 0, &mut self.scratch)?;
-        let pred = self.preds.entry(clause.head_functor()).or_default();
+        let (name, arity) = clause.head_functor();
+        let id = match self.ids.get(&(name, arity)) {
+            Some(&id) => id,
+            None => {
+                let id = PredId(self.preds.len() as u32);
+                let tabled = self.tabled.contains(&(name, arity));
+                self.preds.push(Predicate::new(name, arity, tabled));
+                self.ids.insert((name, arity), id);
+                id
+            }
+        };
+        let pred = &mut self.preds[id.0 as usize];
         clause.ordinal = pred.clauses.len();
-        pred.push(Arc::new(clause));
+        if clause.code.is_fact() {
+            pred.push(Arc::new(clause));
+            return Ok(());
+        }
+        clause.id = ClauseId(self.rules.len() as u32);
+        let calls = clause.code.steps_all().any(|st| st.kind == StepKind::Goal);
+        let clause = Arc::new(clause);
+        if calls {
+            self.unlinked.push(clause.id);
+        }
+        self.rules.push(Arc::clone(&clause));
+        pred.push(clause);
         Ok(())
+    }
+
+    /// The link pass: resolve every pending call step that names a user
+    /// predicate (and no builtin) to the predicate's id. Only rules are
+    /// visited — a fact has no steps — and a rule stays pending while one
+    /// of its call steps names a predicate nobody has defined yet.
+    fn link(&mut self) {
+        let Database {
+            ids,
+            rules,
+            unlinked,
+            ..
+        } = self;
+        unlinked.retain(|&id| {
+            let mut pending = false;
+            for st in rules[id.0 as usize].code.steps_all() {
+                if st.kind != StepKind::Goal || st.callee.get().is_some() {
+                    continue;
+                }
+                let Some((name, arity)) = st.functor() else {
+                    continue; // a variable goal: dispatched by its value
+                };
+                if builtin(name, arity).is_some() {
+                    continue;
+                }
+                match ids.get(&(name, arity)) {
+                    Some(&pred) => st.callee.set(pred),
+                    None => pending = true,
+                }
+            }
+            pending
+        });
     }
 
     /// If `goal` is a `table(Spec)` directive body, record its specs and
@@ -385,7 +507,7 @@ impl Database {
             self.collect_table_specs(arena, arena.str_arg(hdr, i), &mut specs)?;
         }
         for (name, arity) in specs {
-            self.tabled.insert((name, arity));
+            self.declare_tabled(name, arity);
         }
         Ok(true)
     }
@@ -425,6 +547,9 @@ impl Database {
     /// Declare `name/arity` tabled programmatically (tests, embedding).
     pub fn declare_tabled(&mut self, name: Sym, arity: u32) {
         self.tabled.insert((name, arity));
+        if let Some(&id) = self.ids.get(&(name, arity)) {
+            self.preds[id.0 as usize].tabled = true;
+        }
     }
 
     /// Was `name/arity` declared tabled?
@@ -440,7 +565,25 @@ impl Database {
 
     /// Look up a predicate.
     pub fn predicate(&self, name: Sym, arity: u32) -> Option<&Predicate> {
-        self.preds.get(&(name, arity))
+        self.pred_id(name, arity).map(|id| self.pred(id))
+    }
+
+    /// The id of `name/arity`, if it has clauses.
+    #[inline]
+    pub fn pred_id(&self, name: Sym, arity: u32) -> Option<PredId> {
+        self.ids.get(&(name, arity)).copied()
+    }
+
+    /// The predicate with id `id` (an id this database handed out).
+    #[inline]
+    pub fn pred(&self, id: PredId) -> &Predicate {
+        &self.preds[id.0 as usize]
+    }
+
+    /// The rule with id `id` (an id this database handed out).
+    #[inline]
+    pub fn rule(&self, id: ClauseId) -> &Clause {
+        &self.rules[id.0 as usize]
     }
 
     /// The `?-`/`:-` directives found while loading, in order.
@@ -448,14 +591,15 @@ impl Database {
         &self.directives
     }
 
-    /// Iterate all `(name, arity)` pairs defined (diagnostics).
+    /// Iterate all `(name, arity)` pairs defined, in order of definition
+    /// (diagnostics).
     pub fn predicates(&self) -> impl Iterator<Item = (Sym, u32)> + '_ {
-        self.preds.keys().copied()
+        self.preds.iter().map(|p| (p.name, p.arity))
     }
 
     /// Total clause count (diagnostics).
     pub fn clause_count(&self) -> usize {
-        self.preds.values().map(|p| p.clauses.len()).sum()
+        self.preds.iter().map(|p| p.clauses.len()).sum()
     }
 }
 

@@ -206,7 +206,14 @@ impl Heap {
     /// and one pass.
     #[inline]
     pub fn extend_relocated(&mut self, cells: &[Cell], base: u32) {
-        self.cells.extend(cells.iter().map(|c| c.relocated(base)));
+        self.extend_mapped(cells, |c| c.relocated(base));
+    }
+
+    /// Append `cells`, each passed through `f`, in one reservation and one
+    /// pass (a body goal is copied out of its template this way).
+    #[inline]
+    pub fn extend_mapped(&mut self, cells: &[Cell], f: impl FnMut(Cell) -> Cell) {
+        self.cells.extend(cells.iter().copied().map(f));
     }
 
     /// Overwrite a cell without trailing. Only for heap-construction

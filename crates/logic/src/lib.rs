@@ -18,12 +18,16 @@
 //! * a **writer** ([`mod@write`]) producing canonical or operator-aware text;
 //! * a **clause database** ([`db`]) with first-argument indexing, storing
 //!   clauses as relocatable cell arenas so that clause instantiation is a
-//!   single block copy with address relocation.
+//!   single block copy with address relocation, and body calls linked to
+//!   their predicates at load time;
+//! * the **builtin table** ([`mod@builtin`]): which goals a user predicate
+//!   can never define.
 //!
 //! Everything here is engine-agnostic: the sequential machine
 //! (`ace-machine`), the and-parallel engine (`ace-and`) and the or-parallel
 //! engine (`ace-or`) are all built on these types.
 
+pub mod builtin;
 pub mod canon;
 pub mod code;
 pub mod copy;
@@ -36,11 +40,12 @@ pub mod term;
 pub mod unify;
 pub mod write;
 
+pub use builtin::{builtin, Builtin};
 pub use canon::{CanonKey, CanonScratch, TermArena};
 pub use code::{
-    run_head, BodyStep, CompiledBody, CompiledCode, ExecCost, Instr, StepKind, StepTemplate,
+    run_head, BodyStep, Callee, CompiledBody, CompiledCode, ExecCost, Instr, StepKind, StepTemplate,
 };
-pub use db::{Clause, Database, IndexKey, Predicate};
+pub use db::{Clause, ClauseId, Database, IndexKey, PredId, Predicate};
 pub use heap::{Addr, Cell, Heap, TrailMark};
 pub use read::{parse_program, parse_term, ReadError};
 pub use sym::{sym, Sym};

@@ -105,7 +105,7 @@ pub fn sym(name: &str) -> Sym {
         .intern(name)
 }
 
-const WELL_KNOWN_NAMES: &[&str] = &[
+pub(crate) const WELL_KNOWN_NAMES: &[&str] = &[
     ",",
     "&",
     ";",
@@ -171,6 +171,14 @@ const WELL_KNOWN_NAMES: &[&str] = &[
     "<<",
     "^",
     "writeln",
+    // The remaining builtin names, interned here so that the builtin
+    // table (`crate::builtin`), indexed by symbol number, stays this short.
+    "findall",
+    "msort",
+    "sort",
+    "reverse",
+    "nth1",
+    "$answer",
 ];
 
 /// Pre-interned well-known symbols used on engine hot paths.

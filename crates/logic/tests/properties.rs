@@ -572,6 +572,87 @@ proptest! {
         }
     }
 
+    /// Long bodies — ten to fifteen steps of calls, unifications and
+    /// builtins over random terms sharing the head's variables — compile to
+    /// steps that build, once the head code has matched a call, a variant
+    /// of the body the interpreter copies out of the clause arena, the
+    /// call's bindings included; and the link pass resolves exactly the
+    /// call steps naming a defined predicate that is not a builtin.
+    #[test]
+    fn long_bodies_materialize_like_interpreter(
+        head in term_strategy(),
+        body in prop::collection::vec((0u8..4, term_strategy()), 10..16),
+        goal in term_strategy(),
+    ) {
+        use ace_logic::db::Database;
+        use ace_logic::{run_head, CanonKey};
+
+        // One heap and one variable table: head and body share variables.
+        let mut sh = Heap::new();
+        let mut vars = Vec::new();
+        let hd = build(&mut sh, &head, &mut vars);
+        let steps: Vec<String> = body
+            .iter()
+            .map(|(kind, t)| {
+                let t = build(&mut sh, t, &mut vars);
+                let t = term_to_string(&sh, t);
+                match kind {
+                    0 => format!("q({t})"),         // defined: linked
+                    1 => format!("r({t})"),         // undefined: left by name
+                    2 => format!("Out = {t}"),      // inline unification
+                    _ => format!("length({t}, N)"), // builtin: left by name
+                }
+            })
+            .collect();
+        let src_txt = format!(
+            "p({}, Out) :- {}.\nq(_).\nlength(_, user).\n",
+            term_to_string(&sh, hd),
+            steps.join(", ")
+        );
+        let db = Database::load(&src_txt)
+            .map_err(|e| TestCaseError::fail(format!("load failed: {e}\n{src_txt}")))?;
+        let clause = &db.predicate(sym("p"), 2).unwrap().clauses[0];
+        let code = clause.code();
+        prop_assert_eq!(code.steps(0).len(), body.len());
+        let q = db.pred_id(sym("q"), 1);
+        for (st, (kind, _)) in code.steps(0).iter().zip(&body) {
+            prop_assert!(st.callee.get() == q.filter(|_| *kind == 0), "{}", src_txt);
+        }
+
+        let call = |h: &mut Heap| {
+            let mut gv = Vec::new();
+            let g = build(h, &goal, &mut gv);
+            let out = h.new_var();
+            h.new_struct(sym("p"), &[g, out])
+        };
+        // Interpreter oracle: copy the clause, unify the head.
+        let mut h1 = Heap::new();
+        let call1 = call(&mut h1);
+        let (head1, body1) = clause.instantiate(&mut h1);
+        let ok1 = unify(&mut h1, call1, head1).is_some();
+        // Compiled: head code in place, then the steps' templates.
+        let mut h2 = Heap::new();
+        let call2 = call(&mut h2);
+        let Cell::Str(hdr) = h2.deref(call2) else {
+            return Err(TestCaseError::fail("call must be a struct"));
+        };
+        let mut slots = Vec::new();
+        let (ok2, _cost) = run_head(&mut h2, code, Some(hdr), &mut slots);
+        prop_assert!(ok1 == ok2, "match disagreement on\n{}", src_txt);
+        if ok1 {
+            let (body2, _) = code.instantiate_body(&mut h2, &mut slots);
+            let both1 = h1.new_struct(sym("both"), &[call1, body1]);
+            let both2 = h2.new_struct(sym("both"), &[call2, body2]);
+            prop_assert!(
+                CanonKey::of(&h1, both1) == CanonKey::of(&h2, both2),
+                "bodies diverge on\n{}\ninterp {}\ncompiled {}",
+                src_txt,
+                term_to_string(&h1, both1),
+                term_to_string(&h2, both2)
+            );
+        }
+    }
+
     /// Unwind/rewind is an exact inverse pair even interleaved with reads.
     #[test]
     fn unwind_rewind_identity(a in term_strategy(), b in term_strategy()) {

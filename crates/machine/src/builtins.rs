@@ -2,109 +2,75 @@
 //!
 //! Control constructs (`,`, `&`, `;`, `->`, `!`, `\+`, `call/N`) are
 //! handled directly in [`crate::machine`]; everything here is a "real"
-//! builtin dispatched by `(functor, arity)`. Returns `None` when the goal
-//! is not a builtin (falls through to user-predicate resolution).
+//! builtin, named by the [`Builtin`] the machine's `dispatch` found for the
+//! goal in the one builtin table ([`mod@ace_logic::builtin`]).
 
 use ace_logic::copy::copy_term_within;
 use ace_logic::sym::{sym, wk};
 use ace_logic::term::{compare as term_compare, is_ground, view, ListIter, TermView};
 use ace_logic::unify::{struct_eq, unify};
 use ace_logic::write::write_term_to;
-use ace_logic::{Addr, Cell, Database, Sym};
+use ace_logic::{Addr, Builtin, Cell, Database, Sym};
 
 use crate::arith;
 use crate::frames::Alts;
 use crate::machine::{Machine, Status};
 use crate::solve::render_bindings;
 
-/// Builtins not in the well-known table, interned once: `dispatch` runs
-/// on every goal that falls through to user-predicate resolution, so it
-/// must not pay the interner's lock + string hash per probe.
-struct ExtraSyms {
-    tab: Sym,
-    findall: Sym,
-    msort: Sym,
-    sort: Sym,
-    reverse: Sym,
-    nth1: Sym,
-    answer: Sym,
-    /// `$findall`: pairs template and goal for one joint copy.
-    findall_pair: Sym,
+/// `$findall`: pairs template and goal for one joint copy.
+fn findall_pair() -> Sym {
+    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
+    *S.get_or_init(|| sym("$findall"))
 }
 
-fn extra() -> &'static ExtraSyms {
-    static S: std::sync::OnceLock<ExtraSyms> = std::sync::OnceLock::new();
-    S.get_or_init(|| ExtraSyms {
-        tab: sym("tab"),
-        findall: sym("findall"),
-        msort: sym("msort"),
-        sort: sym("sort"),
-        reverse: sym("reverse"),
-        nth1: sym("nth1"),
-        answer: sym("$answer"),
-        findall_pair: sym("$findall"),
-    })
-}
-
-/// Try to execute `f/n` (with argument block at `hdr`) as a builtin. `db`
+/// Run the builtin `b`, the goal `f/n` with argument block at `hdr`. `db`
 /// is the program the machine is running, borrowed by the caller for the
 /// whole quantum: a builtin that fails backtracks into it directly.
-pub(crate) fn dispatch(
-    m: &mut Machine,
-    db: &Database,
-    f: Sym,
-    n: u32,
-    hdr: Addr,
-) -> Option<Status> {
-    let w = wk();
-    let xs = extra();
-    let s = match (f, n) {
-        (x, 2) if x == w.unify => builtin_unify(m, db, hdr),
-        (x, 2) if x == w.not_unify => builtin_not_unify(m, db, hdr),
-        (x, 2) if x == w.struct_eq => builtin_struct_eq(m, db, hdr, true),
-        (x, 2) if x == w.struct_ne => builtin_struct_eq(m, db, hdr, false),
-        (x, 2) if x == w.is => builtin_is(m, db, hdr),
-        (x, 2)
-            if x == w.arith_eq
-                || x == w.arith_ne
-                || x == w.lt
-                || x == w.gt
-                || x == w.le
-                || x == w.ge =>
-        {
-            builtin_arith_compare(m, db, f, hdr)
-        }
-        (x, 1) if x == w.var_ => builtin_type_test(m, db, hdr, TypeTest::Var),
-        (x, 1) if x == w.nonvar => builtin_type_test(m, db, hdr, TypeTest::Nonvar),
-        (x, 1) if x == w.atom_ => builtin_type_test(m, db, hdr, TypeTest::Atom),
-        (x, 1) if x == w.number || x == w.integer => {
-            builtin_type_test(m, db, hdr, TypeTest::Integer)
-        }
-        (x, 1) if x == w.atomic => builtin_type_test(m, db, hdr, TypeTest::Atomic),
-        (x, 1) if x == w.compound => builtin_type_test(m, db, hdr, TypeTest::Compound),
-        (x, 1) if x == w.ground => builtin_ground(m, db, hdr),
-        (x, 3) if x == w.functor => builtin_functor(m, db, hdr),
-        (x, 3) if x == w.arg => builtin_arg(m, db, hdr),
-        (x, 2) if x == w.univ => builtin_univ(m, db, hdr),
-        (x, 2) if x == w.copy_term => builtin_copy_term(m, db, hdr),
-        (x, 2) if x == w.length => builtin_length(m, db, hdr),
-        (x, 3) if x == w.between => builtin_between(m, db, hdr),
-        (x, 3) if x == w.compare => builtin_compare3(m, db, hdr),
-        (x, 2) if x == w.term_lt || x == w.term_gt || x == w.term_le || x == w.term_ge => {
-            builtin_term_order(m, db, f, hdr)
-        }
-        (x, 1) if x == w.write => builtin_write(m, hdr, false),
-        (x, 1) if x == w.writeln => builtin_write(m, hdr, true),
-        (x, 1) if x == xs.tab => builtin_tab(m, hdr),
-        (x, 3) if x == xs.findall => builtin_findall(m, db, hdr),
-        (x, 2) if x == xs.msort => builtin_sort(m, db, hdr, false),
-        (x, 2) if x == xs.sort => builtin_sort(m, db, hdr, true),
-        (x, 2) if x == xs.reverse => builtin_reverse(m, db, hdr),
-        (x, 3) if x == xs.nth1 => builtin_nth1(m, db, hdr),
-        (x, 1) if x == xs.answer => builtin_answer(m, hdr),
-        _ => return None,
-    };
-    Some(s)
+pub(crate) fn run(m: &mut Machine, db: &Database, b: Builtin, f: Sym, hdr: Addr) -> Status {
+    use Builtin as B;
+    match b {
+        B::Unify => builtin_unify(m, db, hdr),
+        B::NotUnify => builtin_not_unify(m, db, hdr),
+        B::StructEq => builtin_struct_eq(m, db, hdr, true),
+        B::StructNe => builtin_struct_eq(m, db, hdr, false),
+        B::Is => builtin_is(m, db, hdr),
+        B::ArithCompare => builtin_arith_compare(m, db, f, hdr),
+        B::Var => builtin_type_test(m, db, hdr, TypeTest::Var),
+        B::Nonvar => builtin_type_test(m, db, hdr, TypeTest::Nonvar),
+        B::Atom => builtin_type_test(m, db, hdr, TypeTest::Atom),
+        B::Integer => builtin_type_test(m, db, hdr, TypeTest::Integer),
+        B::Atomic => builtin_type_test(m, db, hdr, TypeTest::Atomic),
+        B::Compound => builtin_type_test(m, db, hdr, TypeTest::Compound),
+        B::Ground => builtin_ground(m, db, hdr),
+        B::Functor => builtin_functor(m, db, hdr),
+        B::Arg => builtin_arg(m, db, hdr),
+        B::Univ => builtin_univ(m, db, hdr),
+        B::CopyTerm => builtin_copy_term(m, db, hdr),
+        B::Length => builtin_length(m, db, hdr),
+        B::Between => builtin_between(m, db, hdr),
+        B::Compare => builtin_compare3(m, db, hdr),
+        B::TermOrder => builtin_term_order(m, db, f, hdr),
+        B::Write => builtin_write(m, hdr, false),
+        B::Writeln => builtin_write(m, hdr, true),
+        B::Tab => builtin_tab(m, hdr),
+        B::Findall => builtin_findall(m, db, hdr),
+        B::Msort => builtin_sort(m, db, hdr, false),
+        B::Sort => builtin_sort(m, db, hdr, true),
+        B::Reverse => builtin_reverse(m, db, hdr),
+        B::Nth1 => builtin_nth1(m, db, hdr),
+        B::Answer => builtin_answer(m, hdr),
+        B::True
+        | B::Fail
+        | B::Cut
+        | B::Nl
+        | B::Halt
+        | B::Conj
+        | B::Par
+        | B::Disj
+        | B::IfThen
+        | B::Not
+        | B::Call => unreachable!("control construct {b:?} is run by the machine"),
+    }
 }
 
 /// `findall(Template, Goal, Bag)`: run `Goal` to exhaustion on a private
@@ -121,7 +87,7 @@ fn builtin_findall(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     let mut sub = Machine::new(m.db().clone(), m.costs().clone());
     sub.set_clause_exec(m.clause_exec());
     // ship template+goal jointly so they keep sharing variables
-    let pair = m.heap.new_struct(extra().findall_pair, &[template, goal]);
+    let pair = m.heap.new_struct(findall_pair(), &[template, goal]);
     let out = ace_logic::copy::copy_term(&m.heap, pair, &mut sub.heap);
     let Cell::Str(phdr) = out.root else {
         unreachable!()

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use ace_logic::db::IndexKey;
 use ace_logic::heap::HeapMark;
-use ace_logic::{Cell, Sym, TrailMark};
+use ace_logic::{Cell, PredId, TrailMark};
 use ace_table::AnswerEntry;
 
 use crate::cont::{Cont, ContMark};
@@ -26,10 +26,9 @@ use crate::cont::{Cont, ContMark};
 #[derive(Debug)]
 pub enum Alts {
     /// Remaining clauses of a user predicate call: try clause indices
-    /// `>= next` whose index key may match `key`.
+    /// `>= next` of `pred` whose index key may match `key`.
     Clauses {
-        name: Sym,
-        arity: u32,
+        pred: PredId,
         key: IndexKey,
         next: usize,
     },
@@ -58,8 +57,7 @@ pub enum Alts {
     /// published (see `Machine::table_publish_floor`).
     TableGen {
         subgoal: usize,
-        name: Sym,
-        arity: u32,
+        pred: PredId,
         key: IndexKey,
         next: usize,
     },

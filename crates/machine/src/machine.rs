@@ -5,12 +5,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ace_logic::db::{Database, IndexKey, Predicate};
+use ace_logic::db::{Clause, Database, IndexKey, Predicate};
 use ace_logic::sym::{sym, wk};
 use ace_logic::term::{view, TermView};
 use ace_logic::unify::unify;
 use ace_logic::{
-    run_head, CanonKey, CanonScratch, Cell, CompiledBody, Heap, StepKind, Sym, TermArena, TrailMark,
+    builtin, run_head, Addr, Builtin, CanonKey, CanonScratch, Cell, ClauseId, CompiledBody,
+    CompiledCode, Heap, PredId, StepKind, Sym, TermArena, TrailMark,
 };
 
 use crate::arith;
@@ -20,7 +21,7 @@ use ace_runtime::{
 };
 use ace_table::{AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome};
 
-use crate::cont::{Cont, ContMark, ContStack};
+use crate::cont::{BodyAt, Callable, Cont, ContMark, ContStack, Env, Goal};
 use crate::frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame, SharedChoice};
 use crate::solve::{binding_order, render_bindings};
 
@@ -72,82 +73,52 @@ enum StepOutcome {
 
 static PARCALL_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// If `goal` is an `$inline_barrier(Id)` term, return the frame id.
-pub(crate) fn view_barrier(heap: &Heap, goal: Cell) -> Option<u64> {
-    match view(heap, goal) {
-        TermView::Struct(f, 1, hdr) if f == inline_barrier_sym() => {
-            match heap.deref(heap.str_arg(hdr, 0)) {
-                Cell::Int(i) => Some(i as u64),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Interned `$ite_then` (hot-path comparison in `dispatch`).
-fn ite_then_sym() -> Sym {
-    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
-    *S.get_or_init(|| sym("$ite_then"))
-}
-
-/// Interned `$inline_barrier` (end marker of an inline parcall branch).
-fn inline_barrier_sym() -> Sym {
-    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
-    *S.get_or_init(|| sym("$inline_barrier"))
-}
-
-/// Interned `$memo_store` (answer-publication marker of a watched call).
-fn memo_store_sym() -> Sym {
-    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
-    *S.get_or_init(|| sym("$memo_store"))
-}
-
-/// Interned `$body` (compiled-body continuation marker: remaining steps of
-/// a clause body, materialized one goal at a time).
-fn body_step_sym() -> Sym {
-    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
-    *S.get_or_init(|| sym("$body"))
-}
-
-/// Interned `$slots` (frozen slot registers referenced by `$body` markers;
-/// a plain structure so closures and state copying relocate it like any
-/// term).
+/// Interned `$slots` (the environment of a body activation: a plain
+/// structure, so closures and state copying relocate it like any term).
 fn body_slots_sym() -> Sym {
     static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
     *S.get_or_init(|| sym("$slots"))
 }
 
-/// Interned `$closure` (the frozen goal + continuation tuple of state
-/// copying and of suspended tabled consumers).
-fn closure_sym() -> Sym {
-    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
-    *S.get_or_init(|| sym("$closure"))
+/// Heap cells a body frame is charged at its push: what its four-cell
+/// heap marker cost when body frames were heap terms, so virtual time and
+/// the cell counts are unchanged.
+const BODY_FRAME_CELLS: u64 = 4;
+
+/// The frame of body step `st`, whose goal `g` was just materialized: a
+/// linked call if the link pass resolved its predicate, else a goal term.
+#[inline]
+fn step_goal(st: &ace_logic::BodyStep, g: Cell) -> Goal {
+    match (st.callee.get(), g) {
+        (Some(pred), Cell::Str(h)) => Goal::Call {
+            goal: Callable::Str(h),
+            pred,
+        },
+        (Some(pred), Cell::Atom(s)) => Goal::Call {
+            goal: Callable::Atom(s),
+            pred,
+        },
+        _ => Goal::Term(g),
+    }
 }
 
-/// Interned `$table_answer` (answer-insertion marker of a tabled
-/// generator's failure-driven derivation loop).
-fn table_answer_sym() -> Sym {
-    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
-    *S.get_or_init(|| sym("$table_answer"))
-}
-
-/// A call being watched for answer memoization: a `$memo_store(Idx, Gen)`
-/// goal planted right after the call in the continuation reaches this
+/// A call being watched for answer memoization: a [`Goal::MemoStore`]
+/// frame planted right after the call in the continuation reaches this
 /// record when (a derivation of) the call completes. The snapshots decide
 /// whether that derivation was *unique* — nothing nondeterministic or
 /// effectful happened in between — in which case its single answer is the
 /// call's complete answer set and can be published.
 struct MemoWatch {
     key: CanonKey,
-    /// The call term (instantiated by the time the marker arrives).
+    /// The call term (instantiated by the time its frame arrives).
     goal: Cell,
-    /// Generation tag; a marker whose generation mismatches is stale
-    /// (its slot was reclaimed after backtracking discarded the marker).
-    gen: u64,
-    /// Heap length just after the marker was planted: a heap truncated
-    /// below it has destroyed the marker, so the watch is dead.
-    heap_tide: usize,
+    /// Generation tag; a frame whose generation mismatches is stale (its
+    /// slot was reclaimed after backtracking discarded the frame — a
+    /// suspended tabled consumer may still hold a frozen copy).
+    gen: u32,
+    /// Continuation-stack height just after the frame was pushed: a stack
+    /// truncated below it has dropped the frame, so the watch is dead.
+    cont_tide: usize,
     ctrl_len: usize,
     choice_points: u64,
     parcalls_raised: u64,
@@ -161,7 +132,7 @@ struct MemoWatch {
 /// form as or-parallel state copying) until the leader's fixpoint loop
 /// thaws them after new answers land.
 struct SuspendedConsumer {
-    /// Frozen `$closure(Goal, Cont...)` tuple.
+    /// The frozen goal and continuation.
     closure: StateClosure,
     /// Answers already consumed before suspension (resume cursor).
     next: usize,
@@ -197,31 +168,33 @@ struct LocalSubgoal {
 /// A published-choice-point state closure: everything a remote worker needs
 /// to continue an alternative (or-parallel state copying).
 ///
-/// The state is a *frozen* `$closure(Goal, Cont...)` tuple in an immutable
-/// relocatable [`TermArena`]: freezing happens at most once per published
-/// node (on first remote demand — see the or-engine's procrastinated
-/// capture), and every claim thaws straight from the arena into the
-/// claimant's heap with no intermediate clone.
+/// The state is the goal and continuation as a *frozen* `$closure(Goal,
+/// F1, …, Fn)` tuple in an immutable relocatable [`TermArena`] (written by
+/// [`ContStack::freeze`]), beside the continuation's frames, which read the
+/// thawed tuple back by position: freezing happens at most once per
+/// published node (on first remote demand — see the or-engine's
+/// procrastinated capture), and every claim thaws straight from the arena
+/// into the claimant's heap with no intermediate clone.
 #[derive(Debug)]
 pub struct StateClosure {
-    /// Frozen snapshot of the `$closure(Goal, Cont...)` tuple.
+    /// Frozen snapshot of the `$closure(Goal, F1, …, Fn)` tuple.
     pub arena: TermArena,
-    /// Number of continuation goals following the goal in the tuple.
-    pub cont_len: usize,
+    /// The continuation's frames, nearest first: frame `i` reads its cells
+    /// from tuple argument `i + 1`.
+    pub frames: Box<[Goal]>,
     /// Cells frozen (cost accounting at materialization).
     pub cells: usize,
 }
 
 impl StateClosure {
-    /// Freeze an already-assembled `$closure(Goal, Cont...)` tuple from
-    /// `heap`. `cont_len` is the number of continuation goals after the
-    /// goal argument.
-    pub fn freeze(heap: &Heap, tuple: Cell, cont_len: usize) -> StateClosure {
+    /// Freeze a tuple [`ContStack::freeze`] wrote on `heap`, with the
+    /// frames it returned.
+    pub fn freeze(heap: &Heap, tuple: Cell, frames: Vec<Goal>) -> StateClosure {
         let arena = TermArena::freeze(heap, tuple);
         let cells = arena.len();
         StateClosure {
             arena,
-            cont_len,
+            frames: frames.into(),
             cells,
         }
     }
@@ -279,8 +252,8 @@ pub struct Machine {
     memo_watches: Vec<Option<MemoWatch>>,
     /// Free slots in `memo_watches`.
     memo_free: Vec<usize>,
-    /// Generation counter for watch slots (stale-marker detection).
-    memo_gen: u64,
+    /// Generation counter for watch slots (stale-frame detection).
+    memo_gen: u32,
     /// Monotone count of parallel conjunctions raised (memo determinacy
     /// validation: a derivation that crossed a parcall is never tabled).
     parcalls_raised: u64,
@@ -451,7 +424,7 @@ impl Machine {
 
     /// Begin solving `goal` (a term in this machine's heap).
     pub fn set_query(&mut self, goal: Cell) {
-        self.cont = self.conts.push(Cont::NONE, goal, 0);
+        self.cont = self.conts.push(Cont::NONE, Goal::Term(goal), 0);
         self.status = Status::Running;
     }
 
@@ -604,27 +577,28 @@ impl Machine {
             return Some(self.replay(db, goal, entry));
         }
         self.stats.memo_misses += 1;
-        // Watch this call: a `$memo_store` marker planted before the
-        // clause body publishes the answer when the derivation completes
-        // without creating nondeterminism.
+        // Watch this call: a `MemoStore` frame planted before the clause
+        // body publishes the answer when the derivation completes without
+        // creating nondeterminism.
         let gen = self.memo_gen;
-        self.memo_gen += 1;
-        let idx = match self.memo_free.pop() {
+        self.memo_gen = self.memo_gen.wrapping_add(1);
+        let slot = match self.memo_free.pop() {
             Some(i) => i,
             None => {
                 self.memo_watches.push(None);
                 self.memo_watches.len() - 1
             }
         };
-        let marker = self.heap.new_struct(
-            memo_store_sym(),
-            &[Cell::Int(idx as i64), Cell::Int(gen as i64)],
-        );
-        self.memo_watches[idx] = Some(MemoWatch {
+        let frame = Goal::MemoStore {
+            slot: slot as u32,
+            gen,
+        };
+        self.cont = self.conts.push(self.cont, frame, self.ctrl.len() as u32);
+        self.memo_watches[slot] = Some(MemoWatch {
             key,
             goal,
             gen,
-            heap_tide: self.heap.len(),
+            cont_tide: self.conts.height(),
             ctrl_len: self.ctrl.len(),
             choice_points: self.stats.choice_points,
             parcalls_raised: self.parcalls_raised,
@@ -632,7 +606,6 @@ impl Machine {
             output_len: self.output.len(),
             answers_len: self.answers.len(),
         });
-        self.cont = self.conts.push(self.cont, marker, self.ctrl.len() as u32);
         None
     }
 
@@ -694,17 +667,17 @@ impl Machine {
         }
     }
 
-    /// A `$memo_store(Idx, Gen)` marker was reached: a derivation of the
-    /// watched call completed. Publish its answer if the derivation was
-    /// provably unique and effect-free; otherwise do nothing (re-running
-    /// the goal stays the source of truth).
-    fn memo_store_arrival(&mut self, idx: usize, gen: u64) -> Status {
+    /// A `MemoStore` frame was reached: a derivation of the watched call
+    /// completed. Publish its answer if the derivation was provably unique
+    /// and effect-free; otherwise do nothing (re-running the goal stays the
+    /// source of truth).
+    fn memo_store_arrival(&mut self, idx: usize, gen: u32) -> Status {
         self.status = Status::Running;
         let Some(slot) = self.memo_watches.get_mut(idx) else {
             return Status::Running;
         };
         if slot.as_ref().is_none_or(|w| w.gen != gen) {
-            return Status::Running; // stale marker from a reclaimed slot
+            return Status::Running; // stale frame from a reclaimed slot
         }
         let w = slot.take().expect("checked above");
         self.memo_free.push(idx);
@@ -720,12 +693,12 @@ impl Machine {
         Status::Running
     }
 
-    /// Drop watches whose `$memo_store` marker was destroyed by heap
-    /// truncation (backtracking below the watched call).
+    /// Drop watches whose `MemoStore` frame was dropped by continuation
+    /// stack truncation (backtracking below the watched call).
     fn memo_prune_watches(&mut self) {
-        let len = self.heap.len();
+        let height = self.conts.height();
         for (i, slot) in self.memo_watches.iter_mut().enumerate() {
-            if slot.as_ref().is_some_and(|w| w.heap_tide > len) {
+            if slot.as_ref().is_some_and(|w| w.cont_tide > height) {
                 *slot = None;
                 self.memo_free.push(i);
             }
@@ -739,9 +712,9 @@ impl Machine {
     /// Control index of the outermost tabled-generator choice point, or
     /// `usize::MAX` when no tabled evaluation is in flight. The or-engine
     /// must not publish choice points at or above this floor: frames of
-    /// an active SLG evaluation (consumer cursors, `$table_answer`
-    /// markers in continuations, the generators themselves) index
-    /// machine-local state and are meaningless on another worker.
+    /// an active SLG evaluation (consumer cursors, `TableAnswer` frames in
+    /// continuations, the generators themselves) index machine-local
+    /// state and are meaningless on another worker.
     pub fn table_publish_floor(&self) -> usize {
         self.table_gen_stack
             .first()
@@ -772,9 +745,10 @@ impl Machine {
         &mut self,
         db: &Database,
         goal: Cell,
+        pred: Option<PredId>,
         name: Sym,
         arity: u32,
-        hdr: Option<ace_logic::Addr>,
+        hdr: Option<Addr>,
     ) -> Status {
         self.charge(self.costs.memo_lookup);
         let key = CanonKey::of_in(&mut self.canon, &self.heap, goal);
@@ -834,28 +808,29 @@ impl Machine {
             dfn: 0,
             minlink: 0,
         };
-        self.table_generate(db, goal, name, arity, hdr, frame)
+        self.table_generate(db, goal, pred, (name, arity), hdr, frame)
     }
 
     /// Install a fresh generator for `frame`: a caller-consumer cursor below
     /// a generator choice point whose alternatives are the predicate's
-    /// clauses, each run with a continuation of exactly
-    /// `$table_answer(Frame, Goal)` — derivations insert answers and fail
-    /// back into the clause loop, never into the caller. The caller drains
-    /// the answer list through the cursor once the generator's SCC
-    /// completes (local scheduling).
+    /// clauses, each run with a continuation of exactly one `TableAnswer`
+    /// frame — derivations insert answers and fail back into the clause
+    /// loop, never into the caller. The caller drains the answer list
+    /// through the cursor once the generator's SCC completes (local
+    /// scheduling).
     fn table_generate(
         &mut self,
         db: &Database,
         goal: Cell,
-        name: Sym,
-        arity: u32,
-        hdr: Option<ace_logic::Addr>,
+        pred: Option<PredId>,
+        (name, arity): (Sym, u32),
+        hdr: Option<Addr>,
         mut frame: LocalSubgoal,
     ) -> Status {
-        let Some(pred) = db.predicate(name, arity) else {
-            return self.error(format!("undefined predicate {}/{arity}", name.name()));
+        let Some(pid) = pred else {
+            return self.undefined(name, arity);
         };
+        let pred = db.pred(pid);
         let ikey = match hdr {
             Some(h) if arity > 0 => IndexKey::of(&self.heap, self.heap.str_arg(h, 0)),
             _ => IndexKey::Any,
@@ -880,15 +855,15 @@ impl Machine {
         };
         self.push_choice(goal, cursor, self.cont, self.ctrl.len() as u32);
 
-        let marker = self
-            .heap
-            .new_struct(table_answer_sym(), &[Cell::Int(idx as i64), goal]);
+        let answer = Goal::TableAnswer {
+            subgoal: idx as u32,
+            goal: Callable::of(&self.heap, goal).expect("a tabled call is callable"),
+        };
         let gen_ctrl = self.ctrl.len();
-        let gen_cont = self.conts.push(Cont::NONE, marker, gen_ctrl as u32);
+        let gen_cont = self.conts.push(Cont::NONE, answer, gen_ctrl as u32);
         let clauses = Alts::TableGen {
             subgoal: idx,
-            name,
-            arity,
+            pred: pid,
             key: ikey,
             next: first + 1,
         };
@@ -898,15 +873,15 @@ impl Machine {
         // Cut inside a tabled clause is local to that clause: it must
         // never discard the generator choice point.
         let body_barrier = self.ctrl.len() as u32;
-        if self.try_clause_in(pred, name, arity, first, goal, body_barrier) {
+        if self.try_clause(pred, first, goal, body_barrier) {
             Status::Running
         } else {
             self.backtrack_in(db)
         }
     }
 
-    /// A derivation of a tabled subgoal reached its `$table_answer`
-    /// marker: insert the (now instantiated) answer if new, then fail
+    /// A derivation of a tabled subgoal reached its `TableAnswer` frame:
+    /// insert the (now instantiated) answer if new, then fail
     /// back into the clause loop — the failure-driven core of SLG answer
     /// generation. The answer is keyed in the scratch and tested there: a
     /// duplicate allocates nothing, a new answer its key and its arena.
@@ -937,16 +912,7 @@ impl Machine {
     /// on top of the control stack and is popped here.
     fn table_suspend(&mut self, subgoal: usize, next: usize, goal: Cell) {
         self.ctrl.pop();
-        let cont_goals = self.conts.to_vec(self.cont);
-        // Freeze goal + continuation jointly (one tuple) so shared
-        // variables stay shared; the scratch tuple is reclaimed at once.
-        let mark = self.heap.heap_mark();
-        let mut tuple_args = Vec::with_capacity(cont_goals.len() + 1);
-        tuple_args.push(goal);
-        tuple_args.extend(cont_goals.iter().map(|(g, _)| *g));
-        let tuple = self.heap.new_struct(closure_sym(), &tuple_args);
-        let closure = StateClosure::freeze(&self.heap, tuple, cont_goals.len());
-        self.heap.truncate_to(mark);
+        let closure = self.freeze_state(goal, self.cont, |_| true);
         self.charge(closure.cells as u64 * self.costs.heap_cell);
         let f = &self.table_subgoals[subgoal];
         self.note(EventKind::TableSuspend {
@@ -1053,20 +1019,12 @@ impl Machine {
             subgoal: f.shared_id,
             seen: susp.next,
         });
-        let (root, cells) = susp.closure.arena.thaw(&mut self.heap);
-        self.stats.heap_cells += cells as u64;
-        self.charge(self.costs.closure_thaw);
-        let Cell::Str(hdr) = root else {
-            unreachable!("suspension arena root is the $closure tuple")
-        };
-        let goal = self.heap.str_arg(hdr, 0);
         // Barriers clamp to the resumption floor: a cut in the resumed
         // continuation may discard the cursor but never the generator.
         let floor = (top + 1) as u32;
-        let cont_goals: Vec<(Cell, u32)> = (0..susp.closure.cont_len)
-            .map(|i| (self.heap.str_arg(hdr, 1 + i as u32), 0))
-            .collect();
-        let cont = self.conts.from_vec(&cont_goals, |_| floor);
+        let (goal, cont, cells) = self.thaw_state(&susp.closure, floor);
+        self.stats.heap_cells += cells as u64;
+        self.charge(self.costs.closure_thaw);
         let cursor = Alts::TableConsumer {
             subgoal,
             next: susp.next,
@@ -1178,16 +1136,14 @@ impl Machine {
     /// just-raised parallel call — directly on this machine, on top of the
     /// parcall frame. The locally executed subgoal needs no input marker
     /// ("the parcall frame marks its beginning", paper Figure 2); the
-    /// `$inline_barrier` goal planted after it plays the end marker's
-    /// role: every (re)arrival there hands control back to the and-engine
-    /// for (re)integration of the sibling slots.
+    /// `InlineBarrier` frame planted after it plays the end marker's role:
+    /// every (re)arrival there hands control back to the and-engine for
+    /// (re)integration of the sibling slots.
     pub fn run_inline_branch(&mut self, goal: Cell, frame_id: u64) {
         let barrier = self.ctrl.len() as u32;
-        let marker = self
-            .heap
-            .new_struct(inline_barrier_sym(), &[Cell::Int(frame_id as i64)]);
-        let end = self.conts.push(Cont::NONE, marker, barrier);
-        self.cont = self.conts.push(end, goal, barrier);
+        let end = Goal::InlineBarrier { frame: frame_id };
+        let end = self.conts.push(Cont::NONE, end, barrier);
+        self.cont = self.conts.push(end, Goal::Term(goal), barrier);
         self.status = Status::Running;
     }
 
@@ -1226,7 +1182,7 @@ impl Machine {
     }
 
     /// Is the top parcall frame's continuation empty except for the
-    /// `$inline_barrier` end marker of frame `frame_id`? That is the
+    /// `InlineBarrier` end frame of frame `frame_id`? That is the
     /// inline-chain form of LPCO's "the parallel call is the last goal of
     /// the clause" condition (the real continuation is parked in the
     /// enclosing frame).
@@ -1236,7 +1192,7 @@ impl Machine {
         };
         match self.conts.node(pf.cont) {
             Some(node) if node.next.is_none() => {
-                view_barrier(&self.heap, node.goal) == Some(frame_id)
+                node.goal == Goal::InlineBarrier { frame: frame_id }
             }
             _ => false,
         }
@@ -1308,7 +1264,7 @@ impl Machine {
     /// new machine; `(a & b)` executed here becomes `(a, b)`.
     pub fn continue_with(&mut self, goal: Cell) {
         debug_assert_eq!(self.status, Status::Solution);
-        self.cont = self.conts.push(Cont::NONE, goal, 0);
+        self.cont = self.conts.push(Cont::NONE, Goal::Term(goal), 0);
         self.status = Status::Running;
     }
 
@@ -1441,39 +1397,56 @@ impl Machine {
     /// choice point, freeze the goal and continuation into an immutable
     /// arena, rewind.
     pub fn choice_closure(&mut self, idx: usize) -> StateClosure {
-        let (goal, mut cont_goals, trail) = {
-            let Some(CtrlFrame::Choice(cp)) = self.ctrl.get(idx) else {
-                panic!("choice_closure: not a choice point");
-            };
-            (cp.goal, self.conts.to_vec(cp.cont), cp.trail)
+        let Some(CtrlFrame::Choice(cp)) = self.ctrl.get(idx) else {
+            panic!("choice_closure: not a choice point");
         };
-        // `$memo_store` markers are machine-local bookkeeping (they index
+        let (goal, cont, trail) = (cp.goal, cp.cont, cp.trail);
+        let section = self.heap.unwind_section(trail);
+        // `MemoStore` frames are machine-local bookkeeping (they index
         // this machine's watch table); to a remote worker they mean
         // `true`, so they are dropped from the shipped continuation.
-        cont_goals.retain(|&(g, _)| {
-            !matches!(view(&self.heap, g),
-                      TermView::Struct(f, 2, _) if f == memo_store_sym())
-        });
-        let section = self.heap.unwind_section(trail);
-        // Freeze goal + every continuation goal jointly (one tuple) so
-        // shared variables stay shared in the closure.
-        let mut tuple_args = Vec::with_capacity(cont_goals.len() + 1);
-        tuple_args.push(goal);
-        tuple_args.extend(cont_goals.iter().map(|(g, _)| *g));
-        let tuple = self.heap.new_struct(closure_sym(), &tuple_args);
-        let closure = StateClosure::freeze(&self.heap, tuple, cont_goals.len());
+        let local = |g: &Goal| matches!(g, Goal::MemoStore { .. });
+        let closure = self.freeze_state(goal, cont, |g| !local(g));
         self.heap.rewind_section(section);
 
         self.stats.cells_copied_publish += closure.cells as u64;
         closure
     }
 
+    /// Freeze `goal` and the frames of `cont` that `keep` accepts jointly
+    /// (one tuple, so shared variables stay shared); the tuple written to
+    /// do so is reclaimed at once.
+    fn freeze_state(
+        &mut self,
+        goal: Cell,
+        cont: Cont,
+        keep: impl Fn(&Goal) -> bool,
+    ) -> StateClosure {
+        let mark = self.heap.heap_mark();
+        let (tuple, frames) = self.conts.freeze(&mut self.heap, goal, cont, keep);
+        let closure = StateClosure::freeze(&self.heap, tuple, frames);
+        self.heap.truncate_to(mark);
+        closure
+    }
+
+    /// Thaw a closure into this heap (one block splice — no clone, no
+    /// structural re-copy; variable sharing is preserved by the arena) and
+    /// rebuild its continuation with every cut barrier at `barrier`.
+    /// Returns the goal, the continuation and the cells thawed.
+    fn thaw_state(&mut self, closure: &StateClosure, barrier: u32) -> (Cell, Cont, usize) {
+        let (root, cells) = closure.arena.thaw(&mut self.heap);
+        let Cell::Str(tuple) = root else {
+            unreachable!("a closure arena's root is its tuple")
+        };
+        let goal = self.heap.str_arg(tuple, 0);
+        let cont = self.conts.thaw(&self.heap, tuple, &closure.frames, barrier);
+        (goal, cont, cells)
+    }
+
     /// Install a published alternative on this (fresh) machine: thaw the
-    /// frozen closure tuple straight into this heap (one block splice —
-    /// no clone, no structural re-copy; variable sharing is preserved by
-    /// the arena), rebuild the continuation (barriers clamp to this
-    /// machine's floor), and start executing `clause_idx` of the goal's
-    /// predicate. Returns `false` when the head unification already fails.
+    /// closure (barriers clamp to this machine's floor) and start executing
+    /// `clause_idx` of the goal's predicate. Returns `false` when the head
+    /// unification already fails.
     pub fn install_closure(
         &mut self,
         closure: &StateClosure,
@@ -1482,24 +1455,17 @@ impl Machine {
         clause_idx: usize,
     ) -> bool {
         debug_assert!(self.ctrl.is_empty() && self.cont.is_none());
-        let (root, cells) = closure.arena.thaw(&mut self.heap);
+        let (goal, cont, cells) = self.thaw_state(closure, 0);
         self.stats.cells_copied_claim += cells as u64;
         // Flat price: the thaw is a block copy plus relocation, not a
         // per-cell structural walk (see `CostModel::closure_thaw`).
         self.charge(self.costs.closure_thaw);
-
-        let Cell::Str(hdr) = root else {
-            unreachable!("closure arena root is the $closure tuple")
-        };
-        let goal = self.heap.str_arg(hdr, 0);
-        let cont_goals: Vec<(Cell, u32)> = (0..closure.cont_len)
-            .map(|i| (self.heap.str_arg(hdr, 1 + i as u32), 0u32))
-            .collect();
-        self.cont = self.conts.from_vec(&cont_goals, |_| 0);
+        self.cont = cont;
         self.status = Status::Running;
 
         let db = Arc::clone(&self.db);
-        let ok = self.try_clause(&db, name, arity, clause_idx, goal, 0);
+        let pred = db.predicate(name, arity).expect("a published predicate");
+        let ok = self.try_clause(pred, clause_idx, goal, 0);
         if !ok {
             self.status = Status::Failed;
         }
@@ -1588,8 +1554,10 @@ impl Machine {
     }
 
     /// One resolution step against the borrowed program: pop the first
-    /// goal of the continuation, trim the continuation stack to what a
-    /// control frame or the remaining continuation still names, dispatch.
+    /// frame of the continuation, trim the continuation stack to what a
+    /// control frame or the remaining continuation still names, run the
+    /// frame. Running a frame is charged one `call_dispatch`, whatever it
+    /// holds.
     fn step_in(&mut self, db: &Database) -> Status {
         if self.status != Status::Running {
             return self.status.clone();
@@ -1601,111 +1569,95 @@ impl Machine {
         };
         self.cont = node.next;
         self.conts.trim(self.cont_floor(), node.next);
-        self.dispatch(db, node.goal, node.barrier)
+        self.charge(self.costs.call_dispatch);
+        match node.goal {
+            Goal::Term(goal) => self.dispatch(db, goal, node.barrier),
+            Goal::Call { goal, pred } => self.call_linked(db, goal, pred),
+            Goal::Body { clause, at, env } => {
+                self.compiled_body_step(db, clause, at, env, node.barrier)
+            }
+            Goal::IteThen { cut_to } => {
+                self.cut_to(cut_to);
+                Status::Running
+            }
+            Goal::MemoStore { slot, gen } => self.memo_store_arrival(slot as usize, gen),
+            Goal::TableAnswer { subgoal, goal } => {
+                self.table_answer_arrival(db, subgoal as usize, goal.cell())
+            }
+            Goal::InlineBarrier { frame } => {
+                self.status = Status::InlineBarrier(frame);
+                self.status.clone()
+            }
+        }
     }
 
+    /// Run the goal term `goal` by its principal functor: a control
+    /// construct or builtin of the one builtin table, else a user
+    /// predicate found by name.
     fn dispatch(&mut self, db: &Database, goal: Cell, barrier: u32) -> Status {
-        self.charge(self.costs.call_dispatch);
-        let w = wk();
         match view(&self.heap, goal) {
             TermView::Var(_) => self.error("unbound goal (instantiation error)"),
             TermView::Int(_) | TermView::Nil | TermView::List(_) => {
                 self.error("type error: callable expected")
             }
-            TermView::Atom(s) => {
-                if s == w.true_ {
+            TermView::Atom(s) => match builtin(s, 0) {
+                Some(Builtin::True) => {
                     self.status = Status::Running;
                     Status::Running
-                } else if s == w.fail || s == w.false_ {
-                    self.backtrack_in(db)
-                } else if s == w.cut {
+                }
+                Some(Builtin::Fail) => self.backtrack_in(db),
+                Some(Builtin::Cut) => {
                     self.cut_to(barrier);
                     Status::Running
-                } else if s == w.nl {
+                }
+                Some(Builtin::Nl) => {
                     self.output.push('\n');
                     Status::Running
-                } else if s == w.halt {
+                }
+                Some(Builtin::Halt) => {
                     self.status = Status::Halted;
                     Status::Halted
-                } else {
-                    self.call_user(db, goal, s, 0, None)
                 }
-            }
-            TermView::Struct(f, n, hdr) => {
-                if f == w.comma && n == 2 {
-                    let a = self.heap.str_arg(hdr, 0);
-                    let b = self.heap.str_arg(hdr, 1);
-                    self.cont = self.conts.push(self.cont, b, barrier);
-                    self.cont = self.conts.push(self.cont, a, barrier);
-                    Status::Running
-                } else if f == w.amp && n == 2 {
-                    // Inside a tabled generator `&` degrades to `,`: the
-                    // derivation's continuation carries machine-local
-                    // `$table_answer` markers that must not be handed to
-                    // the and-engine's slot protocol (sound — parallel
-                    // conjunction and sequential conjunction agree on
-                    // answer sets).
-                    if self.par_enabled && self.table_gen_stack.is_empty() {
-                        self.raise_parcall(goal, barrier)
-                    } else {
-                        // sequential fallback: `&` behaves as `,`
-                        let a = self.heap.str_arg(hdr, 0);
-                        let b = self.heap.str_arg(hdr, 1);
-                        self.cont = self.conts.push(self.cont, b, barrier);
-                        self.cont = self.conts.push(self.cont, a, barrier);
-                        Status::Running
-                    }
-                } else if f == w.semicolon && n == 2 {
-                    self.disjunction(hdr, barrier)
-                } else if f == w.arrow && n == 2 {
+                _ => self.call_user(db, goal, db.pred_id(s, 0), s, 0, None),
+            },
+            TermView::Struct(f, n, hdr) => match builtin(f, n) {
+                Some(Builtin::Conj) => self.conjunction(hdr, barrier),
+                // Inside a tabled generator `&` degrades to `,`: the
+                // derivation's continuation carries machine-local
+                // `TableAnswer` frames that must not be handed to the
+                // and-engine's slot protocol (sound — parallel conjunction
+                // and sequential conjunction agree on answer sets).
+                Some(Builtin::Par) if self.par_enabled && self.table_gen_stack.is_empty() => {
+                    self.raise_parcall(goal, barrier)
+                }
+                // sequential fallback: `&` behaves as `,`
+                Some(Builtin::Par) => self.conjunction(hdr, barrier),
+                Some(Builtin::Disj) => self.disjunction(hdr, barrier),
+                Some(Builtin::IfThen) => {
                     // bare C -> T  ==  (C -> T ; fail)
                     let c = self.heap.str_arg(hdr, 0);
                     let t = self.heap.str_arg(hdr, 1);
-                    self.if_then_else(c, t, Cell::Atom(w.fail), barrier)
-                } else if (f == w.naf || f == w.not) && n == 1 {
-                    let g = self.heap.str_arg(hdr, 0);
-                    self.if_then_else(g, Cell::Atom(w.fail), Cell::Atom(w.true_), barrier)
-                } else if f == w.call && n >= 1 {
-                    self.call_n(hdr, n)
-                } else if f == inline_barrier_sym() && n == 1 {
-                    let Cell::Int(fid) = self.heap.deref(self.heap.str_arg(hdr, 0)) else {
-                        unreachable!("malformed inline barrier")
-                    };
-                    self.status = Status::InlineBarrier(fid as u64);
-                    self.status.clone()
-                } else if f == body_step_sym() && n == 3 {
-                    self.compiled_body_step(db, hdr, barrier)
-                } else if f == memo_store_sym() && n == 2 {
-                    let Cell::Int(idx) = self.heap.deref(self.heap.str_arg(hdr, 0)) else {
-                        unreachable!("malformed memo-store marker")
-                    };
-                    let Cell::Int(gen) = self.heap.deref(self.heap.str_arg(hdr, 1)) else {
-                        unreachable!("malformed memo-store marker")
-                    };
-                    self.memo_store_arrival(idx as usize, gen as u64)
-                } else if f == table_answer_sym() && n == 2 {
-                    let Cell::Int(idx) = self.heap.deref(self.heap.str_arg(hdr, 0)) else {
-                        unreachable!("malformed table-answer marker")
-                    };
-                    let g = self.heap.str_arg(hdr, 1);
-                    self.table_answer_arrival(db, idx as usize, g)
-                } else if f == ite_then_sym() && n == 2 {
-                    // internal: ITE condition succeeded — cut the else
-                    // choice point, then run Then.
-                    let t = self.heap.str_arg(hdr, 0);
-                    let Cell::Int(cp_idx) = self.heap.deref(self.heap.str_arg(hdr, 1)) else {
-                        unreachable!()
-                    };
-                    self.cut_to(cp_idx as u32);
-                    self.cont = self.conts.push(self.cont, t, barrier);
-                    Status::Running
-                } else if let Some(status) = crate::builtins::dispatch(self, db, f, n, hdr) {
-                    status
-                } else {
-                    self.call_user(db, goal, f, n, Some(hdr))
+                    self.if_then_else(c, t, Cell::Atom(wk().fail), barrier)
                 }
-            }
+                Some(Builtin::Not) => {
+                    let g = self.heap.str_arg(hdr, 0);
+                    let w = wk();
+                    self.if_then_else(g, Cell::Atom(w.fail), Cell::Atom(w.true_), barrier)
+                }
+                Some(Builtin::Call) => self.call_n(hdr, n),
+                Some(b) => crate::builtins::run(self, db, b, f, hdr),
+                None => self.call_user(db, goal, db.pred_id(f, n), f, n, Some(hdr)),
+            },
         }
+    }
+
+    /// `A, B`: run `A`, then `B`, under the same cut barrier.
+    fn conjunction(&mut self, hdr: Addr, barrier: u32) -> Status {
+        let a = self.heap.str_arg(hdr, 0);
+        let b = self.heap.str_arg(hdr, 1);
+        self.cont = self.conts.push(self.cont, Goal::Term(b), barrier);
+        self.cont = self.conts.push(self.cont, Goal::Term(a), barrier);
+        Status::Running
     }
 
     fn raise_parcall(&mut self, goal: Cell, barrier: u32) -> Status {
@@ -1742,7 +1694,7 @@ impl Machine {
         Status::Parcall
     }
 
-    fn disjunction(&mut self, hdr: ace_logic::Addr, barrier: u32) -> Status {
+    fn disjunction(&mut self, hdr: Addr, barrier: u32) -> Status {
         let lhs = self.heap.str_arg(hdr, 0);
         let rhs = self.heap.str_arg(hdr, 1);
         // if-then-else?
@@ -1754,24 +1706,25 @@ impl Machine {
             }
         }
         self.push_choice(lhs, Alts::Disj { rhs }, self.cont, barrier);
-        self.cont = self.conts.push(self.cont, lhs, barrier);
+        self.cont = self.conts.push(self.cont, Goal::Term(lhs), barrier);
         Status::Running
     }
 
     fn if_then_else(&mut self, c: Cell, t: Cell, e: Cell, barrier: u32) -> Status {
-        let cp_idx = self.ctrl.len() as i64;
+        let cut_to = self.ctrl.len() as u32;
         self.push_choice(c, Alts::Disj { rhs: e }, self.cont, barrier);
-        // run C, then '$ite_then'(T, cp_idx); C's own cuts are local to it.
-        let then_goal = self
-            .heap
-            .new_struct(ite_then_sym(), &[t, Cell::Int(cp_idx)]);
-        self.cont = self.conts.push(self.cont, then_goal, barrier);
+        // run C, then cut the else-branch's choice point, then T; C's own
+        // cuts are local to it.
+        self.cont = self.conts.push(self.cont, Goal::Term(t), barrier);
+        self.cont = self
+            .conts
+            .push(self.cont, Goal::IteThen { cut_to }, barrier);
         let cond_barrier = self.ctrl.len() as u32; // cut inside C is local
-        self.cont = self.conts.push(self.cont, c, cond_barrier);
+        self.cont = self.conts.push(self.cont, Goal::Term(c), cond_barrier);
         Status::Running
     }
 
-    fn call_n(&mut self, hdr: ace_logic::Addr, n: u32) -> Status {
+    fn call_n(&mut self, hdr: Addr, n: u32) -> Status {
         self.charge(self.costs.builtin);
         let target = self.heap.str_arg(hdr, 0);
         let goal = if n == 1 {
@@ -1793,31 +1746,48 @@ impl Machine {
         };
         // cut inside call/N is local: fresh barrier at current height
         let barrier = self.ctrl.len() as u32;
-        self.cont = self.conts.push(self.cont, goal, barrier);
+        self.cont = self.conts.push(self.cont, Goal::Term(goal), barrier);
         Status::Running
     }
 
+    /// Call a goal whose user predicate the link pass resolved.
+    fn call_linked(&mut self, db: &Database, goal: Callable, pid: PredId) -> Status {
+        let pred = db.pred(pid);
+        let hdr = match goal {
+            Callable::Str(h) => Some(h),
+            Callable::Atom(_) => None,
+        };
+        self.call_user(db, goal.cell(), Some(pid), pred.name, pred.arity, hdr)
+    }
+
+    /// Call the user predicate `name/arity` — `pred`, or undefined — with
+    /// the goal `goal` (argument block at `hdr`): through the answer store
+    /// when it is on, else by the first-argument index.
     fn call_user(
         &mut self,
         db: &Database,
         goal: Cell,
+        pred: Option<PredId>,
         name: Sym,
         arity: u32,
-        hdr: Option<ace_logic::Addr>,
+        hdr: Option<Addr>,
     ) -> Status {
         self.stats.calls += 1;
         self.charge(self.costs.index_lookup);
-        if self.tabling && db.is_tabled(name, arity) {
-            return self.table_call(db, goal, name, arity, hdr);
+        if self.tabling
+            && pred.map_or_else(|| db.is_tabled(name, arity), |p| db.pred(p).is_tabled())
+        {
+            return self.table_call(db, goal, pred, name, arity, hdr);
         }
         if self.memoize {
             if let Some(status) = self.memo_consult(db, goal) {
                 return status;
             }
         }
-        let Some(pred) = db.predicate(name, arity) else {
-            return self.error(format!("undefined predicate {}/{arity}", name.name()));
+        let Some(pid) = pred else {
+            return self.undefined(name, arity);
         };
+        let pred = db.pred(pid);
         let key = match hdr {
             Some(h) if arity > 0 => IndexKey::of(&self.heap, self.heap.str_arg(h, 0)),
             _ => IndexKey::Any,
@@ -1851,18 +1821,22 @@ impl Machine {
         let barrier_at_call = self.ctrl.len() as u32;
         if let Some(next) = second {
             let rest = Alts::Clauses {
-                name,
-                arity,
+                pred: pid,
                 key,
                 next,
             };
             self.push_choice(goal, rest, self.cont, barrier_at_call);
         }
-        if self.try_clause_in(pred, name, arity, first, goal, barrier_at_call) {
+        if self.try_clause(pred, first, goal, barrier_at_call) {
             Status::Running
         } else {
             self.backtrack_in(db)
         }
+    }
+
+    /// No clause defines `name/arity`.
+    fn undefined(&mut self, name: Sym, arity: u32) -> Status {
+        self.error(format!("undefined predicate {}/{arity}", name.name()))
     }
 
     /// Mode-aware clause lookup: the compiled path binary-searches the
@@ -1884,40 +1858,15 @@ impl Machine {
         }
     }
 
-    /// Run clause `idx` of `name/arity` against `goal`; on success push
-    /// the body. Returns success. On failure the partial bindings are
-    /// undone (heap garbage is reclaimed by the next choice-point
-    /// restore). Dispatches to the compiled register code by default, or
-    /// to the tree-walking interpreter oracle under
-    /// [`ClauseExec::Interpreted`].
-    fn try_clause(
-        &mut self,
-        db: &Database,
-        name: Sym,
-        arity: u32,
-        idx: usize,
-        goal: Cell,
-        body_barrier: u32,
-    ) -> bool {
-        let pred = db.predicate(name, arity).expect("predicate vanished");
-        self.try_clause_in(pred, name, arity, idx, goal, body_barrier)
-    }
-
-    /// [`Machine::try_clause`] with the predicate already in hand —
-    /// `call_user` has just fetched it for the index dispatch, so the
-    /// first clause attempt skips the second database lookup.
-    fn try_clause_in(
-        &mut self,
-        pred: &Predicate,
-        name: Sym,
-        arity: u32,
-        idx: usize,
-        goal: Cell,
-        body_barrier: u32,
-    ) -> bool {
+    /// Run clause `idx` of `pred` against `goal`; on success push the
+    /// body. Returns success. On failure the partial bindings are undone
+    /// (heap garbage is reclaimed by the next choice-point restore).
+    /// Dispatches to the compiled register code by default, or to the
+    /// tree-walking interpreter oracle under [`ClauseExec::Interpreted`].
+    fn try_clause(&mut self, pred: &Predicate, idx: usize, goal: Cell, body_barrier: u32) -> bool {
         let clause = &pred.clauses[idx];
         if self.compiled {
-            return self.try_clause_compiled(name, arity, idx, clause, goal, body_barrier);
+            return self.try_clause_compiled(clause, goal, body_barrier);
         }
         let pre_trail = self.heap.trail_mark();
         let (head, body) = clause.instantiate(&mut self.heap);
@@ -1928,7 +1877,7 @@ impl Machine {
             Some(steps) => {
                 self.stats.unify_steps += steps as u64;
                 self.charge(steps as u64 * self.costs.unify_step);
-                self.cont = self.conts.push(self.cont, body, body_barrier);
+                self.cont = self.conts.push(self.cont, Goal::Term(body), body_barrier);
                 self.status = Status::Running;
                 true
             }
@@ -1948,17 +1897,9 @@ impl Machine {
     /// registers, materializing nothing. A failing guard costs only the
     /// head match. An arithmetic if-then-else picks its branch here with
     /// no choice point. Only the first non-inlinable goal is built on the
-    /// heap; any steps after it ride behind a `$body` continuation marker
-    /// and are materialized one at a time as the resolvent reaches them.
-    fn try_clause_compiled(
-        &mut self,
-        name: Sym,
-        arity: u32,
-        idx: usize,
-        clause: &ace_logic::db::Clause,
-        goal: Cell,
-        body_barrier: u32,
-    ) -> bool {
+    /// heap; any steps after it wait in a body frame and are materialized
+    /// one at a time as the resolvent reaches them.
+    fn try_clause_compiled(&mut self, clause: &Clause, goal: Cell, body_barrier: u32) -> bool {
         let code = clause.code();
         let hdr = match self.heap.deref(goal) {
             Cell::Str(h) => Some(h),
@@ -1981,17 +1922,10 @@ impl Machine {
                     self.status = Status::Running;
                     true
                 }
-                CompiledBody::Steps(_) => self.run_body_neck(
-                    code,
-                    0,
-                    name,
-                    arity,
-                    idx,
-                    &mut slots,
-                    body_barrier,
-                    pre_trail,
-                ),
-                CompiledBody::IfThenElse { cond, .. } => {
+                CompiledBody::Steps(_) => {
+                    self.run_body_neck(clause, 0, &mut slots, body_barrier, pre_trail)
+                }
+                CompiledBody::IfThenElse { cond, cond_op, .. } => {
                     // Decide the branch now, with no choice point: the
                     // test is deterministic and binds nothing, so the
                     // generic machinery would cut the else-alternative
@@ -2006,22 +1940,10 @@ impl Machine {
                         arith::eval_template(&cond.cells, cond.cells[h + 2], &slots, &self.heap);
                     match (a, b) {
                         (Some((a, o1)), Some((b, o2))) => {
-                            let CompiledBody::IfThenElse { cond_op, .. } = code.body() else {
-                                unreachable!()
-                            };
                             let taken = arith::cmp_apply(*cond_op, a, b).expect("compiled test op");
                             self.charge(self.costs.instr + (o1 + o2 + 1) * self.costs.arith_op);
                             let branch = if taken { 1 } else { 2 };
-                            self.run_body_neck(
-                                code,
-                                branch,
-                                name,
-                                arity,
-                                idx,
-                                &mut slots,
-                                body_barrier,
-                                pre_trail,
-                            )
+                            self.run_body_neck(clause, branch, &mut slots, body_barrier, pre_trail)
                         }
                         _ => {
                             // An operand is unbound or non-numeric: rebuild
@@ -2031,7 +1953,7 @@ impl Machine {
                             let (body, cells) = code.instantiate_body(&mut self.heap, &mut slots);
                             self.stats.heap_cells += cells as u64;
                             self.charge(cells as u64 * self.costs.heap_cell);
-                            self.cont = self.conts.push(self.cont, body, body_barrier);
+                            self.cont = self.conts.push(self.cont, Goal::Term(body), body_barrier);
                             self.status = Status::Running;
                             true
                         }
@@ -2051,21 +1973,18 @@ impl Machine {
 
     /// Execute the leading inline-able steps of `branch` directly off the
     /// templates (the clause "neck"), then push the first real goal and —
-    /// only if more than one goal remains — a `$body` marker carrying the
-    /// frozen slot registers. Returns false (after undoing head bindings)
-    /// if an inline guard fails.
-    #[allow(clippy::too_many_arguments)]
+    /// only if more than one goal remains — a body frame over the
+    /// activation's environment. Returns false (after undoing head
+    /// bindings) if an inline guard fails.
     fn run_body_neck(
         &mut self,
-        code: &ace_logic::CompiledCode,
+        clause: &Clause,
         branch: u8,
-        name: Sym,
-        arity: u32,
-        idx: usize,
         slots: &mut [Cell],
         barrier: u32,
         pre_trail: TrailMark,
     ) -> bool {
+        let code = clause.code();
         let steps = code.steps(branch);
         let mut k = 0usize;
         while k < steps.len() {
@@ -2085,14 +2004,14 @@ impl Machine {
             self.stats.heap_cells += cells as u64;
             self.charge(cells as u64 * self.costs.heap_cell);
             if k + 1 < steps.len() {
-                let slots_t = self.make_slots_term(code, slots);
-                let marker = self.make_body_marker(name, arity, idx, branch, k + 1, slots_t);
-                self.cont = self.conts.push(self.cont, marker, barrier);
+                let env = self.make_env(code, slots);
+                let clause = clause.id().expect("a clause with a body is a rule");
+                self.push_body(clause, BodyAt::new(branch, k + 1), env, barrier);
             }
             let (g, cells) = steps[k].tpl.instantiate(&mut self.heap, slots);
             self.stats.heap_cells += cells as u64;
             self.charge(cells as u64 * self.costs.heap_cell);
-            self.cont = self.conts.push(self.cont, g, barrier);
+            self.cont = self.conts.push(self.cont, step_goal(&steps[k], g), barrier);
         }
         self.status = Status::Running;
         true
@@ -2202,12 +2121,12 @@ impl Machine {
         }
     }
 
-    /// Freeze the slot registers into a `$slots/n` structure so the
-    /// `$body` marker survives term copying (closures, or-engine state
-    /// shipping, tabling freeze/thaw) like any other term.
-    fn make_slots_term(&mut self, code: &ace_logic::CompiledCode, slots: &[Cell]) -> Cell {
+    /// Build a body activation's environment: the slot registers as one
+    /// `$slots/n` structure, which survives term copying (closures,
+    /// tabling freeze/thaw) like any other term.
+    fn make_env(&mut self, code: &CompiledCode, slots: &[Cell]) -> Env {
         if code.nslots() == 0 {
-            return Cell::Nil;
+            return Env::NONE;
         }
         let t = self
             .heap
@@ -2215,64 +2134,42 @@ impl Machine {
         let cells = code.nslots() as u64 + 1;
         self.stats.heap_cells += cells;
         self.charge(cells * self.costs.heap_cell);
-        t
+        Env::of(t)
     }
 
-    /// Build a `$body(Pack1, Pack2, Slots)` continuation marker: clause
-    /// identity packed as `name<<32|arity` and `idx<<32|branch<<24|step`.
-    /// The clause DB is immutable (no assert/retract), so the index stays
-    /// valid for the marker's whole lifetime.
-    #[allow(clippy::too_many_arguments)]
-    fn make_body_marker(
-        &mut self,
-        name: Sym,
-        arity: u32,
-        idx: usize,
-        branch: u8,
-        step: usize,
-        slots_term: Cell,
-    ) -> Cell {
-        let p1 = Cell::Int(((name.index() as i64) << 32) | arity as i64);
-        let p2 = Cell::Int(((idx as i64) << 32) | ((branch as i64) << 24) | step as i64);
-        let t = self.heap.new_struct(body_step_sym(), &[p1, p2, slots_term]);
-        self.stats.heap_cells += 4;
-        self.charge(4 * self.costs.heap_cell);
-        t
+    /// Push a body frame: steps `at..` of `clause` wait behind the goal
+    /// about to run.
+    fn push_body(&mut self, clause: ClauseId, at: BodyAt, env: Env, barrier: u32) {
+        self.stats.heap_cells += BODY_FRAME_CELLS;
+        self.charge(BODY_FRAME_CELLS * self.costs.heap_cell);
+        self.cont = self
+            .conts
+            .push(self.cont, Goal::Body { clause, at, env }, barrier);
     }
 
-    /// A `$body` marker reached the front of the resolvent: reload the
-    /// frozen slots, run any inline-able steps, then materialize and
-    /// dispatch the next real goal (re-pushing a marker for whatever still
+    /// A body frame reached the front of the resolvent: reload the
+    /// activation's slots, run any inline-able steps, then materialize and
+    /// run the next real goal (re-pushing a frame for whatever still
     /// remains). Backtracking into the middle of a body needs no special
     /// case: the choice point snapshotted the continuation *before* the
-    /// marker existed, so retry starts from the clause head as usual.
-    fn compiled_body_step(&mut self, db: &Database, hdr: ace_logic::Addr, barrier: u32) -> Status {
-        let Cell::Int(p1) = self.heap.deref(self.heap.str_arg(hdr, 0)) else {
-            unreachable!("malformed $body marker");
-        };
-        let Cell::Int(p2) = self.heap.deref(self.heap.str_arg(hdr, 1)) else {
-            unreachable!("malformed $body marker");
-        };
-        let slots_t = self.heap.str_arg(hdr, 2);
-        let name = Sym((p1 >> 32) as u32);
-        let arity = (p1 & 0xffff_ffff) as u32;
-        let idx = (p2 >> 32) as usize;
-        let branch = ((p2 >> 24) & 0xff) as u8;
-        let from = (p2 & 0xff_ffff) as usize;
-        let pred = db
-            .predicate(name, arity)
-            .expect("marker predicate vanished");
-        let code = pred.clauses[idx].code();
-
+    /// frame existed, so retry starts from the clause head as usual.
+    fn compiled_body_step(
+        &mut self,
+        db: &Database,
+        clause: ClauseId,
+        at: BodyAt,
+        env: Env,
+        barrier: u32,
+    ) -> Status {
+        let code = db.rule(clause).code();
         let mut slots = std::mem::take(&mut self.code_slots);
         slots.clear();
-        if let Cell::Str(sh) = self.heap.deref(slots_t) {
-            for i in 0..code.nslots() as u32 {
-                slots.push(self.heap.str_arg(sh, i));
-            }
+        if let Some(sh) = env.slots() {
+            let args = sh.idx() + 1;
+            slots.extend_from_slice(&self.heap.cells()[args..args + code.nslots()]);
         }
-        let steps = code.steps(branch);
-        let mut k = from;
+        let steps = code.steps(at.branch());
+        let mut k = at.step();
         while k < steps.len() {
             match self.inline_step(code, &steps[k], &mut slots) {
                 StepOutcome::Ok => k += 1,
@@ -2291,22 +2188,25 @@ impl Machine {
             return Status::Running;
         }
         if k + 1 < steps.len() {
-            // Reuse the existing frozen-slots structure: inline `is`
-            // results into UNSET registers are the only slot mutations,
-            // and those steps are behind us now.
-            let marker = self.make_body_marker(name, arity, idx, branch, k + 1, slots_t);
-            self.cont = self.conts.push(self.cont, marker, barrier);
+            // The same environment serves the rest: inline `is` results
+            // into unset registers are the only slot mutations, and those
+            // steps are behind us now.
+            self.push_body(clause, BodyAt::new(at.branch(), k + 1), env, barrier);
         }
         let (g, cells) = steps[k].tpl.instantiate(&mut self.heap, &slots);
         self.stats.heap_cells += cells as u64;
         self.charge(cells as u64 * self.costs.heap_cell);
         self.code_slots = slots;
         self.code_slots.clear();
-        // Dispatch the goal directly instead of pushing it and returning:
-        // saves a continuation node alloc/pop per body goal. Recursion is
-        // bounded — `dispatch` on a user goal lands in `try_clause`, which
-        // pushes and returns.
-        self.dispatch(db, g, barrier)
+        // Run the goal directly instead of pushing it and returning: saves
+        // a continuation node push and pop per body goal. Recursion is
+        // bounded — a user goal lands in `try_clause`, which pushes and
+        // returns.
+        self.charge(self.costs.call_dispatch);
+        match step_goal(&steps[k], g) {
+            Goal::Call { goal, pred } => self.call_linked(db, goal, pred),
+            _ => self.dispatch(db, g, barrier),
+        }
     }
 
     /// Push a private choice point for `goal`, to be retried with
@@ -2432,17 +2332,18 @@ impl Machine {
                     // Published choice point: alternatives come from the
                     // shared pool, competed for with remote workers.
                     if let Some(shared) = cp.shared.as_deref() {
-                        let Alts::Clauses { name, arity, .. } = cp.alts else {
+                        let Alts::Clauses { pred, .. } = cp.alts else {
                             panic!("shared non-clause choice point");
                         };
                         match shared.claim_next() {
                             Some(idx) => {
                                 self.stats.alternatives_claimed += 1;
                                 self.charge(self.costs.claim_alternative);
+                                let pred = db.pred(pred);
                                 self.note(EventKind::ClauseRetry {
-                                    pred: Label::Pred(name, arity),
+                                    pred: Label::Pred(pred.name, pred.arity),
                                 });
-                                if self.try_clause(db, name, arity, idx, goal, barrier) {
+                                if self.try_clause(pred, idx, goal, barrier) {
                                     self.status = Status::Running;
                                     return Status::Running;
                                 }
@@ -2458,16 +2359,13 @@ impl Machine {
 
                     match &mut cp.alts {
                         &mut Alts::Clauses {
-                            name,
-                            arity,
+                            pred,
                             key,
                             next: idx,
                         } => {
-                            let pred = db
-                                .predicate(name, arity)
-                                .expect("retried predicate vanished");
+                            let pred = db.pred(pred);
                             self.note(EventKind::ClauseRetry {
-                                pred: Label::Pred(name, arity),
+                                pred: Label::Pred(pred.name, pred.arity),
                             });
                             match self.pred_next(pred, key, idx + 1) {
                                 Some(f) => {
@@ -2480,7 +2378,7 @@ impl Machine {
                                     self.ctrl.pop();
                                 }
                             }
-                            if self.try_clause_in(pred, name, arity, idx, goal, barrier) {
+                            if self.try_clause(pred, idx, goal, barrier) {
                                 self.status = Status::Running;
                                 return Status::Running;
                             }
@@ -2488,7 +2386,7 @@ impl Machine {
                         }
                         &mut Alts::Disj { rhs } => {
                             self.ctrl.pop();
-                            self.cont = self.conts.push(self.cont, rhs, barrier);
+                            self.cont = self.conts.push(self.cont, Goal::Term(rhs), barrier);
                             self.status = Status::Running;
                             return Status::Running;
                         }
@@ -2558,14 +2456,11 @@ impl Machine {
                         }
                         &mut Alts::TableGen {
                             subgoal,
-                            name,
-                            arity,
+                            pred,
                             key,
                             next,
                         } => {
-                            let pred = db
-                                .predicate(name, arity)
-                                .expect("tabled predicate vanished");
+                            let pred = db.pred(pred);
                             match self.pred_next(pred, key, next) {
                                 Some(f) => {
                                     if let Alts::TableGen { next, .. } = self.alts_mut(top) {
@@ -2574,7 +2469,7 @@ impl Machine {
                                     // Clause bodies barrier above the
                                     // generator CP (cut stays local).
                                     let barrier = (top + 1) as u32;
-                                    if self.try_clause_in(pred, name, arity, f, goal, barrier) {
+                                    if self.try_clause(pred, f, goal, barrier) {
                                         self.status = Status::Running;
                                         return Status::Running;
                                     }

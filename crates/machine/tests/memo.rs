@@ -1,5 +1,6 @@
-//! Machine-level memoization tests: the `$memo_store` watch protocol,
-//! tabled-answer replay, and the zero-cost opt-out.
+//! Machine-level memoization tests: the memo watch protocol (a `MemoStore`
+//! frame after the watched call), tabled-answer replay, and the zero-cost
+//! opt-out.
 
 use std::sync::Arc;
 

@@ -233,7 +233,7 @@ impl OrWorker {
             return;
         };
         // Frames at or above an active tabled generator are machine-local
-        // SLG state (consumer cursors, `$table_answer` markers in their
+        // SLG state (consumer cursors, `TableAnswer` frames in their
         // continuations): never published. The subgoal's completed answer
         // set reaches other workers through the shared table space instead.
         if idx >= run.machine.table_publish_floor() {
@@ -243,13 +243,7 @@ impl OrWorker {
         let Some(cp) = run.machine.choice_at(idx) else {
             return;
         };
-        let Alts::Clauses {
-            name,
-            arity,
-            key,
-            next,
-        } = cp.alts
-        else {
+        let Alts::Clauses { pred, key, next } = cp.alts else {
             // Memo-replay (and other non-clause) alternatives never enter
             // the or-tree: a tabled answer set is already complete, so
             // there is nothing for a remote worker to claim.
@@ -267,9 +261,8 @@ impl OrWorker {
                 return;
             }
         }
-        let Some(pred) = run.machine.db().predicate(name, arity) else {
-            return;
-        };
+        let pred = run.machine.db().pred(pred);
+        let (name, arity) = (pred.name, pred.arity);
         let mut alts = VecDeque::new();
         let mut i = next;
         while let Some(j) = pred.next_matching(key, i) {

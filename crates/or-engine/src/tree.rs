@@ -365,7 +365,7 @@ mod tests {
     fn closure() -> Arc<StateClosure> {
         let mut h = Heap::new();
         let tuple = h.new_struct(sym("$closure"), &[ace_logic::Cell::Nil]);
-        Arc::new(StateClosure::freeze(&h, tuple, 0))
+        Arc::new(StateClosure::freeze(&h, tuple, Vec::new()))
     }
 
     fn counter() -> Arc<AtomicUsize> {

@@ -79,6 +79,47 @@ proptest! {
         prop_assert_eq!(sorted(r.solutions), oracle);
     }
 
+    /// Random long clause bodies — four generators, then six to eleven
+    /// steps of linked calls, a callee defined below its caller, inline
+    /// arithmetic, builtins and `call/N` — run on the compiled path's body
+    /// frames compute the interpreter oracle's answers in its order, and
+    /// the or-engine's closures, taken mid-body, the same multiset.
+    #[test]
+    fn long_bodies_compute_the_interpreters_answers(
+        steps in prop::collection::vec((0usize..6, 0usize..4, 0usize..4), 6..12),
+        workers in 1usize..5,
+    ) {
+        let mut body = vec![
+            "d(V0)".to_owned(),
+            "d(V1)".to_owned(),
+            "d(V2)".to_owned(),
+            "d(V3)".to_owned(),
+        ];
+        body.extend(steps.iter().map(|&(kind, a, b)| match kind {
+            0 => format!("d(V{a})"),
+            1 => format!("V{a} =< V{b} + 1"),
+            2 => format!("V{a} + V{b} =\\= 3"),
+            3 => format!("aux(V{a}, V{b})"),
+            4 => format!("V{a} \\== V{b}"),
+            _ => format!("call(d, V{a})"),
+        }));
+        let program = format!(
+            "t(t(V0, V1, V2, V3)) :- {}.\nd(0). d(1). d(2).\naux(A, B) :- e(A, C), C >= B.\ne(X, Y) :- Y is X + 1.\n",
+            body.join(", ")
+        );
+        let ace = Ace::load(&program).unwrap();
+        let run = |exec| {
+            let c = cfg(1, OptFlags::all()).with_clause_exec(exec);
+            ace.run(Mode::Sequential, "t(T)", &c).unwrap().solutions
+        };
+        let compiled = run(ace_runtime::ClauseExec::Compiled);
+        prop_assert_eq!(&compiled, &run(ace_runtime::ClauseExec::Interpreted));
+        let or = ace
+            .run(Mode::OrParallel, "t(T)", &cfg(workers, OptFlags::all()))
+            .unwrap();
+        prop_assert_eq!(sorted(or.solutions), sorted(compiled));
+    }
+
     /// Random deterministic arithmetic pipelines through nested parallel
     /// conjunctions compute the same value everywhere.
     #[test]
