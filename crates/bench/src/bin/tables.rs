@@ -11,7 +11,7 @@
 //! Every number is virtual time or a count, so a run is byte-stable: CI
 //! runs this and then `git diff --exit-code`. A failed guard exits 2.
 
-use ace_bench::{compile, experiments, extras, or_scaling, render_csv, render_table};
+use ace_bench::{compile, experiments, extras, fd_scaling, or_scaling, render_csv, render_table};
 use ace_bench::{run_experiment, Artifact, Cli};
 
 type Experiment = (
@@ -34,7 +34,7 @@ fn registry(cli: &Cli) -> Vec<Experiment> {
         all.push((id, title, Box::new(run)));
     }
     let seed = cli.seed;
-    let beyond: [Experiment; 10] = [
+    let beyond: [Experiment; 11] = [
         (
             "or_scaling",
             "or-parallel corpus at 1/2/4/8 workers, plus a Perfetto trace",
@@ -82,6 +82,11 @@ fn registry(cli: &Cli) -> Vec<Experiment> {
             "tabling",
             "tabled corpus cold/warm, sequential and or-parallel",
             Box::new(extras::tabling),
+        ),
+        (
+            "fd_scaling",
+            "ace-fd queens 8-11 on the shared or-tree at 1-64 workers",
+            Box::new(fd_scaling::scaling),
         ),
         (
             "stress",

@@ -5,7 +5,7 @@
 //!
 //! * **Deterministic virtual-time experiments** — the paper's tables and
 //!   figures ([`mod@experiments`]) and the beyond-the-paper series
-//!   ([`or_scaling`], [`extras`]). Every one is regenerated by the `tables`
+//!   ([`or_scaling`], [`fd_scaling`], [`extras`]). Every one is regenerated by the `tables`
 //!   binary into `results/`, which is checked in; CI regenerates and runs
 //!   `git diff --exit-code`, so a checked-in number is the number the
 //!   code prints.
@@ -25,6 +25,7 @@
 //! | `overhead` | §2.3 parallel overhead vs sequential | all |
 //! | `or_scaling`, `or_steal_cost`, `or_claim_locality` | or-engine at 1–8 workers | — |
 //! | `or_topology`, `or_profile` | 64–512-worker grid, its worst cell profiled | — |
+//! | `fd_scaling` | `ace-fd` queens on the shared or-tree at 1–64 workers | LAO |
 //! | `compile`, `ablation`, `memo`, `tabling` | compiled vs interpreted, cost-model sweep, answer store | — |
 //! | `stress` | deep-SCC tabling fixpoint on both drivers (no artifact) | — |
 //!
@@ -42,6 +43,7 @@ use ace_runtime::EngineConfig;
 pub mod compile;
 pub mod experiments;
 pub mod extras;
+pub mod fd_scaling;
 pub mod or_scaling;
 pub mod render;
 pub mod runner;

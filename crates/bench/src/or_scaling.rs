@@ -11,7 +11,7 @@ use crate::{
     VIRTUAL_TIME, WORKER_COUNTS,
 };
 
-const STEAL_COST: Column = ("steal_cost_per_claim", |r, _| {
+pub(crate) const STEAL_COST: Column = ("steal_cost_per_claim", |r, _| {
     r.steal_cost_per_claim()
         .map_or("-".to_owned(), |c| format!("{c:.2}"))
 });

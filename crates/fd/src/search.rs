@@ -3,18 +3,19 @@
 //! Workers run first-fail labeling with **private** choice points (plain
 //! depth-first backtracking — the paper's *sequentialization* schema).
 //! When idle workers exist, the oldest private choice point is
-//! **published** into a shared tree by copying the domain state (MUSE-style
-//! state copying; domains are flat bit vectors, so a snapshot is one
-//! memcpy). Idle workers traverse the public tree to claim untried values,
-//! paying per node visited — and **LAO** keeps that tree shallow by
-//! reusing a drained node for the next choice point instead of deepening
-//! the chain, exactly as in the Prolog or-engine (paper §3.2 / Figure 7;
-//! its reference \[6\] = LAO for parallel CLP(FD)).
+//! **published** into the public or-tree the Prolog or-engine uses
+//! ([`ace_runtime::ortree`]): its untried values become the node's
+//! alternatives, and its domain state is frozen into a `Snapshot` only
+//! when a remote worker first asks for it. Idle workers find work through
+//! the tree's alternative pool (or its traversal oracle), and **LAO**
+//! reuses a drained node for the next choice point instead of deepening
+//! the chain (paper §3.2 / Figure 7; its reference \[6\] = LAO for
+//! parallel CLP(FD)).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use ace_runtime::ortree::{Closure, Lineage, OrTree, OwnerClaim, TreeWorker};
 use ace_runtime::{
     Control, Engine, EngineConfig, EventKind, Label, RunOutcome, Stats, Step, Trace, WorkerCore,
     QUANTUM,
@@ -25,259 +26,113 @@ use crate::domain::BitDomain;
 use crate::problem::Problem;
 use crate::propagate::{propagate, Outcome as Prop};
 
-static NODE_IDS: AtomicU64 = AtomicU64::new(1);
+/// The closure a published labeling choice point hands a claimant: the
+/// domain state before the split.
+struct Snapshot(Vec<BitDomain>);
 
-/// Claimable content of a public node (replaced wholesale by LAO reuse).
-struct Payload {
-    epoch: u64,
+impl Closure for Snapshot {
+    fn cells(&self) -> u64 {
+        self.0.len() as u64
+    }
+}
+
+/// A labeling choice point: the domain state before the split, the
+/// variable split on, and where its untried values are.
+struct LocalCp {
+    state: Vec<BitDomain>,
     var: usize,
-    values: VecDeque<u32>,
-    /// Domain state at the choice point.
-    state: Arc<Vec<BitDomain>>,
+    values: Values,
 }
 
-/// One public choice point of the labeling tree.
-pub struct FdNode {
-    pub id: u64,
-    pub depth: u32,
-    payload: Mutex<Option<Payload>>,
-    children: Mutex<Vec<Arc<FdNode>>>,
-    total_alts: Arc<AtomicUsize>,
+enum Values {
+    Private(VecDeque<usize>),
+    /// Published: the untried values live in the shared node.
+    Shared(OwnerClaim<Snapshot>),
 }
 
-impl FdNode {
-    fn root(total: Arc<AtomicUsize>) -> Arc<FdNode> {
-        Arc::new(FdNode {
-            id: 0,
-            depth: 0,
-            payload: Mutex::new(None),
-            children: Mutex::new(Vec::new()),
-            total_alts: total,
-        })
-    }
-
-    fn publish(
-        parent: &Arc<FdNode>,
-        var: usize,
-        values: VecDeque<u32>,
-        state: Arc<Vec<BitDomain>>,
-        total: Arc<AtomicUsize>,
-    ) -> Arc<FdNode> {
-        total.fetch_add(values.len(), Ordering::AcqRel);
-        let node = Arc::new(FdNode {
-            id: NODE_IDS.fetch_add(1, Ordering::Relaxed),
-            depth: parent.depth + 1,
-            payload: Mutex::new(Some(Payload {
-                epoch: 0,
-                var,
-                values,
-                state,
-            })),
-            children: Mutex::new(Vec::new()),
-            total_alts: total,
-        });
-        parent.children.lock().push(node.clone());
-        node
-    }
-
-    /// LAO: atomically install a new choice point into this (drained)
-    /// node; `None` if it still has unclaimed values.
-    fn try_reuse(
-        &self,
-        var: usize,
-        values: VecDeque<u32>,
-        state: Arc<Vec<BitDomain>>,
-    ) -> Option<u64> {
-        let mut p = self.payload.lock();
-        if p.as_ref().is_some_and(|p| !p.values.is_empty()) {
-            return None;
-        }
-        let epoch = p.as_ref().map_or(0, |p| p.epoch) + 1;
-        self.total_alts.fetch_add(values.len(), Ordering::AcqRel);
-        *p = Some(Payload {
-            epoch,
-            var,
-            values,
-            state,
-        });
-        Some(epoch)
-    }
-
-    fn claim(&self) -> Option<(usize, u32, u64, Arc<Vec<BitDomain>>)> {
-        let mut p = self.payload.lock();
-        let payload = p.as_mut()?;
-        let v = payload.values.pop_front()?;
-        self.total_alts.fetch_sub(1, Ordering::AcqRel);
-        Some((payload.var, v, payload.epoch, payload.state.clone()))
-    }
-
-    fn claim_epoch(&self, epoch: u64) -> Option<u32> {
-        let mut p = self.payload.lock();
-        let payload = p.as_mut()?;
-        if payload.epoch != epoch {
-            return None;
-        }
-        let v = payload.values.pop_front()?;
-        self.total_alts.fetch_sub(1, Ordering::AcqRel);
-        Some(v)
-    }
-}
-
-/// A private (unpublished or owner-held) choice point.
-enum LocalCp {
-    Private {
-        state: Vec<BitDomain>,
-        var: usize,
-        values: VecDeque<u32>,
-    },
-    /// Published: remaining values live in the shared node.
-    Shared {
-        state: Vec<BitDomain>,
-        var: usize,
-        node: Arc<FdNode>,
-        epoch: u64,
-    },
-}
-
-/// The fd-engine's share of a run's state (the run protocol's share is
-/// the [`Control`] block).
+/// The fd-engine's share of a run's state (the tree is the shared
+/// [`OrTree`], the run protocol's share the [`Control`] block).
 struct SharedState {
     problem: Problem,
-    root: Arc<FdNode>,
-    total_alts: Arc<AtomicUsize>,
-    busy: AtomicUsize,
     solutions: Mutex<Vec<Vec<u32>>>,
-    max_depth: AtomicUsize,
 }
 
 struct Run {
     domains: Vec<BitDomain>,
     stack: Vec<LocalCp>,
-    origin: Arc<FdNode>,
-    last_published: Option<Arc<FdNode>>,
+    lineage: Lineage<Snapshot>,
 }
 
 struct FdWorker {
-    core: WorkerCore,
+    tree: TreeWorker<Snapshot>,
     sh: Arc<SharedState>,
     current: Option<Run>,
 }
 
 impl FdWorker {
-    /// Publish the oldest private choice point (demand-driven), applying
-    /// LAO when the publish target is drained.
+    /// Publish the oldest private choice point that still has values
+    /// (demand-driven).
     fn maybe_publish(&mut self) {
-        if !self.core.others_idle() {
+        if !self.tree.may_publish() {
             return;
         }
-        let costs = self.core.costs.clone();
-        let lao = self.core.ctl.cfg.run.opts.lao;
-        let total_alts = self.sh.total_alts.clone();
-        let (copy_cost, reused, depth, node_id, epoch, nalts, var) = {
-            let Some(run) = self.current.as_mut() else {
-                return;
-            };
-            let Some(pos) = run
-                .stack
-                .iter()
-                .position(|cp| matches!(cp, LocalCp::Private { .. }))
-            else {
-                return;
-            };
-            let LocalCp::Private { state, var, values } = std::mem::replace(
-                &mut run.stack[pos],
-                LocalCp::Private {
-                    state: Vec::new(),
-                    var: 0,
-                    values: VecDeque::new(),
-                },
-            ) else {
-                unreachable!()
-            };
-            let snapshot = Arc::new(state.clone());
-            let copy_cost = state.len() as u64 * costs.heap_cell;
-            let nalts = values.len();
-            let candidate = run
-                .last_published
-                .clone()
-                .or_else(|| (run.origin.id != 0).then(|| run.origin.clone()));
-            let mut reuse_hit = None;
-            if lao {
-                if let Some(n) = &candidate {
-                    if let Some(e) = n.try_reuse(var, values.clone(), snapshot.clone()) {
-                        reuse_hit = Some((n.clone(), e));
-                    }
-                }
-            }
-            let (node, epoch, reused, depth) = match reuse_hit {
-                Some((n, e)) => (n, e, true, 0),
-                None => {
-                    let parent = run
-                        .last_published
-                        .clone()
-                        .unwrap_or_else(|| run.origin.clone());
-                    let n = FdNode::publish(&parent, var, values.clone(), snapshot, total_alts);
-                    let d = n.depth;
-                    (n, 0, false, d)
-                }
-            };
-            run.stack[pos] = LocalCp::Shared {
-                state,
-                var,
-                node: node.clone(),
-                epoch,
-            };
-            let node_id = node.id;
-            run.last_published = Some(node);
-            (copy_cost, reused, depth, node_id, epoch, nalts, var)
+        let Some(run) = self.current.as_mut() else {
+            return;
         };
-        if lao {
-            self.core.charge(costs.lao_check);
+        for cp in &mut run.stack {
+            if let Values::Private(values) = &mut cp.values {
+                if values.is_empty() {
+                    continue;
+                }
+                // FD splits have no predicate; label nodes by the
+                // branched variable instead.
+                let label = Label::FdVar(cp.var as u32);
+                let claim = self
+                    .tree
+                    .publish(&mut run.lineage, label, std::mem::take(values));
+                cp.values = Values::Shared(claim);
+                return;
+            }
         }
-        // FD splits have no predicate; label frames by the branched
-        // variable instead.
-        let pred = Label::FdVar(var as u32);
-        if reused {
-            self.core.charge(costs.lao_reuse + copy_cost);
-            self.core.note(EventKind::LaoReuse {
-                node: node_id,
-                epoch,
-                alts: nalts,
-                pred,
-            });
-        } else {
-            self.sh
-                .max_depth
-                .fetch_max(depth as usize, Ordering::AcqRel);
-            self.core.charge(costs.publish_node + copy_cost);
-            self.core.note(EventKind::Publish {
-                node: node_id,
-                epoch,
-                alts: nalts,
-                pred,
-            });
-        }
+    }
+
+    /// Owner checkpoint for procrastinated captures: a remote demand
+    /// freezes the published choice point's domain state.
+    fn service_deferred(&mut self) {
+        let Some(run) = self.current.as_mut() else {
+            return;
+        };
+        let stack = &run.stack;
+        self.tree.service_deferred(&mut run.lineage, |node, epoch| {
+            stack.iter().find_map(|cp| match &cp.values {
+                Values::Shared(c) if c.node.id == node && c.epoch == epoch => {
+                    Some(Snapshot(cp.state.clone()))
+                }
+                _ => None,
+            })
+        });
     }
 
     /// One bounded amount of labeling work.
     fn run_current(&mut self) {
+        self.service_deferred();
         self.maybe_publish();
-        let costs = self.core.costs.clone();
-        let start = self.core.phase_cost;
-        while self.core.phase_cost - start < QUANTUM {
+        let costs = self.tree.core.costs.clone();
+        let start = self.tree.core.phase_cost;
+        while self.tree.core.phase_cost - start < QUANTUM {
             let Some(run) = self.current.as_mut() else {
                 break;
             };
+            let core = &mut self.tree.core;
             // fully labeled?
             if run.domains.iter().all(|d| d.size() == 1) {
                 let sol: Vec<u32> = run.domains.iter().map(|d| d.value().unwrap()).collect();
-                let over = self.core.ctl.deliver(
-                    &mut self.core.stats,
-                    std::iter::once_with(|| format!("{sol:?}")),
-                );
+                let over = core
+                    .ctl
+                    .deliver(&mut core.stats, std::iter::once_with(|| format!("{sol:?}")));
                 self.sh.solutions.lock().push(sol);
-                self.core.stats.solutions += 1;
-                self.core.note(EventKind::Solution);
+                core.stats.solutions += 1;
+                core.note(EventKind::Solution);
                 if over || !self.backtrack() {
                     break;
                 }
@@ -291,38 +146,37 @@ impl FdWorker {
                 .filter(|(_, d)| d.size() > 1)
                 .min_by_key(|(_, d)| d.size())
                 .expect("non-singleton exists");
-            let mut values: VecDeque<u32> = run.domains[var].iter().collect();
+            let mut values: VecDeque<usize> = run.domains[var].iter().map(|v| v as usize).collect();
             let first = values.pop_front().expect("domain non-empty");
             let snapshot_cells = run.domains.len() as u64;
-            run.stack.push(LocalCp::Private {
+            run.stack.push(LocalCp {
                 state: run.domains.clone(),
                 var,
-                values,
+                values: Values::Private(values),
             });
-            self.core.stats.choice_points += 1;
-            self.core
-                .charge(costs.choice_point_alloc + snapshot_cells * costs.heap_cell);
+            core.stats.choice_points += 1;
+            core.charge(costs.choice_point_alloc + snapshot_cells * costs.heap_cell);
             self.assign_and_propagate(var, first);
         }
     }
 
-    fn assign_and_propagate(&mut self, var: usize, value: u32) {
-        let costs = self.core.costs.clone();
+    fn assign_and_propagate(&mut self, var: usize, value: usize) {
+        let costs = self.tree.core.costs.clone();
         let outcome = {
             let run = self.current.as_mut().expect("assign without run");
-            run.domains[var] = BitDomain::singleton(value);
+            run.domains[var] = BitDomain::singleton(value as u32);
             propagate(&self.sh.problem, &mut run.domains, Some(var))
         };
-        self.core.stats.calls += 1;
-        self.core.charge(costs.call_dispatch);
+        let core = &mut self.tree.core;
+        core.stats.calls += 1;
+        core.charge(costs.call_dispatch);
         match outcome {
             Prop::Consistent { prunes } => {
-                self.core.stats.unify_steps += prunes as u64;
-                self.core
-                    .charge(prunes as u64 * costs.unify_step + costs.builtin);
+                core.stats.unify_steps += prunes as u64;
+                core.charge(prunes as u64 * costs.unify_step + costs.builtin);
             }
             Prop::Failed => {
-                self.core.charge(costs.builtin);
+                core.charge(costs.builtin);
                 self.backtrack();
             }
         }
@@ -331,8 +185,8 @@ impl FdWorker {
     /// Take the next alternative from the youngest choice point; `false`
     /// when the local computation is exhausted.
     fn backtrack(&mut self) -> bool {
-        let costs = self.core.costs.clone();
-        self.core.stats.backtracks += 1;
+        let costs = self.tree.core.costs.clone();
+        self.tree.core.stats.backtracks += 1;
         loop {
             let Some(run) = self.current.as_mut() else {
                 return false;
@@ -342,95 +196,65 @@ impl FdWorker {
                 self.finish_run();
                 return false;
             };
-            self.core.charge(costs.choice_point_retry);
-            match top {
-                LocalCp::Private { state, var, values } => {
-                    if let Some(v) = values.pop_front() {
-                        let (var, state) = (*var, state.clone());
-                        run.domains = state;
-                        self.assign_and_propagate(var, v);
-                        return true;
+            let core = &mut self.tree.core;
+            core.charge(costs.choice_point_retry);
+            let next = match &mut top.values {
+                Values::Private(values) => values.pop_front(),
+                // Published: compete with remote claimants for the
+                // node's values, as the or-engine's machine does.
+                Values::Shared(claim) => {
+                    let next = claim.claim_next();
+                    if next.is_some() {
+                        core.stats.alternatives_claimed += 1;
+                        core.charge(costs.claim_alternative);
+                    } else {
+                        claim.detach();
                     }
-                    run.stack.pop();
+                    next
                 }
-                LocalCp::Shared {
-                    state,
-                    var,
-                    node,
-                    epoch,
-                } => {
-                    self.core.stats.alternatives_claimed += 1;
-                    self.core.charge(costs.claim_alternative);
-                    match node.claim_epoch(*epoch) {
-                        Some(v) => {
-                            let (var, state) = (*var, state.clone());
-                            let (node_id, ep) = (node.id, *epoch);
-                            run.domains = state;
-                            self.core.note(EventKind::Claim {
-                                node: node_id,
-                                epoch: ep,
-                                alt: v as usize,
-                            });
-                            self.assign_and_propagate(var, v);
-                            return true;
-                        }
-                        None => {
-                            run.stack.pop();
-                        }
-                    }
-                }
-            }
+            };
+            let Some(value) = next else {
+                run.stack.pop();
+                continue;
+            };
+            let var = top.var;
+            run.domains = top.state.clone();
+            self.assign_and_propagate(var, value);
+            return true;
         }
     }
 
     fn finish_run(&mut self) {
-        if self.current.take().is_some() {
-            self.sh.busy.fetch_sub(1, Ordering::AcqRel);
+        if let Some(run) = self.current.take() {
+            self.tree.retire(run.lineage);
         }
     }
 
-    /// Hunt the public tree for an untried value.
-    fn find_work(&mut self) -> Step {
-        let costs = self.core.costs.clone();
-        self.sh.busy.fetch_add(1, Ordering::AcqRel);
-        self.core.note(EventKind::StealAttempt);
-        let mut stack = vec![self.sh.root.clone()];
-        while let Some(node) = stack.pop() {
-            self.core.stats.tree_visits += 1;
-            self.core.charge(costs.tree_visit);
-            if let Some((var, value, epoch, state)) = node.claim() {
-                self.core.stats.alternatives_claimed += 1;
-                self.core.charge(
-                    costs.claim_alternative
-                        + costs.install_state
-                        + state.len() as u64 * costs.heap_cell,
-                );
-                self.core.note(EventKind::Claim {
-                    node: node.id,
-                    epoch,
-                    alt: value as usize,
-                });
-                self.core.note(EventKind::StealSuccess);
-                self.current = Some(Run {
-                    domains: (*state).clone(),
-                    stack: Vec::new(),
-                    origin: node,
-                    last_published: None,
-                });
-                self.assign_and_propagate(var, value);
-                return Step::Worked;
-            }
-            stack.extend(node.children.lock().iter().cloned());
-        }
-        self.sh.busy.fetch_sub(1, Ordering::AcqRel);
-        self.core.note(EventKind::StealFail);
-        Step::NoWork
+    /// Claim a value from the public tree and thaw its domain state.
+    fn thaw_claimed(&mut self) -> Step {
+        let Some(claimed) = self.tree.find_work() else {
+            return Step::NoWork;
+        };
+        let Label::FdVar(var) = claimed.label else {
+            unreachable!("fd nodes are labelled by variable")
+        };
+        // The thaw is one flat-priced block copy, as the or-engine's is.
+        let core = &mut self.tree.core;
+        core.stats.cells_copied_claim += claimed.closure.cells();
+        core.charge(core.costs.closure_thaw + core.costs.install_state);
+        self.current = Some(Run {
+            domains: claimed.closure.0.clone(),
+            stack: Vec::new(),
+            lineage: Lineage::new(claimed.node),
+        });
+        self.assign_and_propagate(var as usize, claimed.alt);
+        Step::Worked
     }
 }
 
 impl Engine for FdWorker {
     fn core(&mut self) -> &mut WorkerCore {
-        &mut self.core
+        &mut self.tree.core
     }
 
     fn work(&mut self) -> Step {
@@ -438,12 +262,15 @@ impl Engine for FdWorker {
             self.run_current();
             return Step::Worked;
         }
-        self.find_work()
+        self.thaw_claimed()
     }
 
-    /// Nothing to claim anywhere and nobody labeling: the search is over.
+    fn drain(&mut self) {
+        self.finish_run();
+    }
+
     fn quiescent(&self) -> bool {
-        self.sh.busy.load(Ordering::Acquire) == 0 && self.sh.total_alts.load(Ordering::Acquire) == 0
+        self.tree.quiescent()
     }
 }
 
@@ -476,35 +303,31 @@ impl Fd {
     /// `outcome.aborted`.
     pub fn solve_all(&self, cfg: &EngineConfig) -> FdReport {
         let ctl = Control::new(cfg);
-        let total = Arc::new(AtomicUsize::new(0));
+        let tree = OrTree::new(&ctl);
         let sh = Arc::new(SharedState {
             problem: self.problem.clone(),
-            root: FdNode::root(total.clone()),
-            total_alts: total,
-            busy: AtomicUsize::new(1),
             solutions: Mutex::new(Vec::new()),
-            max_depth: AtomicUsize::new(0),
         });
         let mut workers: Vec<FdWorker> = (0..ctl.workers())
             .map(|id| FdWorker {
-                core: WorkerCore::new(id, &ctl),
+                tree: TreeWorker::new(WorkerCore::new(id, &ctl), tree.clone()),
                 sh: sh.clone(),
                 current: None,
             })
             .collect();
 
-        // Root run: propagate the initial constraints, then label.
+        // Root run: propagate the initial constraints, then label. The
+        // fresh tree counts it busy; an inconsistent root retires at once.
         let mut domains = self.problem.domains.clone();
-        let root_ok = !matches!(propagate(&self.problem, &mut domains, None), Prop::Failed);
-        if root_ok {
+        let lineage = tree.root_lineage();
+        if matches!(propagate(&self.problem, &mut domains, None), Prop::Failed) {
+            workers[0].tree.retire(lineage);
+        } else {
             workers[0].current = Some(Run {
                 domains,
                 stack: Vec::new(),
-                origin: sh.root.clone(),
-                last_published: None,
+                lineage,
             });
-        } else {
-            sh.busy.store(0, Ordering::Release);
         }
 
         let run = ctl.launch("fd", workers);
@@ -516,7 +339,7 @@ impl Fd {
             solutions,
             outcome: run.outcome,
             stats: run.stats,
-            max_tree_depth: sh.max_depth.load(Ordering::Acquire) as u32,
+            max_tree_depth: tree.max_depth(),
             trace: run.trace,
         }
     }
@@ -526,7 +349,7 @@ impl Fd {
 mod tests {
     use super::*;
     use crate::problem::queens;
-    use ace_runtime::{DriverKind, OptFlags};
+    use ace_runtime::{DriverKind, OptFlags, OrScheduler};
 
     fn cfg(workers: usize, opts: OptFlags) -> EngineConfig {
         let mut c = EngineConfig::default()
@@ -577,10 +400,18 @@ mod tests {
         }
     }
 
+    /// Pinned to the traversal oracle, as `table3` is: the pool makes a
+    /// claim's tree visits independent of depth, and LAO's win on the
+    /// hunt is the depth it saves.
     #[test]
     fn lao_keeps_fd_tree_shallow() {
-        let unopt = Fd::new(queens(8)).solve_all(&cfg(6, OptFlags::none()));
-        let opt = Fd::new(queens(8)).solve_all(&cfg(6, OptFlags::lao_only()));
+        let traversal = |opts| {
+            let mut c = cfg(6, opts);
+            c.oracle.or_scheduler = OrScheduler::Traversal;
+            c
+        };
+        let unopt = Fd::new(queens(8)).solve_all(&traversal(OptFlags::none()));
+        let opt = Fd::new(queens(8)).solve_all(&traversal(OptFlags::lao_only()));
         assert_eq!(unopt.solutions.len(), 92);
         assert_eq!(opt.solutions.len(), 92);
         assert!(opt.stats.cp_reused_lao > 0);

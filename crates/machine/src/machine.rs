@@ -200,6 +200,13 @@ impl StateClosure {
     }
 }
 
+/// The or-engine publishes its choice points with this closure.
+impl ace_runtime::ortree::Closure for StateClosure {
+    fn cells(&self) -> u64 {
+        self.cells as u64
+    }
+}
+
 /// The solver machine. See the crate docs for the role it plays.
 pub struct Machine {
     pub heap: Heap,

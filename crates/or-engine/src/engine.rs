@@ -1,21 +1,19 @@
 //! Or-parallel engine entry point and worker agents.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ace_logic::sym::{sym, wk};
 use ace_logic::{Cell, Database};
 use ace_machine::frames::{Alts, SharedChoice};
+use ace_machine::machine::StateClosure;
 use ace_machine::{Machine, MachinePool, Status};
+use ace_runtime::ortree::{Lineage, OrTree, OwnerClaim, TreeWorker};
 use ace_runtime::{
-    Control, Engine, EngineConfig, EventKind, Label, LiveCounters, LockClock, OrScheduler,
-    RunOutcome, Stats, Step, Trace, WorkerCore,
+    Control, Engine, EngineConfig, EventKind, Label, LockClock, RunOutcome, Stats, Step, Trace,
+    WorkerCore,
 };
 use parking_lot::Mutex;
-
-use crate::pool::{AltPool, StealScope};
-use crate::tree::{DeferPoll, NodeClaim, OrNode, RemoteClaim};
 
 /// Fine-grained run quantum: publication windows in chain-like searches
 /// (the Figure-6 `member/2` pattern) are one resolution step wide, so
@@ -38,14 +36,9 @@ pub struct OrReport {
     pub trace: Option<Trace>,
 }
 
-/// The or-engine's share of a run's state (the run protocol's share is
-/// the [`Control`] block).
+/// The or-engine's answer buffers (the tree is the shared
+/// [`OrTree`], the run protocol's share the [`Control`] block).
 struct OrShared {
-    root: Arc<OrNode>,
-    /// O(1) work-finding: published nodes with unclaimed alternatives.
-    pool: AltPool,
-    total_alts: Arc<AtomicUsize>,
-    busy: AtomicUsize,
     /// Solution accumulation, one buffer per topology domain (a single
     /// buffer when `topology.domain_answer_buffers` is off — the
     /// pre-topology engine-wide lock, kept as the ablation baseline).
@@ -54,32 +47,37 @@ struct OrShared {
     answers: Vec<Mutex<Vec<String>>>,
     /// Virtual-time contention observation for each answer buffer.
     answer_clocks: Vec<LockClock>,
-    max_depth: AtomicUsize,
 }
 
-impl OrShared {
-    fn note_depth(&self, d: u32) {
-        self.max_depth.fetch_max(d as usize, Ordering::AcqRel);
+/// The machine's hook on a published choice point: its backtracking
+/// claims through the tree's epoch-guarded owner claim.
+struct NodeClaim(OwnerClaim<StateClosure>);
+
+impl SharedChoice for NodeClaim {
+    fn claim_next(&self) -> Option<usize> {
+        self.0.claim_next()
+    }
+
+    fn owner_detached(&self) {
+        self.0.detach();
+    }
+
+    fn node_id(&self) -> u64 {
+        self.0.node.id
+    }
+
+    fn epoch(&self) -> u64 {
+        self.0.epoch
     }
 }
 
 struct Running {
     machine: Box<Machine>,
-    /// Node whose claimed alternative spawned this computation (publish
-    /// parent when nothing has been published yet).
-    origin: Arc<OrNode>,
-    /// Youngest node this machine published (publish parent / LAO target).
-    last_published: Option<Arc<OrNode>>,
-    /// Nodes this machine published with a *deferred* (procrastinated)
-    /// closure, with the epoch each was published at. Polled at every
-    /// quantum checkpoint: a remote demand triggers the one-time freeze
-    /// ([`OrWorker::service_deferred`]); a deferral that dies un-frozen
-    /// (owner drained it, LAO superseded it) is an elided capture.
-    deferred: Vec<(Arc<OrNode>, u64)>,
+    lineage: Lineage<StateClosure>,
 }
 
 struct OrWorker {
-    core: WorkerCore,
+    tree: TreeWorker<StateClosure>,
     sh: Arc<OrShared>,
     current: Option<Running>,
     /// Reset machines kept for reuse across claims.
@@ -88,20 +86,15 @@ struct OrWorker {
     pending_answers: Vec<String>,
     /// Index into `OrShared::answers` (0 when domain buffers are off).
     answer_slot: usize,
-    /// Topology steal premiums and contention price, copied out of the
-    /// config so the hot paths don't re-borrow it.
-    intra_steal: u64,
-    cross_steal: u64,
-    contended_lock: u64,
-    /// Note `DomainSteal` events (hierarchical scan only — the flat-scan
-    /// ablation legitimately crosses domains with local work visible).
-    trace_domain_steals: bool,
 }
 
 impl OrWorker {
-    fn new(mut core: WorkerCore, sh: Arc<OrShared>, db: Arc<Database>) -> Self {
-        let metrics = core.ctl.cfg.observe.metrics.as_deref();
-        core.live = metrics.map(|m| Box::new(LiveCounters::new(m)));
+    fn new(
+        core: WorkerCore,
+        tree: Arc<OrTree<StateClosure>>,
+        sh: Arc<OrShared>,
+        db: Arc<Database>,
+    ) -> Self {
         let topo = &core.ctl.cfg.run.topology;
         let answer_slot = if topo.domain_answer_buffers {
             topo.domain_of(core.id, core.ctl.workers())
@@ -109,123 +102,21 @@ impl OrWorker {
             0
         };
         OrWorker {
+            tree: TreeWorker::new(core, tree),
             sh,
             current: None,
             machines: MachinePool::new(db),
             pending_answers: Vec::new(),
             answer_slot,
-            intra_steal: topo.intra_steal,
-            cross_steal: topo.cross_steal,
-            contended_lock: topo.contended_lock,
-            trace_domain_steals: topo.hierarchical,
-            core,
         }
     }
-
-    /// Absorb observed lock contention into this worker's clock: the
-    /// residual wait behind the previous holder plus the topology's
-    /// per-event contention price, per contended acquisition. A topology
-    /// with `contended_lock == 0` (the flat default) only counts the
-    /// events — charging nothing keeps the default machine's virtual
-    /// times bit-identical to the pre-topology engine.
-    /// `what` names the contended structure ("pool", "answer") for the
-    /// `LockWait` event — noted only when the topology actually prices
-    /// the contention, so flat runs stay event-identical too.
-    fn note_contention(&mut self, what: &'static str, events: u64, wait: u64) {
-        if events == 0 {
-            return;
-        }
-        self.core.stats.lock_contended += events;
-        if self.contended_lock == 0 {
-            return;
-        }
-        let units = wait + events * self.contended_lock;
-        self.core.charge(units);
-        self.core.note(EventKind::LockWait { what, cost: units });
-    }
-
-    /// Advertise `node` in the alternative pool (pool scheduler only) at
-    /// the current virtual time, charging any contention the pool
-    /// observed. A node that still has a live entry is not added twice —
-    /// the existing entry serves its alternatives.
-    fn advertise(&mut self, node: &Arc<OrNode>) {
-        if self.core.ctl.cfg.oracle.or_scheduler != OrScheduler::Pool {
-            return;
-        }
-        let out = self.sh.pool.push(self.core.id, node, self.core.now());
-        self.note_contention("pool", out.contended, out.lock_wait);
-        if out.added {
-            self.core.charge(self.core.costs.queue_op);
-            self.core.note(EventKind::PoolPush { node: node.id });
-        }
-    }
-
-    /// Steal-scope accounting for a successful pool claim: count it,
-    /// charge the topology's distance premium, and note the
-    /// `DomainSteal` record for non-own scopes (hierarchical scan
-    /// only — see `trace_domain_steals`).
-    fn note_steal_scope(&mut self, node_id: u64, scope: StealScope, local_work: usize) {
-        let local_work = local_work as u64;
-        let (claim, premium, scope) = match scope {
-            StealScope::Own => return self.core.note(EventKind::ClaimOwn),
-            StealScope::Domain => (EventKind::ClaimDomain, self.intra_steal, "domain"),
-            StealScope::Cross => (
-                EventKind::ClaimCross { local_work },
-                self.cross_steal,
-                "cross",
-            ),
-        };
-        self.core.note(claim);
-        self.core.charge(premium);
-        if self.trace_domain_steals {
-            self.core.note(EventKind::DomainSteal {
-                node: node_id,
-                scope,
-                local_work,
-            });
-        }
-    }
-
-    /// Install the root query machine (worker 0).
-    fn install_root(&mut self, machine: Box<Machine>) {
-        self.current = Some(Running {
-            machine,
-            origin: self.sh.root.clone(),
-            last_published: None,
-            deferred: Vec::new(),
-        });
-        // `busy` was pre-set to 1 by the engine.
-    }
-
-    // ------------------------------------------------------------------
-    // Publication (and LAO)
-    // ------------------------------------------------------------------
 
     /// If idle workers exist, publish this machine's oldest private choice
     /// point into the or-tree (demand-driven, MUSE-style).
     fn maybe_publish(&mut self) {
-        if !self.core.others_idle() {
+        if !self.tree.may_publish() {
             return;
         }
-        // Injected transient publication failure: skip this window; the
-        // next `run_current` calls here again, so publication is only
-        // deferred, never lost (each fault event fires at most once).
-        let publish_faulted = self
-            .core
-            .ctl
-            .injector
-            .as_ref()
-            .is_some_and(|inj| inj.publish_fails(self.core.id));
-        if publish_faulted {
-            self.core.charge(self.core.costs.queue_op);
-            self.core.note(EventKind::FaultInjected {
-                kind: "publish-fail",
-            });
-            self.core.note(EventKind::FaultRetry { what: "publish" });
-            return;
-        }
-        let costs = self.core.costs.clone();
-        let lao = self.core.ctl.cfg.run.opts.lao;
         let Some(run) = self.current.as_mut() else {
             return;
         };
@@ -255,14 +146,14 @@ impl OrWorker {
         // still enumerates the alternatives locally (no solution is lost).
         if run.machine.memo_enabled() {
             let key = run.machine.memo_key(cp.goal);
-            self.core.charge(costs.memo_lookup);
-            let store = self.core.ctl.store.as_ref();
-            if store.is_some_and(|s| s.is_complete(&key)) {
+            let core = &mut self.tree.core;
+            core.charge(core.costs.memo_lookup);
+            if core.ctl.store.as_ref().is_some_and(|s| s.is_complete(&key)) {
                 return;
             }
         }
         let pred = run.machine.db().pred(pred);
-        let (name, arity) = (pred.name, pred.arity);
+        let label = Label::Pred(pred.name, pred.arity);
         let mut alts = VecDeque::new();
         let mut i = next;
         while let Some(j) = pred.next_matching(key, i) {
@@ -272,280 +163,64 @@ impl OrWorker {
         if alts.is_empty() {
             return;
         }
-        let nalts = alts.len();
-        // Procrastinated capture (paper schema 2): the expensive state
-        // closure is NOT built here. Publication stores metadata only;
-        // the freeze happens at most once, at this worker's next
-        // checkpoint after a remote claim raises the demand flag
-        // (`service_deferred`). All-owner-claimed nodes never pay it.
-
-        // LAO (paper §3.2, Figures 6/7): this computation descends from the
-        // node holding its youngest public choice point — `last_published`,
-        // or, for a machine spawned from a claimed alternative, its origin
-        // node. If that node has been drained (the alternative we continue
-        // was its last), install the new choice point into it in place
-        // instead of growing the tree. The root sentinel (id 0) is never a
-        // reuse target.
-        let mut reused = false;
-        if lao {
-            self.core.charge(costs.lao_check);
-        }
-        let candidate = run
-            .last_published
-            .clone()
-            .or_else(|| (run.origin.id != 0).then(|| run.origin.clone()));
-        let mut reuse_hit = None;
-        if lao {
-            if let Some(n) = &candidate {
-                if let Some(e) = n.try_reuse((name, arity), alts.clone()) {
-                    reuse_hit = Some((n.clone(), e));
-                }
-            }
-        }
-        let (node, epoch) = match reuse_hit {
-            Some((n, e)) => {
-                reused = true;
-                (n, e)
-            }
-            None => {
-                let parent = run
-                    .last_published
-                    .clone()
-                    .unwrap_or_else(|| run.origin.clone());
-                let n = OrNode::publish(&parent, (name, arity), alts, self.sh.total_alts.clone());
-                self.sh.note_depth(n.depth);
-                (n, 0)
-            }
-        };
-        run.machine.share_choice(
-            idx,
-            Arc::new(NodeClaim {
-                node: node.clone(),
-                epoch,
-            }),
-        );
-        run.last_published = Some(node.clone());
-        run.deferred.push((node.clone(), epoch));
-        let (node_id, pred) = (node.id, Label::Pred(name, arity));
-        if reused {
-            self.core.charge(costs.lao_reuse);
-            self.core.note(EventKind::LaoReuse {
-                node: node_id,
-                epoch,
-                alts: nalts,
-                pred,
-            });
-        } else {
-            self.core
-                .charge(costs.publish_node + costs.queue_op * nalts as u64);
-            self.core.note(EventKind::Publish {
-                node: node_id,
-                epoch,
-                alts: nalts,
-                pred,
-            });
-        }
-        self.core.note(EventKind::ClosureDefer {
-            node: node_id,
-            epoch,
-        });
-        // Make the fresh alternatives findable in O(1) (an LAO-refilled
-        // node may still have a stale pool entry).
-        self.advertise(&node);
+        let claim = self.tree.publish(&mut run.lineage, label, alts);
+        run.machine.share_choice(idx, Arc::new(NodeClaim(claim)));
     }
 
-    // ------------------------------------------------------------------
-    // Work finding
-    // ------------------------------------------------------------------
-
-    /// Find an unclaimed alternative and install it on a machine.
-    ///
-    /// Under [`OrScheduler::Pool`] this is amortized O(1): pop a node
-    /// handle from the shared pool, claim from it, re-enqueue it if it
-    /// still has work. Under [`OrScheduler::Traversal`] (the oracle) the
-    /// whole public tree is walked from the root. Either way one
-    /// `tree_visit` is charged per node actually inspected.
+    /// Claim an alternative from the public tree and install it on a
+    /// machine.
     fn find_work(&mut self) -> Step {
-        // Injected transient steal failure: claim nothing this phase; the
-        // alternatives stay in the tree/pool (checked before any pop, so
-        // every item remains claimable) and this worker retries after its
-        // idle backoff.
-        if self
-            .core
-            .steal_faulted(|| self.sh.total_alts.load(Ordering::Acquire) > 0)
-        {
-            return Step::NoWork;
-        }
-        let costs = self.core.costs.clone();
-        self.sh.busy.fetch_add(1, Ordering::AcqRel);
-        self.core.note(EventKind::StealAttempt);
-
-        // Pop/traversal order is Aurora's dispatch on bottommost:
-        // deepest-first, stack order.
-        let claimed = match self.core.ctl.cfg.oracle.or_scheduler {
-            OrScheduler::Pool => loop {
-                let Some(pop) = self.sh.pool.pop(self.core.id, self.core.now()) else {
-                    break None;
-                };
-                self.note_contention("pool", pop.contended, pop.lock_wait);
-                let node = pop.node;
-                self.core.stats.tree_visits += 1;
-                self.core.charge(costs.queue_op + costs.tree_visit);
-                let node_id = node.id;
-                self.core.note(EventKind::PoolPop { node: node_id });
-                match node.claim_remote() {
-                    RemoteClaim::Ready((idx, epoch, pred, closure)) => {
-                        // Keep the node visible to other idle workers while
-                        // it still has unclaimed alternatives.
-                        if node.has_work() {
-                            self.advertise(&node);
-                        }
-                        // The claim succeeded: price the steal by how far
-                        // the entry travelled across the topology.
-                        self.note_steal_scope(node_id, pop.scope, pop.local_work);
-                        break Some((node, idx, epoch, pred, closure));
-                    }
-                    // Deferred closure: the demand flag is up now, and the
-                    // owner re-advertises the node once it materializes —
-                    // no re-push here (a pooled deferred hint would just
-                    // spin other idle workers on the same pending node).
-                    // Its owner is about to materialize: probe again at
-                    // the base cadence instead of backing off.
-                    RemoteClaim::Pending => self.core.reset_backoff(),
-                    // Drained behind the pool's back (owner claims, a cut,
-                    // an LAO reuse that was itself re-enqueued): stale
-                    // hint, drop.
-                    RemoteClaim::Empty => {}
-                }
-            },
-            OrScheduler::Traversal => {
-                let mut work = vec![self.sh.root.clone()];
-                loop {
-                    let Some(node) = work.pop() else { break None };
-                    self.core.stats.tree_visits += 1;
-                    self.core.charge(costs.tree_visit);
-                    match node.claim_remote() {
-                        RemoteClaim::Ready((idx, epoch, pred, closure)) => {
-                            break Some((node, idx, epoch, pred, closure));
-                        }
-                        // Pending: demand recorded; descend — the owner
-                        // materializes at its next checkpoint and this
-                        // worker's next sweep will find the node ready.
-                        RemoteClaim::Pending => {
-                            self.core.reset_backoff();
-                            work.extend(node.children.lock().iter().cloned());
-                        }
-                        RemoteClaim::Empty => {
-                            work.extend(node.children.lock().iter().cloned());
-                        }
-                    }
-                }
-            }
-        };
-
-        let Some((node, idx, epoch, (name, arity), closure)) = claimed else {
-            self.sh.busy.fetch_sub(1, Ordering::AcqRel);
-            self.core.note(EventKind::StealFail);
+        let Some(claimed) = self.tree.find_work() else {
             return Step::NoWork;
         };
-        self.core.stats.alternatives_claimed += 1;
-        // Claim bookkeeping only: installing the state is one flat-priced
-        // arena thaw, charged by `install_closure` itself (the per-cell
-        // copy price died with the eager closure clone).
-        self.core.charge(costs.claim_alternative);
-        let node_id = node.id;
-        self.core.note(EventKind::ClosureThaw {
-            node: node_id,
-            epoch,
-            cells: closure.cells as u64,
-        });
-        self.core.note(EventKind::Claim {
-            node: node_id,
-            epoch,
-            alt: idx,
-        });
-        self.core.note(EventKind::StealSuccess);
-        let mut machine = self.machines.acquire(&mut self.core);
-        let ok = machine.install_closure(&closure, name, arity, idx);
-        machine.surface(&mut self.core);
+        let Label::Pred(name, arity) = claimed.label else {
+            unreachable!("or-engine nodes are labelled by predicate")
+        };
+        let core = &mut self.tree.core;
+        let mut machine = self.machines.acquire(core);
+        // Installing the state is one flat-priced arena thaw, charged by
+        // `install_closure` itself.
+        let ok = machine.install_closure(&claimed.closure, name, arity, claimed.alt);
+        machine.surface(core);
         if !ok {
             // Head unification failed: the branch dies before any state is
             // set up, so charge the (cheap) abort price, not a full
             // `install_state` — dead branches must not inflate the
             // overhead tables.
-            self.core.charge(costs.install_abort);
-            self.core.note(EventKind::InstallAbort { node: node_id });
-            self.machines.retire(&mut self.core, machine);
-            self.sh.busy.fetch_sub(1, Ordering::AcqRel);
+            core.charge(core.costs.install_abort);
+            core.note(EventKind::InstallAbort {
+                node: claimed.node.id,
+            });
+            self.machines.retire(core, machine);
+            self.tree.retire(Lineage::new(claimed.node));
             return Step::Worked; // did work (explored and killed a branch)
         }
-        self.core.charge(costs.install_state);
+        core.charge(core.costs.install_state);
         self.current = Some(Running {
             machine,
-            origin: node,
-            last_published: None,
-            deferred: Vec::new(),
+            lineage: Lineage::new(claimed.node),
         });
         Step::Worked
     }
 
-    /// Owner checkpoint for procrastinated captures: poll every node this
-    /// machine published with a deferred closure. A raised demand flag
-    /// triggers the one-time freeze (`choice_closure` on the live stack)
-    /// and re-advertises the node; a deferral that died un-frozen — the
-    /// owner's own backtracking drained it, a cut discarded it, or an LAO
-    /// reuse superseded its epoch — is an elided capture: the `copy_cost`
-    /// the eager scheme would have paid at publish time never happens.
+    /// Owner checkpoint for procrastinated captures: a remote demand
+    /// freezes the published choice point (`choice_closure` on the live
+    /// stack).
     fn service_deferred(&mut self) {
-        let mut i = 0;
-        while let Some(run) = self.current.as_mut().filter(|r| i < r.deferred.len()) {
-            let (node, epoch) = run.deferred[i].clone();
-            match node.defer_poll(epoch) {
-                DeferPoll::Keep => i += 1,
-                DeferPoll::Dead => {
-                    self.core.stats.closures_elided += 1;
-                    run.deferred.swap_remove(i);
-                }
-                DeferPoll::Materialize => {
-                    run.deferred.swap_remove(i);
-                    let Some(idx) = run.machine.shared_choice_index(node.id, epoch) else {
-                        // The choice point left the stack without its
-                        // detach hook firing (should not happen); drain
-                        // the node so waiting remotes terminate.
-                        NodeClaim { node, epoch }.owner_detached();
-                        self.core.stats.closures_elided += 1;
-                        continue;
-                    };
-                    let closure = Arc::new(run.machine.choice_closure(idx));
-                    let cells = closure.cells as u64;
-                    if node.fulfill_closure(epoch, closure) {
-                        let costs = &self.core.costs;
-                        let freeze_cost = costs.closure_freeze + cells * costs.heap_cell;
-                        self.core.charge(freeze_cost);
-                        self.core.note(EventKind::ClosureMaterialize {
-                            node: node.id,
-                            epoch,
-                            cells,
-                        });
-                        // Re-advertise: the node is now installable, and
-                        // the pending claimant holds no pool entry for it
-                        // (Pending pops are not re-pushed).
-                        self.advertise(&node);
-                    }
-                }
-            }
-        }
+        let Some(run) = self.current.as_mut() else {
+            return;
+        };
+        let machine = &mut run.machine;
+        self.tree.service_deferred(&mut run.lineage, |node, epoch| {
+            let idx = machine.shared_choice_index(node, epoch)?;
+            Some(machine.choice_closure(idx))
+        });
     }
 
     fn drop_current(&mut self) {
         if let Some(run) = self.current.take() {
-            // Every deferral still on the watch list is un-materialized by
-            // construction (materialization removes its entry): a Failed
-            // machine backtracked through all of them, so their captures
-            // were elided outright.
-            self.core.stats.closures_elided += run.deferred.len() as u64;
-            self.machines.retire(&mut self.core, run.machine);
-            self.sh.busy.fetch_sub(1, Ordering::AcqRel);
+            self.machines.retire(&mut self.tree.core, run.machine);
+            self.tree.retire(run.lineage);
         }
     }
 
@@ -562,7 +237,7 @@ impl OrWorker {
         let n = run.machine.answers.len();
         self.pending_answers.append(&mut run.machine.answers);
         for _ in 0..n {
-            self.core.note(EventKind::Solution);
+            self.tree.core.note(EventKind::Solution);
         }
     }
 
@@ -573,33 +248,34 @@ impl OrWorker {
         }
         // Streamed delivery: each answer of the batch is handed to the
         // consumer's sink before publication.
-        self.core
-            .ctl
-            .deliver(&mut self.core.stats, self.pending_answers.iter());
+        let core = &mut self.tree.core;
+        core.ctl
+            .deliver(&mut core.stats, self.pending_answers.iter());
         let n = self.pending_answers.len();
         // Domain-local accumulation: each domain appends into its own
         // buffer behind its own clock, so 512 workers serialize on at
         // most `domains` locks instead of one engine-wide bottleneck.
         // The virtual-time clock observes any residual contention that
         // does remain within the domain.
-        let hold = self.core.costs.queue_op + n as u64;
-        let wait =
-            self.sh.answer_clocks[self.answer_slot].acquire(self.core.id, self.core.now(), hold);
-        self.note_contention("answer", u64::from(wait > 0), wait);
+        let hold = core.costs.queue_op + n as u64;
+        let wait = self.sh.answer_clocks[self.answer_slot].acquire(core.id, core.now(), hold);
+        self.tree
+            .note_contention("answer", u64::from(wait > 0), wait);
         self.sh.answers[self.answer_slot]
             .lock()
             .append(&mut self.pending_answers);
     }
 
     fn run_current(&mut self) {
-        let cancel = self.core.ctl.cancel.clone();
-        self.core.note(EventKind::QuantumStart);
-        let before = self.core.phase_cost;
+        let core = &mut self.tree.core;
+        let cancel = core.ctl.cancel.clone();
+        core.note(EventKind::QuantumStart);
+        let before = core.phase_cost;
         let run = self.current.as_mut().expect("run_current without machine");
         let status = run.machine.run(RUN_QUANTUM, Some(&cancel));
-        run.machine.surface(&mut self.core);
-        self.core.note(EventKind::QuantumEnd {
-            cost: self.core.phase_cost - before,
+        run.machine.surface(core);
+        core.note(EventKind::QuantumEnd {
+            cost: core.phase_cost - before,
         });
         // Publish *after* running: choice points created inside the
         // quantum (still alive at a Solution boundary) become public
@@ -619,10 +295,11 @@ impl OrWorker {
             Status::Solution => {
                 self.drain_answers();
                 self.flush_answers();
-                if !self.core.ctl.is_done() {
+                let core = &mut self.tree.core;
+                if !core.ctl.is_done() {
                     let run = self.current.as_mut().unwrap();
                     run.machine.backtrack();
-                    run.machine.surface(&mut self.core);
+                    run.machine.surface(core);
                 }
             }
             Status::Failed => {
@@ -633,16 +310,16 @@ impl OrWorker {
                 self.drop_current();
             }
             Status::Halted => {
-                self.core.ctl.finish();
+                self.tree.core.ctl.finish();
             }
             Status::Error(e) => {
-                self.core.ctl.fail_with(e);
+                self.tree.core.ctl.fail_with(e);
             }
             Status::Parcall
             | Status::ParcallRedo
             | Status::InlineBarrier(_)
             | Status::FenceHit(..) => {
-                self.core.ctl.fail_with(
+                self.tree.core.ctl.fail_with(
                     "the or-parallel engine does not execute `&` parallel \
                      conjunctions; use the and-parallel engine"
                         .into(),
@@ -655,7 +332,7 @@ impl OrWorker {
 
 impl Engine for OrWorker {
     fn core(&mut self) -> &mut WorkerCore {
-        &mut self.core
+        &mut self.tree.core
     }
 
     fn work(&mut self) -> Step {
@@ -672,9 +349,8 @@ impl Engine for OrWorker {
         self.flush_answers();
     }
 
-    /// Nothing to claim anywhere and nobody computing: the search is over.
     fn quiescent(&self) -> bool {
-        self.sh.busy.load(Ordering::Acquire) == 0 && self.sh.total_alts.load(Ordering::Acquire) == 0
+        self.tree.quiescent()
     }
 }
 
@@ -691,7 +367,7 @@ impl OrEngine {
     /// Run `query` under `cfg`, exploring alternatives or-parallel.
     pub fn run(&self, query: &str, cfg: &EngineConfig) -> Result<OrReport, String> {
         let ctl = Control::new(cfg);
-        let total_alts = Arc::new(AtomicUsize::new(0));
+        let tree = OrTree::new(&ctl);
         // Answer buffers: one per topology domain (or a single shared one
         // when domain buffering is disabled for ablation runs).
         let answer_slots = if cfg.run.topology.domain_answer_buffers {
@@ -700,21 +376,19 @@ impl OrEngine {
             1
         };
         let shared = Arc::new(OrShared {
-            root: OrNode::root(total_alts.clone()),
-            pool: AltPool::new(ctl.workers(), &cfg.run.topology, cfg.costs.queue_op),
-            total_alts,
-            busy: AtomicUsize::new(1), // the root machine
             answers: (0..answer_slots).map(|_| Mutex::new(Vec::new())).collect(),
             answer_clocks: (0..answer_slots).map(|_| LockClock::new()).collect(),
-            max_depth: AtomicUsize::new(0),
         });
         let mut workers: Vec<OrWorker> = (0..ctl.workers())
-            .map(|id| OrWorker::new(WorkerCore::new(id, &ctl), shared.clone(), self.db.clone()))
+            .map(|id| {
+                let core = WorkerCore::new(id, &ctl);
+                OrWorker::new(core, tree.clone(), shared.clone(), self.db.clone())
+            })
             .collect();
 
         // Build the root machine with the `$answer`-wrapped query.
         let w0 = &mut workers[0];
-        let mut root = w0.machines.acquire(&mut w0.core);
+        let mut root = w0.machines.acquire(&mut w0.tree.core);
         let (goal, mut vars) = ace_logic::parse_term(&mut root.heap, query)
             .map_err(|e| format!("query parse error: {e}"))?;
         // `$answer/1` writes the list as it stands: it is in line order.
@@ -727,7 +401,11 @@ impl OrEngine {
         let answer = root.heap.new_struct(sym("$answer"), &[var_list]);
         let wrapped = root.heap.new_struct(wk().comma, &[goal, answer]);
         root.set_query(wrapped);
-        w0.install_root(root);
+        // The root computation, counted busy by the fresh tree.
+        w0.current = Some(Running {
+            machine: root,
+            lineage: tree.root_lineage(),
+        });
 
         let run = ctl.launch("or", workers);
         if let Some(e) = run.outcome.aborted {
@@ -749,7 +427,7 @@ impl OrEngine {
             outcome: run.outcome,
             stats: run.stats,
             per_worker: run.per_worker,
-            max_tree_depth: shared.max_depth.load(Ordering::Acquire) as u32,
+            max_tree_depth: tree.max_depth(),
             trace: run.trace,
         })
     }

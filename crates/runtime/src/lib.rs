@@ -1,7 +1,9 @@
 //! # ace-runtime — parallel runtime substrate
 //!
 //! Configuration, cost accounting and execution drivers shared by the
-//! and-parallel and or-parallel engines.
+//! and-parallel and or-parallel engines, the worker chassis all of them
+//! run on ([`chassis`]), and the public or-tree that the Prolog
+//! or-engine and the finite-domain labeling search share ([`ortree`]).
 //!
 //! ## The Sequent Symmetry substitution
 //!
@@ -80,6 +82,7 @@ pub mod cost;
 pub mod driver;
 pub mod fault;
 pub mod metrics;
+pub mod ortree;
 pub mod profile;
 pub mod sink;
 pub mod stats;

@@ -73,10 +73,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ace_runtime::{LockClock, Topology};
 use parking_lot::Mutex;
 
-use crate::tree::OrNode;
+use super::tree::OrNode;
+use crate::topology::{LockClock, Topology};
 
 /// Maximum shard depth in a multi-domain pool: a push beyond this
 /// spills the shard's oldest entry to the global overflow tier. A
@@ -97,8 +97,8 @@ pub enum StealScope {
 }
 
 /// Result of a successful [`AltPool::pop`].
-pub struct PopOutcome {
-    pub node: Arc<OrNode>,
+pub struct PopOutcome<C> {
+    pub node: Arc<OrNode<C>>,
     pub scope: StealScope,
     /// The thief's own-domain occupancy observed when the entry was
     /// taken. Under the sim driver a hierarchical [`StealScope::Cross`]
@@ -120,11 +120,11 @@ pub struct PushOutcome {
 
 /// Hierarchical sharded queue of nodes that (recently) held unclaimed
 /// alternatives.
-pub struct AltPool {
-    shards: Vec<Mutex<VecDeque<Arc<OrNode>>>>,
+pub struct AltPool<C> {
+    shards: Vec<Mutex<VecDeque<Arc<OrNode<C>>>>>,
     /// Overflow tier: entries carry the domain of the shard they spilled
     /// from, so a drain prices the steal by provenance.
-    global: Mutex<VecDeque<(Arc<OrNode>, usize)>>,
+    global: Mutex<VecDeque<(Arc<OrNode<C>>, usize)>>,
     /// shard → domain (block mapping from the topology).
     domain: Vec<usize>,
     /// domain → its shard indices, in scan order.
@@ -148,7 +148,7 @@ pub struct AltPool {
     spill_depth: usize,
 }
 
-impl AltPool {
+impl<C> AltPool<C> {
     /// One shard per worker (at least one), grouped into the topology's
     /// domains. `lock_hold` is the virtual length of one locked queue
     /// operation — the engine passes its `queue_op` cost.
@@ -184,7 +184,7 @@ impl AltPool {
     /// spilling the shard's oldest entry to the overflow tier when the
     /// shard exceeds `SPILL_DEPTH`. `now` is the worker's virtual
     /// clock (lock contention observation).
-    pub fn push(&self, worker: usize, node: &Arc<OrNode>, now: u64) -> PushOutcome {
+    pub fn push(&self, worker: usize, node: &Arc<OrNode<C>>, now: u64) -> PushOutcome {
         if !node.try_enter_pool() {
             return PushOutcome {
                 added: false,
@@ -239,7 +239,7 @@ impl AltPool {
     /// Each queue pops LIFO (deepest-first). An empty pool returns
     /// without touching any mutex — the occupancy counters answer the
     /// idle probe.
-    pub fn pop(&self, worker: usize, now: u64) -> Option<PopOutcome> {
+    pub fn pop(&self, worker: usize, now: u64) -> Option<PopOutcome<C>> {
         if self.occupancy.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -332,12 +332,12 @@ impl AltPool {
 
     fn outcome(
         &self,
-        node: Arc<OrNode>,
+        node: Arc<OrNode<C>>,
         scope: StealScope,
         dom: usize,
         contended: u64,
         lock_wait: u64,
-    ) -> PopOutcome {
+    ) -> PopOutcome<C> {
         PopOutcome {
             node,
             scope,
@@ -354,7 +354,7 @@ impl AltPool {
         now: u64,
         contended: &mut u64,
         wait: &mut u64,
-    ) -> Option<Arc<OrNode>> {
+    ) -> Option<Arc<OrNode<C>>> {
         if self.shard_occupancy[shard].load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -377,7 +377,7 @@ impl AltPool {
         now: u64,
         contended: &mut u64,
         wait: &mut u64,
-    ) -> Option<(Arc<OrNode>, usize)> {
+    ) -> Option<(Arc<OrNode<C>>, usize)> {
         if self.global_occupancy.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -417,18 +417,15 @@ mod tests {
     use std::collections::VecDeque;
     use std::sync::atomic::AtomicUsize;
 
-    use ace_logic::sym;
+    use crate::ortree::tree::tests::{p1, Cells};
 
-    fn node(total: &Arc<AtomicUsize>, root: &Arc<OrNode>, alts: &[usize]) -> Arc<OrNode> {
-        OrNode::publish(
-            root,
-            (sym("p"), 1),
-            VecDeque::from(alts.to_vec()),
-            total.clone(),
-        )
+    type Node = Arc<OrNode<Cells>>;
+
+    fn node(total: &Arc<AtomicUsize>, root: &Node, alts: &[usize]) -> Node {
+        OrNode::publish(root, p1(), VecDeque::from(alts.to_vec()), total.clone())
     }
 
-    fn flat(workers: usize) -> AltPool {
+    fn flat(workers: usize) -> AltPool<Cells> {
         AltPool::new(workers, &Topology::flat(), 6)
     }
 

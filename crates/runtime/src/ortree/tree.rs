@@ -12,30 +12,36 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ace_logic::Sym;
-use ace_machine::frames::SharedChoice;
-use ace_machine::machine::StateClosure;
 use parking_lot::Mutex;
+
+use crate::trace::Label;
 
 static NODE_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// What a remote claim hands back: the claimed clause index, the payload
-/// epoch it was claimed at, the predicate, and the closure to run against.
-pub type ClaimedAlt = (usize, u64, (Sym, u32), Arc<StateClosure>);
+/// What a published node hands a remote claimant: the state it installs
+/// to run one of the node's alternatives (the or-engine's frozen machine
+/// state, `ace-fd`'s domain snapshot). Shared read-only between claimants.
+pub trait Closure: Send + Sync + 'static {
+    /// Cells the snapshot holds: what freezing it copied and what a thaw
+    /// installs (the `cells` of the closure events, and the per-cell part
+    /// of the freeze price).
+    fn cells(&self) -> u64;
+}
 
 /// The materialization state of a published node's closure.
-pub enum ClosureState {
+pub enum ClosureState<C> {
     /// Capture procrastinated: only the owner can produce the closure,
     /// and only a remote demand makes it do so.
     Deferred,
     /// Frozen and installable by any claimant.
-    Ready(Arc<StateClosure>),
+    Ready(Arc<C>),
 }
 
 /// Outcome of a remote claim attempt ([`OrNode::claim_remote`]).
-pub enum RemoteClaim {
-    /// An alternative was taken; install and run it.
-    Ready(ClaimedAlt),
+pub enum RemoteClaim<C> {
+    /// An alternative was taken: the alternative, the payload epoch it
+    /// was claimed at, the payload's label, and the closure to run against.
+    Ready((usize, u64, Label, Arc<C>)),
     /// Alternatives exist but the closure is still deferred: the demand
     /// flag is now raised and the owner will materialize at its next
     /// checkpoint. No alternative was consumed — come back later.
@@ -61,32 +67,33 @@ pub enum DeferPoll {
 
 /// The claimable content of a node. Replaced wholesale by an LAO reuse,
 /// with `epoch` incremented so stale owner choice points claim nothing.
-pub struct Payload {
+pub struct Payload<C> {
     pub epoch: u64,
-    /// Predicate whose clauses the alternatives index.
-    pub pred: (Sym, u32),
-    /// Untried clause indices.
+    /// Where the alternatives come from: the predicate whose clauses they
+    /// index, or the `ace-fd` variable whose values they are.
+    pub label: Label,
+    /// Untried alternatives (clause indices, domain values).
     pub alts: VecDeque<usize>,
-    /// Machine state at the choice point (installed by remote claimants);
+    /// State at the choice point (installed by remote claimants);
     /// deferred until first remote demand.
-    pub closure: ClosureState,
+    pub closure: ClosureState<C>,
     /// A remote tried to claim while the closure was deferred (owner
     /// checks this at its checkpoints). Guarded by the payload mutex.
     remote_wanted: bool,
 }
 
 /// One public choice point of the or-tree.
-pub struct OrNode {
+pub struct OrNode<C> {
     pub id: u64,
     /// Distance from the root sentinel (the work-finding traversal cost
     /// LAO keeps low; asserted on by the Figure-6/7 shape tests).
     pub depth: u32,
-    pub payload: Mutex<Option<Payload>>,
-    pub children: Mutex<Vec<Arc<OrNode>>>,
+    pub payload: Mutex<Option<Payload<C>>>,
+    pub children: Mutex<Vec<Arc<OrNode<C>>>>,
     /// Global count of unclaimed alternatives (termination detection).
     total_alts: Arc<AtomicUsize>,
     /// Whether a handle to this node currently sits in the alternative
-    /// pool (at most one live entry per node; see [`crate::pool::AltPool`]).
+    /// pool (at most one live entry per node; see [`super::AltPool`]).
     in_pool: AtomicBool,
     /// Lock-free mirror of the payload's bookkeeping —
     /// `epoch << 3 | empty << 2 | ready << 1 | wanted` — kept in sync
@@ -107,7 +114,7 @@ const META_READY: u64 = 2;
 const META_EMPTY: u64 = 4;
 const META_EPOCH_SHIFT: u32 = 3;
 
-fn meta_word(p: &Option<Payload>) -> u64 {
+fn meta_word<C>(p: &Option<Payload<C>>) -> u64 {
     match p {
         None => META_EMPTY,
         Some(p) => {
@@ -123,9 +130,9 @@ fn meta_word(p: &Option<Payload>) -> u64 {
     }
 }
 
-impl OrNode {
+impl<C> OrNode<C> {
     /// The root sentinel: no alternatives, depth 0.
-    pub fn root(total_alts: Arc<AtomicUsize>) -> Arc<OrNode> {
+    pub fn root(total_alts: Arc<AtomicUsize>) -> Arc<OrNode<C>> {
         Arc::new(OrNode {
             id: 0,
             depth: 0,
@@ -139,22 +146,22 @@ impl OrNode {
 
     /// Re-mirror the payload's bookkeeping into [`OrNode::meta`]. Must be
     /// called (and only makes sense) while holding the payload mutex.
-    fn sync_meta(&self, p: &Option<Payload>) {
+    fn sync_meta(&self, p: &Option<Payload<C>>) {
         self.meta.store(meta_word(p), Ordering::Release);
     }
 
     /// Publish a fresh node under `parent`. The closure is *not* captured:
     /// publication stores metadata only (procrastinated capture).
     pub fn publish(
-        parent: &Arc<OrNode>,
-        pred: (Sym, u32),
+        parent: &Arc<OrNode<C>>,
+        label: Label,
         alts: VecDeque<usize>,
         total_alts: Arc<AtomicUsize>,
-    ) -> Arc<OrNode> {
+    ) -> Arc<OrNode<C>> {
         total_alts.fetch_add(alts.len(), Ordering::AcqRel);
         let payload = Some(Payload {
             epoch: 0,
-            pred,
+            label,
             alts,
             closure: ClosureState::Deferred,
             remote_wanted: false,
@@ -188,26 +195,27 @@ impl OrNode {
 
     /// LAO: install a *new* choice point's alternatives into this node in
     /// place, bumping the epoch (Figure 7 — "B1 can be updated with the
-    /// information that would be stored in B2"). Atomic: fails (returns
-    /// `None`) if the node still holds unclaimed alternatives — the caller
-    /// then publishes a fresh node instead. The new epoch starts deferred
-    /// again: the reused slot's demand history does not carry over.
-    pub fn try_reuse(&self, pred: (Sym, u32), alts: VecDeque<usize>) -> Option<u64> {
+    /// information that would be stored in B2"). Atomic: fails — handing
+    /// `alts` back — if the node still holds unclaimed alternatives; the
+    /// caller then publishes a fresh node instead. The new epoch starts
+    /// deferred again: the reused slot's demand history does not carry
+    /// over.
+    pub fn try_reuse(&self, label: Label, alts: VecDeque<usize>) -> Result<u64, VecDeque<usize>> {
         let mut p = self.payload.lock();
         if p.as_ref().is_some_and(|p| !p.alts.is_empty()) {
-            return None;
+            return Err(alts);
         }
         let epoch = p.as_ref().map_or(0, |p| p.epoch) + 1;
         self.total_alts.fetch_add(alts.len(), Ordering::AcqRel);
         *p = Some(Payload {
             epoch,
-            pred,
+            label,
             alts,
             closure: ClosureState::Deferred,
             remote_wanted: false,
         });
         self.sync_meta(&p);
-        Some(epoch)
+        Ok(epoch)
     }
 
     /// Remote claim attempt. Only a materialized node yields an
@@ -215,7 +223,7 @@ impl OrNode {
     /// [`RemoteClaim::Pending`] without consuming anything — the owner
     /// freezes the closure at its next checkpoint and re-advertises the
     /// node.
-    pub fn claim_remote(&self) -> RemoteClaim {
+    pub fn claim_remote(&self) -> RemoteClaim<C> {
         let mut p = self.payload.lock();
         let Some(payload) = p.as_mut() else {
             return RemoteClaim::Empty;
@@ -232,7 +240,7 @@ impl OrNode {
                 let closure = closure.clone();
                 let idx = payload.alts.pop_front().expect("checked non-empty");
                 self.total_alts.fetch_sub(1, Ordering::AcqRel);
-                RemoteClaim::Ready((idx, payload.epoch, payload.pred, closure))
+                RemoteClaim::Ready((idx, payload.epoch, payload.label, closure))
             }
         };
         self.sync_meta(&p);
@@ -243,7 +251,7 @@ impl OrNode {
     /// `epoch`. Returns `false` (and drops the closure) when the deferral
     /// is moot — epoch superseded by LAO reuse, payload gone, or already
     /// fulfilled.
-    pub fn fulfill_closure(&self, epoch: u64, closure: Arc<StateClosure>) -> bool {
+    pub fn fulfill_closure(&self, epoch: u64, closure: Arc<C>) -> bool {
         let mut p = self.payload.lock();
         let fulfilled = match p.as_mut() {
             Some(payload)
@@ -284,26 +292,9 @@ impl OrNode {
     pub fn has_work(&self) -> bool {
         self.meta.load(Ordering::Acquire) & META_EMPTY == 0
     }
-
-    /// Any unclaimed alternatives *installable by a remote* right now
-    /// (materialized and non-empty)?
-    pub fn has_ready_work(&self) -> bool {
-        self.payload
-            .lock()
-            .as_ref()
-            .is_some_and(|p| !p.alts.is_empty() && matches!(p.closure, ClosureState::Ready(_)))
-    }
-
-    /// Is the alternative pool empty (reusable under LAO)?
-    pub fn is_drained(&self) -> bool {
-        self.payload
-            .lock()
-            .as_ref()
-            .is_none_or(|p| p.alts.is_empty())
-    }
 }
 
-impl std::fmt::Debug for OrNode {
+impl<C> std::fmt::Debug for OrNode<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OrNode")
             .field("id", &self.id)
@@ -312,17 +303,21 @@ impl std::fmt::Debug for OrNode {
     }
 }
 
-/// The owner-side view of a published choice point, installed into the
-/// machine's [`ace_machine::ChoicePoint`]. Epoch-guarded so that after an
-/// LAO reuse the owner's *older* choice point referencing the same node
-/// stops claiming (the node now belongs to a younger choice point).
-pub struct NodeClaim {
-    pub node: Arc<OrNode>,
+/// The owner-side view of a published choice point: what the owner's own
+/// backtracking claims from (the or-engine's machine choice point holds
+/// one through `NodeClaim`, an `ace-fd` shared choice point holds one
+/// directly). Epoch-guarded so that after an LAO reuse the owner's
+/// *older* choice point referencing the same node stops claiming (the
+/// node now belongs to a younger choice point).
+pub struct OwnerClaim<C> {
+    pub node: Arc<OrNode<C>>,
     pub epoch: u64,
 }
 
-impl SharedChoice for NodeClaim {
-    fn claim_next(&self) -> Option<usize> {
+impl<C> OwnerClaim<C> {
+    /// Claim the next untried alternative of this epoch; `None` when the
+    /// epoch is drained or superseded.
+    pub fn claim_next(&self) -> Option<usize> {
         let mut p = self.node.payload.lock();
         let payload = p.as_mut()?;
         if payload.epoch != self.epoch {
@@ -334,9 +329,10 @@ impl SharedChoice for NodeClaim {
         Some(idx)
     }
 
-    fn owner_detached(&self) {
-        // Cut or exhaustion on the owner side: discard untried alternatives
-        // of *this epoch* (cut semantics; see crate-level restrictions).
+    /// Cut or exhaustion on the owner side: discard the untried
+    /// alternatives of *this epoch* (remote workers may still hold
+    /// claims already taken).
+    pub fn detach(&self) {
         let mut p = self.node.payload.lock();
         if let Some(payload) = p.as_mut() {
             if payload.epoch == self.epoch {
@@ -347,54 +343,60 @@ impl SharedChoice for NodeClaim {
             }
         }
     }
-
-    fn node_id(&self) -> u64 {
-        self.node.id
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use ace_logic::{sym, Heap};
+    use ace_logic::sym;
 
-    fn closure() -> Arc<StateClosure> {
-        let mut h = Heap::new();
-        let tuple = h.new_struct(sym("$closure"), &[ace_logic::Cell::Nil]);
-        Arc::new(StateClosure::freeze(&h, tuple, Vec::new()))
+    /// A stand-in closure: the tree never looks inside one.
+    pub(crate) struct Cells(pub u64);
+
+    impl Closure for Cells {
+        fn cells(&self) -> u64 {
+            self.0
+        }
+    }
+
+    fn closure() -> Arc<Cells> {
+        Arc::new(Cells(1))
     }
 
     fn counter() -> Arc<AtomicUsize> {
         Arc::new(AtomicUsize::new(0))
     }
 
+    pub(crate) fn p1() -> Label {
+        Label::Pred(sym("p"), 1)
+    }
+
+    fn publish(
+        root: &Arc<OrNode<Cells>>,
+        alts: &[usize],
+        total: &Arc<AtomicUsize>,
+    ) -> Arc<OrNode<Cells>> {
+        OrNode::publish(root, p1(), VecDeque::from(alts.to_vec()), total.clone())
+    }
+
     #[test]
     fn publish_links_and_counts() {
         let total = counter();
         let root = OrNode::root(total.clone());
-        let node = OrNode::publish(
-            &root,
-            (sym("p"), 1),
-            VecDeque::from([1, 2, 3]),
-            total.clone(),
-        );
+        let node = publish(&root, &[1, 2, 3], &total);
         assert_eq!(total.load(Ordering::Acquire), 3);
         assert_eq!(node.depth, 1);
         assert_eq!(root.children.lock().len(), 1);
         assert!(node.has_work());
         // capture was procrastinated: nothing is remotely installable yet
-        assert!(!node.has_ready_work());
+        assert!(matches!(node.claim_remote(), RemoteClaim::Pending));
     }
 
     #[test]
     fn deferred_claim_raises_demand_then_fulfill_serves_remotes() {
         let total = counter();
         let root = OrNode::root(total.clone());
-        let node = OrNode::publish(&root, (sym("p"), 1), VecDeque::from([5, 7]), total.clone());
+        let node = publish(&root, &[5, 7], &total);
 
         // no demand yet: the owner keeps the deferral parked
         assert_eq!(node.defer_poll(0), DeferPoll::Keep);
@@ -407,18 +409,18 @@ mod tests {
         // owner materializes once; the node becomes claimable
         assert!(node.fulfill_closure(0, closure()));
         assert_eq!(node.defer_poll(0), DeferPoll::Dead); // already ready
-        let RemoteClaim::Ready((i1, epoch, pred, _)) = node.claim_remote() else {
+        let RemoteClaim::Ready((i1, epoch, label, _)) = node.claim_remote() else {
             panic!("expected a ready claim");
         };
         assert_eq!(i1, 5);
         assert_eq!(epoch, 0);
-        assert_eq!(pred, (sym("p"), 1));
+        assert_eq!(label, p1());
         let RemoteClaim::Ready((i2, ..)) = node.claim_remote() else {
             panic!("expected a ready claim");
         };
         assert_eq!(i2, 7);
         assert!(matches!(node.claim_remote(), RemoteClaim::Empty));
-        assert!(node.is_drained());
+        assert!(!node.has_work());
         assert_eq!(total.load(Ordering::Acquire), 0);
 
         // double-fulfill is refused (closure already installed)
@@ -429,8 +431,8 @@ mod tests {
     fn owner_drain_elides_the_deferred_capture() {
         let total = counter();
         let root = OrNode::root(total.clone());
-        let node = OrNode::publish(&root, (sym("p"), 1), VecDeque::from([1, 2]), total.clone());
-        let owner = NodeClaim {
+        let node = publish(&root, &[1, 2], &total);
+        let owner = OwnerClaim {
             node: node.clone(),
             epoch: 0,
         };
@@ -446,17 +448,16 @@ mod tests {
     fn lao_reuse_bumps_epoch_and_blocks_stale_claims() {
         let total = counter();
         let root = OrNode::root(total.clone());
-        let node = OrNode::publish(&root, (sym("p"), 1), VecDeque::from([1]), total.clone());
-        let stale = NodeClaim {
+        let node = publish(&root, &[1], &total);
+        let stale = OwnerClaim {
             node: node.clone(),
             epoch: 0,
         };
-        assert_eq!(stale.epoch(), 0);
         assert_eq!(stale.claim_next(), Some(1));
-        assert!(node.is_drained());
+        assert!(!node.has_work());
 
         let epoch = node
-            .try_reuse((sym("q"), 2), VecDeque::from([0, 1]))
+            .try_reuse(Label::FdVar(2), VecDeque::from([0, 1]))
             .unwrap();
         assert_eq!(epoch, 1);
         assert_eq!(total.load(Ordering::Acquire), 2);
@@ -466,11 +467,17 @@ mod tests {
         assert!(!node.fulfill_closure(0, closure()));
         assert_eq!(node.defer_poll(0), DeferPoll::Dead);
         // a fresh claim at the right epoch works
-        let fresh = NodeClaim {
+        let fresh = OwnerClaim {
             node: node.clone(),
             epoch,
         };
         assert_eq!(fresh.claim_next(), Some(0));
+        // a node with unclaimed alternatives refuses reuse, handing the
+        // would-be alternatives back
+        assert_eq!(
+            node.try_reuse(p1(), VecDeque::from([9])),
+            Err(VecDeque::from([9]))
+        );
         // depth is unchanged — that is the whole point of LAO
         assert_eq!(node.depth, 1);
     }
@@ -478,12 +485,12 @@ mod tests {
     #[test]
     fn meta_mirror_tracks_payload_through_every_mutation() {
         let total = counter();
-        let root = OrNode::root(total.clone());
+        let root = OrNode::<Cells>::root(total.clone());
         // Root: no payload, mirrored as empty.
         assert!(!root.has_work());
 
-        let node = OrNode::publish(&root, (sym("p"), 1), VecDeque::from([1, 2]), total.clone());
-        let locked_has_work = |n: &OrNode| {
+        let node = publish(&root, &[1, 2], &total);
+        let locked_has_work = |n: &OrNode<Cells>| {
             n.payload
                 .lock()
                 .as_ref()
@@ -502,18 +509,18 @@ mod tests {
         assert_eq!(node.has_work(), locked_has_work(&node));
 
         // LAO reuse re-arms the mirror at the bumped epoch.
-        let epoch = node.try_reuse((sym("q"), 1), VecDeque::from([7])).unwrap();
+        let epoch = node.try_reuse(p1(), VecDeque::from([7])).unwrap();
         assert!(node.has_work());
         assert_eq!(node.defer_poll(epoch), DeferPoll::Keep);
 
         // Owner-side drain through the claim handle re-mirrors too.
-        let owner = NodeClaim {
+        let owner = OwnerClaim {
             node: node.clone(),
             epoch,
         };
         assert_eq!(owner.claim_next(), Some(7));
         assert!(!node.has_work());
-        owner.owner_detached();
+        owner.detach();
         assert_eq!(node.defer_poll(epoch), DeferPoll::Dead);
     }
 
@@ -521,19 +528,19 @@ mod tests {
     fn owner_detached_discards_only_its_epoch() {
         let total = counter();
         let root = OrNode::root(total.clone());
-        let node = OrNode::publish(&root, (sym("p"), 1), VecDeque::from([1, 2]), total.clone());
-        let old = NodeClaim {
+        let node = publish(&root, &[1, 2], &total);
+        let old = OwnerClaim {
             node: node.clone(),
             epoch: 0,
         };
         // reuse first (epoch 1), then detach the old claim
         node.payload.lock().as_mut().unwrap().alts.clear();
         total.store(0, Ordering::Release);
-        let epoch = node.try_reuse((sym("q"), 1), VecDeque::from([0])).unwrap();
-        old.owner_detached();
+        let epoch = node.try_reuse(p1(), VecDeque::from([0])).unwrap();
+        old.detach();
         assert_eq!(total.load(Ordering::Acquire), 1, "new epoch untouched");
-        let new = NodeClaim { node, epoch };
-        new.owner_detached();
+        let new = OwnerClaim { node, epoch };
+        new.detach();
         assert_eq!(total.load(Ordering::Acquire), 0);
     }
 }

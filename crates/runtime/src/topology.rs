@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 ///
 /// Workers `0..n` are assigned to `domains` contiguous blocks of
 /// `ceil(n / domains)` workers each ([`Topology::domain_of`]); the
-/// hierarchical `AltPool` in `ace-or` uses the same mapping for its
+/// hierarchical [`crate::ortree::AltPool`] uses the same mapping for its
 /// shard tiers, so "domain" means the same thing to the scheduler and
 /// to the cost model.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -48,7 +48,8 @@ fn main() {
     }
     println!(
         "\n({} solutions; `depth` is the public labeling tree's maximum \
-         depth without → with LAO)",
+         depth without → with LAO; `visits` counts the nodes idle workers \
+         popped from the alternative pool while hunting for work)",
         Fd::new(queens(n))
             .solve_all(&EngineConfig::default().with_workers(1).all_solutions())
             .solutions

@@ -575,10 +575,12 @@ fn dispatch_window_faults_degrade_only_the_hit_sessions() {
     }
 }
 
-/// The finite-domain engine rides the same worker chassis, so a transient
-/// plan is absorbed at the same phase checkpoints: stalls fire (the fd
-/// search has no steal/publish fault sites, so those events stay unspent)
-/// and the queens solution set is untouched, under both drivers.
+/// The finite-domain engine rides the same worker chassis and the same
+/// or-tree, so a transient plan is absorbed at the same sites: stalls at
+/// the phase checkpoints, steal and publish failures where the tree
+/// claims and publishes. Every injected fault is spent on one of the
+/// three, some steal or publish failure is spent across the cell, and the
+/// queens solution set is untouched, under both drivers.
 #[test]
 fn fd_cell_transient_faults_preserve_answers() {
     use ace_fd::{queens, Fd};
@@ -595,20 +597,32 @@ fn fd_cell_transient_faults_preserve_answers() {
         FaultPlan::new(0),
     ));
     assert_eq!(oracle.len(), 4);
+    let mut scheduler_faults = 0;
     for driver in [DriverKind::Sim, DriverKind::Threads] {
         for seed in [7u64, 1031] {
-            let plan = FaultPlan::random_transient(seed, WORKERS, 6).with(
-                0,
-                1,
-                FaultKind::Stall { cost: 100 },
-            );
+            // The random events arm late for a run this short; these
+            // fire on every run: the root's first publication window and
+            // a thief's first steal with work visible.
+            let plan = FaultPlan::random_transient(seed, WORKERS, 6)
+                .with(0, 1, FaultKind::Stall { cost: 100 })
+                .with(0, 0, FaultKind::PublishFail)
+                .with(1, 0, FaultKind::StealFail);
             let (got, stats, trace) = solve(&cfg(OptFlags::lao_only(), driver, plan));
             assert_eq!(got, oracle, "fd {driver:?} seed={seed}");
             assert!(stats.fault_stalls >= 1, "fd {driver:?} seed={seed}");
-            assert_eq!(stats.faults_injected, stats.fault_stalls);
+            assert_eq!(
+                stats.faults_injected,
+                stats.fault_stalls + stats.steal_retries + stats.publish_retries,
+                "fd {driver:?} seed={seed}"
+            );
+            scheduler_faults += stats.steal_retries + stats.publish_retries;
             if let Err(violations) = TraceChecker::check(&trace.expect("tracing enabled")) {
                 panic!("fd {driver:?} seed={seed}: {violations:#?}");
             }
         }
     }
+    assert!(
+        scheduler_faults > 0,
+        "no steal or publish failure was spent in the fd cell"
+    );
 }

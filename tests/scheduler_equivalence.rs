@@ -13,9 +13,17 @@
 //!   chain deepens (LAO off, so the public tree really grows); the
 //!   traversal oracle's per-claim cost grows with depth on the same
 //!   workload.
+//! * **One tree, two engines** — `ace-fd`'s labeling search runs on the
+//!   same tree: every scheduler × LAO × topology × worker count finds the
+//!   1-worker solution set, and on both engines every published
+//!   alternative is claimed exactly once.
 
 use ace_core::{Ace, Mode, RunReport};
-use ace_runtime::{EngineConfig, OptFlags, OrScheduler, Topology, TraceChecker, TraceConfig};
+use ace_fd::{queens, Fd};
+use ace_runtime::{
+    DriverKind, EngineConfig, EventKind, OptFlags, OrScheduler, Topology, Trace, TraceChecker,
+    TraceConfig,
+};
 
 fn sorted(mut v: Vec<String>) -> Vec<String> {
     v.sort();
@@ -155,4 +163,109 @@ fn pool_steal_cost_is_flat_in_chain_depth() {
         t_deep > t_shallow && t_deep > 2.0 * deep,
         "traversal steal cost should grow with depth: {t_shallow:.2} -> {t_deep:.2} (pool {deep:.2})"
     );
+}
+
+/// The scheduler × LAO × topology cells the fd cases run.
+fn fd_cells() -> Vec<(String, EngineConfig)> {
+    let mut cells = Vec::new();
+    for sched in [OrScheduler::Pool, OrScheduler::Traversal] {
+        for opts in [OptFlags::none(), OptFlags::lao_only()] {
+            for (topo_name, topo) in [
+                ("flat", Topology::flat()),
+                ("numa4", Topology::numa(4)),
+                ("numa3_uneven", Topology::numa(3)),
+            ] {
+                for workers in [1, 2, 4, 8, 64] {
+                    let mut c = cfg(workers, opts, sched);
+                    c.run.topology = topo.clone();
+                    let label = format!("{sched:?} lao={} {topo_name} w={workers}", opts.lao);
+                    cells.push((label, c));
+                }
+            }
+        }
+    }
+    let mut threads = cfg(4, OptFlags::lao_only(), OrScheduler::Pool);
+    threads.run.driver = DriverKind::Threads;
+    cells.push(("Pool lao=true flat threads w=4".to_owned(), threads));
+    cells
+}
+
+/// (d) The fd labeling search on the shared tree: pool and traversal,
+/// LAO on and off, flat and multi-domain topologies, 1–64 simulated
+/// workers and the threads driver all find the 1-worker solution set,
+/// and every traced run passes the `TraceChecker`.
+#[test]
+fn fd_matches_one_worker_run_across_schedulers_and_topologies() {
+    let sorted = |mut v: Vec<Vec<u32>>| {
+        v.sort();
+        v
+    };
+    let one = Fd::new(queens(7)).solve_all(&cfg(1, OptFlags::none(), OrScheduler::Pool));
+    let expected = sorted(one.solutions);
+    assert_eq!(expected.len(), 40);
+    for (label, c) in fd_cells() {
+        let r = Fd::new(queens(7)).solve_all(&c);
+        assert!(
+            r.outcome.aborted.is_none(),
+            "{label}: {:?}",
+            r.outcome.aborted
+        );
+        let trace = r.trace.as_ref().expect("tracing enabled but trace missing");
+        if let Err(violations) = TraceChecker::check(trace) {
+            panic!("fd {label}: trace invariant violations: {violations:#?}");
+        }
+        assert_eq!(sorted(r.solutions), expected, "fd {label}");
+        if c.oracle.or_scheduler == OrScheduler::Traversal {
+            assert_eq!(
+                r.stats.pool_pushes, 0,
+                "fd {label}: traversal touched the pool"
+            );
+        }
+    }
+}
+
+/// Σ `alts` over the trace's `publish` and `lao-reuse` events.
+fn published_alternatives(trace: &Trace) -> u64 {
+    assert_eq!(trace.dropped, 0, "ring too small");
+    trace
+        .events
+        .iter()
+        .map(|e| match e.kind {
+            EventKind::Publish { alts, .. } | EventKind::LaoReuse { alts, .. } => alts as u64,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// (e) The claim ledger: in a cut-free, all-solutions run every published
+/// alternative is claimed exactly once — by its owner's backtracking or
+/// by a thief — so `alternatives_claimed` equals the alternatives the
+/// trace's publications put into the tree, on both engines. An owner
+/// claim that comes back empty is not a claim.
+#[test]
+fn every_published_alternative_is_claimed_once_on_both_engines() {
+    let b = ace_programs::benchmark("queen1").unwrap();
+    let ace = Ace::load(&(b.program)(6)).unwrap();
+    for opts in [OptFlags::none(), OptFlags::lao_only()] {
+        for workers in [2, 4, 8] {
+            let c = cfg(workers, opts, OrScheduler::Pool)
+                .with_trace(TraceConfig::enabled().with_capacity(1 << 20));
+            let label = format!("lao={} w={workers}", opts.lao);
+            let prolog = ace.run(Mode::OrParallel, &(b.query)(6), &c).unwrap();
+            let published = published_alternatives(prolog.trace.as_ref().unwrap());
+            assert!(published > 0, "queen1(6) {label}: nothing published");
+            assert_eq!(
+                prolog.stats.alternatives_claimed, published,
+                "queen1(6) {label}: claimed vs published"
+            );
+            let fd = Fd::new(queens(8)).solve_all(&c);
+            assert_eq!(fd.solutions.len(), 92, "fd queens(8) {label}");
+            let published = published_alternatives(fd.trace.as_ref().unwrap());
+            assert!(published > 0, "fd queens(8) {label}: nothing published");
+            assert_eq!(
+                fd.stats.alternatives_claimed, published,
+                "fd queens(8) {label}: claimed vs published"
+            );
+        }
+    }
 }
