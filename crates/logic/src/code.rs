@@ -822,7 +822,9 @@ enum GroupMode {
 /// Execute compiled head code against the call whose structure header is
 /// `goal_hdr` (`None` for arity 0). `slots` is caller-owned scratch,
 /// resized internally. On failure the caller must undo the trail to its
-/// pre-call mark; cost is reported either way.
+/// pre-call mark; cost is reported either way. Inlined into the caller, so
+/// the outcome and its cost come back in registers, not through memory.
+#[inline]
 pub fn run_head(
     heap: &mut Heap,
     code: &CompiledCode,

@@ -52,16 +52,15 @@ pub fn copy_term_within(heap: &mut Heap, root: Cell) -> CopyOut {
 /// `dst` receives the cells, in the order, that [`copy_term`] would write
 /// for that structure had it been built on top of `src`.
 pub fn copy_tuple(src: &Heap, f: Sym, roots: &[Cell], dst: &mut Heap) -> CopyOut {
-    let hdr = dst.push(Cell::Functor(f, roots.len() as u32));
-    let work = roots
-        .iter()
-        .map(|&root| (root, dst.push(Cell::Nil))) // placeholder
-        .collect();
-    let copier = Copier {
-        cells: 1 + roots.len(),
-        ..Copier::default()
-    };
-    copier.fill(Some(src), Cell::Str(hdr), dst, work)
+    with_copier(|copier| {
+        let hdr = dst.push(Cell::Functor(f, roots.len() as u32));
+        for &root in roots {
+            let slot = dst.push(Cell::Nil); // placeholder
+            copier.work.push((root, slot));
+        }
+        copier.cells = 1 + roots.len();
+        copier.fill(Some(src), Cell::Str(hdr), dst)
+    })
 }
 
 /// The heap to read source cells from: `src`, or `dst` itself when the
@@ -72,10 +71,26 @@ fn source<'a>(src: Option<&'a Heap>, dst: &'a Heap) -> &'a Heap {
 }
 
 fn copy(src: Option<&Heap>, root: Cell, dst: &mut Heap) -> CopyOut {
-    let mut copier = Copier::default();
-    let mut work = Vec::new();
-    let root = copier.translate(src, root, dst, &mut work);
-    copier.fill(src, root, dst, work)
+    with_copier(|copier| {
+        let root = copier.translate(src, root, dst);
+        copier.fill(src, root, dst)
+    })
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Copier> = std::cell::RefCell::default();
+}
+
+/// Run one copy in this thread's scratch copier, emptied first: its maps
+/// and work list keep their room from copy to copy, as a machine's
+/// [`crate::CanonScratch`] does, so a copy allocates only when it is the
+/// largest this thread has made.
+fn with_copier(f: impl FnOnce(&mut Copier) -> CopyOut) -> CopyOut {
+    SCRATCH.with(|cell| {
+        let mut copier = cell.borrow_mut();
+        copier.reset();
+        f(&mut copier)
+    })
 }
 
 /// The state of one copy. Both maps are keyed by source heap addresses,
@@ -95,22 +110,41 @@ struct Copier {
     /// presence means the destination block already exists (sharing &
     /// cycle safety).
     block_map: FxHashMap<Addr, Cell>,
+    /// Placeholder slots still to fill: `(source cell, destination slot)`.
+    work: Vec<(Cell, Addr)>,
     cells: usize,
     vars: usize,
 }
 
 impl Copier {
+    /// Scratch maps and work lists past this many entries are dropped
+    /// rather than kept: emptying a map costs its capacity, and one huge
+    /// copy must neither make every later small one pay for it nor leave
+    /// its room held by the thread.
+    const KEEP: usize = 1 << 10;
+
+    fn reset(&mut self) {
+        for map in [&mut self.var_map, &mut self.block_map] {
+            if map.capacity() > Self::KEEP {
+                *map = FxHashMap::default();
+            } else if !map.is_empty() {
+                map.clear();
+            }
+        }
+        if self.work.capacity() > Self::KEEP {
+            self.work = Vec::new();
+        } else {
+            self.work.clear();
+        }
+        self.cells = 0;
+        self.vars = 0;
+    }
+
     /// Fill the placeholder slots queued on `work` (and those their terms
     /// queue in turn); `root` is the finished copy's root cell.
-    fn fill(
-        mut self,
-        src: Option<&Heap>,
-        root: Cell,
-        dst: &mut Heap,
-        mut work: Vec<(Cell, Addr)>,
-    ) -> CopyOut {
-        while let Some((src_cell, at)) = work.pop() {
-            let t = self.translate(src, src_cell, dst, &mut work);
+    fn fill(&mut self, src: Option<&Heap>, root: Cell, dst: &mut Heap) -> CopyOut {
+        while let Some((src_cell, at)) = self.work.pop() {
+            let t = self.translate(src, src_cell, dst);
             dst.set_raw(at, t);
         }
         CopyOut {
@@ -124,13 +158,7 @@ impl Copier {
     /// terms get their destination block reserved here, and their children
     /// queued onto `work` to be filled in later (iterative, so arbitrarily
     /// deep terms cannot overflow the Rust stack).
-    fn translate(
-        &mut self,
-        src: Option<&Heap>,
-        c: Cell,
-        dst: &mut Heap,
-        work: &mut Vec<(Cell, Addr)>,
-    ) -> Cell {
+    fn translate(&mut self, src: Option<&Heap>, c: Cell, dst: &mut Heap) -> Cell {
         match source(src, dst).deref(c) {
             Cell::Ref(a) => *self.var_map.entry(a).or_insert_with(|| {
                 self.vars += 1;
@@ -149,7 +177,7 @@ impl Copier {
                 for i in 0..n {
                     let arg = source(src, dst).str_arg(hdr, i);
                     let slot = dst.push(Cell::Nil); // placeholder
-                    work.push((arg, slot));
+                    self.work.push((arg, slot));
                 }
                 self.cells += 1 + n as usize;
                 let out = Cell::Str(dhdr);
@@ -163,8 +191,8 @@ impl Copier {
                 let (head, tail) = (source(src, dst).lst_head(p), source(src, dst).lst_tail(p));
                 let dh = dst.push(Cell::Nil);
                 let dt = dst.push(Cell::Nil);
-                work.push((head, dh));
-                work.push((tail, dt));
+                self.work.push((head, dh));
+                self.work.push((tail, dt));
                 self.cells += 2;
                 let out = Cell::Lst(dh);
                 self.block_map.insert(p, out);
@@ -232,6 +260,52 @@ mod tests {
         let mut dst = Heap::new();
         let out = copy_term(&src, t, &mut dst);
         assert_eq!(term_size(&dst, out.root), term_size(&src, t));
+    }
+
+    #[test]
+    fn the_thread_scratch_forgets_each_copy() {
+        let mut src = Heap::new();
+        let x = src.new_var();
+        let small = src.new_struct(sym("f"), &[x, x]);
+        let mut big = Cell::Nil;
+        for _ in 0..5_000 {
+            let v = src.new_var();
+            big = src.cons(v, big);
+        }
+        let mut dst = Heap::new();
+        let first = copy_term(&src, small, &mut dst);
+        let large = copy_term(&src, big, &mut dst);
+        assert_eq!((large.cells_copied, large.fresh_vars), (15_000, 5_000));
+        // Neither the small term's variable nor the big term's blocks
+        // are remembered by the next copy.
+        for _ in 0..2 {
+            let again = copy_term(&src, small, &mut dst);
+            assert_eq!((again.cells_copied, again.fresh_vars), (4, 1));
+            assert_ne!(again.root, first.root);
+        }
+        let out = copy_tuple(&src, sym("t"), &[small, small], &mut dst);
+        assert_eq!((out.cells_copied, out.fresh_vars), (3 + 4, 1));
+
+        // A wide structure queues every argument on the work list at once;
+        // the next copy does not keep that room.
+        let args: Vec<Cell> = (0..5_000).map(|_| src.new_var()).collect();
+        let wide = src.new_struct(sym("w"), &args);
+        let out = copy_term(&src, wide, &mut dst);
+        assert_eq!((out.cells_copied, out.fresh_vars), (10_001, 5_000));
+        let held = || {
+            SCRATCH.with(|cell| {
+                let c = cell.borrow();
+                (c.work.capacity(), c.var_map.capacity())
+            })
+        };
+        let (work, vars) = held();
+        assert!(work > Copier::KEEP && vars > Copier::KEEP);
+        copy_term(&src, small, &mut dst);
+        let (work, vars) = held();
+        assert!(
+            work <= Copier::KEEP && vars <= Copier::KEEP,
+            "a wide copy's scratch room is still held: work {work}, var map {vars}"
+        );
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! machines (goal shipping, or-parallel state copying) without any name
 //! translation: a [`Sym`] is a plain `u32` index valid in every heap.
 //!
-//! The table is append-only and guarded by an `RwLock`; lookups of already
-//! interned names take the read path only. A name is stored once, as a
-//! leaked `str` that lives as long as the process does, so [`Sym::name`]
-//! hands out a `&'static str` and no reader copies a name. A fixed set of
-//! *well-known* symbols (control constructs, operators, common atoms) is
-//! interned at table construction with stable indices, so the hot paths of
-//! the engines compare against pre-computed constants via [`wk()`].
+//! Interning goes through a name → index map guarded by an `RwLock`;
+//! lookups of already interned names take the read path only. A name is
+//! stored once, as a leaked `str` that lives as long as the process does,
+//! and published in an append-only table of names that
+//! [`Sym::name`] reads without a lock, handing out a `&'static str`: no
+//! reader copies a name or waits on a writer. A fixed set of *well-known*
+//! symbols (control constructs, operators, common atoms) is interned at
+//! table construction with stable indices, so the hot paths of the engines
+//! compare against pre-computed constants via [`wk()`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -31,9 +33,56 @@ impl Sym {
 
     /// The textual name of this symbol. Panics if it did not come from
     /// [`sym`]. The name is never freed or moved: the reference outlives
-    /// the interner's lock and any later interning.
+    /// any later interning. Takes no lock.
+    #[inline]
     pub fn name(self) -> &'static str {
-        interner().read().unwrap_or_else(|e| e.into_inner()).names[self.0 as usize]
+        match NAMES.get(self.0) {
+            Some(name) => name,
+            // Nothing interned yet: the well-known names go in first.
+            None => {
+                interner();
+                NAMES
+                    .get(self.0)
+                    .expect("a symbol that did not come from `sym`")
+            }
+        }
+    }
+}
+
+/// Segments of the name table: segment `k` holds `2^(k + 8)` names, so
+/// 25 segments cover every `u32` index.
+const SEGMENTS: usize = 25;
+
+/// The append-only name table, by symbol index. Segments are allocated on
+/// demand and never moved, and each entry is written once: both are
+/// published with release stores that a reader's acquire load pairs with,
+/// and written only under the interner's write lock.
+struct Names([OnceLock<Box<[OnceLock<&'static str>]>>; SEGMENTS]);
+
+static NAMES: Names = Names([const { OnceLock::new() }; SEGMENTS]);
+
+impl Names {
+    /// Segment and offset of index `i`.
+    #[inline]
+    fn locate(i: u32) -> (usize, usize) {
+        let j = i as u64 + 256;
+        let k = 63 - j.leading_zeros() as usize - 8;
+        (k, (j - (256 << k)) as usize)
+    }
+
+    #[inline]
+    fn get(&self, i: u32) -> Option<&'static str> {
+        let (k, off) = Self::locate(i);
+        self.0[k].get()?[off].get().copied()
+    }
+
+    /// Publish `name` at index `i` (the interner's write lock is held).
+    fn set(&self, i: u32, name: &'static str) {
+        let (k, off) = Self::locate(i);
+        let seg = self.0[k].get_or_init(|| (0..256usize << k).map(|_| OnceLock::new()).collect());
+        seg[off]
+            .set(name)
+            .expect("a symbol index is published once");
     }
 }
 
@@ -49,16 +98,14 @@ impl fmt::Display for Sym {
     }
 }
 
-/// Each name is one leaked allocation that `names` and `by_name` share.
+/// Each name is one leaked allocation that [`NAMES`] and `by_name` share.
 struct Interner {
-    names: Vec<&'static str>,
     by_name: HashMap<&'static str, u32>,
 }
 
 impl Interner {
     fn new() -> Self {
         let mut it = Interner {
-            names: Vec::with_capacity(256),
             by_name: HashMap::with_capacity(256),
         };
         // Well-known symbols, in the exact order of the `WellKnown`
@@ -73,9 +120,9 @@ impl Interner {
         if let Some(&i) = self.by_name.get(name) {
             return Sym(i);
         }
-        let i = self.names.len() as u32;
+        let i = u32::try_from(self.by_name.len()).expect("symbol table overflow");
         let name: &'static str = Box::leak(Box::from(name));
-        self.names.push(name);
+        NAMES.set(i, name);
         self.by_name.insert(name, i);
         Sym(i)
     }
@@ -358,7 +405,8 @@ mod tests {
             }
         });
         go.recv().unwrap();
-        // read while the table grows (its vectors move; the names do not)
+        // read while the table grows (lock-free: new segments appear, no
+        // name moves)
         while !writer.is_finished() {
             assert_eq!(early.name(), "early_bird");
         }
@@ -366,6 +414,23 @@ mod tests {
         assert_eq!(name, "early_bird");
         assert_eq!(early.name().as_ptr(), at, "the name was stored once");
         assert_eq!(sym("late_9999").name(), "late_9999");
+    }
+
+    #[test]
+    fn name_table_segments_double_and_cover_u32() {
+        assert_eq!(Names::locate(0), (0, 0));
+        assert_eq!(Names::locate(255), (0, 255));
+        assert_eq!(Names::locate(256), (1, 0));
+        assert_eq!(Names::locate(767), (1, 511));
+        assert_eq!(Names::locate(768), (2, 0));
+        // The last segment starts at 2^32 - 256.
+        assert_eq!(Names::locate(u32::MAX), (SEGMENTS - 1, 255));
+    }
+
+    #[test]
+    #[should_panic(expected = "did not come from `sym`")]
+    fn a_made_up_symbol_has_no_name() {
+        Sym(u32::MAX - 1).name();
     }
 
     #[test]

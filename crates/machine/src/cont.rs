@@ -1,4 +1,5 @@
-//! Goal continuations: linked lists of pending goals whose nodes live on a
+//! Goal continuations and body environments: linked lists of pending
+//! goals, and the variables of the clause bodies they resume, on a
 //! per-machine stack that control frames protect, as a WAM's environment
 //! stack is protected by its choice points.
 //!
@@ -18,13 +19,21 @@
 //! choice point, a parcall frame) is a word copy. Nothing is counted and
 //! nothing is freed node by node: space comes back by truncating the stack.
 //!
+//! The stack keeps the environments of body activations beside the nodes,
+//! as cells: a `$slots/n` header, then the clause's `n` variables. An
+//! activation pushes its environment once, when it pushes its first body
+//! frame, and every later step of the body reads the variables in place;
+//! an [`Env`] is the header's index. An environment is never written after
+//! its push, and it is a heap term only inside a frozen continuation.
+//!
 //! # The liveness rule
 //!
 //! Every control frame records the stack height at its creation (its
-//! [`ContMark`], beside its heap and trail marks); frames are pushed in
-//! order, so marks never decrease up the control stack. A handle may be
-//! held in exactly three kinds of place, and wherever it is held it names
-//! a node **below `max(top frame's mark, machine.cont + 1)`**:
+//! [`ContMark`]: nodes and environments, beside its heap and trail marks);
+//! frames are pushed in order, so marks never decrease up the control
+//! stack. A continuation handle may be held in exactly three kinds of
+//! place, and wherever it is held it names a node **below `max(top frame's
+//! mark, machine.cont + 1)`**:
 //!
 //! * `Machine.cont`, the running continuation — below `cont + 1`;
 //! * a control frame (`ChoicePoint.cont`, `ParcallFrame.cont`) — the handle
@@ -36,13 +45,25 @@
 //!
 //! Everything at or above that bound is unreachable and may be dropped:
 //! `Machine::step` pops by `cont = node.next` and truncates to the bound
-//! (environment trimming — determinate recursion runs in constant
+//! (continuation trimming — determinate recursion runs in constant
 //! continuation space, and what a cut strands goes at the next pop);
-//! backtracking restores `cont` and truncates to the choice point's mark
-//! exactly as it does the heap. Debug builds stamp every node and handle
-//! with a push serial, so a handle that outlived its node is caught at its
-//! next use instead of silently naming the node's successor in the slot.
+//! backtracking restores `cont` and truncates nodes and environments to
+//! the choice point's mark exactly as it does the heap.
+//!
+//! Environments lie in continuation order: a callee's is pushed above its
+//! caller's, and [`ContStack::thaw`] pushes a frozen continuation's
+//! environments deepest frame first. So when a body frame over environment
+//! `e` runs, the callees of its activation have finished, and every
+//! environment above `e` that the top frame's mark does not protect is
+//! theirs: the step truncates the environments to `max(top frame's mark,
+//! end of e)`, and at the activation's last step to `max(top frame's mark,
+//! e)`, dropping `e` too (`ContStack::trim_envs`; determinate recursion
+//! runs in constant environment space). A body frame with no environment
+//! trims nothing. Debug builds stamp every node, environment and handle
+//! with a push serial, so a handle that outlived what it named is caught
+//! at its next use instead of silently naming a successor in the slot.
 
+use ace_logic::code::UNSET_SLOT;
 use ace_logic::sym::sym;
 use ace_logic::{Addr, Cell, ClauseId, Heap, PredId, Sym};
 
@@ -91,16 +112,23 @@ impl std::fmt::Debug for Cont {
     }
 }
 
-/// A [`ContStack`] height, recorded by every control frame at its creation
-/// (the continuation-stack counterpart of `HeapMark` / `TrailMark`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct ContMark(pub u32);
+/// A [`ContStack`] height — its nodes and its environment cells — recorded
+/// by every control frame at its creation (the continuation-stack
+/// counterpart of `HeapMark` / `TrailMark`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ContMark {
+    nodes: u32,
+    envs: u32,
+}
 
 impl ContMark {
+    /// The empty stack's height: what no control frame protects.
+    pub const ZERO: ContMark = ContMark { nodes: 0, envs: 0 };
+
     /// Does a frame carrying this mark keep `cont` alive?
     #[inline]
     pub fn protects(self, cont: Cont) -> bool {
-        cont.end() <= self.0
+        cont.end() <= self.nodes
     }
 }
 
@@ -157,39 +185,42 @@ impl BodyAt {
     }
 }
 
-/// The environment of one body activation: the `$slots(…)` structure
-/// holding the clause's variables, by header address, or none for a clause
-/// whose body has no variables. It is built once per activation and shared
-/// by the activation's every body frame.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Env(u32);
+/// The environment of one body activation — the clause's variables, on
+/// the [`ContStack`] — by the index of its header, or none for a clause
+/// whose body has no variables. It is pushed once per activation and
+/// shared by the activation's every body frame.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Env {
+    idx: u32,
+    #[cfg(debug_assertions)]
+    serial: u32,
+}
 
 impl Env {
-    pub const NONE: Env = Env(u32::MAX);
+    pub const NONE: Env = Env {
+        idx: u32::MAX,
+        #[cfg(debug_assertions)]
+        serial: 0,
+    };
 
-    /// The environment whose term is `term` (a `$slots` structure or `[]`).
     #[inline]
-    pub fn of(term: Cell) -> Env {
-        match term {
-            Cell::Str(h) => Env(h.0),
-            _ => Env::NONE,
-        }
-    }
-
-    /// The header of the `$slots` structure, if there is one.
-    #[inline]
-    pub fn slots(self) -> Option<Addr> {
-        (self != Env::NONE).then_some(Addr(self.0))
-    }
-
-    /// The environment as a term: the `$slots` structure, or `[]`.
-    #[inline]
-    pub fn term(self) -> Cell {
-        self.slots().map_or(Cell::Nil, Cell::Str)
+    pub fn is_none(self) -> bool {
+        self.idx == u32::MAX
     }
 }
 
-/// What one continuation node holds. Sixteen bytes, like a heap cell.
+impl std::fmt::Debug for Env {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.is_none() {
+            f.write_str("Env::NONE")
+        } else {
+            write!(f, "Env({})", self.idx)
+        }
+    }
+}
+
+/// What one continuation node holds. Sixteen bytes, like a heap cell
+/// (release builds; debug builds add the environment's push serial).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Goal {
     /// A goal term, dispatched by its principal functor.
@@ -229,18 +260,32 @@ pub struct ContNode {
     serial: u32,
 }
 
-/// The continuation nodes of one machine (see the module docs).
+/// The continuation nodes and body environments of one machine (see the
+/// module docs).
 #[derive(Debug, Default)]
 pub struct ContStack {
     nodes: Vec<ContNode>,
+    /// Environments, one after another: a `$slots/n` header cell, then the
+    /// `n` slots.
+    envs: Vec<Cell>,
     /// Pushes so far (stale-handle detection).
     #[cfg(debug_assertions)]
     pushes: u32,
+    /// The push serial of each environment, at its header's index (0 at
+    /// its slots'), as long as `envs`.
+    #[cfg(debug_assertions)]
+    env_serials: Vec<u32>,
 }
 
 impl ContStack {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    #[cfg(debug_assertions)]
+    fn next_serial(&mut self) -> u32 {
+        self.pushes = self.pushes.wrapping_add(1);
+        self.pushes
     }
 
     /// Push `goal` in front of `next`.
@@ -253,10 +298,7 @@ impl ContStack {
         );
         let idx = self.nodes.len() as u32;
         #[cfg(debug_assertions)]
-        let serial = {
-            self.pushes = self.pushes.wrapping_add(1);
-            self.pushes
-        };
+        let serial = self.next_serial();
         self.nodes.push(ContNode {
             goal,
             barrier,
@@ -288,24 +330,130 @@ impl ContStack {
         Some(node)
     }
 
+    /// Push an environment holding `slots`, which must all be set: an
+    /// environment is read in place and never written again.
+    #[inline]
+    pub(crate) fn push_env(&mut self, slots: &[Cell]) -> Env {
+        debug_assert!(
+            !slots.contains(&UNSET_SLOT),
+            "an environment slot is set after its push"
+        );
+        // `u32::MAX` is `Env::NONE`.
+        assert!(
+            self.envs.len() + slots.len() < u32::MAX as usize,
+            "environment stack overflow"
+        );
+        let idx = self.envs.len() as u32;
+        self.envs.push(Cell::Functor(env_sym(), slots.len() as u32));
+        self.envs.extend_from_slice(slots);
+        #[cfg(debug_assertions)]
+        let serial = {
+            let serial = self.next_serial();
+            self.env_serials.push(serial);
+            self.env_serials.resize(self.envs.len(), 0);
+            serial
+        };
+        Env {
+            idx,
+            #[cfg(debug_assertions)]
+            serial,
+        }
+    }
+
+    /// Where the `n` slots of `env` lie on the stack (nowhere for
+    /// [`Env::NONE`]). Panics on a handle above the stack (and, in debug
+    /// builds, on any handle whose environment has been dropped since, or
+    /// with the wrong `n`): the liveness rule was broken.
+    #[inline]
+    fn env_range(&self, env: Env, n: usize) -> std::ops::Range<usize> {
+        if env.is_none() {
+            return 0..0;
+        }
+        let h = env.idx as usize;
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                self.env_serials.get(h) == Some(&env.serial),
+                "stale environment handle {env:?}"
+            );
+            assert!(
+                matches!(self.envs[h], Cell::Functor(_, m) if m as usize == n),
+                "environment {env:?} read as {n} slots"
+            );
+        }
+        h + 1..h + 1 + n
+    }
+
+    /// The number of slots of `env`, from its header.
+    #[inline]
+    fn env_len(&self, env: Env) -> usize {
+        match self.envs[env.idx as usize] {
+            Cell::Functor(_, n) => n as usize,
+            _ => panic!("stale environment handle {env:?}"),
+        }
+    }
+
+    /// The slots of `env`, read in place (none for [`Env::NONE`]).
+    pub(crate) fn env_slots(&self, env: Env) -> &[Cell] {
+        let n = if env.is_none() { 0 } else { self.env_len(env) };
+        &self.envs[self.env_range(env, n)]
+    }
+
+    /// The `n` slots of `env` (its clause's `nslots`), for the inline-step
+    /// loop that also runs over a register file with slots still to set:
+    /// an environment has none, so nothing is written through this.
+    #[inline]
+    pub(crate) fn env_slots_mut(&mut self, env: Env, n: usize) -> &mut [Cell] {
+        let range = self.env_range(env, n);
+        &mut self.envs[range]
+    }
+
+    /// A body frame over `env` ran: drop the environments above `env` that
+    /// `floor` (the top control frame's mark) does not protect, which its
+    /// activation's finished callees left; after the activation's `last`
+    /// step, `env` as well. Trims nothing for [`Env::NONE`].
+    #[inline]
+    pub(crate) fn trim_envs(&mut self, floor: ContMark, env: Env, last: bool) {
+        if env.is_none() {
+            return;
+        }
+        let keep = if last {
+            env.idx as usize
+        } else {
+            env.idx as usize + 1 + self.env_len(env)
+        };
+        self.truncate_envs(keep.max(floor.envs as usize));
+    }
+
+    #[inline]
+    fn truncate_envs(&mut self, len: usize) {
+        self.envs.truncate(len);
+        #[cfg(debug_assertions)]
+        self.env_serials.truncate(len);
+    }
+
     /// Current height (what a control frame records at its creation).
     #[inline]
     pub fn mark(&self) -> ContMark {
-        ContMark(self.nodes.len() as u32)
+        ContMark {
+            nodes: self.nodes.len() as u32,
+            envs: self.envs.len() as u32,
+        }
     }
 
-    /// Drop every node at or above `mark` (backtracking to the frame that
-    /// recorded it).
+    /// Drop every node and environment at or above `mark` (backtracking to
+    /// the frame that recorded it).
     #[inline]
     pub fn truncate_to(&mut self, mark: ContMark) {
-        self.nodes.truncate(mark.0 as usize);
+        self.nodes.truncate(mark.nodes as usize);
+        self.truncate_envs(mark.envs as usize);
     }
 
     /// Drop every node that neither `floor` (the top control frame's mark)
     /// nor the running continuation `cont` keeps alive.
     #[inline]
     pub fn trim(&mut self, floor: ContMark, cont: Cont) {
-        self.nodes.truncate(floor.0.max(cont.end()) as usize);
+        self.nodes.truncate(floor.nodes.max(cont.end()) as usize);
     }
 
     /// Number of nodes on the stack, live or stranded (diagnostics).
@@ -313,8 +461,15 @@ impl ContStack {
         self.nodes.len()
     }
 
+    /// Number of environment cells on the stack, headers included
+    /// (diagnostics).
+    pub(crate) fn env_height(&self) -> usize {
+        self.envs.len()
+    }
+
     pub fn clear(&mut self) {
         self.nodes.clear();
+        self.truncate_envs(0);
     }
 
     /// The nodes of `cont`, nearest first.
@@ -332,26 +487,18 @@ impl ContStack {
         self.iter(cont).map(|n| (n.goal, n.barrier)).collect()
     }
 
-    /// Rebuild a continuation from frames collected by
-    /// [`ContStack::to_vec`] (nearest first), applying `map_barrier` to
-    /// each stored barrier.
-    pub fn from_vec(&mut self, goals: &[(Goal, u32)], map_barrier: impl Fn(u32) -> u32) -> Cont {
-        let mut cont = Cont::NONE;
-        for &(goal, barrier) in goals.iter().rev() {
-            cont = self.push(cont, goal, map_barrier(barrier));
-        }
-        cont
-    }
-
     /// Write `goal` and the frames of `cont` that `keep` accepts on `heap`
     /// as one `$closure(Goal, F1, …, Fn)` tuple, so that freezing the tuple
     /// keeps every variable they share shared. A goal frame is written as
     /// its goal; the frames that hold more than cells as a `$frame`
     /// structure of the parts a machine-local heap marker had: a body
-    /// frame as `$frame(Clause, At, Env)`, the control frames as their
-    /// integers — a frozen continuation has as many cells, and is priced
-    /// the same, as when those frames were heap terms. Returns the tuple and
-    /// the frames kept, which [`ContStack::thaw`] needs to read it back.
+    /// frame as `$frame(Clause, At, Env)`, its environment as the
+    /// `$slots(…)` term of its cells (once per environment, however many
+    /// frames share it), the control frames as their integers — a frozen
+    /// continuation has as many cells, and is priced the same, as when
+    /// those frames and environments were heap terms. Returns the tuple
+    /// and the frames kept, which [`ContStack::thaw`] needs to read it
+    /// back.
     pub fn freeze(
         &self,
         heap: &mut Heap,
@@ -367,12 +514,29 @@ impl ContStack {
         let int = |i: u64| Cell::Int(i as i64);
         let mut args = Vec::with_capacity(frames.len() + 1);
         args.push(goal);
+        // The last environment written, by header index, and its term:
+        // environments lie in continuation order, so frames that share one
+        // meet it one after another.
+        let mut written: Option<(u32, Cell)> = None;
         for frame in &frames {
             args.push(match *frame {
                 Goal::Term(g) => g,
                 Goal::Call { goal, .. } => goal.cell(),
                 Goal::Body { clause, at, env } => {
-                    heap.new_struct(f, &[int(clause.0 as u64), int(at.0 as u64), env.term()])
+                    let env = match written {
+                        _ if env.is_none() => Cell::Nil,
+                        Some((idx, term)) if idx == env.idx => term,
+                        _ => {
+                            debug_assert!(
+                                written.is_none_or(|(idx, _)| env.idx < idx),
+                                "environments out of continuation order"
+                            );
+                            let term = heap.new_struct(env_sym(), self.env_slots(env));
+                            written = Some((env.idx, term));
+                            term
+                        }
+                    };
+                    heap.new_struct(f, &[int(clause.0 as u64), int(at.0 as u64), env])
                 }
                 Goal::IteThen { cut_to } => heap.new_struct(f, &[int(cut_to as u64)]),
                 Goal::MemoStore { slot, gen } => {
@@ -391,45 +555,64 @@ impl ContStack {
     /// thawed into `heap` (header `tuple`) and the frames it returned.
     /// Frame `i` takes its cells from argument `i + 1` by position, never
     /// by functor: what was a goal term thaws as a goal term, whatever it
-    /// looks like. Every frame gets cut barrier `barrier`.
+    /// looks like. A body frame's `$slots` term becomes an environment
+    /// again (one per term), pushed deepest frame first so that
+    /// environments lie in continuation order, as the trimming rule
+    /// requires. Every frame gets cut barrier `barrier`.
     pub fn thaw(&mut self, heap: &Heap, tuple: Addr, frames: &[Goal], barrier: u32) -> Cont {
         let callable = |c| Callable::of(heap, c).expect("a frozen call is callable");
-        let thawed: Vec<(Goal, u32)> = frames
-            .iter()
-            .enumerate()
-            .map(|(i, frame)| {
-                let arg = heap.str_arg(tuple, 1 + i as u32);
-                let field = |k| match heap.deref(arg) {
-                    Cell::Str(h) => heap.str_arg(h, k),
-                    other => unreachable!("a frozen frame is a structure, not {other:?}"),
-                };
-                let goal = match *frame {
-                    Goal::Term(_) => Goal::Term(arg),
-                    Goal::Call { pred, .. } => Goal::Call {
-                        goal: callable(arg),
-                        pred,
-                    },
-                    Goal::Body { clause, at, .. } => Goal::Body {
-                        clause,
-                        at,
-                        env: Env::of(heap.deref(field(2))),
-                    },
-                    Goal::TableAnswer { subgoal, .. } => Goal::TableAnswer {
-                        subgoal,
-                        goal: callable(field(1)),
-                    },
-                    control => control,
-                };
-                (goal, barrier)
-            })
-            .collect();
-        self.from_vec(&thawed, |b| b)
+        // The last `$slots` term thawed, by header address, and its
+        // environment (frames that share one are consecutive, as in
+        // `freeze`).
+        let mut pushed: Option<(Addr, Env)> = None;
+        let mut cont = Cont::NONE;
+        for (i, frame) in frames.iter().enumerate().rev() {
+            let arg = heap.str_arg(tuple, 1 + i as u32);
+            let field = |k| match heap.deref(arg) {
+                Cell::Str(h) => heap.str_arg(h, k),
+                other => unreachable!("a frozen frame is a structure, not {other:?}"),
+            };
+            let goal = match *frame {
+                Goal::Term(_) => Goal::Term(arg),
+                Goal::Call { pred, .. } => Goal::Call {
+                    goal: callable(arg),
+                    pred,
+                },
+                Goal::Body { clause, at, .. } => {
+                    let env = match (heap.deref(field(2)), pushed) {
+                        (Cell::Str(h), Some((last, env))) if last == h => env,
+                        (Cell::Str(h), _) => {
+                            let n = heap.functor_at(h).1 as usize;
+                            let env = self.push_env(&heap.cells()[h.idx() + 1..h.idx() + 1 + n]);
+                            pushed = Some((h, env));
+                            env
+                        }
+                        _ => Env::NONE,
+                    };
+                    Goal::Body { clause, at, env }
+                }
+                Goal::TableAnswer { subgoal, .. } => Goal::TableAnswer {
+                    subgoal,
+                    goal: callable(field(1)),
+                },
+                control => control,
+            };
+            cont = self.push(cont, goal, barrier);
+        }
+        cont
     }
 
     /// Length of a continuation (diagnostics).
     pub fn len(&self, cont: Cont) -> usize {
         self.iter(cont).count()
     }
+}
+
+/// Functor of an environment's header, and of its term in a frozen
+/// continuation.
+fn env_sym() -> Sym {
+    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
+    *S.get_or_init(|| sym("$slots"))
 }
 
 /// Functor of a frozen frame's structure (never dispatched: frames thaw
@@ -453,6 +636,15 @@ mod tests {
     /// A goal frame holding the integer `i`.
     fn t(i: i64) -> Goal {
         Goal::Term(Cell::Int(i))
+    }
+
+    /// A body frame of clause `clause` over `env`.
+    fn body(clause: u32, env: Env) -> Goal {
+        Goal::Body {
+            clause: ClauseId(clause),
+            at: BodyAt::new(0, 1),
+            env,
+        }
     }
 
     #[test]
@@ -479,16 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_roundtrip_with_barrier_map() {
-        let mut s = ContStack::new();
-        let c = s.push(Cont::NONE, t(1), 5);
-        let c = s.push(c, t(2), 9);
-        let v = s.to_vec(c);
-        let c2 = s.from_vec(&v, |b| b.saturating_sub(5));
-        assert_eq!(s.to_vec(c2), vec![(t(2), 4), (t(1), 0)]);
-    }
-
-    #[test]
     fn trim_keeps_what_the_floor_or_the_continuation_names() {
         let mut s = ContStack::new();
         let a = s.push(Cont::NONE, t(1), 0);
@@ -496,7 +678,7 @@ mod tests {
         let c = s.push(b, t(3), 0);
         // Popping `c` with no frame: only its tail survives.
         let next = s.node(c).unwrap().next;
-        s.trim(ContMark(0), next);
+        s.trim(ContMark::ZERO, next);
         assert_eq!(s.height(), 2);
         // A frame created at height 2 protects `b` however far `cont` pops.
         let floor = s.mark();
@@ -512,7 +694,7 @@ mod tests {
         // Backtracking to the frame drops everything pushed since.
         s.truncate_to(floor);
         assert_eq!(s.height(), 2);
-        s.trim(ContMark(0), Cont::NONE);
+        s.trim(ContMark::ZERO, Cont::NONE);
         assert_eq!(s.height(), 0);
     }
 
@@ -535,7 +717,7 @@ mod tests {
     fn a_handle_above_the_stack_is_caught() {
         let mut s = ContStack::new();
         let c = s.push(Cont::NONE, t(1), 0);
-        s.truncate_to(ContMark(0));
+        s.truncate_to(ContMark::ZERO);
         s.node(c);
     }
 
@@ -545,16 +727,63 @@ mod tests {
     fn a_stale_handle_is_caught_in_debug_builds() {
         let mut s = ContStack::new();
         let stale = s.push(Cont::NONE, t(1), 0);
-        s.truncate_to(ContMark(0));
+        s.truncate_to(ContMark::ZERO);
         s.push(Cont::NONE, t(2), 0); // reuses the slot
         s.node(stale);
     }
 
-    /// One frame of every kind, with `cells` for the ones that hold terms.
-    fn every_frame(heap: &mut Heap) -> Vec<Goal> {
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale environment handle")]
+    fn a_stale_environment_handle_is_caught_in_debug_builds() {
+        let mut s = ContStack::new();
+        let stale = s.push_env(&[Cell::Int(1), Cell::Int(2)]);
+        s.truncate_to(ContMark::ZERO);
+        s.push_env(&[Cell::Int(3)]); // reuses the header's index
+        s.env_slots(stale);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "set after its push")]
+    fn an_environment_is_pushed_with_every_slot_set() {
+        ContStack::new().push_env(&[Cell::Int(1), ace_logic::code::UNSET_SLOT]);
+    }
+
+    #[test]
+    fn environments_are_marked_truncated_and_trimmed() {
+        let mut s = ContStack::new();
+        let outer = s.push_env(&[Cell::Int(1), Cell::Int(2)]);
+        let floor = s.mark();
+        let inner = s.push_env(&[Cell::Int(3)]);
+        s.push_env(&[Cell::Int(4), Cell::Int(5), Cell::Int(6)]);
+        assert_eq!(s.env_height(), 3 + 2 + 4);
+        assert_eq!(s.env_slots(inner), &[Cell::Int(3)]);
+        assert_eq!(s.env_slots(Env::NONE), &[] as &[Cell]);
+        // A frame over `inner` runs: `top` belongs to a finished callee.
+        s.trim_envs(ContMark::ZERO, inner, false);
+        assert_eq!(s.env_height(), 5);
+        // ... and at its last step `inner` goes too, but never below the
+        // floor a frame protects.
+        s.trim_envs(ContMark::ZERO, Env::NONE, true);
+        assert_eq!(s.env_height(), 5);
+        s.trim_envs(floor, inner, true);
+        assert_eq!(s.env_height(), 3);
+        s.trim_envs(floor, outer, true);
+        assert_eq!(s.env_height(), 3);
+        assert_eq!(s.env_slots(outer), &[Cell::Int(1), Cell::Int(2)]);
+        // Backtracking drops nodes and environments alike.
+        s.push(Cont::NONE, t(1), 0);
+        s.truncate_to(ContMark::ZERO);
+        assert_eq!((s.height(), s.env_height()), (0, 0));
+    }
+
+    /// One frame of every kind, with `cells` for the ones that hold terms,
+    /// the environment on `s`.
+    fn every_frame(heap: &mut Heap, s: &mut ContStack) -> Vec<Goal> {
         let x = heap.new_var();
         let call = heap.new_struct(sym("p"), &[x, Cell::Int(1)]);
-        let env = heap.new_struct(sym("$slots"), &[x, Cell::Int(2)]);
+        let env = s.push_env(&[x, Cell::Int(2)]);
         let user = heap.new_struct(frame_sym(), &[Cell::Int(0), Cell::Int(0), Cell::Nil]);
         let callable = Callable::of(heap, call).unwrap();
         vec![
@@ -571,7 +800,7 @@ mod tests {
             Goal::Body {
                 clause: ClauseId(7),
                 at: BodyAt::new(2, 100_000),
-                env: Env::of(env),
+                env,
             },
             Goal::Body {
                 clause: ClauseId(8),
@@ -589,41 +818,63 @@ mod tests {
     }
 
     #[test]
-    fn every_goal_variant_survives_to_vec_and_from_vec() {
+    fn every_goal_variant_survives_the_stack() {
         let mut heap = Heap::new();
-        let frames = every_frame(&mut heap);
         let mut s = ContStack::new();
+        let frames = every_frame(&mut heap, &mut s);
         let mut c = Cont::NONE;
         for (i, &g) in frames.iter().enumerate().rev() {
             c = s.push(c, g, i as u32);
         }
-        let v = s.to_vec(c);
         let want: Vec<(Goal, u32)> = frames.iter().copied().zip(0..).collect();
-        assert_eq!(v, want);
-        let c2 = s.from_vec(&v, |b| b + 1);
-        let back = s.to_vec(c2);
-        assert!(back
-            .iter()
-            .zip(&want)
-            .all(|(a, b)| a.0 == b.0 && a.1 == b.1 + 1));
+        assert_eq!(s.to_vec(c), want);
         let at = BodyAt::new(2, 100_000);
         assert_eq!((at.branch(), at.step()), (2, 100_000));
     }
 
     #[test]
     fn a_node_is_the_size_it_was_when_it_held_a_cell() {
-        assert_eq!(std::mem::size_of::<Goal>(), std::mem::size_of::<Cell>());
-        // Release: goal, barrier, next. Debug builds add the push serials.
-        let node = if cfg!(debug_assertions) { 32 } else { 24 };
+        // Release: 16-byte frames, and nodes of goal, barrier, next. Debug
+        // builds add the push serials of environments, nodes and handles.
+        let (goal, node) = if cfg!(debug_assertions) {
+            (24, 40)
+        } else {
+            (16, 24)
+        };
+        assert_eq!(std::mem::size_of::<Cell>(), 16);
+        assert_eq!(std::mem::size_of::<Goal>(), goal);
         assert_eq!(std::mem::size_of::<ContNode>(), node);
+    }
+
+    /// Push `frames` (nearest first) on `s`, freeze them and thaw them into
+    /// a fresh heap (at a nonzero base) and stack; returns both and the
+    /// thawed continuation.
+    fn round_trip(src: &mut Heap, s: &mut ContStack, frames: &[Goal]) -> (Heap, ContStack, Cont) {
+        use ace_logic::TermArena;
+        let mut c = Cont::NONE;
+        for &g in frames.iter().rev() {
+            c = s.push(c, g, 3);
+        }
+        let goal = src.new_struct(sym("q"), &[Cell::Nil]);
+        let (tuple, kept) = s.freeze(src, goal, c, |_| true);
+        let arena = TermArena::freeze(src, tuple);
+        let mut dst = Heap::new();
+        dst.new_var();
+        let (root, _) = arena.thaw(&mut dst);
+        let Cell::Str(hdr) = root else {
+            panic!("the tuple is a structure")
+        };
+        let mut s2 = ContStack::new();
+        let thawed = s2.thaw(&dst, hdr, &kept, 0);
+        (dst, s2, thawed)
     }
 
     #[test]
     fn frozen_frames_thaw_by_position_with_their_cells() {
         use ace_logic::TermArena;
         let mut src = Heap::new();
-        let frames = every_frame(&mut src);
         let mut s = ContStack::new();
+        let frames = every_frame(&mut src, &mut s);
         let mut c = Cont::NONE;
         for &g in frames.iter().rev() {
             c = s.push(c, g, 3);
@@ -667,10 +918,8 @@ mod tests {
                     },
                 ) => {
                     assert_eq!((clause, at), (c0, a0));
-                    assert_eq!(env == Env::NONE, e0 == Env::NONE);
-                    if let Some(h) = env.slots() {
-                        assert_eq!(dst.functor_at(h), (sym("$slots"), 2));
-                    }
+                    assert_eq!(env.is_none(), e0.is_none());
+                    assert_eq!(s2.env_slots(env).len(), s.env_slots(e0).len());
                 }
                 (Goal::TableAnswer { subgoal, goal }, Goal::TableAnswer { subgoal: s0, .. }) => {
                     assert_eq!(subgoal, s0);
@@ -682,16 +931,50 @@ mod tests {
         // The user term shaped like a frozen frame stays a goal term.
         assert!(matches!(back[1].0, Goal::Term(_)));
         // Variables shared between frames stay shared: the call's X is the
-        // environment's first slot.
+        // environment's first slot, and the second slot is the integer.
         let (Goal::Call { goal, .. }, Goal::Body { env, .. }) = (back[2].0, back[4].0) else {
             panic!("frame order")
         };
-        let (Callable::Str(call), Some(slots)) = (goal, env.slots()) else {
+        let Callable::Str(call) = goal else {
             panic!("shapes")
         };
-        assert_eq!(
-            dst.deref(dst.str_arg(call, 0)),
-            dst.deref(dst.str_arg(slots, 0))
-        );
+        let slots = s2.env_slots(env);
+        assert_eq!(dst.deref(dst.str_arg(call, 0)), dst.deref(slots[0]));
+        assert_eq!(slots[1], Cell::Int(2));
+        assert_eq!(s2.env_height(), 3);
+    }
+
+    #[test]
+    fn thawed_environments_follow_continuation_order() {
+        let mut src = Heap::new();
+        let mut s = ContStack::new();
+        // A caller's activation, then its callee's, as a machine pushes
+        // them; the callee's body frame is the nearer one.
+        let caller = s.push_env(&[Cell::Int(1), Cell::Int(2)]);
+        let callee = s.push_env(&[Cell::Int(3)]);
+        // The same environment twice is written and thawed once.
+        let frames = [body(1, callee), t(0), body(2, caller), body(3, caller)];
+        let (_, mut s2, c) = round_trip(&mut src, &mut s, &frames);
+        let envs: Vec<Env> = s2
+            .to_vec(c)
+            .iter()
+            .filter_map(|&(g, _)| match g {
+                Goal::Body { env, .. } => Some(env),
+                _ => None,
+            })
+            .collect();
+        let [near, deep, deep_again] = envs[..] else {
+            panic!("three body frames")
+        };
+        assert_eq!(deep, deep_again);
+        assert_eq!(s2.env_height(), 3 + 2);
+        assert_eq!(s2.env_slots(deep), &[Cell::Int(1), Cell::Int(2)]);
+        assert_eq!(s2.env_slots(near), &[Cell::Int(3)]);
+        // Deepest first: the nearer frame's environment is the higher one,
+        // so its last step drops it and keeps the deeper frame's.
+        assert!(near.idx > deep.idx);
+        s2.trim_envs(ContMark::ZERO, near, true);
+        assert_eq!(s2.env_height(), 3);
+        assert_eq!(s2.env_slots(deep), &[Cell::Int(1), Cell::Int(2)]);
     }
 }

@@ -211,21 +211,59 @@ impl CtrlFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cont::{ContStack, Goal};
+
+    /// A mark with nodes and environment cells on it, unlike `ZERO`.
+    fn nonzero_mark() -> ContMark {
+        let mut s = ContStack::new();
+        s.push(Cont::NONE, Goal::Term(Cell::Nil), 0);
+        s.push_env(&[Cell::Int(1)]);
+        let mark = s.mark();
+        assert_ne!(mark, ContMark::ZERO);
+        mark
+    }
 
     #[test]
     fn frame_kind_predicates() {
+        let mark = nonzero_mark();
         let m = CtrlFrame::Marker(Marker {
             kind: MarkerKind::Input,
             parcall_id: 1,
             slot: 0,
             trail: TrailMark(0),
             heap: HeapMark(0),
-            conts: ContMark(3),
+            conts: mark,
         });
-        assert_eq!(m.cont_mark(), ContMark(3));
+        assert_eq!(m.cont_mark(), mark);
         assert!(m.is_marker());
         assert!(!m.is_choice());
         assert!(!m.is_parcall());
+
+        let cp = CtrlFrame::Choice(ChoicePoint {
+            goal: Cell::Nil,
+            alts: Alts::Disj { rhs: Cell::Nil },
+            cont: Cont::NONE,
+            trail: TrailMark(0),
+            heap: HeapMark(0),
+            conts: mark,
+            barrier: 0,
+            shared: None,
+        });
+        assert_eq!(cp.cont_mark(), mark);
+        assert!(cp.is_choice());
+
+        let pf = CtrlFrame::Parcall(ParcallFrame {
+            id: 1,
+            branches: Vec::new(),
+            cont: Cont::NONE,
+            trail: TrailMark(0),
+            heap: HeapMark(0),
+            conts: mark,
+            barrier: 0,
+            ext: None,
+        });
+        assert_eq!(pf.cont_mark(), mark);
+        assert!(pf.is_parcall());
     }
 
     #[test]
@@ -236,7 +274,7 @@ mod tests {
             cont: Cont::NONE,
             trail: TrailMark(0),
             heap: HeapMark(0),
-            conts: ContMark(0),
+            conts: ContMark::ZERO,
             barrier: 0,
             shared: None,
         };

@@ -6,12 +6,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ace_logic::db::{Clause, Database, IndexKey, Predicate};
-use ace_logic::sym::{sym, wk};
+use ace_logic::sym::wk;
 use ace_logic::term::{view, TermView};
 use ace_logic::unify::unify;
 use ace_logic::{
-    builtin, run_head, Addr, Builtin, CanonKey, CanonScratch, Cell, ClauseId, CompiledBody,
-    CompiledCode, Heap, PredId, StepKind, Sym, TermArena, TrailMark,
+    builtin, run_head, Addr, BodyStep, Builtin, CanonKey, CanonScratch, Cell, ClauseId,
+    CompiledBody, CompiledCode, Heap, PredId, StepKind, Sym, TermArena, TrailMark,
 };
 
 use crate::arith;
@@ -60,7 +60,7 @@ pub enum Status {
 }
 
 /// Result of attempting one compiled body step inline (see
-/// [`Machine::inline_step`]).
+/// [`inline_step`]).
 enum StepOutcome {
     /// Step executed; move to the next conjunct.
     Ok,
@@ -73,13 +73,6 @@ enum StepOutcome {
 
 static PARCALL_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// Interned `$slots` (the environment of a body activation: a plain
-/// structure, so closures and state copying relocate it like any term).
-fn body_slots_sym() -> Sym {
-    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
-    *S.get_or_init(|| sym("$slots"))
-}
-
 /// Heap cells a body frame is charged at its push: what its four-cell
 /// heap marker cost when body frames were heap terms, so virtual time and
 /// the cell counts are unchanged.
@@ -88,7 +81,7 @@ const BODY_FRAME_CELLS: u64 = 4;
 /// The frame of body step `st`, whose goal `g` was just materialized: a
 /// linked call if the link pass resolved its predicate, else a goal term.
 #[inline]
-fn step_goal(st: &ace_logic::BodyStep, g: Cell) -> Goal {
+fn step_goal(st: &BodyStep, g: Cell) -> Goal {
     match (st.callee.get(), g) {
         (Some(pred), Cell::Str(h)) => Goal::Call {
             goal: Callable::Str(h),
@@ -1063,6 +1056,21 @@ impl Machine {
         self.stats.charge(units);
     }
 
+    /// `cells` heap cells written, or priced as if they were: counted and
+    /// charged.
+    #[inline]
+    fn charge_cells(&mut self, cells: u64) {
+        self.stats.heap_cells += cells;
+        self.charge(cells * self.costs.heap_cell);
+    }
+
+    /// Undo the bindings trailed since `mark`: counted and charged.
+    fn untrail(&mut self, mark: TrailMark) {
+        let undone = self.heap.undo_to(mark) as u64;
+        self.stats.trail_undos += undone;
+        self.charge(undone * self.costs.trail_undo);
+    }
+
     // ------------------------------------------------------------------
     // Control-stack access for the parallel engines
     // ------------------------------------------------------------------
@@ -1078,11 +1086,20 @@ impl Machine {
         self.conts.height()
     }
 
+    /// Environment cells on the continuation stack, headers included, live
+    /// or left by finished activations and not yet trimmed (diagnostics, as
+    /// [`Machine::cont_stack_len`]).
+    pub fn env_stack_len(&self) -> usize {
+        self.conts.env_height()
+    }
+
     /// Continuation-stack height the top control frame protects (0 with no
     /// frame): nothing below it may be dropped.
     #[inline]
     fn cont_floor(&self) -> ContMark {
-        self.ctrl.last().map_or(ContMark(0), CtrlFrame::cont_mark)
+        self.ctrl
+            .last()
+            .map_or(ContMark::ZERO, CtrlFrame::cont_mark)
     }
 
     /// Read-only view of the control stack (engines use it for refined
@@ -1181,10 +1198,8 @@ impl Machine {
                 }
             }
         };
-        let undone = self.heap.undo_to(pf.trail);
+        self.untrail(pf.trail);
         self.heap.truncate_to(pf.heap);
-        self.stats.trail_undos += undone as u64;
-        self.charge(undone as u64 * self.costs.trail_undo);
         self.backtrack()
     }
 
@@ -1229,10 +1244,9 @@ impl Machine {
         let Some(CtrlFrame::Parcall(pf)) = self.ctrl.pop() else {
             panic!("fail_parcall: no parcall on top");
         };
-        let undone = self.heap.undo_to(pf.trail);
+        self.untrail(pf.trail);
         self.heap.truncate_to(pf.heap);
-        self.stats.trail_undos += undone as u64;
-        self.charge(undone as u64 * self.costs.trail_undo + self.costs.frame_traverse);
+        self.charge(self.costs.frame_traverse);
         self.backtrack()
     }
 
@@ -1348,9 +1362,7 @@ impl Machine {
                 }
             }
         }
-        let undone = self.heap.undo_to(trail);
-        self.stats.trail_undos += undone as u64;
-        self.charge(undone as u64 * self.costs.trail_undo);
+        self.untrail(trail);
         self.heap.truncate_to(heap);
     }
 
@@ -1575,13 +1587,14 @@ impl Machine {
             return Status::Solution;
         };
         self.cont = node.next;
-        self.conts.trim(self.cont_floor(), node.next);
+        let floor = self.cont_floor();
+        self.conts.trim(floor, node.next);
         self.charge(self.costs.call_dispatch);
         match node.goal {
             Goal::Term(goal) => self.dispatch(db, goal, node.barrier),
             Goal::Call { goal, pred } => self.call_linked(db, goal, pred),
             Goal::Body { clause, at, env } => {
-                self.compiled_body_step(db, clause, at, env, node.barrier)
+                self.compiled_body_step(db, clause, at, env, node.barrier, floor)
             }
             Goal::IteThen { cut_to } => {
                 self.cut_to(cut_to);
@@ -1877,9 +1890,7 @@ impl Machine {
         }
         let pre_trail = self.heap.trail_mark();
         let (head, body) = clause.instantiate(&mut self.heap);
-        let cells = clause.arena_len() as u64;
-        self.stats.heap_cells += cells;
-        self.charge(cells * self.costs.heap_cell);
+        self.charge_cells(clause.arena_len() as u64);
         match unify(&mut self.heap, goal, head) {
             Some(steps) => {
                 self.stats.unify_steps += steps as u64;
@@ -1889,9 +1900,7 @@ impl Machine {
                 true
             }
             None => {
-                let undone = self.heap.undo_to(pre_trail);
-                self.stats.trail_undos += undone as u64;
-                self.charge(undone as u64 * self.costs.trail_undo);
+                self.untrail(pre_trail);
                 false
             }
         }
@@ -1958,8 +1967,7 @@ impl Machine {
                             // control machinery raise the interpreter's
                             // exact error (or run a non-arithmetic path).
                             let (body, cells) = code.instantiate_body(&mut self.heap, &mut slots);
-                            self.stats.heap_cells += cells as u64;
-                            self.charge(cells as u64 * self.costs.heap_cell);
+                            self.charge_cells(cells as u64);
                             self.cont = self.conts.push(self.cont, Goal::Term(body), body_barrier);
                             self.status = Status::Running;
                             true
@@ -1968,9 +1976,7 @@ impl Machine {
                 }
             }
         } else {
-            let undone = self.heap.undo_to(pre_trail);
-            self.stats.trail_undos += undone as u64;
-            self.charge(undone as u64 * self.costs.trail_undo);
+            self.untrail(pre_trail);
             false
         };
         self.code_slots = slots;
@@ -1979,10 +1985,10 @@ impl Machine {
     }
 
     /// Execute the leading inline-able steps of `branch` directly off the
-    /// templates (the clause "neck"), then push the first real goal and —
-    /// only if more than one goal remains — a body frame over the
-    /// activation's environment. Returns false (after undoing head
-    /// bindings) if an inline guard fails.
+    /// templates (the clause "neck") over the register file `slots`, then
+    /// push the first real goal and — only if more than one goal remains —
+    /// the activation's environment and a body frame over it. Returns false
+    /// (after undoing head bindings) if an inline guard fails.
     fn run_body_neck(
         &mut self,
         clause: &Clause,
@@ -1993,173 +1999,58 @@ impl Machine {
     ) -> bool {
         let code = clause.code();
         let steps = code.steps(branch);
-        let mut k = 0usize;
-        while k < steps.len() {
-            match self.inline_step(code, &steps[k], slots) {
-                StepOutcome::Ok => k += 1,
-                StepOutcome::Fail => {
-                    let undone = self.heap.undo_to(pre_trail);
-                    self.stats.trail_undos += undone as u64;
-                    self.charge(undone as u64 * self.costs.trail_undo);
-                    return false;
-                }
-                StepOutcome::NotInline => break,
-            }
-        }
+        let (heap, stats) = (&mut self.heap, &mut self.stats);
+        let Some(k) = inline_steps(heap, stats, &self.costs, code, steps, 0, slots) else {
+            self.untrail(pre_trail);
+            return false;
+        };
         if k < steps.len() {
             let cells = code.init_fresh_slots(&mut self.heap, slots);
-            self.stats.heap_cells += cells as u64;
-            self.charge(cells as u64 * self.costs.heap_cell);
+            self.charge_cells(cells as u64);
             if k + 1 < steps.len() {
-                let env = self.make_env(code, slots);
+                let env = self.push_env(slots);
                 let clause = clause.id().expect("a clause with a body is a rule");
                 self.push_body(clause, BodyAt::new(branch, k + 1), env, barrier);
             }
             let (g, cells) = steps[k].tpl.instantiate(&mut self.heap, slots);
-            self.stats.heap_cells += cells as u64;
-            self.charge(cells as u64 * self.costs.heap_cell);
+            self.charge_cells(cells as u64);
             self.cont = self.conts.push(self.cont, step_goal(&steps[k], g), barrier);
         }
         self.status = Status::Running;
         true
     }
 
-    /// Try to run one body step without materializing it. `Fail` means a
-    /// deterministic test failed (caller backtracks as if the clause body
-    /// failed at that conjunct — nothing after it was ever built);
-    /// `NotInline` means the step needs the generic machinery (a user
-    /// goal, or an operand shape the inline evaluator bails on — the
-    /// materialized form then reproduces interpreter errors exactly).
-    fn inline_step(
-        &mut self,
-        code: &ace_logic::CompiledCode,
-        st: &ace_logic::BodyStep,
-        slots: &mut [Cell],
-    ) -> StepOutcome {
-        use ace_logic::code::{SLOT_BASE, UNSET_SLOT};
-        match st.kind {
-            StepKind::Goal => StepOutcome::NotInline,
-            StepKind::Compare(op) => {
-                let h = match st.tpl.root {
-                    Cell::Str(h) => h.0 as usize,
-                    _ => return StepOutcome::NotInline,
-                };
-                let a = arith::eval_template(&st.tpl.cells, st.tpl.cells[h + 1], slots, &self.heap);
-                let b = arith::eval_template(&st.tpl.cells, st.tpl.cells[h + 2], slots, &self.heap);
-                match (a, b) {
-                    (Some((a, o1)), Some((b, o2))) => {
-                        self.charge(self.costs.instr + (o1 + o2 + 1) * self.costs.arith_op);
-                        match arith::cmp_apply(op, a, b) {
-                            Some(true) => StepOutcome::Ok,
-                            Some(false) => StepOutcome::Fail,
-                            None => StepOutcome::NotInline,
-                        }
-                    }
-                    _ => StepOutcome::NotInline,
-                }
-            }
-            StepKind::Is => {
-                let h = match st.tpl.root {
-                    Cell::Str(h) => h.0 as usize,
-                    _ => return StepOutcome::NotInline,
-                };
-                let Some((v, ops)) =
-                    arith::eval_template(&st.tpl.cells, st.tpl.cells[h + 2], slots, &self.heap)
-                else {
-                    return StepOutcome::NotInline;
-                };
-                self.charge(self.costs.instr + ops * self.costs.arith_op);
-                match st.tpl.cells[h + 1] {
-                    Cell::Ref(a) if a.0 >= SLOT_BASE && a.0 != u32::MAX => {
-                        let s = (a.0 - SLOT_BASE) as usize;
-                        if slots[s] == UNSET_SLOT {
-                            // First binding of a body-fresh variable: the
-                            // value lives in the register alone — no heap
-                            // cell, no trail entry, nothing to undo.
-                            slots[s] = Cell::Int(v);
-                            StepOutcome::Ok
-                        } else {
-                            let cell = slots[s];
-                            match unify(&mut self.heap, cell, Cell::Int(v)) {
-                                Some(steps) => {
-                                    self.stats.unify_steps += steps as u64;
-                                    self.charge(steps as u64 * self.costs.unify_step);
-                                    StepOutcome::Ok
-                                }
-                                None => StepOutcome::Fail,
-                            }
-                        }
-                    }
-                    // Single-occurrence result variable: value discarded.
-                    Cell::Ref(_) => StepOutcome::Ok,
-                    Cell::Int(i) => {
-                        if i == v {
-                            StepOutcome::Ok
-                        } else {
-                            StepOutcome::Fail
-                        }
-                    }
-                    _ => StepOutcome::NotInline,
-                }
-            }
-            StepKind::Unify => {
-                // Materialize the operands, then unify in place — skips
-                // the dispatch round and the builtin table lookup.
-                let cells = code.init_fresh_slots(&mut self.heap, slots);
-                self.stats.heap_cells += cells as u64;
-                self.charge(cells as u64 * self.costs.heap_cell);
-                let (g, n) = st.tpl.instantiate(&mut self.heap, slots);
-                self.stats.heap_cells += n as u64;
-                self.charge(n as u64 * self.costs.heap_cell + self.costs.instr);
-                let Cell::Str(gh) = self.heap.deref(g) else {
-                    return StepOutcome::NotInline;
-                };
-                let a = self.heap.str_arg(gh, 0);
-                let b = self.heap.str_arg(gh, 1);
-                match unify(&mut self.heap, a, b) {
-                    Some(steps) => {
-                        self.stats.unify_steps += steps as u64;
-                        self.charge(steps as u64 * self.costs.unify_step);
-                        StepOutcome::Ok
-                    }
-                    None => StepOutcome::Fail,
-                }
-            }
-        }
-    }
-
-    /// Build a body activation's environment: the slot registers as one
-    /// `$slots/n` structure, which survives term copying (closures,
-    /// tabling freeze/thaw) like any other term.
-    fn make_env(&mut self, code: &CompiledCode, slots: &[Cell]) -> Env {
-        if code.nslots() == 0 {
+    /// Push an activation's environment, its register file with every slot
+    /// set, charged the `nslots + 1` heap cells its `$slots` term cost when
+    /// environments were heap terms, so virtual time and `heap_cells` are
+    /// unchanged. A clause without variables has none.
+    fn push_env(&mut self, slots: &[Cell]) -> Env {
+        if slots.is_empty() {
             return Env::NONE;
         }
-        let t = self
-            .heap
-            .new_struct(body_slots_sym(), &slots[..code.nslots()]);
-        let cells = code.nslots() as u64 + 1;
-        self.stats.heap_cells += cells;
-        self.charge(cells * self.costs.heap_cell);
-        Env::of(t)
+        self.charge_cells(slots.len() as u64 + 1);
+        self.conts.push_env(slots)
     }
 
     /// Push a body frame: steps `at..` of `clause` wait behind the goal
     /// about to run.
     fn push_body(&mut self, clause: ClauseId, at: BodyAt, env: Env, barrier: u32) {
-        self.stats.heap_cells += BODY_FRAME_CELLS;
-        self.charge(BODY_FRAME_CELLS * self.costs.heap_cell);
+        self.charge_cells(BODY_FRAME_CELLS);
         self.cont = self
             .conts
             .push(self.cont, Goal::Body { clause, at, env }, barrier);
     }
 
-    /// A body frame reached the front of the resolvent: reload the
-    /// activation's slots, run any inline-able steps, then materialize and
-    /// run the next real goal (re-pushing a frame for whatever still
-    /// remains). Backtracking into the middle of a body needs no special
-    /// case: the choice point snapshotted the continuation *before* the
-    /// frame existed, so retry starts from the clause head as usual.
+    /// A body frame reached the front of the resolvent: run any inline-able
+    /// steps over the activation's environment, read in place, then
+    /// materialize and run the next real goal (re-pushing a frame for
+    /// whatever still remains). The environments the activation's finished
+    /// callees left go, and after its last step its own: whatever `floor`,
+    /// the top control frame's mark, does not protect
+    /// ([`ContStack::trim_envs`]). Backtracking into the middle of a body
+    /// needs no special case: the choice point snapshotted the continuation
+    /// *before* the frame existed, so retry starts from the clause head as
+    /// usual.
     fn compiled_body_step(
         &mut self,
         db: &Database,
@@ -2167,50 +2058,33 @@ impl Machine {
         at: BodyAt,
         env: Env,
         barrier: u32,
+        floor: ContMark,
     ) -> Status {
         let code = db.rule(clause).code();
-        let mut slots = std::mem::take(&mut self.code_slots);
-        slots.clear();
-        if let Some(sh) = env.slots() {
-            let args = sh.idx() + 1;
-            slots.extend_from_slice(&self.heap.cells()[args..args + code.nslots()]);
-        }
         let steps = code.steps(at.branch());
-        let mut k = at.step();
-        while k < steps.len() {
-            match self.inline_step(code, &steps[k], &mut slots) {
-                StepOutcome::Ok => k += 1,
-                StepOutcome::Fail => {
-                    self.code_slots = slots;
-                    self.code_slots.clear();
-                    return self.backtrack_in(db);
-                }
-                StepOutcome::NotInline => break,
-            }
-        }
-        if k >= steps.len() {
-            self.code_slots = slots;
-            self.code_slots.clear();
+        let slots = self.conts.env_slots_mut(env, code.nslots());
+        let (heap, stats) = (&mut self.heap, &mut self.stats);
+        let Some(k) = inline_steps(heap, stats, &self.costs, code, steps, at.step(), slots) else {
+            return self.backtrack_in(db);
+        };
+        let Some(step) = steps.get(k) else {
+            self.conts.trim_envs(floor, env, true);
             self.status = Status::Running;
             return Status::Running;
-        }
-        if k + 1 < steps.len() {
-            // The same environment serves the rest: inline `is` results
-            // into unset registers are the only slot mutations, and those
-            // steps are behind us now.
+        };
+        let (g, cells) = step.tpl.instantiate(&mut self.heap, slots);
+        self.charge_cells(cells as u64);
+        let last = k + 1 == steps.len();
+        self.conts.trim_envs(floor, env, last);
+        if !last {
             self.push_body(clause, BodyAt::new(at.branch(), k + 1), env, barrier);
         }
-        let (g, cells) = steps[k].tpl.instantiate(&mut self.heap, &slots);
-        self.stats.heap_cells += cells as u64;
-        self.charge(cells as u64 * self.costs.heap_cell);
-        self.code_slots = slots;
-        self.code_slots.clear();
         // Run the goal directly instead of pushing it and returning: saves
         // a continuation node push and pop per body goal. Recursion is
         // bounded — a user goal lands in `try_clause`, which pushes and
         // returns.
         self.charge(self.costs.call_dispatch);
-        match step_goal(&steps[k], g) {
+        match step_goal(step, g) {
             Goal::Call { goal, pred } => self.call_linked(db, goal, pred),
             _ => self.dispatch(db, g, barrier),
         }
@@ -2322,9 +2196,7 @@ impl Machine {
                     let (trail, heap_mark, cont, conts) = (cp.trail, cp.heap, cp.cont, cp.conts);
 
                     self.charge(self.costs.choice_point_retry);
-                    let undone = self.heap.undo_to(trail);
-                    self.stats.trail_undos += undone as u64;
-                    self.charge(undone as u64 * self.costs.trail_undo);
+                    self.untrail(trail);
                     self.heap.truncate_to(heap_mark);
                     self.cont = cont;
                     self.conts.truncate_to(conts);
@@ -2500,5 +2372,124 @@ impl Machine {
         let s = Status::Error(msg.into());
         self.status = s.clone();
         s
+    }
+}
+
+/// Run the inline-able steps of `steps` from `k` on over `slots` — the
+/// register file at clause entry, an environment after — on the machine
+/// parts they touch. Returns the first step the generic machinery must
+/// run (`steps.len()` when none is left), or `None` when a deterministic
+/// test failed: the body fails there, and nothing after that conjunct was
+/// ever materialized. Inlined into both callers, the clause neck and the
+/// body step.
+#[inline]
+fn inline_steps(
+    heap: &mut Heap,
+    stats: &mut Stats,
+    costs: &CostModel,
+    code: &CompiledCode,
+    steps: &[BodyStep],
+    mut k: usize,
+    slots: &mut [Cell],
+) -> Option<usize> {
+    while let Some(st) = steps.get(k) {
+        match inline_step(heap, stats, costs, code, st, slots) {
+            StepOutcome::Ok => k += 1,
+            StepOutcome::Fail => return None,
+            StepOutcome::NotInline => break,
+        }
+    }
+    Some(k)
+}
+
+/// Try to run one body step without materializing it. `NotInline` means
+/// the step needs the generic machinery (a user goal, or an operand shape
+/// the inline evaluator bails on — the materialized form then reproduces
+/// interpreter errors exactly). Only an `is` into a slot that is still
+/// unset writes `slots`, and an environment has none.
+fn inline_step(
+    heap: &mut Heap,
+    stats: &mut Stats,
+    costs: &CostModel,
+    code: &CompiledCode,
+    st: &BodyStep,
+    slots: &mut [Cell],
+) -> StepOutcome {
+    use ace_logic::code::{SLOT_BASE, UNSET_SLOT};
+    let unified = |stats: &mut Stats, steps: Option<usize>| match steps {
+        Some(steps) => {
+            stats.unify_steps += steps as u64;
+            stats.charge(steps as u64 * costs.unify_step);
+            StepOutcome::Ok
+        }
+        None => StepOutcome::Fail,
+    };
+    match st.kind {
+        StepKind::Goal => StepOutcome::NotInline,
+        StepKind::Compare(op) => {
+            let h = match st.tpl.root {
+                Cell::Str(h) => h.0 as usize,
+                _ => return StepOutcome::NotInline,
+            };
+            let a = arith::eval_template(&st.tpl.cells, st.tpl.cells[h + 1], slots, heap);
+            let b = arith::eval_template(&st.tpl.cells, st.tpl.cells[h + 2], slots, heap);
+            match (a, b) {
+                (Some((a, o1)), Some((b, o2))) => {
+                    stats.charge(costs.instr + (o1 + o2 + 1) * costs.arith_op);
+                    match arith::cmp_apply(op, a, b) {
+                        Some(true) => StepOutcome::Ok,
+                        Some(false) => StepOutcome::Fail,
+                        None => StepOutcome::NotInline,
+                    }
+                }
+                _ => StepOutcome::NotInline,
+            }
+        }
+        StepKind::Is => {
+            let h = match st.tpl.root {
+                Cell::Str(h) => h.0 as usize,
+                _ => return StepOutcome::NotInline,
+            };
+            let Some((v, ops)) =
+                arith::eval_template(&st.tpl.cells, st.tpl.cells[h + 2], slots, heap)
+            else {
+                return StepOutcome::NotInline;
+            };
+            stats.charge(costs.instr + ops * costs.arith_op);
+            match st.tpl.cells[h + 1] {
+                Cell::Ref(a) if a.0 >= SLOT_BASE && a.0 != u32::MAX => {
+                    let s = (a.0 - SLOT_BASE) as usize;
+                    if slots[s] == UNSET_SLOT {
+                        // First binding of a body-fresh variable: the
+                        // value lives in the register alone — no heap
+                        // cell, no trail entry, nothing to undo.
+                        slots[s] = Cell::Int(v);
+                        StepOutcome::Ok
+                    } else {
+                        unified(stats, unify(heap, slots[s], Cell::Int(v)))
+                    }
+                }
+                // Single-occurrence result variable: value discarded.
+                Cell::Ref(_) => StepOutcome::Ok,
+                Cell::Int(i) if i == v => StepOutcome::Ok,
+                Cell::Int(_) => StepOutcome::Fail,
+                _ => StepOutcome::NotInline,
+            }
+        }
+        StepKind::Unify => {
+            // Materialize the operands, then unify in place — skips the
+            // dispatch round and the builtin table lookup.
+            let cells = code.init_fresh_slots(heap, slots);
+            stats.heap_cells += cells as u64;
+            stats.charge(cells as u64 * costs.heap_cell);
+            let (g, n) = st.tpl.instantiate(heap, slots);
+            stats.heap_cells += n as u64;
+            stats.charge(n as u64 * costs.heap_cell + costs.instr);
+            let Cell::Str(gh) = heap.deref(g) else {
+                return StepOutcome::NotInline;
+            };
+            let (a, b) = (heap.str_arg(gh, 0), heap.str_arg(gh, 1));
+            unified(stats, unify(heap, a, b))
+        }
     }
 }

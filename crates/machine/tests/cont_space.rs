@@ -1,7 +1,9 @@
 //! Continuation space: the continuation stack is trimmed as goals are
 //! popped and restored on backtracking, so it holds what the computation
 //! can still reach and not what it has been through (the liveness rule of
-//! `ace_machine::cont`). Read through `Machine::cont_stack_len`.
+//! `ace_machine::cont`). Read through `Machine::cont_stack_len`, and for
+//! the environments of body activations, which the same stack holds,
+//! through `Machine::env_stack_len`.
 
 use std::sync::Arc;
 
@@ -27,6 +29,12 @@ const PROG: &str = r#"
     rest.
 
     p(1). p(2).
+
+    % Four variables and three goals after the neck: every activation
+    % pushes an environment and runs two body frames over it.
+    walk(0).
+    walk(N) :- N > 0, N1 is N - 1, id(N1, M), id(M, K), walk(K).
+    id(X, X).
 "#;
 
 fn machine(query: &str) -> Machine {
@@ -39,10 +47,15 @@ fn machine(query: &str) -> Machine {
 /// Step to the next non-`Running` status; returns it with the highest
 /// continuation-stack height seen after any step.
 fn run_watching(m: &mut Machine) -> (Status, usize) {
-    let mut high = m.cont_stack_len();
+    run_watching_by(m, Machine::cont_stack_len)
+}
+
+/// [`run_watching`], by the height `height` reads.
+fn run_watching_by(m: &mut Machine, height: fn(&Machine) -> usize) -> (Status, usize) {
+    let mut high = height(m);
     loop {
         let s = m.step();
-        high = high.max(m.cont_stack_len());
+        high = high.max(height(m));
         if s != Status::Running {
             return (s, high);
         }
@@ -114,4 +127,35 @@ fn a_buried_choice_point_resumes_with_its_original_continuation() {
     assert_eq!(m.output, "2");
     assert!(high < 16, "high-water mark {high}");
     assert_eq!(m.backtrack(), Status::Failed);
+}
+
+#[test]
+fn determinate_recursion_runs_in_constant_environment_space() {
+    let mut m = machine("walk(100000)");
+    let (status, high) = run_watching_by(&mut m, Machine::env_stack_len);
+    assert_eq!(status, Status::Solution);
+    assert_eq!(m.stats.calls, 300_001);
+    // One environment of five cells (a header and four slots) at a time.
+    assert!(high <= 5, "high-water mark {high}");
+    assert!(run_watching(&mut machine("walk(100000)")).1 < 16);
+}
+
+#[test]
+fn environments_are_charged_as_heap_cells_but_take_none() {
+    // Heap growth and charged cells per activation, from the difference
+    // of an `n` and a `2n` run (which cancels the query's own cells).
+    let per_activation = |n: usize| {
+        let run = |k: usize| {
+            let mut m = machine(&format!("walk({k})"));
+            assert_eq!(m.run_to_completion(), Status::Solution);
+            (m.heap.len(), m.stats.heap_cells as usize)
+        };
+        let ((h1, c1), (h2, c2)) = (run(n), run(2 * n));
+        ((h2 - h1) / n, (c2 - c1) / n)
+    };
+    let (grown, charged) = per_activation(1000);
+    assert_eq!(per_activation(2000), (grown, charged));
+    // Charged, and not on the heap: the environment's `nslots + 1` cells
+    // and the four of each of the two body frames.
+    assert_eq!(charged - grown, 5 + 2 * 4);
 }

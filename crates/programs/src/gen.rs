@@ -220,9 +220,205 @@ pub fn matrices(n: usize, rows: usize, cols: usize, seed: u64) -> String {
     format!("[{}]", items.join(","))
 }
 
+/// A generated program and the query to ask it.
+#[derive(Debug, Clone)]
+pub struct Generated {
+    pub source: String,
+    pub query: String,
+}
+
+/// A small random program that terminates, for differential testing of
+/// the execution modes: the same seed gives the same program.
+///
+/// Predicates `p0`..`pK` form strata: `pI(N, R)` recurses on `N - 1` and
+/// calls only `t/2` facts, lower strata and the single-clause helpers
+/// below it, so every call chain is bounded by the query's `N` (2 or 3).
+/// Every answer binds `R` to an integer, and no goal raises an error.
+/// Rule bodies mix `is`, comparisons, `=` over structures and if-then-else
+/// with those calls, and hold enough variables, and goals after their
+/// inline neck, that they run through body frames over environments;
+/// calls that enumerate facts leave choice points in the middle of them.
+/// Cut appears only where no clause choice point can be cut — in helpers
+/// of one clause whose goals before `!` are tests and a disjunction — so
+/// the or-parallel engine, which must not cut a published choice point,
+/// computes the same answers.
+pub fn program(seed: u64) -> Generated {
+    let mut g = ProgramGen {
+        rng: Lcg::new(seed),
+        src: String::new(),
+        callees: Vec::new(),
+    };
+    g.src.push_str("t(0, 2).\nt(1, 5).\nt(2, 3).\nt(3, 1).\n");
+    let strata = 2 + g.rng.below(3) as usize;
+    for i in 0..strata {
+        if g.rng.below(2) == 0 {
+            g.cut_helper(i);
+        }
+        if i > 0 && g.rng.below(3) == 0 {
+            g.ite_helper(i);
+        }
+        g.stratum(i);
+    }
+    let n = 2 + g.rng.below(2);
+    Generated {
+        source: g.src,
+        query: format!("p{}({n}, R)", strata - 1),
+    }
+}
+
+struct ProgramGen {
+    rng: Lcg,
+    src: String,
+    /// Predicates a new rule may call, as `Name(In, Out)`: strata and
+    /// if-then-else helpers, which recurse on `In` (a call passes its
+    /// `N1`), and cut helpers, which do not (a call passes any integer).
+    callees: Vec<String>,
+}
+
+impl ProgramGen {
+    fn pick<'a>(&mut self, of: &'a [String]) -> &'a str {
+        &of[self.rng.below(of.len() as u32) as usize]
+    }
+
+    fn small(&mut self) -> u32 {
+        self.rng.below(6)
+    }
+
+    /// `V`, `V + c`, `V - c` or `V * c` over a bound variable `V`.
+    fn expr(&mut self, bound: &[String]) -> String {
+        let v = self.pick(bound).to_owned();
+        let c = self.small();
+        match self.rng.below(4) {
+            0 => v,
+            1 => format!("{v} + {c}"),
+            2 => format!("{v} - {c}"),
+            _ => format!("{v} * {c}"),
+        }
+    }
+
+    /// A call binding `out`: a fact lookup on `N1`, an enumeration of the
+    /// facts up to `N1`, or a call of a callee (`pI` itself, when `own`).
+    fn call(&mut self, i: usize, own: bool, out: &str, bound: &[String]) -> String {
+        let kinds = if self.callees.is_empty() { 2 } else { 4 };
+        match self.rng.below(kinds) {
+            _ if own => format!("p{i}(N1, {out})"),
+            0 => format!("t(N1, {out})"),
+            1 => format!("t(K{out}, {out}), K{out} =< N1"),
+            _ => {
+                let k = self.rng.below(self.callees.len() as u32) as usize;
+                let callee = self.callees[k].clone();
+                let arg = if callee.starts_with("cut") {
+                    self.pick(bound).to_owned()
+                } else {
+                    "N1".to_owned()
+                };
+                format!("{callee}({arg}, {out})")
+            }
+        }
+    }
+
+    /// A test, an `is`, an `=` over structures or an if-then-else; the
+    /// last three bind `v`. Returns the goal and whether it bound `v`.
+    fn mix(&mut self, v: &str, bound: &[String]) -> (String, bool) {
+        match self.rng.below(4) {
+            0 => (format!("{v} is {}", self.expr(bound)), true),
+            1 => {
+                let x = self.pick(bound).to_owned();
+                let op = ["=<", ">=", "=\\=", "<"][self.rng.below(4) as usize];
+                (format!("{x} {op} {} + 2", self.expr(bound)), false)
+            }
+            2 => {
+                let (x, y) = (self.pick(bound).to_owned(), self.pick(bound).to_owned());
+                (format!("S{v} = s({x}, f({y})), S{v} = s(_, f({v}))"), true)
+            }
+            _ => {
+                let (x, c) = (self.pick(bound).to_owned(), self.small());
+                let then = format!("{v} is {}", self.expr(bound));
+                (format!("( {x} > {c} -> {then} ; {v} = {x} )"), true)
+            }
+        }
+    }
+
+    /// `cutI(X, R)`: the first of three candidates over `X` that passes a
+    /// test, committed to by `!`.
+    fn cut_helper(&mut self, i: usize) {
+        let c = 2 + self.small();
+        let (a, b) = (1 + self.small(), 2 + self.small());
+        self.src.push_str(&format!(
+            "cut{i}(X, R) :- ( Y = X ; Y is X + {a} ; Y is X * {b} ), Y > {c}, !, R is Y - 1.\n"
+        ));
+        self.callees.push(format!("cut{i}"));
+    }
+
+    /// `iteI(N, R)`: a body that is one arithmetic if-then-else, with a
+    /// call of a lower stratum in its then-branch.
+    fn ite_helper(&mut self, i: usize) {
+        let j = self.rng.below(i as u32);
+        let (c, d, e) = (self.small() / 2, self.small(), self.small());
+        self.src.push_str(&format!(
+            "ite{i}(N, R) :- ( N > {c} -> p{j}(N, A), B is A + {d}, R = B ; R is N + {e} ).\n"
+        ));
+        self.callees.push(format!("ite{i}"));
+    }
+
+    /// `pI/2`: a base fact, a recursive rule, and mostly a rule that
+    /// enumerates the facts.
+    fn stratum(&mut self, i: usize) {
+        let base = self.small();
+        self.src.push_str(&format!("p{i}(0, {base}).\n"));
+        let body = self.rule_body(i);
+        self.src
+            .push_str(&format!("p{i}(N, R) :- N > 0, N1 is N - 1, {body}.\n"));
+        if self.rng.below(4) != 0 {
+            let k = self.small();
+            self.src.push_str(&format!(
+                "p{i}(N, R) :- N > 0, t(K, V), K < N, R is V * {k} + N.\n"
+            ));
+        }
+        self.callees.push(format!("p{i}"));
+    }
+
+    /// The goals of `pI`'s recursive rule after its neck: two calls (the
+    /// first, sometimes, of `pI` itself), each followed by up to two tests
+    /// or bindings, then `R`'s value.
+    fn rule_body(&mut self, i: usize) -> String {
+        let mut bound = vec!["N".to_owned(), "N1".to_owned()];
+        let mut goals: Vec<String> = Vec::new();
+        for c in 0..2 {
+            let out = format!("A{c}");
+            let own = c == 0 && self.rng.below(3) == 0;
+            goals.push(self.call(i, own, &out, &bound));
+            bound.push(out);
+            for _ in 0..self.rng.below(3) {
+                let v = format!("B{}", goals.len());
+                let (goal, binds) = self.mix(&v, &bound);
+                goals.push(goal);
+                if binds {
+                    bound.push(v);
+                }
+            }
+        }
+        goals.push(format!(
+            "R is {} + {}",
+            self.expr(&bound),
+            self.expr(&bound)
+        ));
+        goals.join(", ")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn generated_programs_are_seeded() {
+        assert_eq!(program(3).source, program(3).source);
+        assert_ne!(program(3).source, program(4).source);
+        let g = program(11);
+        assert!(g.query.starts_with('p') && g.query.ends_with(", R)"));
+        assert!(g.source.contains(":- N > 0, N1 is N - 1, "));
+    }
 
     #[test]
     fn deterministic() {
