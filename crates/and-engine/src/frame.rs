@@ -6,7 +6,7 @@
 //! uses to splice subgoal solutions back into the parent computation.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use ace_logic::copy::copy_tuple;
 use ace_logic::heap::HeapMark;
@@ -63,6 +63,17 @@ pub fn bundle_copy(src: &Heap, roots: &[Cell]) -> (Bundle, usize) {
         },
         out.cells_copied,
     )
+}
+
+/// Which branches of a new frame the owner machine already holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Local {
+    /// The last branch runs inline (a frame raised at the `&`).
+    Last,
+    /// Branches before `k` finished on the owner and branch `k` is running
+    /// there (a promoted record): the finished ones are owner-run slots,
+    /// `k` an owner slot in progress, the rest slots for any worker.
+    Prefix(usize),
 }
 
 /// Scheduling state of one slot.
@@ -171,11 +182,23 @@ pub struct FrameInner {
     /// and no integration — its bindings land in the parent heap
     /// directly).
     pub inline: Option<usize>,
-    /// A redo wave reset the inline slot: the next integration must
-    /// re-dispatch the inline branch in front of the frame continuation.
-    pub rerun_inline: bool,
-    /// The inline slot finished its current wave.
-    pub inline_done: bool,
+    /// The inline branch left a choice point when it reached the barrier:
+    /// by the time backtracking reaches the frame they are exhausted and
+    /// its bindings partly undone, so a redo wave must run it again.
+    pub inline_nondet: bool,
+    /// Where the inline branch goes on after its last LPCO merge: the goal
+    /// it continued with and the parent's (trail, heap) marks there. A redo
+    /// wave that advances a merged slot re-runs the branch from here — the
+    /// merged slots belong to the part before it.
+    pub spine: Option<(Cell, TrailMark, HeapMark)>,
+    /// Parent (trail, heap) marks when the inline branch reached the
+    /// barrier: owner-run slots and integrations all lie above them.
+    pub inline_end: Option<(TrailMark, HeapMark)>,
+    /// This frame lies in the determinate inline branch or owner-run slot
+    /// of an enclosing frame, whose redo keeps that branch's bindings:
+    /// exhausted without ever having had an alternative, it is passed, not
+    /// undone.
+    pub passable: bool,
 }
 
 /// Cross-worker state of one parallel call.
@@ -185,6 +208,8 @@ pub struct FrameState {
     /// nested parcall. LPCO keeps this at the origin's depth (flattening);
     /// the Figure-4 shape tests assert on it.
     pub depth: u32,
+    /// The frame this one nests in (none for the root computation's).
+    pub parent: Option<Weak<FrameState>>,
     pub cancel: CancelToken,
     /// The owner machine's continuation after the parallel call: a copy of
     /// the handle in the machine-level `ParcallFrame`, which keeps its nodes
@@ -198,28 +223,28 @@ pub struct FrameState {
 }
 
 impl FrameState {
-    /// Build a frame for `branches` (terms in `parent_heap`). When
-    /// `inline_last` is set the last branch is executed inline by the
-    /// owner (no goal-shipping copy for it); the others are copied into a
-    /// shared closure bundle for pickup. Returns the frame and the number
-    /// of cells copied.
+    /// Build a frame for `branches` (terms in `parent_heap`). The branches
+    /// `local` says the owner holds need no goal-shipping copy; the others
+    /// are copied into a shared closure bundle for pickup when `ship_now`.
+    /// Returns the frame and the number of cells copied.
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         id: u64,
         parent_heap: &Heap,
         branches: &[Cell],
-        depth: u32,
+        parent: Option<&Arc<FrameState>>,
         cancel_parent: &CancelToken,
-        inline_last: bool,
+        local: Local,
         cont: Cont,
         created_at: (TrailMark, HeapMark),
         ship_now: bool,
     ) -> (Arc<FrameState>, usize) {
-        let to_ship = if inline_last {
-            &branches[..branches.len() - 1]
-        } else {
-            branches
+        let n = branches.len();
+        let shippable = match local {
+            Local::Last => 0..n - 1,
+            Local::Prefix(k) => k + 1..n,
         };
+        let to_ship = &branches[shippable.clone()];
         // Demand-driven goal shipping: closures are only copied when idle
         // workers could actually steal them; otherwise goals stay owner-
         // local (copied later on demand, or never — PDO runs them in
@@ -230,39 +255,40 @@ impl FrameState {
         } else {
             (None, 0)
         };
-        let mut slots: Vec<SlotRec> = Vec::with_capacity(branches.len());
-        slots.extend(to_ship.iter().enumerate().map(|(i, &pg)| SlotRec {
-            closure: bundle.as_ref().map(|b| b.closure(i)),
-            parent_goal: Some(pg),
-            state: SlotState::Unclaimed,
-            group: None,
-            origin: None,
-            owner_run: false,
-            spec_failed: false,
-            materialized: false,
-        }));
-        let inline = if inline_last {
-            // The inline slot needs no closure: its goal lives in (and its
-            // solution binds) the parent heap directly.
-            slots.push(SlotRec {
-                closure: None,
-                parent_goal: Some(*branches.last().unwrap()),
-                state: SlotState::Running,
+        // A slot the owner holds needs no closure: its goal lives in (and
+        // its solution binds) the parent heap directly.
+        let slots: Vec<SlotRec> = branches
+            .iter()
+            .enumerate()
+            .map(|(i, &pg)| SlotRec {
+                closure: match &bundle {
+                    Some(b) if shippable.contains(&i) => Some(b.closure(i - shippable.start)),
+                    _ => None,
+                },
+                parent_goal: Some(pg),
+                state: if shippable.contains(&i) {
+                    SlotState::Unclaimed
+                } else if matches!(local, Local::Prefix(k) if i < k) {
+                    SlotState::Done
+                } else {
+                    SlotState::Running
+                },
                 group: None,
                 origin: None,
-                owner_run: false,
+                owner_run: matches!(local, Local::Prefix(k) if i < k),
                 spec_failed: false,
                 materialized: false,
-            });
-            Some(slots.len() - 1)
-        } else {
-            None
+            })
+            .collect();
+        let inline = (local == Local::Last).then(|| n - 1);
+        let pending = match local {
+            Local::Last => n - 1,
+            Local::Prefix(k) => n - k,
         };
-        let n = slots.len();
-        let pending = if inline_last { n - 1 } else { n };
         let frame = FrameState {
             id,
-            depth,
+            depth: parent.map_or(1, |p| p.depth + 1),
+            parent: parent.map(Arc::downgrade),
             cancel: cancel_parent.child(),
             cont,
             created_at,
@@ -274,8 +300,10 @@ impl FrameState {
                 integrate_from: 0,
                 marks: vec![None; n],
                 inline,
-                rerun_inline: false,
-                inline_done: false,
+                inline_nondet: false,
+                spine: None,
+                inline_end: None,
+                passable: false,
             }),
         };
         (Arc::new(frame), cells)
@@ -380,6 +408,18 @@ impl FrameState {
         inner.stage == FrameStage::Integrated && inner.groups.values().all(|g| g.exhausted)
     }
 
+    /// Is this frame nested, at any depth, in `ancestor`?
+    pub fn descends_from(&self, ancestor: &FrameState) -> bool {
+        let mut up = self.parent.as_ref().and_then(Weak::upgrade);
+        while let Some(f) = up {
+            if f.id == ancestor.id {
+                return true;
+            }
+            up = f.parent.as_ref().and_then(Weak::upgrade);
+        }
+        false
+    }
+
     /// Number of live (non-dropped) slots — the frame's width. LPCO grows
     /// this instead of nesting new frames.
     pub fn width(&self) -> usize {
@@ -435,9 +475,9 @@ mod tests {
             1,
             &h,
             &[g1, g2, g3],
-            1,
+            None,
             &root,
-            false,
+            Local::Last,
             Cont::NONE,
             (h.trail_mark(), h.heap_mark()),
             true,
@@ -445,6 +485,43 @@ mod tests {
         assert_eq!(f.width(), 3);
         assert_eq!(f.claim(None), Some(0));
         assert_eq!(f.claim(None), Some(1));
+        assert_eq!(f.claim(None), None, "the last branch runs inline");
+    }
+
+    #[test]
+    fn a_promoted_prefix_is_owner_run_and_the_rest_ships() {
+        let h = Heap::new();
+        let goals = [Cell::Atom(s("a")), Cell::Atom(s("b")), Cell::Atom(s("c"))];
+        let root = CancelToken::new();
+        let (f, _) = FrameState::create(
+            1,
+            &h,
+            &goals,
+            None,
+            &root,
+            Local::Prefix(1),
+            Cont::NONE,
+            (h.trail_mark(), h.heap_mark()),
+            true,
+        );
+        {
+            let inner = f.inner.lock();
+            let states: Vec<_> = inner
+                .slots
+                .iter()
+                .map(|sl| (sl.state, sl.owner_run))
+                .collect();
+            assert_eq!(
+                states,
+                [
+                    (SlotState::Done, true),
+                    (SlotState::Running, false),
+                    (SlotState::Unclaimed, false)
+                ]
+            );
+            assert_eq!(inner.pending, 2, "the running goal and the unstarted one");
+            assert_eq!(inner.inline, None);
+        }
         assert_eq!(f.claim(None), Some(2));
         assert_eq!(f.claim(None), None);
     }
@@ -454,14 +531,15 @@ mod tests {
         let mut h = Heap::new();
         let g1 = h.new_struct(s("p"), &[Cell::Int(1)]);
         let g2 = h.new_struct(s("p"), &[Cell::Int(2)]);
+        let g3 = Cell::Atom(s("c"));
         let root = CancelToken::new();
         let (f, _) = FrameState::create(
             1,
             &h,
-            &[g1, g2],
-            1,
+            &[g1, g2, g3],
+            None,
             &root,
-            false,
+            Local::Last,
             Cont::NONE,
             (h.trail_mark(), h.heap_mark()),
             true,
@@ -480,9 +558,9 @@ mod tests {
             1,
             &h,
             &[g],
-            1,
+            None,
             &root,
-            false,
+            Local::Last,
             Cont::NONE,
             (h.trail_mark(), h.heap_mark()),
             true,

@@ -40,4 +40,4 @@ pub mod frame;
 pub mod worker;
 
 pub use engine::{AndEngine, AndReport};
-pub use frame::{Bundle, FrameStage, FrameState};
+pub use frame::{Bundle, FrameStage, FrameState, Local};

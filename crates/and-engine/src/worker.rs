@@ -23,7 +23,7 @@ use ace_machine::{Machine, MachinePool, MarkerKind, Solution, Status};
 use ace_runtime::{CancelToken, Engine, EventKind, Step, WorkerCore, QUANTUM};
 use parking_lot::Mutex;
 
-use crate::frame::{bundle_copy, FrameInner, FrameStage, FrameState, GroupRec, SlotState};
+use crate::frame::{bundle_copy, FrameInner, FrameStage, FrameState, GroupRec, Local, SlotState};
 
 /// A schedulable unit: one slot of one frame.
 #[derive(Clone)]
@@ -61,13 +61,18 @@ enum AdvanceMode {
 }
 
 /// Bookkeeping for a subgoal the owner machine is executing directly
-/// (speculative PDO): where to roll back to if it turns out
-/// nondeterministic, and the fence guarding backtracking below it.
+/// (speculative PDO, or the goal a promoted record was running): where to
+/// roll back to if it turns out nondeterministic, and the fence guarding
+/// backtracking below it.
 struct OwnerSlot {
     frame: Arc<FrameState>,
     slot: usize,
-    fence_idx: usize,
-    ctrl_len: usize,
+    /// The fence's control index. A promoted record's running goal has
+    /// none: its frame lies directly below it, and backtracking that
+    /// reaches the frame unfilled fails the call, as a fence would.
+    fence: Option<usize>,
+    /// Control index of the first frame the subgoal's execution pushed.
+    region: usize,
     trail: ace_logic::TrailMark,
     heap: ace_logic::heap::HeapMark,
 }
@@ -88,11 +93,6 @@ enum Act {
         /// Machine-heap cells of LPCO-merged branch goals awaiting
         /// registration as new slots at group finalization.
         lpco_added: Vec<Cell>,
-        /// PDO: a member before the last carried nondeterminism. The
-        /// machine cannot serve as a plain generator (backtracking into an
-        /// early member would skip re-running the later ones), so redos go
-        /// through recomputation instead.
-        pdo_nondet_prefix: bool,
         /// Frames whose *inline* (rightmost) branch this machine is
         /// currently executing, outermost first (&ACE model: the owner
         /// runs the last subgoal locally while the others are shipped).
@@ -146,7 +146,6 @@ impl AndWorker {
             goal_cells: Vec::new(),
             memo_keys: Vec::new(),
             lpco_added: Vec::new(),
-            pdo_nondet_prefix: false,
             inline: Vec::new(),
             owner_slot: Vec::new(),
         });
@@ -158,6 +157,12 @@ impl AndWorker {
     // ------------------------------------------------------------------
 
     fn try_get_work(&mut self) -> Step {
+        self.take_task(None)
+    }
+
+    /// Take the first queued task that is still claimable — of a frame
+    /// nested in `under`, when given — and start its slot.
+    fn take_task(&mut self, under: Option<&Arc<FrameState>>) -> Step {
         // Injected transient steal failure: the task stays queued (checked
         // before any claim so nothing needs un-claiming) and this worker
         // retries on a later phase after its idle backoff — bounded retry,
@@ -168,15 +173,25 @@ impl AndWorker {
         self.core.note(EventKind::StealAttempt);
         let task = {
             let mut q = self.sh.queue.lock();
-            loop {
-                let Some(t) = q.pop_front() else { break None };
-                if t.frame.cancel.is_cancelled() {
-                    continue;
+            match under {
+                None => loop {
+                    let Some(t) = q.pop_front() else { break None };
+                    if t.frame.cancel.is_cancelled() {
+                        continue;
+                    }
+                    if t.frame.claim(Some(t.slot)).is_some() {
+                        break Some(t);
+                    }
+                    // already claimed elsewhere (e.g. PDO) — skip
+                },
+                Some(frame) => {
+                    let at = q.iter().position(|t| {
+                        !t.frame.cancel.is_cancelled()
+                            && t.frame.descends_from(frame)
+                            && t.frame.claim(Some(t.slot)).is_some()
+                    });
+                    at.and_then(|i| q.remove(i))
                 }
-                if t.frame.claim(Some(t.slot)).is_some() {
-                    break Some(t);
-                }
-                // already claimed elsewhere (e.g. PDO) — skip
             }
         };
         let Some(task) = task else {
@@ -255,15 +270,24 @@ impl AndWorker {
             goal_cells: vec![out.root],
             memo_keys,
             lpco_added: Vec::new(),
-            pdo_nondet_prefix: false,
             inline: Vec::new(),
             owner_slot: Vec::new(),
         });
     }
 
     fn step_run(&mut self) -> Step {
+        // Lazy frames: an idle worker is the demand that builds a frame —
+        // for the next `&` reached, and for the oldest record still holding
+        // unstarted goals.
+        let lazy = self.core.ctl.cfg.run.opts.lazy;
+        let demand = self.core.others_idle();
+        if lazy && demand && self.try_promote() {
+            return Step::Worked;
+        }
+        let lpco = self.core.ctl.cfg.run.opts.lpco;
         let Some(Act::Run {
             machine,
+            ctx,
             cancel,
             inline,
             ..
@@ -271,12 +295,14 @@ impl AndWorker {
         else {
             unreachable!()
         };
+        let slot = matches!(ctx, RunCtx::Slot { .. });
+        machine.defer_parcalls(lazy && !demand, lpco && slot);
         // Check the innermost inline frame's token: it is a descendant of
         // the activation token, so it also covers ancestor cancellation,
         // and additionally catches sibling failures of the parallel call
         // whose branch is executing inline right here.
         let check = inline.last().map_or(&*cancel, |f| &f.cancel);
-        let status = machine.run(QUANTUM, Some(check));
+        let status = machine.run_on(self.machines.db(), QUANTUM, Some(check));
         machine.surface(&mut self.core);
 
         match status {
@@ -315,7 +341,6 @@ impl AndWorker {
             }
         }
 
-        let ship_now = self.core.others_idle();
         let Some(Act::Run {
             machine,
             ctx,
@@ -326,59 +351,81 @@ impl AndWorker {
         else {
             unreachable!()
         };
-        let depth = match (&inline.last(), &ctx) {
-            (Some(f), _) => f.depth + 1,
-            (None, RunCtx::Root) => 1,
-            (None, RunCtx::Slot { frame, .. }) => frame.depth + 1,
-        };
-        let pf = machine.top_parcall().expect("Parcall status without frame");
-        let n_branches = pf.branches.len();
-        let last_branch = *pf.branches.last().expect("parcall without branches");
-        // Nested frames hang off the innermost inline frame's token so a
-        // sibling failure anywhere up the chain kills them too.
-        let parent_token = inline.last().map_or(&*cancel, |f| &f.cancel);
-        let (frame, cells) = FrameState::create(
-            pf.id,
-            &machine.heap,
-            &pf.branches,
-            depth,
-            parent_token,
-            true,
-            pf.cont,
-            (pf.trail, pf.heap),
+        let idx = machine.ctrl_len() - 1;
+        let last_branch = *machine.parcall_at_mut(idx).branches.last().unwrap();
+        let ship_now = self.core.others_idle();
+        let frame = build_frame(
+            &mut self.core,
+            &self.sh,
+            machine,
+            ctx,
+            cancel,
+            inline,
+            idx,
+            Local::Last,
             ship_now,
         );
-        machine.top_parcall_mut().unwrap().ext = Some(Box::new(frame.clone()));
-        self.core.stats.cells_copied += cells as u64;
-        let n = n_branches as u64;
-        let charge = self.core.costs.parcall_frame_alloc
-            + self.core.costs.parcall_slot * n
-            + cells as u64 * self.core.costs.heap_cell
-            + self.core.costs.queue_op * (n - 1);
-        self.core.charge(charge);
-        self.core.note(EventKind::FrameAlloc { slots: n_branches });
-
         // Ship all branches but the last (when idle workers demand them);
         // run the last inline, &ACE-style ("the goal a does not need an
         // input marker as the parcall frame marks its beginning" — paper
         // Figure 2; the *local* branch needs neither marker nor copy).
-        let tasks: Vec<Task> = if ship_now {
-            (0..n_branches - 1)
-                .map(|slot| Task {
-                    frame: frame.clone(),
-                    slot,
-                    creator: self.core.id,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         machine.run_inline_branch(last_branch, frame.id);
         inline.push(frame);
-        if !tasks.is_empty() {
-            self.sh.queue.lock().extend(tasks);
-        }
         Step::Worked
+    }
+
+    /// Lazy frames: promote the running machine's oldest record that still
+    /// has unstarted goals and no choice point above it into the frame its
+    /// `&` would have raised. Its finished goals become owner-run slots,
+    /// the running one an owner slot whose end is the node after it, and
+    /// the unstarted ones are copied out for the idle workers now. Every
+    /// binding since the record is permanent with respect to any choice
+    /// point above it (there is none), so the copies are the goals as the
+    /// frame would have shipped them. Runs on the owner, at its own
+    /// checkpoint.
+    fn try_promote(&mut self) -> bool {
+        let Some(Act::Run {
+            machine,
+            ctx,
+            cancel,
+            inline,
+            owner_slot,
+            ..
+        }) = self.stack.last_mut()
+        else {
+            unreachable!()
+        };
+        if machine.status() != &Status::Running {
+            return false;
+        }
+        let Some(idx) = machine.promotable_record() else {
+            return false;
+        };
+        let (running, (trail, heap)) = machine.promote_record(idx);
+        let frame = build_frame(
+            &mut self.core,
+            &self.sh,
+            machine,
+            ctx,
+            cancel,
+            inline,
+            idx,
+            Local::Prefix(running),
+            true,
+        );
+        self.core.note(EventKind::FramePromote {
+            slots: machine.parcall_at_mut(idx).branches.len(),
+        });
+        owner_slot.push(OwnerSlot {
+            frame: frame.clone(),
+            slot: running,
+            fence: None,
+            region: idx + 1,
+            trail,
+            heap,
+        });
+        inline.push(frame);
+        true
     }
 
     /// LPCO within an inline chain: the machine executing the inline
@@ -390,7 +437,10 @@ impl AndWorker {
     fn try_lpco_inline(&mut self) -> bool {
         let ship_now = self.core.others_idle();
         let Some(Act::Run {
-            machine, inline, ..
+            machine,
+            inline,
+            owner_slot,
+            ..
         }) = self.stack.last_mut()
         else {
             return false;
@@ -398,7 +448,13 @@ impl AndWorker {
         let Some(frame) = inline.last().cloned() else {
             return false;
         };
-        if !machine.deterministic_since_previous_parcall() {
+        // A speculative owner slot is no inline spine: if it turns out
+        // nondeterministic it is rolled back, and slots merged from it
+        // would name the cells the rollback drops.
+        if owner_slot.last().is_some_and(|o| o.frame.id == frame.id) {
+            return false;
+        }
+        if !machine.deterministic_since_parcall(frame.id, frame_is_deterministic) {
             return false;
         }
         // "last goal" in an inline chain: nothing follows but this frame's
@@ -410,13 +466,23 @@ impl AndWorker {
         {
             // Filling or Ready (shipped slots may finish before the inline
             // chain does); appending slots below re-opens the wave.
+            // A frame whose owner runs no inline branch (a promoted record)
+            // has no spine to continue.
             let inner = frame.inner.lock();
-            if !matches!(inner.stage, FrameStage::Filling | FrameStage::Ready) {
+            if !matches!(inner.stage, FrameStage::Filling | FrameStage::Ready)
+                || inner.inline.is_none()
+            {
                 return false;
             }
         }
         let pf = machine.merge_out_parcall();
         let branches = pf.branches;
+        // The branch runs on from here, and a redo wave that re-runs it
+        // starts here (`FrameInner::spine`): the frames it has passed
+        // (determinate, just checked) must keep what lies below this point.
+        if let Some(idx) = machine.parcall_index(frame.id) {
+            mark_passable(machine, idx + 1);
+        }
         let k = branches.len();
         let shipped = &branches[..k - 1];
         let (bundle, cells) = if ship_now {
@@ -462,6 +528,8 @@ impl AndWorker {
             if inner.stage == FrameStage::Ready {
                 inner.stage = FrameStage::Filling;
             }
+            let rest = *branches.last().unwrap();
+            inner.spine = Some((rest, machine.heap.trail_mark(), machine.heap.heap_mark()));
         }
         machine.run_inline_branch(*branches.last().unwrap(), frame.id);
         self.sh.queue.lock().extend(tasks);
@@ -585,12 +653,23 @@ impl AndWorker {
             }
         };
         let mut owner_reruns: Vec<Task> = Vec::new();
+        // Did the inline branch leave a choice point above its frame?
+        let nondet = machine
+            .parcall_index(fid)
+            .is_none_or(|idx| !region_is_deterministic(machine, idx + 1));
         {
             let mut inner = frame.inner.lock();
             if let Some(idx) = inner.inline {
                 inner.slots[idx].state = SlotState::Done;
             }
-            inner.inline_done = true;
+            // A re-arrival came back through one of its choice points.
+            inner.inline_nondet = nondet || rearrival;
+            if !inner.inline_nondet {
+                if let Some(idx) = machine.parcall_index(fid) {
+                    mark_passable(machine, idx + 1);
+                }
+            }
+            inner.inline_end = Some((machine.heap.trail_mark(), machine.heap.heap_mark()));
             if rearrival {
                 // every integration (and every owner-executed binding) was
                 // unwound by the backtracking that reached the inline
@@ -659,10 +738,13 @@ impl AndWorker {
         if inline.last().is_some_and(|f| f.id == o.frame.id) {
             inline.pop();
         }
-        // region above the fence: determinate?
-        let det = region_is_deterministic(machine, o.ctrl_len + 1);
+        // the subgoal's region: determinate?
+        let det = region_is_deterministic(machine, o.region);
         if det {
-            machine.disarm_fence(o.fence_idx);
+            mark_passable(machine, o.region);
+            if let Some(fence) = o.fence {
+                machine.disarm_fence(fence);
+            }
             {
                 let mut inner = o.frame.inner.lock();
                 inner.slots[o.slot].state = SlotState::Done;
@@ -677,7 +759,7 @@ impl AndWorker {
             self.core.note(EventKind::PdoMerge);
         } else {
             // speculation failed: undo and ship to a fresh machine
-            machine.rollback_to(o.ctrl_len, o.trail, o.heap);
+            machine.rollback_to(o.fence.unwrap_or(o.region), o.trail, o.heap);
             machine.surface(&mut self.core);
             {
                 let mut inner = o.frame.inner.lock();
@@ -761,7 +843,6 @@ impl AndWorker {
             goal_cells,
             memo_keys,
             lpco_added,
-            pdo_nondet_prefix,
             ..
         }) = self.stack.last_mut()
         else {
@@ -770,6 +851,14 @@ impl AndWorker {
         if !lpco_added.is_empty() {
             // group already carries merged branch goals: finalize first so
             // the new slots become available
+            return false;
+        }
+        // The next member runs after this one's solution, as `(a, b)` would
+        // — but in front of an empty continuation, so backtracking into a
+        // choice point (or a frame with more solutions) the members so far
+        // left would skip it and drop its goal's cells. Only a determinate
+        // group is extended.
+        if !machine_is_deterministic(machine) {
             return false;
         }
         let next = {
@@ -791,11 +880,6 @@ impl AndWorker {
                 .clone()
                 .expect("claimed slot without closure")
         };
-        // If the members so far left any choice point, the merged machine
-        // cannot later serve as a plain generator (see `pdo_nondet_prefix`).
-        if !machine.is_deterministic_above(0) {
-            *pdo_nondet_prefix = true;
-        }
         let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
         goal_cells.push(out.root);
         if machine.memo_enabled() {
@@ -822,7 +906,6 @@ impl AndWorker {
             mut goal_cells,
             memo_keys,
             lpco_added,
-            pdo_nondet_prefix,
             ..
         }) = self.stack.pop()
         else {
@@ -830,7 +913,7 @@ impl AndWorker {
         };
 
         let det = machine_is_deterministic(&machine);
-        let has_frames = machine.has_parcall_frames() || pdo_nondet_prefix;
+        let has_frames = machine.has_parcall_frames();
 
         // End marker policy (paper §4.1): unoptimized always allocates it;
         // SPO elides both markers for deterministic subgoals.
@@ -984,6 +1067,7 @@ impl AndWorker {
             machine,
             cancel,
             inline,
+            owner_slot,
             ..
         }) = self.stack.last_mut()
         else {
@@ -1004,6 +1088,12 @@ impl AndWorker {
             } else {
                 break;
             }
+        }
+        while owner_slot
+            .last()
+            .is_some_and(|o| o.frame.cancel.is_cancelled())
+        {
+            owner_slot.pop();
         }
         match target {
             Some(f) => {
@@ -1104,16 +1194,15 @@ impl AndWorker {
                         else {
                             unreachable!("Wait without Run below")
                         };
-                        let ctrl_len = machine.ctrl_len();
                         let trail = machine.heap.trail_mark();
                         let heap = machine.heap.heap_mark();
-                        let fence_idx = machine.push_fence(frame.id, slot as u32);
+                        let fence = machine.push_fence(frame.id, slot as u32);
                         machine.run_inline_branch(goal, frame.id);
                         owner_slot.push(OwnerSlot {
                             frame: frame.clone(),
                             slot,
-                            fence_idx,
-                            ctrl_len,
+                            fence: Some(fence),
+                            region: fence + 1,
                             trail,
                             heap,
                         });
@@ -1139,6 +1228,15 @@ impl AndWorker {
                         if !idxs.is_empty() {
                             self.ship_slots(&frame, &idxs);
                             return Step::Worked;
+                        }
+                        // Lazy frames: the frame waited on is often the
+                        // narrow one a promotion built, and the work it
+                        // waits for is promoted below it, on the machines
+                        // that took its slots. Running a slot of a frame
+                        // nested in it cannot delay it: it is not complete
+                        // until that slot is.
+                        if self.core.ctl.cfg.run.opts.lazy {
+                            return self.take_task(Some(&frame));
                         }
                         Step::NoWork
                     }
@@ -1262,7 +1360,10 @@ impl AndWorker {
     fn on_redo(&mut self) -> Step {
         self.core.note(EventKind::RedoRound);
         let Some(Act::Run {
-            machine, inline, ..
+            machine,
+            inline,
+            owner_slot,
+            ..
         }) = self.stack.last_mut()
         else {
             unreachable!()
@@ -1286,6 +1387,10 @@ impl AndWorker {
             if inline.last().is_some_and(|f| f.id == frame.id) {
                 inline.pop();
             }
+            // A promoted record's running goal failed into its frame.
+            if owner_slot.last().is_some_and(|o| o.frame.id == frame.id) {
+                owner_slot.pop();
+            }
             self.core.note(EventKind::SlotFail);
             frame.fail();
             machine.fail_parcall();
@@ -1300,6 +1405,7 @@ impl AndWorker {
         /// any, its goal cells, recompute-skip count).
         type Advance = (usize, Option<Box<Machine>>, Vec<Cell>, u64);
         let mut advance: Option<Advance> = None;
+        let determinate = frame.fully_deterministic() && frame.inner.lock().passable;
         {
             let mut inner = frame.inner.lock();
             let leaders: Vec<usize> = inner.groups.keys().copied().collect();
@@ -1329,11 +1435,19 @@ impl AndWorker {
 
         match advance {
             None => {
-                // Exhausted: fail the parallel call in the parent.
+                // Exhausted: fail the parallel call in the parent — or, if
+                // it never had an alternative and lies in a determinate
+                // branch the owner ran itself, pass it: undoing to its
+                // creation would take that branch's later bindings, which
+                // the enclosing frame's redo keeps.
                 let Some(Act::Run { machine, .. }) = self.stack.last_mut() else {
                     unreachable!()
                 };
-                machine.fail_parcall();
+                if determinate {
+                    machine.pass_parcall();
+                } else {
+                    machine.fail_parcall();
+                }
                 machine.surface(&mut self.core);
                 Step::Worked
             }
@@ -1394,7 +1508,7 @@ impl AndWorker {
         let Some(Act::Advance { frame, machine, .. }) = self.stack.last_mut() else {
             unreachable!()
         };
-        let status = machine.run(QUANTUM, Some(&frame.cancel));
+        let status = machine.run_on(self.machines.db(), QUANTUM, Some(&frame.cancel));
         machine.surface(&mut self.core);
 
         match status {
@@ -1489,17 +1603,33 @@ impl AndWorker {
             let group_last = *inner.groups[&leader].slots.last().unwrap();
             // If the inline slot lies right of the advanced group, its
             // branch must re-run too; its bindings predate every
-            // integration, so the undo point is the frame's creation.
-            let rerun_inline = inner.inline.is_some_and(|i| i > group_last);
+            // integration, so the undo point is the frame's creation. A
+            // nondeterministic inline branch left of it is exhausted by
+            // now: it re-runs from where it went on after the merges that
+            // made the advanced group's slots (they lie left of the rest
+            // of it), or whole if there were none.
+            let spine = inner
+                .spine
+                .filter(|_| inner.inline.is_some_and(|i| i < group_last));
+            let rerun_inline = inner
+                .inline
+                .is_some_and(|i| i > group_last || (inner.inline_nondet && spine.is_none()));
+            let rerun_spine = !rerun_inline && inner.inline_nondet && spine.is_some();
             let owner_reset =
                 inner.slots.iter().enumerate().any(|(i, sl)| {
                     i > group_last && sl.owner_run && sl.state != SlotState::Dropped
                 });
             // Inline and owner-executed bindings predate every integration
-            // mark, so resetting them needs the frame-creation undo point.
-            let deep_undo = rerun_inline || owner_reset;
-            let (tm, hm) = if deep_undo {
+            // mark: resetting them needs an earlier undo point — the
+            // frame's creation, the spine's restart, or (owner-run slots
+            // only, the inline branch intact) where the inline branch ended.
+            let deep_undo = rerun_inline || rerun_spine || owner_reset;
+            let (tm, hm) = if rerun_inline {
                 frame.created_at
+            } else if let (true, Some((_, t, h))) = (rerun_spine, spine) {
+                (t, h)
+            } else if owner_reset {
+                inner.inline_end.unwrap_or(frame.created_at)
             } else {
                 inner.marks[leader].expect("advanced group not integrated")
             };
@@ -1565,6 +1695,23 @@ impl AndWorker {
                 for m in inner.marks.iter_mut() {
                     *m = None;
                 }
+                // Owner-run slots left of the advanced group lost their
+                // bindings to the same undo: run them again.
+                for s in 0..=group_last {
+                    let sl = &mut inner.slots[s];
+                    if sl.owner_run && sl.state == SlotState::Done {
+                        sl.owner_run = false;
+                        sl.state = SlotState::Unclaimed;
+                        pending += 1;
+                        if sl.closure.is_some() {
+                            new_tasks.push(Task {
+                                frame: frame.clone(),
+                                slot: s,
+                                creator: self.core.id,
+                            });
+                        }
+                    }
+                }
                 for sl in inner.slots.iter_mut() {
                     if sl.materialized {
                         sl.parent_goal = None;
@@ -1573,11 +1720,16 @@ impl AndWorker {
                 }
                 inner.integrate_from = 0;
             }
-            if rerun_inline {
-                inner.inline_done = false;
-                inner.rerun_inline = true;
+            if rerun_inline || rerun_spine {
                 let idx = inner.inline.unwrap();
-                rerun_branch = inner.slots[idx].parent_goal;
+                inner.slots[idx].state = SlotState::Running;
+                inner.marks[idx] = None;
+                rerun_branch = if rerun_spine {
+                    spine.map(|(goal, ..)| goal)
+                } else {
+                    inner.spine = None;
+                    inner.slots[idx].parent_goal
+                };
             } else if !deep_undo {
                 inner.integrate_from = leader;
             }
@@ -1617,6 +1769,71 @@ impl AndWorker {
     }
 }
 
+/// The one frame-building path: attach the and-engine's state to the
+/// parcall frame at control index `idx` of `machine` — raised at an `&`
+/// (`Local::Last`) or promoted from a record (`Local::Prefix`) — charge
+/// it as a frame, and queue the slots shipped now. `ctx`, `cancel` and
+/// `inline` are the running activation's: the frame nests in its innermost
+/// inline frame.
+#[allow(clippy::too_many_arguments)]
+fn build_frame(
+    core: &mut WorkerCore,
+    sh: &Shared,
+    machine: &mut Machine,
+    ctx: &RunCtx,
+    cancel: &CancelToken,
+    inline: &[Arc<FrameState>],
+    idx: usize,
+    local: Local,
+    ship_now: bool,
+) -> Arc<FrameState> {
+    let parent = match (inline.last(), ctx) {
+        (Some(f), _) => Some(f),
+        (None, RunCtx::Root) => None,
+        (None, RunCtx::Slot { frame, .. }) => Some(frame),
+    };
+    // Nested frames hang off the innermost inline frame's token so a
+    // sibling failure anywhere up the chain kills them too.
+    let parent_token = inline.last().map_or(cancel, |f| &f.cancel);
+    let pf = machine.parcall_at_mut(idx);
+    let (id, cont, created_at) = (pf.id, pf.cont, (pf.trail, pf.heap));
+    let branches = std::mem::take(&mut pf.branches);
+    let (frame, cells) = FrameState::create(
+        id,
+        &machine.heap,
+        &branches,
+        parent,
+        parent_token,
+        local,
+        cont,
+        created_at,
+        ship_now,
+    );
+    let n = branches.len();
+    let pf = machine.parcall_at_mut(idx);
+    pf.branches = branches;
+    pf.ext = Some(Box::new(frame.clone()));
+    core.stats.cells_copied += cells as u64;
+    let charge = core.costs.parcall_frame_alloc
+        + core.costs.parcall_slot * n as u64
+        + cells as u64 * core.costs.heap_cell
+        + core.costs.queue_op * (n as u64 - 1);
+    core.charge(charge);
+    core.note(EventKind::FrameAlloc { slots: n });
+    if ship_now {
+        let inner = frame.inner.lock();
+        let tasks = (0..n)
+            .filter(|&slot| inner.slots[slot].state == SlotState::Unclaimed)
+            .map(|slot| Task {
+                frame: frame.clone(),
+                slot,
+                creator: core.id,
+            });
+        sh.queue.lock().extend(tasks);
+    }
+    frame
+}
+
 /// Refined runtime determinacy: a finished subgoal is deterministic when
 /// no choice point survives AND every nested parcall frame it integrated
 /// is itself incapable of further solutions. (The coarse
@@ -1632,14 +1849,34 @@ fn region_is_deterministic(machine: &Machine, from: usize) -> bool {
     use ace_machine::CtrlFrame;
     let ctrl = machine.ctrl_frames();
     ctrl[from.min(ctrl.len())..].iter().all(|f| match f {
-        CtrlFrame::Marker(_) => true,
+        CtrlFrame::Marker(_) | CtrlFrame::Record(_) => true,
         CtrlFrame::Choice(_) => false,
-        CtrlFrame::Parcall(pf) => pf
-            .ext
-            .as_ref()
-            .and_then(|e| e.downcast_ref::<Arc<FrameState>>())
-            .is_some_and(|fs| fs.fully_deterministic()),
+        CtrlFrame::Parcall(pf) => frame_is_deterministic(pf),
     })
+}
+
+/// The frames from control index `from` up lie in a determinate branch the
+/// owner ran itself (see `FrameInner::passable`).
+fn mark_passable(machine: &Machine, from: usize) {
+    for f in &machine.ctrl_frames()[from..] {
+        if let ace_machine::CtrlFrame::Parcall(pf) = f {
+            if let Some(fs) = pf
+                .ext
+                .as_ref()
+                .and_then(|e| e.downcast_ref::<Arc<FrameState>>())
+            {
+                fs.inner.lock().passable = true;
+            }
+        }
+    }
+}
+
+/// An (integrated) parcall frame that can produce no further solution.
+fn frame_is_deterministic(pf: &ace_machine::ParcallFrame) -> bool {
+    pf.ext
+        .as_ref()
+        .and_then(|e| e.downcast_ref::<Arc<FrameState>>())
+        .is_some_and(|fs| fs.fully_deterministic())
 }
 
 impl Engine for AndWorker {

@@ -34,7 +34,7 @@ fn registry(cli: &Cli) -> Vec<Experiment> {
         all.push((id, title, Box::new(run)));
     }
     let seed = cli.seed;
-    let beyond: [Experiment; 11] = [
+    let beyond: [Experiment; 12] = [
         (
             "or_scaling",
             "or-parallel corpus at 1/2/4/8 workers, plus a Perfetto trace",
@@ -67,6 +67,11 @@ fn registry(cli: &Cli) -> Vec<Experiment> {
                 let measured = compile::measure(1, |_| true)?;
                 Ok(compile::virtual_table(&measured)?.artifacts())
             }),
+        ),
+        (
+            "lazy",
+            "lazy parcall frames vs eager ones, and corpus at 1/2/4/8 workers",
+            Box::new(extras::lazy),
         ),
         (
             "ablation",

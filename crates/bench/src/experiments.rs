@@ -12,7 +12,8 @@ pub enum ExperimentKind {
     /// per-worker-count series for plotting (a paper figure); emitted as
     /// one unopt and one opt series per benchmark.
     Curves,
-    /// §2.3 overhead comparison: sequential vs 1-worker parallel.
+    /// §2.3 overhead comparison: sequential vs 1-worker parallel, with a
+    /// column for lazy frames beside the paper's optimized engine.
     Overhead,
 }
 
@@ -179,7 +180,7 @@ pub fn experiments() -> Vec<Experiment> {
             ],
             workers: vec![1],
             base: OptFlags::none(),
-            opt: OptFlags::all(),
+            opt: OptFlags::paper(),
             paper_claim: "unoptimized &ACE incurs 10-25% overhead vs \
                           sequential SICStus; with all optimizations <5% \
                           (often <2%)",

@@ -1,6 +1,7 @@
-//! Deterministic experiments beside the paper's and the or-engine's: the
-//! cost-model ablation, the answer store's memo and tabling tables, and
-//! the deep-SCC tabling stress.
+//! Deterministic experiments beside the paper's and the or-engine's: lazy
+//! parcall frames against the paper's eager ones, the cost-model
+//! ablation, the answer store's memo and tabling tables, and the deep-SCC
+//! tabling stress.
 
 use std::sync::Arc;
 
@@ -14,6 +15,120 @@ use crate::{
 
 fn store() -> Arc<AnswerStore> {
     Arc::new(AnswerStore::new(&StoreConfig::default().with_shards(8)))
+}
+
+/// Lazy parcall frames against the paper's eager ones: every and-parallel
+/// corpus program at its bench size, at 1/2/4/8 simulated workers, under
+/// the paper's four optimizations (`eager`) and with lazy frames too
+/// (`lazy`), beside the sequential system's time. Guards: at one worker no
+/// worker can ever be idle, so the lazy engine is the sequential machine
+/// plus one record per `&` — under 5% over the sequential time on every
+/// program; and at 2, 4 and 8 workers the corpus sum is no worse than the
+/// eager engine's.
+pub fn lazy() -> Result<Vec<Artifact>, String> {
+    const MAX_OVERHEAD_PCT: f64 = 5.0;
+    let mut table = Table::new(
+        "lazy",
+        "Lazy parcall frames — the and corpus, paper optimizations vs with lazy frames",
+        "virtual time; lazy_vs_eager% and lazy_vs_seq% are (lazy - x) / x; \
+         guards: lazy_vs_seq% < 5 at 1 worker on every program, and the \
+         corpus sum of lazy <= eager at 2, 4 and 8 workers",
+        &[
+            "program",
+            "size",
+            "workers",
+            "sequential",
+            "eager",
+            "lazy",
+            "lazy_vs_eager%",
+            "lazy_vs_seq%",
+            "frames_eager",
+            "frames_lazy",
+            "promoted",
+        ],
+        &[],
+    );
+    let pct = |t: u64, base: u64| 100.0 * (t as f64 - base as f64) / base as f64;
+    let mut sums = [(0u64, 0u64); WORKER_COUNTS.len()];
+    let mut failures = Vec::new();
+    for b in ace_programs::all()
+        .into_iter()
+        .filter(|b| b.mode == Mode::AndParallel)
+    {
+        let ace = Ace::load(&(b.program)(b.bench_size))?;
+        let query = (b.query)(b.bench_size);
+        let run = |w, opts| {
+            ace.run(
+                b.mode,
+                &query,
+                &cfg_for(b.all_solutions, w, opts, OrScheduler::Pool),
+            )
+            .map_err(|e| format!("lazy {} w={w}: {e}", b.name))
+        };
+        let seq = ace
+            .run(
+                Mode::Sequential,
+                &query,
+                &cfg_for(b.all_solutions, 1, OptFlags::none(), OrScheduler::Pool),
+            )
+            .map_err(|e| format!("lazy {} sequential: {e}", b.name))?
+            .virtual_time;
+        for (i, w) in WORKER_COUNTS.into_iter().enumerate() {
+            let (eager, lazy) = (run(w, OptFlags::paper())?, run(w, OptFlags::all())?);
+            if eager.solutions.len() != lazy.solutions.len() {
+                return Err(format!("lazy {} w={w}: the solution counts differ", b.name));
+            }
+            let (te, tl) = (eager.virtual_time, lazy.virtual_time);
+            sums[i].0 += te;
+            sums[i].1 += tl;
+            if w == 1 && pct(tl, seq) >= MAX_OVERHEAD_PCT {
+                failures.push(format!(
+                    "{}: one-worker overhead {:.1}% is not under {MAX_OVERHEAD_PCT}%",
+                    b.name,
+                    pct(tl, seq)
+                ));
+            }
+            table.rows.push(labels![
+                b.name,
+                b.bench_size,
+                w,
+                seq,
+                te,
+                tl,
+                format!("{:.1}", pct(tl, te)),
+                format!("{:.1}", pct(tl, seq)),
+                eager.stats.parcall_frames,
+                lazy.stats.parcall_frames,
+                lazy.stats.frames_promoted,
+            ]);
+        }
+    }
+    for (i, w) in WORKER_COUNTS.into_iter().enumerate() {
+        let (eager, lazy) = sums[i];
+        table.rows.push(labels![
+            "(sum)",
+            "",
+            w,
+            "",
+            eager,
+            lazy,
+            format!("{:.1}", pct(lazy, eager)),
+            "",
+            "",
+            "",
+            "",
+        ]);
+        if w > 1 && lazy > eager {
+            failures.push(format!(
+                "corpus sum at {w} workers: lazy {lazy} is worse than eager {eager}"
+            ));
+        }
+    }
+    if !failures.is_empty() {
+        eprintln!("{}", table.txt());
+        return Err(format!("lazy guard failed: {}", failures.join("; ")));
+    }
+    Ok(table.artifacts())
 }
 
 /// Cost-model sensitivity. The reproduction's conclusions rest on a

@@ -22,7 +22,8 @@
 //! | `table4` | shallow parallelism | SPO |
 //! | `fig8`   | execution-time curves | SPO |
 //! | `table5` | processor determinacy | PDO |
-//! | `overhead` | §2.3 parallel overhead vs sequential | all |
+//! | `overhead` | §2.3 parallel overhead vs sequential | the paper's four; lazy frames in a column |
+//! | `lazy` | lazy parcall frames vs eager ones, and corpus at 1–8 workers | lazy frames |
 //! | `or_scaling`, `or_steal_cost`, `or_claim_locality` | or-engine at 1–8 workers | — |
 //! | `or_topology`, `or_profile` | 64–512-worker grid, its worst cell profiled | — |
 //! | `fd_scaling` | `ace-fd` queens on the shared or-tree at 1–64 workers | LAO |

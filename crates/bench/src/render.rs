@@ -59,18 +59,32 @@ pub fn render_table(r: &ExperimentResult) -> String {
         ExperimentKind::Overhead => {
             let _ = writeln!(
                 out,
-                "{:<14} {:>12} {:>12} {:>12} {:>12} {:>12}",
-                "Benchmark", "sequential", "par-unopt", "par-opt", "ovh-unopt%", "ovh-opt%"
+                "{:<14} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+                "Benchmark",
+                "sequential",
+                "par-unopt",
+                "par-opt",
+                "ovh-unopt%",
+                "ovh-opt%",
+                "par-lazy",
+                "ovh-lazy%"
             );
             for b in r.benchmarks() {
                 for c in r.row(&b) {
                     let seq = c.sequential.unwrap_or(0) as f64;
-                    let ovh_unopt = 100.0 * (c.unopt as f64 - seq) / seq;
-                    let ovh_opt = 100.0 * (c.opt as f64 - seq) / seq;
+                    let lazy = c.lazy.unwrap_or(0);
+                    let ovh = |t: u64| 100.0 * (t as f64 - seq) / seq;
                     let _ = writeln!(
                         out,
-                        "{:<14} {:>12} {:>12} {:>12} {:>11.1}% {:>11.1}%",
-                        b, seq as u64, c.unopt, c.opt, ovh_unopt, ovh_opt
+                        "{:<14} {:>12} {:>12} {:>12} {:>11.1}% {:>11.1}% {:>12} {:>11.1}%",
+                        b,
+                        seq as u64,
+                        c.unopt,
+                        c.opt,
+                        ovh(c.unopt),
+                        ovh(c.opt),
+                        lazy,
+                        ovh(lazy)
                     );
                 }
             }
@@ -105,8 +119,14 @@ pub fn render_csv(r: &ExperimentResult) -> String {
         "experiment,benchmark,workers,unopt_time,opt_time,improvement_pct,\
          sequential_time,markers_unopt,markers_opt,markers_elided,\
          frames_unopt,frames_opt,lpco_merged,pdo_merges,lao_reused,\
-         published_unopt,published_opt,visits_unopt,visits_opt\n",
+         published_unopt,published_opt,visits_unopt,visits_opt",
     );
+    // Only the overhead table has a lazy-frames column.
+    let lazy = r.kind == ExperimentKind::Overhead;
+    if lazy {
+        out.push_str(",lazy_time");
+    }
+    out.push('\n');
     for c in &r.cells {
         let _ = writeln!(
             out,
@@ -131,6 +151,10 @@ pub fn render_csv(r: &ExperimentResult) -> String {
             c.unopt_stats.tree_visits,
             c.opt_stats.tree_visits,
         );
+        if lazy {
+            out.pop();
+            let _ = writeln!(out, ",{}", c.lazy.unwrap_or(0));
+        }
     }
     out
 }

@@ -18,6 +18,9 @@ pub struct CellResult {
     pub improvement: f64,
     /// Sequential-baseline virtual time (overhead experiment only).
     pub sequential: Option<u64>,
+    /// Virtual time with every optimization, lazy frames included
+    /// (overhead experiment only).
+    pub lazy: Option<u64>,
     /// Mechanism counters of the optimized run, for the "why" columns.
     pub opt_stats: ace_runtime::Stats,
     pub unopt_stats: ace_runtime::Stats,
@@ -50,13 +53,14 @@ pub fn cfg_for(
     c
 }
 
-/// All solutions, every optimization, the pool scheduler: what every
-/// experiment beyond the paper's on/off tables runs.
+/// All solutions, the paper's four optimizations, the pool scheduler:
+/// what every experiment beyond the paper's on/off tables runs (lazy
+/// frames have their own table, `lazy`).
 pub fn pool_cfg(workers: usize) -> EngineConfig {
     cfg_for(
         true,
         workers,
-        OptFlags::all(),
+        OptFlags::paper(),
         ace_runtime::OrScheduler::Pool,
     )
 }
@@ -90,6 +94,14 @@ pub fn run_experiment(exp: &Experiment) -> Result<ExperimentResult, String> {
                 opt.solutions.len(),
                 "{name} w={w}: optimized run changed the solution count"
             );
+            let lazy = match exp.kind {
+                ExperimentKind::Overhead => Some(
+                    ace.run(b.mode, &query, &cfg(w, OptFlags::all()))
+                        .map_err(|e| format!("{name} w={w} lazy: {e}"))?
+                        .virtual_time,
+                ),
+                _ => None,
+            };
             cells.push(CellResult {
                 benchmark: name.to_owned(),
                 workers: w,
@@ -97,6 +109,7 @@ pub fn run_experiment(exp: &Experiment) -> Result<ExperimentResult, String> {
                 opt: opt.virtual_time,
                 improvement: unopt.improvement_over(&opt),
                 sequential,
+                lazy,
                 opt_stats: opt.stats,
                 unopt_stats: unopt.stats,
             });

@@ -45,7 +45,8 @@ impl Schema {
     }
 }
 
-/// The four concrete optimizations implemented in this reproduction.
+/// The concrete optimizations implemented in this reproduction: the
+/// paper's four, and lazy parcall frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Optimization {
     /// Last Parallel Call Optimization (§3.1).
@@ -56,21 +57,25 @@ pub enum Optimization {
     Spo,
     /// Processor Determinacy Optimization (§4.2).
     Pdo,
+    /// Lazy parcall frames: procrastination applied to the parcall frame
+    /// itself (not in the paper's tables).
+    Lazy,
 }
 
 impl Optimization {
-    pub const ALL: [Optimization; 4] = [
+    pub const ALL: [Optimization; 5] = [
         Optimization::Lpco,
         Optimization::Lao,
         Optimization::Spo,
         Optimization::Pdo,
+        Optimization::Lazy,
     ];
 
     /// Which schema this optimization instantiates.
     pub fn schema(&self) -> Schema {
         match self {
             Optimization::Lpco | Optimization::Lao => Schema::Flattening,
-            Optimization::Spo => Schema::Procrastination,
+            Optimization::Spo | Optimization::Lazy => Schema::Procrastination,
             Optimization::Pdo => Schema::Sequentialization,
         }
     }
@@ -81,6 +86,7 @@ impl Optimization {
             Optimization::Lao => "Last Alternative Optimization",
             Optimization::Spo => "Shallow Parallelism Optimization",
             Optimization::Pdo => "Processor Determinacy Optimization",
+            Optimization::Lazy => "Lazy Parcall Frames",
         }
     }
 
@@ -90,6 +96,7 @@ impl Optimization {
             Optimization::Lao => "LAO",
             Optimization::Spo => "SPO",
             Optimization::Pdo => "PDO",
+            Optimization::Lazy => "LAZY",
         }
     }
 
@@ -100,6 +107,7 @@ impl Optimization {
             Optimization::Lao => OptFlags::lao_only(),
             Optimization::Spo => OptFlags::spo_only(),
             Optimization::Pdo => OptFlags::pdo_only(),
+            Optimization::Lazy => OptFlags::lazy_only(),
         }
     }
 }
@@ -114,13 +122,17 @@ mod tests {
         assert_eq!(Optimization::Lao.schema(), Schema::Flattening);
         assert_eq!(Optimization::Spo.schema(), Schema::Procrastination);
         assert_eq!(Optimization::Pdo.schema(), Schema::Sequentialization);
+        assert_eq!(Optimization::Lazy.schema(), Schema::Procrastination);
     }
 
     #[test]
     fn flags_are_singletons() {
         for opt in Optimization::ALL {
             let f = opt.flags();
-            let on = [f.lpco, f.lao, f.spo, f.pdo].iter().filter(|b| **b).count();
+            let on = [f.lpco, f.lao, f.spo, f.pdo, f.lazy]
+                .iter()
+                .filter(|b| **b)
+                .count();
             assert_eq!(on, 1, "{opt:?}");
         }
     }

@@ -36,7 +36,8 @@
 //! mark, machine.cont + 1)`**:
 //!
 //! * `Machine.cont`, the running continuation — below `cont + 1`;
-//! * a control frame (`ChoicePoint.cont`, `ParcallFrame.cont`) — the handle
+//! * a control frame (`ChoicePoint.cont`, `ParcallFrame.cont`,
+//!   `ParRecord.cont`) — the handle
 //!   existed when the frame was pushed, so it is below that frame's mark,
 //!   hence below the top frame's;
 //! * the and-engine's `FrameState.cont`, a copy of the `ParcallFrame.cont`
@@ -247,6 +248,11 @@ pub enum Goal {
     /// The inline-executed branch of the parallel call `frame` arrived at
     /// its end.
     InlineBarrier { frame: u64 },
+    /// Goal `next - 1` of the parallel conjunction whose record sits at
+    /// control index `rec` finished: start goal `next`, or after the last
+    /// one pop the record if it is on top. Once the record is promoted,
+    /// the end of the goal its owner was running: the frame's barrier.
+    ParNext { rec: u32, next: u32 },
 }
 
 /// One pending goal plus the cut barrier of its enclosing clause body
@@ -546,6 +552,9 @@ impl ContStack {
                     heap.new_struct(f, &[int(subgoal as u64), goal.cell()])
                 }
                 Goal::InlineBarrier { frame } => heap.new_struct(f, &[int(frame)]),
+                Goal::ParNext { rec, next } => {
+                    heap.new_struct(f, &[int(rec as u64), int(next as u64)])
+                }
             });
         }
         (heap.new_struct(closure_sym(), &args), frames)

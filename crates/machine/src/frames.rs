@@ -7,6 +7,9 @@
 //!   it serves as a source of and-parallel work."
 //! * [`Marker`] — input/end markers "delimit the segments of stacks
 //!   corresponding to goals taken from a parallel conjunction."
+//! * [`ParRecord`] — a parallel conjunction running as a sequential one
+//!   (lazy frames): what a `ParcallFrame` would record, kept until an idle
+//!   worker makes it worth building the frame.
 //!
 //! The optimizations are, concretely, policies about when these frames can
 //! be *reused* (LPCO, LAO), *never allocated* (SPO, PDO), or traversed in
@@ -144,6 +147,39 @@ impl std::fmt::Debug for ParcallFrame {
     }
 }
 
+/// A parallel conjunction `g0 & … & gn-1` that no idle worker asked for,
+/// running as `g0, …, gn-1` (lazy frames). It carries a frame's marks, so
+/// the liveness rule protects the conjunction's continuation as a
+/// [`ParcallFrame`] would; backtracking and cut pass through it as through
+/// an input marker, and determinacy tests count it as no choice point.
+/// The node after each goal (`Goal::ParNext`) starts the next goal, and
+/// the node after the last pops the record when it is on top. Promotion
+/// replaces it in place by the [`ParcallFrame`] of the same id.
+#[derive(Debug, Clone)]
+pub struct ParRecord {
+    /// The `&` term; goal `i` is its `i`-th conjunct.
+    pub goal: Cell,
+    /// The number of conjuncts.
+    pub len: u32,
+    /// Continuation after the conjunction.
+    pub cont: Cont,
+    pub trail: TrailMark,
+    pub heap: HeapMark,
+    /// Continuation-stack height at creation (protects `cont`).
+    pub conts: ContMark,
+    pub barrier: u32,
+    /// The goal that started last while nothing but records lay above
+    /// this one, with the trail and heap marks at its start: while nothing
+    /// but records lie above it, this is the goal running now.
+    pub running: u32,
+    pub running_at: (TrailMark, HeapMark),
+    /// The furthest goal started since `running` did. Beyond `running`,
+    /// the running goal has finished before and been backtracked into:
+    /// answers through its earlier solutions are out, so it cannot start
+    /// over as a slot.
+    pub reached: u32,
+}
+
 /// Which end of a stack section a marker delimits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarkerKind {
@@ -182,6 +218,7 @@ pub enum CtrlFrame {
     Choice(ChoicePoint),
     Parcall(ParcallFrame),
     Marker(Marker),
+    Record(ParRecord),
 }
 
 impl CtrlFrame {
@@ -197,6 +234,16 @@ impl CtrlFrame {
         matches!(self, CtrlFrame::Marker(_))
     }
 
+    pub fn is_record(&self) -> bool {
+        matches!(self, CtrlFrame::Record(_))
+    }
+
+    /// Neither a choice point nor a parcall frame: nothing backtracking can
+    /// resume (a marker, or a record, which it passes through).
+    pub fn is_transparent(&self) -> bool {
+        matches!(self, CtrlFrame::Marker(_) | CtrlFrame::Record(_))
+    }
+
     /// Continuation-stack height when this frame was pushed.
     #[inline]
     pub fn cont_mark(&self) -> ContMark {
@@ -204,6 +251,7 @@ impl CtrlFrame {
             CtrlFrame::Choice(cp) => cp.conts,
             CtrlFrame::Parcall(pf) => pf.conts,
             CtrlFrame::Marker(m) => m.conts,
+            CtrlFrame::Record(r) => r.conts,
         }
     }
 }

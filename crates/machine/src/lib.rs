@@ -34,7 +34,7 @@ pub mod pool;
 pub mod solve;
 
 pub use cont::{Cont, ContMark, ContNode, ContStack};
-pub use frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame};
+pub use frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParRecord, ParcallFrame};
 pub use machine::{Machine, Status};
 pub use pool::MachinePool;
 pub use solve::{binding_order, Solution, Solver};

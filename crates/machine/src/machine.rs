@@ -22,7 +22,9 @@ use ace_runtime::{
 use ace_table::{AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome};
 
 use crate::cont::{BodyAt, Callable, Cont, ContMark, ContStack, Env, Goal};
-use crate::frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParcallFrame, SharedChoice};
+use crate::frames::{
+    Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParRecord, ParcallFrame, SharedChoice,
+};
 use crate::solve::{binding_order, render_bindings};
 
 /// Machine execution status, returned by [`Machine::step`] / [`Machine::run`].
@@ -214,6 +216,13 @@ pub struct Machine {
     /// Whether `&`/2 raises [`Status::Parcall`] (parallel engines) or is
     /// executed as `,`/2 (pure sequential baseline).
     par_enabled: bool,
+    /// Lazy frames: `&`/2 pushes a [`ParRecord`] and runs as `,`/2 instead
+    /// of raising [`Status::Parcall`] (set by the engine each quantum: no
+    /// idle worker is asking for work).
+    defer_parcalls: bool,
+    /// ... except a `&` that ends a determinate computation, which LPCO
+    /// merges into the frame the computation is a slot of.
+    raise_trailing: bool,
     pub stats: Stats,
     pub(crate) costs: Arc<CostModel>,
     /// Captured output of `write/1`, `nl/0`, `writeln/1`.
@@ -308,6 +317,8 @@ impl Machine {
             ctrl: Vec::with_capacity(64),
             status: Status::Failed,
             par_enabled: false,
+            defer_parcalls: false,
+            raise_trailing: false,
             stats: Stats::new(),
             costs,
             output: String::new(),
@@ -410,6 +421,14 @@ impl Machine {
         self.par_enabled = on;
     }
 
+    /// Lazy frames: whether the next `&`/2 reached pushes a record and runs
+    /// as a sequential conjunction (`true`: nobody would take its goals)
+    /// or raises [`Status::Parcall`] for a frame (`false`, the default).
+    pub fn defer_parcalls(&mut self, on: bool, raise_trailing: bool) {
+        self.defer_parcalls = on;
+        self.raise_trailing = raise_trailing;
+    }
+
     pub fn db(&self) -> &Arc<Database> {
         &self.db
     }
@@ -454,6 +473,7 @@ impl Machine {
         self.cont = Cont::NONE;
         self.conts.clear();
         self.ctrl.clear();
+        self.defer_parcalls = false;
         self.status = Status::Failed;
         self.output.clear();
         self.answers.clear();
@@ -1113,7 +1133,7 @@ impl Machine {
     pub fn is_deterministic_above(&self, height: usize) -> bool {
         self.ctrl[height.min(self.ctrl.len())..]
             .iter()
-            .all(|f| f.is_marker())
+            .all(CtrlFrame::is_transparent)
     }
 
     /// The parcall frame on top of the control stack (present when status
@@ -1130,6 +1150,69 @@ impl Machine {
             Some(CtrlFrame::Parcall(pf)) => Some(pf),
             _ => None,
         }
+    }
+
+    /// Control index of the parcall frame `id`, if it is on the stack.
+    pub fn parcall_index(&self, id: u64) -> Option<usize> {
+        self.ctrl
+            .iter()
+            .rposition(|f| matches!(f, CtrlFrame::Parcall(pf) if pf.id == id))
+    }
+
+    /// The parcall frame at control index `idx` (a frame just raised or
+    /// just promoted, for the and-engine to attach its state to).
+    pub fn parcall_at_mut(&mut self, idx: usize) -> &mut ParcallFrame {
+        match &mut self.ctrl[idx] {
+            CtrlFrame::Parcall(pf) => pf,
+            other => panic!("parcall_at_mut: not a parcall frame: {other:?}"),
+        }
+    }
+
+    /// Lazy frames: the oldest record with a goal not yet started and
+    /// nothing but records above it — the one whose promotion would hand
+    /// the most work to an idle worker. Its goals so far were determinate:
+    /// no choice point is above it. Its running goal has not finished
+    /// before (see [`ParRecord::reached`]), so it can start over as a slot.
+    pub fn promotable_record(&self) -> Option<usize> {
+        let mut oldest = None;
+        for (i, f) in self.ctrl.iter().enumerate().rev() {
+            match f {
+                CtrlFrame::Record(r) if r.running + 1 < r.len && r.reached == r.running => {
+                    oldest = Some(i)
+                }
+                CtrlFrame::Record(_) => {}
+                _ => break,
+            }
+        }
+        oldest
+    }
+
+    /// Lazy frames: replace the record at control index `idx` (see
+    /// [`Machine::promotable_record`]) by the parcall frame the `&` would
+    /// have raised, with the record's marks and continuation. Returns the
+    /// goal running now and the trail and heap marks at its start: goals
+    /// before it are finished, goals after it unstarted. From now on the
+    /// node after the running goal reports [`Status::InlineBarrier`].
+    pub fn promote_record(
+        &mut self,
+        idx: usize,
+    ) -> (usize, (TrailMark, ace_logic::heap::HeapMark)) {
+        let CtrlFrame::Record(r) = &self.ctrl[idx] else {
+            panic!("promote_record: not a record");
+        };
+        let pf = ParcallFrame {
+            id: PARCALL_IDS.fetch_add(1, Ordering::Relaxed),
+            branches: conjuncts(&self.heap, r.goal),
+            cont: r.cont,
+            trail: r.trail,
+            heap: r.heap,
+            conts: r.conts,
+            barrier: r.barrier,
+            ext: None,
+        };
+        let running = (r.running as usize, r.running_at);
+        self.ctrl[idx] = CtrlFrame::Parcall(pf);
+        running
     }
 
     /// Resume execution after the and-engine integrated a (new) solution of
@@ -1186,7 +1269,7 @@ impl Machine {
                     }
                     self.charge(self.costs.frame_traverse);
                 }
-                Some(CtrlFrame::Marker(_)) => {
+                Some(CtrlFrame::Marker(_) | CtrlFrame::Record(_)) => {
                     self.charge(self.costs.frame_traverse);
                 }
                 Some(CtrlFrame::Parcall(pf)) => {
@@ -1220,21 +1303,33 @@ impl Machine {
         }
     }
 
-    /// LPCO in inline chains: is the control stack between the top parcall
-    /// frame and the *previous* parcall frame free of choice points (the
-    /// inline branch has been determinate since its frame)?
-    pub fn deterministic_since_previous_parcall(&self) -> bool {
-        if self.ctrl.is_empty() {
-            return true;
-        }
-        for f in self.ctrl[..self.ctrl.len() - 1].iter().rev() {
+    /// LPCO in inline chains: has this machine been determinate since the
+    /// parcall frame `id` — no choice point between it and the top frame
+    /// (the call just raised), and every frame between them determinate by
+    /// `frame_det`? Markers and records are no choice points. The frame
+    /// merged into must be `id` itself, not merely the nearest frame: a
+    /// choice point below a nested frame is still below the merge.
+    pub fn deterministic_since_parcall(
+        &self,
+        id: u64,
+        frame_det: impl Fn(&ParcallFrame) -> bool,
+    ) -> bool {
+        let Some(top) = self.ctrl.len().checked_sub(1) else {
+            return false;
+        };
+        for f in self.ctrl[..top].iter().rev() {
             match f {
-                CtrlFrame::Marker(_) => continue,
+                CtrlFrame::Marker(_) | CtrlFrame::Record(_) => {}
                 CtrlFrame::Choice(_) => return false,
-                CtrlFrame::Parcall(_) => return true,
+                CtrlFrame::Parcall(pf) if pf.id == id => return true,
+                CtrlFrame::Parcall(pf) => {
+                    if !frame_det(pf) {
+                        return false;
+                    }
+                }
             }
         }
-        true
+        false
     }
 
     /// The top parcall frame is exhausted (inside failure on first
@@ -1246,6 +1341,19 @@ impl Machine {
         };
         self.untrail(pf.trail);
         self.heap.truncate_to(pf.heap);
+        self.charge(self.costs.frame_traverse);
+        self.backtrack()
+    }
+
+    /// The top parcall frame had no alternative to give (every group
+    /// determinate): pop it without restoring anything, as a choice point
+    /// with none left is passed, and continue backtracking. Bindings made
+    /// since — by goals the owner ran itself — stay for the next frame
+    /// below that redoes; a choice point below restores its own marks.
+    pub fn pass_parcall(&mut self) -> Status {
+        let Some(CtrlFrame::Parcall(_)) = self.ctrl.pop() else {
+            panic!("pass_parcall: no parcall on top");
+        };
         self.charge(self.costs.frame_traverse);
         self.backtrack()
     }
@@ -1505,10 +1613,14 @@ impl Machine {
     /// is a cache line every machine of the run shares.
     pub fn run(&mut self, quantum: u64, cancel: Option<&CancelToken>) -> Status {
         let db = Arc::clone(&self.db);
-        self.run_in(&db, quantum, cancel)
+        self.run_on(&db, quantum, cancel)
     }
 
-    fn run_in(&mut self, db: &Database, quantum: u64, cancel: Option<&CancelToken>) -> Status {
+    /// [`Machine::run`] against `db`, this machine's program borrowed by
+    /// the caller (an engine's machine pool holds it), so a quantum costs
+    /// no reference count at all.
+    pub fn run_on(&mut self, db: &Database, quantum: u64, cancel: Option<&CancelToken>) -> Status {
+        debug_assert!(std::ptr::eq(db, Arc::as_ptr(&self.db)));
         let start = self.stats.cost;
         loop {
             if let Some(tok) = cancel {
@@ -1561,7 +1673,7 @@ impl Machine {
             return Status::Failed;
         }
         match cancel {
-            Some(_) => self.run_in(db, u64::MAX, cancel),
+            Some(_) => self.run_on(db, u64::MAX, cancel),
             None => self.complete_in(db),
         }
     }
@@ -1589,6 +1701,9 @@ impl Machine {
         self.cont = node.next;
         let floor = self.cont_floor();
         self.conts.trim(floor, node.next);
+        if let Goal::ParNext { rec, next } = node.goal {
+            return self.par_next(rec as usize, next);
+        }
         self.charge(self.costs.call_dispatch);
         match node.goal {
             Goal::Term(goal) => self.dispatch(db, goal, node.barrier),
@@ -1608,6 +1723,7 @@ impl Machine {
                 self.status = Status::InlineBarrier(frame);
                 self.status.clone()
             }
+            Goal::ParNext { .. } => unreachable!("dispatched above"),
         }
     }
 
@@ -1648,7 +1764,16 @@ impl Machine {
                 // and-engine's slot protocol (sound — parallel conjunction
                 // and sequential conjunction agree on answer sets).
                 Some(Builtin::Par) if self.par_enabled && self.table_gen_stack.is_empty() => {
-                    self.raise_parcall(goal, barrier)
+                    let trailing = || {
+                        self.raise_trailing
+                            && self.cont.is_none()
+                            && self.ctrl.iter().all(CtrlFrame::is_marker)
+                    };
+                    if self.defer_parcalls && !trailing() {
+                        self.push_record(goal, barrier)
+                    } else {
+                        self.raise_parcall(goal, barrier)
+                    }
                 }
                 // sequential fallback: `&` behaves as `,`
                 Some(Builtin::Par) => self.conjunction(hdr, barrier),
@@ -1681,27 +1806,12 @@ impl Machine {
     }
 
     fn raise_parcall(&mut self, goal: Cell, barrier: u32) -> Status {
-        // Flatten `a & b & c` (xfy: a & (b & c)) into branch list.
-        let mut branches = Vec::new();
-        let mut cur = goal;
-        loop {
-            match view(&self.heap, cur) {
-                TermView::Struct(f, 2, hdr) if f == wk().amp => {
-                    branches.push(self.heap.str_arg(hdr, 0));
-                    cur = self.heap.str_arg(hdr, 1);
-                }
-                _ => {
-                    branches.push(cur);
-                    break;
-                }
-            }
-        }
         // Frame-allocation cost and count are charged by the and-engine,
         // which decides whether this frame is kept or merged away (LPCO).
         self.parcalls_raised += 1;
         let pf = ParcallFrame {
             id: PARCALL_IDS.fetch_add(1, Ordering::Relaxed),
-            branches,
+            branches: conjuncts(&self.heap, goal),
             cont: self.cont,
             trail: self.heap.trail_mark(),
             heap: self.heap.heap_mark(),
@@ -1712,6 +1822,86 @@ impl Machine {
         self.ctrl.push(CtrlFrame::Parcall(pf));
         self.status = Status::Parcall;
         Status::Parcall
+    }
+
+    /// Lazy frames: run `g0 & … & gn-1` as `g0, …, gn-1` under a
+    /// [`ParRecord`], charged the SPO price of a procrastinated structure.
+    /// Each goal's cut barrier is the control height at its start, as in a
+    /// frame's branch. Counted as a raised parallel call, so a derivation
+    /// through it is never memoized, as one through a frame is not.
+    fn push_record(&mut self, goal: Cell, barrier: u32) -> Status {
+        self.parcalls_raised += 1;
+        self.charge(self.costs.spo_track);
+        let rec = self.ctrl.len() as u32;
+        let at = (self.heap.trail_mark(), self.heap.heap_mark());
+        self.ctrl.push(CtrlFrame::Record(ParRecord {
+            goal,
+            len: conjunct_count(&self.heap, goal),
+            cont: self.cont,
+            trail: at.0,
+            heap: at.1,
+            conts: self.conts.mark(),
+            barrier,
+            running: 0,
+            running_at: at,
+            reached: 0,
+        }));
+        let next = self
+            .conts
+            .push(self.cont, Goal::ParNext { rec, next: 1 }, 0);
+        let first = conjunct(&self.heap, goal, 0);
+        self.cont = self.conts.push(next, Goal::Term(first), rec + 1);
+        Status::Running
+    }
+
+    /// The node after goal `next - 1` of the conjunction recorded at
+    /// control index `rec` ran. Once promoted, it is the end of the goal
+    /// the owner was running. Otherwise start goal `next` in front of a
+    /// node like this one, noting it in the record while nothing but
+    /// records lie above it; after the last goal, pop the record if it is
+    /// on top (else a choice point above still needs it). Unpromoted, the
+    /// node is the record's own bookkeeping: priced once, by the record's
+    /// `spo_track`, it charges no dispatch. As a frame's barrier it is
+    /// charged what an `InlineBarrier` node is.
+    fn par_next(&mut self, rec: usize, next: u32) -> Status {
+        let height = self.ctrl.len();
+        let open = self.ctrl[rec + 1..].iter().all(CtrlFrame::is_record);
+        let at = (self.heap.trail_mark(), self.heap.heap_mark());
+        let (len, conj) = match &mut self.ctrl[rec] {
+            CtrlFrame::Record(r) => {
+                if open && next < r.len {
+                    r.running = next;
+                    r.running_at = at;
+                    r.reached = next;
+                } else {
+                    r.reached = r.reached.max(next);
+                }
+                (r.len, r.goal)
+            }
+            CtrlFrame::Parcall(pf) => {
+                self.status = Status::InlineBarrier(pf.id);
+                self.charge(self.costs.call_dispatch);
+                return self.status.clone();
+            }
+            other => panic!("parallel conjunction node over {other:?}"),
+        };
+        if next == len {
+            if rec + 1 == height {
+                self.ctrl.pop();
+            }
+            return Status::Running;
+        }
+        let goal = conjunct(&self.heap, conj, next);
+        let after = self.conts.push(
+            self.cont,
+            Goal::ParNext {
+                rec: rec as u32,
+                next: next + 1,
+            },
+            0,
+        );
+        self.cont = self.conts.push(after, Goal::Term(goal), height as u32);
+        Status::Running
     }
 
     fn disjunction(&mut self, hdr: Addr, barrier: u32) -> Status {
@@ -2133,7 +2323,7 @@ impl Machine {
                 }
                 // Cutting across a parcall frame commits to its first
                 // solution; its ext (slot generators) is dropped here.
-                CtrlFrame::Parcall(_) | CtrlFrame::Marker(_) => {}
+                CtrlFrame::Parcall(_) | CtrlFrame::Marker(_) | CtrlFrame::Record(_) => {}
             }
         }
     }
@@ -2182,6 +2372,13 @@ impl Machine {
                         self.status = Status::FenceHit(fid, slot);
                         return self.status.clone();
                     }
+                }
+                CtrlFrame::Record(_) => {
+                    // An unpromoted conjunction is a sequential one: pass
+                    // through, as through an input marker.
+                    self.charge(self.costs.frame_traverse);
+                    self.stats.frame_traversals += 1;
+                    self.ctrl.pop();
                 }
                 CtrlFrame::Parcall(_) => {
                     // Outside backtracking into a parallel call: hand over
@@ -2383,6 +2580,42 @@ impl Machine {
 /// ever materialized. Inlined into both callers, the clause neck and the
 /// body step.
 #[inline]
+/// The number of conjuncts of `a & b & c` (`&` is `xfy`: `a & (b & c)`).
+fn conjunct_count(heap: &Heap, goal: Cell) -> u32 {
+    let mut n = 1;
+    let mut cur = goal;
+    while let TermView::Struct(f, 2, hdr) = view(heap, cur) {
+        if f != wk().amp {
+            break;
+        }
+        n += 1;
+        cur = heap.str_arg(hdr, 1);
+    }
+    n
+}
+
+/// Conjunct `i` of `a & b & c`.
+fn conjunct(heap: &Heap, goal: Cell, i: u32) -> Cell {
+    let mut cur = goal;
+    for _ in 0..i {
+        match view(heap, cur) {
+            TermView::Struct(f, 2, hdr) if f == wk().amp => cur = heap.str_arg(hdr, 1),
+            _ => unreachable!("conjunct {i} of a shorter conjunction"),
+        }
+    }
+    match view(heap, cur) {
+        TermView::Struct(f, 2, hdr) if f == wk().amp => heap.str_arg(hdr, 0),
+        _ => cur,
+    }
+}
+
+/// The conjuncts of `a & b & c`, in order.
+fn conjuncts(heap: &Heap, goal: Cell) -> Vec<Cell> {
+    (0..conjunct_count(heap, goal))
+        .map(|i| conjunct(heap, goal, i))
+        .collect()
+}
+
 fn inline_steps(
     heap: &mut Heap,
     stats: &mut Stats,

@@ -29,6 +29,12 @@ impl MachinePool {
         }
     }
 
+    /// The program every machine of this pool runs, for
+    /// [`Machine::run_on`].
+    pub fn db(&self) -> &Database {
+        &self.db
+    }
+
     /// A machine configured for `w`'s run: a recycled one when available,
     /// else freshly allocated.
     pub fn acquire(&mut self, w: &mut WorkerCore) -> Box<Machine> {

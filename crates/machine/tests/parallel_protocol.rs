@@ -168,7 +168,7 @@ fn unsurfaced_cost_is_monotonic_and_exact() {
 }
 
 #[test]
-fn deterministic_since_previous_parcall() {
+fn deterministic_since_parcall() {
     let mut m = machine(PROG);
     m.load_query_text("a(X) & b(Y)").unwrap();
     assert_eq!(m.run_to_completion(), Status::Parcall);
@@ -180,7 +180,8 @@ fn deterministic_since_previous_parcall() {
     let fid = m.top_parcall().unwrap().id;
     m.run_inline_branch(goal, fid);
     assert_eq!(m.run_to_completion(), Status::Parcall);
-    assert!(m.deterministic_since_previous_parcall());
+    assert!(m.deterministic_since_parcall(fid, |_| true));
+    assert!(!m.deterministic_since_parcall(fid + 1_000_000, |_| true));
 
     // a nondeterministic step in between breaks it
     let mut m2 = machine(PROG);
@@ -193,7 +194,7 @@ fn deterministic_since_previous_parcall() {
     };
     m2.run_inline_branch(goal2, fid2);
     assert_eq!(m2.run_to_completion(), Status::Parcall);
-    assert!(!m2.deterministic_since_previous_parcall());
+    assert!(!m2.deterministic_since_parcall(fid2, |_| true));
 }
 
 #[test]

@@ -267,12 +267,16 @@ impl OrWorker {
     }
 
     fn run_current(&mut self) {
-        let core = &mut self.tree.core;
-        let cancel = core.ctl.cancel.clone();
-        core.note(EventKind::QuantumStart);
-        let before = core.phase_cost;
+        self.tree.core.note(EventKind::QuantumStart);
+        let before = self.tree.core.phase_cost;
         let run = self.current.as_mut().expect("run_current without machine");
-        let status = run.machine.run(RUN_QUANTUM, Some(&cancel));
+        // The program and the root token are borrowed: a quantum takes no
+        // reference count.
+        let cancel = &self.tree.core.ctl.cancel;
+        let status = run
+            .machine
+            .run_on(self.machines.db(), RUN_QUANTUM, Some(cancel));
+        let core = &mut self.tree.core;
         run.machine.surface(core);
         core.note(EventKind::QuantumEnd {
             cost: core.phase_cost - before,

@@ -243,10 +243,29 @@ pub struct Generated {
 /// the or-parallel engine, which must not cut a published choice point,
 /// computes the same answers.
 pub fn program(seed: u64) -> Generated {
+    generate(seed, false)
+}
+
+/// Like [`program`], but every recursive rule runs its calls as an
+/// independent parallel conjunction: `( G0 & G1 [& G2] )`, where each
+/// goal reads only the bound `N`, `N1` and variables of its own, so no
+/// unbound variable is shared between goals. Goals call the same
+/// nondeterministic facts, strata and helpers as [`program`]'s, so
+/// conjunctions meet choice points and are backtracked into; a third of
+/// the rules end with the conjunction, binding `R` in its last goal — a
+/// recursive call there (`pI(N1, R)`) makes the right-recursive spine LPCO
+/// flattens. `&` as `,` gives the sequential answers, so the sequential
+/// machine is the and-engine's oracle.
+pub fn par_program(seed: u64) -> Generated {
+    generate(seed, true)
+}
+
+fn generate(seed: u64, par: bool) -> Generated {
     let mut g = ProgramGen {
         rng: Lcg::new(seed),
         src: String::new(),
         callees: Vec::new(),
+        par,
     };
     g.src.push_str("t(0, 2).\nt(1, 5).\nt(2, 3).\nt(3, 1).\n");
     let strata = 2 + g.rng.below(3) as usize;
@@ -273,6 +292,8 @@ struct ProgramGen {
     /// if-then-else helpers, which recurse on `In` (a call passes its
     /// `N1`), and cut helpers, which do not (a call passes any integer).
     callees: Vec<String>,
+    /// Rule bodies run their calls as a parallel conjunction.
+    par: bool,
 }
 
 impl ProgramGen {
@@ -366,7 +387,11 @@ impl ProgramGen {
     fn stratum(&mut self, i: usize) {
         let base = self.small();
         self.src.push_str(&format!("p{i}(0, {base}).\n"));
-        let body = self.rule_body(i);
+        let body = if self.par {
+            self.par_body(i)
+        } else {
+            self.rule_body(i)
+        };
         self.src
             .push_str(&format!("p{i}(N, R) :- N > 0, N1 is N - 1, {body}.\n"));
         if self.rng.below(4) != 0 {
@@ -407,6 +432,70 @@ impl ProgramGen {
     }
 }
 
+impl ProgramGen {
+    /// The goals of `pI`'s recursive rule after its neck, as a parallel
+    /// conjunction of two or three independent goals, each a call followed
+    /// by up to one test or binding over `N`, `N1` and its own variables;
+    /// then `R`'s value — or, in a third of the rules, `R` bound inside the
+    /// last goal, which makes the conjunction the rule's last goal. Before
+    /// it, in a third of the rules each, an enumeration of two facts and a
+    /// conjunction of two fact lookups, whose outputs the conjunction does
+    /// not read.
+    fn par_body(&mut self, i: usize) -> String {
+        let base = ["N".to_owned(), "N1".to_owned()];
+        let mut after = base.to_vec();
+        // Before the conjunction, sometimes a two-fact enumeration (a choice
+        // point) and sometimes a conjunction of two fact lookups (a frame
+        // or record still on the control stack when the last one runs).
+        let mut pre = String::new();
+        if self.rng.below(3) == 0 {
+            pre += "t(KP, P0), KP < 2, ";
+            after.push("P0".to_owned());
+        }
+        if self.rng.below(3) == 0 {
+            pre += "( t(N1, X0) & t(N1, X1) ), ";
+            after.extend(["X0".to_owned(), "X1".to_owned()]);
+        }
+        let arms = 2 + self.rng.below(2) as usize;
+        let trailing = self.rng.below(3) == 0;
+        let mut branches = Vec::with_capacity(arms);
+        for c in 0..arms {
+            let last = c + 1 == arms;
+            if last && trailing && self.rng.below(2) == 0 {
+                branches.push(format!("p{i}(N1, R)"));
+                continue;
+            }
+            let out = format!("A{c}");
+            let own = last && self.rng.below(3) == 0;
+            let mut goals = vec![self.call(i, own, &out, &base)];
+            let mut local = base.to_vec();
+            local.push(out);
+            if self.rng.below(2) == 0 {
+                let v = format!("B{c}");
+                let (goal, binds) = self.mix(&v, &local);
+                goals.push(goal);
+                if binds {
+                    local.push(v);
+                }
+            }
+            if last && trailing {
+                goals.push(format!(
+                    "R is {} + {}",
+                    self.expr(&local),
+                    self.expr(&local)
+                ));
+            }
+            after.extend_from_slice(&local[base.len()..]);
+            branches.push(format!("({})", goals.join(", ")));
+        }
+        let conj = format!("{pre}( {} )", branches.join(" & "));
+        if trailing {
+            return conj;
+        }
+        format!("{conj}, R is {} + {}", self.expr(&after), self.expr(&after))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,6 +507,9 @@ mod tests {
         let g = program(11);
         assert!(g.query.starts_with('p') && g.query.ends_with(", R)"));
         assert!(g.source.contains(":- N > 0, N1 is N - 1, "));
+        let p = par_program(11);
+        assert_eq!(p.source, par_program(11).source);
+        assert!(p.source.contains(" & "), "{}", p.source);
     }
 
     #[test]

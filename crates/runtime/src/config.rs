@@ -24,12 +24,21 @@ use crate::trace::TraceConfig;
 /// | `lao` | Last Alternative Optimization     | flattening         |
 /// | `spo` | Shallow Parallelism Optimization  | procrastination    |
 /// | `pdo` | Processor Determinacy Optimization| sequentialization  |
+/// | `lazy`| Lazy parcall frames               | procrastination    |
+///
+/// `lazy` is this reproduction's own: the procrastination schema applied
+/// to the parcall frame itself. It is off in every paper table
+/// ([`OptFlags::paper`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptFlags {
     pub lpco: bool,
     pub lao: bool,
     pub spo: bool,
     pub pdo: bool,
+    /// A parallel conjunction that meets no idle worker runs as a
+    /// sequential one under a light record, promoted to a parcall frame
+    /// only when a worker goes idle while some of its goals are unstarted.
+    pub lazy: bool,
 }
 
 impl OptFlags {
@@ -38,13 +47,23 @@ impl OptFlags {
         OptFlags::default()
     }
 
-    /// All four optimizations on (the fully optimized ACE engine).
-    pub fn all() -> Self {
+    /// The paper's four optimizations on (the fully optimized ACE engine
+    /// of its tables).
+    pub fn paper() -> Self {
         OptFlags {
             lpco: true,
             lao: true,
             spo: true,
             pdo: true,
+            lazy: false,
+        }
+    }
+
+    /// Every optimization on: the paper's four and lazy frames.
+    pub fn all() -> Self {
+        OptFlags {
+            lazy: true,
+            ..OptFlags::paper()
         }
     }
 
@@ -76,14 +95,22 @@ impl OptFlags {
         }
     }
 
-    /// All 16 combinations, for exhaustive equivalence testing.
+    pub fn lazy_only() -> Self {
+        OptFlags {
+            lazy: true,
+            ..Default::default()
+        }
+    }
+
+    /// All 32 combinations, for exhaustive equivalence testing.
     pub fn all_combinations() -> Vec<OptFlags> {
-        (0..16)
+        (0..32)
             .map(|m| OptFlags {
                 lpco: m & 1 != 0,
                 lao: m & 2 != 0,
                 spo: m & 4 != 0,
                 pdo: m & 8 != 0,
+                lazy: m & 16 != 0,
             })
             .collect()
     }
@@ -102,6 +129,9 @@ impl OptFlags {
         }
         if self.pdo {
             parts.push("pdo");
+        }
+        if self.lazy {
+            parts.push("lazy");
         }
         if parts.is_empty() {
             "none".to_owned()
@@ -396,16 +426,17 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(OptFlags::none().label(), "none");
-        assert_eq!(OptFlags::all().label(), "lpco+lao+spo+pdo");
+        assert_eq!(OptFlags::paper().label(), "lpco+lao+spo+pdo");
+        assert_eq!(OptFlags::all().label(), "lpco+lao+spo+pdo+lazy");
         assert_eq!(OptFlags::lpco_only().label(), "lpco");
     }
 
     #[test]
-    fn sixteen_combinations_unique() {
+    fn thirty_two_combinations_unique() {
         let all = OptFlags::all_combinations();
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 32);
         let labels: std::collections::HashSet<String> = all.iter().map(|o| o.label()).collect();
-        assert_eq!(labels.len(), 16);
+        assert_eq!(labels.len(), 32);
     }
 
     #[test]

@@ -98,6 +98,9 @@ stats_sheet! {
         // and-parallelism structures
         pub parcall_frames: u64,
         pub parcall_slots: u64,
+        /// Parcall frames built by promoting a lazy record (also counted
+        /// in `parcall_frames`).
+        pub frames_promoted: u64,
         pub slots_merged_lpco: u64,
         pub frames_elided_lpco: u64,
         pub markers_allocated: u64,

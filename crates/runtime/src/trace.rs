@@ -360,6 +360,12 @@ events! {
     /// A parcall frame was allocated with `slots` subgoal slots.
     FrameAlloc { slots: usize } = "frame-alloc", Always, Run("parcall")
         , bumps { parcall_frames += 1, parcall_slots += *slots as u64 };
+    /// Lazy frames: a parallel conjunction that had been running as a
+    /// sequential one under a record was promoted to a parcall frame of
+    /// `slots` slots, because a worker went idle while some of its goals
+    /// were unstarted (its `frame-alloc` is noted beside it).
+    FramePromote { slots: usize } = "frame-promote", Always, Run("parcall")
+        , bumps { frames_promoted += 1 };
     /// LPCO: a nested frame was elided, its slots merged into the parent.
     FrameElide { merged_slots: usize } = "frame-elide", Always, Run("parcall")
         , bumps { frames_elided_lpco += 1, slots_merged_lpco += *merged_slots as u64 };

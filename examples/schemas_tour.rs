@@ -11,7 +11,7 @@ use ace_core::{Ace, Mode, Optimization};
 use ace_runtime::{EngineConfig, OptFlags};
 
 fn main() -> Result<(), String> {
-    println!("Three schemas, four optimizations (Gupta & Pontelli, IPPS'97)\n");
+    println!("Three schemas, four optimizations (Gupta & Pontelli, IPPS'97), plus lazy frames\n");
 
     for opt in Optimization::ALL {
         let schema = opt.schema();
@@ -67,6 +67,10 @@ fn main() -> Result<(), String> {
                  machines; goal cells copied {} → {}",
                 with.stats.pdo_merges, unopt.stats.cells_copied, with.stats.cells_copied
             ),
+            Optimization::Lazy => println!(
+                "   mechanism: parcall frames {} → {} ({} promoted on demand)",
+                unopt.stats.parcall_frames, with.stats.parcall_frames, with.stats.frames_promoted
+            ),
         }
         println!();
     }
@@ -77,6 +81,8 @@ fn baseline(opt: Optimization) -> OptFlags {
     match opt {
         // PDO's adjacency needs the LPCO-flattened frames to exist
         Optimization::Pdo => OptFlags::lpco_only(),
+        // lazy frames procrastinate what the paper's four leave
+        Optimization::Lazy => OptFlags::paper(),
         _ => OptFlags::none(),
     }
 }
@@ -87,6 +93,7 @@ fn merged(a: OptFlags, b: OptFlags) -> OptFlags {
         lao: a.lao || b.lao,
         spo: a.spo || b.spo,
         pdo: a.pdo || b.pdo,
+        lazy: a.lazy || b.lazy,
     }
 }
 
@@ -137,6 +144,18 @@ fn workload(opt: Optimization) -> (Mode, &'static str, &'static str, usize, bool
             row([X|T], [Y|T2]) :- w(X, Y) & row(T, T2).
             "#,
             "row([1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20], R)",
+            1,
+            false,
+        ),
+        Optimization::Lazy => (
+            Mode::AndParallel,
+            r#"
+            f(N, R) :- ( N < 2 -> R = N
+                       ; A is N - 1, B is N - 2,
+                         ( f(A, RA) & f(B, RB) ),
+                         R is RA + RB ).
+            "#,
+            "f(13, R)",
             1,
             false,
         ),

@@ -7,17 +7,21 @@
 //! a count, the same on every run of the deterministic `Sim` driver; no
 //! timing.
 //!
-//! takeuchi(10), `OptFlags::all()`, bytes requested during `run_strict`:
+//! takeuchi(10), `OptFlags::all()`, bytes requested during `run_strict`
+//! (the first three columns are eager frames, before `all()` included
+//! lazy frames):
 //!
-//! | workers | whole-heap clones | joint copy | continuation stack |
-//! |---|---|---|---|
-//! | 4 | 3 686.6 MB | 20.9 MB | 20.3 MB |
-//! | 1 |    59.9 MB | 13.9 MB | 13.5 MB |
+//! | workers | whole-heap clones | joint copy | continuation stack | lazy frames |
+//! |---|---|---|---|---|
+//! | 4 | 3 686.6 MB | 20.9 MB | 20.3 MB | 9.5 MB |
+//! | 1 |    59.9 MB | 13.9 MB | 13.5 MB | 9.4 MB |
 //!
-//! The budgets are twice the last column. The sequential run of the same
-//! query requests 10.4 MB, nearly all of it the machine heap doubling as it
-//! grows; at one worker nothing ships, and the extra 45 MB of the first
-//! column were the 18 KB placeholder heaps of 2 586 frames.
+//! The four-worker budget is twice the continuation-stack column. The
+//! sequential run of the same query requests 9.4 MB, nearly all of it the
+//! machine heap doubling as it grows; at one worker no worker is ever idle,
+//! so lazy frames build no frame, and the budget is the sequential run's
+//! bytes plus 20%. The extra 45 MB of the first column were the 18 KB
+//! placeholder heaps of 2 586 frames.
 //!
 //! The resolution path itself does not call the allocator: continuation
 //! nodes live on a per-machine stack, clauses and code are borrowed from the
@@ -124,13 +128,32 @@ fn takeuchi_bytes(workers: usize) -> u64 {
 #[test]
 fn shipping_at_four_workers_allocates_for_the_goals() {
     let bytes = takeuchi_bytes(4);
+    eprintln!("takeuchi(10): {bytes} bytes at four workers");
     assert!(bytes < 41_000_000, "{bytes} bytes requested");
 }
 
+/// Bytes requested while takeuchi(10) runs on the sequential machine.
+fn takeuchi_sequential_bytes() -> u64 {
+    let b = ace_programs::benchmark("takeuchi").unwrap();
+    let ace = Ace::load(&(b.program)(10)).unwrap();
+    let query = (b.query)(10);
+    let before = REQUESTED.with(Cell::get);
+    let report = ace
+        .run_strict(Mode::Sequential, &query, &EngineConfig::default())
+        .unwrap();
+    let bytes = REQUESTED.with(Cell::get) - before;
+    assert_eq!(report.solutions, ["A=5"]);
+    bytes
+}
+
 #[test]
-fn unshipped_frames_at_one_worker_allocate_no_closure() {
-    let bytes = takeuchi_bytes(1);
-    assert!(bytes < 27_000_000, "{bytes} bytes requested");
+fn one_worker_allocates_what_the_sequential_machine_does() {
+    let (lazy, seq) = (takeuchi_bytes(1), takeuchi_sequential_bytes());
+    eprintln!("takeuchi(10): {lazy} bytes at one worker, {seq} sequential");
+    assert!(
+        lazy * 5 < seq * 6,
+        "{lazy} bytes requested, {seq} sequential"
+    );
 }
 
 /// Allocator calls while `query` runs to its first solution on the

@@ -32,7 +32,7 @@ fn failure_at_every_slot_position() {
         "#;
         let query = goals.join(" & ");
         let ace = Ace::load(program).unwrap();
-        for opts in [OptFlags::none(), OptFlags::all()] {
+        for opts in [OptFlags::none(), OptFlags::paper(), OptFlags::all()] {
             for w in [1, 3] {
                 let r = ace.run(Mode::AndParallel, &query, &cfg(w, opts)).unwrap();
                 assert!(
@@ -40,7 +40,11 @@ fn failure_at_every_slot_position() {
                     "pos={fail_pos} w={w} opts={}",
                     opts.label()
                 );
-                assert!(r.stats.slot_failures >= 1);
+                // Lazy frames build no frame that nobody asks for, so the
+                // failure may be a sequential conjunction's, not a slot's.
+                if !opts.lazy {
+                    assert!(r.stats.slot_failures >= 1);
+                }
             }
         }
     }

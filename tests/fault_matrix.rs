@@ -626,3 +626,125 @@ fn fd_cell_transient_faults_preserve_answers() {
         "no steal or publish failure was spent in the fd cell"
     );
 }
+
+/// Lazy-frames cell: the root conjunction starts as a record (no worker
+/// is idle at the first phase) and is promoted once the other workers go
+/// idle, so its finished goal, its running goal and its shipped slots are
+/// a promoted frame's. A `Die` or a `Stall` on the owner (worker 0) or on
+/// a worker that took a promoted slot (worker 1), at phase checkpoints
+/// that fall after the promotion, under `OptFlags::all()` at four workers
+/// on both drivers: every cell hands back the oracle — a stall absorbed in
+/// place, a death through the recorded sequential fallback.
+#[test]
+fn promoted_frame_faults_recover() {
+    const PROG: &str = r#"
+        spin(0) :- !.
+        spin(N) :- N1 is N - 1, spin(N1).
+        w(X, Y) :- spin(300), Y is X * 2.
+        q(A, B, C, D) :- w(1, A) & w(2, B) & w(3, C) & w(4, D).
+    "#;
+    const QUERY: &str = "q(A, B, C, D)";
+    let oracle = vec!["A=2, B=4, C=6, D=8".to_owned()];
+    let ace = Ace::load(PROG).unwrap();
+    let lazy = |driver, plan| {
+        let mut c = cfg(OptFlags::all(), driver, plan);
+        c.run.workers = 4;
+        c
+    };
+
+    // The unfaulted run promotes the root record, and only then builds a
+    // frame: each fault below lands on a promoted frame's work.
+    let clean = ace
+        .run_strict(
+            Mode::AndParallel,
+            QUERY,
+            &lazy(DriverKind::Sim, FaultPlan::new(0)),
+        )
+        .unwrap();
+    assert_eq!(clean.solutions, oracle);
+    assert!(
+        clean.stats.frames_promoted >= 1,
+        "{}",
+        clean.stats.summary()
+    );
+    let promoted_at = |r: &RunReport| {
+        r.trace
+            .as_ref()
+            .unwrap()
+            .events
+            .iter()
+            .find(|e| e.kind.name() == "frame-promote")
+            .map(|e| e.t)
+    };
+    let promotion = promoted_at(&clean).expect("the clean run promotes");
+
+    for driver in [DriverKind::Sim, DriverKind::Threads] {
+        for victim in [0usize, 1] {
+            // Both checkpoints fall after the promotion on the simulator.
+            for at_op in [7u64, 10] {
+                let tag = format!("promoted-frame driver={driver:?} victim={victim} at_op={at_op}");
+
+                let stall = FaultPlan::new(0).with(victim, at_op, FaultKind::Stall { cost: 700 });
+                let r = ace
+                    .run_query(Mode::AndParallel, QUERY, &lazy(driver, stall))
+                    .unwrap_or_else(|e| panic!("{tag} stall: {e}"));
+                assert_eq!(r.solutions, oracle, "{tag} stall");
+                assert!(
+                    r.recovery.iter().all(|l| !l.contains("fallback")),
+                    "{tag}: a stall is absorbed in place: {:?}",
+                    r.recovery
+                );
+                check_trace(&r, &format!("{tag} stall"));
+                if driver == DriverKind::Sim {
+                    let stalled = r
+                        .trace
+                        .as_ref()
+                        .unwrap()
+                        .events
+                        .iter()
+                        .find(|e| e.kind.name() == "fault-stall")
+                        .map(|e| e.t)
+                        .expect("the stall fires");
+                    assert!(
+                        promoted_at(&r).is_some_and(|t| t <= stalled) && promotion <= stalled,
+                        "{tag}: the stall precedes the promotion"
+                    );
+                }
+
+                // A death fails the strict run (on the simulator it always
+                // fires; threads may finish first) and is recovered by the
+                // sequential fallback.
+                let c = lazy(
+                    driver,
+                    FaultPlan::new(0).with(victim, at_op, FaultKind::Die),
+                );
+                let strict = ace.run_strict(Mode::AndParallel, QUERY, &c);
+                if driver == DriverKind::Sim {
+                    assert!(strict.is_err(), "{tag}: the death fires");
+                }
+                let died = match strict {
+                    Err(e) => {
+                        let e = e.to_string();
+                        assert!(e.contains("injected worker death"), "{tag}: {e}");
+                        true
+                    }
+                    Ok(r) => {
+                        assert_eq!(r.solutions, oracle, "{tag} die (not fired)");
+                        false
+                    }
+                };
+                let r = ace
+                    .run_query(Mode::AndParallel, QUERY, &c)
+                    .unwrap_or_else(|e| panic!("{tag} die: {e}"));
+                assert_eq!(r.solutions, oracle, "{tag} die");
+                if died && driver == DriverKind::Sim {
+                    assert!(
+                        r.recovery.iter().any(|l| l.contains("sequential fallback")),
+                        "{tag}: {:?}",
+                        r.recovery
+                    );
+                }
+            }
+        }
+    }
+}

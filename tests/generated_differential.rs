@@ -10,10 +10,19 @@
 //! environments, so this guards the compiled body path — environment
 //! pushes, in-place reads, trimming, freezing and thawing — on shapes no
 //! hand-written corpus program has.
+//!
+//! Their `&` variants (`ace_programs::gen::par_program`) go to the
+//! and-engine instead: the sequential machine's answers must equal the
+//! and-engine's under the paper's optimizations (eager frames) and under
+//! every optimization (lazy frames), at one and four simulated workers,
+//! traces checked and folded, and under every optimization on two
+//! threads. Their conjunctions hold nondeterministic goals and trailing
+//! recursive calls, so frames, records and promotions meet choice points,
+//! redo waves and LPCO merges.
 
-use ace_core::{Ace, Mode};
+use ace_core::{Ace, Mode, RunReport};
 use ace_runtime::{
-    ClauseExec, EngineConfig, OptFlags, OrScheduler, Stats, TraceChecker, TraceConfig,
+    ClauseExec, DriverKind, EngineConfig, OptFlags, OrScheduler, Stats, TraceChecker, TraceConfig,
 };
 
 fn sorted(mut v: Vec<String>) -> Vec<String> {
@@ -52,27 +61,75 @@ fn check(seed: u64) -> usize {
     if sorted(parallel.solutions.clone()) != want {
         fail("the or-engine disagrees with the sequential machine");
     }
-    let trace = parallel.trace.as_ref().expect("tracing is on");
+    check_trace(&parallel).unwrap_or_else(|e| fail(&e));
+    want.len()
+}
+
+/// The trace of `run` passes the checker and folds back into its stats.
+fn check_trace(run: &RunReport) -> Result<(), String> {
+    let trace = run.trace.as_ref().expect("tracing is on");
     if trace.dropped != 0 {
-        fail("the trace ring overflowed");
+        return Err("the trace ring overflowed".into());
     }
-    if let Err(violations) = TraceChecker::check(trace) {
-        fail(&format!("trace violations: {violations:?}"));
-    }
+    TraceChecker::check(trace).map_err(|v| format!("trace violations: {v:?}"))?;
     let folded = Stats::fold(trace).fields();
-    for (name, value) in parallel.stats.fields() {
+    for (name, value) in run.stats.fields() {
         if Stats::EVENT_BACKED.contains(&name) {
             let (_, from_trace) = folded.iter().find(|(n, _)| *n == name).unwrap();
             if *from_trace != value {
-                fail(&format!("fold(trace).{name} = {from_trace}, stats {value}"));
+                return Err(format!("fold(trace).{name} = {from_trace}, stats {value}"));
             }
         }
+    }
+    Ok(())
+}
+
+/// Run seed `seed`'s `&` program sequentially and on the and-engine in
+/// every configuration; panics with the program on a disagreement.
+/// Returns the number of answers.
+fn check_par(seed: u64) -> usize {
+    let g = ace_programs::gen::par_program(seed);
+    let fail = |what: &str| -> ! { panic!("seed {seed}: {what}\n?- {}.\n{}", g.query, g.source) };
+    let ace = Ace::load(&g.source).unwrap_or_else(|e| fail(&format!("load: {e}")));
+    let run = |mode, cfg: &EngineConfig, label: &str| {
+        ace.run_strict(mode, &g.query, cfg)
+            .unwrap_or_else(|e| fail(&format!("{label}: {e}")))
+    };
+    let seq = run(
+        Mode::Sequential,
+        &EngineConfig::default().all_solutions(),
+        "sequential",
+    );
+    let want = sorted(seq.solutions);
+    let and = |workers, opts: OptFlags| {
+        EngineConfig::default()
+            .with_workers(workers)
+            .with_opts(opts)
+            .all_solutions()
+    };
+    for opts in [OptFlags::paper(), OptFlags::all()] {
+        for workers in [1, 4] {
+            let label = format!("{} at {workers} workers", opts.label());
+            let cfg = and(workers, opts).with_trace(TraceConfig::enabled().with_capacity(1 << 20));
+            let r = run(Mode::AndParallel, &cfg, &label);
+            if sorted(r.solutions.clone()) != want {
+                fail(&format!(
+                    "the and-engine ({label}) disagrees with the sequential machine"
+                ));
+            }
+            check_trace(&r).unwrap_or_else(|e| fail(&format!("{label}: {e}")));
+        }
+    }
+    let threads = and(2, OptFlags::all()).with_driver(DriverKind::Threads);
+    let r = run(Mode::AndParallel, &threads, "threads");
+    if sorted(r.solutions) != want {
+        fail("the and-engine on two threads disagrees with the sequential machine");
     }
     want.len()
 }
 
-/// Check `count` seeds from `base` on.
-fn sweep(base: u64, count: u64) {
+/// Check `count` seeds from `base` on, with `check`.
+fn sweep_with(check: fn(u64) -> usize, base: u64, count: u64) {
     let answered = (0..count)
         .filter(|&i| check(base.wrapping_add(i)) > 0)
         .count() as u64;
@@ -83,9 +140,18 @@ fn sweep(base: u64, count: u64) {
     );
 }
 
+fn sweep(base: u64, count: u64) {
+    sweep_with(check, base, count);
+}
+
 #[test]
 fn generated_programs_agree_across_execution_modes() {
     sweep(0, 100);
+}
+
+#[test]
+fn generated_par_programs_agree_across_and_engine_modes() {
+    sweep_with(check_par, 0, 100);
 }
 
 /// Nightly sweep: when `FAULT_MATRIX_SEED` is set (CI rotates it with the
@@ -103,4 +169,5 @@ fn rotating_seed_sweep() {
         .expect("FAULT_MATRIX_SEED must be an unsigned integer");
     println!("generated-program seeds: {base} .. +1000");
     sweep(base, 1000);
+    sweep_with(check_par, base, 1000);
 }
