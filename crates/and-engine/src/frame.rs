@@ -223,6 +223,14 @@ pub struct FrameState {
 }
 
 impl FrameState {
+    /// Can LPCO grow this frame from its inline branch? It must still be
+    /// collecting slots (`Ready` re-opens when slots are appended), and
+    /// its owner must run an inline branch: a promoted record has none.
+    pub fn has_spine(&self) -> bool {
+        let inner = self.inner.lock();
+        matches!(inner.stage, FrameStage::Filling | FrameStage::Ready) && inner.inline.is_some()
+    }
+
     /// Build a frame for `branches` (terms in `parent_heap`). The branches
     /// `local` says the owner holds need no goal-shipping copy; the others
     /// are copied into a shared closure bundle for pickup when `ship_now`.

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::{CanonKey, Cell, Database};
-use ace_machine::{Machine, MachinePool, MarkerKind, Solution, Status};
+use ace_machine::{Machine, MachinePool, MarkerKind, Solution, Spine, Status};
 use ace_runtime::{CancelToken, Engine, EventKind, Step, WorkerCore, QUANTUM};
 use parking_lot::Mutex;
 
@@ -280,7 +280,18 @@ impl AndWorker {
         // for the next `&` reached, and for the oldest record still holding
         // unstarted goals.
         let lazy = self.core.ctl.cfg.run.opts.lazy;
-        let demand = self.core.others_idle();
+        // Until the root raises its first frame, no other worker can have
+        // work: all of them are idle, whether they have said so yet or not.
+        let first = self.core.stats.parcall_frames == 0
+            && self.core.ctl.cfg.run.workers > 1
+            && matches!(
+                self.stack.as_slice(),
+                [Act::Run {
+                    ctx: RunCtx::Root,
+                    ..
+                }]
+            );
+        let demand = first || self.core.others_idle();
         if lazy && demand && self.try_promote() {
             return Step::Worked;
         }
@@ -290,13 +301,26 @@ impl AndWorker {
             ctx,
             cancel,
             inline,
+            owner_slot,
             ..
         }) = self.stack.last_mut()
         else {
             unreachable!()
         };
-        let slot = matches!(ctx, RunCtx::Slot { .. });
-        machine.defer_parcalls(lazy && !demand, lpco && slot);
+        let defer = lazy && !demand;
+        // A `&` that LPCO merges into a frame already built is raised even
+        // now: a record per element would nest where the frame grows, and
+        // once a worker asks, the record it promotes would ship the rest
+        // of the list, not one element.
+        let spine = match inline.last() {
+            _ if !defer || !lpco => Spine::None,
+            Some(f) if owner_slot.last().is_some_and(|o| o.frame.id == f.id) => Spine::None,
+            Some(f) if f.has_spine() => Spine::Inline(f.id),
+            Some(_) => Spine::None,
+            None if matches!(ctx, RunCtx::Slot { .. }) => Spine::Slot,
+            None => Spine::None,
+        };
+        machine.defer_parcalls(defer, spine);
         // Check the innermost inline frame's token: it is a descendant of
         // the activation token, so it also covers ancestor cancellation,
         // and additionally catches sibling failures of the parallel call
@@ -463,17 +487,8 @@ impl AndWorker {
         if !machine.top_parcall_cont_is_barrier_of(frame.id) {
             return false;
         }
-        {
-            // Filling or Ready (shipped slots may finish before the inline
-            // chain does); appending slots below re-opens the wave.
-            // A frame whose owner runs no inline branch (a promoted record)
-            // has no spine to continue.
-            let inner = frame.inner.lock();
-            if !matches!(inner.stage, FrameStage::Filling | FrameStage::Ready)
-                || inner.inline.is_none()
-            {
-                return false;
-            }
+        if !frame.has_spine() {
+            return false;
         }
         let pf = machine.merge_out_parcall();
         let branches = pf.branches;

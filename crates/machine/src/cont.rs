@@ -823,6 +823,7 @@ mod tests {
                 goal: callable,
             },
             Goal::InlineBarrier { frame: 1 << 40 },
+            Goal::ParNext { rec: 6, next: 3 },
         ]
     }
 
@@ -893,11 +894,12 @@ mod tests {
         let (tuple, kept) = s.freeze(&mut src, goal, c, memo);
         assert_eq!(kept.len(), frames.len() - 1);
         let arena = TermArena::freeze(&src, tuple);
-        // The cells the frames had as heap markers: `$closure` + 10 arguments
-        // (one frame dropped) 11; goal q([]) 2; p(X, 1) 3 + X 1; the user
+        // The cells the frames had as heap markers: `$closure` + 11 arguments
+        // (one frame dropped) 12; goal q([]) 2; p(X, 1) 3 + X 1; the user
         // term 4; $slots(X, 2) 3; the body frames 4 + 4; the if-then-else
-        // frame 2; the table-answer frame 3; the barrier 2.
-        assert_eq!(arena.len(), 11 + 2 + 4 + 4 + 3 + 8 + 2 + 3 + 2);
+        // frame 2; the table-answer frame 3; the barrier 2; the
+        // conjunction's next-goal frame 3.
+        assert_eq!(arena.len(), 12 + 2 + 4 + 4 + 3 + 8 + 2 + 3 + 2 + 3);
 
         let mut dst = Heap::new();
         dst.new_var(); // a nonzero relocation base

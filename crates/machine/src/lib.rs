@@ -35,6 +35,6 @@ pub mod solve;
 
 pub use cont::{Cont, ContMark, ContNode, ContStack};
 pub use frames::{Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParRecord, ParcallFrame};
-pub use machine::{Machine, Status};
+pub use machine::{Machine, Spine, Status};
 pub use pool::MachinePool;
 pub use solve::{binding_order, Solution, Solver};

@@ -202,6 +202,23 @@ impl ace_runtime::ortree::Closure for StateClosure {
     }
 }
 
+/// Lazy frames: the frame LPCO would merge a trailing `&` into, given
+/// to the machine with [`Machine::defer_parcalls`]. Such a `&` is raised
+/// even while parallel calls are deferred, so a list recursion keeps
+/// growing one frame instead of nesting a record per element.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Spine {
+    /// None: every deferred `&` pushes a record.
+    None,
+    /// A slot machine: a `&` with an empty continuation and only markers
+    /// on the control stack merges into the slot's frame.
+    Slot,
+    /// The inline branch of frame `id` on this machine: a `&` whose
+    /// continuation is that frame's barrier, with only markers above the
+    /// frame, merges into it.
+    Inline(u64),
+}
+
 /// The solver machine. See the crate docs for the role it plays.
 pub struct Machine {
     pub heap: Heap,
@@ -220,9 +237,9 @@ pub struct Machine {
     /// of raising [`Status::Parcall`] (set by the engine each quantum: no
     /// idle worker is asking for work).
     defer_parcalls: bool,
-    /// ... except a `&` that ends a determinate computation, which LPCO
-    /// merges into the frame the computation is a slot of.
-    raise_trailing: bool,
+    /// ... except a `&` that LPCO would merge into a frame that already
+    /// exists: a record there would break the frame's spine.
+    spine: Spine,
     pub stats: Stats,
     pub(crate) costs: Arc<CostModel>,
     /// Captured output of `write/1`, `nl/0`, `writeln/1`.
@@ -318,7 +335,7 @@ impl Machine {
             status: Status::Failed,
             par_enabled: false,
             defer_parcalls: false,
-            raise_trailing: false,
+            spine: Spine::None,
             stats: Stats::new(),
             costs,
             output: String::new(),
@@ -424,9 +441,10 @@ impl Machine {
     /// Lazy frames: whether the next `&`/2 reached pushes a record and runs
     /// as a sequential conjunction (`true`: nobody would take its goals)
     /// or raises [`Status::Parcall`] for a frame (`false`, the default).
-    pub fn defer_parcalls(&mut self, on: bool, raise_trailing: bool) {
+    /// A `&` that ends `spine` is raised either way.
+    pub fn defer_parcalls(&mut self, on: bool, spine: Spine) {
         self.defer_parcalls = on;
-        self.raise_trailing = raise_trailing;
+        self.spine = spine;
     }
 
     pub fn db(&self) -> &Arc<Database> {
@@ -1764,12 +1782,7 @@ impl Machine {
                 // and-engine's slot protocol (sound — parallel conjunction
                 // and sequential conjunction agree on answer sets).
                 Some(Builtin::Par) if self.par_enabled && self.table_gen_stack.is_empty() => {
-                    let trailing = || {
-                        self.raise_trailing
-                            && self.cont.is_none()
-                            && self.ctrl.iter().all(CtrlFrame::is_marker)
-                    };
-                    if self.defer_parcalls && !trailing() {
+                    if self.defer_parcalls && !self.ends_spine() {
                         self.push_record(goal, barrier)
                     } else {
                         self.raise_parcall(goal, barrier)
@@ -1794,6 +1807,27 @@ impl Machine {
                 None => self.call_user(db, goal, db.pred_id(f, n), f, n, Some(hdr)),
             },
         }
+    }
+
+    /// Lazy frames: does a `&` reached now end [`Machine::spine`] — is it
+    /// the last goal of a determinate computation that LPCO merges into a
+    /// frame? Only markers may lie above that frame, so the scan is short.
+    fn ends_spine(&self) -> bool {
+        let floor = match self.spine {
+            Spine::None => return false,
+            Spine::Slot if self.cont.is_none() => 0,
+            Spine::Slot => return false,
+            Spine::Inline(id) => {
+                let barrier = self.conts.node(self.cont).is_some_and(|node| {
+                    node.next.is_none() && node.goal == Goal::InlineBarrier { frame: id }
+                });
+                match self.parcall_index(id) {
+                    Some(idx) if barrier => idx + 1,
+                    _ => return false,
+                }
+            }
+        };
+        self.ctrl[floor..].iter().all(CtrlFrame::is_marker)
     }
 
     /// `A, B`: run `A`, then `B`, under the same cut barrier.
@@ -2572,14 +2606,6 @@ impl Machine {
     }
 }
 
-/// Run the inline-able steps of `steps` from `k` on over `slots` — the
-/// register file at clause entry, an environment after — on the machine
-/// parts they touch. Returns the first step the generic machinery must
-/// run (`steps.len()` when none is left), or `None` when a deterministic
-/// test failed: the body fails there, and nothing after that conjunct was
-/// ever materialized. Inlined into both callers, the clause neck and the
-/// body step.
-#[inline]
 /// The number of conjuncts of `a & b & c` (`&` is `xfy`: `a & (b & c)`).
 fn conjunct_count(heap: &Heap, goal: Cell) -> u32 {
     let mut n = 1;
@@ -2616,6 +2642,14 @@ fn conjuncts(heap: &Heap, goal: Cell) -> Vec<Cell> {
         .collect()
 }
 
+/// Run the inline-able steps of `steps` from `k` on over `slots` — the
+/// register file at clause entry, an environment after — on the machine
+/// parts they touch. Returns the first step the generic machinery must
+/// run (`steps.len()` when none is left), or `None` when a deterministic
+/// test failed: the body fails there, and nothing after that conjunct was
+/// ever materialized. Inlined into both callers, the clause neck and the
+/// body step.
+#[inline]
 fn inline_steps(
     heap: &mut Heap,
     stats: &mut Stats,

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use ace_logic::Database;
-use ace_machine::{Machine, Status};
+use ace_machine::{CtrlFrame, Machine, Spine, Status};
 use ace_runtime::CostModel;
 
 fn machine(src: &str) -> Machine {
@@ -206,4 +206,78 @@ fn merge_out_parcall_resumes_past_frame() {
     assert_eq!(pf.branches.len(), 2);
     // machine continues with c(1) as if the parallel call never happened
     assert_eq!(m.run_to_completion(), Status::Solution);
+}
+
+/// Lazy frames: a record between the frame an inline-chain LPCO would
+/// merge into and the call just raised is no choice point of its own, but
+/// it ends nothing either: a choice point above it or below it still
+/// counts. And the raised call, a goal of the record, is not the last goal
+/// of the frame's inline branch.
+#[test]
+fn a_record_below_the_raised_call_keeps_its_choice_points() {
+    // The branch run inline, and the control stack from the frame up when
+    // the inner `&` is raised: Frame, Record, Choice point, raised call.
+    for (branch, stack) in [
+        ("a(K) & ((a(P) & b(Q)), true)", "FRF"),
+        ("nd(K) & ((a(P) & b(Q)), true)", "FRCF"),
+        ("nd(K), (a(L) & ((a(P) & b(Q)), true))", "FCRF"),
+    ] {
+        let mut m = machine(PROG);
+        m.load_query_text("a(X) & b(Y)").unwrap();
+        assert_eq!(m.run_to_completion(), Status::Parcall);
+        let fid = m.top_parcall().unwrap().id;
+        let (goal, _) = ace_logic::parse_term(&mut m.heap, branch).unwrap();
+        m.run_inline_branch(goal, fid);
+        m.defer_parcalls(true, Spine::None);
+        while !m.ctrl_frames().last().is_some_and(CtrlFrame::is_record) {
+            assert_eq!(m.step(), Status::Running);
+        }
+        m.defer_parcalls(false, Spine::None);
+        assert_eq!(m.run_to_completion(), Status::Parcall);
+        let kinds: String = m.ctrl_frames()[m.parcall_index(fid).unwrap()..]
+            .iter()
+            .map(|f| match f {
+                CtrlFrame::Parcall(_) => 'F',
+                CtrlFrame::Record(_) => 'R',
+                CtrlFrame::Choice(_) => 'C',
+                CtrlFrame::Marker(_) => 'M',
+            })
+            .collect();
+        assert_eq!(kinds, stack, "{branch}");
+        let det = !stack.contains('C');
+        assert_eq!(
+            m.deterministic_since_parcall(fid, |_| true),
+            det,
+            "{branch}"
+        );
+        assert!(!m.top_parcall_cont_is_barrier_of(fid), "{branch}");
+    }
+}
+
+/// Lazy frames: with parallel calls deferred, a `&` that ends the inline
+/// branch of a frame is still raised, for LPCO to merge; one followed by
+/// another goal is recorded and runs as `,`.
+#[test]
+fn a_deferred_call_ending_the_spine_is_raised() {
+    for (branch, raised) in [
+        ("a(K), (a(P) & b(Q))", true),
+        ("(a(P) & b(Q)), a(K)", false),
+    ] {
+        let mut m = machine(PROG);
+        m.load_query_text("a(X) & b(Y)").unwrap();
+        assert_eq!(m.run_to_completion(), Status::Parcall);
+        let fid = m.top_parcall().unwrap().id;
+        let (goal, _) = ace_logic::parse_term(&mut m.heap, branch).unwrap();
+        m.run_inline_branch(goal, fid);
+        m.defer_parcalls(true, Spine::Inline(fid));
+        let want = if raised {
+            Status::Parcall
+        } else {
+            Status::InlineBarrier(fid)
+        };
+        assert_eq!(m.run_to_completion(), want, "{branch}");
+        if raised {
+            assert!(m.top_parcall_cont_is_barrier_of(fid));
+        }
+    }
 }

@@ -7,19 +7,20 @@
 //! a count, the same on every run of the deterministic `Sim` driver; no
 //! timing.
 //!
-//! takeuchi(10), `OptFlags::all()`, bytes requested during `run_strict`
-//! (the first three columns are eager frames, before `all()` included
-//! lazy frames):
+//! takeuchi(10), bytes requested during `run_strict`. The first three
+//! columns are eager frames (`OptFlags::paper()`, which was `all()` before
+//! lazy frames); the last one is `OptFlags::all()`:
 //!
-//! | workers | whole-heap clones | joint copy | continuation stack | lazy frames |
-//! |---|---|---|---|---|
-//! | 4 | 3 686.6 MB | 20.9 MB | 20.3 MB | 9.5 MB |
-//! | 1 |    59.9 MB | 13.9 MB | 13.5 MB | 9.4 MB |
+//! | workers | whole-heap clones | joint copy | continuation stack | eager now | lazy frames |
+//! |---|---|---|---|---|---|
+//! | 4 | 3 686.6 MB | 20.9 MB | 20.3 MB | 18.2 MB | 10.0 MB |
+//! | 1 |    59.9 MB | 13.9 MB | 13.5 MB |         | 9.4 MB |
 //!
-//! The four-worker budget is twice the continuation-stack column. The
-//! sequential run of the same query requests 9.4 MB, nearly all of it the
-//! machine heap doubling as it grows; at one worker no worker is ever idle,
-//! so lazy frames build no frame, and the budget is the sequential run's
+//! The four-worker budgets are twice the continuation-stack column for
+//! eager frames and twice the lazy column for lazy ones. The sequential
+//! run of the same query requests 9.4 MB, nearly all of it the machine
+//! heap doubling as it grows; at one worker no worker is ever idle, so
+//! lazy frames build no frame, and the budget is the sequential run's
 //! bytes plus 20%. The extra 45 MB of the first column were the 18 KB
 //! placeholder heaps of 2 586 frames.
 //!
@@ -105,15 +106,15 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 /// Bytes requested while takeuchi(10) runs and-parallel on `workers`
-/// simulated workers with every optimization on.
-fn takeuchi_bytes(workers: usize) -> u64 {
+/// simulated workers under `opts`.
+fn takeuchi_bytes(workers: usize, opts: OptFlags) -> u64 {
     let b = ace_programs::benchmark("takeuchi").unwrap();
     let ace = Ace::load(&(b.program)(10)).unwrap();
     let query = (b.query)(10);
     let mut cfg = EngineConfig::default()
         .with_workers(workers)
         .with_driver(DriverKind::Sim)
-        .with_opts(OptFlags::all());
+        .with_opts(opts);
     cfg.max_solutions = Some(1);
     let before = REQUESTED.with(Cell::get);
     let report = ace.run_strict(Mode::AndParallel, &query, &cfg).unwrap();
@@ -127,9 +128,14 @@ fn takeuchi_bytes(workers: usize) -> u64 {
 
 #[test]
 fn shipping_at_four_workers_allocates_for_the_goals() {
-    let bytes = takeuchi_bytes(4);
-    eprintln!("takeuchi(10): {bytes} bytes at four workers");
-    assert!(bytes < 41_000_000, "{bytes} bytes requested");
+    let eager = takeuchi_bytes(4, OptFlags::paper());
+    let lazy = takeuchi_bytes(4, OptFlags::all());
+    eprintln!("takeuchi(10) at four workers: {eager} bytes eager, {lazy} lazy");
+    assert!(
+        eager < 41_000_000,
+        "{eager} bytes requested by eager frames"
+    );
+    assert!(lazy < 20_000_000, "{lazy} bytes requested by lazy frames");
 }
 
 /// Bytes requested while takeuchi(10) runs on the sequential machine.
@@ -148,7 +154,10 @@ fn takeuchi_sequential_bytes() -> u64 {
 
 #[test]
 fn one_worker_allocates_what_the_sequential_machine_does() {
-    let (lazy, seq) = (takeuchi_bytes(1), takeuchi_sequential_bytes());
+    let (lazy, seq) = (
+        takeuchi_bytes(1, OptFlags::all()),
+        takeuchi_sequential_bytes(),
+    );
     eprintln!("takeuchi(10): {lazy} bytes at one worker, {seq} sequential");
     assert!(
         lazy * 5 < seq * 6,

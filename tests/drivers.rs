@@ -41,18 +41,21 @@ fn sim_is_deterministic_for_every_benchmark() {
 
 #[test]
 fn threads_driver_agrees_with_sim_for_and_benchmarks() {
-    for name in ["map2", "takeuchi", "quick_sort", "map1"] {
-        let b = ace_programs::benchmark(name).unwrap();
-        let ace = Ace::load(&(b.program)(b.test_size)).unwrap();
-        let query = (b.query)(b.test_size);
-        let sim = ace
-            .run(b.mode, &query, &cfg(3, OptFlags::all(), b.all_solutions))
-            .unwrap();
-        let mut tc = cfg(3, OptFlags::all(), b.all_solutions);
-        tc.run.driver = DriverKind::Threads;
-        let thr = ace.run(b.mode, &query, &tc).unwrap();
-        // and-parallel preserves sequential order in both drivers
-        assert_eq!(thr.solutions, sim.solutions, "{name}");
+    // Eager frames (`paper()`) and lazy ones (`all()`).
+    for opts in [OptFlags::paper(), OptFlags::all()] {
+        for name in ["map2", "takeuchi", "quick_sort", "map1"] {
+            let b = ace_programs::benchmark(name).unwrap();
+            let ace = Ace::load(&(b.program)(b.test_size)).unwrap();
+            let query = (b.query)(b.test_size);
+            let sim = ace
+                .run(b.mode, &query, &cfg(3, opts, b.all_solutions))
+                .unwrap();
+            let mut tc = cfg(3, opts, b.all_solutions);
+            tc.run.driver = DriverKind::Threads;
+            let thr = ace.run(b.mode, &query, &tc).unwrap();
+            // and-parallel preserves sequential order in both drivers
+            assert_eq!(thr.solutions, sim.solutions, "{name} {}", opts.label());
+        }
     }
 }
 

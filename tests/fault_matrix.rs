@@ -158,7 +158,7 @@ fn sim_matrix_full_taxonomy_recovers() {
 fn threads_matrix_recovers() {
     let and_ace = Ace::load(AND_PROG).unwrap();
     let or_ace = Ace::load(OR_PROG).unwrap();
-    for opts in [OptFlags::none(), OptFlags::all()] {
+    for opts in [OptFlags::none(), OptFlags::paper(), OptFlags::all()] {
         for (seed, transient) in [(11u64, true), (12, true), (13, false), (14, false)] {
             let plan = if transient {
                 FaultPlan::random_transient(seed, WORKERS, 5)
@@ -627,21 +627,25 @@ fn fd_cell_transient_faults_preserve_answers() {
     );
 }
 
-/// Lazy-frames cell: the root conjunction starts as a record (no worker
-/// is idle at the first phase) and is promoted once the other workers go
-/// idle, so its finished goal, its running goal and its shipped slots are
-/// a promoted frame's. A `Die` or a `Stall` on the owner (worker 0) or on
-/// a worker that took a promoted slot (worker 1), at phase checkpoints
-/// that fall after the promotion, under `OptFlags::all()` at four workers
-/// on both drivers: every cell hands back the oracle — a stall absorbed in
-/// place, a death through the recorded sequential fallback.
+/// Lazy-frames cell: the conjunction in `r/4` starts as a record (the
+/// other three workers are busy with the first frame's `long` goals when
+/// the owner reaches it) and is promoted once they go idle, so its
+/// finished goal, its running goal and its shipped slots are a promoted
+/// frame's. A `Die` or a `Stall` on the owner (worker 0) or on a worker
+/// that took a promoted slot (worker 1), at phase checkpoints that fall
+/// after the promotion, under `OptFlags::all()` at four workers on both
+/// drivers: every cell hands back the oracle — a stall absorbed in place,
+/// a death through the recorded sequential fallback.
 #[test]
 fn promoted_frame_faults_recover() {
     const PROG: &str = r#"
         spin(0) :- !.
         spin(N) :- N1 is N - 1, spin(N1).
         w(X, Y) :- spin(300), Y is X * 2.
-        q(A, B, C, D) :- w(1, A) & w(2, B) & w(3, C) & w(4, D).
+        long :- spin(600).
+        q(A, B, C, D) :-
+            spin(40), (long & long & long & (spin(100), r(A, B, C, D), true)).
+        r(A, B, C, D) :- w(1, A) & w(2, B) & w(3, C) & w(4, D).
     "#;
     const QUERY: &str = "q(A, B, C, D)";
     let oracle = vec!["A=2, B=4, C=6, D=8".to_owned()];
@@ -652,8 +656,8 @@ fn promoted_frame_faults_recover() {
         c
     };
 
-    // The unfaulted run promotes the root record, and only then builds a
-    // frame: each fault below lands on a promoted frame's work.
+    // The unfaulted run promotes the record in `r/4`: each fault below
+    // lands on a promoted frame's work.
     let clean = ace
         .run_strict(
             Mode::AndParallel,
@@ -679,9 +683,11 @@ fn promoted_frame_faults_recover() {
     let promotion = promoted_at(&clean).expect("the clean run promotes");
 
     for driver in [DriverKind::Sim, DriverKind::Threads] {
-        for victim in [0usize, 1] {
-            // Both checkpoints fall after the promotion on the simulator.
-            for at_op in [7u64, 10] {
+        // Each worker's checkpoints that fall after the promotion on the
+        // simulator (the owner's while it runs its promoted goal, the
+        // thief's while it runs a shipped one).
+        for (victim, ops) in [(0usize, [22u64, 28]), (1, [30, 34])] {
+            for at_op in ops {
                 let tag = format!("promoted-frame driver={driver:?} victim={victim} at_op={at_op}");
 
                 let stall = FaultPlan::new(0).with(victim, at_op, FaultKind::Stall { cost: 700 });

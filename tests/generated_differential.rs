@@ -120,10 +120,15 @@ fn check_par(seed: u64) -> usize {
             check_trace(&r).unwrap_or_else(|e| fail(&format!("{label}: {e}")));
         }
     }
-    let threads = and(2, OptFlags::all()).with_driver(DriverKind::Threads);
-    let r = run(Mode::AndParallel, &threads, "threads");
-    if sorted(r.solutions) != want {
-        fail("the and-engine on two threads disagrees with the sequential machine");
+    for opts in [OptFlags::paper(), OptFlags::all()] {
+        let threads = and(2, opts).with_driver(DriverKind::Threads);
+        let label = format!("{} on two threads", opts.label());
+        let r = run(Mode::AndParallel, &threads, &label);
+        if sorted(r.solutions) != want {
+            fail(&format!(
+                "the and-engine ({label}) disagrees with the sequential machine"
+            ));
+        }
     }
     want.len()
 }
