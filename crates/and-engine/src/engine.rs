@@ -6,7 +6,8 @@ use ace_logic::Database;
 use ace_machine::Solution;
 use ace_runtime::{Control, EngineConfig, RunOutcome, Stats, Trace, WorkerCore};
 
-use crate::worker::{AndWorker, Shared};
+use crate::sched::Shared;
+use crate::worker::AndWorker;
 
 /// Result of one and-parallel query run.
 #[derive(Debug)]

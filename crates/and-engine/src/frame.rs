@@ -6,13 +6,14 @@
 //! uses to splice subgoal solutions back into the parent computation.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Weak};
 
 use ace_logic::copy::copy_tuple;
 use ace_logic::heap::HeapMark;
 use ace_logic::sym::sym;
 use ace_logic::{Cell, Heap, TrailMark};
-use ace_machine::{Cont, Machine};
+use ace_machine::{Cont, Machine, ParcallFrame};
 use ace_runtime::CancelToken;
 use parking_lot::Mutex;
 
@@ -74,6 +75,16 @@ pub enum Local {
     /// there (a promoted record): the finished ones are owner-run slots,
     /// `k` an owner slot in progress, the rest slots for any worker.
     Prefix(usize),
+}
+
+impl Local {
+    /// The slots of an `n`-branch frame any worker may take.
+    pub fn shippable(self, n: usize) -> Range<usize> {
+        match self {
+            Local::Last => 0..n - 1,
+            Local::Prefix(k) => k + 1..n,
+        }
+    }
 }
 
 /// Scheduling state of one slot.
@@ -201,6 +212,31 @@ pub struct FrameInner {
     pub passable: bool,
 }
 
+impl FrameInner {
+    /// Every integration was undone: redo them all from the first, drop the
+    /// parent goals they materialized (the origin's re-integration makes
+    /// them again), and put the owner-run slots, whose bindings went with
+    /// them, up for another run. Adds the ones that ship to `rerun`.
+    pub fn redo_integrations(&mut self, rerun: &mut Vec<usize>) {
+        self.marks.fill(None);
+        self.integrate_from = 0;
+        for (i, sl) in self.slots.iter_mut().enumerate() {
+            if sl.materialized {
+                sl.parent_goal = None;
+                sl.materialized = false;
+            }
+            if sl.owner_run && sl.state == SlotState::Done {
+                sl.owner_run = false;
+                sl.state = SlotState::Unclaimed;
+                self.pending += 1;
+                if sl.closure.is_some() {
+                    rerun.push(i);
+                }
+            }
+        }
+    }
+}
+
 /// Cross-worker state of one parallel call.
 pub struct FrameState {
     pub id: u64,
@@ -223,6 +259,17 @@ pub struct FrameState {
 }
 
 impl FrameState {
+    /// The engine state attached to a machine-level parcall frame.
+    pub fn of(pf: &ParcallFrame) -> Option<&Arc<FrameState>> {
+        pf.ext.as_ref()?.downcast_ref::<Arc<FrameState>>()
+    }
+
+    /// The engine's verdict on a parcall frame for [`Machine::determinate`]:
+    /// it is integrated and can give no further solution.
+    pub fn determinate(pf: &ParcallFrame) -> bool {
+        FrameState::of(pf).is_some_and(|f| f.fully_deterministic())
+    }
+
     /// Can LPCO grow this frame from its inline branch? It must still be
     /// collecting slots (`Ready` re-opens when slots are appended), and
     /// its owner must run an inline branch: a promoted record has none.
@@ -248,10 +295,7 @@ impl FrameState {
         ship_now: bool,
     ) -> (Arc<FrameState>, usize) {
         let n = branches.len();
-        let shippable = match local {
-            Local::Last => 0..n - 1,
-            Local::Prefix(k) => k + 1..n,
-        };
+        let shippable = local.shippable(n);
         let to_ship = &branches[shippable.clone()];
         // Demand-driven goal shipping: closures are only copied when idle
         // workers could actually steal them; otherwise goals stay owner-

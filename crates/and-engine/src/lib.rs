@@ -37,6 +37,7 @@
 
 pub mod engine;
 pub mod frame;
+pub mod sched;
 pub mod worker;
 
 pub use engine::{AndEngine, AndReport};

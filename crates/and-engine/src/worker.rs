@@ -1,8 +1,12 @@
 //! And-parallel worker agents.
 //!
-//! Each worker cooperates through the shared task queue and the
-//! [`FrameState`]s of active parallel calls. A worker maintains a stack of
-//! *activations*:
+//! Each worker cooperates through the goal list ([`Shared`]: it publishes
+//! the slots others may run and takes what others published) and the
+//! [`FrameState`]s of active parallel calls. Whether a stretch of a
+//! machine's control stack is determinate — the question behind LPCO, SPO
+//! and PDO — is asked of [`Machine::determinate`], with
+//! [`FrameState::determinate`] as the verdict on each parcall frame in it.
+//! A worker maintains a stack of *activations*:
 //!
 //! * `Run` — driving a machine (the root query or a subgoal group);
 //! * `Wait` — the machine below raised a parallel call; the worker helps
@@ -14,32 +18,15 @@
 //! virtual-time driver sees scheduler and data-structure costs exactly
 //! where the paper locates them.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::{CanonKey, Cell, Database};
 use ace_machine::{Machine, MachinePool, MarkerKind, Solution, Spine, Status};
 use ace_runtime::{CancelToken, Engine, EventKind, Step, WorkerCore, QUANTUM};
-use parking_lot::Mutex;
 
 use crate::frame::{bundle_copy, FrameInner, FrameStage, FrameState, GroupRec, Local, SlotState};
-
-/// A schedulable unit: one slot of one frame.
-#[derive(Clone)]
-pub struct Task {
-    pub frame: Arc<FrameState>,
-    pub slot: usize,
-    pub creator: usize,
-}
-
-/// The and-engine's share of a run's state (the run protocol's share is
-/// the [`ace_runtime::Control`] block).
-#[derive(Default)]
-pub struct Shared {
-    pub queue: Mutex<VecDeque<Task>>,
-    pub solutions: Mutex<Vec<Solution>>,
-}
+use crate::sched::Shared;
 
 /// What a `Run` activation is computing.
 enum RunCtx {
@@ -156,49 +143,26 @@ impl AndWorker {
     // Work acquisition
     // ------------------------------------------------------------------
 
-    fn try_get_work(&mut self) -> Step {
-        self.take_task(None)
-    }
-
-    /// Take the first queued task that is still claimable — of a frame
-    /// nested in `under`, when given — and start its slot.
+    /// Take the first published slot that is still claimable — of a frame
+    /// nested in `under`, when given — and start it.
     fn take_task(&mut self, under: Option<&Arc<FrameState>>) -> Step {
         // Injected transient steal failure: the task stays queued (checked
         // before any claim so nothing needs un-claiming) and this worker
         // retries on a later phase after its idle backoff — bounded retry,
         // since each fault event fires at most once.
-        if self.core.steal_faulted(|| !self.sh.queue.lock().is_empty()) {
+        if self.core.steal_faulted(|| self.sh.has_work()) {
             return Step::NoWork;
         }
         self.core.note(EventKind::StealAttempt);
-        let task = {
-            let mut q = self.sh.queue.lock();
-            match under {
-                None => loop {
-                    let Some(t) = q.pop_front() else { break None };
-                    if t.frame.cancel.is_cancelled() {
-                        continue;
-                    }
-                    if t.frame.claim(Some(t.slot)).is_some() {
-                        break Some(t);
-                    }
-                    // already claimed elsewhere (e.g. PDO) — skip
-                },
-                Some(frame) => {
-                    let at = q.iter().position(|t| {
-                        !t.frame.cancel.is_cancelled()
-                            && t.frame.descends_from(frame)
-                            && t.frame.claim(Some(t.slot)).is_some()
-                    });
-                    at.and_then(|i| q.remove(i))
-                }
-            }
+        let taken = match under {
+            None => self.sh.take(),
+            Some(frame) => self.sh.take_nested(frame),
         };
-        let Some(task) = task else {
+        let Some(task) = taken else {
             self.core.note(EventKind::StealFail);
             return Step::NoWork;
         };
-        if task.creator != self.core.id {
+        if task.stolen_by(self.core.id) {
             self.core.stats.tasks_stolen += 1;
             self.core.charge(self.core.costs.steal);
             self.core.note(EventKind::StealSuccess);
@@ -221,9 +185,7 @@ impl AndWorker {
             .clone()
             .expect("claimed slot without closure");
         let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
-        self.core.stats.cells_copied += out.cells_copied as u64;
-        self.core
-            .charge(out.cells_copied as u64 * self.core.costs.heap_cell);
+        self.core.charge_copy(out.cells_copied);
 
         // Markers: the unoptimized engine allocates the input marker
         // eagerly; SPO procrastinates it (paper §4.1).
@@ -478,7 +440,7 @@ impl AndWorker {
         if owner_slot.last().is_some_and(|o| o.frame.id == frame.id) {
             return false;
         }
-        if !machine.deterministic_since_parcall(frame.id, frame_is_deterministic) {
+        if !machine.deterministic_since_parcall(frame.id, FrameState::determinate) {
             return false;
         }
         // "last goal" in an inline chain: nothing follows but this frame's
@@ -506,14 +468,11 @@ impl AndWorker {
         } else {
             (None, 0)
         };
-        self.core.stats.cells_copied += cells as u64;
-        let charge =
-            self.core.costs.lpco_merge_slot * k as u64 + cells as u64 * self.core.costs.heap_cell;
-        self.core.charge(charge);
+        self.core.charge_copy(cells);
+        self.core.charge(self.core.costs.lpco_merge_slot * k as u64);
         self.core.note(EventKind::FrameElide { merged_slots: k });
 
-        let mut tasks = Vec::with_capacity(shipped.len());
-        {
+        let base = {
             let mut inner = frame.inner.lock();
             let inline_idx = inner.inline.expect("inline chain without inline slot");
             let base = inner.slots.len();
@@ -532,22 +491,19 @@ impl AndWorker {
                 });
                 inner.marks.push(None);
                 inner.pending += 1;
-                if ship_now {
-                    tasks.push(Task {
-                        frame: frame.clone(),
-                        slot: base + i,
-                        creator: self.core.id,
-                    });
-                }
             }
             if inner.stage == FrameStage::Ready {
                 inner.stage = FrameStage::Filling;
             }
             let rest = *branches.last().unwrap();
             inner.spine = Some((rest, machine.heap.trail_mark(), machine.heap.heap_mark()));
-        }
+            base
+        };
         machine.run_inline_branch(*branches.last().unwrap(), frame.id);
-        self.sh.queue.lock().extend(tasks);
+        if ship_now {
+            self.sh
+                .publish(&frame, base..base + shipped.len(), self.core.id);
+        }
         true
     }
 
@@ -644,20 +600,12 @@ impl AndWorker {
         else {
             unreachable!()
         };
+        let at = machine.parcall_index(fid);
         let (frame, rearrival) = if inline.last().is_some_and(|f| f.id == fid) {
             (inline.pop().unwrap(), false)
         } else {
             // find the frame on this machine's control stack
-            let found = machine.ctrl_frames().iter().find_map(|f| match f {
-                ace_machine::CtrlFrame::Parcall(pf) => pf
-                    .ext
-                    .as_ref()
-                    .and_then(|e| e.downcast_ref::<Arc<FrameState>>())
-                    .filter(|fr| fr.id == fid)
-                    .cloned(),
-                _ => None,
-            });
-            match found {
+            match at.and_then(|idx| FrameState::of(machine.parcall_at_mut(idx)).cloned()) {
                 Some(fr) => (fr, true),
                 None => {
                     self.core.ctl.fail_with(format!(
@@ -667,11 +615,9 @@ impl AndWorker {
                 }
             }
         };
-        let mut owner_reruns: Vec<Task> = Vec::new();
+        let mut owner_reruns = Vec::new();
         // Did the inline branch leave a choice point above its frame?
-        let nondet = machine
-            .parcall_index(fid)
-            .is_none_or(|idx| !region_is_deterministic(machine, idx + 1));
+        let nondet = at.is_none_or(|idx| !machine.determinate(idx + 1.., FrameState::determinate));
         {
             let mut inner = frame.inner.lock();
             if let Some(idx) = inner.inline {
@@ -679,42 +625,15 @@ impl AndWorker {
             }
             // A re-arrival came back through one of its choice points.
             inner.inline_nondet = nondet || rearrival;
-            if !inner.inline_nondet {
-                if let Some(idx) = machine.parcall_index(fid) {
-                    mark_passable(machine, idx + 1);
-                }
+            if let (false, Some(idx)) = (inner.inline_nondet, at) {
+                mark_passable(machine, idx + 1);
             }
             inner.inline_end = Some((machine.heap.trail_mark(), machine.heap.heap_mark()));
             if rearrival {
                 // every integration (and every owner-executed binding) was
                 // unwound by the backtracking that reached the inline
-                // choice points: redo integrations and re-run owner slots
-                for m in inner.marks.iter_mut() {
-                    *m = None;
-                }
-                for sl in inner.slots.iter_mut() {
-                    if sl.materialized {
-                        sl.parent_goal = None;
-                        sl.materialized = false;
-                    }
-                }
-                inner.integrate_from = 0;
-                for slot_idx in 0..inner.slots.len() {
-                    if inner.slots[slot_idx].owner_run
-                        && inner.slots[slot_idx].state == SlotState::Done
-                    {
-                        inner.slots[slot_idx].owner_run = false;
-                        inner.slots[slot_idx].state = SlotState::Unclaimed;
-                        inner.pending += 1;
-                        if inner.slots[slot_idx].closure.is_some() {
-                            owner_reruns.push(Task {
-                                frame: frame.clone(),
-                                slot: slot_idx,
-                                creator: self.core.id,
-                            });
-                        }
-                    }
-                }
+                // choice points
+                inner.redo_integrations(&mut owner_reruns);
                 if inner.stage == FrameStage::Integrated {
                     inner.stage = if inner.pending == 0 {
                         FrameStage::Ready
@@ -728,7 +647,7 @@ impl AndWorker {
             }
         }
         if !owner_reruns.is_empty() {
-            self.sh.queue.lock().extend(owner_reruns);
+            self.sh.publish(&frame, owner_reruns, self.core.id);
         }
         self.core
             .charge(self.core.costs.slot_join + self.core.costs.lock);
@@ -754,8 +673,7 @@ impl AndWorker {
             inline.pop();
         }
         // the subgoal's region: determinate?
-        let det = region_is_deterministic(machine, o.region);
-        if det {
+        if machine.determinate(o.region.., FrameState::determinate) {
             mark_passable(machine, o.region);
             if let Some(fence) = o.fence {
                 machine.disarm_fence(fence);
@@ -781,11 +699,7 @@ impl AndWorker {
                 inner.slots[o.slot].state = SlotState::Unclaimed;
                 inner.slots[o.slot].spec_failed = true;
             }
-            self.sh.queue.lock().push_back(Task {
-                frame: o.frame.clone(),
-                slot: o.slot,
-                creator: self.core.id,
-            });
+            self.sh.publish(&o.frame, [o.slot], self.core.id);
             self.core.charge(self.core.costs.queue_op);
         }
         let frame = o.frame;
@@ -873,7 +787,7 @@ impl AndWorker {
         // choice point (or a frame with more solutions) the members so far
         // left would skip it and drop its goal's cells. Only a determinate
         // group is extended.
-        if !machine_is_deterministic(machine) {
+        if !machine.determinate(.., FrameState::determinate) {
             return false;
         }
         let next = {
@@ -903,9 +817,8 @@ impl AndWorker {
         }
         machine.continue_with(out.root);
         machine.surface(&mut self.core);
-        self.core.stats.cells_copied += out.cells_copied as u64;
-        self.core
-            .charge(out.cells_copied as u64 * self.core.costs.heap_cell + self.core.costs.lock);
+        self.core.charge_copy(out.cells_copied);
+        self.core.charge(self.core.costs.lock);
         self.core.note(EventKind::PdoMerge);
         true
     }
@@ -927,7 +840,7 @@ impl AndWorker {
             unreachable!()
         };
 
-        let det = machine_is_deterministic(&machine);
+        let det = machine.determinate(.., FrameState::determinate);
         let has_frames = machine.has_parcall_frames();
 
         // End marker policy (paper §4.1): unoptimized always allocates it;
@@ -977,17 +890,13 @@ impl AndWorker {
         goal_cells.extend(&lpco_added);
         let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
         goal_cells.truncate(n_members);
-        self.core.stats.cells_copied += cells as u64;
-        self.core.charge(
-            cells as u64 * self.core.costs.heap_cell
-                + self.core.costs.slot_join
-                + self.core.costs.lock,
-        );
+        self.core.charge_copy(cells);
+        self.core
+            .charge(self.core.costs.slot_join + self.core.costs.lock);
 
-        let mut new_tasks: Vec<Task> = Vec::new();
         let keep = !det && !has_frames;
         let mut machine_opt = Some(machine);
-        {
+        let added = {
             let mut inner = frame.inner.lock();
             debug_assert_eq!(inner.groups[&leader].slots.len(), n_members);
             // Register LPCO-added slots.
@@ -1006,11 +915,6 @@ impl AndWorker {
                 });
                 inner.marks.push(None);
                 inner.pending += 1;
-                new_tasks.push(Task {
-                    frame: frame.clone(),
-                    slot: added_base + j,
-                    creator: self.core.id,
-                });
             }
             let FrameInner { groups, slots, .. } = &mut *inner;
             let g = groups.get_mut(&leader).unwrap();
@@ -1038,12 +942,13 @@ impl AndWorker {
             if inner.pending == 0 && inner.stage == FrameStage::Filling {
                 inner.stage = FrameStage::Ready;
             }
-        }
+            added_base..added_base + lpco_added.len()
+        };
         if let Some(m) = machine_opt {
             self.machines.retire(&mut self.core, m);
         }
-        if !new_tasks.is_empty() {
-            self.sh.queue.lock().extend(new_tasks);
+        if !added.is_empty() {
+            self.sh.publish(&frame, added, self.core.id);
         }
         Step::Worked
     }
@@ -1144,19 +1049,10 @@ impl AndWorker {
         };
         let (bundle, cells) = bundle_copy(&machine.heap, &goals);
         frame.install_closures(idxs, bundle);
-        self.core.stats.cells_copied += cells as u64;
-        let charge =
-            cells as u64 * self.core.costs.heap_cell + self.core.costs.queue_op * idxs.len() as u64;
-        self.core.charge(charge);
-        let tasks: Vec<Task> = idxs
-            .iter()
-            .map(|&slot| Task {
-                frame: frame.clone(),
-                slot,
-                creator: self.core.id,
-            })
-            .collect();
-        self.sh.queue.lock().extend(tasks);
+        self.core.charge_copy(cells);
+        self.core
+            .charge(self.core.costs.queue_op * idxs.len() as u64);
+        self.sh.publish(frame, idxs.iter().copied(), self.core.id);
     }
 
     fn step_wait(&mut self) -> Step {
@@ -1290,7 +1186,7 @@ impl AndWorker {
     /// parent-side subgoal term, record per-slot undo marks, materialize
     /// parent-side terms for LPCO-added slots, and resume the parent.
     fn integrate(&mut self, frame: &Arc<FrameState>) {
-        let mut copied = 0u64;
+        let mut copied = 0;
         let mut unify_steps = 0u64;
         let mut independence_violation = false;
         {
@@ -1319,7 +1215,7 @@ impl AndWorker {
                 let Cell::Str(hdr) = out.root else {
                     unreachable!()
                 };
-                copied += out.cells_copied as u64;
+                copied += out.cells_copied;
 
                 for (i, &slot) in g.slots.iter().enumerate() {
                     marks[slot] = Some(mark);
@@ -1353,9 +1249,8 @@ impl AndWorker {
                 machine.resume_with_cont(frame.cont);
             }
         }
-        self.core.stats.cells_copied += copied;
-        self.core
-            .charge(copied * self.core.costs.heap_cell + unify_steps * self.core.costs.unify_step);
+        self.core.charge_copy(copied);
+        self.core.charge(unify_steps * self.core.costs.unify_step);
         if independence_violation {
             self.core.ctl.fail_with(
                 "parallel goals were not independent: cross-slot binding \
@@ -1383,16 +1278,11 @@ impl AndWorker {
         else {
             unreachable!()
         };
-        let frame = {
-            let pf = machine
-                .top_parcall_mut()
-                .expect("ParcallRedo without frame");
-            pf.ext
-                .as_ref()
-                .and_then(|e| e.downcast_ref::<Arc<FrameState>>())
-                .cloned()
-                .expect("parcall frame without engine attachment")
-        };
+        let frame = machine
+            .top_parcall()
+            .and_then(FrameState::of)
+            .cloned()
+            .expect("ParcallRedo without an engine frame on top");
 
         // Backtracking reached a frame that was never (or is no longer)
         // integrated: its inline branch failed — inside backtracking, the
@@ -1499,8 +1389,7 @@ impl AndWorker {
                     }
                     (roots, cells)
                 };
-                self.core.stats.cells_copied += cells as u64;
-                self.core.charge(cells as u64 * self.core.costs.heap_cell);
+                self.core.charge_copy(cells);
                 // conjoin the roots: run them in order
                 let mut goal = *roots.last().unwrap();
                 for &r in roots.iter().rev().skip(1) {
@@ -1571,6 +1460,11 @@ impl AndWorker {
                 self.machines.retire(&mut self.core, machine);
                 Step::Worked
             }
+            // `halt/0` on outside backtracking ends the run, as in a `Run`.
+            Status::Halted => {
+                self.core.ctl.finish();
+                Step::Worked
+            }
             Status::Error(e) => {
                 self.core.ctl.fail_with(e);
                 Step::Worked
@@ -1600,10 +1494,9 @@ impl AndWorker {
         };
 
         let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
-        self.core.stats.cells_copied += cells as u64;
-        self.core.charge(cells as u64 * self.core.costs.heap_cell);
+        self.core.charge_copy(cells);
 
-        let mut new_tasks: Vec<Task> = Vec::new();
+        let mut new_tasks = Vec::new();
         let mut machine_opt = Some(machine);
         let mut rerun_branch: Option<Cell> = None;
         {
@@ -1696,44 +1589,14 @@ impl AndWorker {
                 inner.marks[s] = None;
                 pending += 1;
                 if inner.slots[s].closure.is_some() {
-                    new_tasks.push(Task {
-                        frame: frame.clone(),
-                        slot: s,
-                        creator: self.core.id,
-                    });
+                    new_tasks.push(s);
                 }
             }
+            inner.pending = pending;
             if deep_undo {
-                // every integration was undone: redo them all, and drop
-                // LPCO-materialized parent goals (their cells were
-                // truncated; the origin's re-integration recreates them)
-                for m in inner.marks.iter_mut() {
-                    *m = None;
-                }
-                // Owner-run slots left of the advanced group lost their
-                // bindings to the same undo: run them again.
-                for s in 0..=group_last {
-                    let sl = &mut inner.slots[s];
-                    if sl.owner_run && sl.state == SlotState::Done {
-                        sl.owner_run = false;
-                        sl.state = SlotState::Unclaimed;
-                        pending += 1;
-                        if sl.closure.is_some() {
-                            new_tasks.push(Task {
-                                frame: frame.clone(),
-                                slot: s,
-                                creator: self.core.id,
-                            });
-                        }
-                    }
-                }
-                for sl in inner.slots.iter_mut() {
-                    if sl.materialized {
-                        sl.parent_goal = None;
-                        sl.materialized = false;
-                    }
-                }
-                inner.integrate_from = 0;
+                // every integration was undone, and the owner-run slots
+                // left of the advanced group lost their bindings to it
+                inner.redo_integrations(&mut new_tasks);
             }
             if rerun_inline || rerun_spine {
                 let idx = inner.inline.unwrap();
@@ -1748,8 +1611,7 @@ impl AndWorker {
             } else if !deep_undo {
                 inner.integrate_from = leader;
             }
-            inner.pending = pending;
-            inner.stage = if pending > 0 {
+            inner.stage = if inner.pending > 0 {
                 FrameStage::Filling
             } else {
                 FrameStage::Ready
@@ -1759,7 +1621,7 @@ impl AndWorker {
             self.machines.retire(&mut self.core, m);
         }
         if !new_tasks.is_empty() {
-            self.sh.queue.lock().extend(new_tasks);
+            self.sh.publish(&frame, new_tasks, self.core.id);
         }
         match rerun_branch {
             Some(branch) => {
@@ -1828,46 +1690,17 @@ fn build_frame(
     let pf = machine.parcall_at_mut(idx);
     pf.branches = branches;
     pf.ext = Some(Box::new(frame.clone()));
-    core.stats.cells_copied += cells as u64;
-    let charge = core.costs.parcall_frame_alloc
-        + core.costs.parcall_slot * n as u64
-        + cells as u64 * core.costs.heap_cell
-        + core.costs.queue_op * (n as u64 - 1);
-    core.charge(charge);
+    core.charge_copy(cells);
+    core.charge(
+        core.costs.parcall_frame_alloc
+            + core.costs.parcall_slot * n as u64
+            + core.costs.queue_op * (n as u64 - 1),
+    );
     core.note(EventKind::FrameAlloc { slots: n });
     if ship_now {
-        let inner = frame.inner.lock();
-        let tasks = (0..n)
-            .filter(|&slot| inner.slots[slot].state == SlotState::Unclaimed)
-            .map(|slot| Task {
-                frame: frame.clone(),
-                slot,
-                creator: core.id,
-            });
-        sh.queue.lock().extend(tasks);
+        sh.publish(&frame, local.shippable(n), core.id);
     }
     frame
-}
-
-/// Refined runtime determinacy: a finished subgoal is deterministic when
-/// no choice point survives AND every nested parcall frame it integrated
-/// is itself incapable of further solutions. (The coarse
-/// `Machine::is_deterministic_above` treats any parcall frame as a
-/// nondeterminism source; this looks through the engine attachment.)
-fn machine_is_deterministic(machine: &Machine) -> bool {
-    region_is_deterministic(machine, 0)
-}
-
-/// Like [`machine_is_deterministic`], restricted to control frames at
-/// height `from` and above (owner-PDO determinacy check of one region).
-fn region_is_deterministic(machine: &Machine, from: usize) -> bool {
-    use ace_machine::CtrlFrame;
-    let ctrl = machine.ctrl_frames();
-    ctrl[from.min(ctrl.len())..].iter().all(|f| match f {
-        CtrlFrame::Marker(_) | CtrlFrame::Record(_) => true,
-        CtrlFrame::Choice(_) => false,
-        CtrlFrame::Parcall(pf) => frame_is_deterministic(pf),
-    })
 }
 
 /// The frames from control index `from` up lie in a determinate branch the
@@ -1875,23 +1708,11 @@ fn region_is_deterministic(machine: &Machine, from: usize) -> bool {
 fn mark_passable(machine: &Machine, from: usize) {
     for f in &machine.ctrl_frames()[from..] {
         if let ace_machine::CtrlFrame::Parcall(pf) = f {
-            if let Some(fs) = pf
-                .ext
-                .as_ref()
-                .and_then(|e| e.downcast_ref::<Arc<FrameState>>())
-            {
+            if let Some(fs) = FrameState::of(pf) {
                 fs.inner.lock().passable = true;
             }
         }
     }
-}
-
-/// An (integrated) parcall frame that can produce no further solution.
-fn frame_is_deterministic(pf: &ace_machine::ParcallFrame) -> bool {
-    pf.ext
-        .as_ref()
-        .and_then(|e| e.downcast_ref::<Arc<FrameState>>())
-        .is_some_and(|fs| fs.fully_deterministic())
 }
 
 impl Engine for AndWorker {
@@ -1901,7 +1722,7 @@ impl Engine for AndWorker {
 
     fn work(&mut self) -> Step {
         match self.stack.last() {
-            None => self.try_get_work(),
+            None => self.take_task(None),
             Some(Act::Run { .. }) => self.step_run(),
             Some(Act::Wait { .. }) => self.step_wait(),
             Some(Act::Advance { .. }) => self.step_advance(),

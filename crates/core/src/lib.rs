@@ -26,13 +26,17 @@ pub mod error;
 pub mod report;
 pub mod schema;
 
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use ace_and::AndEngine;
 use ace_logic::Database;
 use ace_machine::{Solution, Solver};
 use ace_or::OrEngine;
-use ace_runtime::{Control, CostModel, EngineConfig, EventKind, Stats, Trace, TraceEvent};
+use ace_runtime::{
+    AnswerSink, Control, CostModel, EngineConfig, EventKind, SinkVerdict, Stats, Trace, TraceEvent,
+};
 
 pub use error::AceError;
 pub use report::RunReport;
@@ -107,17 +111,39 @@ impl Ace {
     /// that is not the program's fault — a worker panic, an injected
     /// fault, a driver abort — the query is replayed on the sequential
     /// engine and the recovery is recorded on the report. Program and
-    /// parse errors always surface.
+    /// parse errors always surface. A session sink receives each answer
+    /// once: the replay skips, per answer, as many copies as the failed
+    /// attempt streamed.
     pub fn run_query(
         &self,
         mode: Mode,
         query: &str,
         cfg: &EngineConfig,
     ) -> Result<RunReport, AceError> {
-        match self.run_once(mode, query, cfg) {
+        if mode == Mode::Sequential {
+            return self.run_once(mode, query, cfg);
+        }
+        let (mut attempt, mut replay) = (Cow::Borrowed(cfg), Cow::Borrowed(cfg));
+        if let Some(sink) = &cfg.session.sink {
+            let streamed: Arc<Mutex<HashMap<String, u64>>> = Arc::default();
+            let (seen, to) = (streamed.clone(), sink.clone());
+            attempt.to_mut().session.sink = Some(AnswerSink::new(move |a| {
+                *seen.lock().unwrap().entry(a.to_string()).or_insert(0) += 1;
+                to.deliver(a)
+            }));
+            let to = sink.clone();
+            replay.to_mut().session.sink = Some(AnswerSink::new(move |a| {
+                match streamed.lock().unwrap().get_mut(a) {
+                    Some(n) if *n > 0 => *n -= 1,
+                    _ => return to.deliver(a),
+                }
+                SinkVerdict::Continue
+            }));
+        }
+        match self.run_once(mode, query, &attempt) {
             Ok(r) => Ok(r),
-            Err(e) if e.is_recoverable() && mode != Mode::Sequential => {
-                let mut r = self.run_once(Mode::Sequential, query, cfg)?;
+            Err(e) if e.is_recoverable() => {
+                let mut r = self.run_once(Mode::Sequential, query, &replay)?;
                 let reason =
                     format!("parallel run failed ({e}); recovered via sequential fallback");
                 if cfg.observe.trace.enabled {
@@ -393,6 +419,39 @@ mod tests {
             r.recovery.iter().any(|l| l.contains("sequential fallback")),
             "{:?}",
             r.recovery
+        );
+    }
+
+    /// A sequential fallback replays the query through the same sink: the
+    /// answers the failed parallel attempt streamed must not reach it twice.
+    #[test]
+    fn fallback_streams_each_answer_once() {
+        use ace_runtime::fault::{FaultKind, FaultPlan};
+        use ace_runtime::{AnswerSink, SinkVerdict};
+        use std::collections::HashMap;
+        use std::sync::Mutex;
+        let ace = Ace::load(PROG).unwrap();
+        let got = Arc::new(Mutex::new(HashMap::<String, usize>::new()));
+        let tap = got.clone();
+        let mut c = cfg(2, OptFlags::all());
+        c.session.sink = Some(AnswerSink::new(move |a: &str| {
+            *tap.lock().unwrap().entry(a.to_string()).or_default() += 1;
+            SinkVerdict::Continue
+        }));
+        c.session.fault_plan = Some(FaultPlan::new(1).with(0, 20, FaultKind::Die));
+        let list: Vec<String> = (1..=20).map(|i| i.to_string()).collect();
+        let query = format!("member(X, [{}])", list.join(","));
+        let r = ace.run_query(Mode::OrParallel, &query, &c).unwrap();
+        assert!(
+            !r.recovery.is_empty(),
+            "the attempt must fail and be replayed"
+        );
+        assert_eq!(r.solutions.len(), 20);
+        let got = got.lock().unwrap();
+        assert_eq!(got.values().sum::<usize>(), 20, "{got:?}");
+        assert!(
+            r.solutions.iter().all(|s| got.get(s) == Some(&1)),
+            "{got:?}"
         );
     }
 

@@ -238,12 +238,6 @@ impl CtrlFrame {
         matches!(self, CtrlFrame::Record(_))
     }
 
-    /// Neither a choice point nor a parcall frame: nothing backtracking can
-    /// resume (a marker, or a record, which it passes through).
-    pub fn is_transparent(&self) -> bool {
-        matches!(self, CtrlFrame::Marker(_) | CtrlFrame::Record(_))
-    }
-
     /// Continuation-stack height when this frame was pushed.
     #[inline]
     pub fn cont_mark(&self) -> ContMark {

@@ -19,10 +19,11 @@
 //!   [`Machine::backtrack`] resumes the search; a machine is a solution
 //!   generator, which is exactly what the and-parallel engine keeps per
 //!   nondeterministic slot for outside backtracking.
-//! * **Runtime determinacy is observable**:
-//!   [`Machine::is_deterministic_above`] answers "did any choice point
-//!   survive since this control height?" — the trigger condition for the
-//!   shallow-parallelism and last-parallel-call optimizations.
+//! * **Runtime determinacy is observable**: [`Machine::determinate`]
+//!   answers "can backtracking into this control range resume anything?",
+//!   taking the engine's verdict on each parcall frame in it — the trigger
+//!   condition for the shallow-parallelism, sequentialization and
+//!   last-parallel-call optimizations.
 
 pub mod arith;
 pub mod builtins;

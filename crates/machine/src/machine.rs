@@ -1146,23 +1146,29 @@ impl Machine {
         &self.ctrl
     }
 
-    /// "Did any choice point (or nested parcall frame) survive above
-    /// `height`?" — the runtime determinacy test driving SPO and LPCO.
-    pub fn is_deterministic_above(&self, height: usize) -> bool {
-        self.ctrl[height.min(self.ctrl.len())..]
-            .iter()
-            .all(CtrlFrame::is_transparent)
+    /// Is the control range `range` determinate — can backtracking into it
+    /// resume nothing? Markers (fences included) and records pass, a choice
+    /// point fails, and a parcall frame passes when `frame_det`, the
+    /// engine's verdict on the frame, says it can give no further solution.
+    /// A range starting past the top is empty. The runtime determinacy test
+    /// behind SPO, PDO and LPCO.
+    pub fn determinate(
+        &self,
+        range: impl std::ops::RangeBounds<usize>,
+        frame_det: impl Fn(&ParcallFrame) -> bool,
+    ) -> bool {
+        let range = (range.start_bound().cloned(), range.end_bound().cloned());
+        self.ctrl.get(range).is_none_or(|frames| {
+            frames.iter().all(|f| match f {
+                CtrlFrame::Marker(_) | CtrlFrame::Record(_) => true,
+                CtrlFrame::Choice(_) => false,
+                CtrlFrame::Parcall(pf) => frame_det(pf),
+            })
+        })
     }
 
     /// The parcall frame on top of the control stack (present when status
     /// is [`Status::Parcall`] or [`Status::ParcallRedo`]).
-    pub fn top_parcall_mut(&mut self) -> Option<&mut ParcallFrame> {
-        match self.ctrl.last_mut() {
-            Some(CtrlFrame::Parcall(pf)) => Some(pf),
-            _ => None,
-        }
-    }
-
     pub fn top_parcall(&self) -> Option<&ParcallFrame> {
         match self.ctrl.last() {
             Some(CtrlFrame::Parcall(pf)) => Some(pf),
@@ -1231,16 +1237,6 @@ impl Machine {
         let running = (r.running as usize, r.running_at);
         self.ctrl[idx] = CtrlFrame::Parcall(pf);
         running
-    }
-
-    /// Resume execution after the and-engine integrated a (new) solution of
-    /// the top parcall frame: continue with the goals after the `&`.
-    pub fn resume_after_parcall(&mut self) {
-        self.cont = self
-            .top_parcall()
-            .expect("resume_after_parcall: no parcall on top")
-            .cont;
-        self.status = Status::Running;
     }
 
     /// Resume with an explicit continuation (integration of a parcall frame
@@ -1322,32 +1318,18 @@ impl Machine {
     }
 
     /// LPCO in inline chains: has this machine been determinate since the
-    /// parcall frame `id` — no choice point between it and the top frame
-    /// (the call just raised), and every frame between them determinate by
-    /// `frame_det`? Markers and records are no choice points. The frame
-    /// merged into must be `id` itself, not merely the nearest frame: a
-    /// choice point below a nested frame is still below the merge.
+    /// parcall frame `id` — is the range between it and the top frame (the
+    /// call just raised) [`Machine::determinate`] under `frame_det`? The
+    /// frame merged into must be `id` itself, not merely the nearest frame:
+    /// a choice point below a nested frame is still below the merge.
     pub fn deterministic_since_parcall(
         &self,
         id: u64,
         frame_det: impl Fn(&ParcallFrame) -> bool,
     ) -> bool {
-        let Some(top) = self.ctrl.len().checked_sub(1) else {
-            return false;
-        };
-        for f in self.ctrl[..top].iter().rev() {
-            match f {
-                CtrlFrame::Marker(_) | CtrlFrame::Record(_) => {}
-                CtrlFrame::Choice(_) => return false,
-                CtrlFrame::Parcall(pf) if pf.id == id => return true,
-                CtrlFrame::Parcall(pf) => {
-                    if !frame_det(pf) {
-                        return false;
-                    }
-                }
-            }
-        }
-        false
+        let top = self.ctrl.len().saturating_sub(1);
+        self.parcall_index(id)
+            .is_some_and(|idx| idx < top && self.determinate(idx + 1..top, frame_det))
     }
 
     /// The top parcall frame is exhausted (inside failure on first
@@ -2758,5 +2740,117 @@ fn inline_step(
             let (a, b) = (heap.str_arg(gh, 0), heap.str_arg(gh, 1));
             unified(stats, unify(heap, a, b))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ace_logic::heap::HeapMark;
+
+    const MARKS: (TrailMark, HeapMark, ContMark) = (TrailMark(0), HeapMark(0), ContMark::ZERO);
+
+    fn marker(kind: MarkerKind) -> CtrlFrame {
+        let (trail, heap, conts) = MARKS;
+        CtrlFrame::Marker(Marker {
+            kind,
+            parcall_id: 1,
+            slot: 0,
+            trail,
+            heap,
+            conts,
+        })
+    }
+
+    fn record() -> CtrlFrame {
+        let (trail, heap, conts) = MARKS;
+        CtrlFrame::Record(ParRecord {
+            goal: Cell::Nil,
+            len: 2,
+            cont: Cont::NONE,
+            trail,
+            heap,
+            conts,
+            barrier: 0,
+            running: 0,
+            running_at: (trail, heap),
+            reached: 0,
+        })
+    }
+
+    fn choice() -> CtrlFrame {
+        let (trail, heap, conts) = MARKS;
+        CtrlFrame::Choice(ChoicePoint {
+            goal: Cell::Nil,
+            alts: Alts::Disj { rhs: Cell::Nil },
+            cont: Cont::NONE,
+            trail,
+            heap,
+            conts,
+            barrier: 0,
+            shared: None,
+        })
+    }
+
+    fn parcall(id: u64) -> CtrlFrame {
+        let (trail, heap, conts) = MARKS;
+        CtrlFrame::Parcall(ParcallFrame {
+            id,
+            branches: Vec::new(),
+            cont: Cont::NONE,
+            trail,
+            heap,
+            conts,
+            barrier: 0,
+            ext: None,
+        })
+    }
+
+    /// `determinate` over every kind of control frame: markers, fences and
+    /// records pass, a choice point fails, a parcall frame takes the
+    /// engine's verdict; empty ranges pass.
+    #[test]
+    fn determinate_reads_each_frame_kind() {
+        let db = Arc::new(Database::load("").unwrap());
+        let mut m = Machine::new(db, Arc::new(CostModel::default()));
+        assert!(m.determinate(.., |_| false), "an empty stack");
+        // 0 input marker, 1 fence, 2 record, 3 determinate frame,
+        // 4 choice point, 5 nondeterminate frame, 6 end marker.
+        m.ctrl = vec![
+            marker(MarkerKind::Input),
+            marker(MarkerKind::Fence),
+            record(),
+            parcall(7),
+            choice(),
+            parcall(9),
+            marker(MarkerKind::End),
+        ];
+        let verdict = |pf: &ParcallFrame| pf.id == 7;
+        assert!(m.determinate(0..3, verdict), "markers, a fence, a record");
+        assert!(m.determinate(..4, verdict), "a determinate frame passes");
+        assert!(!m.determinate(3..4, |_| false), "the verdict decides");
+        assert!(!m.determinate(..5, verdict), "a choice point fails");
+        assert!(!m.determinate(4..5, |_| true));
+        assert!(!m.determinate(5.., verdict), "a nondeterminate frame");
+        assert!(m.determinate(6.., verdict));
+        for empty in [4..4, 7..7, 9..12] {
+            assert!(m.determinate(empty.clone(), |_| false), "{empty:?}");
+        }
+        assert!(
+            !m.determinate(.., |_| true),
+            "the full range holds the choice point"
+        );
+        m.ctrl.remove(4);
+        assert!(m.determinate(.., |_| true), "without it only the verdicts");
+        assert!(!m.determinate(.., verdict));
+        // Since frame 7 (below the raised call on top, here the end marker):
+        // the range between them holds frame 9.
+        assert!(!m.deterministic_since_parcall(7, verdict));
+        assert!(m.deterministic_since_parcall(7, |_| true));
+        assert!(
+            m.deterministic_since_parcall(9, |_| false),
+            "nothing between"
+        );
+        assert!(!m.deterministic_since_parcall(8, |_| true), "no frame 8");
     }
 }

@@ -255,6 +255,13 @@ impl WorkerCore {
         self.phase_cost += units;
     }
 
+    /// `cells` heap cells copied between heaps (a shipped goal, a solution
+    /// bundle, an integration): count them and charge their price.
+    pub fn charge_copy(&mut self, cells: usize) {
+        self.stats.cells_copied += cells as u64;
+        self.charge(cells as u64 * self.costs.heap_cell);
+    }
+
     /// A scheduling fact happened, now: bump the counters its row
     /// declares, record it if this run traces its class, step its live
     /// series if one is attached. Prices stay with the site

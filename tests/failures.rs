@@ -350,3 +350,29 @@ fn cut_over_parcall_commits() {
         assert_eq!(r.solutions, vec!["A=1, B=1"], "opts={}", opts.label());
     }
 }
+
+/// `halt/0` reached while outside backtracking advances a kept generator
+/// ends the run with the answers found so far, as it does sequentially.
+#[test]
+fn halt_on_outside_backtracking_ends_the_run() {
+    let ace = Ace::load(
+        r#"
+        member(X, [X|_]).
+        member(X, [_|T]) :- member(X, T).
+        p(X) :- member(X, [1,2,3]), (X =:= 2 -> halt ; true).
+        q(Y) :- Y = a.
+        "#,
+    )
+    .unwrap();
+    let query = "p(X) & q(Y)";
+    let seq = ace.sequential_solutions(query).unwrap();
+    assert_eq!(seq, vec!["X=1, Y=a"]);
+    for opts in [OptFlags::none(), OptFlags::paper(), OptFlags::all()] {
+        for w in [1, 4] {
+            let r = ace
+                .run_strict(Mode::AndParallel, query, &cfg(w, opts))
+                .unwrap_or_else(|e| panic!("w={w} opts={}: {e}", opts.label()));
+            assert_eq!(r.solutions, seq, "w={w} opts={}", opts.label());
+        }
+    }
+}
