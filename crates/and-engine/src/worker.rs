@@ -2,7 +2,9 @@
 //!
 //! Each worker cooperates through the goal list ([`Shared`]: it publishes
 //! the slots others may run and takes what others published) and the
-//! [`FrameState`]s of active parallel calls. Whether a stretch of a
+//! [`FrameState`]s of active parallel calls: each change to a frame's slot
+//! table is one `FrameState` method, and the prices, trace notes and
+//! publications around it stay here. Whether a stretch of a
 //! machine's control stack is determinate — the question behind LPCO, SPO
 //! and PDO — is asked of [`Machine::determinate`], with
 //! [`FrameState::determinate`] as the verdict on each parcall frame in it.
@@ -20,12 +22,12 @@
 
 use std::sync::Arc;
 
-use ace_logic::copy::{copy_term, copy_tuple};
+use ace_logic::copy::copy_term;
 use ace_logic::{CanonKey, Cell, Database};
 use ace_machine::{Machine, MachinePool, MarkerKind, Solution, Spine, Status};
 use ace_runtime::{CancelToken, Engine, EventKind, Step, WorkerCore, QUANTUM};
 
-use crate::frame::{bundle_copy, FrameInner, FrameStage, FrameState, GroupRec, Local, SlotState};
+use crate::frame::{bundle_copy, FrameStage, FrameState, Local, Redo};
 use crate::sched::Shared;
 
 /// What a `Run` activation is computing.
@@ -180,10 +182,7 @@ impl AndWorker {
         machine.enable_parallel(true);
 
         // Goal shipping: copy the subgoal closure into the machine.
-        let goal = frame.inner.lock().slots[slot]
-            .closure
-            .clone()
-            .expect("claimed slot without closure");
+        let goal = frame.start_group(slot);
         let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
         self.core.charge_copy(out.cells_copied);
 
@@ -206,18 +205,7 @@ impl AndWorker {
             Vec::new()
         };
 
-        // Register the group.
-        {
-            let mut inner = frame.inner.lock();
-            inner.slots[slot].group = Some(slot);
-            inner.groups.insert(
-                slot,
-                GroupRec {
-                    slots: vec![slot],
-                    ..GroupRec::default()
-                },
-            );
-        }
+        // The group's registration (`start_group`).
         self.core.charge(self.core.costs.lock);
 
         machine.surface(&mut self.core);
@@ -455,54 +443,27 @@ impl AndWorker {
         let pf = machine.merge_out_parcall();
         let branches = pf.branches;
         // The branch runs on from here, and a redo wave that re-runs it
-        // starts here (`FrameInner::spine`): the frames it has passed
+        // starts here (the frame's spine): the frames it has passed
         // (determinate, just checked) must keep what lies below this point.
         if let Some(idx) = machine.parcall_index(frame.id) {
-            mark_passable(machine, idx + 1);
+            FrameState::mark_passable(machine, idx + 1);
         }
         let k = branches.len();
         let shipped = &branches[..k - 1];
-        let (bundle, cells) = if ship_now {
-            let (bundle, cells) = bundle_copy(&machine.heap, shipped);
-            (Some(bundle), cells)
-        } else {
-            (None, 0)
+        let (bundle, cells) = match ship_now.then(|| bundle_copy(&machine.heap, shipped)) {
+            Some((bundle, cells)) => (Some(bundle), cells),
+            None => (None, 0),
         };
         self.core.charge_copy(cells);
         self.core.charge(self.core.costs.lpco_merge_slot * k as u64);
         self.core.note(EventKind::FrameElide { merged_slots: k });
 
-        let base = {
-            let mut inner = frame.inner.lock();
-            let inline_idx = inner.inline.expect("inline chain without inline slot");
-            let base = inner.slots.len();
-            for (i, &pg) in shipped.iter().enumerate() {
-                inner.slots.push(crate::frame::SlotRec {
-                    closure: bundle.as_ref().map(|b| b.closure(i)),
-                    parent_goal: Some(pg),
-                    state: SlotState::Unclaimed,
-                    group: None,
-                    // A rerun of the inline spine re-creates these slots:
-                    // mark their origin so redo waves drop them first.
-                    origin: Some(inline_idx),
-                    owner_run: false,
-                    spec_failed: false,
-                    materialized: false,
-                });
-                inner.marks.push(None);
-                inner.pending += 1;
-            }
-            if inner.stage == FrameStage::Ready {
-                inner.stage = FrameStage::Filling;
-            }
-            let rest = *branches.last().unwrap();
-            inner.spine = Some((rest, machine.heap.trail_mark(), machine.heap.heap_mark()));
-            base
-        };
-        machine.run_inline_branch(*branches.last().unwrap(), frame.id);
+        let rest = *branches.last().unwrap();
+        let spine = (rest, machine.heap.trail_mark(), machine.heap.heap_mark());
+        let added = frame.merge_inline(shipped, bundle.as_ref(), spine);
+        machine.run_inline_branch(rest, frame.id);
         if ship_now {
-            self.sh
-                .publish(&frame, base..base + shipped.len(), self.core.id);
+            self.sh.publish(&frame, added, self.core.id);
         }
         true
     }
@@ -526,17 +487,11 @@ impl AndWorker {
         if !machine.deterministic_before_top_parcall() {
             return false;
         }
-        {
-            let pf = machine.top_parcall().unwrap();
-            if pf.cont.is_some() {
-                return false; // parallel call is not the last goal
-            }
+        if machine.top_parcall().unwrap().cont.is_some() {
+            return false; // parallel call is not the last goal
         }
-        {
-            let inner = frame.inner.lock();
-            if inner.stage != FrameStage::Filling {
-                return false;
-            }
+        if frame.stage() != FrameStage::Filling {
+            return false;
         }
         // Note: the paper's general LPCO (Figure 3) merges trailing
         // parallel calls of *any* slot into the enclosing frame. When the
@@ -577,14 +532,10 @@ impl AndWorker {
         }
     }
 
-    /// The inline branch of frame `fid` (re-)arrived at its barrier.
-    ///
-    /// * First arrival: its slot joins the barrier; wait for the shipped
-    ///   slots, then integrate.
-    /// * Re-arrival (the machine's own backtracking found another inline
-    ///   solution): the backtrack that reached the inline choice points
-    ///   unwound every sibling integration on the trail, so mark the whole
-    ///   frame for re-integration and wait again.
+    /// The inline branch of frame `fid` (re-)arrived at its barrier: wait
+    /// for the shipped slots, then integrate. A re-arrival is the machine's
+    /// own backtracking finding another inline solution
+    /// ([`FrameState::arrive`] redoes the integrations it unwound).
     fn on_barrier(&mut self, fid: u64) -> Step {
         // Owner-executed (PDO) subgoal completion?
         if matches!(
@@ -615,36 +566,17 @@ impl AndWorker {
                 }
             }
         };
-        let mut owner_reruns = Vec::new();
-        // Did the inline branch leave a choice point above its frame?
-        let nondet = at.is_none_or(|idx| !machine.determinate(idx + 1.., FrameState::determinate));
-        {
-            let mut inner = frame.inner.lock();
-            if let Some(idx) = inner.inline {
-                inner.slots[idx].state = SlotState::Done;
-            }
-            // A re-arrival came back through one of its choice points.
-            inner.inline_nondet = nondet || rearrival;
-            if let (false, Some(idx)) = (inner.inline_nondet, at) {
-                mark_passable(machine, idx + 1);
-            }
-            inner.inline_end = Some((machine.heap.trail_mark(), machine.heap.heap_mark()));
-            if rearrival {
-                // every integration (and every owner-executed binding) was
-                // unwound by the backtracking that reached the inline
-                // choice points
-                inner.redo_integrations(&mut owner_reruns);
-                if inner.stage == FrameStage::Integrated {
-                    inner.stage = if inner.pending == 0 {
-                        FrameStage::Ready
-                    } else {
-                        FrameStage::Filling
-                    };
-                }
-                self.core.note(EventKind::RedoRound);
-            } else if inner.pending == 0 && inner.stage == FrameStage::Filling {
-                inner.stage = FrameStage::Ready;
-            }
+        // Did the inline branch leave a choice point above its frame? A
+        // re-arrival came back through one of its choice points.
+        let nondet = rearrival
+            || at.is_none_or(|idx| !machine.determinate(idx + 1.., FrameState::determinate));
+        if let (false, Some(idx)) = (nondet, at) {
+            FrameState::mark_passable(machine, idx + 1);
+        }
+        let end = (machine.heap.trail_mark(), machine.heap.heap_mark());
+        let owner_reruns = frame.arrive(rearrival, nondet, end);
+        if rearrival {
+            self.core.note(EventKind::RedoRound);
         }
         if !owner_reruns.is_empty() {
             self.sh.publish(&frame, owner_reruns, self.core.id);
@@ -674,19 +606,11 @@ impl AndWorker {
         }
         // the subgoal's region: determinate?
         if machine.determinate(o.region.., FrameState::determinate) {
-            mark_passable(machine, o.region);
+            FrameState::mark_passable(machine, o.region);
             if let Some(fence) = o.fence {
                 machine.disarm_fence(fence);
             }
-            {
-                let mut inner = o.frame.inner.lock();
-                inner.slots[o.slot].state = SlotState::Done;
-                inner.slots[o.slot].owner_run = true;
-                inner.pending -= 1;
-                if inner.pending == 0 && inner.stage == FrameStage::Filling {
-                    inner.stage = FrameStage::Ready;
-                }
-            }
+            o.frame.owner_slot_done(o.slot);
             self.core
                 .charge(self.core.costs.slot_join + self.core.costs.lock);
             self.core.note(EventKind::PdoMerge);
@@ -694,11 +618,7 @@ impl AndWorker {
             // speculation failed: undo and ship to a fresh machine
             machine.rollback_to(o.fence.unwrap_or(o.region), o.trail, o.heap);
             machine.surface(&mut self.core);
-            {
-                let mut inner = o.frame.inner.lock();
-                inner.slots[o.slot].state = SlotState::Unclaimed;
-                inner.slots[o.slot].spec_failed = true;
-            }
+            o.frame.speculation_failed(o.slot);
             self.sh.publish(&o.frame, [o.slot], self.core.id);
             self.core.charge(self.core.costs.queue_op);
         }
@@ -790,24 +710,8 @@ impl AndWorker {
         if !machine.determinate(.., FrameState::determinate) {
             return false;
         }
-        let next = {
-            let inner = frame.inner.lock();
-            let group = &inner.groups[leader];
-            *group.slots.last().unwrap() + 1
-        };
-        if frame.claim(Some(next)).is_none() {
+        let Some(goal) = frame.extend_group(*leader) else {
             return false;
-        }
-        // Claimed: extend the group.
-        let goal = {
-            let mut inner = frame.inner.lock();
-            inner.slots[next].group = Some(*leader);
-            let g = inner.groups.get_mut(leader).unwrap();
-            g.slots.push(next);
-            inner.slots[next]
-                .closure
-                .clone()
-                .expect("claimed slot without closure")
         };
         let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
         goal_cells.push(out.root);
@@ -845,10 +749,7 @@ impl AndWorker {
 
         // End marker policy (paper §4.1): unoptimized always allocates it;
         // SPO elides both markers for deterministic subgoals.
-        let last_slot = {
-            let inner = frame.inner.lock();
-            *inner.groups[&leader].slots.last().unwrap()
-        };
+        let last_slot = leader + goal_cells.len() - 1; // members are consecutive
         if self.core.ctl.cfg.run.opts.spo {
             if det {
                 // The subgoal completed deterministically: neither marker
@@ -894,57 +795,16 @@ impl AndWorker {
         self.core
             .charge(self.core.costs.slot_join + self.core.costs.lock);
 
-        let keep = !det && !has_frames;
-        let mut machine_opt = Some(machine);
-        let added = {
-            let mut inner = frame.inner.lock();
-            debug_assert_eq!(inner.groups[&leader].slots.len(), n_members);
-            // Register LPCO-added slots.
-            let added_base = inner.slots.len();
-            for (j, _) in lpco_added.iter().enumerate() {
-                let root_idx = n_members + j;
-                inner.slots.push(crate::frame::SlotRec {
-                    closure: Some(bundle.closure(root_idx)),
-                    parent_goal: None,
-                    state: SlotState::Unclaimed,
-                    group: None,
-                    origin: Some(last_slot),
-                    owner_run: false,
-                    spec_failed: false,
-                    materialized: false,
-                });
-                inner.marks.push(None);
-                inner.pending += 1;
-            }
-            let FrameInner { groups, slots, .. } = &mut *inner;
-            let g = groups.get_mut(&leader).unwrap();
-            g.bundle = Some(bundle);
-            g.goal_cells = goal_cells;
-            g.det = det;
-            g.exhausted = det; // deterministic: no further solutions
-            g.recompute = !det && has_frames;
-            g.solutions_delivered = 1;
-            g.extra = (0..lpco_added.len())
-                .map(|j| (added_base + j, n_members + j))
-                .collect();
-            // Keep the machine as a generator, or retire it below.
-            if keep {
-                let mut m = machine_opt.take().unwrap();
-                // generators continue sequentially on redo
-                m.enable_parallel(false);
-                g.machine = Some(m);
-            }
-            // Mark members done and update the wave count.
-            for &s in &g.slots {
-                slots[s].state = SlotState::Done;
-            }
-            inner.pending -= n_members;
-            if inner.pending == 0 && inner.stage == FrameStage::Filling {
-                inner.stage = FrameStage::Ready;
-            }
-            added_base..added_base + lpco_added.len()
+        // Keep the machine as a generator (it continues sequentially on
+        // redo), or retire it once the group is registered.
+        let (generator, spent) = if !det && !has_frames {
+            machine.enable_parallel(false);
+            (Some(machine), None)
+        } else {
+            (None, Some(machine))
         };
-        if let Some(m) = machine_opt {
+        let added = frame.finish_group(leader, bundle, goal_cells, det, generator);
+        if let Some(m) = spent {
             self.machines.retire(&mut self.core, m);
         }
         if !added.is_empty() {
@@ -1033,26 +893,23 @@ impl AndWorker {
     // Waiting & integration
     // ------------------------------------------------------------------
 
-    /// Copy the shipping closures of `idxs` (owner-local subgoals of
-    /// `frame`) out of the owner machine's heap and publish their tasks.
-    fn ship_slots(&mut self, frame: &Arc<FrameState>, idxs: &[usize]) {
+    /// Copy the owner-local subgoals of `frame` out of the owner machine's
+    /// heap and publish their tasks. False if there were none.
+    fn ship_slots(&mut self, frame: &Arc<FrameState>) -> bool {
         // the owner machine sits directly below this Wait
         let n = self.stack.len();
         let Some(Act::Run { machine, .. }) = (n >= 2).then(|| &mut self.stack[n - 2]) else {
             unreachable!("Wait without Run below")
         };
-        let goals: Vec<Cell> = {
-            let inner = frame.inner.lock();
-            idxs.iter()
-                .map(|&i| inner.slots[i].parent_goal.expect("unshipped w/o goal"))
-                .collect()
-        };
-        let (bundle, cells) = bundle_copy(&machine.heap, &goals);
-        frame.install_closures(idxs, bundle);
+        let (shipped, cells) = frame.ship_local(&machine.heap);
+        if shipped.is_empty() {
+            return false;
+        }
         self.core.charge_copy(cells);
         self.core
-            .charge(self.core.costs.queue_op * idxs.len() as u64);
-        self.sh.publish(frame, idxs.iter().copied(), self.core.id);
+            .charge(self.core.costs.queue_op * shipped.len() as u64);
+        self.sh.publish(frame, shipped, self.core.id);
+        true
     }
 
     fn step_wait(&mut self) -> Step {
@@ -1075,12 +932,8 @@ impl AndWorker {
                 // closures of any still-local subgoals out of the owner's
                 // heap and publish them.
                 let want_ship = self.core.others_idle() || !self.core.ctl.cfg.run.opts.pdo;
-                if want_ship {
-                    let idxs = frame.unshipped();
-                    if !idxs.is_empty() {
-                        self.ship_slots(&frame, &idxs);
-                        return Step::Worked;
-                    }
+                if want_ship && self.ship_slots(&frame) {
+                    return Step::Worked;
                 }
                 // PDO (speculative): the owner picks up its own frame's
                 // next unclaimed subgoal and runs it DIRECTLY on its
@@ -1091,10 +944,7 @@ impl AndWorker {
                 // normally (determinacy is only known a posteriori).
                 if self.core.ctl.cfg.run.opts.pdo {
                     self.core.charge(self.core.costs.pdo_check);
-                    if let Some(slot) = frame.claim_for_owner() {
-                        let goal = frame.inner.lock().slots[slot]
-                            .parent_goal
-                            .expect("shipped slot without parent goal");
+                    if let Some((slot, goal)) = frame.claim_for_owner() {
                         self.stack.pop(); // the Wait; re-pushed at the barrier
                         let Some(Act::Run {
                             machine,
@@ -1135,9 +985,7 @@ impl AndWorker {
                         // remaining local goals the owner cannot run
                         // directly (failed speculation, LPCO-added): ship
                         // them so help-first / remote workers can
-                        let idxs = frame.unshipped();
-                        if !idxs.is_empty() {
-                            self.ship_slots(&frame, &idxs);
+                        if self.ship_slots(&frame) {
                             return Step::Worked;
                         }
                         // Lazy frames: the frame waited on is often the
@@ -1181,77 +1029,21 @@ impl AndWorker {
         }
     }
 
-    /// Splice the frame's slot solutions into the parent machine: copy each
-    /// group bundle in, unify each member's solved instance with the
-    /// parent-side subgoal term, record per-slot undo marks, materialize
-    /// parent-side terms for LPCO-added slots, and resume the parent.
+    /// Splice the frame's slot solutions into the parent machine (see
+    /// [`FrameState::integrate`]) and resume the parent.
     fn integrate(&mut self, frame: &Arc<FrameState>) {
-        let mut copied = 0;
-        let mut unify_steps = 0u64;
-        let mut independence_violation = false;
-        {
-            let Some(Act::Run { machine, .. }) = self.stack.last_mut() else {
-                unreachable!("integrate without parent Run")
-            };
-            let mut inner = frame.inner.lock();
-            let FrameInner {
-                groups,
-                slots,
-                marks,
-                integrate_from,
-                ..
-            } = &mut *inner;
-            'groups: for g in groups.range(*integrate_from..).map(|(_, g)| g) {
-                let bundle = g.bundle.as_ref().expect("ready group without bundle");
-                // Record the undo point for this group.
-                let mark = (machine.heap.trail_mark(), machine.heap.heap_mark());
-                // Joint copy of the whole bundle into the parent heap.
-                let out = copy_tuple(
-                    &bundle.heap,
-                    ace_logic::sym("$integ"),
-                    &bundle.roots,
-                    &mut machine.heap,
-                );
-                let Cell::Str(hdr) = out.root else {
-                    unreachable!()
-                };
-                copied += out.cells_copied;
-
-                for (i, &slot) in g.slots.iter().enumerate() {
-                    marks[slot] = Some(mark);
-                    let solved = machine.heap.str_arg(hdr, i as u32);
-                    let parent_goal = slots[slot]
-                        .parent_goal
-                        .expect("parent goal not materialized in order");
-                    match ace_logic::unify::unify(&mut machine.heap, parent_goal, solved) {
-                        Some(steps) => unify_steps += steps as u64,
-                        None => {
-                            independence_violation = true;
-                            break 'groups;
-                        }
-                    }
-                }
-                // Materialize parent-side terms for LPCO-added slots.
-                for &(added_slot, root_idx) in &g.extra {
-                    let cell = machine.heap.str_arg(hdr, root_idx as u32);
-                    slots[added_slot].parent_goal = Some(cell);
-                    slots[added_slot].materialized = true;
-                    marks[added_slot] = Some(mark);
-                }
-            }
-            if !independence_violation {
-                inner.stage = FrameStage::Integrated;
-                inner.integrate_from = inner.slots.len();
-                drop(inner);
-                // The frame may be buried under deeper (already
-                // integrated) inline frames on the control stack, so
-                // resume via its stored continuation.
-                machine.resume_with_cont(frame.cont);
-            }
-        }
+        let Some(Act::Run { machine, .. }) = self.stack.last_mut() else {
+            unreachable!("integrate without parent Run")
+        };
+        let (copied, unify_steps, independent) = frame.integrate(&mut machine.heap);
         self.core.charge_copy(copied);
         self.core.charge(unify_steps * self.core.costs.unify_step);
-        if independence_violation {
+        if independent {
+            // The frame may be buried under deeper (already integrated)
+            // inline frames on the control stack, so resume via its
+            // stored continuation.
+            machine.resume_with_cont(frame.cont);
+        } else {
             self.core.ctl.fail_with(
                 "parallel goals were not independent: cross-slot binding \
                  conflict at integration"
@@ -1306,106 +1098,65 @@ impl AndWorker {
         // Scan groups right-to-left for an advanceable one. Each visited
         // group costs a frame traversal — this is exactly the "repeated
         // traversal" LPCO's flattening reduces.
-        /// What the redo scan selected: (group leader, kept generator if
-        /// any, its goal cells, recompute-skip count).
-        type Advance = (usize, Option<Box<Machine>>, Vec<Cell>, u64);
-        let mut advance: Option<Advance> = None;
-        let determinate = frame.fully_deterministic() && frame.inner.lock().passable;
-        {
-            let mut inner = frame.inner.lock();
-            let leaders: Vec<usize> = inner.groups.keys().copied().collect();
-            for &leader in leaders.iter().rev() {
-                self.core.stats.frame_traversals += 1;
-                self.core.charge(self.core.costs.frame_traverse);
-                let g = inner.groups.get_mut(&leader).unwrap();
-                if g.exhausted {
-                    continue;
-                }
-                if let Some(m) = g.machine.take() {
-                    advance = Some((leader, Some(m), g.goal_cells.clone(), 0));
-                    break;
-                }
-                if g.recompute {
-                    let skip = g.solutions_delivered;
-                    advance = Some((leader, None, Vec::new(), skip));
-                    break;
-                }
-                // det group: cannot advance
-                g.exhausted = true;
-            }
-            if advance.is_none() {
-                inner.stage = FrameStage::Exhausted;
-            }
-        }
-
-        match advance {
-            None => {
+        let (redo, visited) = frame.redo();
+        self.core.stats.frame_traversals += visited;
+        self.core.charge(visited * self.core.costs.frame_traverse);
+        let (leader, machine, mode, goal_cells) = match redo {
+            Redo::Exhausted { pass } => {
                 // Exhausted: fail the parallel call in the parent — or, if
                 // it never had an alternative and lies in a determinate
                 // branch the owner ran itself, pass it: undoing to its
                 // creation would take that branch's later bindings, which
                 // the enclosing frame's redo keeps.
-                let Some(Act::Run { machine, .. }) = self.stack.last_mut() else {
-                    unreachable!()
-                };
-                if determinate {
+                if pass {
                     machine.pass_parcall();
                 } else {
                     machine.fail_parcall();
                 }
                 machine.surface(&mut self.core);
-                Step::Worked
+                return Step::Worked;
             }
-            Some((leader, Some(mut genm), goal_cells, _)) => {
+            Redo::Generator {
+                leader,
+                mut machine,
+                goal_cells,
+            } => {
                 // Resume the kept generator.
-                genm.backtrack();
-                genm.surface(&mut self.core);
-                self.stack.push(Act::Advance {
-                    frame,
-                    leader,
-                    machine: genm,
-                    mode: AdvanceMode::Generator,
-                    goal_cells,
-                });
-                Step::Worked
+                machine.backtrack();
+                machine.surface(&mut self.core);
+                (leader, machine, AdvanceMode::Generator, goal_cells)
             }
-            Some((leader, None, _, skip)) => {
+            Redo::Recompute {
+                leader,
+                skip,
+                goals,
+            } => {
                 // Recompute the group from its goal closures, sequentially.
                 let mut m = self.machines.acquire(&mut self.core);
                 m.enable_parallel(false);
-                let (roots, cells) = {
-                    let inner = frame.inner.lock();
-                    let g = &inner.groups[&leader];
-                    let mut roots = Vec::new();
-                    let mut cells = 0usize;
-                    for &s in &g.slots {
-                        let goal = inner.slots[s]
-                            .closure
-                            .as_ref()
-                            .expect("group member without closure");
-                        let out = copy_term(&goal.heap, goal.root, &mut m.heap);
-                        cells += out.cells_copied;
-                        roots.push(out.root);
-                    }
-                    (roots, cells)
-                };
-                self.core.charge_copy(cells);
+                let roots: Vec<_> = (goals.iter())
+                    .map(|goal| copy_term(&goal.heap, goal.root, &mut m.heap))
+                    .collect();
+                self.core
+                    .charge_copy(roots.iter().map(|out| out.cells_copied).sum());
+                let roots: Vec<Cell> = roots.iter().map(|out| out.root).collect();
                 // conjoin the roots: run them in order
                 let mut goal = *roots.last().unwrap();
                 for &r in roots.iter().rev().skip(1) {
                     goal = m.heap.new_struct(ace_logic::sym(","), &[r, goal]);
                 }
                 m.set_query(goal);
-                self.stack.push(Act::Advance {
-                    frame,
-                    leader,
-                    machine: m,
-                    mode: AdvanceMode::Recompute { skip, seen: 0 },
-                    goal_cells: roots,
-                });
-                Step::Worked
+                (leader, m, AdvanceMode::Recompute { skip, seen: 0 }, roots)
             }
-        }
+        };
+        self.stack.push(Act::Advance {
+            frame,
+            leader,
+            machine,
+            mode,
+            goal_cells,
+        });
+        Step::Worked
     }
 
     fn step_advance(&mut self) -> Step {
@@ -1442,12 +1193,7 @@ impl AndWorker {
                 else {
                     unreachable!()
                 };
-                {
-                    let mut inner = frame.inner.lock();
-                    let g = inner.groups.get_mut(&leader).unwrap();
-                    g.exhausted = true;
-                    g.machine = None;
-                }
+                frame.group_exhausted(leader);
                 self.machines.retire(&mut self.core, machine);
                 // Parent (below) is still at ParcallRedo; next phase
                 // rescans for a group further left.
@@ -1496,134 +1242,31 @@ impl AndWorker {
         let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
         self.core.charge_copy(cells);
 
-        let mut new_tasks = Vec::new();
-        let mut machine_opt = Some(machine);
-        let mut rerun_branch: Option<Cell> = None;
-        {
-            // Undo parent integrations from this group onwards.
-            let Some(Act::Run {
-                machine: parent, ..
-            }) = self.stack.last_mut()
-            else {
-                unreachable!("Advance without parent Run")
-            };
-            let mut inner = frame.inner.lock();
-            let group_last = *inner.groups[&leader].slots.last().unwrap();
-            // If the inline slot lies right of the advanced group, its
-            // branch must re-run too; its bindings predate every
-            // integration, so the undo point is the frame's creation. A
-            // nondeterministic inline branch left of it is exhausted by
-            // now: it re-runs from where it went on after the merges that
-            // made the advanced group's slots (they lie left of the rest
-            // of it), or whole if there were none.
-            let spine = inner
-                .spine
-                .filter(|_| inner.inline.is_some_and(|i| i < group_last));
-            let rerun_inline = inner
-                .inline
-                .is_some_and(|i| i > group_last || (inner.inline_nondet && spine.is_none()));
-            let rerun_spine = !rerun_inline && inner.inline_nondet && spine.is_some();
-            let owner_reset =
-                inner.slots.iter().enumerate().any(|(i, sl)| {
-                    i > group_last && sl.owner_run && sl.state != SlotState::Dropped
-                });
-            // Inline and owner-executed bindings predate every integration
-            // mark: resetting them needs an earlier undo point — the
-            // frame's creation, the spine's restart, or (owner-run slots
-            // only, the inline branch intact) where the inline branch ended.
-            let deep_undo = rerun_inline || rerun_spine || owner_reset;
-            let (tm, hm) = if rerun_inline {
-                frame.created_at
-            } else if let (true, Some((_, t, h))) = (rerun_spine, spine) {
-                (t, h)
-            } else if owner_reset {
-                inner.inline_end.unwrap_or(frame.created_at)
-            } else {
-                inner.marks[leader].expect("advanced group not integrated")
-            };
-            let undone = parent.heap.undo_to(tm);
-            parent.heap.truncate_to(hm);
-            self.core.stats.trail_undos += undone as u64;
-            self.core.charge(undone as u64 * self.core.costs.trail_undo);
-
-            // Store the new bundle & machine state.
-            {
-                let g = inner.groups.get_mut(&leader).unwrap();
-                g.bundle = Some(bundle);
-                g.solutions_delivered += 1;
-                if matches!(mode, AdvanceMode::Generator) {
-                    g.machine = machine_opt.take();
-                }
-                // Recompute mode: the scratch machine is retired below.
-            }
-
-            // Reset everything to the right of the advanced group.
-            let total = inner.slots.len();
-            let mut pending = 0usize;
-            for s in (group_last + 1)..total {
-                if inner.slots[s].state == SlotState::Dropped {
-                    continue;
-                }
-                if Some(s) == inner.inline {
-                    // the owner machine re-runs this branch itself
-                    inner.slots[s].state = SlotState::Running;
-                    inner.marks[s] = None;
-                    continue;
-                }
-                let origin = inner.slots[s].origin;
-                // LPCO-added slots whose origin also reruns will be
-                // re-created by that rerun: drop them.
-                if origin.is_some_and(|o| o > group_last) {
-                    inner.slots[s].state = SlotState::Dropped;
-                    if let Some(gl) = inner.slots[s].group.take() {
-                        inner.groups.remove(&gl);
-                    }
-                    inner.marks[s] = None;
-                    continue;
-                }
-                if let Some(gl) = inner.slots[s].group.take() {
-                    inner.groups.remove(&gl);
-                }
-                inner.slots[s].state = SlotState::Unclaimed;
-                inner.slots[s].owner_run = false;
-                inner.marks[s] = None;
-                pending += 1;
-                if inner.slots[s].closure.is_some() {
-                    new_tasks.push(s);
-                }
-            }
-            inner.pending = pending;
-            if deep_undo {
-                // every integration was undone, and the owner-run slots
-                // left of the advanced group lost their bindings to it
-                inner.redo_integrations(&mut new_tasks);
-            }
-            if rerun_inline || rerun_spine {
-                let idx = inner.inline.unwrap();
-                inner.slots[idx].state = SlotState::Running;
-                inner.marks[idx] = None;
-                rerun_branch = if rerun_spine {
-                    spine.map(|(goal, ..)| goal)
-                } else {
-                    inner.spine = None;
-                    inner.slots[idx].parent_goal
-                };
-            } else if !deep_undo {
-                inner.integrate_from = leader;
-            }
-            inner.stage = if inner.pending > 0 {
-                FrameStage::Filling
-            } else {
-                FrameStage::Ready
-            };
-        }
-        if let Some(m) = machine_opt {
+        // A generator is kept for the group's next solution; a scratch
+        // recomputation machine is retired.
+        let (generator, spent) = match mode {
+            AdvanceMode::Generator => (Some(machine), None),
+            AdvanceMode::Recompute { .. } => (None, Some(machine)),
+        };
+        let ((trail, heap), rerun, publish) = frame.advance(leader, bundle, generator);
+        // Undo the parent's bindings the reset slots went with.
+        let Some(Act::Run {
+            machine: parent, ..
+        }) = self.stack.last_mut()
+        else {
+            unreachable!("Advance without parent Run")
+        };
+        let undone = parent.heap.undo_to(trail);
+        parent.heap.truncate_to(heap);
+        self.core.stats.trail_undos += undone as u64;
+        self.core.charge(undone as u64 * self.core.costs.trail_undo);
+        if let Some(m) = spent {
             self.machines.retire(&mut self.core, m);
         }
-        if !new_tasks.is_empty() {
-            self.sh.publish(&frame, new_tasks, self.core.id);
+        if !publish.is_empty() {
+            self.sh.publish(&frame, publish, self.core.id);
         }
-        match rerun_branch {
+        match rerun {
             Some(branch) => {
                 // Restart the inline branch on the owner machine; the
                 // barrier Wait is pushed by its completion handler.
@@ -1701,18 +1344,6 @@ fn build_frame(
         sh.publish(&frame, local.shippable(n), core.id);
     }
     frame
-}
-
-/// The frames from control index `from` up lie in a determinate branch the
-/// owner ran itself (see `FrameInner::passable`).
-fn mark_passable(machine: &Machine, from: usize) {
-    for f in &machine.ctrl_frames()[from..] {
-        if let ace_machine::CtrlFrame::Parcall(pf) = f {
-            if let Some(fs) = FrameState::of(pf) {
-                fs.inner.lock().passable = true;
-            }
-        }
-    }
 }
 
 impl Engine for AndWorker {

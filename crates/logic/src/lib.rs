@@ -9,7 +9,7 @@
 //!   **trail** supporting exact state restoration on backtracking — the
 //!   substrate nondeterministic systems need to "restore the computation to
 //!   every point where a choice was made" (paper §2);
-//! * **iterative unification** ([`unify`]) with optional occurs check;
+//! * **iterative unification** ([`unify`]), without occurs check;
 //! * **term copying** ([`copy`]) between independent heaps — the basis of
 //!   goal shipping for independent and-parallelism and of MUSE-style state
 //!   copying for or-parallelism;

@@ -6,7 +6,6 @@
 //! performed so engines can charge it to the virtual cost model.
 
 use crate::heap::{Cell, Heap};
-use crate::term::view;
 
 /// Result of a unification attempt: `Some(steps)` on success (number of
 /// elementary steps performed, for cost accounting), `None` on failure.
@@ -67,72 +66,6 @@ fn unify_pairs(heap: &mut Heap, stack: &mut Vec<(Cell, Cell)>) -> Option<usize> 
         }
     }
     Some(steps)
-}
-
-/// Unification with the occurs check (used by property tests and available
-/// as a library feature; the engines use plain [`unify`], as real Prolog
-/// systems do).
-pub fn unify_oc(heap: &mut Heap, a: Cell, b: Cell) -> Option<usize> {
-    let mut steps = 0usize;
-    let mut stack: Vec<(Cell, Cell)> = vec![(a, b)];
-
-    while let Some((a, b)) = stack.pop() {
-        steps += 1;
-        let da = heap.deref(a);
-        let db = heap.deref(b);
-        if da == db {
-            continue;
-        }
-        match (da, db) {
-            (Cell::Ref(x), Cell::Ref(y)) => heap.bind_vars(x, y),
-            (Cell::Ref(x), t) | (t, Cell::Ref(x)) => {
-                if occurs(heap, x, t) {
-                    return None;
-                }
-                heap.bind(x, t);
-            }
-            (Cell::Atom(f), Cell::Atom(g)) if f == g => {}
-            (Cell::Int(i), Cell::Int(j)) if i == j => {}
-            (Cell::Nil, Cell::Nil) => {}
-            (Cell::Lst(p), Cell::Lst(q)) => {
-                stack.push((heap.lst_tail(p), heap.lst_tail(q)));
-                stack.push((heap.lst_head(p), heap.lst_head(q)));
-            }
-            (Cell::Str(p), Cell::Str(q)) => {
-                let (f, n) = heap.functor_at(p);
-                let (g, m) = heap.functor_at(q);
-                if f != g || n != m {
-                    return None;
-                }
-                for i in (0..n).rev() {
-                    stack.push((heap.str_arg(p, i), heap.str_arg(q, i)));
-                }
-            }
-            _ => return None,
-        }
-    }
-    Some(steps)
-}
-
-fn occurs(heap: &Heap, var: crate::heap::Addr, t: Cell) -> bool {
-    let mut stack = vec![t];
-    while let Some(c) = stack.pop() {
-        match view(heap, c) {
-            crate::term::TermView::Var(a) if a == var => return true,
-            crate::term::TermView::Var(_) => {}
-            crate::term::TermView::Struct(_, n, hdr) => {
-                for i in 0..n {
-                    stack.push(heap.str_arg(hdr, i));
-                }
-            }
-            crate::term::TermView::List(p) => {
-                stack.push(heap.lst_head(p));
-                stack.push(heap.lst_tail(p));
-            }
-            _ => {}
-        }
-    }
-    false
 }
 
 /// Structural equality without binding (`==`/2). The heap is shared, so
@@ -264,19 +197,6 @@ mod tests {
         assert!(unify(&mut h, x, y).is_some());
         assert!(unify(&mut h, y, Cell::Atom(sym("q"))).is_some());
         assert_eq!(h.deref(x), Cell::Atom(sym("q")));
-    }
-
-    #[test]
-    fn occurs_check_rejects_cyclic() {
-        let mut h = Heap::new();
-        let x = h.new_var();
-        let s = h.new_struct(sym("f"), &[x]);
-        assert!(unify_oc(&mut h, x, s).is_none());
-        // plain unify happily creates the cycle (like real Prologs)
-        let mut h2 = Heap::new();
-        let x2 = h2.new_var();
-        let s2 = h2.new_struct(sym("f"), &[x2]);
-        assert!(unify(&mut h2, x2, s2).is_some());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use ace_logic::copy::{copy_term, copy_tuple};
 use ace_logic::heap::{Addr, Cell, Heap};
 use ace_logic::sym::sym;
 use ace_logic::term::{term_size, variables};
-use ace_logic::unify::{struct_eq, unify, unify_oc};
+use ace_logic::unify::{struct_eq, unify};
 use ace_logic::write::term_to_string;
 
 /// AST for generated terms (built into heaps by `build`).
@@ -179,24 +179,6 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("reparse {s1:?}: {e}")))?;
         let s2 = term_to_string(&h2, c2);
         prop_assert_eq!(s1, s2);
-    }
-
-    /// Occurs-check unification only differs from plain unification by
-    /// rejecting cyclic bindings: whenever unify_oc succeeds, unify does
-    /// too and produces equal terms.
-    #[test]
-    fn occurs_check_is_restriction(a in term_strategy(), b in term_strategy()) {
-        let mut h1 = Heap::new();
-        let (mut va, mut vb) = (Vec::new(), Vec::new());
-        let a1 = build(&mut h1, &a, &mut va);
-        let b1 = build(&mut h1, &b, &mut vb);
-        let mark = h1.trail_mark();
-        let oc = unify_oc(&mut h1, a1, b1).is_some();
-        h1.undo_to(mark);
-        let plain = unify(&mut h1, a1, b1).is_some();
-        if oc {
-            prop_assert!(plain);
-        }
     }
 
     /// Memo keys are variant-invariant: copying a call term (which renames

@@ -796,7 +796,8 @@ impl Trace {
 ///
 /// When the trace reports dropped events, count- and set-based checks
 /// that eviction could falsify are skipped and the result is the
-/// explicit [`TraceVerdict::Incomplete`] rather than a hard pass/fail;
+/// explicit [`TraceVerdict::Incomplete`] (an `Err` from
+/// [`TraceChecker::check`]) rather than a pass;
 /// the double-issue check still runs (dropping events can hide a
 /// duplicate, never create one).
 pub struct TraceChecker;
@@ -848,19 +849,23 @@ pub enum TraceVerdict {
 }
 
 impl TraceChecker {
-    /// Check all invariants; `Err` carries one message per violation.
-    ///
-    /// Compatibility wrapper over [`TraceChecker::verdict`]: an
-    /// [`TraceVerdict::Incomplete`] trace with no surviving violations
-    /// maps to `Ok` (the historical soft-pass); callers that must not
-    /// treat truncation as success should match on `verdict` instead.
+    /// Check all invariants; `Err` carries one message per violation. A
+    /// truncated trace is unverifiable, so it is an `Err` too: its first
+    /// message says how many events were dropped.
     pub fn check(trace: &Trace) -> Result<(), Vec<String>> {
         match Self::verdict(trace) {
             TraceVerdict::Passed => Ok(()),
-            TraceVerdict::Incomplete { violations, .. } if violations.is_empty() => Ok(()),
-            TraceVerdict::Incomplete { violations, .. } | TraceVerdict::Failed(violations) => {
+            TraceVerdict::Incomplete {
+                dropped,
+                mut violations,
+            } => {
+                violations.insert(
+                    0,
+                    format!("incomplete trace: {dropped} events dropped from ring buffers"),
+                );
                 Err(violations)
             }
+            TraceVerdict::Failed(violations) => Err(violations),
         }
     }
 
@@ -1606,7 +1611,13 @@ mod tests {
         let trace = Trace::merge(vec![buf], vec![]);
         assert_eq!(trace.dropped, 1);
         // the publish was evicted, but the checker must not false-positive
-        assert!(TraceChecker::check(&trace).is_ok());
+        assert_eq!(
+            TraceChecker::verdict(&trace),
+            TraceVerdict::Incomplete {
+                dropped: 1,
+                violations: Vec::new()
+            }
+        );
     }
 
     #[test]
@@ -2128,8 +2139,7 @@ mod tests {
             TraceVerdict::Failed(_)
         ));
 
-        // Truncated trace: Incomplete, never a silent pass — even though
-        // check() still soft-passes for compatibility.
+        // Truncated trace: Incomplete, never a silent pass.
         let mut buf = TraceBuf::new(0, 1);
         buf.push(ev(1, 0, EventKind::StealAttempt));
         buf.push(ev(2, 0, EventKind::StealFail));
@@ -2144,7 +2154,11 @@ mod tests {
             }
             v => panic!("expected Incomplete, got {v:?}"),
         }
-        assert!(TraceChecker::check(&truncated).is_ok());
+        let msgs = TraceChecker::check(&truncated).unwrap_err();
+        assert_eq!(
+            msgs,
+            ["incomplete trace: 1 events dropped from ring buffers"]
+        );
 
         // Truncated trace with a drop-proof violation: Incomplete carries
         // it, and check() still errors.
