@@ -1,4 +1,6 @@
-//! Clause database with first-argument indexing.
+//! Clause database with argument indexing: a first-argument index built at
+//! load time, and an index of every further argument built the first time
+//! a call is dispatched on it.
 //!
 //! Each clause is kept as a **self-contained heap arena**: the reader
 //! builds the clause in a scratch heap it reuses and copies it out into an
@@ -12,15 +14,17 @@
 //! the database keeps of it — the arena, the compiled code, the `Arc` —
 //! and nothing else: the compiler works in buffers the database owns.
 //!
-//! First-argument indexing matters here beyond raw speed: the engines
-//! detect **determinacy at runtime** by asking how many clauses *can still
-//! match* a call. The paper's optimizations (LPCO condition (i), shallow
+//! Indexing matters here beyond raw speed: the engines detect
+//! **determinacy at runtime** by asking how many clauses *can still match*
+//! a call. The paper's optimizations (LPCO condition (i), LAO, shallow
 //! parallelism) key off exactly this runtime-determinacy information, which
 //! "is completely known at runtime" unlike compile-time approximations
-//! (paper §1).
+//! (paper §1). A call is dispatched on its first argument when that is
+//! bound; when it is not and the predicate has at least
+//! [`ARG_INDEX_MIN_CLAUSES`] clauses, on its leftmost bound argument.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::builtin::builtin;
 use crate::code::{CompileScratch, CompiledCode, StepKind};
@@ -30,7 +34,13 @@ use crate::read::{parse_program, ReadClause, ReadError};
 use crate::sym::{sym, wk, Sym};
 use crate::term::{view, TermView};
 
-/// First-argument index key.
+/// A call whose first argument is unbound is dispatched on its leftmost
+/// bound argument when its predicate has at least this many clauses.
+/// Below it a scan costs at most seven failed head matches, and no index
+/// beyond the first argument is ever built.
+pub const ARG_INDEX_MIN_CLAUSES: usize = 8;
+
+/// Argument index key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum IndexKey {
     /// Clause head's first argument is a variable (matches anything), or
@@ -46,7 +56,10 @@ pub enum IndexKey {
 
 impl IndexKey {
     /// Compute the key of a term (used both for clause heads at load time
-    /// and call arguments at runtime).
+    /// and call arguments at runtime). Inlined, so a call's dispatch
+    /// decision holds the key in registers rather than in a stack slot the
+    /// callee wrote.
+    #[inline]
     pub fn of(heap: &Heap, t: Cell) -> IndexKey {
         match view(heap, t) {
             TermView::Var(_) => IndexKey::Any,
@@ -171,6 +184,27 @@ impl Clause {
         }
     }
 
+    /// The index key of head argument `arg` (0-based; the first is
+    /// [`Clause::key`]), read from the arena. A stored clause binds
+    /// nothing, so an argument `Ref` is a variable.
+    pub fn arg_key(&self, arg: u32) -> IndexKey {
+        let Cell::Str(hdr) = self.head else {
+            return IndexKey::Any;
+        };
+        match self.arena[hdr.idx() + 1 + arg as usize] {
+            Cell::Ref(_) => IndexKey::Any,
+            Cell::Atom(s) => IndexKey::Atom(s),
+            Cell::Int(i) => IndexKey::Int(i),
+            Cell::Str(a) => match self.arena[a.idx()] {
+                Cell::Functor(f, n) => IndexKey::Struct(f, n),
+                _ => unreachable!("a Str cell points at its header"),
+            },
+            Cell::Lst(_) => IndexKey::List,
+            Cell::Nil => IndexKey::Nil,
+            Cell::Functor(..) => unreachable!("a Functor header is not an argument"),
+        }
+    }
+
     /// Number of arena cells (instantiation cost metric).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
@@ -188,16 +222,16 @@ impl Clause {
     }
 }
 
-/// Switch-on-term dispatch table: for every concrete first-argument key
-/// seen among the clause heads, the ordinals of the clauses that may match
-/// a call with that key — the key's own clauses *merged in source order*
-/// with the variable-headed catch-all clauses. Built incrementally as
-/// clauses are added; chains are ascending, so stepping to "the next
-/// matching clause after `i`" is a binary search, and the match count of
-/// a call is one `len()`.
+/// Switch-on-term dispatch table of one argument position: for every
+/// concrete key seen at that position among the clause heads, the ordinals
+/// of the clauses that may match a call with that key — the key's own
+/// clauses *merged in source order* with the clauses whose argument there
+/// is a variable. Built incrementally as clauses are added; chains are
+/// ascending, so stepping to "the next matching clause after `i`" is a
+/// binary search, and the match count of a call is one `len()`.
 #[derive(Debug, Default)]
 struct PredIndex {
-    /// Ordinals of clauses whose key is `Any` (variable first argument).
+    /// Ordinals of clauses whose key is `Any` (a variable argument).
     var_chain: Vec<u32>,
     /// Per concrete key: merged chain of that key's clauses + `Any` clauses.
     buckets: FxHashMap<IndexKey, Vec<u32>>,
@@ -221,7 +255,41 @@ impl PredIndex {
             }
         }
     }
+
+    /// The index of head argument `arg` over `clauses`, as if each had
+    /// been added in turn.
+    #[cold]
+    #[inline(never)]
+    fn build(clauses: &[Arc<Clause>], arg: u32) -> PredIndex {
+        let mut index = PredIndex::default();
+        for (ordinal, clause) in clauses.iter().enumerate() {
+            index.add(ordinal as u32, clause.arg_key(arg));
+        }
+        index
+    }
+
+    /// The chain of a concrete key.
+    #[inline]
+    fn chain(&self, call: IndexKey) -> &[u32] {
+        self.buckets.get(&call).map_or(&self.var_chain, |v| &v[..])
+    }
+
+    /// This table for diagnostics.
+    fn buckets(&self) -> DispatchTable {
+        let mut out: Vec<(String, Vec<u32>)> = self
+            .buckets
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
+        out.sort();
+        out.push(("var (fallback)".into(), self.var_chain.clone()));
+        out
+    }
 }
+
+/// One argument's dispatch table for diagnostics: `(key, chain)` pairs
+/// sorted by key text, followed by the var fallback chain.
+pub type DispatchTable = Vec<(String, Vec<u32>)>;
 
 /// All clauses of one `name/arity` predicate.
 #[derive(Debug)]
@@ -231,7 +299,13 @@ pub struct Predicate {
     pub clauses: Vec<Arc<Clause>>,
     /// All clause ordinals (the chain served to `Any` calls).
     all: Vec<u32>,
+    /// The first-argument index, kept from load time on.
     index: PredIndex,
+    /// The indexes of arguments 2 to the arity (slot `i` indexes 0-based
+    /// argument `i + 1`), each built the first time a call is dispatched
+    /// on its argument. Building one is load work: shared machines race
+    /// to it through the `OnceLock`, and every one reads the same chains.
+    arg_indexes: Box<[OnceLock<PredIndex>]>,
     /// Declared `:- table` (calls go through SLG evaluation).
     tabled: bool,
 }
@@ -244,6 +318,7 @@ impl Predicate {
             clauses: Vec::new(),
             all: Vec::new(),
             index: PredIndex::default(),
+            arg_indexes: (1..arity).map(|_| OnceLock::new()).collect(),
             tabled,
         }
     }
@@ -254,37 +329,52 @@ impl Predicate {
         self.tabled
     }
 
-    /// Append a clause, keeping the dispatch chains in sync.
+    /// Append a clause, keeping the dispatch chains in sync: the
+    /// first-argument index and every argument index already built.
     pub fn push(&mut self, clause: Arc<Clause>) {
         let ordinal = self.clauses.len() as u32;
         debug_assert_eq!(clause.ordinal, ordinal as usize);
         self.all.push(ordinal);
         self.index.add(ordinal, clause.key);
+        for (slot, built) in self.arg_indexes.iter_mut().enumerate() {
+            if let Some(index) = built.get_mut() {
+                index.add(ordinal, clause.arg_key(slot as u32 + 1));
+            }
+        }
         self.clauses.push(clause);
     }
 
-    /// The chain of clause ordinals a call with key `call` must try, in
-    /// source order. Non-matching clauses are simply absent.
-    pub fn matching_chain(&self, call: IndexKey) -> &[u32] {
-        match call {
-            IndexKey::Any => &self.all,
-            k => self
-                .index
-                .buckets
-                .get(&k)
-                .map(|v| &v[..])
-                .unwrap_or(&self.index.var_chain),
+    /// The chain of clause ordinals a call dispatched on argument `arg`
+    /// (0-based) with key `call` must try, in source order. Non-matching
+    /// clauses are simply absent. The first call dispatched on an argument
+    /// other than the first builds that argument's index.
+    pub fn matching_chain(&self, arg: u32, call: IndexKey) -> &[u32] {
+        if let IndexKey::Any = call {
+            return &self.all;
         }
+        // One bucket fetch for every argument: it stays inlined here.
+        let index = if arg == 0 {
+            &self.index
+        } else {
+            self.arg_index(arg)
+        };
+        index.chain(call)
     }
 
-    /// Indices of clauses whose key may match `call`, starting from clause
-    /// `from`. Returns the first such index, or `None`. Served from the
-    /// dispatch chains: a binary search, not a scan — and not even that on
-    /// a chain as long as the clause list, which names every clause (an
-    /// `Any` call, or a predicate whose first arguments are all variables):
-    /// a retry over the whole predicate steps by one.
-    pub fn next_matching(&self, call: IndexKey, from: usize) -> Option<usize> {
-        let chain = self.matching_chain(call);
+    /// The index of argument `arg` (`1..arity`), built on first use.
+    #[inline(never)]
+    fn arg_index(&self, arg: u32) -> &PredIndex {
+        self.arg_indexes[arg as usize - 1].get_or_init(|| PredIndex::build(&self.clauses, arg))
+    }
+
+    /// Indices of clauses whose argument `arg` may match `call`, starting
+    /// from clause `from`. Returns the first such index, or `None`. Served
+    /// from the dispatch chains: a binary search, not a scan — and not
+    /// even that on a chain as long as the clause list, which names every
+    /// clause (an `Any` call, or a predicate whose arguments there are all
+    /// variables): a retry over the whole predicate steps by one.
+    pub fn next_matching(&self, arg: u32, call: IndexKey, from: usize) -> Option<usize> {
+        let chain = self.matching_chain(arg, call);
         if chain.len() == self.clauses.len() {
             return (from < chain.len()).then_some(from);
         }
@@ -292,33 +382,24 @@ impl Predicate {
         chain.get(at).map(|&o| o as usize)
     }
 
-    /// The interpreter oracle's linear scan over the raw clause list —
-    /// exactly what `next_matching` did before the dispatch chains. Kept
-    /// for the interpreted execution mode (whose cost model charges the
-    /// scan) and as a property-test oracle for the chains.
+    /// The interpreter oracle's linear scan over the raw clause list on
+    /// the first argument — exactly what `next_matching` did before the
+    /// dispatch chains. Kept for the interpreted execution mode (whose
+    /// cost model charges the scan) and as a property-test oracle for the
+    /// chains.
     pub fn next_matching_scan(&self, call: IndexKey, from: usize) -> Option<usize> {
         (from..self.clauses.len()).find(|&i| self.clauses[i].key.may_match(call))
     }
 
-    /// How many clauses may match `call`? (Runtime determinacy query: a
-    /// call with exactly one matching clause is *determinate*.) O(1) from
-    /// the dispatch chains.
-    pub fn match_count(&self, call: IndexKey) -> usize {
-        self.matching_chain(call).len()
-    }
-
-    /// The dispatch table for diagnostics (`:listing`): `(key, chain)`
-    /// pairs sorted by key text, followed by the var fallback chain.
-    pub fn index_buckets(&self) -> Vec<(String, Vec<u32>)> {
-        let mut out: Vec<(String, Vec<u32>)> = self
-            .index
-            .buckets
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        out.sort();
-        out.push(("var (fallback)".into(), self.index.var_chain.clone()));
-        out
+    /// The dispatch tables for diagnostics (`:listing`): the first
+    /// argument's, then those of the other arguments whose index has been
+    /// built, each with its 0-based position.
+    pub fn index_buckets(&self) -> Vec<(u32, DispatchTable)> {
+        let built = self.arg_indexes.iter().enumerate();
+        let built = built.filter_map(|(slot, i)| Some((slot as u32 + 1, i.get()?.buckets())));
+        std::iter::once((0, self.index.buckets()))
+            .chain(built)
+            .collect()
     }
 }
 
@@ -638,13 +719,13 @@ mod tests {
         assert_eq!(p.clauses[6].key, IndexKey::Any);
 
         // call p(a): matches clause 0 and the catch-all clause 6
-        assert_eq!(p.match_count(IndexKey::Atom(sym("a"))), 2);
+        assert_eq!(p.matching_chain(0, IndexKey::Atom(sym("a"))).len(), 2);
         // call p(X): matches everything
-        assert_eq!(p.match_count(IndexKey::Any), 7);
+        assert_eq!(p.matching_chain(0, IndexKey::Any).len(), 7);
         // call p(g(1)): only the catch-all
-        assert_eq!(p.match_count(IndexKey::Struct(sym("g"), 1)), 1);
+        assert_eq!(p.matching_chain(0, IndexKey::Struct(sym("g"), 1)).len(), 1);
         // determinacy: p(99) matches... Int(42) doesn't match 99
-        assert_eq!(p.match_count(IndexKey::Int(99)), 1);
+        assert_eq!(p.matching_chain(0, IndexKey::Int(99)).len(), 1);
     }
 
     #[test]
@@ -652,9 +733,9 @@ mod tests {
         let db = Database::load("q(a). q(b). q(a).").unwrap();
         let p = db.predicate(sym("q"), 1).unwrap();
         let key = IndexKey::Atom(sym("a"));
-        assert_eq!(p.next_matching(key, 0), Some(0));
-        assert_eq!(p.next_matching(key, 1), Some(2));
-        assert_eq!(p.next_matching(key, 3), None);
+        assert_eq!(p.next_matching(0, key, 0), Some(0));
+        assert_eq!(p.next_matching(0, key, 1), Some(2));
+        assert_eq!(p.next_matching(0, key, 3), None);
     }
 
     #[test]
@@ -678,7 +759,7 @@ mod tests {
         for key in keys {
             for from in 0..=p.clauses.len() {
                 assert_eq!(
-                    p.next_matching(key, from),
+                    p.next_matching(0, key, from),
                     p.next_matching_scan(key, from),
                     "key {key} from {from}"
                 );
@@ -688,31 +769,54 @@ mod tests {
 
     #[test]
     fn match_count_served_from_buckets() {
-        // Regression for the O(clauses) determinacy probe: match_count is
-        // now chain.len(). Include a catch-all added *after* concrete
+        // Regression for the O(clauses) determinacy probe: a call's match
+        // count is its chain's len(). Include a catch-all added *after* concrete
         // clauses and concrete clauses added after the catch-all, so the
         // incremental merge is exercised in both directions.
         let db = Database::load("m(a). m(b). m(X) :- x(X). m(a). m(c).").unwrap();
         let p = db.predicate(sym("m"), 1).unwrap();
-        assert_eq!(p.match_count(IndexKey::Atom(sym("a"))), 3); // 0, 2, 3
-        assert_eq!(p.match_count(IndexKey::Atom(sym("b"))), 2); // 1, 2
-        assert_eq!(p.match_count(IndexKey::Atom(sym("c"))), 2); // 2, 4
-        assert_eq!(p.match_count(IndexKey::Atom(sym("z"))), 1); // 2 only
-        assert_eq!(p.match_count(IndexKey::Any), 5);
-        assert_eq!(p.matching_chain(IndexKey::Atom(sym("a"))), &[0, 2, 3]);
-        assert_eq!(p.matching_chain(IndexKey::Int(9)), &[2]);
+        assert_eq!(p.matching_chain(0, IndexKey::Atom(sym("a"))).len(), 3); // 0, 2, 3
+        assert_eq!(p.matching_chain(0, IndexKey::Atom(sym("b"))).len(), 2); // 1, 2
+        assert_eq!(p.matching_chain(0, IndexKey::Atom(sym("c"))).len(), 2); // 2, 4
+        assert_eq!(p.matching_chain(0, IndexKey::Atom(sym("z"))).len(), 1); // 2 only
+        assert_eq!(p.matching_chain(0, IndexKey::Any).len(), 5);
+        assert_eq!(p.matching_chain(0, IndexKey::Atom(sym("a"))), &[0, 2, 3]);
+        assert_eq!(p.matching_chain(0, IndexKey::Int(9)), &[2]);
     }
 
     #[test]
     fn index_buckets_are_reportable() {
         let db = Database::load("p(a). p(f(X)) :- q(X). p(Y) :- r(Y).").unwrap();
         let p = db.predicate(sym("p"), 1).unwrap();
-        let buckets = p.index_buckets();
+        let indexes = p.index_buckets();
+        assert_eq!(indexes.len(), 1, "no argument index is built at load");
+        let (arg, buckets) = &indexes[0];
+        assert_eq!(*arg, 0);
         assert!(buckets.iter().any(|(k, v)| k == "a" && v == &[0, 2]));
         assert!(buckets.iter().any(|(k, v)| k == "f/1" && v == &[1, 2]));
         assert!(buckets
             .iter()
             .any(|(k, v)| k.starts_with("var") && v == &[2]));
+    }
+
+    #[test]
+    fn argument_index_is_built_on_demand_and_kept_in_step() {
+        let mut db = Database::load("e(a, x). e(b, y). e(c, x). e(d, Z) :- z(Z).").unwrap();
+        let x = IndexKey::Atom(sym("x"));
+        let p = db.predicate(sym("e"), 2).unwrap();
+        assert_eq!(p.index_buckets().len(), 1);
+        assert_eq!(p.matching_chain(1, x), &[0, 2, 3]);
+        assert_eq!(p.matching_chain(1, IndexKey::Int(1)), &[3]);
+        assert_eq!(p.next_matching(1, x, 1), Some(2));
+        assert_eq!(p.index_buckets().len(), 2, "argument 2's index is built");
+        // Clauses added later extend the built index in step.
+        db.consult("e(f, x). e(g, w).").unwrap();
+        let p = db.predicate(sym("e"), 2).unwrap();
+        assert_eq!(p.matching_chain(1, x), &[0, 2, 3, 4]);
+        assert_eq!(p.matching_chain(1, IndexKey::Atom(sym("w"))), &[3, 5]);
+        let (arg, buckets) = &p.index_buckets()[1];
+        assert_eq!(*arg, 1);
+        assert!(buckets.iter().any(|(k, v)| k == "y" && v == &[1, 3]));
     }
 
     #[test]

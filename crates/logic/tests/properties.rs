@@ -424,7 +424,7 @@ proptest! {
     /// * the bucket-chain walk (`next_matching`) enumerates exactly the
     ///   same clause ordinals as the literal linear scan the interpreter
     ///   oracle charges for (`next_matching_scan`);
-    /// * `match_count` agrees with that enumeration;
+    /// * the chain's length agrees with that enumeration;
     /// * every clause whose head actually unifies with the call is in the
     ///   enumeration (the index may over-approximate, never drop);
     /// * the same holds on the chains that name every clause and are
@@ -464,16 +464,16 @@ proptest! {
         };
         let all_vars = db.predicate(sym("q"), 2).unwrap();
         for (p, k) in [(pred, IndexKey::Any), (all_vars, key), (all_vars, IndexKey::Any)] {
-            let chain = enumerate(k, &|k, f| p.next_matching(k, f));
+            let chain = enumerate(k, &|k, f| p.next_matching(0, k, f));
             prop_assert_eq!(&chain, &enumerate(k, &|k, f| p.next_matching_scan(k, f)));
             prop_assert_eq!(&chain, &(0..heads.len()).collect::<Vec<_>>());
-            prop_assert_eq!(chain.len(), p.match_count(k));
-            prop_assert_eq!(p.next_matching(k, heads.len() + 1), None);
+            prop_assert_eq!(chain.len(), p.matching_chain(0, k).len());
+            prop_assert_eq!(p.next_matching(0, k, heads.len() + 1), None);
         }
-        let chain = enumerate(key, &|k, f| pred.next_matching(k, f));
+        let chain = enumerate(key, &|k, f| pred.next_matching(0, k, f));
         let scan = enumerate(key, &|k, f| pred.next_matching_scan(k, f));
         prop_assert_eq!(&chain, &scan);
-        prop_assert_eq!(chain.len(), pred.match_count(key));
+        prop_assert_eq!(chain.len(), pred.matching_chain(0, key).len());
 
         for (ord, clause) in pred.clauses.iter().enumerate() {
             let mut h = Heap::new();
@@ -489,6 +489,78 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Argument indexes equal the scan. For a random predicate `p/3` and
+    /// random call keys, the chain of every argument position lists exactly
+    /// the clauses a linear scan on that argument admits, in source order,
+    /// and `next_matching` steps through it — also after more clauses are
+    /// pushed onto the predicate once its indexes are built.
+    #[test]
+    fn argument_chains_equal_scan(
+        heads in prop::collection::vec(prop::collection::vec(term_strategy(), 3), 1..12),
+        more in prop::collection::vec(prop::collection::vec(term_strategy(), 3), 1..6),
+        goal in term_strategy(),
+    ) {
+        use ace_logic::db::{Database, IndexKey, Predicate};
+
+        let program = |clauses: &[Vec<T>]| {
+            let mut text = String::new();
+            for args in clauses {
+                let mut sh = Heap::new();
+                let mut vars = Vec::new();
+                let args: Vec<String> = args
+                    .iter()
+                    .map(|a| {
+                        let c = build(&mut sh, a, &mut vars);
+                        term_to_string(&sh, c)
+                    })
+                    .collect();
+                text.push_str(&format!("p({}).\n", args.join(", ")));
+            }
+            text
+        };
+        // The oracle: instantiate each head and key its argument `arg`.
+        let scan = |pred: &Predicate, arg: u32, call: IndexKey| -> Vec<u32> {
+            let admits = |clause: &ace_logic::Clause| {
+                let mut h = Heap::new();
+                let (head, _) = clause.instantiate(&mut h);
+                let Cell::Str(hdr) = h.deref(head) else {
+                    unreachable!("p/3 heads are structures")
+                };
+                IndexKey::of(&h, h.str_arg(hdr, arg)).may_match(call)
+            };
+            (0..pred.clauses.len() as u32)
+                .filter(|&i| admits(&pred.clauses[i as usize]))
+                .collect()
+        };
+        let check = |pred: &Predicate| -> Result<(), TestCaseError> {
+            let mut gh = Heap::new();
+            let g = build(&mut gh, &goal, &mut Vec::new());
+            for arg in 0..3 {
+                let mut keys = vec![IndexKey::of(&gh, g), IndexKey::Any];
+                keys.extend(pred.clauses.iter().map(|c| c.arg_key(arg)));
+                for call in keys {
+                    let chain = pred.matching_chain(arg, call);
+                    prop_assert_eq!(chain, &scan(pred, arg, call)[..]);
+                    let mut stepped = Vec::new();
+                    let mut from = 0;
+                    while let Some(i) = pred.next_matching(arg, call, from) {
+                        stepped.push(i as u32);
+                        from = i + 1;
+                    }
+                    prop_assert_eq!(&stepped[..], chain);
+                }
+            }
+            Ok(())
+        };
+
+        let mut db = Database::load(&program(&heads))
+            .map_err(|e| TestCaseError::fail(format!("load failed: {e}")))?;
+        check(db.predicate(sym("p"), 3).unwrap())?;
+        db.consult(&program(&more))
+            .map_err(|e| TestCaseError::fail(format!("consult failed: {e}")))?;
+        check(db.predicate(sym("p"), 3).unwrap())?;
     }
 
     /// Compiled head code is an exact drop-in for the interpreter's

@@ -856,6 +856,18 @@ mod tests {
         assert_eq!(std::mem::size_of::<ContNode>(), node);
     }
 
+    #[test]
+    fn a_choice_point_is_the_size_it_was_before_argument_indexes() {
+        use crate::frames::{Alts, ChoicePoint, CtrlFrame};
+        // The dispatch argument rides in the padding of the clause
+        // alternatives: no frame of the control stack grew for it.
+        // Debug builds add the push serial of the continuation handle.
+        let frame = if cfg!(debug_assertions) { 112 } else { 104 };
+        assert_eq!(std::mem::size_of::<Alts>(), 40);
+        assert_eq!(std::mem::size_of::<ChoicePoint>(), frame);
+        assert_eq!(std::mem::size_of::<CtrlFrame>(), frame);
+    }
+
     /// Push `frames` (nearest first) on `s`, freeze them and thaw them into
     /// a fresh heap (at a nonzero base) and stack; returns both and the
     /// thawed continuation.

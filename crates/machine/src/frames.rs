@@ -29,9 +29,11 @@ use crate::cont::{Cont, ContMark};
 #[derive(Debug)]
 pub enum Alts {
     /// Remaining clauses of a user predicate call: try clause indices
-    /// `>= next` of `pred` whose index key may match `key`.
+    /// `>= next` of `pred` whose argument `arg` (0-based) may match `key`
+    /// — the chain the call was dispatched on.
     Clauses {
         pred: PredId,
+        arg: u32,
         key: IndexKey,
         next: usize,
     },
@@ -57,10 +59,14 @@ pub enum Alts {
     /// The generator choice point of a machine-local tabled subgoal:
     /// remaining program clauses feeding the subgoal's failure-driven
     /// answer loop. Exhaustion triggers the SCC completion check. Never
-    /// published (see `Machine::table_publish_floor`).
+    /// published (see `Machine::table_publish_floor`). The subgoal index
+    /// is a `u32`, as in `Goal::TableAnswer`: with the dispatch argument
+    /// beside `pred`, a `usize` would leave no room for an explicit tag,
+    /// and `Alts` would hide its variant in this key's tag instead.
     TableGen {
-        subgoal: usize,
+        subgoal: u32,
         pred: PredId,
+        arg: u32,
         key: IndexKey,
         next: usize,
     },

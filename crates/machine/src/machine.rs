@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ace_logic::db::{Clause, Database, IndexKey, Predicate};
+use ace_logic::db::{Clause, Database, IndexKey, Predicate, ARG_INDEX_MIN_CLAUSES};
 use ace_logic::sym::wk;
 use ace_logic::term::{view, TermView};
 use ace_logic::unify::unify;
@@ -869,17 +869,14 @@ impl Machine {
             return self.undefined(name, arity);
         };
         let pred = db.pred(pid);
-        let ikey = match hdr {
-            Some(h) if arity > 0 => IndexKey::of(&self.heap, self.heap.str_arg(h, 0)),
-            _ => IndexKey::Any,
-        };
+        let (arg, ikey) = self.dispatch_key(pred, hdr);
         let idx = self.table_subgoals.len();
         self.table_index.insert(frame.key.bytes.clone(), idx);
         frame.dfn = idx as u32;
         frame.minlink = idx as u32;
         self.table_subgoals.push(frame);
 
-        let Some(first) = self.pred_next(pred, ikey, 0) else {
+        let Some(first) = self.pred_next(pred, arg, ikey, 0) else {
             // No clause can match: the subgoal completes empty here.
             self.table_complete_frame(idx);
             return self.backtrack_in(db);
@@ -900,8 +897,9 @@ impl Machine {
         let gen_ctrl = self.ctrl.len();
         let gen_cont = self.conts.push(Cont::NONE, answer, gen_ctrl as u32);
         let clauses = Alts::TableGen {
-            subgoal: idx,
+            subgoal: idx as u32,
             pred: pid,
+            arg,
             key: ikey,
             next: first + 1,
         };
@@ -1081,7 +1079,7 @@ impl Machine {
             return;
         }
         if let Alts::TableGen { subgoal, .. } = alts {
-            self.table_gen_stack.retain(|&(s, _)| s != *subgoal);
+            self.table_gen_stack.retain(|&(s, _)| s != *subgoal as usize);
         }
     }
 
@@ -1988,7 +1986,8 @@ impl Machine {
 
     /// Call the user predicate `name/arity` — `pred`, or undefined — with
     /// the goal `goal` (argument block at `hdr`): through the answer store
-    /// when it is on, else by the first-argument index.
+    /// when it is on, else by the argument index [`Machine::dispatch_key`]
+    /// picks.
     fn call_user(
         &mut self,
         db: &Database,
@@ -2014,16 +2013,13 @@ impl Machine {
             return self.undefined(name, arity);
         };
         let pred = db.pred(pid);
-        let key = match hdr {
-            Some(h) if arity > 0 => IndexKey::of(&self.heap, self.heap.str_arg(h, 0)),
-            _ => IndexKey::Any,
-        };
+        let (arg, key) = self.dispatch_key(pred, hdr);
         // Switch-on-term dispatch: one bucket fetch serves the candidate
         // count and the first two alternatives; clauses outside the chain
         // are never visited at all. (The interpreter oracle instead pays a
         // charged linear scan through `pred_next`.)
         let (first, second) = if self.compiled {
-            let chain = pred.matching_chain(key);
+            let chain = pred.matching_chain(arg, key);
             let candidates = chain.len();
             self.stats.clauses_skipped_by_index += (pred.clauses.len() - candidates) as u64;
             if candidates == 1 {
@@ -2039,15 +2035,16 @@ impl Machine {
             };
             (first as usize, chain.get(1).map(|&o| o as usize))
         } else {
-            let Some(first) = self.pred_next(pred, key, 0) else {
+            let Some(first) = self.pred_next(pred, arg, key, 0) else {
                 return self.backtrack_in(db);
             };
-            (first, self.pred_next(pred, key, first + 1))
+            (first, self.pred_next(pred, arg, key, first + 1))
         };
         let barrier_at_call = self.ctrl.len() as u32;
         if let Some(next) = second {
             let rest = Alts::Clauses {
                 pred: pid,
+                arg,
                 key,
                 next,
             };
@@ -2065,15 +2062,58 @@ impl Machine {
         self.error(format!("undefined predicate {}/{arity}", name.name()))
     }
 
+    /// The one dispatch decision of a call on `pred` with its argument
+    /// block at `hdr`: the argument (0-based) whose chain the call, its
+    /// retries and its published alternatives enumerate, and that
+    /// argument's key. A bound first argument is dispatched on as it
+    /// always was. An unbound one, on a predicate of at least
+    /// [`ARG_INDEX_MIN_CLAUSES`] clauses, hands the call to its leftmost
+    /// bound argument — compiled mode only: the interpreter oracle keeps
+    /// the first-argument scan it is charged for.
+    ///
+    /// Always inlined, with [`IndexKey::of`]: the key stays in registers.
+    /// Returned through memory, a callee's piecewise stores of it are read
+    /// back whole, a store-forwarding stall on every call.
+    #[inline(always)]
+    fn dispatch_key(&self, pred: &Predicate, hdr: Option<Addr>) -> (u32, IndexKey) {
+        let Some(h) = hdr.filter(|_| pred.arity > 0) else {
+            return (0, IndexKey::Any);
+        };
+        let first = IndexKey::of(&self.heap, self.heap.str_arg(h, 0));
+        if first != IndexKey::Any || !self.compiled || pred.clauses.len() < ARG_INDEX_MIN_CLAUSES {
+            return (0, first);
+        }
+        self.leftmost_bound(pred.arity, h)
+    }
+
+    /// The leftmost bound argument after the first of the argument block
+    /// at `hdr`, and its key; `(0, Any)` when every one is unbound. Out of
+    /// line, so the first-argument path of `call_user` is what it was.
+    #[inline(never)]
+    fn leftmost_bound(&self, arity: u32, hdr: Addr) -> (u32, IndexKey) {
+        (1..arity)
+            .map(|i| (i, IndexKey::of(&self.heap, self.heap.str_arg(hdr, i))))
+            .find(|&(_, key)| key != IndexKey::Any)
+            .unwrap_or((0, IndexKey::Any))
+    }
+
     /// Mode-aware clause lookup: the compiled path binary-searches the
-    /// switch-on-term bucket chain (no per-clause work); the interpreter
-    /// oracle runs the pre-indexing linear scan and pays `index_scan` per
-    /// clause visited. Both return the *same* ordinal sequence — the
-    /// chains are built to mirror the scan exactly.
-    fn pred_next(&mut self, pred: &Predicate, key: IndexKey, from: usize) -> Option<usize> {
+    /// switch-on-term bucket chain of argument `arg` (no per-clause work);
+    /// the interpreter oracle runs the pre-indexing linear scan of the
+    /// first argument and pays `index_scan` per clause visited. On the
+    /// first argument both return the *same* ordinal sequence — the chains
+    /// are built to mirror the scan exactly.
+    fn pred_next(
+        &mut self,
+        pred: &Predicate,
+        arg: u32,
+        key: IndexKey,
+        from: usize,
+    ) -> Option<usize> {
         if self.compiled {
-            pred.next_matching(key, from)
+            pred.next_matching(arg, key, from)
         } else {
+            debug_assert_eq!(arg, 0, "the interpreter dispatches on the first argument");
             let found = pred.next_matching_scan(key, from);
             let visited = match found {
                 Some(f) => (f - from + 1) as u64,
@@ -2452,6 +2492,7 @@ impl Machine {
                     match &mut cp.alts {
                         &mut Alts::Clauses {
                             pred,
+                            arg,
                             key,
                             next: idx,
                         } => {
@@ -2459,7 +2500,7 @@ impl Machine {
                             self.note(EventKind::ClauseRetry {
                                 pred: Label::Pred(pred.name, pred.arity),
                             });
-                            match self.pred_next(pred, key, idx + 1) {
+                            match self.pred_next(pred, arg, key, idx + 1) {
                                 Some(f) => {
                                     if let Alts::Clauses { next, .. } = self.alts_mut(top) {
                                         *next = f;
@@ -2549,11 +2590,12 @@ impl Machine {
                         &mut Alts::TableGen {
                             subgoal,
                             pred,
+                            arg,
                             key,
                             next,
                         } => {
                             let pred = db.pred(pred);
-                            match self.pred_next(pred, key, next) {
+                            match self.pred_next(pred, arg, key, next) {
                                 Some(f) => {
                                     if let Alts::TableGen { next, .. } = self.alts_mut(top) {
                                         *next = f + 1;
@@ -2570,7 +2612,7 @@ impl Machine {
                                 None => {
                                     // Clause pool dry: completion check
                                     // (resume, complete, or fold outward).
-                                    self.table_gen_exhausted(subgoal, top);
+                                    self.table_gen_exhausted(subgoal as usize, top);
                                     continue;
                                 }
                             }

@@ -134,7 +134,13 @@ impl OrWorker {
         let Some(cp) = run.machine.choice_at(idx) else {
             return;
         };
-        let Alts::Clauses { pred, key, next } = cp.alts else {
+        let Alts::Clauses {
+            pred,
+            arg,
+            key,
+            next,
+        } = cp.alts
+        else {
             // Memo-replay (and other non-clause) alternatives never enter
             // the or-tree: a tabled answer set is already complete, so
             // there is nothing for a remote worker to claim.
@@ -156,7 +162,7 @@ impl OrWorker {
         let label = Label::Pred(pred.name, pred.arity);
         let mut alts = VecDeque::new();
         let mut i = next;
-        while let Some(j) = pred.next_matching(key, i) {
+        while let Some(j) = pred.next_matching(arg, key, i) {
             alts.push_back(j);
             i = j + 1;
         }

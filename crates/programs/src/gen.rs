@@ -285,6 +285,65 @@ fn generate(seed: u64, par: bool) -> Generated {
     }
 }
 
+/// A fact table `f/3` of 16 to 64 clauses and a query of two calls of it
+/// with a random pattern of bound and unbound arguments, for differential
+/// testing of clause dispatch: the same seed gives the same program.
+///
+/// Arguments are drawn from a small mix of atoms, integers, structures,
+/// lists and variables, so every argument position has repeated keys and
+/// catch-all clauses. Each argument of the first call is a constant or a
+/// fresh variable; each argument of the second is a constant, a variable
+/// of the first call (bound by the time the call runs, as a rule's join
+/// binds it) or a fresh one. A call whose first argument is unbound, on a
+/// table of eight or more clauses, is dispatched on its leftmost bound
+/// argument. The query ends in `ground/1` over its variables, so no answer
+/// renders a variable whose name depends on the engine.
+pub fn fact_program(seed: u64) -> Generated {
+    let mut rng = Lcg::new(seed);
+    let constant = |rng: &mut Lcg| match rng.below(7) {
+        0 | 1 => format!("a{}", rng.below(4)),
+        2 | 3 => format!("{}", rng.below(4)),
+        4 => format!("s({})", rng.below(2)),
+        5 => format!("[{}]", rng.below(2)),
+        _ => "[]".to_owned(),
+    };
+    let mut source = String::new();
+    for _ in 0..16 + rng.below(49) {
+        let args: Vec<String> = (0..3)
+            .map(|_| match rng.below(8) {
+                0 => "_".to_owned(),
+                _ => constant(&mut rng),
+            })
+            .collect();
+        source.push_str(&format!("f({}).\n", args.join(", ")));
+    }
+    let mut vars: Vec<String> = Vec::new();
+    let mut calls = Vec::new();
+    for call in 0..2 {
+        let first_call = vars.len();
+        let args: Vec<String> = (0..3)
+            .map(|_| match rng.below(3) {
+                0 => constant(&mut rng),
+                1 if call == 1 && first_call > 0 => {
+                    vars[rng.below(first_call as u32) as usize].clone()
+                }
+                _ => {
+                    vars.push(format!("V{}", vars.len()));
+                    vars[vars.len() - 1].clone()
+                }
+            })
+            .collect();
+        calls.push(format!("f({})", args.join(", ")));
+    }
+    if !vars.is_empty() {
+        calls.push(format!("ground(t({}))", vars.join(", ")));
+    }
+    Generated {
+        source,
+        query: calls.join(", "),
+    }
+}
+
 struct ProgramGen {
     rng: Lcg,
     src: String,
@@ -510,6 +569,14 @@ mod tests {
         let p = par_program(11);
         assert_eq!(p.source, par_program(11).source);
         assert!(p.source.contains(" & "), "{}", p.source);
+        let f = fact_program(11);
+        assert_eq!(f.source, fact_program(11).source);
+        assert!(
+            (16..=64).contains(&f.source.lines().count()),
+            "{}",
+            f.source
+        );
+        assert!(f.query.starts_with("f("), "{}", f.query);
     }
 
     #[test]

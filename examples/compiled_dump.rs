@@ -1,7 +1,10 @@
 //! Dump the clause code cache: every user predicate's clauses with the
 //! register code they were compiled to at load time, the switch-on-term
 //! dispatch buckets, and a side-by-side run showing what the compiled
-//! mode saves over the tree-walking interpreter oracle.
+//! mode saves over the tree-walking interpreter oracle — followed by the
+//! argument indexes those runs built (a call with an unbound first
+//! argument on a predicate of eight or more clauses builds the index of
+//! its leftmost bound argument).
 //!
 //! ```sh
 //! cargo run --release --example compiled_dump            # built-in demo
@@ -10,6 +13,7 @@
 
 use ace_core::{Ace, Mode};
 use ace_logic::write::term_to_string;
+use ace_logic::Predicate;
 use ace_runtime::{ClauseExec, EngineConfig};
 
 const DEMO: &str = r#"
@@ -23,21 +27,47 @@ const DEMO: &str = r#"
     kind([], empty_list).
     kind([_|_], list).
     kind(f(_), functor).
+    shade(sky, blue).
+    shade(grass, green).
+    shade(rose, red).
+    shade(sea, blue).
+    shade(ruby, red).
+    shade(leaf, green).
+    shade(coal, black).
+    shade(snow, white).
 "#;
 
+/// Print the dispatch tables of `pred` whose argument is at least `from`
+/// (0-based): the first argument's from load time, and every other
+/// argument's once a call has built it.
+fn print_indexes(pred: &Predicate, from: u32) {
+    for (arg, buckets) in pred.index_buckets() {
+        if arg < from {
+            continue;
+        }
+        println!("  switch-on-term dispatch on argument {}:", arg + 1);
+        for (key, chain) in buckets {
+            println!("    {key:<18} -> clauses {chain:?}");
+        }
+    }
+}
+
 fn main() -> Result<(), String> {
-    let (program, query) = match std::env::args().nth(1) {
+    let (program, queries) = match std::env::args().nth(1) {
         Some(path) => (
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?,
-            None,
+            Vec::new(),
         ),
-        None => (DEMO.to_string(), Some("nrev([1,2,3,4,5,6,7,8], R)")),
+        None => (
+            DEMO.to_string(),
+            vec!["nrev([1,2,3,4,5,6,7,8], R)", "shade(X, red)"],
+        ),
     };
     let ace = Ace::load(&program)?;
 
     let mut preds: Vec<_> = ace.db().predicates().collect();
     preds.sort_by_key(|&(name, arity)| (name.name(), arity));
-    for (name, arity) in preds {
+    for &(name, arity) in &preds {
         let Some(pred) = ace.db().predicate(name, arity) else {
             continue;
         };
@@ -62,16 +92,13 @@ fn main() -> Result<(), String> {
                 println!("    {line}");
             }
         }
-        println!("  switch-on-term dispatch:");
-        for (key, chain) in pred.index_buckets() {
-            println!("    {key:<18} -> clauses {chain:?}");
-        }
+        print_indexes(pred, 0);
         println!();
     }
 
     // What the code cache buys at run time: same query, same answers,
     // compiled dispatch vs the interpreter oracle.
-    if let Some(q) = query {
+    for q in &queries {
         let compiled = ace.run(
             Mode::Sequential,
             q,
@@ -99,6 +126,14 @@ fn main() -> Result<(), String> {
             compiled.stats.clauses_skipped_by_index,
             compiled.stats.index_determinate_calls,
         );
+    }
+    for &(name, arity) in &preds {
+        let pred = ace.db().predicate(name, arity).expect("listed above");
+        if pred.index_buckets().len() > 1 {
+            println!();
+            println!("=== {}/{arity}: argument indexes built ===", name.name());
+            print_indexes(pred, 1);
+        }
     }
     Ok(())
 }

@@ -17,7 +17,8 @@
 //! * `:metrics` — dump the session's live metrics registry in the
 //!   Prometheus text format (every query folds into it)
 //! * `:listing p/n` — clause sources with their compiled register code
-//!   and the predicate's switch-on-term dispatch buckets
+//!   and the predicate's switch-on-term dispatch buckets: the first
+//!   argument's, and every argument index a query has built since
 //! * `:quit`
 
 use std::io::{BufRead, Write};
@@ -201,9 +202,13 @@ fn listing(ace: &Ace, spec: &str) {
             println!("    {l}");
         }
     }
-    println!("% switch-on-term dispatch:");
-    for (key, chain) in pred.index_buckets() {
-        println!("%   {key:<18} -> clauses {chain:?}");
+    // The first argument's table, then every argument index a call has
+    // built since the load.
+    for (arg, buckets) in pred.index_buckets() {
+        println!("% switch-on-term dispatch on argument {}:", arg + 1);
+        for (key, chain) in buckets {
+            println!("%   {key:<18} -> clauses {chain:?}");
+        }
     }
 }
 

@@ -11,6 +11,14 @@
 //! pushes, in-place reads, trimming, freezing and thawing — on shapes no
 //! hand-written corpus program has.
 //!
+//! Generated fact tables (`ace_programs::gen::fact_program`: 16 to 64
+//! clauses, called with a random pattern of bound and unbound arguments)
+//! take the same three modes. A call whose first argument is unbound is
+//! dispatched there on its leftmost bound argument's index — by the
+//! compiled machine and by the or-engine's published alternatives — while
+//! the interpreter oracle scans on the first argument; all three must
+//! agree, and the compiled run never makes more choice points.
+//!
 //! Their `&` variants (`ace_programs::gen::par_program`) go to the
 //! and-engine instead: the sequential machine's answers must equal the
 //! and-engine's under the paper's optimizations (eager frames) and under
@@ -33,7 +41,27 @@ fn sorted(mut v: Vec<String>) -> Vec<String> {
 /// Run seed `seed`'s program in every mode; panics with the program on a
 /// disagreement. Returns the number of answers.
 fn check(seed: u64) -> usize {
-    let g = ace_programs::gen::program(seed);
+    check_program(seed, ace_programs::gen::program(seed)).0
+}
+
+/// Run seed `seed`'s fact table in every mode, as [`check`] does; the
+/// argument indexes may only remove choice points.
+fn check_facts(seed: u64) -> usize {
+    let g = ace_programs::gen::fact_program(seed);
+    let (answers, compiled, interpreted) = check_program(seed, g.clone());
+    assert!(
+        compiled.choice_points <= interpreted.choice_points,
+        "seed {seed}: compiled code made more choice points than the oracle\n?- {}.\n{}",
+        g.query,
+        g.source
+    );
+    answers
+}
+
+/// Run `g` sequentially on compiled code and on the interpreter oracle and
+/// on the or-engine; panics with the program on a disagreement. Returns
+/// the number of answers and the two sequential runs' stats.
+fn check_program(seed: u64, g: ace_programs::gen::Generated) -> (usize, Stats, Stats) {
     let fail = |what: &str| -> ! { panic!("seed {seed}: {what}\n?- {}.\n{}", g.query, g.source) };
     let ace = Ace::load(&g.source).unwrap_or_else(|e| fail(&format!("load: {e}")));
     let seq = EngineConfig::default().all_solutions();
@@ -62,7 +90,7 @@ fn check(seed: u64) -> usize {
         fail("the or-engine disagrees with the sequential machine");
     }
     check_trace(&parallel).unwrap_or_else(|e| fail(&e));
-    want.len()
+    (want.len(), compiled.stats, interpreted.stats)
 }
 
 /// The trace of `run` passes the checker and folds back into its stats.
@@ -155,14 +183,19 @@ fn generated_programs_agree_across_execution_modes() {
 }
 
 #[test]
+fn generated_fact_tables_agree_across_execution_modes() {
+    sweep_with(check_facts, 0, 100);
+}
+
+#[test]
 fn generated_par_programs_agree_across_and_engine_modes() {
     sweep_with(check_par, 0, 100);
 }
 
 /// Nightly sweep: when `FAULT_MATRIX_SEED` is set (CI rotates it with the
-/// date), check 1 000 programs from that seed on; a reported failure is
-/// replayed locally with the same variable. No-op when the variable is
-/// absent.
+/// date), check 1 000 programs of each generator from that seed on; a
+/// reported failure is replayed locally with the same variable. No-op
+/// when the variable is absent.
 #[test]
 fn rotating_seed_sweep() {
     let Ok(raw) = std::env::var("FAULT_MATRIX_SEED") else {
@@ -174,5 +207,6 @@ fn rotating_seed_sweep() {
         .expect("FAULT_MATRIX_SEED must be an unsigned integer");
     println!("generated-program seeds: {base} .. +1000");
     sweep(base, 1000);
+    sweep_with(check_facts, base, 1000);
     sweep_with(check_par, base, 1000);
 }

@@ -127,6 +127,36 @@ fn tabled_corpus_invariant_across_drivers_and_workers() {
     }
 }
 
+/// `tabled_samegen`'s `par(Y, YP)` calls have an unbound first argument
+/// and are dispatched on the second argument's index; with tabling off
+/// they are plain clause choice points, which the or-engine publishes on
+/// the threads driver. The alternatives it publishes must enumerate the
+/// same chain: the answers (duplicates included) equal the sequential
+/// run's, tabled or not.
+#[test]
+fn samegen_or_parallel_on_threads_equals_sequential() {
+    let p = ace_programs::tabled_program("tabled_samegen").unwrap();
+    let ace = Ace::load(&(p.program)(p.test_size)).unwrap();
+    let query = (p.query)(p.test_size);
+    for tabling in [false, true] {
+        let run = |mode, workers, driver| {
+            let mut c = cfg(workers, driver, &space());
+            c.store.tabling = tabling;
+            ace.run(mode, &query, &c)
+                .unwrap_or_else(|e| panic!("tabling={tabling} {mode:?}: {e}"))
+        };
+        let seq = run(Mode::Sequential, 1, DriverKind::Sim);
+        assert!(seq.stats.clauses_skipped_by_index > 0, "tabling={tabling}");
+        let threads = run(Mode::OrParallel, 4, DriverKind::Threads);
+        assert_eq!(
+            sorted(threads.solutions.clone()),
+            sorted(seq.solutions.clone()),
+            "tabling={tabling}"
+        );
+        check_trace(&threads, &format!("tabling={tabling} on threads"));
+    }
+}
+
 #[test]
 fn completed_tables_are_shared_across_modes() {
     // One space, three engines: whoever completes the fixpoint first,
