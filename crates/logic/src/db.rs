@@ -275,7 +275,7 @@ impl PredIndex {
     }
 
     /// This table for diagnostics.
-    fn buckets(&self) -> DispatchTable {
+    fn table(&self) -> DispatchTable {
         let mut out: Vec<(String, Vec<u32>)> = self
             .buckets
             .iter()
@@ -396,8 +396,8 @@ impl Predicate {
     /// built, each with its 0-based position.
     pub fn index_buckets(&self) -> Vec<(u32, DispatchTable)> {
         let built = self.arg_indexes.iter().enumerate();
-        let built = built.filter_map(|(slot, i)| Some((slot as u32 + 1, i.get()?.buckets())));
-        std::iter::once((0, self.index.buckets()))
+        let built = built.filter_map(|(slot, i)| Some((slot as u32 + 1, i.get()?.table())));
+        std::iter::once((0, self.index.table()))
             .chain(built)
             .collect()
     }

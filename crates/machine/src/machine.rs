@@ -1079,7 +1079,8 @@ impl Machine {
             return;
         }
         if let Alts::TableGen { subgoal, .. } = alts {
-            self.table_gen_stack.retain(|&(s, _)| s != *subgoal as usize);
+            self.table_gen_stack
+                .retain(|&(s, _)| s != *subgoal as usize);
         }
     }
 
