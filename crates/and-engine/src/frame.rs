@@ -4,6 +4,8 @@
 //! `ParcallFrame`: the slot table, solution bundles, grouping (PDO),
 //! LPCO-added slots, and the integration bookkeeping the owning worker
 //! uses to splice subgoal solutions back into the parent computation.
+//! A *bundle* is a joint [`TermArena`] of goals or solutions; a slot's
+//! goal is root `i` of one, `(arena, i)`.
 //!
 //! The slot table is private here: each step a worker takes on it is one
 //! `FrameState` method (a *wave transition*, under the frame lock) that
@@ -14,63 +16,12 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Weak};
 
-use ace_logic::copy::copy_tuple;
 use ace_logic::heap::HeapMark;
-use ace_logic::sym::sym;
 use ace_logic::unify::unify;
-use ace_logic::{Cell, Heap, TrailMark};
+use ace_logic::{Cell, Heap, TermArena, TrailMark};
 use ace_machine::{Cont, CtrlFrame, Machine, ParcallFrame};
 use ace_runtime::CancelToken;
 use parking_lot::Mutex;
-
-/// A self-contained heap holding one or more related terms (joint copies,
-/// so variables shared between the terms stay shared). Frozen: nothing
-/// binds or grows it, and it holds room for its cells only.
-#[derive(Debug, Clone)]
-pub struct Bundle {
-    pub heap: Arc<Heap>,
-    pub roots: Vec<Cell>,
-}
-
-impl Bundle {
-    /// The shipping closure of the `i`-th term.
-    pub fn closure(&self, i: usize) -> Closure {
-        Closure {
-            heap: self.heap.clone(),
-            root: self.roots[i],
-        }
-    }
-}
-
-/// A subgoal term ready for pickup by any worker (goal shipping source).
-#[derive(Debug, Clone)]
-pub struct Closure {
-    pub heap: Arc<Heap>,
-    pub root: Cell,
-}
-
-/// Copy `roots` jointly out of `src` into a fresh bundle. Returns the
-/// bundle and the number of cells copied (for cost charging). Time and
-/// memory are those of the terms copied, whatever the size of `src`.
-pub fn bundle_copy(src: &Heap, roots: &[Cell]) -> (Bundle, usize) {
-    // Joint copy under one tuple so shared variables stay shared.
-    let mut heap = Heap::default();
-    let out = copy_tuple(src, sym("$bundle"), roots, &mut heap);
-    heap.shrink_to_fit();
-    let Cell::Str(hdr) = out.root else {
-        unreachable!()
-    };
-    let roots_out: Vec<Cell> = (0..roots.len())
-        .map(|i| heap.str_arg(hdr, i as u32))
-        .collect();
-    (
-        Bundle {
-            heap: Arc::new(heap),
-            roots: roots_out,
-        },
-        out.cells_copied,
-    )
-}
 
 /// Which branches of a new frame the owner machine already holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +60,11 @@ pub enum SlotState {
 /// One subgoal slot of a parallel call.
 #[derive(Debug)]
 struct SlotRec {
-    /// The subgoal term to execute, once copied out for shipping. A slot
-    /// without one is owner-only until the owner copies closures on demand
-    /// (when idle workers appear) — &ACE-style local goals.
-    closure: Option<Closure>,
+    /// The subgoal term to execute, once frozen for shipping: argument `i`
+    /// of a bundle. A slot without one is owner-only until the owner ships
+    /// its goal on demand (when idle workers appear) — &ACE-style local
+    /// goals.
+    closure: Option<(Arc<TermArena>, usize)>,
     /// The subgoal term in the *parent* machine's heap, unified with the
     /// solution at integration. `None` for LPCO-added slots until the
     /// integration of their origin slot materializes it.
@@ -140,7 +92,7 @@ impl SlotRec {
     /// The one slot constructor: in no group yet, never speculated on. A
     /// slot made `Done` is one the owner ran in place.
     fn new(
-        ship: Option<Closure>,
+        ship: Option<(Arc<TermArena>, usize)>,
         goal: Option<Cell>,
         state: SlotState,
         origin: Option<usize>,
@@ -170,7 +122,7 @@ struct GroupRec {
     /// Latest solution bundle; roots `[0..slots.len())` are the solved
     /// instances of the member slots in order, further roots are
     /// LPCO-added branch goals (see `extra`).
-    bundle: Option<Bundle>,
+    bundle: Option<Arc<TermArena>>,
     /// Machine-heap cells of the shipped goals (bundle extraction roots)
     /// in the generator machine, when one is kept.
     goal_cells: Vec<Cell>,
@@ -253,7 +205,7 @@ impl FrameInner {
     /// the current wave, so a `Ready` frame fills again.
     fn append(
         &mut self,
-        goals: impl Iterator<Item = (Option<Closure>, Option<Cell>)>,
+        goals: impl Iterator<Item = (Option<(Arc<TermArena>, usize)>, Option<Cell>)>,
         origin: usize,
     ) -> Range<usize> {
         let base = self.slots.len();
@@ -346,7 +298,7 @@ pub enum Redo {
     Recompute {
         leader: usize,
         skip: u64,
-        goals: Vec<Closure>,
+        goals: Vec<(Arc<TermArena>, usize)>,
     },
 }
 
@@ -390,33 +342,23 @@ impl FrameState {
         matches!(inner.stage, FrameStage::Filling | FrameStage::Ready) && inner.inline.is_some()
     }
 
-    /// Build a frame for `branches` (terms in `parent_heap`). The branches
-    /// `local` says the owner holds need no goal-shipping copy; the others
-    /// are copied into a shared closure bundle for pickup when `ship_now`.
-    /// Returns the frame and the number of cells copied.
+    /// Build a frame for `branches` (terms in the parent heap). The
+    /// branches `local` says the owner holds need no goal-shipping copy;
+    /// `shipped`, when given, is the bundle of the others, frozen for
+    /// pickup in order.
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         id: u64,
-        parent_heap: &Heap,
         branches: &[Cell],
         parent: Option<&Arc<FrameState>>,
         cancel_parent: &CancelToken,
         local: Local,
         cont: Cont,
         created_at: (TrailMark, HeapMark),
-        ship_now: bool,
-    ) -> (Arc<FrameState>, usize) {
+        shipped: Option<Arc<TermArena>>,
+    ) -> Arc<FrameState> {
         let n = branches.len();
         let shippable = local.shippable(n);
-        let to_ship = &branches[shippable.clone()];
-        // Demand-driven goal shipping: closures are only copied when idle
-        // workers could actually steal them; otherwise goals stay owner-
-        // local (copied later on demand, or never — PDO runs them in
-        // place).
-        let (bundle, cells) = match ship_now.then(|| bundle_copy(parent_heap, to_ship)) {
-            Some((bundle, cells)) => (Some(bundle), cells),
-            None => (None, 0),
-        };
         // A slot the owner holds needs no closure: its goal lives in (and
         // its solution binds) the parent heap directly.
         let slots: Vec<SlotRec> = branches
@@ -426,7 +368,7 @@ impl FrameState {
                 let ships = shippable.contains(&i);
                 let owner_run = matches!(local, Local::Prefix(k) if i < k);
                 let closure =
-                    (bundle.as_ref().filter(|_| ships)).map(|b| b.closure(i - shippable.start));
+                    (shipped.as_ref().filter(|_| ships)).map(|b| (b.clone(), i - shippable.start));
                 let state = match (ships, owner_run) {
                     (true, _) => SlotState::Unclaimed,
                     (_, true) => SlotState::Done,
@@ -455,7 +397,7 @@ impl FrameState {
             }),
         };
         frame.inner.lock().check();
-        (Arc::new(frame), cells)
+        Arc::new(frame)
     }
 
     /// Run one wave transition under the frame lock; debug builds then
@@ -488,9 +430,10 @@ impl FrameState {
         self.inner.lock().claim(preferred, |s| s.closure.is_some())
     }
 
-    /// Copy the goals of unclaimed slots without a closure out of the
-    /// owner's `heap`. Returns those slots and the cells copied.
-    pub fn ship_local(&self, heap: &Heap) -> (Vec<usize>, usize) {
+    /// Ship the goals of unclaimed slots without a closure, as the bundle
+    /// `freeze` makes of them (terms of the owner's heap). Returns those
+    /// slots and the cells frozen.
+    pub fn ship_local(&self, freeze: impl FnOnce(&[Cell]) -> TermArena) -> (Vec<usize>, usize) {
         let mut inner = self.inner.lock();
         let (slots, goals): (Vec<usize>, Vec<Cell>) = (inner.slots.iter().enumerate())
             .filter(|(_, s)| s.state == SlotState::Unclaimed && s.closure.is_none())
@@ -499,11 +442,11 @@ impl FrameState {
         if slots.is_empty() {
             return (slots, 0);
         }
-        let (bundle, cells) = bundle_copy(heap, &goals);
+        let bundle = Arc::new(freeze(&goals));
         for (k, &i) in slots.iter().enumerate() {
-            inner.slots[i].closure = Some(bundle.closure(k));
+            inner.slots[i].closure = Some((bundle.clone(), k));
         }
-        (slots, cells)
+        (slots, bundle.len())
     }
 
     /// Is this frame's wave complete (stage Ready) / failed?
@@ -546,7 +489,7 @@ impl FrameState {
     }
 
     /// Group start: `slot`, claimed, leads a new group. Returns its goal.
-    pub fn start_group(&self, slot: usize) -> Closure {
+    pub fn start_group(&self, slot: usize) -> (Arc<TermArena>, usize) {
         self.wave(|w| {
             let mut group = GroupRec::default();
             group.slots.push(slot);
@@ -559,7 +502,7 @@ impl FrameState {
 
     /// PDO extension: claim the slot after group `leader`'s last member
     /// and join it to the group. Returns its goal.
-    pub fn extend_group(&self, leader: usize) -> Option<Closure> {
+    pub fn extend_group(&self, leader: usize) -> Option<(Arc<TermArena>, usize)> {
         self.wave(|w| {
             let next = w.groups[&leader].slots.last().unwrap() + 1;
             let next = w.claim(Some(next), |s| s.closure.is_some())?;
@@ -570,18 +513,18 @@ impl FrameState {
     }
 
     /// Inline LPCO merge: the inline branch's last `&` adds `shipped` as
-    /// slots (closures from `bundle`, if copied) and goes on from `spine`
+    /// slots (their goals from `bundle`, if frozen) and goes on from `spine`
     /// (its last goal, the parent's marks there). Returns the new slots.
     pub fn merge_inline(
         &self,
         shipped: &[Cell],
-        bundle: Option<&Bundle>,
+        bundle: Option<&Arc<TermArena>>,
         spine: (Cell, TrailMark, HeapMark),
     ) -> Range<usize> {
         self.wave(|w| {
             let origin = w.inline.expect("inline chain without inline slot");
             let goals = (shipped.iter().enumerate())
-                .map(|(i, &goal)| (bundle.map(|b| b.closure(i)), Some(goal)));
+                .map(|(i, &goal)| (bundle.map(|b| (b.clone(), i)), Some(goal)));
             let added = w.append(goals, origin);
             w.spine = Some(spine);
             added
@@ -637,7 +580,7 @@ impl FrameState {
     pub fn finish_group(
         &self,
         leader: usize,
-        bundle: Bundle,
+        bundle: Arc<TermArena>,
         goal_cells: Vec<Cell>,
         det: bool,
         generator: Option<Box<Machine>>,
@@ -646,7 +589,7 @@ impl FrameState {
             let members = goal_cells.len();
             let last = *w.groups[&leader].slots.last().unwrap();
             debug_assert_eq!(w.groups[&leader].slots.len(), members);
-            let merged = (members..bundle.roots.len()).map(|i| (Some(bundle.closure(i)), None));
+            let merged = (members..bundle.roots().len()).map(|i| (Some((bundle.clone(), i)), None));
             let added = w.append(merged, last);
             let g = w.groups.get_mut(&leader).unwrap();
             g.extra = added.clone().zip(members..).collect();
@@ -665,7 +608,7 @@ impl FrameState {
         })
     }
 
-    /// Integration: copy the bundles into the parent `heap`, unify each
+    /// Integration: thaw the bundles into the parent `heap`, unify each
     /// member with its goal, and record the undo marks. Returns the cells
     /// copied, unify steps, and `false` if the goals were not independent.
     pub fn integrate(&self, heap: &mut Heap) -> (usize, u64, bool) {
@@ -675,12 +618,13 @@ impl FrameState {
                 let bundle = g.bundle.as_ref().expect("ready group without bundle");
                 // Record the undo point for this group.
                 let mark = (heap.trail_mark(), heap.heap_mark());
-                // Joint copy of the whole bundle into the parent heap.
-                let out = copy_tuple(&bundle.heap, sym("$integ"), &bundle.roots, heap);
-                let Cell::Str(hdr) = out.root else {
-                    unreachable!()
+                // The whole bundle, spliced into the parent heap: every
+                // cell of it is reachable from its tuple.
+                let (root, copied) = bundle.thaw(heap);
+                let Cell::Str(hdr) = root else {
+                    unreachable!("a bundle's root is its tuple")
                 };
-                cells += out.cells_copied;
+                cells += copied;
                 for (i, &slot) in g.slots.iter().enumerate() {
                     w.marks[slot] = Some(mark);
                     let solved = heap.str_arg(hdr, i as u32);
@@ -761,7 +705,12 @@ impl FrameState {
     /// `kept` again, if any): the slots right of it rejoin the wave.
     /// Returns the parent's undo point, the inline branch goal to re-run if
     /// any, and the slots to publish.
-    pub fn advance(&self, leader: usize, bundle: Bundle, kept: Option<Box<Machine>>) -> RedoPlan {
+    pub fn advance(
+        &self,
+        leader: usize,
+        bundle: Arc<TermArena>,
+        kept: Option<Box<Machine>>,
+    ) -> RedoPlan {
         self.wave(|w| {
             let group_last = *w.groups[&leader].slots.last().unwrap();
             // If the inline slot lies right of the advanced group, its
@@ -865,23 +814,18 @@ impl std::fmt::Debug for FrameState {
 mod tests {
     use super::*;
     use ace_logic::sym::sym as s;
-    use ace_logic::term::variables;
 
-    #[test]
-    fn bundle_copy_preserves_shared_vars() {
-        let mut h = Heap::new();
-        let x = h.new_var();
-        let g1 = h.new_struct(s("p"), &[x, Cell::Int(1)]);
-        let g2 = h.new_struct(s("q"), &[x]);
-        let (b, cells) = bundle_copy(&h, &[g1, g2]);
-        assert!(cells > 0);
-        assert_eq!(b.roots.len(), 2);
-        let v1 = variables(&b.heap, b.roots[0]);
-        let v2 = variables(&b.heap, b.roots[1]);
-        assert_eq!(v1, v2, "shared variable stays shared across the bundle");
-        // A closure is frozen: room for the cells copied, none for a trail.
-        assert_eq!(b.heap.len(), cells);
-        assert_eq!(b.heap.reserved(), (cells, 0));
+    /// `roots`, terms of `h`, frozen jointly for pickup.
+    fn bundle(h: &Heap, roots: &[Cell]) -> Arc<TermArena> {
+        Arc::new(TermArena::freeze_tuple(h, s("$bundle"), roots))
+    }
+
+    /// A frame over `goals` (terms of `h`), created at `h`'s marks; the
+    /// goals `local` leaves to any worker are frozen for pickup when `ship`.
+    fn create(h: &Heap, goals: &[Cell], local: Local, ship: bool) -> Arc<FrameState> {
+        let shipped = ship.then(|| bundle(h, &goals[local.shippable(goals.len())]));
+        let root = CancelToken::new();
+        FrameState::create(1, goals, None, &root, local, Cont::NONE, marks(h), shipped)
     }
 
     #[test]
@@ -890,18 +834,7 @@ mod tests {
         let g1 = Cell::Atom(s("a"));
         let g2 = h.new_struct(s("p"), &[Cell::Int(1)]);
         let g3 = Cell::Atom(s("c"));
-        let root = CancelToken::new();
-        let (f, _) = FrameState::create(
-            1,
-            &h,
-            &[g1, g2, g3],
-            None,
-            &root,
-            Local::Last,
-            Cont::NONE,
-            (h.trail_mark(), h.heap_mark()),
-            true,
-        );
+        let f = create(&h, &[g1, g2, g3], Local::Last, true);
         assert_eq!(f.inner.lock().slots.len(), 3);
         assert_eq!(f.claim(None), Some(0));
         assert_eq!(f.claim(None), Some(1));
@@ -912,18 +845,7 @@ mod tests {
     fn a_promoted_prefix_is_owner_run_and_the_rest_ships() {
         let h = Heap::new();
         let goals = [Cell::Atom(s("a")), Cell::Atom(s("b")), Cell::Atom(s("c"))];
-        let root = CancelToken::new();
-        let (f, _) = FrameState::create(
-            1,
-            &h,
-            &goals,
-            None,
-            &root,
-            Local::Prefix(1),
-            Cont::NONE,
-            (h.trail_mark(), h.heap_mark()),
-            true,
-        );
+        let f = create(&h, &goals, Local::Prefix(1), true);
         {
             let inner = f.inner.lock();
             let states: Vec<_> = inner
@@ -952,18 +874,7 @@ mod tests {
         let g1 = h.new_struct(s("p"), &[Cell::Int(1)]);
         let g2 = h.new_struct(s("p"), &[Cell::Int(2)]);
         let g3 = Cell::Atom(s("c"));
-        let root = CancelToken::new();
-        let (f, _) = FrameState::create(
-            1,
-            &h,
-            &[g1, g2, g3],
-            None,
-            &root,
-            Local::Last,
-            Cont::NONE,
-            (h.trail_mark(), h.heap_mark()),
-            true,
-        );
+        let f = create(&h, &[g1, g2, g3], Local::Last, true);
         assert_eq!(f.claim(Some(1)), Some(1));
         assert_eq!(f.claim(Some(1)), None, "already claimed");
         assert_eq!(f.claim(None), Some(0));
@@ -974,16 +885,15 @@ mod tests {
         let mut h = Heap::new();
         let g = h.new_struct(s("p"), &[Cell::Int(1)]);
         let root = CancelToken::new();
-        let (f, _) = FrameState::create(
+        let f = FrameState::create(
             1,
-            &h,
             &[g],
             None,
             &root,
             Local::Last,
             Cont::NONE,
-            (h.trail_mark(), h.heap_mark()),
-            true,
+            marks(&h),
+            Some(bundle(&h, &[])),
         );
         let slot_token = f.cancel.child();
         f.fail();
@@ -998,10 +908,7 @@ mod tests {
     /// A frame over the atoms `names`, created at `h`'s marks.
     fn frame_of(h: &Heap, names: &[&str], local: Local, ship: bool) -> Arc<FrameState> {
         let goals: Vec<Cell> = names.iter().map(|n| Cell::Atom(s(n))).collect();
-        let root = CancelToken::new();
-        let (f, _) =
-            FrameState::create(1, h, &goals, None, &root, local, Cont::NONE, marks(h), ship);
-        f
+        create(h, &goals, local, ship)
     }
 
     fn marks(h: &Heap) -> (TrailMark, HeapMark) {
@@ -1017,11 +924,11 @@ mod tests {
 
     /// Finish the claimed `slot` as [`solve`] does.
     fn finish(f: &FrameState, slot: usize, det: bool, merged: &[&str]) -> Range<usize> {
-        let goal = f.start_group(slot);
-        let mut roots = vec![goal.root];
+        let (goal, i) = f.start_group(slot);
+        let mut h = Heap::new();
+        let mut roots = vec![goal.copy_out(i, &mut h).root];
         roots.extend(merged.iter().map(|n| Cell::Atom(s(n))));
-        let (bundle, _) = bundle_copy(&goal.heap, &roots);
-        f.finish_group(slot, bundle, vec![goal.root], det, None)
+        f.finish_group(slot, bundle(&h, &roots), vec![roots[0]], det, None)
     }
 
     /// Integrate `f` into `h`, then advance the group the redo scan picks.
@@ -1031,8 +938,8 @@ mod tests {
         let (Redo::Recompute { leader, .. }, _) = f.redo() else {
             panic!("no group to recompute")
         };
-        let (bundle, _) = bundle_copy(h, &[Cell::Atom(s("again"))]);
-        (leader, f.advance(leader, bundle, None))
+        let again = bundle(h, &[Cell::Atom(s("again"))]);
+        (leader, f.advance(leader, again, None))
     }
 
     fn states(f: &FrameState) -> Vec<SlotState> {
@@ -1062,9 +969,9 @@ mod tests {
         solve(&f, 0, true, &[]);
         assert_eq!(f.stage(), FrameStage::Ready);
         let x = h.new_struct(s("x"), &[Cell::Int(1)]);
-        let (bundle, _) = bundle_copy(&h, &[x]);
+        let shipped = bundle(&h, &[x]);
         let spine = (Cell::Atom(s("y")), h.trail_mark(), h.heap_mark());
-        assert_eq!(f.merge_inline(&[x], Some(&bundle), spine), 2..3);
+        assert_eq!(f.merge_inline(&[x], Some(&shipped), spine), 2..3);
         assert_eq!(f.stage(), FrameStage::Filling);
         solve(&f, 2, true, &[]);
         assert_eq!(f.stage(), FrameStage::Ready);
@@ -1084,7 +991,8 @@ mod tests {
             Some((1, Cell::Atom(s("b")))),
             "0 is not retried"
         );
-        let (shipped, cells) = f.ship_local(&h);
+        let (shipped, cells) =
+            f.ship_local(|goals| TermArena::freeze_tuple(&h, s("$bundle"), goals));
         assert_eq!((shipped, cells > 0), (vec![0], true), "slot 1 is running");
         assert_eq!(f.claim(None), Some(0));
         f.owner_slot_done(1);
@@ -1108,8 +1016,8 @@ mod tests {
         let (Redo::Recompute { leader: 2, .. }, 1) = f.redo() else {
             panic!("the rightmost group advances")
         };
-        let (bundle, _) = bundle_copy(&h, &[Cell::Atom(s("again"))]);
-        let (undo, rerun, publish) = f.advance(2, bundle, None);
+        let again = bundle(&h, &[Cell::Atom(s("again"))]);
+        let (undo, rerun, publish) = f.advance(2, again, None);
         assert_eq!((undo, rerun, publish), (mark, None, vec![]));
         assert_eq!(f.stage(), FrameStage::Ready, "nothing right of it to rerun");
         assert_eq!(f.inner.lock().integrate_from, 2);
@@ -1139,9 +1047,9 @@ mod tests {
         let f = frame_of(&h, &["a", "b"], Local::Last, true);
         h.new_var();
         let x = Cell::Atom(s("x"));
-        let (bundle, _) = bundle_copy(&h, &[x]);
+        let shipped = bundle(&h, &[x]);
         let spine = (Cell::Atom(s("y")), h.trail_mark(), h.heap_mark());
-        f.merge_inline(&[x], Some(&bundle), spine);
+        f.merge_inline(&[x], Some(&shipped), spine);
         h.new_var();
         f.arrive(false, true, marks(&h));
         solve(&f, 0, true, &[]);
@@ -1160,9 +1068,9 @@ mod tests {
         let mut h = Heap::new();
         let f = frame_of(&h, &["a", "b"], Local::Last, true);
         let goals = [Cell::Atom(s("x")), Cell::Atom(s("z"))];
-        let (bundle, _) = bundle_copy(&h, &goals);
+        let shipped = bundle(&h, &goals);
         let spine = (Cell::Atom(s("y")), h.trail_mark(), h.heap_mark());
-        f.merge_inline(&goals, Some(&bundle), spine);
+        f.merge_inline(&goals, Some(&shipped), spine);
         h.new_var();
         let end = marks(&h);
         f.arrive(false, false, end);
@@ -1198,8 +1106,8 @@ mod tests {
         let (Redo::Recompute { leader: 0, .. }, 3) = f.redo() else {
             panic!("groups 3 and 1 are determinate")
         };
-        let (bundle, _) = bundle_copy(&h, &[Cell::Atom(s("again"))]);
-        let (_, rerun, publish) = f.advance(0, bundle, None);
+        let again = bundle(&h, &[Cell::Atom(s("again"))]);
+        let (_, rerun, publish) = f.advance(0, again, None);
         assert_eq!((rerun, publish), (Some(Cell::Atom(s("c"))), vec![1]));
         use SlotState::*;
         assert_eq!(states(&f), [Done, Unclaimed, Running, Dropped]);

@@ -41,4 +41,4 @@ pub mod sched;
 pub mod worker;
 
 pub use engine::{AndEngine, AndReport};
-pub use frame::{Bundle, FrameStage, FrameState, Local};
+pub use frame::{FrameStage, FrameState, Local};

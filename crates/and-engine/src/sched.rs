@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use crate::frame::Local;
     use ace_logic::sym::sym;
-    use ace_logic::{Cell, Heap};
+    use ace_logic::{Cell, Heap, TermArena};
     use ace_machine::Cont;
     use ace_runtime::CancelToken;
 
@@ -108,18 +108,17 @@ mod tests {
         ];
         let token = parent.map_or_else(CancelToken::new, |p| p.cancel.clone());
         let marks = (h.trail_mark(), h.heap_mark());
-        let (f, _) = FrameState::create(
+        let shipped = TermArena::freeze_tuple(&h, sym("$bundle"), &goals[..2]);
+        FrameState::create(
             id,
-            &h,
             &goals,
             parent,
             &token,
             Local::Last,
             Cont::NONE,
             marks,
-            true,
-        );
-        f
+            Some(Arc::new(shipped)),
+        )
     }
 
     /// What worker `taker` got: frame, slot, and whether it stole it.

@@ -22,12 +22,11 @@
 
 use std::sync::Arc;
 
-use ace_logic::copy::copy_term;
 use ace_logic::{CanonKey, Cell, Database};
 use ace_machine::{Machine, MachinePool, MarkerKind, Solution, Spine, Status};
 use ace_runtime::{CancelToken, Engine, EventKind, Step, WorkerCore, QUANTUM};
 
-use crate::frame::{bundle_copy, FrameStage, FrameState, Local, Redo};
+use crate::frame::{FrameStage, FrameState, Local, Redo};
 use crate::sched::Shared;
 
 /// What a `Run` activation is computing.
@@ -181,9 +180,9 @@ impl AndWorker {
         let mut machine = self.machines.acquire(&mut self.core);
         machine.enable_parallel(true);
 
-        // Goal shipping: copy the subgoal closure into the machine.
-        let goal = frame.start_group(slot);
-        let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
+        // Goal shipping: copy the subgoal out of its bundle into the machine.
+        let (bundle, i) = frame.start_group(slot);
+        let out = bundle.copy_out(i, &mut machine.heap);
         self.core.charge_copy(out.cells_copied);
 
         // Markers: the unoptimized engine allocates the input marker
@@ -450,11 +449,9 @@ impl AndWorker {
         }
         let k = branches.len();
         let shipped = &branches[..k - 1];
-        let (bundle, cells) = match ship_now.then(|| bundle_copy(&machine.heap, shipped)) {
-            Some((bundle, cells)) => (Some(bundle), cells),
-            None => (None, 0),
-        };
-        self.core.charge_copy(cells);
+        let bundle = ship_now.then(|| Arc::new(machine.freeze_goals(shipped)));
+        self.core
+            .charge_copy(bundle.as_ref().map_or(0, |b| b.len()));
         self.core.charge(self.core.costs.lpco_merge_slot * k as u64);
         self.core.note(EventKind::FrameElide { merged_slots: k });
 
@@ -710,10 +707,10 @@ impl AndWorker {
         if !machine.determinate(.., FrameState::determinate) {
             return false;
         }
-        let Some(goal) = frame.extend_group(*leader) else {
+        let Some((bundle, i)) = frame.extend_group(*leader) else {
             return false;
         };
-        let out = copy_term(&goal.heap, goal.root, &mut machine.heap);
+        let out = bundle.copy_out(i, &mut machine.heap);
         goal_cells.push(out.root);
         if machine.memo_enabled() {
             memo_keys.push(machine.memo_key(out.root));
@@ -789,9 +786,9 @@ impl AndWorker {
         // Extract the solution bundle (goal instances + LPCO branches).
         let n_members = goal_cells.len();
         goal_cells.extend(&lpco_added);
-        let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
+        let bundle = Arc::new(machine.freeze_goals(&goal_cells));
         goal_cells.truncate(n_members);
-        self.core.charge_copy(cells);
+        self.core.charge_copy(bundle.len());
         self.core
             .charge(self.core.costs.slot_join + self.core.costs.lock);
 
@@ -901,7 +898,7 @@ impl AndWorker {
         let Some(Act::Run { machine, .. }) = (n >= 2).then(|| &mut self.stack[n - 2]) else {
             unreachable!("Wait without Run below")
         };
-        let (shipped, cells) = frame.ship_local(&machine.heap);
+        let (shipped, cells) = frame.ship_local(|goals| machine.freeze_goals(goals));
         if shipped.is_empty() {
             return false;
         }
@@ -1135,7 +1132,7 @@ impl AndWorker {
                 let mut m = self.machines.acquire(&mut self.core);
                 m.enable_parallel(false);
                 let roots: Vec<_> = (goals.iter())
-                    .map(|goal| copy_term(&goal.heap, goal.root, &mut m.heap))
+                    .map(|(bundle, i)| bundle.copy_out(*i, &mut m.heap))
                     .collect();
                 self.core
                     .charge_copy(roots.iter().map(|out| out.cells_copied).sum());
@@ -1239,8 +1236,8 @@ impl AndWorker {
             unreachable!()
         };
 
-        let (bundle, cells) = bundle_copy(&machine.heap, &goal_cells);
-        self.core.charge_copy(cells);
+        let bundle = Arc::new(machine.freeze_goals(&goal_cells));
+        self.core.charge_copy(bundle.len());
 
         // A generator is kept for the group's next solution; a scratch
         // recomputation machine is retired.
@@ -1318,22 +1315,25 @@ fn build_frame(
     let pf = machine.parcall_at_mut(idx);
     let (id, cont, created_at) = (pf.id, pf.cont, (pf.trail, pf.heap));
     let branches = std::mem::take(&mut pf.branches);
-    let (frame, cells) = FrameState::create(
+    let n = branches.len();
+    // Demand-driven goal shipping: goals are only frozen when idle workers
+    // could actually steal them; otherwise they stay owner-local (shipped
+    // later on demand, or never — PDO runs them in place).
+    let shipped = ship_now.then(|| Arc::new(machine.freeze_goals(&branches[local.shippable(n)])));
+    core.charge_copy(shipped.as_ref().map_or(0, |b| b.len()));
+    let frame = FrameState::create(
         id,
-        &machine.heap,
         &branches,
         parent,
         parent_token,
         local,
         cont,
         created_at,
-        ship_now,
+        shipped,
     );
-    let n = branches.len();
     let pf = machine.parcall_at_mut(idx);
     pf.branches = branches;
     pf.ext = Some(Box::new(frame.clone()));
-    core.charge_copy(cells);
     core.charge(
         core.costs.parcall_frame_alloc
             + core.costs.parcall_slot * n as u64

@@ -5,8 +5,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ace_logic::copy::{copy_term, copy_tuple};
-use ace_logic::{parse_term, Cell, Database, Heap};
+use ace_logic::copy::copy_term;
+use ace_logic::{parse_term, Cell, Database, Heap, TermArena};
 use ace_machine::{Machine, Solver, Status};
 use ace_runtime::{CostModel, EngineConfig};
 
@@ -77,12 +77,10 @@ fn bench_copy(c: &mut Criterion) {
             .map(|i| src.new_struct(ace_logic::sym("tak"), &[Cell::Int(i), Cell::Int(7), x]))
             .collect();
         b.iter(|| {
-            let mut dst = Heap::default();
-            black_box(copy_tuple(
+            black_box(TermArena::freeze_tuple(
                 &src,
                 ace_logic::sym("$bundle"),
                 &goals,
-                &mut dst,
             ))
         });
     });

@@ -9,16 +9,17 @@
 //!   the writer terminate on rational trees and keeps the encoding
 //!   injective up to variance.
 //! * [`TermArena`] is a self-contained relocatable cell block holding one
-//!   copied term — the storage format for memoized answers. Any worker
-//!   can splice ("thaw") the arena into its own heap with a single block
-//!   copy plus address relocation, exactly the mechanism clause
-//!   instantiation already uses, without re-running the goal that
-//!   produced it.
+//!   copied term, or several copied jointly — the one frozen form, of
+//!   answers, state closures and shipped goals alike. Any worker can
+//!   splice ("thaw") the arena into its own heap with a single block copy
+//!   plus address relocation, exactly the mechanism clause instantiation
+//!   already uses, without re-running the goal that produced it.
 
 use std::collections::HashMap;
 
-use crate::copy::copy_term;
+use crate::copy::{copy, copy_term, copy_tuple, CopyOut};
 use crate::heap::{Addr, Cell, Heap};
+use crate::sym::Sym;
 
 /// FNV-1a over the key bytes (no dependency, stable across runs of one
 /// process — `Sym` ids are process-global interner indices).
@@ -154,14 +155,15 @@ impl CanonKey {
     }
 }
 
-/// A self-contained relocatable cell block holding one term — the storage
-/// format of memoized answers. Produced by [`TermArena::freeze`] (a
-/// structure-sharing [`copy_term`] into a private heap) and consumed by
-/// [`TermArena::thaw`] (block append with address relocation, as in clause
-/// instantiation).
+/// A self-contained relocatable cell block of exactly the cells a
+/// structure-sharing copy wrote: the one frozen form of the terms that
+/// leave a machine. Made by [`TermArena::freeze`] (one term) or
+/// [`TermArena::freeze_tuple`] (several, jointly); read by
+/// [`TermArena::thaw`] (block append with address relocation, as in
+/// clause instantiation) or [`TermArena::copy_out`] (one root).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TermArena {
-    cells: Vec<Cell>,
+    cells: Box<[Cell]>,
     root: Cell,
 }
 
@@ -178,7 +180,23 @@ impl TermArena {
         scratch.copy.clear();
         let out = copy_term(src, root, &mut scratch.copy);
         TermArena {
-            cells: scratch.copy.cells().to_vec(),
+            cells: scratch.copy.cells().into(),
+            root: out.root,
+        }
+    }
+
+    /// Copy `roots` out of `src` jointly into a fresh arena: its root is
+    /// the tuple `f(root₁, …, rootₙ)`, and [`TermArena::roots`] are the
+    /// copies of `roots`. The cells are those [`TermArena::freeze`] keeps
+    /// of the tuple built on `src`, which is read, never extended
+    /// ([`copy_tuple`]).
+    pub fn freeze_tuple(src: &Heap, f: Sym, roots: &[Cell]) -> TermArena {
+        // Copied into the allocation the arena keeps, shrunk to its cells:
+        // no scratch keeps the room of the largest bundle.
+        let mut heap = Heap::default();
+        let out = copy_tuple(src, f, roots, &mut heap);
+        TermArena {
+            cells: heap.into_cells(),
             root: out.root,
         }
     }
@@ -189,6 +207,25 @@ impl TermArena {
         let base = dst.len() as u32;
         dst.extend_relocated(&self.cells, base);
         (self.root.relocated(base), self.cells.len())
+    }
+
+    /// The root's arguments, as cells of the arena: a joint freeze's
+    /// copied roots (none when the root is not a structure).
+    pub fn roots(&self) -> &[Cell] {
+        let Cell::Str(hdr) = self.root else {
+            return &[];
+        };
+        let Cell::Functor(_, n) = self.cells[hdr.idx()] else {
+            unreachable!("a structure points at its header")
+        };
+        &self.cells[hdr.idx() + 1..][..n as usize]
+    }
+
+    /// Copy root `i` ([`TermArena::roots`]) into `dst`, reading the arena
+    /// in place: what [`copy_term`] of it writes from a heap holding the
+    /// arena.
+    pub fn copy_out(&self, i: usize, dst: &mut Heap) -> CopyOut {
+        copy(Some(&self.cells), self.roots()[i], dst)
     }
 
     /// Cells occupied by the frozen term.
@@ -311,6 +348,34 @@ mod tests {
         // a second thaw is a variant of the first (fresh variables)
         let (again, _) = arena.thaw(&mut dst);
         assert_eq!(CanonKey::of(&dst, thawed), CanonKey::of(&dst, again));
+    }
+
+    #[test]
+    fn a_joint_arena_keeps_shared_variables_shared_and_only_its_cells() {
+        use crate::term::variables;
+        let mut h = Heap::new();
+        let x = h.new_var();
+        let g1 = h.new_struct(sym("p"), &[x, Cell::Int(1)]);
+        let g2 = h.new_struct(sym("q"), &[x]);
+        let arena = TermArena::freeze_tuple(&h, sym("$bundle"), &[g1, g2]);
+        // $bundle/2 3, p(X, 1) 3, X 1, q(X) 2
+        assert_eq!(arena.len(), 3 + 3 + 1 + 2);
+        assert_eq!(arena.cells.len(), arena.len());
+        assert_eq!(arena.roots().len(), 2);
+        let frozen = Heap::from_cells(&arena.cells);
+        let v1 = variables(&frozen, arena.roots()[0]);
+        let v2 = variables(&frozen, arena.roots()[1]);
+        assert_eq!(v1, v2, "shared variable stays shared across the arena");
+        // Each root walks out alone, with the variable it shares fresh.
+        let mut dst = Heap::new();
+        let out = arena.copy_out(1, &mut dst);
+        assert_eq!((out.cells_copied, out.fresh_vars), (3, 1));
+        assert_eq!(CanonKey::of(&dst, out.root), CanonKey::of(&h, g2));
+    }
+
+    #[test]
+    fn an_arena_is_no_larger_than_it_was() {
+        assert!(std::mem::size_of::<TermArena>() <= 40);
     }
 
     #[test]

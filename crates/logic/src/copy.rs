@@ -5,16 +5,13 @@
 //! variables. Structure sharing is preserved (a shared subterm is copied
 //! once), which also makes the copy terminate on cyclic terms.
 //!
-//! This is the workhorse of both parallel engines:
-//! * **goal shipping** (and-parallelism): a parcall subgoal is copied into
-//!   the executing machine's heap, and its solution copied back;
-//! * **state copying** (or-parallelism): the goal and continuation of a
-//!   published choice point are copied into the shared or-tree node.
+//! This is the workhorse of both parallel engines, whose joint copies are
+//! all [`crate::TermArena::freeze_tuple`] (see [`copy_tuple`]).
 //!
 //! The returned [`CopyOut::cells_copied`] feeds the virtual cost model.
 
 use crate::fxhash::FxHashMap;
-use crate::heap::{Addr, Cell, Heap};
+use crate::heap::{deref_in, Addr, Cell, Heap};
 use crate::sym::Sym;
 
 /// Result of a [`copy_term`] call.
@@ -30,7 +27,7 @@ pub struct CopyOut {
 
 /// Copy `root` from `src` into `dst` with fresh variables.
 pub fn copy_term(src: &Heap, root: Cell, dst: &mut Heap) -> CopyOut {
-    copy(Some(src), root, dst)
+    copy(Some(src.cells()), root, dst)
 }
 
 /// Copy a term within a single heap (fresh variables, new cells at the top).
@@ -50,7 +47,9 @@ pub fn copy_term_within(heap: &mut Heap, root: Cell) -> CopyOut {
 ///
 /// The structure exists in `dst` only — `src` is read, never extended — and
 /// `dst` receives the cells, in the order, that [`copy_term`] would write
-/// for that structure had it been built on top of `src`.
+/// for that structure had it been built on top of `src`. This is the walk
+/// under [`crate::TermArena::freeze_tuple`], the joint-copy path of both
+/// engines.
 pub fn copy_tuple(src: &Heap, f: Sym, roots: &[Cell], dst: &mut Heap) -> CopyOut {
     with_copier(|copier| {
         let hdr = dst.push(Cell::Functor(f, roots.len() as u32));
@@ -59,18 +58,20 @@ pub fn copy_tuple(src: &Heap, f: Sym, roots: &[Cell], dst: &mut Heap) -> CopyOut
             copier.work.push((root, slot));
         }
         copier.cells = 1 + roots.len();
-        copier.fill(Some(src), Cell::Str(hdr), dst)
+        copier.fill(Some(src.cells()), Cell::Str(hdr), dst)
     })
 }
 
-/// The heap to read source cells from: `src`, or `dst` itself when the
-/// copy is within one heap. Borrowed afresh for each read, so that `dst`
-/// is free to grow in between.
-fn source<'a>(src: Option<&'a Heap>, dst: &'a Heap) -> &'a Heap {
-    src.unwrap_or(dst)
+/// The cells to read the source from: `src`, or `dst`'s own when the copy
+/// is within one heap. Borrowed afresh for each read, so that `dst` is free
+/// to grow in between.
+fn source<'a>(src: Option<&'a [Cell]>, dst: &'a Heap) -> &'a [Cell] {
+    src.unwrap_or(dst.cells())
 }
 
-fn copy(src: Option<&Heap>, root: Cell, dst: &mut Heap) -> CopyOut {
+/// Copy `root`, a term of the cells `src` (a heap's, or a frozen arena's,
+/// whose addresses index it; `dst`'s own if `None`), into `dst`.
+pub(crate) fn copy(src: Option<&[Cell]>, root: Cell, dst: &mut Heap) -> CopyOut {
     with_copier(|copier| {
         let root = copier.translate(src, root, dst);
         copier.fill(src, root, dst)
@@ -81,15 +82,19 @@ thread_local! {
     static SCRATCH: std::cell::RefCell<Copier> = std::cell::RefCell::default();
 }
 
-/// Run one copy in this thread's scratch copier, emptied first: its maps
-/// and work list keep their room from copy to copy, as a machine's
-/// [`crate::CanonScratch`] does, so a copy allocates only when it is the
-/// largest this thread has made.
+/// Run one copy in this thread's scratch copier, emptied first (in case a
+/// copy unwound) and last, so that room past [`Copier::KEEP`] goes back as
+/// the copy ends: a map held until the next copy can sit at the
+/// allocator's heap top and keep a later large heap from reusing the room
+/// below it. Below that the room is kept, so a copy allocates only when it
+/// is the largest this thread has made.
 fn with_copier(f: impl FnOnce(&mut Copier) -> CopyOut) -> CopyOut {
     SCRATCH.with(|cell| {
         let mut copier = cell.borrow_mut();
         copier.reset();
-        f(&mut copier)
+        let out = f(&mut copier);
+        copier.reset();
+        out
     })
 }
 
@@ -142,7 +147,7 @@ impl Copier {
 
     /// Fill the placeholder slots queued on `work` (and those their terms
     /// queue in turn); `root` is the finished copy's root cell.
-    fn fill(&mut self, src: Option<&Heap>, root: Cell, dst: &mut Heap) -> CopyOut {
+    fn fill(&mut self, src: Option<&[Cell]>, root: Cell, dst: &mut Heap) -> CopyOut {
         while let Some((src_cell, at)) = self.work.pop() {
             let t = self.translate(src, src_cell, dst);
             dst.set_raw(at, t);
@@ -158,8 +163,8 @@ impl Copier {
     /// terms get their destination block reserved here, and their children
     /// queued onto `work` to be filled in later (iterative, so arbitrarily
     /// deep terms cannot overflow the Rust stack).
-    fn translate(&mut self, src: Option<&Heap>, c: Cell, dst: &mut Heap) -> Cell {
-        match source(src, dst).deref(c) {
+    fn translate(&mut self, src: Option<&[Cell]>, c: Cell, dst: &mut Heap) -> Cell {
+        match deref_in(source(src, dst), c) {
             Cell::Ref(a) => *self.var_map.entry(a).or_insert_with(|| {
                 self.vars += 1;
                 self.cells += 1;
@@ -172,10 +177,12 @@ impl Copier {
                 if let Some(&d) = self.block_map.get(&hdr) {
                     return d;
                 }
-                let (f, n) = source(src, dst).functor_at(hdr);
+                let Cell::Functor(f, n) = source(src, dst)[hdr.idx()] else {
+                    unreachable!("a structure points at its header")
+                };
                 let dhdr = dst.push(Cell::Functor(f, n));
-                for i in 0..n {
-                    let arg = source(src, dst).str_arg(hdr, i);
+                for i in 0..n as usize {
+                    let arg = source(src, dst)[hdr.idx() + 1 + i];
                     let slot = dst.push(Cell::Nil); // placeholder
                     self.work.push((arg, slot));
                 }
@@ -188,7 +195,7 @@ impl Copier {
                 if let Some(&d) = self.block_map.get(&p) {
                     return d;
                 }
-                let (head, tail) = (source(src, dst).lst_head(p), source(src, dst).lst_tail(p));
+                let (head, tail) = (source(src, dst)[p.idx()], source(src, dst)[p.idx() + 1]);
                 let dh = dst.push(Cell::Nil);
                 let dt = dst.push(Cell::Nil);
                 self.work.push((head, dh));
@@ -286,22 +293,17 @@ mod tests {
         let out = copy_tuple(&src, sym("t"), &[small, small], &mut dst);
         assert_eq!((out.cells_copied, out.fresh_vars), (3 + 4, 1));
 
-        // A wide structure queues every argument on the work list at once;
-        // the next copy does not keep that room.
+        // A wide structure queues every argument on the work list at once
+        // and maps 5 000 variables; the copy does not keep that room once
+        // it is done.
         let args: Vec<Cell> = (0..5_000).map(|_| src.new_var()).collect();
         let wide = src.new_struct(sym("w"), &args);
         let out = copy_term(&src, wide, &mut dst);
         assert_eq!((out.cells_copied, out.fresh_vars), (10_001, 5_000));
-        let held = || {
-            SCRATCH.with(|cell| {
-                let c = cell.borrow();
-                (c.work.capacity(), c.var_map.capacity())
-            })
-        };
-        let (work, vars) = held();
-        assert!(work > Copier::KEEP && vars > Copier::KEEP);
-        copy_term(&src, small, &mut dst);
-        let (work, vars) = held();
+        let (work, vars) = SCRATCH.with(|cell| {
+            let c = cell.borrow();
+            (c.work.capacity(), c.var_map.capacity())
+        });
         assert!(
             work <= Copier::KEEP && vars <= Copier::KEEP,
             "a wide copy's scratch room is still held: work {work}, var map {vars}"

@@ -120,7 +120,7 @@ const TRAIL_RESERVE: usize = 1 << 18;
 
 impl Heap {
     /// A heap with room to run in. `Heap::default()` reserves nothing: the
-    /// start for a copy target that [`Heap::shrink_to_fit`] then freezes.
+    /// start for a copy target that [`Heap::into_cells`] then freezes.
     pub fn new() -> Self {
         Heap {
             cells: Vec::with_capacity(1024),
@@ -153,20 +153,6 @@ impl Heap {
     /// clause store keeps a clause.
     pub fn into_cells(self) -> Box<[Cell]> {
         self.cells.into_boxed_slice()
-    }
-
-    /// Give back the room not in use. For a heap that was just filled and
-    /// will only be read — a closure, a solution bundle — this leaves what
-    /// [`Heap::from_cells`] would have built.
-    pub fn shrink_to_fit(&mut self) {
-        self.cells.shrink_to_fit();
-        self.trail.shrink_to_fit();
-        self.unify_work.shrink_to_fit();
-    }
-
-    /// Allocated room as `(cells, trail entries)`, used or not.
-    pub fn reserved(&self) -> (usize, usize) {
-        (self.cells.capacity(), self.trail.capacity())
     }
 
     /// Number of live cells.
@@ -270,19 +256,8 @@ impl Heap {
     /// `Ref(a)` where the cell at `a` is a self-reference) or a non-`Ref`
     /// value cell.
     #[inline]
-    pub fn deref(&self, mut c: Cell) -> Cell {
-        loop {
-            match c {
-                Cell::Ref(a) => {
-                    let inner = self.cells[a.idx()];
-                    if inner == Cell::Ref(a) {
-                        return c; // unbound
-                    }
-                    c = inner;
-                }
-                other => return other,
-            }
-        }
+    pub fn deref(&self, c: Cell) -> Cell {
+        deref_in(&self.cells, c)
     }
 
     /// Is `c` (already dereferenced) an unbound variable?
@@ -444,6 +419,24 @@ impl Heap {
     #[inline]
     pub fn lst_tail(&self, pair: Addr) -> Cell {
         self.cells[pair.idx() + 1]
+    }
+}
+
+/// [`Heap::deref`] over bare cells — a heap's, or a frozen arena's, whose
+/// addresses index the slice.
+#[inline]
+pub(crate) fn deref_in(cells: &[Cell], mut c: Cell) -> Cell {
+    loop {
+        match c {
+            Cell::Ref(a) => {
+                let inner = cells[a.idx()];
+                if inner == Cell::Ref(a) {
+                    return c; // unbound
+                }
+                c = inner;
+            }
+            other => return other,
+        }
     }
 }
 
@@ -622,12 +615,12 @@ mod tests {
         // A frozen copy has no trail; a few bindings give it the small one.
         let mut h = Heap::from_cells(&[]);
         bind_fresh(&mut h, 1);
-        assert_eq!(h.reserved().1, SMALL_TRAIL);
+        assert_eq!(h.trail.capacity(), SMALL_TRAIL);
         bind_fresh(&mut h, SMALL_TRAIL - 1);
-        assert_eq!(h.reserved().1, SMALL_TRAIL);
+        assert_eq!(h.trail.capacity(), SMALL_TRAIL);
         // One more and the trail is reserved for good, entries intact.
         bind_fresh(&mut h, 1);
-        assert_eq!(h.reserved().1, TRAIL_RESERVE);
+        assert_eq!(h.trail.capacity(), TRAIL_RESERVE);
         assert_eq!(h.trail_len(), SMALL_TRAIL + 1);
         assert_eq!(h.undo_to(TrailMark(0)), SMALL_TRAIL + 1);
         assert!((0..h.len()).all(|i| h.is_unbound(Cell::Ref(Addr(i as u32)))));

@@ -10,6 +10,7 @@ use ace_logic::sym::sym;
 use ace_logic::term::{term_size, variables};
 use ace_logic::unify::{struct_eq, unify};
 use ace_logic::write::term_to_string;
+use ace_logic::{CanonKey, TermArena};
 
 /// AST for generated terms (built into heaps by `build`).
 #[derive(Debug, Clone)]
@@ -64,6 +65,62 @@ fn build(heap: &mut Heap, t: &T, vars: &mut Vec<Option<Cell>>) -> Cell {
             heap.list(&cells)
         }
     }
+}
+
+/// Build `terms` into `heap` as the root list goal shipping meets:
+/// variables shared between roots, compact `[H|T]` pairs whose head
+/// variable sits at the pair's address (also a root of its own), and
+/// variables bound to whole roots without an occurs check — chains
+/// (variable to variable to term) and rational trees.
+fn shared_roots(
+    heap: &mut Heap,
+    terms: &[T],
+    compact: &[bool],
+    binds: &[(usize, usize)],
+) -> Vec<Cell> {
+    let mut vars = Vec::new();
+    let mut roots: Vec<Cell> = terms.iter().map(|t| build(heap, t, &mut vars)).collect();
+    for &open_tail in compact {
+        let pair = Addr(heap.len() as u32);
+        heap.push(Cell::Ref(pair)); // the head variable, at the pair address
+        if open_tail {
+            heap.new_var();
+        } else {
+            heap.push(Cell::Nil);
+        }
+        roots.push(Cell::Lst(pair));
+        roots.push(Cell::Ref(pair));
+    }
+    for &(v, r) in binds {
+        if roots.is_empty() {
+            break;
+        }
+        let (var, to) = (roots[v % roots.len()], roots[r % roots.len()]);
+        if let Cell::Ref(a) = heap.deref(var) {
+            if heap.deref(to) != Cell::Ref(a) {
+                heap.bind(a, to);
+            }
+        }
+    }
+    roots
+}
+
+/// A heap holding `arena`'s cells at their own addresses, and the arena's
+/// root there.
+fn frozen(arena: &TermArena) -> (Heap, Cell) {
+    let mut heap = Heap::new();
+    let (root, _) = arena.thaw(&mut heap);
+    (heap, root)
+}
+
+/// `root`'s structure arguments in `heap`.
+fn args_of(heap: &Heap, root: Cell) -> Vec<Cell> {
+    let Cell::Str(hdr) = root else {
+        panic!("a tuple is a structure")
+    };
+    (0..heap.functor_at(hdr).1)
+        .map(|i| heap.str_arg(hdr, i))
+        .collect()
 }
 
 proptest! {
@@ -186,7 +243,6 @@ proptest! {
     /// within one heap and across heaps.
     #[test]
     fn canon_keys_are_variant_invariant(t in term_strategy()) {
-        use ace_logic::CanonKey;
         let mut src = Heap::new();
         let mut vars = Vec::new();
         let c = build(&mut src, &t, &mut vars);
@@ -205,7 +261,6 @@ proptest! {
     /// and variable count), at any relocation base.
     #[test]
     fn term_arena_round_trips(t in term_strategy(), base in 0usize..32) {
-        use ace_logic::{CanonKey, TermArena};
         let mut src = Heap::new();
         let mut vars = Vec::new();
         let c = build(&mut src, &t, &mut vars);
@@ -224,8 +279,9 @@ proptest! {
         );
     }
 
-    /// The or-engine's procrastinated state capture freezes a
-    /// `$closure(Goal, Cont...)` tuple and thaws it per claim: variables
+    /// The or-engine's procrastinated state capture freezes the arguments
+    /// of a `$closure(Goal, Cont...)` tuple jointly and thaws it per claim:
+    /// the arena is the freeze of that tuple built on the heap, variables
     /// shared between the goal and the continuation goals must stay
     /// shared (and un-shared ones distinct) through freeze→thaw, and the
     /// tuple must round-trip structurally at any relocation base.
@@ -235,7 +291,6 @@ proptest! {
         cont in prop::collection::vec(term_strategy(), 0..4),
         base in 0usize..16,
     ) {
-        use ace_logic::{CanonKey, TermArena};
         let mut src = Heap::new();
         // One shared variable namespace: `T::Var(i)` denotes the same
         // variable wherever it occurs, across goal and continuation.
@@ -248,6 +303,9 @@ proptest! {
         let tuple = src.new_struct(sym("$closure"), &args);
 
         let arena = TermArena::freeze(&src, tuple);
+        // The joint freeze of the arguments, which never writes the tuple,
+        // is that arena cell for cell.
+        prop_assert_eq!(&TermArena::freeze_tuple(&src, sym("$closure"), &args), &arena);
         let mut dst = Heap::new();
         for _ in 0..base {
             dst.new_var(); // force a nonzero relocation base
@@ -323,32 +381,7 @@ proptest! {
         base in 0usize..8,
     ) {
         let mut heap = Heap::new();
-        let mut vars = Vec::new();
-        let mut roots: Vec<Cell> = terms.iter().map(|t| build(&mut heap, t, &mut vars)).collect();
-        for &open_tail in &compact {
-            let pair = Addr(heap.len() as u32);
-            heap.push(Cell::Ref(pair)); // the head variable, at the pair address
-            if open_tail {
-                heap.new_var();
-            } else {
-                heap.push(Cell::Nil);
-            }
-            roots.push(Cell::Lst(pair));
-            roots.push(Cell::Ref(pair));
-        }
-        // Bind variables to whole roots without an occurs check: chains
-        // (variable to variable to term) and rational trees.
-        for &(v, r) in &binds {
-            if roots.is_empty() {
-                break;
-            }
-            let (var, to) = (roots[v % roots.len()], roots[r % roots.len()]);
-            if let Cell::Ref(a) = heap.deref(var) {
-                if heap.deref(to) != Cell::Ref(a) {
-                    heap.bind(a, to);
-                }
-            }
-        }
+        let roots = shared_roots(&mut heap, &terms, &compact, &binds);
         let before: Vec<Cell> = heap.cells().to_vec();
         let f = sym("$bundle");
 
@@ -370,6 +403,72 @@ proptest! {
         prop_assert_eq!(heap.cells(), &before[..]);
     }
 
+    /// A joint arena spliced whole into a heap appends exactly the cells a
+    /// joint walk of its roots copies, and each root, and the tuple with the
+    /// sharing between roots, keys alike: splicing a solution bundle prices
+    /// what copying it did, at any relocation base.
+    #[test]
+    fn joint_arena_thaw_appends_what_a_walk_of_its_roots_copies(
+        terms in prop::collection::vec(term_strategy(), 0..5),
+        compact in prop::collection::vec(any::<bool>(), 0..3),
+        binds in prop::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+        base in 1usize..8,
+    ) {
+        let mut heap = Heap::new();
+        let roots = shared_roots(&mut heap, &terms, &compact, &binds);
+        let f = sym("$bundle");
+        let arena = TermArena::freeze_tuple(&heap, f, &roots);
+        prop_assert_eq!(arena.roots().len(), roots.len());
+        let (frozen, _) = frozen(&arena);
+
+        let mut walked = Heap::new();
+        let mut spliced = Heap::new();
+        for _ in 0..base {
+            walked.new_var(); // a nonzero destination base
+            spliced.new_var();
+        }
+        let walk = copy_tuple(&frozen, f, arena.roots(), &mut walked);
+        let (root, appended) = arena.thaw(&mut spliced);
+        prop_assert_eq!(appended, walk.cells_copied);
+        prop_assert_eq!(spliced.len(), walked.len());
+        prop_assert_eq!(&CanonKey::of(&spliced, root), &CanonKey::of(&walked, walk.root));
+        let pairs = args_of(&spliced, root).into_iter().zip(args_of(&walked, walk.root));
+        for (s, w) in pairs {
+            prop_assert_eq!(&CanonKey::of(&spliced, s), &CanonKey::of(&walked, w));
+        }
+    }
+
+    /// Shipping one root out of a joint arena is `copy_term` of that tuple
+    /// argument from a heap holding the arena: the same cells, counts and
+    /// key, at any destination base.
+    #[test]
+    fn copy_out_equals_copy_term_from_the_tuple(
+        terms in prop::collection::vec(term_strategy(), 1..5),
+        compact in prop::collection::vec(any::<bool>(), 0..3),
+        binds in prop::collection::vec((any::<usize>(), any::<usize>()), 0..6),
+        base in 0usize..8,
+    ) {
+        let mut heap = Heap::new();
+        let roots = shared_roots(&mut heap, &terms, &compact, &binds);
+        let arena = TermArena::freeze_tuple(&heap, sym("$bundle"), &roots);
+        let (frozen, tuple) = frozen(&arena);
+        for (i, arg) in args_of(&frozen, tuple).into_iter().enumerate() {
+            let mut got = Heap::new();
+            let mut want = Heap::new();
+            for _ in 0..base {
+                got.new_var();
+                want.new_var();
+            }
+            let out = arena.copy_out(i, &mut got);
+            let reference = copy_term(&frozen, arg, &mut want);
+            prop_assert_eq!(got.cells(), want.cells());
+            prop_assert_eq!(out.root, reference.root);
+            prop_assert_eq!(out.cells_copied, reference.cells_copied);
+            prop_assert_eq!(out.fresh_vars, reference.fresh_vars);
+            prop_assert_eq!(&CanonKey::of(&got, out.root), &CanonKey::of(&frozen, arg));
+        }
+    }
+
     /// The clause store is exact: a loaded clause's arena is its
     /// `arena_len()` cells and nothing else — boxed cells have no spare
     /// room and no trail — and instantiating it is one block copy of
@@ -381,7 +480,6 @@ proptest! {
         body in term_strategy(),
     ) {
         use ace_logic::db::Database;
-        use ace_logic::CanonKey;
 
         let mut vars = Vec::new();
         let mut src_txt = String::new();

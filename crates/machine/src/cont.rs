@@ -494,24 +494,24 @@ impl ContStack {
     }
 
     /// Write `goal` and the frames of `cont` that `keep` accepts on `heap`
-    /// as one `$closure(Goal, F1, …, Fn)` tuple, so that freezing the tuple
-    /// keeps every variable they share shared. A goal frame is written as
-    /// its goal; the frames that hold more than cells as a `$frame`
-    /// structure of the parts a machine-local heap marker had: a body
-    /// frame as `$frame(Clause, At, Env)`, its environment as the
-    /// `$slots(…)` term of its cells (once per environment, however many
-    /// frames share it), the control frames as their integers — a frozen
-    /// continuation has as many cells, and is priced the same, as when
-    /// those frames and environments were heap terms. Returns the tuple
-    /// and the frames kept, which [`ContStack::thaw`] needs to read it
-    /// back.
+    /// as the arguments of one `$closure(Goal, F1, …, Fn)` tuple, so that
+    /// freezing them jointly keeps every variable they share shared. A goal
+    /// frame is written as its goal; the frames that hold more than cells
+    /// as a `$frame` structure of the parts a machine-local heap marker
+    /// had: a body frame as `$frame(Clause, At, Env)`, its environment as
+    /// the `$slots(…)` term of its cells (once per environment, however
+    /// many frames share it), the control frames as their integers — a
+    /// frozen continuation has as many cells, and is priced the same, as
+    /// when those frames and environments were heap terms. Returns the
+    /// tuple's arguments and the frames kept, which [`ContStack::thaw`]
+    /// needs to read it back.
     pub fn freeze(
         &self,
         heap: &mut Heap,
         goal: Cell,
         cont: Cont,
         keep: impl Fn(&Goal) -> bool,
-    ) -> (Cell, Vec<Goal>) {
+    ) -> (Vec<Cell>, Vec<Goal>) {
         // Counted first: the frames are kept as long as the closure is.
         let kept = || self.iter(cont).map(|n| n.goal).filter(&keep);
         let mut frames = Vec::with_capacity(kept().count());
@@ -557,11 +557,12 @@ impl ContStack {
                 }
             });
         }
-        (heap.new_struct(closure_sym(), &args), frames)
+        (args, frames)
     }
 
-    /// Rebuild a continuation [`ContStack::freeze`] wrote, from its tuple
-    /// thawed into `heap` (header `tuple`) and the frames it returned.
+    /// Rebuild a continuation [`ContStack::freeze`] wrote, from its tuple,
+    /// frozen and thawed into `heap` (header `tuple`), and the frames it
+    /// returned.
     /// Frame `i` takes its cells from argument `i + 1` by position, never
     /// by functor: what was a goal term thaws as a goal term, whatever it
     /// looks like. A body frame's `$slots` term becomes an environment
@@ -632,7 +633,7 @@ fn frame_sym() -> Sym {
 }
 
 /// Functor of the frozen goal + continuation tuple.
-fn closure_sym() -> Sym {
+pub(crate) fn closure_sym() -> Sym {
     static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
     *S.get_or_init(|| sym("$closure"))
 }
@@ -878,8 +879,8 @@ mod tests {
             c = s.push(c, g, 3);
         }
         let goal = src.new_struct(sym("q"), &[Cell::Nil]);
-        let (tuple, kept) = s.freeze(src, goal, c, |_| true);
-        let arena = TermArena::freeze(src, tuple);
+        let (args, kept) = s.freeze(src, goal, c, |_| true);
+        let arena = TermArena::freeze_tuple(src, closure_sym(), &args);
         let mut dst = Heap::new();
         dst.new_var();
         let (root, _) = arena.thaw(&mut dst);
@@ -903,9 +904,9 @@ mod tests {
         }
         let goal = src.new_struct(sym("q"), &[Cell::Nil]);
         let memo = |g: &Goal| !matches!(g, Goal::MemoStore { .. });
-        let (tuple, kept) = s.freeze(&mut src, goal, c, memo);
+        let (args, kept) = s.freeze(&mut src, goal, c, memo);
         assert_eq!(kept.len(), frames.len() - 1);
-        let arena = TermArena::freeze(&src, tuple);
+        let arena = TermArena::freeze_tuple(&src, closure_sym(), &args);
         // The cells the frames had as heap markers: `$closure` + 11 arguments
         // (one frame dropped) 12; goal q([]) 2; p(X, 1) 3 + X 1; the user
         // term 4; $slots(X, 2) 3; the body frames 4 + 4; the if-then-else

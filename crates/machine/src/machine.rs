@@ -21,7 +21,7 @@ use ace_runtime::{
 };
 use ace_table::{AnswerEntry, AnswerStore, PublishOutcome, RegisterOutcome};
 
-use crate::cont::{BodyAt, Callable, Cont, ContMark, ContStack, Env, Goal};
+use crate::cont::{closure_sym, BodyAt, Callable, Cont, ContMark, ContStack, Env, Goal};
 use crate::frames::{
     Alts, ChoicePoint, CtrlFrame, Marker, MarkerKind, ParRecord, ParcallFrame, SharedChoice,
 };
@@ -164,41 +164,27 @@ struct LocalSubgoal {
 /// to continue an alternative (or-parallel state copying).
 ///
 /// The state is the goal and continuation as a *frozen* `$closure(Goal,
-/// F1, …, Fn)` tuple in an immutable relocatable [`TermArena`] (written by
-/// [`ContStack::freeze`]), beside the continuation's frames, which read the
-/// thawed tuple back by position: freezing happens at most once per
-/// published node (on first remote demand — see the or-engine's
-/// procrastinated capture), and every claim thaws straight from the arena
-/// into the claimant's heap with no intermediate clone.
+/// F1, …, Fn)` tuple: the arguments [`ContStack::freeze`] writes, frozen
+/// jointly into an immutable relocatable [`TermArena`], beside the
+/// continuation's frames, which read the thawed tuple back by position:
+/// freezing happens at most once per published node (on first remote
+/// demand — see the or-engine's procrastinated capture), and every claim
+/// thaws straight from the arena into the claimant's heap with no
+/// intermediate clone.
 #[derive(Debug)]
 pub struct StateClosure {
-    /// Frozen snapshot of the `$closure(Goal, F1, …, Fn)` tuple.
+    /// Frozen snapshot of the `$closure(Goal, F1, …, Fn)` tuple; its length
+    /// is the cells frozen (cost accounting at materialization).
     pub arena: TermArena,
     /// The continuation's frames, nearest first: frame `i` reads its cells
     /// from tuple argument `i + 1`.
     pub frames: Box<[Goal]>,
-    /// Cells frozen (cost accounting at materialization).
-    pub cells: usize,
-}
-
-impl StateClosure {
-    /// Freeze a tuple [`ContStack::freeze`] wrote on `heap`, with the
-    /// frames it returned.
-    pub fn freeze(heap: &Heap, tuple: Cell, frames: Vec<Goal>) -> StateClosure {
-        let arena = TermArena::freeze(heap, tuple);
-        let cells = arena.len();
-        StateClosure {
-            arena,
-            frames: frames.into(),
-            cells,
-        }
-    }
 }
 
 /// The or-engine publishes its choice points with this closure.
 impl ace_runtime::ortree::Closure for StateClosure {
     fn cells(&self) -> u64 {
-        self.cells as u64
+        self.arena.len() as u64
     }
 }
 
@@ -949,7 +935,7 @@ impl Machine {
     fn table_suspend(&mut self, subgoal: usize, next: usize, goal: Cell) {
         self.ctrl.pop();
         let closure = self.freeze_state(goal, self.cont, |_| true);
-        self.charge(closure.cells as u64 * self.costs.heap_cell);
+        self.charge(closure.arena.len() as u64 * self.costs.heap_cell);
         let f = &self.table_subgoals[subgoal];
         self.note(EventKind::TableSuspend {
             key: f.key.hash,
@@ -1535,13 +1521,13 @@ impl Machine {
         let closure = self.freeze_state(goal, cont, |g| !local(g));
         self.heap.rewind_section(section);
 
-        self.stats.cells_copied_publish += closure.cells as u64;
+        self.stats.cells_copied_publish += closure.arena.len() as u64;
         closure
     }
 
     /// Freeze `goal` and the frames of `cont` that `keep` accepts jointly
-    /// (one tuple, so shared variables stay shared); the tuple written to
-    /// do so is reclaimed at once.
+    /// (one tuple, so shared variables stay shared); the frame terms
+    /// written to do so are reclaimed at once.
     fn freeze_state(
         &mut self,
         goal: Cell,
@@ -1549,10 +1535,22 @@ impl Machine {
         keep: impl Fn(&Goal) -> bool,
     ) -> StateClosure {
         let mark = self.heap.heap_mark();
-        let (tuple, frames) = self.conts.freeze(&mut self.heap, goal, cont, keep);
-        let closure = StateClosure::freeze(&self.heap, tuple, frames);
+        let (args, frames) = self.conts.freeze(&mut self.heap, goal, cont, keep);
+        let arena = TermArena::freeze_tuple(&self.heap, closure_sym(), &args);
         self.heap.truncate_to(mark);
-        closure
+        StateClosure {
+            arena,
+            frames: frames.into(),
+        }
+    }
+
+    /// Freeze `goals`, terms of this machine's heap, jointly into one
+    /// arena (so variables they share stay shared): how the and-engine
+    /// ships goals and returns solutions.
+    pub fn freeze_goals(&self, goals: &[Cell]) -> TermArena {
+        static BUNDLE: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
+        let f = *BUNDLE.get_or_init(|| ace_logic::sym("$bundle"));
+        TermArena::freeze_tuple(&self.heap, f, goals)
     }
 
     /// Thaw a closure into this heap (one block splice — no clone, no

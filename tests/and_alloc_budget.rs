@@ -7,14 +7,17 @@
 //! a count, the same on every run of the deterministic `Sim` driver; no
 //! timing.
 //!
-//! takeuchi(10), bytes requested during `run_strict`. The first three
+//! takeuchi(10), bytes requested during `run_strict`. The first four
 //! columns are eager frames (`OptFlags::paper()`, which was `all()` before
-//! lazy frames); the last one is `OptFlags::all()`:
+//! lazy frames); the lazy column is `OptFlags::all()`. The last column is
+//! both, eager / lazy, once goals and solutions cross machines as
+//! `TermArena`s (one frozen form: no roots vector per bundle, a solution
+//! spliced in place of a second walk); it was 17.5 / 10.0 MB just before:
 //!
-//! | workers | whole-heap clones | joint copy | continuation stack | eager now | lazy frames |
-//! |---|---|---|---|---|---|
-//! | 4 | 3 686.6 MB | 20.9 MB | 20.3 MB | 18.2 MB | 10.0 MB |
-//! | 1 |    59.9 MB | 13.9 MB | 13.5 MB |         | 9.4 MB |
+//! | workers | whole-heap clones | joint copy | continuation stack | eager now | lazy frames | one frozen form |
+//! |---|---|---|---|---|---|---|
+//! | 4 | 3 686.6 MB | 20.9 MB | 20.3 MB | 18.2 MB | 10.0 MB | 17.3 / 10.0 MB |
+//! | 1 |    59.9 MB | 13.9 MB | 13.5 MB |         | 9.4 MB  | — / 9.4 MB |
 //!
 //! The four-worker budgets are twice the continuation-stack column for
 //! eager frames and twice the lazy column for lazy ones. The sequential
