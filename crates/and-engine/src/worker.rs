@@ -22,8 +22,8 @@
 
 use std::sync::Arc;
 
-use ace_logic::{CanonKey, Cell, Database};
-use ace_machine::{Machine, MachinePool, MarkerKind, Solution, Spine, Status};
+use ace_logic::{Cell, Database};
+use ace_machine::{Machine, MachinePool, MarkerKind, MemoCall, Solution, Spine, Status};
 use ace_runtime::{CancelToken, Engine, EventKind, Step, WorkerCore, QUANTUM};
 
 use crate::frame::{FrameStage, FrameState, Local, Redo};
@@ -73,11 +73,11 @@ enum Act {
         /// Machine-heap cells of each member slot's shipped goal (in group
         /// slot order) — the roots extracted into the solution bundle.
         goal_cells: Vec<Cell>,
-        /// Memo keys of the member goals, canonicalized *before* execution
-        /// bound them (same order as `goal_cells`; empty when memo is off).
-        /// Deterministic groups publish their answers under these keys at
-        /// finalization.
-        memo_keys: Vec<CanonKey>,
+        /// Memo keys of the member goals with their variables, taken
+        /// *before* execution bound them (same order as `goal_cells`;
+        /// empty when memo is off). Deterministic groups publish the
+        /// bindings of those variables under these keys at finalization.
+        memo_calls: Vec<MemoCall>,
         /// Machine-heap cells of LPCO-merged branch goals awaiting
         /// registration as new slots at group finalization.
         lpco_added: Vec<Cell>,
@@ -132,7 +132,7 @@ impl AndWorker {
             ctx: RunCtx::Root,
             cancel: self.core.ctl.cancel.clone(),
             goal_cells: Vec::new(),
-            memo_keys: Vec::new(),
+            memo_calls: Vec::new(),
             lpco_added: Vec::new(),
             inline: Vec::new(),
             owner_slot: Vec::new(),
@@ -197,9 +197,9 @@ impl AndWorker {
 
         // Snapshot the memo key while the shipped goal is still unbound:
         // a deterministic completion publishes its answer under this key.
-        let memo_keys = if machine.memo_enabled() {
+        let memo_calls = if machine.memo_enabled() {
             self.core.charge(self.core.costs.memo_lookup);
-            vec![machine.memo_key(out.root)]
+            vec![machine.memo_call(out.root)]
         } else {
             Vec::new()
         };
@@ -217,7 +217,7 @@ impl AndWorker {
             },
             cancel,
             goal_cells: vec![out.root],
-            memo_keys,
+            memo_calls,
             lpco_added: Vec::new(),
             inline: Vec::new(),
             owner_slot: Vec::new(),
@@ -687,7 +687,7 @@ impl AndWorker {
             machine,
             ctx: RunCtx::Slot { frame, leader },
             goal_cells,
-            memo_keys,
+            memo_calls,
             lpco_added,
             ..
         }) = self.stack.last_mut()
@@ -713,7 +713,7 @@ impl AndWorker {
         let out = bundle.copy_out(i, &mut machine.heap);
         goal_cells.push(out.root);
         if machine.memo_enabled() {
-            memo_keys.push(machine.memo_key(out.root));
+            memo_calls.push(machine.memo_call(out.root));
             self.core.charge(self.core.costs.memo_lookup);
         }
         machine.continue_with(out.root);
@@ -733,7 +733,7 @@ impl AndWorker {
             mut machine,
             ctx: RunCtx::Slot { frame, leader },
             mut goal_cells,
-            memo_keys,
+            memo_calls,
             lpco_added,
             ..
         }) = self.stack.pop()
@@ -771,13 +771,13 @@ impl AndWorker {
         if det
             && !has_frames
             && lpco_added.is_empty()
-            && !memo_keys.is_empty()
+            && !memo_calls.is_empty()
             && machine.stats.choice_points == 0
             && machine.output.is_empty()
             && machine.answers.is_empty()
         {
-            for (key, &goal) in memo_keys.iter().zip(&goal_cells) {
-                machine.memo_publish_answer(key, goal);
+            for call in &memo_calls {
+                machine.memo_publish_answer(call);
             }
         }
 

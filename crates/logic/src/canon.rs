@@ -14,6 +14,11 @@
 //!   splice ("thaw") the arena into its own heap with a single block copy
 //!   plus address relocation, exactly the mechanism clause instantiation
 //!   already uses, without re-running the goal that produced it.
+//! * A stored answer is a *substitution*: the bindings of its call's
+//!   variables, in the order the call's key numbers them
+//!   ([`CanonScratch::vars`]), frozen jointly. Every variant of the call
+//!   has its variables in that order, so [`TermArena::bind_roots`] binds
+//!   them on any heap without looking at the call again.
 
 use std::collections::HashMap;
 
@@ -32,18 +37,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Working memory of the key writer and the arena copier, owned by
+/// Working memory of the key writer, owned by
 /// whoever canonicalizes often (a machine) and reused from call to call:
 /// every part is emptied on use and keeps its room.
 #[derive(Debug, Default)]
 pub struct CanonScratch {
     bytes: Vec<u8>,
     var_ids: HashMap<Addr, u32>,
+    /// The variables of `var_ids`, by id.
+    vars: Vec<Cell>,
     /// compound (Str header / Lst pair) address -> visit id
     seen: HashMap<(bool, Addr), u32>,
     stack: Vec<Cell>,
-    /// Where [`TermArena::freeze_in`] builds the copy it then sizes.
-    copy: Heap,
 }
 
 impl CanonScratch {
@@ -52,23 +57,36 @@ impl CanonScratch {
     /// next call. A caller that only tests membership — is this answer a
     /// duplicate? — never owns a key.
     pub fn encode(&mut self, heap: &Heap, root: Cell) -> &[u8] {
+        self.encode_roots(heap, &[root])
+    }
+
+    /// Write the canonical bytes of `roots`, one after another, with one
+    /// variable numbering and one back-reference table: a substitution's
+    /// key. Two sequences of as many roots write the same bytes iff they
+    /// are variants of each other jointly.
+    pub fn encode_roots(&mut self, heap: &Heap, roots: &[Cell]) -> &[u8] {
         let CanonScratch {
             bytes,
             var_ids,
+            vars,
             seen,
             stack,
             ..
         } = self;
         bytes.clear();
         var_ids.clear();
+        vars.clear();
         seen.clear();
         stack.clear();
-        stack.push(root);
+        stack.extend(roots.iter().rev());
         while let Some(c) = stack.pop() {
             match heap.deref(c) {
                 Cell::Ref(a) => {
                     let n = var_ids.len() as u32;
-                    let id = *var_ids.entry(a).or_insert(n);
+                    let id = *var_ids.entry(a).or_insert_with(|| {
+                        vars.push(Cell::Ref(a));
+                        n
+                    });
                     bytes.push(b'V');
                     bytes.extend_from_slice(&id.to_le_bytes());
                 }
@@ -113,6 +131,13 @@ impl CanonScratch {
             }
         }
         bytes
+    }
+
+    /// The unbound variables of the term last encoded, in the order its
+    /// key numbers them (`V0`, `V1`, …): where a variant call keeps the
+    /// variables its stored answers bind.
+    pub fn vars(&self) -> &[Cell] {
+        &self.vars
     }
 }
 
@@ -170,17 +195,10 @@ pub struct TermArena {
 impl TermArena {
     /// Copy the term rooted at `root` out of `src` into a fresh arena.
     pub fn freeze(src: &Heap, root: Cell) -> TermArena {
-        TermArena::freeze_in(&mut CanonScratch::default(), src, root)
-    }
-
-    /// [`TermArena::freeze`] through the caller's scratch: the copy is
-    /// built in its heap and the arena allocated at exactly its size.
-    pub fn freeze_in(scratch: &mut CanonScratch, src: &Heap, root: Cell) -> TermArena {
-        // Nothing binds here, so the scratch heap needs no trail.
-        scratch.copy.clear();
-        let out = copy_term(src, root, &mut scratch.copy);
+        let mut heap = Heap::default();
+        let out = copy_term(src, root, &mut heap);
         TermArena {
-            cells: scratch.copy.cells().into(),
+            cells: heap.into_cells(),
             root: out.root,
         }
     }
@@ -226,6 +244,45 @@ impl TermArena {
     /// arena.
     pub fn copy_out(&self, i: usize, dst: &mut Heap) -> CopyOut {
         copy(Some(&self.cells), self.roots()[i], dst)
+    }
+
+    /// Bind variable `i` of a call to root `i` of this joint freeze (a
+    /// stored substitution), `var(heap, i)` naming the variable. The cells
+    /// the roots point into — every cell but the tuple's header and root
+    /// slots, which no other cell of a joint freeze refers to — are
+    /// spliced in first, so roots that share a variable or a subterm stay
+    /// sharing it, and an atomic root is bound as it is, with nothing
+    /// copied. Each variable must be unbound and distinct from the
+    /// others, as a call's key variables are ([`CanonScratch::vars`]).
+    /// Returns the cells appended and the variables bound.
+    pub fn bind_roots(
+        &self,
+        heap: &mut Heap,
+        var: impl Fn(&Heap, usize) -> Cell,
+    ) -> (usize, usize) {
+        let roots = self.roots();
+        let under = 1 + roots.len() as u32;
+        let base = heap.len() as u32;
+        // Arena address `a >= under` lands at `base + (a - under)` (a
+        // reference below `under`, not made by a joint freeze, overflows).
+        let shift = |c: Cell| match c {
+            Cell::Ref(a) => Cell::Ref(Addr(a.0 - under + base)),
+            Cell::Str(a) => Cell::Str(Addr(a.0 - under + base)),
+            Cell::Lst(a) => Cell::Lst(Addr(a.0 - under + base)),
+            other => other,
+        };
+        let below = self.cells.get(under as usize..).unwrap_or(&[]);
+        heap.extend_mapped(below, shift);
+        for (i, &root) in roots.iter().enumerate() {
+            let Cell::Ref(v) = heap.deref(var(heap, i)) else {
+                unreachable!("a call's key variable is unbound when its answer is bound")
+            };
+            match heap.deref(shift(root)) {
+                Cell::Ref(b) => heap.bind_vars(v, b),
+                value => heap.bind(v, value),
+            }
+        }
+        (below.len(), roots.len())
     }
 
     /// Cells occupied by the frozen term.
@@ -327,8 +384,6 @@ mod tests {
             let fresh = CanonKey::of(&h, t);
             assert_eq!(scratch.encode(&h, t), &fresh.bytes[..]);
             assert_eq!(CanonKey::of_in(&mut scratch, &h, t), fresh);
-            let arena = TermArena::freeze_in(&mut scratch, &h, t);
-            assert_eq!(arena, TermArena::freeze(&h, t));
         }
     }
 

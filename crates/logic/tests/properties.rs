@@ -10,7 +10,7 @@ use ace_logic::sym::sym;
 use ace_logic::term::{term_size, variables};
 use ace_logic::unify::{struct_eq, unify};
 use ace_logic::write::term_to_string;
-use ace_logic::{CanonKey, TermArena};
+use ace_logic::{CanonKey, CanonScratch, TermArena};
 
 /// AST for generated terms (built into heaps by `build`).
 #[derive(Debug, Clone)]
@@ -123,8 +123,117 @@ fn args_of(heap: &Heap, root: Cell) -> Vec<Cell> {
         .collect()
 }
 
+/// How a generated answer binds one variable of its call.
+#[derive(Debug, Clone)]
+enum Binding {
+    /// Left unbound: a non-ground answer.
+    Free,
+    /// An integer.
+    Atomic(i16),
+    /// A term whose `Var(k)` is a fresh answer variable `k / 2` for even
+    /// `k` (shared between bindings) and call variable `k / 2` for odd
+    /// `k` when that one is left free (so no binding is cyclic).
+    Term(T),
+}
+
+fn binding_strategy() -> impl Strategy<Value = Binding> {
+    prop_oneof![
+        Just(Binding::Free),
+        any::<i16>().prop_map(Binding::Atomic),
+        term_strategy().prop_map(Binding::Term),
+    ]
+}
+
+/// Build the call `p(args…)` into `heap` with its variables allocated
+/// in ascending index order, or in descending order when `reversed`.
+fn build_call(heap: &mut Heap, args: &[T], reversed: bool) -> Cell {
+    let mut vars: Vec<Option<Cell>> = vec![None; 4];
+    if reversed {
+        for v in vars.iter_mut().rev() {
+            *v = Some(heap.new_var());
+        }
+    }
+    let cells: Vec<Cell> = args.iter().map(|a| build(heap, a, &mut vars)).collect();
+    heap.new_struct(sym("p"), &cells)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A stored answer is the substitution of its call's key variables:
+    /// binding it onto a variant call elsewhere — variables at other
+    /// addresses, allocated in another order — keys like unifying the
+    /// call with a thaw of the full answer, copies no more cells than that
+    /// thaw, and copies none when every binding is atomic. Covers repeated
+    /// call variables, compound and non-ground bindings, and variables
+    /// shared between bindings.
+    #[test]
+    fn a_substitution_binds_a_variant_call_as_the_full_answer_unifies(
+        args in prop::collection::vec(term_strategy(), 1..4),
+        binds in prop::collection::vec(binding_strategy(), 4..5),
+        all_atomic in any::<bool>(),
+        junk in 0usize..8,
+        reversed in any::<bool>(),
+    ) {
+        let mut scratch = CanonScratch::default();
+        // The answer: the call, its key variables bound.
+        let mut a = Heap::new();
+        let call = build_call(&mut a, &args, false);
+        let key = CanonKey::of(&a, call);
+        scratch.encode(&a, call);
+        let vars = scratch.vars().to_vec();
+        let free: Vec<bool> = (0..vars.len())
+            .map(|i| !all_atomic && matches!(binds[i], Binding::Free))
+            .collect();
+        let mut answer_vars: Vec<Option<Cell>> = vec![None; 8];
+        for (j, &v) in vars.iter().enumerate() {
+            if free[j] {
+                answer_vars[2 * j + 1] = Some(v);
+            }
+        }
+        for (i, &v) in vars.iter().enumerate() {
+            let value = match &binds[i] {
+                _ if free[i] => continue,
+                Binding::Atomic(n) => Cell::Int(*n as i64),
+                _ if all_atomic => Cell::Atom(sym("a")),
+                Binding::Term(t) => build(&mut a, t, &mut answer_vars),
+                Binding::Free => unreachable!("free bindings were skipped"),
+            };
+            let Cell::Ref(addr) = v else { unreachable!("a key variable is a Ref") };
+            if value != v {
+                a.bind(addr, value);
+            }
+        }
+        let full = TermArena::freeze(&a, call);
+        let subst = TermArena::freeze_tuple(&a, sym("$subst"), &vars);
+        prop_assert_eq!(subst.roots().len(), vars.len());
+
+        // A variant call on another heap.
+        let mut b = Heap::new();
+        for _ in 0..junk {
+            b.new_var();
+        }
+        let variant = build_call(&mut b, &args, reversed);
+        prop_assert_eq!(&CanonKey::of(&b, variant), &key);
+        scratch.encode(&b, variant);
+        let vars_b = scratch.vars().to_vec();
+
+        let mut unified = b.clone();
+        let (thawed, thawed_cells) = full.thaw(&mut unified);
+        prop_assert!(unify(&mut unified, variant, thawed).is_some());
+        let mut bound = b.clone();
+        let (cells, bindings) = subst.bind_roots(&mut bound, |_, i| vars_b[i]);
+
+        let want = CanonKey::of(&unified, variant);
+        prop_assert_eq!(&CanonKey::of(&bound, variant), &want);
+        prop_assert_eq!(&want, &CanonKey::of(&a, call));
+        prop_assert_eq!(bindings, vars.len());
+        prop_assert_eq!(bound.len(), b.len() + cells);
+        prop_assert!(cells <= thawed_cells, "{} > {}", cells, thawed_cells);
+        if all_atomic || subst.roots().iter().all(|r| !r.relocatable()) {
+            prop_assert_eq!(cells, 0);
+        }
+    }
 
     /// Unifying a term with itself always succeeds and binds nothing new.
     #[test]

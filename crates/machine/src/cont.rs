@@ -242,9 +242,10 @@ pub enum Goal {
     IteThen { cut_to: u32 },
     /// A derivation of the call watched in memo slot `slot` completed.
     MemoStore { slot: u32, gen: u32 },
-    /// A derivation of local tabled subgoal `subgoal` (the call `goal`)
-    /// reached an answer.
-    TableAnswer { subgoal: u32, goal: Callable },
+    /// A derivation of local tabled subgoal `subgoal` reached an answer:
+    /// the bindings of the call's variables, which `vars` keeps (the atom
+    /// `'$subst'` when it has none, else `'$subst'(V1, …, Vn)`).
+    TableAnswer { subgoal: u32, vars: Callable },
     /// The inline-executed branch of the parallel call `frame` arrived at
     /// its end.
     InlineBarrier { frame: u64 },
@@ -548,8 +549,8 @@ impl ContStack {
                 Goal::MemoStore { slot, gen } => {
                     heap.new_struct(f, &[int(slot as u64), int(gen as u64)])
                 }
-                Goal::TableAnswer { subgoal, goal } => {
-                    heap.new_struct(f, &[int(subgoal as u64), goal.cell()])
+                Goal::TableAnswer { subgoal, vars } => {
+                    heap.new_struct(f, &[int(subgoal as u64), vars.cell()])
                 }
                 Goal::InlineBarrier { frame } => heap.new_struct(f, &[int(frame)]),
                 Goal::ParNext { rec, next } => {
@@ -603,7 +604,7 @@ impl ContStack {
                 }
                 Goal::TableAnswer { subgoal, .. } => Goal::TableAnswer {
                     subgoal,
-                    goal: callable(field(1)),
+                    vars: callable(field(1)),
                 },
                 control => control,
             };
@@ -821,7 +822,7 @@ mod tests {
             Goal::MemoStore { slot: 9, gen: 11 },
             Goal::TableAnswer {
                 subgoal: 2,
-                goal: callable,
+                vars: callable,
             },
             Goal::InlineBarrier { frame: 1 << 40 },
             Goal::ParNext { rec: 6, next: 3 },
@@ -945,9 +946,9 @@ mod tests {
                     assert_eq!(env.is_none(), e0.is_none());
                     assert_eq!(s2.env_slots(env).len(), s.env_slots(e0).len());
                 }
-                (Goal::TableAnswer { subgoal, goal }, Goal::TableAnswer { subgoal: s0, .. }) => {
+                (Goal::TableAnswer { subgoal, vars }, Goal::TableAnswer { subgoal: s0, .. }) => {
                     assert_eq!(subgoal, s0);
-                    assert!(text(goal.cell()).starts_with("p("));
+                    assert!(text(vars.cell()).starts_with("p("));
                 }
                 (now, was) => assert_eq!(now, was),
             }

@@ -43,16 +43,17 @@ pub enum Alts {
     Between { var: Cell, next: i64, hi: i64 },
     /// Remaining answers of a call whose **complete** answer set is in
     /// the answer store (a memoized call or a completed tabled subgoal):
-    /// thaw and unify `entry.answers[next..]`. Never published to the
-    /// or-tree — the answer set is already complete, so there is nothing
-    /// to claim.
+    /// bind the call's variables, which the choice point's `goal` keeps,
+    /// to `entry.answers[next..]`. Never published to the or-tree — the
+    /// answer set is already complete, so there is nothing to claim.
     Replay {
         entry: Arc<AnswerEntry>,
         next: usize,
     },
     /// A consumer of a machine-local tabled subgoal under evaluation:
-    /// unify answers `>= next` of the local answer list; when the list
-    /// runs dry, either finish (subgoal complete) or **suspend** the
+    /// bind the call's variables (the choice point's `goal`) to answers
+    /// `>= next` of the local answer list; when the list runs dry, either
+    /// finish (subgoal complete) or **suspend** the variables and the
     /// continuation as a frozen closure until new answers land. Never
     /// published — local SLG state is meaningless on another machine.
     TableConsumer { subgoal: usize, next: usize },
@@ -94,7 +95,9 @@ pub trait SharedChoice: Send + Sync {
 /// A choice point: everything needed to restore the computation to the
 /// state at a nondeterministic call and try the next alternative.
 pub struct ChoicePoint {
-    /// The call that created this choice point (re-unified on retry).
+    /// The call that created this choice point (re-unified on retry); for
+    /// a stored-answer cursor ([`Alts::Replay`], [`Alts::TableConsumer`]),
+    /// the call's variables, which each retry binds.
     pub goal: Cell,
     pub alts: Alts,
     /// Continuation to restore on retry.

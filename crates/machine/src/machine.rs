@@ -97,6 +97,35 @@ fn step_goal(st: &BodyStep, g: Cell) -> Goal {
     }
 }
 
+/// A call's answer-store key and its variables in key order, taken
+/// before the call runs: what a derivation of it publishes its answer
+/// under, as the bindings of those variables.
+#[derive(Debug)]
+pub struct MemoCall {
+    key: CanonKey,
+    vars: Box<[Cell]>,
+}
+
+/// The functor of a stored answer's tuple, `'$subst'(B1, …, Bn)`, the
+/// bindings of the call's key variables; also what a frame keeps of a
+/// call's variables (see [`Machine::subst_cell`]).
+fn subst_sym() -> Sym {
+    static S: std::sync::OnceLock<Sym> = std::sync::OnceLock::new();
+    *S.get_or_init(|| ace_logic::sym("$subst"))
+}
+
+/// The variables a [`Machine::subst_cell`] keeps, as cells of `heap`.
+#[inline]
+fn subst_vars(heap: &Heap, subst: Cell) -> &[Cell] {
+    match subst {
+        Cell::Str(hdr) => {
+            let n = heap.functor_at(hdr).1 as usize;
+            &heap.cells()[hdr.idx() + 1..][..n]
+        }
+        _ => &[],
+    }
+}
+
 /// A call being watched for answer memoization: a [`Goal::MemoStore`]
 /// frame planted right after the call in the continuation reaches this
 /// record when (a derivation of) the call completes. The snapshots decide
@@ -104,9 +133,8 @@ fn step_goal(st: &BodyStep, g: Cell) -> Goal {
 /// effectful happened in between — in which case its single answer is the
 /// call's complete answer set and can be published.
 struct MemoWatch {
-    key: CanonKey,
-    /// The call term (instantiated by the time its frame arrives).
-    goal: Cell,
+    /// The call's key and variables (bound by the time its frame arrives).
+    call: MemoCall,
     /// Generation tag; a frame whose generation mismatches is stale (its
     /// slot was reclaimed after backtracking discarded the frame — a
     /// suspended tabled consumer may still hold a frozen copy).
@@ -287,7 +315,8 @@ pub struct Machine {
     /// Reusable register file for compiled head execution (cleared and
     /// resized per clause; kept across calls to avoid reallocation).
     code_slots: Vec<Cell>,
-    /// Working memory of call keys, answer keys and answer freezes.
+    /// Working memory of call keys and answer keys; after a call key, the
+    /// call's variables in key order.
     canon: CanonScratch,
 }
 
@@ -554,6 +583,17 @@ impl Machine {
         CanonKey::of_in(&mut self.canon, &self.heap, goal)
     }
 
+    /// The key and the variables of a call term in this machine's heap,
+    /// taken before the call runs: what [`Machine::memo_publish_answer`]
+    /// publishes a derivation's answer under.
+    pub fn memo_call(&mut self, goal: Cell) -> MemoCall {
+        let key = CanonKey::of_in(&mut self.canon, &self.heap, goal);
+        MemoCall {
+            key,
+            vars: self.canon.vars().into(),
+        }
+    }
+
     /// Charge for and publish the complete answer set of `key` — the one
     /// write path of memoized answers and tabled completions alike.
     fn store_publish(&mut self, key: &CanonKey, answers: Vec<TermArena>) -> PublishOutcome {
@@ -562,14 +602,15 @@ impl Machine {
         store.publish_as(self.tenant, key, answers)
     }
 
-    /// Engine-side publication: freeze `goal` (instantiated) as the single
-    /// complete answer of `key` (the key must have been taken *before*
-    /// execution bound the call). Returns true if this publication stored.
-    pub fn memo_publish_answer(&mut self, key: &CanonKey, goal: Cell) -> bool {
+    /// Engine-side publication: freeze the bindings of `call`'s variables
+    /// as the single complete answer of its key. Returns true if this
+    /// publication stored.
+    pub fn memo_publish_answer(&mut self, call: &MemoCall) -> bool {
         if !self.memoize {
             return false;
         }
-        let arena = TermArena::freeze_in(&mut self.canon, &self.heap, goal);
+        let arena = TermArena::freeze_tuple(&self.heap, subst_sym(), &call.vars);
+        let key = &call.key;
         match self.store_publish(key, vec![arena]) {
             PublishOutcome::Stored { epoch, evicted } => {
                 self.stats.memo_evictions += evicted;
@@ -588,7 +629,9 @@ impl Machine {
 
     /// Consult the answer store for `goal`. `Some(status)` short-circuits
     /// the call (hit: answers replayed); `None` falls through to normal
-    /// resolution with a watch planted to capture the answer.
+    /// resolution with a watch planted to capture the answer. Out of line:
+    /// the store-off path of `call_user` carries none of it.
+    #[inline(never)]
     fn memo_consult(&mut self, db: &Database, goal: Cell) -> Option<Status> {
         self.charge(self.costs.memo_lookup);
         let key = CanonKey::of_in(&mut self.canon, &self.heap, goal);
@@ -598,7 +641,7 @@ impl Machine {
                 key: key.hash,
                 epoch: entry.epoch,
             });
-            return Some(self.replay(db, goal, entry));
+            return Some(self.replay(db, entry));
         }
         self.stats.memo_misses += 1;
         // Watch this call: a `MemoStore` frame planted before the clause
@@ -618,9 +661,9 @@ impl Machine {
             gen,
         };
         self.cont = self.conts.push(self.cont, frame, self.ctrl.len() as u32);
+        let vars = self.canon.vars().into();
         self.memo_watches[slot] = Some(MemoWatch {
-            key,
-            goal,
+            call: MemoCall { key, vars },
             gen,
             cont_tide: self.conts.height(),
             ctrl_len: self.ctrl.len(),
@@ -633,62 +676,66 @@ impl Machine {
         None
     }
 
-    /// Replay a complete answer set for `goal` (a memo hit, or a tabled
-    /// subgoal someone already completed).
-    fn replay(&mut self, db: &Database, goal: Cell, entry: Arc<AnswerEntry>) -> Status {
+    /// Replay a complete answer set for the call just keyed (a memo hit,
+    /// or a tabled subgoal someone already completed): its variables are
+    /// the key's ([`CanonScratch::vars`]).
+    fn replay(&mut self, db: &Database, entry: Arc<AnswerEntry>) -> Status {
         if entry.answers.is_empty() {
             // complete with zero answers: the call is known to fail
             return self.backtrack_in(db);
         }
         if entry.answers.len() > 1 {
+            let subst = self.subst_cell();
             let alts = Alts::Replay {
                 entry: entry.clone(),
                 next: 1,
             };
-            self.push_choice(goal, alts, self.cont, self.ctrl.len() as u32);
+            self.push_choice(subst, alts, self.cont, self.ctrl.len() as u32);
         }
-        if Self::unify_answer(
+        let vars = self.canon.vars();
+        Self::bind_answer(
             &mut self.heap,
             &mut self.stats,
             &self.costs,
-            goal,
             &entry.answers[0],
-        ) {
-            self.status = Status::Running;
-            Status::Running
-        } else {
-            self.backtrack_in(db)
-        }
+            |_, i| vars[i],
+        );
+        self.status = Status::Running;
+        Status::Running
     }
 
-    /// Thaw one stored answer and unify it with the live call. On failure
-    /// the partial bindings are undone; returns success. Takes the machine
-    /// by its fields so the answer can stay borrowed where it is stored —
-    /// in a choice point's [`Alts::Replay`] entry or a local SLG frame.
-    fn unify_answer(
+    /// What a frame keeps of the variables of the call just keyed
+    /// ([`CanonScratch::vars`]), for [`subst_vars`] to read back: the atom
+    /// `'$subst'` for none, else `'$subst'(V1, …, Vn)` built here.
+    fn subst_cell(&mut self) -> Cell {
+        let n = self.canon.vars().len();
+        if n == 0 {
+            return Cell::Atom(subst_sym());
+        }
+        let cell = self.heap.new_struct(subst_sym(), self.canon.vars());
+        self.charge_cells(n as u64 + 1);
+        cell
+    }
+
+    /// Bind a call's variables (`var(heap, i)` the `i`-th in key order) to
+    /// one stored answer's substitution: the cells under its roots are
+    /// spliced in once, and each variable is one binding step. A variant
+    /// call's variables are unbound, so this cannot fail. Takes the
+    /// machine by its fields so the answer can stay borrowed where it is
+    /// stored — in a choice point's [`Alts::Replay`] entry or a local SLG
+    /// frame. Out of line, so the retry loop holds a call, not the binding.
+    #[inline(never)]
+    fn bind_answer(
         heap: &mut Heap,
         stats: &mut Stats,
         costs: &CostModel,
-        goal: Cell,
         arena: &TermArena,
-    ) -> bool {
-        let (thawed, cells) = arena.thaw(heap);
+        var: impl Fn(&Heap, usize) -> Cell,
+    ) {
+        let (cells, steps) = arena.bind_roots(heap, var);
         stats.heap_cells += cells as u64;
-        stats.charge(cells as u64 * costs.heap_cell);
-        let pre = heap.trail_mark();
-        match unify(heap, goal, thawed) {
-            Some(steps) => {
-                stats.unify_steps += steps as u64;
-                stats.charge(steps as u64 * costs.unify_step);
-                true
-            }
-            None => {
-                let undone = heap.undo_to(pre);
-                stats.trail_undos += undone as u64;
-                stats.charge(undone as u64 * costs.trail_undo);
-                false
-            }
-        }
+        stats.unify_steps += steps as u64;
+        stats.charge(cells as u64 * costs.heap_cell + steps as u64 * costs.unify_step);
     }
 
     /// A `MemoStore` frame was reached: a derivation of the watched call
@@ -712,7 +759,7 @@ impl Machine {
             && self.output.len() == w.output_len
             && self.answers.len() == w.answers_len;
         if unique {
-            self.memo_publish_answer(&w.key, w.goal);
+            self.memo_publish_answer(&w.call);
         }
         Status::Running
     }
@@ -765,6 +812,8 @@ impl Machine {
     /// SLG call of a tabled predicate: classify as consumer of a subgoal
     /// this machine is already evaluating, replayer of a completed shared
     /// table, or a fresh generator driving the failure-loop derivation.
+    /// Out of line, as [`Machine::memo_consult`].
+    #[inline(never)]
     fn table_call(
         &mut self,
         db: &Database,
@@ -794,7 +843,8 @@ impl Machine {
                 subgoal: idx,
                 next: 0,
             };
-            self.push_choice(goal, cursor, self.cont, self.ctrl.len() as u32);
+            let subst = self.subst_cell();
+            self.push_choice(subst, cursor, self.cont, self.ctrl.len() as u32);
             // The cursor choice point drains answers (and suspends when
             // dry) through the ordinary backtracking path.
             return self.backtrack_in(db);
@@ -805,7 +855,7 @@ impl Machine {
             // Someone already completed this subgoal: a pure lookup.
             RegisterOutcome::Complete(entry) => {
                 self.stats.table_hits += 1;
-                return self.replay(db, goal, entry);
+                return self.replay(db, entry);
             }
             RegisterOutcome::Fresh { subgoal_id } => {
                 self.note(EventKind::TableNew {
@@ -841,7 +891,8 @@ impl Machine {
     /// frame — derivations insert answers and fail back into the clause
     /// loop, never into the caller. The caller drains the answer list
     /// through the cursor once the generator's SCC completes (local
-    /// scheduling).
+    /// scheduling). The call was just keyed: the cursor and the answer
+    /// frame keep its variables ([`Machine::subst_cell`]).
     fn table_generate(
         &mut self,
         db: &Database,
@@ -870,15 +921,16 @@ impl Machine {
 
         // The caller's cursor sits below the generator so it survives the
         // generator's exhaustion and drains the completed answer list.
+        let subst = self.subst_cell();
         let cursor = Alts::TableConsumer {
             subgoal: idx,
             next: 0,
         };
-        self.push_choice(goal, cursor, self.cont, self.ctrl.len() as u32);
+        self.push_choice(subst, cursor, self.cont, self.ctrl.len() as u32);
 
         let answer = Goal::TableAnswer {
             subgoal: idx as u32,
-            goal: Callable::of(&self.heap, goal).expect("a tabled call is callable"),
+            vars: Callable::of(&self.heap, subst).expect("a variables cell is callable"),
         };
         let gen_ctrl = self.ctrl.len();
         let gen_cont = self.conts.push(Cont::NONE, answer, gen_ctrl as u32);
@@ -903,17 +955,19 @@ impl Machine {
     }
 
     /// A derivation of a tabled subgoal reached its `TableAnswer` frame:
-    /// insert the (now instantiated) answer if new, then fail
-    /// back into the clause loop — the failure-driven core of SLG answer
-    /// generation. The answer is keyed in the scratch and tested there: a
-    /// duplicate allocates nothing, a new answer its key and its arena.
-    fn table_answer_arrival(&mut self, db: &Database, idx: usize, goal: Cell) -> Status {
+    /// insert the answer — the bindings of the call's variables, which
+    /// `subst` keeps — if new, then fail back into the clause loop — the
+    /// failure-driven core of SLG answer generation. The answer is keyed
+    /// in the scratch and tested there: a duplicate allocates nothing, a
+    /// new answer its key and its arena.
+    fn table_answer_arrival(&mut self, db: &Database, idx: usize, subst: Cell) -> Status {
         self.charge(self.costs.memo_store);
-        let key = self.canon.encode(&self.heap, goal);
+        let bindings = subst_vars(&self.heap, subst);
+        let key = self.canon.encode_roots(&self.heap, bindings);
         if !self.table_subgoals[idx].dedup.contains(key) {
             let key = key.to_vec();
             self.table_subgoals[idx].dedup.insert(key);
-            let arena = TermArena::freeze_in(&mut self.canon, &self.heap, goal);
+            let arena = TermArena::freeze_tuple(&self.heap, subst_sym(), bindings);
             self.table_subgoals[idx].answers.push(arena);
             let f = &self.table_subgoals[idx];
             self.note(EventKind::TableAnswer {
@@ -927,14 +981,14 @@ impl Machine {
         self.backtrack_in(db)
     }
 
-    /// Freeze a dry consumer's goal + continuation and park it on the
-    /// subgoal frame. Called from the backtracking loop with machine state
-    /// already restored to the cursor's choice point (so the frozen terms
-    /// are in their call-time state); the cursor CP itself must still be
-    /// on top of the control stack and is popped here.
-    fn table_suspend(&mut self, subgoal: usize, next: usize, goal: Cell) {
+    /// Freeze a dry consumer's variables (`subst`) + continuation and park
+    /// it on the subgoal frame. Called from the backtracking loop with
+    /// machine state already restored to the cursor's choice point (so the
+    /// frozen terms are in their call-time state); the cursor CP itself
+    /// must still be on top of the control stack and is popped here.
+    fn table_suspend(&mut self, subgoal: usize, next: usize, subst: Cell) {
         self.ctrl.pop();
-        let closure = self.freeze_state(goal, self.cont, |_| true);
+        let closure = self.freeze_state(subst, self.cont, |_| true);
         self.charge(closure.arena.len() as u64 * self.costs.heap_cell);
         let f = &self.table_subgoals[subgoal];
         self.note(EventKind::TableSuspend {
@@ -1044,14 +1098,14 @@ impl Machine {
         // Barriers clamp to the resumption floor: a cut in the resumed
         // continuation may discard the cursor but never the generator.
         let floor = (top + 1) as u32;
-        let (goal, cont, cells) = self.thaw_state(&susp.closure, floor);
+        let (subst, cont, cells) = self.thaw_state(&susp.closure, floor);
         self.stats.heap_cells += cells as u64;
         self.charge(self.costs.closure_thaw);
         let cursor = Alts::TableConsumer {
             subgoal,
             next: susp.next,
         };
-        self.push_choice(goal, cursor, cont, floor);
+        self.push_choice(subst, cursor, cont, floor);
     }
 
     /// Choice frames are being discarded outside the backtracking loop
@@ -1713,8 +1767,8 @@ impl Machine {
                 Status::Running
             }
             Goal::MemoStore { slot, gen } => self.memo_store_arrival(slot as usize, gen),
-            Goal::TableAnswer { subgoal, goal } => {
-                self.table_answer_arrival(db, subgoal as usize, goal.cell())
+            Goal::TableAnswer { subgoal, vars } => {
+                self.table_answer_arrival(db, subgoal as usize, vars.cell())
             }
             Goal::InlineBarrier { frame } => {
                 self.status = Status::InlineBarrier(frame);
@@ -2537,25 +2591,23 @@ impl Machine {
                             return Status::Running;
                         }
                         Alts::Replay { entry, next } => {
+                            // `goal` keeps the call's variables.
                             let answer = *next;
                             *next += 1;
                             let last = answer + 1 >= entry.answers.len();
                             self.stats.charge(self.costs.memo_lookup);
-                            let unified = Self::unify_answer(
+                            Self::bind_answer(
                                 &mut self.heap,
                                 &mut self.stats,
                                 &self.costs,
-                                goal,
                                 &entry.answers[answer],
+                                |heap, i| subst_vars(heap, goal)[i],
                             );
                             if last {
                                 self.ctrl.pop(); // last stored answer
                             }
-                            if unified {
-                                self.status = Status::Running;
-                                return Status::Running;
-                            }
-                            continue;
+                            self.status = Status::Running;
+                            return Status::Running;
                         }
                         Alts::TableConsumer { subgoal, next } => {
                             let (subgoal, answer) = (*subgoal, *next);
@@ -2565,17 +2617,15 @@ impl Machine {
                                 // may still grow, so the CP stays.
                                 *next = answer + 1;
                                 self.stats.charge(self.costs.memo_lookup);
-                                if Self::unify_answer(
+                                Self::bind_answer(
                                     &mut self.heap,
                                     &mut self.stats,
                                     &self.costs,
-                                    goal,
                                     &frame.answers[answer],
-                                ) {
-                                    self.status = Status::Running;
-                                    return Status::Running;
-                                }
-                                continue;
+                                    |heap, i| subst_vars(heap, goal)[i],
+                                );
+                                self.status = Status::Running;
+                                return Status::Running;
                             }
                             if frame.complete {
                                 self.ctrl.pop(); // answer set closed: spent

@@ -142,7 +142,8 @@ fn memo_off_machine_never_touches_the_table() {
 fn manually_published_answer_sets_replay_in_order() {
     // Build a two-answer entry for q(_) by hand: keys are
     // variant-invariant, so a key computed on a scratch heap matches the
-    // one the machine computes at call time.
+    // one the machine computes at call time. An answer is the bindings of
+    // the call's variables, frozen jointly.
     let mut h = Heap::new();
     let v = h.new_var();
     let goal = h.new_struct(sym("q"), &[v]);
@@ -151,8 +152,7 @@ fn manually_published_answer_sets_replay_in_order() {
     let mut answers = Vec::new();
     for i in [1i64, 2] {
         let c = ace_logic::Cell::Int(i);
-        let a = h.new_struct(sym("q"), &[c]);
-        answers.push(TermArena::freeze(&h, a));
+        answers.push(TermArena::freeze_tuple(&h, sym("$subst"), &[c]));
     }
     let t = table();
     assert!(matches!(

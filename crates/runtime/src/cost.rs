@@ -99,8 +99,12 @@ pub struct CostModel {
     pub closure_thaw: u64,
 
     // -- memoization ---------------------------------------------------------
-    /// One answer-table consultation (key canonicalization + sharded
-    /// lookup); thawed answer cells add `heap_cell` each on a hit.
+    /// One answer-store read: a call's consultation (its key and a sharded
+    /// lookup or registration, at a memoized or tabled call, an and-engine
+    /// slot's memo key, an or-engine publication check), and also each
+    /// answer a stored-answer cursor advances to (a replay or
+    /// tabled-consumer retry). A replayed answer adds `unify_step` per
+    /// variable it binds and `heap_cell` per cell it copies.
     pub memo_lookup: u64,
     /// Publishing one complete answer set into the table (freeze + insert).
     pub memo_store: u64,

@@ -117,9 +117,11 @@ pub struct AnswerEntry {
     /// entry published without one, at publication (trace correlation:
     /// `table-*` events carry it).
     pub subgoal_id: u64,
-    /// The answers: each arena holds one fully-instantiated copy of the
-    /// call term, replayed by thawing and unifying with the live call.
-    /// Duplicate-free by the generator's insertion-time dedup.
+    /// The answers: each arena holds one substitution, the bindings of
+    /// the call's variables in the order its key numbers them, frozen
+    /// jointly; a variant call replays it by binding its own variables
+    /// (`TermArena::bind_roots`). Duplicate-free by the generator's
+    /// insertion-time dedup. The store never reads them.
     pub answers: Vec<TermArena>,
 }
 

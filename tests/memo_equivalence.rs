@@ -27,7 +27,7 @@ fn cfg(workers: usize, opts: OptFlags) -> EngineConfig {
     EngineConfig::default()
         .with_workers(workers)
         .with_opts(opts)
-        .with_trace(TraceConfig::enabled())
+        .with_trace(TraceConfig::enabled().with_capacity(1 << 20))
         .all_solutions()
 }
 

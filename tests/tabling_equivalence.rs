@@ -41,7 +41,7 @@ fn cfg(workers: usize, driver: DriverKind, table: &Arc<AnswerStore>) -> EngineCo
         .with_workers(workers)
         .with_driver(driver)
         .with_opts(OptFlags::all())
-        .with_trace(TraceConfig::enabled())
+        .with_trace(TraceConfig::enabled().with_capacity(1 << 20))
         .all_solutions();
     c.store.shared = Some(table.clone());
     c.store.tabling = true;
