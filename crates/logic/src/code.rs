@@ -16,11 +16,12 @@
 //!   X registers), so execution is a single non-recursive scan;
 //! * **body steps** — the body's top-level conjunction flattened into
 //!   per-conjunct templates (cells pre-relocated, variable occurrences
-//!   either slot references or fresh self-references). Arithmetic tests
-//!   (`<`, `=<`, …), `is/2` and `=/2` conjuncts are tagged for *inline*
+//!   either slot references or fresh self-references). Tests ([`TestOp`]:
+//!   arithmetic comparisons, `==`, `\==`, the term order and the type
+//!   tests), `is/2` and `=/2` conjuncts are tagged for *inline*
 //!   execution: the machine evaluates them straight off the template and
 //!   the slot registers, so a failing guard never materializes the rest
-//!   of the body, and an `( ArithTest -> Then ; Else )` body selects its
+//!   of the body, and an `( Test -> Then ; Else )` body selects its
 //!   branch at clause entry without allocating a choice point. Remaining
 //!   goals materialize one at a time as the machine's body frame reaches
 //!   them; a goal naming a user predicate carries that predicate's id once
@@ -36,11 +37,12 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use crate::builtin::{builtin, Builtin};
 use crate::db::PredId;
 use crate::heap::{Addr, Cell, Heap};
 use crate::sym::{wk, Sym};
-use crate::term::{view, TermView};
-use crate::unify::unify;
+use crate::term::{compare, is_ground, view, TermView};
+use crate::unify::{struct_eq, unify};
 
 /// Body-template addresses `>= SLOT_BASE` denote slot indices rather than
 /// template-relative cells (`Ref(SLOT_BASE + s)` reads slot `s`).
@@ -109,6 +111,180 @@ impl StepTemplate {
         heap.extend_mapped(&self.cells, |c| resolve(c, base, slots));
         (resolve(self.root, base, slots), self.cells.len())
     }
+
+    /// Argument `i` of the template's root compound, as the template
+    /// holds it.
+    #[inline]
+    pub fn arg(&self, i: usize) -> Cell {
+        match self.root {
+            Cell::Str(h) => self.cells[h.idx() + 1 + i],
+            other => unreachable!("argument {i} of the atomic template {other:?}"),
+        }
+    }
+
+    /// The term a test operand `c` (a cell of this template) denotes, read
+    /// off the registers `slots` without materializing anything: a set
+    /// slot's cell or a constant. `None` for what only a copy of the
+    /// template can denote — a slot still [`UNSET_SLOT`] (a body-fresh
+    /// variable before its fresh heap cell), a single-occurrence variable
+    /// or a compound written in the clause.
+    #[inline]
+    pub fn operand(&self, c: Cell, slots: &[Cell]) -> Option<Cell> {
+        match c {
+            Cell::Ref(a) if a.0 >= SLOT_BASE => {
+                let v = slots[(a.0 - SLOT_BASE) as usize];
+                (v != UNSET_SLOT).then_some(v)
+            }
+            Cell::Atom(_) | Cell::Int(_) | Cell::Nil => Some(c),
+            _ => None,
+        }
+    }
+}
+
+/// A test on terms: binds nothing and raises no error, whatever its
+/// operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TermTest {
+    /// `==/2`.
+    Eq,
+    /// `\==/2`.
+    Ne,
+    /// `@</2`.
+    Lt,
+    /// `@>/2`.
+    Gt,
+    /// `@=</2`.
+    Le,
+    /// `@>=/2`.
+    Ge,
+    Var,
+    Nonvar,
+    Atom,
+    /// `number/1`: the same verdict as `integer/1` (numbers are integers).
+    Number,
+    Integer,
+    Atomic,
+    Compound,
+    Ground,
+}
+
+impl TermTest {
+    /// Every term test.
+    pub const ALL: [TermTest; 14] = {
+        use TermTest::*;
+        [
+            Eq, Ne, Lt, Gt, Le, Ge, Var, Nonvar, Atom, Number, Integer, Atomic, Compound, Ground,
+        ]
+    };
+
+    /// Its predicate name.
+    pub fn name(self) -> &'static str {
+        use TermTest::*;
+        match self {
+            Eq => "==",
+            Ne => "\\==",
+            Lt => "@<",
+            Gt => "@>",
+            Le => "@=<",
+            Ge => "@>=",
+            Var => "var",
+            Nonvar => "nonvar",
+            Atom => "atom",
+            Number => "number",
+            Integer => "integer",
+            Atomic => "atomic",
+            Compound => "compound",
+            Ground => "ground",
+        }
+    }
+
+    /// 2 for a comparison of two terms, 1 for a type test.
+    pub fn arity(self) -> u32 {
+        use TermTest::*;
+        match self {
+            Eq | Ne | Lt | Gt | Le | Ge => 2,
+            _ => 1,
+        }
+    }
+
+    /// The verdict on `a` and `b` (a type test reads `a` alone): what the
+    /// builtin of the same name decides, for the inline step and the
+    /// builtin alike.
+    #[inline]
+    pub fn holds(self, heap: &Heap, a: Cell, b: Cell) -> bool {
+        use std::cmp::Ordering::{Greater, Less};
+        use TermTest::*;
+        let v = || view(heap, a);
+        match self {
+            Eq => struct_eq(heap, a, b),
+            Ne => !struct_eq(heap, a, b),
+            Lt => compare(heap, a, b) == Less,
+            Gt => compare(heap, a, b) == Greater,
+            Le => compare(heap, a, b) != Greater,
+            Ge => compare(heap, a, b) != Less,
+            Var => matches!(v(), TermView::Var(_)),
+            Nonvar => !matches!(v(), TermView::Var(_)),
+            Atom => matches!(v(), TermView::Atom(_) | TermView::Nil),
+            Number | Integer => matches!(v(), TermView::Int(_)),
+            Atomic => matches!(v(), TermView::Atom(_) | TermView::Int(_) | TermView::Nil),
+            Compound => matches!(v(), TermView::Struct(..) | TermView::List(_)),
+            Ground => is_ground(heap, a),
+        }
+    }
+}
+
+/// A test a body step or an if-then-else condition runs inline, off the
+/// template and the slot registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TestOp {
+    /// `=:=`, `=\=`, `<`, `>`, `=<` or `>=`, by its operator: evaluates
+    /// both operands.
+    Arith(Sym),
+    /// A test on the operand terms as they stand.
+    Term(TermTest),
+}
+
+impl TestOp {
+    /// The test the goal `f/n` names, if it names one. Tests are builtins,
+    /// and a builtin wins over a user predicate of the same name, so the
+    /// compiler may run one inline whatever the program defines.
+    pub fn of(f: Sym, n: u32) -> Option<TestOp> {
+        builtin(f, n).and_then(|b| TestOp::of_builtin(b, f))
+    }
+
+    /// The test the builtin `b`, found under the name `f`, runs, if it is
+    /// one.
+    pub fn of_builtin(b: Builtin, f: Sym) -> Option<TestOp> {
+        use Builtin as B;
+        use TermTest as T;
+        let w = wk();
+        Some(TestOp::Term(match b {
+            B::ArithCompare => return Some(TestOp::Arith(f)),
+            B::StructEq => T::Eq,
+            B::StructNe => T::Ne,
+            B::TermOrder if f == w.term_lt => T::Lt,
+            B::TermOrder if f == w.term_gt => T::Gt,
+            B::TermOrder if f == w.term_le => T::Le,
+            B::TermOrder => T::Ge,
+            B::Var => T::Var,
+            B::Nonvar => T::Nonvar,
+            B::Atom => T::Atom,
+            B::Integer if f == w.number => T::Number,
+            B::Integer => T::Integer,
+            B::Atomic => T::Atomic,
+            B::Compound => T::Compound,
+            B::Ground => T::Ground,
+            _ => return None,
+        }))
+    }
+
+    /// `name/arity`, as the listing shows it.
+    pub fn indicator(self) -> String {
+        match self {
+            TestOp::Arith(op) => format!("{}/2", op.name()),
+            TestOp::Term(t) => format!("{}/{}", t.name(), t.arity()),
+        }
+    }
 }
 
 /// How the executor may run one body conjunct.
@@ -116,10 +292,12 @@ impl StepTemplate {
 pub enum StepKind {
     /// Materialize the template and dispatch through the continuation.
     Goal,
-    /// `A op B` arithmetic test — evaluable straight off the template and
-    /// the slot registers, materializing nothing. Bails to
-    /// [`StepKind::Goal`] treatment on anything non-arithmetic.
-    Compare(Sym),
+    /// A test — evaluable straight off the template and the slot
+    /// registers, materializing nothing. Bails to [`StepKind::Goal`]
+    /// treatment on an operand it cannot read there (see
+    /// [`StepTemplate::operand`]) or, for arithmetic, on anything
+    /// non-arithmetic.
+    Test(TestOp),
     /// `V is Expr` — template-evaluated; the result lands in `V`'s slot
     /// (or binds its heap variable) without building the goal term.
     Is,
@@ -204,16 +382,17 @@ pub enum CompiledBody {
     Fact,
     /// Top-level conjunction, flattened into steps executed left to right.
     Steps(Vec<BodyStep>),
-    /// `( Cond -> Then ; Else )` whose condition is an arithmetic test:
-    /// decided at clause entry with **no choice point** (the test is
-    /// deterministic, binds nothing, and the generic machinery would cut
-    /// the else-alternative immediately anyway). Branches are step lists
+    /// `( Cond -> Then ; Else )` whose condition is a test: decided at
+    /// clause entry with **no choice point** (the test is deterministic,
+    /// binds nothing, and the generic machinery would cut the
+    /// else-alternative immediately anyway). Branches are step lists
     /// (branch 1 = then, branch 2 = else). If the test bails — an operand
-    /// turns out unbound or non-numeric — the whole if-then-else is
-    /// rebuilt and handed to the generic control machinery so errors
-    /// surface identically to the interpreter.
+    /// it cannot read off the registers, or an arithmetic operand that is
+    /// unbound or non-numeric — the whole if-then-else is rebuilt and
+    /// handed to the generic control machinery so errors surface
+    /// identically to the interpreter.
     IfThenElse {
-        cond_op: Sym,
+        cond_op: TestOp,
         cond: StepTemplate,
         then_steps: Vec<BodyStep>,
         else_steps: Vec<BodyStep>,
@@ -449,7 +628,7 @@ impl CompiledCode {
                 "{indent}body_goal     % {} template cells",
                 st.tpl.cells.len()
             ),
-            StepKind::Compare(op) => format!("{indent}test          {}/2 % inline", op.name()),
+            StepKind::Test(op) => format!("{indent}test          {} % inline", op.indicator()),
             StepKind::Is => format!("{indent}eval_is       % inline, slot result"),
             StepKind::Unify => format!("{indent}get_value     % inline =/2"),
         };
@@ -467,8 +646,8 @@ impl CompiledCode {
                 ..
             } => {
                 out.push(format!(
-                    "switch_test   {}/2 % if-then-else, no choice point",
-                    cond_op.name()
+                    "switch_test   {} % if-then-else, no choice point",
+                    cond_op.indicator()
                 ));
                 for st in then_steps {
                     out.push(step_line(st, "  then: "));
@@ -656,7 +835,7 @@ impl<'a> Compiler<'a> {
     }
 
     /// Compile the clause body. A top-level `,`-chain flattens into
-    /// steps; `( ArithTest -> Then ; Else )` compiles to the inline
+    /// steps; `( Test -> Then ; Else )` compiles to the inline
     /// if-then-else form; anything else is a single generic step.
     fn compile_body(&mut self, body: Cell, fresh: &mut Vec<u16>) -> CompiledBody {
         let w = wk();
@@ -673,7 +852,7 @@ impl<'a> Compiler<'a> {
                     if g == w.arrow {
                         let cnd = self.arena.str_arg(ihdr, 0);
                         let thn = self.arena.str_arg(ihdr, 1);
-                        if let Some(op) = self.arith_test_op(cnd) {
+                        if let Some(op) = self.test_op(cnd) {
                             // Compile order fixes slot numbering; at run
                             // time only one branch executes, and
                             // `init_fresh_slots` covers whichever body
@@ -695,21 +874,12 @@ impl<'a> Compiler<'a> {
         CompiledBody::Steps(self.compile_steps(body, fresh))
     }
 
-    /// Is `t` an arithmetic comparison `A op B`?
-    fn arith_test_op(&self, t: Cell) -> Option<Sym> {
-        let w = wk();
-        if let TermView::Struct(f, 2, _) = view(self.arena, t) {
-            if f == w.lt
-                || f == w.gt
-                || f == w.le
-                || f == w.ge
-                || f == w.arith_eq
-                || f == w.arith_ne
-            {
-                return Some(f);
-            }
+    /// The test `t` is a goal of, if any.
+    fn test_op(&self, t: Cell) -> Option<TestOp> {
+        match view(self.arena, t) {
+            TermView::Struct(f, n, _) => TestOp::of(f, n),
+            _ => None,
         }
-        None
     }
 
     /// Flatten a top-level `,`-chain into one step per conjunct.
@@ -739,8 +909,8 @@ impl<'a> Compiler<'a> {
 
     fn compile_step(&mut self, g: Cell, fresh: &mut Vec<u16>) -> BodyStep {
         let w = wk();
-        let kind = if let Some(op) = self.arith_test_op(g) {
-            StepKind::Compare(op)
+        let kind = if let Some(op) = self.test_op(g) {
+            StepKind::Test(op)
         } else {
             match view(self.arena, g) {
                 TermView::Struct(f, 2, _) if f == w.is => StepKind::Is,

@@ -43,7 +43,8 @@ pub mod write;
 pub use builtin::{builtin, Builtin};
 pub use canon::{CanonKey, CanonScratch, TermArena};
 pub use code::{
-    run_head, BodyStep, Callee, CompiledBody, CompiledCode, ExecCost, Instr, StepKind, StepTemplate,
+    run_head, BodyStep, Callee, CompiledBody, CompiledCode, ExecCost, Instr, StepKind,
+    StepTemplate, TermTest, TestOp,
 };
 pub use db::{Clause, ClauseId, Database, IndexKey, PredId, Predicate};
 pub use heap::{Addr, Cell, Heap, TrailMark};

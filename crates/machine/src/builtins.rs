@@ -7,10 +7,10 @@
 
 use ace_logic::copy::copy_term_within;
 use ace_logic::sym::{sym, wk};
-use ace_logic::term::{compare as term_compare, is_ground, view, ListIter, TermView};
-use ace_logic::unify::{struct_eq, unify};
+use ace_logic::term::{compare as term_compare, view, ListIter, TermView};
+use ace_logic::unify::unify;
 use ace_logic::write::write_term_to;
-use ace_logic::{Addr, Builtin, Cell, Database, Sym};
+use ace_logic::{Addr, Builtin, Cell, Database, Sym, TermTest, TestOp};
 
 use crate::arith;
 use crate::frames::Alts;
@@ -31,17 +31,21 @@ pub(crate) fn run(m: &mut Machine, db: &Database, b: Builtin, f: Sym, hdr: Addr)
     match b {
         B::Unify => builtin_unify(m, db, hdr),
         B::NotUnify => builtin_not_unify(m, db, hdr),
-        B::StructEq => builtin_struct_eq(m, db, hdr, true),
-        B::StructNe => builtin_struct_eq(m, db, hdr, false),
         B::Is => builtin_is(m, db, hdr),
         B::ArithCompare => builtin_arith_compare(m, db, f, hdr),
-        B::Var => builtin_type_test(m, db, hdr, TypeTest::Var),
-        B::Nonvar => builtin_type_test(m, db, hdr, TypeTest::Nonvar),
-        B::Atom => builtin_type_test(m, db, hdr, TypeTest::Atom),
-        B::Integer => builtin_type_test(m, db, hdr, TypeTest::Integer),
-        B::Atomic => builtin_type_test(m, db, hdr, TypeTest::Atomic),
-        B::Compound => builtin_type_test(m, db, hdr, TypeTest::Compound),
-        B::Ground => builtin_ground(m, db, hdr),
+        B::StructEq
+        | B::StructNe
+        | B::TermOrder
+        | B::Var
+        | B::Nonvar
+        | B::Atom
+        | B::Integer
+        | B::Atomic
+        | B::Compound
+        | B::Ground => match TestOp::of_builtin(b, f) {
+            Some(TestOp::Term(t)) => builtin_term_test(m, db, hdr, t),
+            other => unreachable!("{b:?} is the term test {other:?}"),
+        },
         B::Functor => builtin_functor(m, db, hdr),
         B::Arg => builtin_arg(m, db, hdr),
         B::Univ => builtin_univ(m, db, hdr),
@@ -49,7 +53,6 @@ pub(crate) fn run(m: &mut Machine, db: &Database, b: Builtin, f: Sym, hdr: Addr)
         B::Length => builtin_length(m, db, hdr),
         B::Between => builtin_between(m, db, hdr),
         B::Compare => builtin_compare3(m, db, hdr),
-        B::TermOrder => builtin_term_order(m, db, f, hdr),
         B::Write => builtin_write(m, hdr, false),
         B::Writeln => builtin_write(m, hdr, true),
         B::Tab => builtin_tab(m, hdr),
@@ -238,11 +241,17 @@ fn builtin_not_unify(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
     }
 }
 
-fn builtin_struct_eq(m: &mut Machine, db: &Database, hdr: Addr, want_eq: bool) -> Status {
+/// A term test (`==`, `@<`, `var/1`, …), the verdict the compiled body's
+/// inline test step gives too.
+fn builtin_term_test(m: &mut Machine, db: &Database, hdr: Addr, t: TermTest) -> Status {
     m.charge(m.costs.builtin);
     let a = m.heap.str_arg(hdr, 0);
-    let b = m.heap.str_arg(hdr, 1);
-    if struct_eq(&m.heap, a, b) == want_eq {
+    let b = if t.arity() == 2 {
+        m.heap.str_arg(hdr, 1)
+    } else {
+        a
+    };
+    if t.holds(&m.heap, a, b) {
         succeed(m)
     } else {
         m.backtrack_in(db)
@@ -283,45 +292,6 @@ fn builtin_arith_compare(m: &mut Machine, db: &Database, op: Sym, hdr: Addr) -> 
             m.backtrack_in(db)
         }
         Err(e) => m.error(format!("{}/2: {e}", op.name())),
-    }
-}
-
-enum TypeTest {
-    Var,
-    Nonvar,
-    Atom,
-    Integer,
-    Atomic,
-    Compound,
-}
-
-fn builtin_type_test(m: &mut Machine, db: &Database, hdr: Addr, t: TypeTest) -> Status {
-    m.charge(m.costs.builtin);
-    let v = view(&m.heap, m.heap.str_arg(hdr, 0));
-    let ok = match t {
-        TypeTest::Var => matches!(v, TermView::Var(_)),
-        TypeTest::Nonvar => !matches!(v, TermView::Var(_)),
-        TypeTest::Atom => matches!(v, TermView::Atom(_) | TermView::Nil),
-        TypeTest::Integer => matches!(v, TermView::Int(_)),
-        TypeTest::Atomic => matches!(v, TermView::Atom(_) | TermView::Int(_) | TermView::Nil),
-        TypeTest::Compound => {
-            matches!(v, TermView::Struct(..) | TermView::List(_))
-        }
-    };
-    if ok {
-        succeed(m)
-    } else {
-        m.backtrack_in(db)
-    }
-}
-
-fn builtin_ground(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
-    m.charge(m.costs.builtin);
-    let t = m.heap.str_arg(hdr, 0);
-    if is_ground(&m.heap, t) {
-        succeed(m)
-    } else {
-        m.backtrack_in(db)
     }
 }
 
@@ -588,29 +558,6 @@ fn builtin_compare3(m: &mut Machine, db: &Database, hdr: Addr) -> Status {
         std::cmp::Ordering::Greater => w.gt,
     });
     unify_or_backtrack(m, db, order, atom)
-}
-
-fn builtin_term_order(m: &mut Machine, db: &Database, op: Sym, hdr: Addr) -> Status {
-    m.charge(m.costs.builtin);
-    let a = m.heap.str_arg(hdr, 0);
-    let b = m.heap.str_arg(hdr, 1);
-    let o = term_compare(&m.heap, a, b);
-    let w = wk();
-    use std::cmp::Ordering::*;
-    let ok = if op == w.term_lt {
-        o == Less
-    } else if op == w.term_gt {
-        o == Greater
-    } else if op == w.term_le {
-        o != Greater
-    } else {
-        o != Less
-    };
-    if ok {
-        succeed(m)
-    } else {
-        m.backtrack_in(db)
-    }
 }
 
 fn builtin_write(m: &mut Machine, hdr: Addr, newline: bool) -> Status {

@@ -11,7 +11,8 @@ use ace_logic::term::{view, TermView};
 use ace_logic::unify::unify;
 use ace_logic::{
     builtin, run_head, Addr, BodyStep, Builtin, CanonKey, CanonScratch, Cell, ClauseId,
-    CompiledBody, CompiledCode, Heap, PredId, StepKind, Sym, TermArena, TrailMark,
+    CompiledBody, CompiledCode, Heap, PredId, StepKind, StepTemplate, Sym, TermArena, TestOp,
+    TrailMark,
 };
 
 use crate::arith;
@@ -2207,11 +2208,11 @@ impl Machine {
 
     /// Compiled clause execution: run the head's register code against
     /// the goal's argument cells (matching in place — no clause-arena
-    /// copy), then run the body *neck* inline — arithmetic guards, `is`,
-    /// and `=` execute straight off the step templates and slot
-    /// registers, materializing nothing. A failing guard costs only the
-    /// head match. An arithmetic if-then-else picks its branch here with
-    /// no choice point. Only the first non-inlinable goal is built on the
+    /// copy), then run the body *neck* inline — tests, `is`, and `=`
+    /// execute straight off the step templates and slot registers,
+    /// materializing nothing. A failing guard costs only the head match.
+    /// An if-then-else on a test picks its branch here with no choice
+    /// point. Only the first non-inlinable goal is built on the
     /// heap; any steps after it wait in a body frame and are materialized
     /// one at a time as the resolvent reaches them.
     fn try_clause_compiled(&mut self, clause: &Clause, goal: Cell, body_barrier: u32) -> bool {
@@ -2245,26 +2246,18 @@ impl Machine {
                     // test is deterministic and binds nothing, so the
                     // generic machinery would cut the else-alternative
                     // immediately anyway.
-                    let h = match cond.root {
-                        Cell::Str(h) => h.0 as usize,
-                        _ => unreachable!("if-then-else condition is a struct"),
-                    };
-                    let a =
-                        arith::eval_template(&cond.cells, cond.cells[h + 1], &slots, &self.heap);
-                    let b =
-                        arith::eval_template(&cond.cells, cond.cells[h + 2], &slots, &self.heap);
-                    match (a, b) {
-                        (Some((a, o1)), Some((b, o2))) => {
-                            let taken = arith::cmp_apply(*cond_op, a, b).expect("compiled test op");
-                            self.charge(self.costs.instr + (o1 + o2 + 1) * self.costs.arith_op);
+                    match eval_test(&self.heap, *cond_op, cond, &slots) {
+                        Some((taken, ops)) => {
+                            self.charge(self.costs.instr + ops * self.costs.arith_op);
                             let branch = if taken { 1 } else { 2 };
                             self.run_body_neck(clause, branch, &mut slots, body_barrier, pre_trail)
                         }
-                        _ => {
-                            // An operand is unbound or non-numeric: rebuild
-                            // the whole if-then-else and let the generic
-                            // control machinery raise the interpreter's
-                            // exact error (or run a non-arithmetic path).
+                        None => {
+                            // An operand the test cannot read off the
+                            // registers: rebuild the whole if-then-else and
+                            // let the generic control machinery raise the
+                            // interpreter's exact error (or run the test as
+                            // the builtin).
                             let (body, cells) = code.instantiate_body(&mut self.heap, &mut slots);
                             self.charge_cells(cells as u64);
                             self.cont = self.conts.push(self.cont, Goal::Term(body), body_barrier);
@@ -2742,6 +2735,30 @@ fn inline_steps(
     Some(k)
 }
 
+/// Decide the test `op` of `tpl` (`op(A, B)` or `op(A)`) off the template
+/// and the registers `slots`, materializing nothing: its verdict and the
+/// arithmetic operations it applied. `None` bails to the materialized
+/// builtin: an arithmetic operand that is unbound or no number, or a term
+/// operand [`StepTemplate::operand`] cannot read.
+#[inline]
+fn eval_test(heap: &Heap, op: TestOp, tpl: &StepTemplate, slots: &[Cell]) -> Option<(bool, u64)> {
+    match op {
+        TestOp::Arith(cmp) => {
+            let (a, o1) = arith::eval_template(&tpl.cells, tpl.arg(0), slots, heap)?;
+            let (b, o2) = arith::eval_template(&tpl.cells, tpl.arg(1), slots, heap)?;
+            Some((arith::cmp_apply(cmp, a, b)?, o1 + o2 + 1))
+        }
+        TestOp::Term(t) => {
+            let a = tpl.operand(tpl.arg(0), slots)?;
+            let b = match t.arity() {
+                2 => tpl.operand(tpl.arg(1), slots)?,
+                _ => a,
+            };
+            Some((t.holds(heap, a, b), 0))
+        }
+    }
+}
+
 /// Try to run one body step without materializing it. `NotInline` means
 /// the step needs the generic machinery (a user goal, or an operand shape
 /// the inline evaluator bails on — the materialized form then reproduces
@@ -2766,25 +2783,17 @@ fn inline_step(
     };
     match st.kind {
         StepKind::Goal => StepOutcome::NotInline,
-        StepKind::Compare(op) => {
-            let h = match st.tpl.root {
-                Cell::Str(h) => h.0 as usize,
-                _ => return StepOutcome::NotInline,
-            };
-            let a = arith::eval_template(&st.tpl.cells, st.tpl.cells[h + 1], slots, heap);
-            let b = arith::eval_template(&st.tpl.cells, st.tpl.cells[h + 2], slots, heap);
-            match (a, b) {
-                (Some((a, o1)), Some((b, o2))) => {
-                    stats.charge(costs.instr + (o1 + o2 + 1) * costs.arith_op);
-                    match arith::cmp_apply(op, a, b) {
-                        Some(true) => StepOutcome::Ok,
-                        Some(false) => StepOutcome::Fail,
-                        None => StepOutcome::NotInline,
-                    }
+        StepKind::Test(op) => match eval_test(heap, op, &st.tpl, slots) {
+            Some((holds, ops)) => {
+                stats.charge(costs.instr + ops * costs.arith_op);
+                if holds {
+                    StepOutcome::Ok
+                } else {
+                    StepOutcome::Fail
                 }
-                _ => StepOutcome::NotInline,
             }
-        }
+            None => StepOutcome::NotInline,
+        },
         StepKind::Is => {
             let h = match st.tpl.root {
                 Cell::Str(h) => h.0 as usize,

@@ -344,6 +344,228 @@ pub fn fact_program(seed: u64) -> Generated {
     }
 }
 
+/// A program of term tests, for differential testing of the compiled
+/// machine's inline test step: the same seed gives the same program.
+///
+/// `q(I, J, K, R)` pairs two data terms `d(I, X)`, `d(J, Y)` (atoms,
+/// integers, `[]`, ground and non-ground compounds, lists and an unbound
+/// variable) and runs every rule `r(K, I, J, X, Y, R)` on them. A rule body
+/// is a conjunction of tests, arithmetic comparisons and term tests alike
+/// (`==`, `\==`, the term order, `var/1` … `ground/1`), with `=` bindings
+/// of compounds and calls of `id/2` between them, so some tests run at the
+/// clause neck on the head's registers and some after a call on an
+/// environment; a third of the bodies are one if-then-else on a test, and
+/// a third end in one. A test's operands are head variables, variables
+/// first met in the body (an unset register at the neck), single-occurrence
+/// variables, constants, compounds written in the clause and variables
+/// bound to compounds. A term-order test always has one ground operand,
+/// and arithmetic reads only integers, so no verdict depends on where an
+/// engine puts its variables and no goal raises an error. Every answer
+/// binds all four query variables to constants.
+pub fn test_program(seed: u64) -> Generated {
+    let mut g = TestGen {
+        rng: Lcg::new(seed),
+        fresh: 0,
+        bound: Vec::new(),
+    };
+    let mut source = String::from(
+        "d(0, a). d(1, 1). d(2, []). d(3, f(a)). d(4, f(_)).\n\
+         d(5, g(1, b)). d(6, [1, 2]). d(7, _). d(8, -1).\n\
+         id(T, T).\n",
+    );
+    let rules = 3 + g.rng.below(4);
+    for k in 0..rules {
+        let body = g.body();
+        source.push_str(&format!("r({k}, I, J, X, Y, R) :- {body}.\n"));
+    }
+    source.push_str("q(I, J, K, R) :- d(I, X), d(J, Y), r(K, I, J, X, Y, R).\n");
+    Generated {
+        source,
+        query: "q(I, J, K, R)".to_owned(),
+    }
+}
+
+/// The term tests [`test_program`] writes, by name and arity.
+const TERM_TESTS: [(&str, u32); 14] = [
+    ("==", 2),
+    ("\\==", 2),
+    ("@<", 2),
+    ("@>", 2),
+    ("@=<", 2),
+    ("@>=", 2),
+    ("var", 1),
+    ("nonvar", 1),
+    ("atom", 1),
+    ("number", 1),
+    ("integer", 1),
+    ("atomic", 1),
+    ("compound", 1),
+    ("ground", 1),
+];
+
+/// The arithmetic comparisons [`test_program`] writes.
+const ARITH_TESTS: [&str; 6] = ["=:=", "=\\=", "<", ">", "=<", ">="];
+
+struct TestGen {
+    rng: Lcg,
+    /// Variables the rule has introduced so far (numbering).
+    fresh: u32,
+    /// Body variables bound by the goals so far, with whether the term
+    /// they are bound to is ground.
+    bound: Vec<(String, bool)>,
+}
+
+impl TestGen {
+    fn var(&mut self, prefix: &str) -> String {
+        self.fresh += 1;
+        format!("{prefix}{}", self.fresh)
+    }
+
+    /// One rule body: plain goals, one if-then-else, or goals ending in
+    /// one.
+    fn body(&mut self) -> String {
+        self.fresh = 0;
+        self.bound.clear();
+        let label = |rng: &mut Lcg| format!("R = c{}", rng.below(4));
+        match self.rng.below(3) {
+            0 => {
+                let (cond, after) = self.test();
+                let (yes, no) = (label(&mut self.rng), label(&mut self.rng));
+                let n = 1 + self.rng.below(2);
+                let then = self.goals(n, &yes);
+                let then = join(&after, &then);
+                format!("( {cond} -> {then} ; {no} )")
+            }
+            1 => {
+                let n = self.rng.below(3);
+                let pre = self.goals(n, "");
+                let (cond, after) = self.test();
+                let (yes, no) = (label(&mut self.rng), label(&mut self.rng));
+                let then = join(&after, &yes);
+                join(&pre, &format!("( {cond} -> {then} ; {no} )"))
+            }
+            _ => {
+                let n = 1 + self.rng.below(4);
+                let last = label(&mut self.rng);
+                self.goals(n, &last)
+            }
+        }
+    }
+
+    /// `n` goals — tests, bindings and calls — then `last`.
+    fn goals(&mut self, n: u32, last: &str) -> String {
+        let mut out = String::new();
+        for _ in 0..n {
+            let goal = match self.rng.below(5) {
+                0 => {
+                    let (v, ground) = (self.var("W"), self.rng.below(2) == 0);
+                    let t = if ground {
+                        ["f(a)", "g(1, b)", "[1, 2]"][self.rng.below(3) as usize].to_owned()
+                    } else {
+                        format!("f({})", self.head_var())
+                    };
+                    self.bound.push((v.clone(), ground));
+                    format!("{v} = {t}")
+                }
+                1 => {
+                    let v = self.var("V");
+                    let from = self.head_var();
+                    self.bound.push((v.clone(), false));
+                    format!("id({from}, {v})")
+                }
+                _ => {
+                    let (test, after) = self.test();
+                    join(&test, &after)
+                }
+            };
+            out = join(&out, &goal);
+        }
+        join(&out, last)
+    }
+
+    fn head_var(&mut self) -> String {
+        ["X", "Y"][self.rng.below(2) as usize].to_owned()
+    }
+
+    /// A test, and the goal that gives a variable first met in it its
+    /// second occurrence (empty when there is none).
+    fn test(&mut self) -> (String, String) {
+        let pick = self.rng.below((TERM_TESTS.len() + 2) as u32) as usize;
+        let Some(&(name, arity)) = TERM_TESTS.get(pick) else {
+            return (self.arith_test(), String::new());
+        };
+        let mut after = String::new();
+        let ordered = name.starts_with('@');
+        let a = self.operand(&mut after, false);
+        if arity == 1 {
+            return (format!("{name}({a})"), after);
+        }
+        let b = self.operand(&mut after, ordered);
+        let (a, b) = if self.rng.below(2) == 0 {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        (format!("{a} {name} {b}"), after)
+    }
+
+    /// A comparison over the integers `I` and `J`.
+    fn arith_test(&mut self) -> String {
+        let op = ARITH_TESTS[self.rng.below(6) as usize];
+        let side = |rng: &mut Lcg| match rng.below(4) {
+            0 => "I".to_owned(),
+            1 => "J".to_owned(),
+            2 => format!("{}", rng.below(9)),
+            _ => format!("I + {}", rng.below(4)),
+        };
+        let a = side(&mut self.rng);
+        let b = side(&mut self.rng);
+        format!("{a} {op} {b}")
+    }
+
+    /// An operand of a term test; a ground one when `ground`. A variable
+    /// first met here gets its second occurrence in `after`.
+    fn operand(&mut self, after: &mut String, ground: bool) -> String {
+        let grounds: Vec<String> = self
+            .bound
+            .iter()
+            .filter(|(_, g)| *g)
+            .map(|(v, _)| v.clone())
+            .collect();
+        let kinds = if ground { 3 } else { 7 };
+        match self.rng.below(kinds) {
+            0 => ["a", "b", "1", "-1", "[]"][self.rng.below(5) as usize].to_owned(),
+            1 => ["f(a)", "g(1, b)", "[1, 2]"][self.rng.below(3) as usize].to_owned(),
+            2 if !grounds.is_empty() => {
+                grounds[self.rng.below(grounds.len() as u32) as usize].clone()
+            }
+            2 => "g(1, b)".to_owned(),
+            3 => self.head_var(),
+            4 if !self.bound.is_empty() => self.bound
+                [self.rng.below(self.bound.len() as u32) as usize]
+                .0
+                .clone(),
+            4 => format!("f({})", self.head_var()),
+            5 => {
+                let v = self.var("Z");
+                let to = self.head_var();
+                *after = join(after, &format!("{v} = {to}"));
+                v
+            }
+            _ => "_".to_owned(),
+        }
+    }
+}
+
+/// `a, b`, or either alone when the other is empty.
+fn join(a: &str, b: &str) -> String {
+    match (a.is_empty(), b.is_empty()) {
+        (true, _) => b.to_owned(),
+        (_, true) => a.to_owned(),
+        _ => format!("{a}, {b}"),
+    }
+}
+
 struct ProgramGen {
     rng: Lcg,
     src: String,
@@ -577,6 +799,38 @@ mod tests {
             f.source
         );
         assert!(f.query.starts_with("f("), "{}", f.query);
+    }
+
+    #[test]
+    fn term_test_programs_use_every_test_in_bodies_and_conditions() {
+        assert_eq!(test_program(5).source, test_program(5).source);
+        assert_ne!(test_program(5).source, test_program(6).source);
+        let sources: Vec<String> = (0..100).map(|s| test_program(s).source).collect();
+        // Each rule line split into its if-then-else condition (if any)
+        // and the rest of it.
+        let parts: Vec<(String, String)> = sources
+            .iter()
+            .flat_map(|s| s.lines())
+            .filter(|l| l.starts_with("r("))
+            .map(|l| match l.split_once("( ") {
+                Some((pre, ite)) => {
+                    let (cond, rest) = ite.split_once(" -> ").unwrap();
+                    (format!(" {cond} "), format!("{pre}{rest}"))
+                }
+                None => (String::new(), l.to_owned()),
+            })
+            .collect();
+        let names = TERM_TESTS.iter().map(|t| t.0).chain(ARITH_TESTS);
+        for name in names {
+            let uses =
+                |s: &str| s.contains(&format!(" {name} ")) || s.contains(&format!(" {name}("));
+            let in_body = parts.iter().any(|(_, rest)| uses(rest));
+            let in_cond = parts.iter().any(|(cond, _)| uses(cond));
+            assert!(
+                in_body && in_cond,
+                "{name}: body {in_body}, condition {in_cond}"
+            );
+        }
     }
 
     #[test]

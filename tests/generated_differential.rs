@@ -19,6 +19,15 @@
 //! the interpreter oracle scans on the first argument; all three must
 //! agree, and the compiled run never makes more choice points.
 //!
+//! Generated term tests (`ace_programs::gen::test_program`: every
+//! arithmetic comparison, `==`, `\==`, the term order and the type tests,
+//! in rule bodies and as if-then-else conditions, over head variables,
+//! variables first met in the body, constants, compounds written in the
+//! clause and variables bound to compounds) take the same three modes. The
+//! compiled machine decides most of them inline off its registers and
+//! hands the operands it cannot read there to the builtin; the interpreter
+//! oracle always calls the builtin.
+//!
 //! Their `&` variants (`ace_programs::gen::par_program`) go to the
 //! and-engine instead: the sequential machine's answers must equal the
 //! and-engine's under the paper's optimizations (eager frames) and under
@@ -56,6 +65,11 @@ fn check_facts(seed: u64) -> usize {
         g.source
     );
     answers
+}
+
+/// Run seed `seed`'s term-test program in every mode, as [`check`] does.
+fn check_tests(seed: u64) -> usize {
+    check_program(seed, ace_programs::gen::test_program(seed)).0
 }
 
 /// Run `g` sequentially on compiled code and on the interpreter oracle and
@@ -188,6 +202,11 @@ fn generated_fact_tables_agree_across_execution_modes() {
 }
 
 #[test]
+fn generated_term_tests_agree_across_execution_modes() {
+    sweep_with(check_tests, 0, 100);
+}
+
+#[test]
 fn generated_par_programs_agree_across_and_engine_modes() {
     sweep_with(check_par, 0, 100);
 }
@@ -208,5 +227,6 @@ fn rotating_seed_sweep() {
     println!("generated-program seeds: {base} .. +1000");
     sweep(base, 1000);
     sweep_with(check_facts, base, 1000);
+    sweep_with(check_tests, base, 1000);
     sweep_with(check_par, base, 1000);
 }
