@@ -6,6 +6,7 @@
 
 use std::fmt::Write as _;
 
+use crate::fxhash::FxHashSet;
 use crate::heap::{Addr, Cell, Heap};
 use crate::term::{view, TermView};
 
@@ -30,6 +31,9 @@ enum Job {
     /// The operator and right argument (under its priority bound) of the
     /// infix term at this header, whose left argument has been written.
     Infix(&'static str, Addr, u16),
+    /// The compound at this address is written: it is no longer one of
+    /// the compounds being written (second pass only).
+    Exit(Addr),
 }
 
 /// Append the text of `t` to `out`.
@@ -39,42 +43,283 @@ enum Job {
 /// a compound subterm being written; atomic subterms are written where
 /// they are met, so a flat list or structure never touches it (nor
 /// allocates it).
+///
+/// A cyclic term (unification has no occurs check: `X = f(X)`) has no
+/// finite text. A compound met again inside itself is written `...`, so
+/// `X = f(X)` writes `f(...)` and `X = [a|X]` writes `[a|...]`. Watching
+/// for that takes a set of the compounds being written, so a first pass
+/// writes without one and gives up once it has entered more compounds
+/// than the heap has cells, which no term without shared subterms can
+/// have; the term is then written again with the set. An acyclic term's
+/// text is the same either way.
 pub fn write_term_to(out: &mut String, heap: &Heap, t: Cell) {
-    let mut todo: Vec<Job> = Vec::new();
-    let mut job = Job::Term(t, 1200);
-    loop {
-        match job {
-            Job::Close(bracket) => out.push(bracket),
-            Job::Term(t, max_prec) => write_one(out, heap, t, max_prec, &mut todo),
-            Job::Tail(rest) => write_elements(out, heap, rest, false, &mut todo),
-            Job::Args(hdr, from) => write_args(out, heap, hdr, from, &mut todo),
-            Job::Infix(name, hdr, rmax) => {
-                let right = heap.str_arg(hdr, 1);
-                if name == "," {
-                    out.push(',');
-                } else if name.bytes().all(|b| b.is_ascii_alphanumeric()) {
-                    // alphabetic operators (is, mod, rem) need spacing
-                    out.push(' ');
-                    out.push_str(name);
-                    out.push(' ');
-                } else {
-                    // symbolic: insert spaces only where tokens would
-                    // otherwise merge (e.g. `1- -2`, `a= =b`)
-                    if out.ends_with(is_symbolic) {
+    let start = out.len();
+    let mut w = Writer {
+        out,
+        heap,
+        todo: Vec::new(),
+        budget: heap.len(),
+        gave_up: false,
+        open: None,
+    };
+    if w.write(t) {
+        return;
+    }
+    w.out.truncate(start);
+    w.todo.clear();
+    w.open = Some(FxHashSet::default());
+    w.gave_up = false;
+    w.write(t);
+}
+
+/// One term being written to `out`.
+struct Writer<'a> {
+    out: &'a mut String,
+    heap: &'a Heap,
+    todo: Vec<Job>,
+    /// Compounds the first pass may still enter.
+    budget: usize,
+    /// The first pass ran out of budget.
+    gave_up: bool,
+    /// Second pass: the addresses of the compounds being written (the
+    /// ancestors of whatever is written next).
+    open: Option<FxHashSet<u32>>,
+}
+
+impl Writer<'_> {
+    /// Write `t`; `false` when the first pass gave up.
+    fn write(&mut self, t: Cell) -> bool {
+        let mut job = Job::Term(t, 1200);
+        loop {
+            match job {
+                Job::Close(bracket) => self.out.push(bracket),
+                Job::Term(t, max_prec) => self.write_one(t, max_prec),
+                Job::Tail(rest) => self.write_elements(rest, false),
+                Job::Args(hdr, from) => self.write_args(hdr, from),
+                Job::Infix(name, hdr, rmax) => {
+                    let right = self.heap.str_arg(hdr, 1);
+                    let out = &mut *self.out;
+                    if name == "," {
+                        out.push(',');
+                    } else if name.bytes().all(|b| b.is_ascii_alphanumeric()) {
+                        // alphabetic operators (is, mod, rem) need spacing
                         out.push(' ');
+                        out.push_str(name);
+                        out.push(' ');
+                    } else {
+                        // symbolic: insert spaces only where tokens would
+                        // otherwise merge (e.g. `1- -2`, `a= =b`)
+                        if out.ends_with(is_symbolic) {
+                            out.push(' ');
+                        }
+                        out.push_str(name);
+                        if self.starts_symbolic(right, rmax) {
+                            self.out.push(' ');
+                        }
                     }
-                    out.push_str(name);
-                    if starts_symbolic(heap, right, rmax) {
-                        out.push(' ');
+                    self.write_one(right, rmax);
+                }
+                Job::Exit(a) => {
+                    if let Some(open) = &mut self.open {
+                        open.remove(&a.0);
                     }
                 }
-                write_one(out, heap, right, rmax, &mut todo);
+            }
+            if self.gave_up {
+                return false;
+            }
+            match self.todo.pop() {
+                Some(next) => job = next,
+                None => return true,
             }
         }
-        match todo.pop() {
-            Some(next) => job = next,
-            None => return,
+    }
+
+    /// Enter the compound at `a`. `false` when it is one of the compounds
+    /// being written, and is to be written `...`, or when the first pass
+    /// has spent its budget (and gives up).
+    fn enter(&mut self, a: Addr) -> bool {
+        match &mut self.open {
+            None if self.budget == 0 => {
+                self.gave_up = true;
+                false
+            }
+            None => {
+                self.budget -= 1;
+                true
+            }
+            Some(open) => {
+                let new = open.insert(a.0);
+                if new {
+                    self.todo.push(Job::Exit(a));
+                }
+                new
+            }
         }
+    }
+
+    /// Write `t`, or what of it comes before its first compound subterm;
+    /// queue the rest.
+    fn write_one(&mut self, t: Cell, max_prec: u16) {
+        let heap = self.heap;
+        let viewed = view(heap, t);
+        if write_atomic(self.out, viewed) {
+            return;
+        }
+        let TermView::Struct(f, n, hdr) = viewed else {
+            if self
+                .open
+                .as_ref()
+                .is_some_and(|open| t_is_open(heap, t, open))
+            {
+                self.out.push_str("...");
+                return;
+            }
+            self.out.push('[');
+            return self.write_elements(t, true);
+        };
+        if !self.enter(hdr) {
+            self.out.push_str("...");
+            return;
+        }
+        let name = f.name();
+        if let (2, Some((prec, lmax, rmax))) = (n, infix_prec(name)) {
+            if prec > max_prec {
+                self.out.push('(');
+                self.todo.push(Job::Close(')'));
+            }
+            self.todo.push(Job::Infix(name, hdr, rmax));
+            let left = heap.str_arg(hdr, 0);
+            if !write_atomic(self.out, view(heap, left)) {
+                self.todo.push(Job::Term(left, lmax));
+            }
+        } else if let (1, Some((prec, amax))) = (n, prefix_prec(name)) {
+            if prec > max_prec {
+                self.out.push('(');
+                self.todo.push(Job::Close(')'));
+            }
+            self.out.push_str(name);
+            self.out.push(' ');
+            self.todo.push(Job::Term(heap.str_arg(hdr, 0), amax));
+        } else {
+            write_atom(self.out, name);
+            self.out.push('(');
+            self.write_args(hdr, 0);
+        }
+    }
+
+    /// The arguments of the structure at `hdr` from index `from` on, then
+    /// `)`; suspended on `todo` around the first compound one.
+    fn write_args(&mut self, hdr: Addr, from: u32) {
+        let heap = self.heap;
+        let (_, n) = heap.functor_at(hdr);
+        for i in from..n {
+            if i > 0 {
+                self.out.push(',');
+            }
+            let arg = heap.str_arg(hdr, i);
+            if !write_atomic(self.out, view(heap, arg)) {
+                self.todo.push(Job::Args(hdr, i + 1));
+                self.todo.push(Job::Term(arg, 999));
+                return;
+            }
+        }
+        self.out.push(')');
+    }
+
+    /// The elements of the list `rest` (`first`: none written yet), its
+    /// tail if it is partial, then `]`; suspended on `todo` around the
+    /// first compound element. A pair met again is a cyclic tail, written
+    /// `|...`.
+    fn write_elements(&mut self, mut rest: Cell, mut first: bool) {
+        let heap = self.heap;
+        loop {
+            match view(heap, rest) {
+                TermView::List(p) => {
+                    if !self.enter(p) {
+                        if self.gave_up {
+                            return;
+                        }
+                        self.out.push_str("|...");
+                        break;
+                    }
+                    if !first {
+                        self.out.push(',');
+                    }
+                    first = false;
+                    let (head, tail) = (heap.lst_head(p), heap.lst_tail(p));
+                    if !write_atomic(self.out, view(heap, head)) {
+                        self.todo.push(Job::Tail(tail));
+                        self.todo.push(Job::Term(head, 999));
+                        return;
+                    }
+                    rest = tail;
+                }
+                TermView::Nil => break,
+                tail => {
+                    // a partial list (or one a builtin consed onto a compound)
+                    self.out.push('|');
+                    if !write_atomic(self.out, tail) {
+                        self.todo.push(Job::Close(']'));
+                        self.todo.push(Job::Term(rest, 999));
+                        return;
+                    }
+                    break;
+                }
+            }
+        }
+        self.out.push(']');
+    }
+
+    /// Would the text of `t` under `max_prec` start with a symbolic
+    /// character? Follows what [`Writer::write_one`] writes first: down the
+    /// left arguments of unparenthesised infix terms to the leftmost token,
+    /// which is `...` where that path meets a compound being written — or
+    /// meets one of its own terms again, which takes more steps than the
+    /// heap has cells.
+    fn starts_symbolic(&self, mut t: Cell, mut max_prec: u16) -> bool {
+        let heap = self.heap;
+        let open = |t: Cell| {
+            self.open
+                .as_ref()
+                .is_some_and(|open| t_is_open(heap, t, open))
+        };
+        for _ in 0..=heap.len() {
+            let name = match view(heap, t) {
+                TermView::Int(i) => return i < 0,
+                TermView::Var(_) | TermView::Nil => return false,
+                TermView::List(_) => return open(t),
+                TermView::Atom(s) => s.name(),
+                TermView::Struct(f, n, hdr) => {
+                    if open(t) {
+                        return true;
+                    }
+                    let name = f.name();
+                    if let (2, Some((prec, lmax, _))) = (n, infix_prec(name)) {
+                        if prec > max_prec {
+                            return false;
+                        }
+                        (t, max_prec) = (heap.str_arg(hdr, 0), lmax);
+                        continue;
+                    }
+                    if let (1, Some((prec, _))) = (n, prefix_prec(name)) {
+                        // a prefix operator is written raw, never quoted
+                        return prec <= max_prec && name.starts_with(is_symbolic);
+                    }
+                    name
+                }
+            };
+            return !needs_quotes(name) && name.starts_with(is_symbolic);
+        }
+        true
+    }
+}
+
+/// Is the compound `t` one of the compounds `open` holds?
+fn t_is_open(heap: &Heap, t: Cell, open: &FxHashSet<u32>) -> bool {
+    match view(heap, t) {
+        TermView::Struct(_, _, a) | TermView::List(a) => open.contains(&a.0),
+        _ => false,
     }
 }
 
@@ -93,131 +338,6 @@ fn write_atomic(out: &mut String, t: TermView) -> bool {
         TermView::List(_) | TermView::Struct(..) => return false,
     }
     true
-}
-
-/// Write `t`, or what of it comes before its first compound subterm;
-/// queue the rest.
-fn write_one(out: &mut String, heap: &Heap, t: Cell, max_prec: u16, todo: &mut Vec<Job>) {
-    let viewed = view(heap, t);
-    if write_atomic(out, viewed) {
-        return;
-    }
-    let TermView::Struct(f, n, hdr) = viewed else {
-        out.push('[');
-        return write_elements(out, heap, t, true, todo);
-    };
-    let name = f.name();
-    if let (2, Some((prec, lmax, rmax))) = (n, infix_prec(name)) {
-        if prec > max_prec {
-            out.push('(');
-            todo.push(Job::Close(')'));
-        }
-        todo.push(Job::Infix(name, hdr, rmax));
-        let left = heap.str_arg(hdr, 0);
-        if !write_atomic(out, view(heap, left)) {
-            todo.push(Job::Term(left, lmax));
-        }
-    } else if let (1, Some((prec, amax))) = (n, prefix_prec(name)) {
-        if prec > max_prec {
-            out.push('(');
-            todo.push(Job::Close(')'));
-        }
-        out.push_str(name);
-        out.push(' ');
-        todo.push(Job::Term(heap.str_arg(hdr, 0), amax));
-    } else {
-        write_atom(out, name);
-        out.push('(');
-        write_args(out, heap, hdr, 0, todo);
-    }
-}
-
-/// The arguments of the structure at `hdr` from index `from` on, then `)`;
-/// suspended on `todo` around the first compound one.
-fn write_args(out: &mut String, heap: &Heap, hdr: Addr, from: u32, todo: &mut Vec<Job>) {
-    let (_, n) = heap.functor_at(hdr);
-    for i in from..n {
-        if i > 0 {
-            out.push(',');
-        }
-        let arg = heap.str_arg(hdr, i);
-        if !write_atomic(out, view(heap, arg)) {
-            todo.push(Job::Args(hdr, i + 1));
-            todo.push(Job::Term(arg, 999));
-            return;
-        }
-    }
-    out.push(')');
-}
-
-/// The elements of the list `rest` (`first`: none written yet), its tail if
-/// it is partial, then `]`; suspended on `todo` around the first compound
-/// element.
-fn write_elements(
-    out: &mut String,
-    heap: &Heap,
-    mut rest: Cell,
-    mut first: bool,
-    todo: &mut Vec<Job>,
-) {
-    loop {
-        match view(heap, rest) {
-            TermView::List(p) => {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let (head, tail) = (heap.lst_head(p), heap.lst_tail(p));
-                if !write_atomic(out, view(heap, head)) {
-                    todo.push(Job::Tail(tail));
-                    todo.push(Job::Term(head, 999));
-                    return;
-                }
-                rest = tail;
-            }
-            TermView::Nil => break,
-            tail => {
-                // a partial list (or one a builtin consed onto a compound)
-                out.push('|');
-                if !write_atomic(out, tail) {
-                    todo.push(Job::Close(']'));
-                    todo.push(Job::Term(rest, 999));
-                    return;
-                }
-                break;
-            }
-        }
-    }
-    out.push(']');
-}
-
-/// Would the text of `t` under `max_prec` start with a symbolic character?
-/// Follows what [`write_one`] writes first: down the left arguments of
-/// unparenthesised infix terms to the leftmost token.
-fn starts_symbolic(heap: &Heap, mut t: Cell, mut max_prec: u16) -> bool {
-    loop {
-        let name = match view(heap, t) {
-            TermView::Int(i) => return i < 0,
-            TermView::Var(_) | TermView::Nil | TermView::List(_) => return false,
-            TermView::Atom(s) => s.name(),
-            TermView::Struct(f, n, hdr) => {
-                let name = f.name();
-                if let (2, Some((prec, lmax, _))) = (n, infix_prec(name)) {
-                    if prec > max_prec {
-                        return false;
-                    }
-                    (t, max_prec) = (heap.str_arg(hdr, 0), lmax);
-                    continue;
-                }
-                if let (1, Some((prec, _))) = (n, prefix_prec(name)) {
-                    // a prefix operator is written raw, never quoted
-                    return prec <= max_prec && name.starts_with(is_symbolic);
-                }
-                name
-            }
-        };
-        return !needs_quotes(name) && name.starts_with(is_symbolic);
-    }
 }
 
 /// (priority, left-arg max, right-arg max) for infix operators the reader
@@ -535,6 +655,73 @@ mod tests {
             "only {spaced} terms needed a token-separating space"
         );
         assert_eq!(rt("1 - (-2)"), "1- -2");
+    }
+
+    /// `X`, bound to what `build` makes of it: a cyclic term.
+    fn cyclic(build: impl FnOnce(&mut Heap, Cell) -> Cell) -> String {
+        let mut h = Heap::new();
+        let x = h.new_var();
+        let t = build(&mut h, x);
+        let Cell::Ref(a) = x else { unreachable!() };
+        h.bind(a, t);
+        term_to_string(&h, x)
+    }
+
+    #[test]
+    fn a_cyclic_term_writes_its_revisited_compound_as_dots() {
+        let f = |h: &mut Heap, x| h.new_struct(sym("f"), &[x]);
+        assert_eq!(cyclic(f), "f(...)");
+        assert_eq!(cyclic(|h, x| h.cons(Cell::Atom(sym("a")), x)), "[a|...]");
+        assert_eq!(cyclic(|h, x| h.list(&[x])), "[...]");
+        let deep = |h: &mut Heap, x| {
+            let g = h.new_struct(sym("g"), &[x]);
+            let l = h.list(&[x, Cell::Int(2)]);
+            h.new_struct(sym("f"), &[Cell::Atom(sym("a")), g, l])
+        };
+        assert_eq!(cyclic(deep), "f(a,g(...),[...,2])");
+        // the cycle through a list's tail, entered past its first pair
+        let tail = |h: &mut Heap, _| {
+            let inner = h.new_var();
+            let Cell::Ref(a) = inner else { unreachable!() };
+            let cycle = h.cons(Cell::Int(2), inner);
+            h.bind(a, cycle);
+            h.cons(Cell::Int(1), cycle)
+        };
+        assert_eq!(cyclic(tail), "[1,2|...]");
+        // down the left of an operator, and as an operator's right side
+        let plus = |h: &mut Heap, x| h.new_struct(sym("+"), &[x, Cell::Int(1)]);
+        assert_eq!(cyclic(plus), "... +1");
+        let eq = |h: &mut Heap, _| {
+            let inner = h.new_var();
+            let Cell::Ref(a) = inner else { unreachable!() };
+            let left = h.new_struct(sym("+"), &[inner, Cell::Int(1)]);
+            h.bind(a, left);
+            h.new_struct(sym("="), &[Cell::Atom(sym("a")), left])
+        };
+        assert_eq!(cyclic(eq), "a= ... +1");
+        let neg = |h: &mut Heap, x| h.new_struct(sym("\\+"), &[x]);
+        assert_eq!(cyclic(neg), "\\+ ...");
+    }
+
+    /// A term whose subterms are shared writes more compounds than the heap
+    /// has cells: the second pass, which watches for cycles, writes it, to
+    /// the same bytes.
+    #[test]
+    fn a_shared_acyclic_term_past_the_budget_writes_as_before() {
+        let mut h = Heap::new();
+        let mut t = Cell::Atom(sym("z"));
+        for i in 0..12 {
+            t = if i % 2 == 0 {
+                h.new_struct(sym("-"), &[t, t])
+            } else {
+                h.list(&[t, t])
+            };
+        }
+        let mut want = String::new();
+        write_recursive(&mut want, &h, t, 1200);
+        let text = term_to_string(&h, t);
+        assert!(text.len() > 4 * h.len(), "the first pass gave up");
+        assert_eq!(text, want);
     }
 
     #[test]

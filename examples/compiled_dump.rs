@@ -35,6 +35,8 @@ const DEMO: &str = r#"
     shade(leaf, green).
     shade(coal, black).
     shade(snow, white).
+    pair(X, Y) :- shade(X, C), shade(Y, C), X @< Y.
+    same(X, Y, R) :- ( X == Y -> R = same ; R = different ).
 "#;
 
 /// Print the dispatch tables of `pred` whose argument is at least `from`
@@ -60,7 +62,7 @@ fn main() -> Result<(), String> {
         ),
         None => (
             DEMO.to_string(),
-            vec!["nrev([1,2,3,4,5,6,7,8], R)", "shade(X, red)"],
+            vec!["nrev([1,2,3,4,5,6,7,8], R)", "shade(X, red)", "pair(X, Y)"],
         ),
     };
     let ace = Ace::load(&program)?;
