@@ -167,11 +167,7 @@ impl Writer<'_> {
             return;
         }
         let TermView::Struct(f, n, hdr) = viewed else {
-            if self
-                .open
-                .as_ref()
-                .is_some_and(|open| t_is_open(heap, t, open))
-            {
+            if self.is_open(t) {
                 self.out.push_str("...");
                 return;
             }
@@ -279,19 +275,14 @@ impl Writer<'_> {
     /// heap has cells.
     fn starts_symbolic(&self, mut t: Cell, mut max_prec: u16) -> bool {
         let heap = self.heap;
-        let open = |t: Cell| {
-            self.open
-                .as_ref()
-                .is_some_and(|open| t_is_open(heap, t, open))
-        };
         for _ in 0..=heap.len() {
             let name = match view(heap, t) {
                 TermView::Int(i) => return i < 0,
                 TermView::Var(_) | TermView::Nil => return false,
-                TermView::List(_) => return open(t),
+                TermView::List(_) => return self.is_open(t),
                 TermView::Atom(s) => s.name(),
                 TermView::Struct(f, n, hdr) => {
-                    if open(t) {
+                    if self.is_open(t) {
                         return true;
                     }
                     let name = f.name();
@@ -313,13 +304,16 @@ impl Writer<'_> {
         }
         true
     }
-}
 
-/// Is the compound `t` one of the compounds `open` holds?
-fn t_is_open(heap: &Heap, t: Cell, open: &FxHashSet<u32>) -> bool {
-    match view(heap, t) {
-        TermView::Struct(_, _, a) | TermView::List(a) => open.contains(&a.0),
-        _ => false,
+    /// Is `t` one of the compounds being written (second pass only)?
+    fn is_open(&self, t: Cell) -> bool {
+        let Some(open) = &self.open else {
+            return false;
+        };
+        match view(self.heap, t) {
+            TermView::Struct(_, _, a) | TermView::List(a) => open.contains(&a.0),
+            _ => false,
+        }
     }
 }
 
