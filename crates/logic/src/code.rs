@@ -103,6 +103,20 @@ pub struct StepTemplate {
 }
 
 impl StepTemplate {
+    /// Name and arity of the goal this template builds; `None` when its
+    /// principal functor is only known at run time (a variable goal) or
+    /// it is no callable term.
+    pub fn functor(&self) -> Option<(Sym, u32)> {
+        match self.root {
+            Cell::Atom(s) => Some((s, 0)),
+            Cell::Str(h) => match self.cells[h.idx()] {
+                Cell::Functor(f, n) => Some((f, n)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// Copy the template onto `heap`, resolving slot references. Returns
     /// the instantiated term and the number of cells written.
     #[inline]
@@ -160,8 +174,7 @@ pub enum TermTest {
     Var,
     Nonvar,
     Atom,
-    /// `number/1`: the same verdict as `integer/1` (numbers are integers).
-    Number,
+    /// `integer/1`, and `number/1`: numbers are integers.
     Integer,
     Atomic,
     Compound,
@@ -170,10 +183,10 @@ pub enum TermTest {
 
 impl TermTest {
     /// Every term test.
-    pub const ALL: [TermTest; 14] = {
+    pub const ALL: [TermTest; 13] = {
         use TermTest::*;
         [
-            Eq, Ne, Lt, Gt, Le, Ge, Var, Nonvar, Atom, Number, Integer, Atomic, Compound, Ground,
+            Eq, Ne, Lt, Gt, Le, Ge, Var, Nonvar, Atom, Integer, Atomic, Compound, Ground,
         ]
     };
 
@@ -190,7 +203,6 @@ impl TermTest {
             Var => "var",
             Nonvar => "nonvar",
             Atom => "atom",
-            Number => "number",
             Integer => "integer",
             Atomic => "atomic",
             Compound => "compound",
@@ -225,7 +237,7 @@ impl TermTest {
             Var => matches!(v(), TermView::Var(_)),
             Nonvar => !matches!(v(), TermView::Var(_)),
             Atom => matches!(v(), TermView::Atom(_) | TermView::Nil),
-            Number | Integer => matches!(v(), TermView::Int(_)),
+            Integer => matches!(v(), TermView::Int(_)),
             Atomic => matches!(v(), TermView::Atom(_) | TermView::Int(_) | TermView::Nil),
             Compound => matches!(v(), TermView::Struct(..) | TermView::List(_)),
             Ground => is_ground(heap, a),
@@ -269,21 +281,12 @@ impl TestOp {
             B::Var => T::Var,
             B::Nonvar => T::Nonvar,
             B::Atom => T::Atom,
-            B::Integer if f == w.number => T::Number,
             B::Integer => T::Integer,
             B::Atomic => T::Atomic,
             B::Compound => T::Compound,
             B::Ground => T::Ground,
             _ => return None,
         }))
-    }
-
-    /// `name/arity`, as the listing shows it.
-    pub fn indicator(self) -> String {
-        match self {
-            TestOp::Arith(op) => format!("{}/2", op.name()),
-            TestOp::Term(t) => format!("{}/{}", t.name(), t.arity()),
-        }
     }
 }
 
@@ -320,14 +323,7 @@ impl BodyStep {
     /// principal functor is only known at run time (a variable goal) or
     /// it is no callable term.
     pub fn functor(&self) -> Option<(Sym, u32)> {
-        match self.tpl.root {
-            Cell::Atom(s) => Some((s, 0)),
-            Cell::Str(h) => match self.tpl.cells[h.idx()] {
-                Cell::Functor(f, n) => Some((f, n)),
-                _ => None,
-            },
-            _ => None,
-        }
+        self.tpl.functor()
     }
 }
 
@@ -601,6 +597,12 @@ impl CompiledCode {
             Cell::Nil => "[]".into(),
             other => format!("{other:?}"),
         };
+        // a test is listed under its goal's own name (`number/1` runs the
+        // `integer/1` test)
+        let test = |tpl: &StepTemplate| match tpl.functor() {
+            Some((f, n)) => format!("{}/{n}", f.name()),
+            None => unreachable!("a test step builds a goal of a test predicate"),
+        };
         let mut out = Vec::with_capacity(self.head.len() + 1);
         for ins in &self.head {
             out.push(match *ins {
@@ -628,7 +630,7 @@ impl CompiledCode {
                 "{indent}body_goal     % {} template cells",
                 st.tpl.cells.len()
             ),
-            StepKind::Test(op) => format!("{indent}test          {} % inline", op.indicator()),
+            StepKind::Test(_) => format!("{indent}test          {} % inline", test(&st.tpl)),
             StepKind::Is => format!("{indent}eval_is       % inline, slot result"),
             StepKind::Unify => format!("{indent}get_value     % inline =/2"),
         };
@@ -640,14 +642,14 @@ impl CompiledCode {
                 }
             }
             CompiledBody::IfThenElse {
-                cond_op,
+                cond,
                 then_steps,
                 else_steps,
                 ..
             } => {
                 out.push(format!(
                     "switch_test   {} % if-then-else, no choice point",
-                    cond_op.indicator()
+                    test(cond)
                 ));
                 for st in then_steps {
                     out.push(step_line(st, "  then: "));

@@ -47,18 +47,20 @@ enum Job {
 /// A cyclic term (unification has no occurs check: `X = f(X)`) has no
 /// finite text. A compound met again inside itself is written `...`, so
 /// `X = f(X)` writes `f(...)` and `X = [a|X]` writes `[a|...]`. Watching
-/// for that takes a set of the compounds being written, so a first pass
-/// writes without one and gives up once it has entered more compounds
-/// than the heap has cells, which no term without shared subterms can
-/// have; the term is then written again with the set. An acyclic term's
-/// text is the same either way.
+/// for that takes a set of the compounds being written, which made
+/// `seq_search`'s rounds, whose answers are short lists, a fifth slower
+/// when every answer paid it (EXPERIMENTS.md, "Cyclic answers: one pass
+/// or two"). So a first pass writes without the set and gives up once
+/// the bytes it wrote plus the compounds it entered reach 4 096
+/// (`FIRST_PASS`); the term is then written again with the set. An
+/// acyclic term's text is the same either way.
 pub fn write_term_to(out: &mut String, heap: &Heap, t: Cell) {
     let start = out.len();
     let mut w = Writer {
         out,
         heap,
         todo: Vec::new(),
-        budget: heap.len(),
+        limit: start + FIRST_PASS,
         gave_up: false,
         open: None,
     };
@@ -72,14 +74,21 @@ pub fn write_term_to(out: &mut String, heap: &Heap, t: Cell) {
     w.write(t);
 }
 
+/// What a first pass may spend: bytes of text written plus compounds
+/// entered. A term that takes more, cyclic or only long, is written again
+/// with the set, so the text a cyclic term leaves behind does not grow
+/// with the heap it lies in.
+const FIRST_PASS: usize = 4096;
+
 /// One term being written to `out`.
 struct Writer<'a> {
     out: &'a mut String,
     heap: &'a Heap,
     todo: Vec<Job>,
-    /// Compounds the first pass may still enter.
-    budget: usize,
-    /// The first pass ran out of budget.
+    /// The first pass gives up when `out` reaches this length, which each
+    /// compound it enters brings one byte nearer.
+    limit: usize,
+    /// The first pass spent [`FIRST_PASS`].
     gave_up: bool,
     /// Second pass: the addresses of the compounds being written (the
     /// ancestors of whatever is written next).
@@ -137,15 +146,15 @@ impl Writer<'_> {
 
     /// Enter the compound at `a`. `false` when it is one of the compounds
     /// being written, and is to be written `...`, or when the first pass
-    /// has spent its budget (and gives up).
+    /// has spent [`FIRST_PASS`] (and gives up).
     fn enter(&mut self, a: Addr) -> bool {
         match &mut self.open {
-            None if self.budget == 0 => {
+            None if self.out.len() >= self.limit => {
                 self.gave_up = true;
                 false
             }
             None => {
-                self.budget -= 1;
+                self.limit -= 1;
                 true
             }
             Some(open) => {
@@ -698,10 +707,10 @@ mod tests {
     }
 
     /// A term whose subterms are shared writes more compounds than the heap
-    /// has cells: the second pass, which watches for cycles, writes it, to
-    /// the same bytes.
+    /// has cells and more text than a first pass may: the second pass,
+    /// which watches for cycles, writes it, to the same bytes.
     #[test]
-    fn a_shared_acyclic_term_past_the_budget_writes_as_before() {
+    fn a_shared_acyclic_term_past_the_first_pass_writes_as_before() {
         let mut h = Heap::new();
         let mut t = Cell::Atom(sym("z"));
         for i in 0..12 {
@@ -714,7 +723,7 @@ mod tests {
         let mut want = String::new();
         write_recursive(&mut want, &h, t, 1200);
         let text = term_to_string(&h, t);
-        assert!(text.len() > 4 * h.len(), "the first pass gave up");
+        assert!(text.len() > FIRST_PASS && text.len() > 4 * h.len());
         assert_eq!(text, want);
     }
 

@@ -76,7 +76,7 @@ fn every_test() -> Vec<(TestOp, &'static str, &'static str)> {
         TermTest::Lt | TermTest::Le => ("a", "b"),
         TermTest::Gt | TermTest::Ge => ("g(1)", "f(a)"),
         TermTest::Var => ("_", "y"),
-        TermTest::Number | TermTest::Integer => ("-3", "y"),
+        TermTest::Integer => ("-3", "y"),
         TermTest::Atomic => ("[]", "y"),
         TermTest::Nonvar | TermTest::Compound | TermTest::Ground => ("[1, 2]", "y"),
         TermTest::Atom => ("a", "y"),
@@ -280,4 +280,35 @@ fn the_listing_names_each_test() {
             .count(),
         17
     );
+}
+
+#[test]
+fn number_runs_the_integer_test_under_its_own_name() {
+    assert_eq!(
+        TestOp::of(sym("number"), 1),
+        Some(TestOp::Term(TermTest::Integer))
+    );
+    let src = "p(X) :- number(X), integer(X).\nq(X, Y) :- ( number(X) -> Y = n ; Y = o ).";
+    let db = Database::load(src).unwrap();
+    let listing = |p, n| {
+        db.predicate(sym(p), n).unwrap().clauses[0]
+            .code()
+            .disassemble()
+    };
+    assert_eq!(
+        listing("p", 1)[..3],
+        [
+            "get_var       X0, A0",
+            "test          number/1 % inline",
+            "test          integer/1 % inline",
+        ]
+    );
+    assert_eq!(
+        listing("q", 2)[2],
+        "switch_test   number/1 % if-then-else, no choice point"
+    );
+    assert_eq!(run(src, "p(-3)").answers.len(), 1);
+    assert_eq!(run(src, "p(a)").answers.len(), 0);
+    assert_eq!(run(src, "q(2, Y)").answers, ["Y=n"]);
+    assert_eq!(run(src, "q(f(2), Y)").answers, ["Y=o"]);
 }

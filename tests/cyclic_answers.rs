@@ -72,6 +72,21 @@ fn capped_facade() {
     }
 }
 
+/// What a cyclic answer leaves behind does not grow with the heap: after
+/// a query has built a long list and dropped it, `X=f(...)` is still a
+/// short line, in a buffer no larger than the writer's first pass may fill
+/// (4 KiB) before it watches for cycles.
+#[test]
+fn a_cyclic_answer_after_a_large_heap_is_a_short_line() {
+    let ace = Ace::load("big :- length(L, 200000), L = [_|_].").unwrap();
+    let r = ace
+        .run(Mode::Sequential, "big, X = f(X)", &EngineConfig::default())
+        .unwrap();
+    assert_eq!(r.solutions, ["X=f(...)"]);
+    let cap = r.solutions[0].capacity();
+    assert!(cap <= 8192, "a line of 8 bytes in a buffer of {cap}");
+}
+
 #[test]
 #[ignore = "run by a_cyclic_answer_renders_under_a_memory_cap, under a memory cap"]
 fn capped_server_session() {
