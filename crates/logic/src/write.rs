@@ -48,7 +48,7 @@ enum Job {
 /// finite text. A compound met again inside itself is written `...`, so
 /// `X = f(X)` writes `f(...)` and `X = [a|X]` writes `[a|...]`. Watching
 /// for that takes a set of the compounds being written, which made
-/// `seq_search`'s rounds, whose answers are short lists, a fifth slower
+/// `seq_search`'s rounds, whose answers are all short, a fifth slower
 /// when every answer paid it (EXPERIMENTS.md, "Cyclic answers: one pass
 /// or two"). So a first pass writes without the set and gives up once
 /// the bytes it wrote plus the compounds it entered reach 4 096
